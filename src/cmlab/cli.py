@@ -31,7 +31,6 @@ from .hodge import (
     quadruple_to_cycle,
     reduce_to_low_degree,
     relation_of_cycle,
-    support_and_equivalence,
 )
 from .hyperoct import Subset, act_subset
 from .intlattice import kernel_basis
@@ -39,8 +38,8 @@ from .reciprocity import (
     ANTIWEYL,
     SIMPLE,
     MonomialRelation,
+    default_symbols,
     kernel_N,
-    mt_dimension,
     rec_star_antiweyl,
     relation_to_json,
     relations_from_kernel,
@@ -219,11 +218,12 @@ def _cmd_compagnons(args):
 
 def _kernel_report(spec: CMPairSpec):
     lattice = kernel_N(spec)
+    mt = spec.g + 1 - lattice.rank
     symbols = [f"Th[{name}]" for name in spec.phi_names]
     rels = relations_from_kernel(lattice, SIMPLE)
     lines = [
         f"kernel rank: {lattice.rank}",
-        f"mt dimension: {mt_dimension(spec)}",
+        f"mt dimension: {mt}",
     ]
     lines.extend(
         f"generator: {_signed_sum(row, spec.phi_names)}"
@@ -232,7 +232,7 @@ def _kernel_report(spec: CMPairSpec):
     lines.extend(f"relation: {render_relation(r, symbols)}" for r in rels)
     obj = {
         "rank": lattice.rank,
-        "mt_dimension": mt_dimension(spec),
+        "mt_dimension": mt,
         "basis": [list(row) for row in lattice.basis.entries],
         "relations": [relation_to_json(r, symbols) for r in rels],
     }
@@ -250,7 +250,7 @@ def _cmd_relations(args):
             raise ValueError("--weyl-full needs --g")
         lattice = kernel_basis(rec_star_antiweyl(args.g))
         rels = relations_from_kernel(lattice, ANTIWEYL)
-        symbols = None
+        symbols = default_symbols(ANTIWEYL, args.g)
         side = ANTIWEYL
     else:
         if args.input is None:
@@ -290,14 +290,14 @@ def _cmd_hodge_basis(args):
     return obj, lines
 
 
-def _certificate_json(cert) -> dict:
+def _certificate_json(cert, symbols, verified: bool) -> dict:
     return {
-        "target": relation_to_json(cert.target),
+        "target": relation_to_json(cert.target, symbols),
         "parts": [
-            {"gen": relation_to_json(gen), "coeff": coeff}
+            {"gen": relation_to_json(gen, symbols), "coeff": coeff}
             for gen, coeff in cert.parts
         ],
-        "verified": cert.verify(),
+        "verified": verified,
     }
 
 
@@ -309,15 +309,17 @@ def _cmd_reduce(args):
     vec = tuple(int(x) for x in data["vec"])
     rel = MonomialRelation(ANTIWEYL, g, vec, int(data.get("tau", 0)))
     cert = reduce_to_low_degree(rel, g)
+    symbols = default_symbols(ANTIWEYL, g)
+    verified = cert.verify()
     lines = [
-        f"target: {render_relation(rel)}",
+        f"target: {render_relation(rel, symbols)}",
         f"parts: {len(cert.parts)}",
     ]
     lines.extend(
-        f"{coeff:+d} * {render_relation(gen)}" for gen, coeff in cert.parts
+        f"{coeff:+d} * {render_relation(gen, symbols)}" for gen, coeff in cert.parts
     )
-    lines.append("verified: yes" if cert.verify() else "verified: no")
-    return _certificate_json(cert), lines
+    lines.append("verified: yes" if verified else "verified: no")
+    return _certificate_json(cert, symbols, verified), lines
 
 
 def _cmd_support(args):
@@ -333,8 +335,9 @@ def _cmd_support(args):
         return tuple(_subset(g, part) for part in entry)
 
     q1 = quad(data["first"])
-    lines = [f"support size: {len(quadruple_support(q1, group))}"]
-    obj = {"support_size": len(quadruple_support(q1, group))}
+    s1 = quadruple_support(q1, group)
+    lines = [f"support size: {len(s1)}"]
+    obj = {"support_size": len(s1)}
     try:
         r, s = canonical_form_weyl(q1, g)
     except ValueError:
@@ -344,7 +347,8 @@ def _cmd_support(args):
         obj["canonical_form"] = [r, s]
     if "second" in data:
         q2 = quad(data["second"])
-        (s1, s2), equal = support_and_equivalence(q1, q2, group)
+        s2 = quadruple_support(q2, group)
+        equal = s1 == s2
         lines.append(f"second support size: {len(s2)}")
         lines.append(f"equivalent: {'yes' if equal else 'no'}")
         obj["second_support_size"] = len(s2)
@@ -434,6 +438,7 @@ def _cmd_example_mu19(args):
         return MonomialRelation(ANTIWEYL, g, tuple(vec))
 
     symbols = [f"Th[{name}]" for name in spec_phi.phi_names]
+    antiweyl_symbols = default_symbols(ANTIWEYL, g)
     certificates = []
     lines += ["", "factorization", "-------------"]
     for rel in rels:
@@ -461,14 +466,15 @@ def _cmd_example_mu19(args):
                 + ("yes" if match else "no")
             )
         cert = reduce_to_low_degree(cubic, g)
+        verified = cert.verify()
         signs = sorted({c for _, c in cert.parts})
         sign_str = "{" + ",".join(f"{c:+d}" for c in signs) + "}"
         lines.append(
             f"  reduction certificate: {len(cert.parts)} parts, "
             f"coefficients in {sign_str}, "
-            + ("verified" if cert.verify() else "NOT verified")
+            + ("verified" if verified else "NOT verified")
         )
-        certificates.append(_certificate_json(cert))
+        certificates.append(_certificate_json(cert, antiweyl_symbols, verified))
 
     obj = {
         "phi": list(_MU19_PHI),

@@ -15,9 +15,10 @@ eps_{L^c}).  The three must agree element for element.
 Each balanced cycle induces a monomial relation between the periods
 Theta_I, and every such relation is an integer combination of degree-one
 generators Theta_I * Theta_{I^c} ~ tau and degree-two quadruple
-generators.  reduce_to_low_degree certifies this by exact lattice
-membership over the triangular chain family of reciprocity, returning a
-Certificate whose parts re-sum to the target.
+generators.  reduce_to_low_degree certifies this by triangular
+back-substitution along the chain family of reciprocity, which decides
+membership exactly, returning a Certificate whose parts re-sum to the
+target.
 
 Quadruples are classified up to Galois conjugacy by their support (the
 set of translated slot pairs) or, equivalently, by the invariant (r, s)
@@ -34,11 +35,12 @@ from dataclasses import dataclass
 from .cmtypes import CMPairSpec, subset_rank, subset_unrank
 from .galois import GaloisGroup, weyl_full
 from .hyperoct import EmbeddingLabel, Subset, act_embedding, act_subset
-from .intlattice import IntLattice, member
+from .intlattice import member
 from .reciprocity import (
     ANTIWEYL,
     MonomialRelation,
     chain_quadruple,
+    chain_strip,
     kernel_N,
     quadruple_vector,
 )
@@ -404,46 +406,35 @@ class Certificate:
 
 
 def reduce_to_low_degree(r: MonomialRelation, g: int) -> Certificate:
-    """Certificate expressing r over degree-one generators and chain
-    quadruples, found by integer lattice membership.
+    """Certificate expressing r over the degree-one generator of the empty
+    set and chain quadruples, found by triangular back-substitution.
 
-    The chains are triangular (each tops a distinct subset), so once
-    membership holds the coefficients fall out by back-substitution from
-    large subsets down; a relation outside the generator lattice raises
-    ReductionError.
+    The generators are triangular: the degree-one generator is the only one
+    carrying tau, and each chain has a unit pivot on its own top subset of
+    size >= 2.  Stripping tau and then every chain from large subsets down
+    (chain_strip) therefore decides membership exactly: r is generated in
+    degree <= 2 iff the residual vanishes, and otherwise ReductionError is
+    raised.
     """
     if r.side != ANTIWEYL:
         raise ValueError("anti-Weyl relation required")
     if r.g != g:
         raise ValueError(f"dimension mismatch: relation has g={r.g}, not {g}")
-    gens = [degree_one_generator(Subset.empty(g))]
-    chain_tops = [
-        Subset(g, bits) for bits in range(1 << g) if bits.bit_count() >= 2
-    ]
-    gens += [chain_generator(S) for S in chain_tops]
-    lattice = IntLattice.from_rows(
-        (1 << g) + 1, [[*x.vec, x.tau] for x in gens]
-    )
-    w = [*r.vec, r.tau]
-    if member(tuple(w), lattice) is None:
-        raise ReductionError("relation is not generated in degree <= 2")
+    w = list(r.vec)
     parts = []
-    c_tau = -w[-1]
+    c_tau = -r.tau
     if c_tau:
-        d = gens[0]
-        for i, x in enumerate([*d.vec, d.tau]):
+        d = degree_one_generator(Subset.empty(g))
+        for i, x in enumerate(d.vec):
             w[i] -= c_tau * x
         parts.append((d, c_tau))
-    for S in sorted(chain_tops, key=len, reverse=True):
-        c = w[subset_rank(S)]
-        if c:
-            q = quadruple_vector(*chain_quadruple(S))
-            for i, x in enumerate(q):
-                w[i] -= c * x
-            parts.append((chain_generator(S), c))
-    assert not any(w), "triangular back-substitution disagrees with membership"
+    rem, chains = chain_strip(w, g)
+    if any(rem):
+        raise ReductionError("relation is not generated in degree <= 2")
+    parts += [(chain_generator(S), c) for S, c in chains]
     cert = Certificate(r, tuple(parts))
-    assert cert.verify()
+    if not cert.verify():
+        raise ReductionError("certificate does not re-sum to the relation")
     return cert
 
 

@@ -326,7 +326,8 @@ def equiv_class_check(I: Subset, J: Subset) -> EquivClassCertificate:
     if any(leftovers):
         raise AssertionError("chain stripping left support outside M")
     cert = EquivClassCertificate(I, J, m_empty, singles, tuple(parts))
-    assert cert.verify()
+    if not cert.verify():
+        raise AssertionError("equivalence certificate does not re-sum to eps_I - eps_J")
     return cert
 
 

@@ -196,6 +196,16 @@ class TestReduce:
         code, _, err = run_cli(["reduce", "--input", path], capsys)
         assert code == 1 and '"vec"' in err
 
+    def test_unreachable_target_under_optimized_mode(self, tmp_path):
+        vec = [0] * 8
+        vec[subset_rank(Subset.empty(3))] = 1
+        path = write_json(tmp_path, "stray.json", {"g": 3, "vec": vec})
+        cmd = [sys.executable, "-O", "-m", "cmlab.cli", "reduce", "--input", path]
+        run = subprocess.run(cmd, capture_output=True, text=True)
+        assert run.returncode == 1
+        assert "error: relation is not generated in degree <= 2" in run.stderr
+        assert "Traceback" not in run.stderr
+
 
 class TestSupport:
     def test_equivalent_pair(self, tmp_path, capsys):

@@ -1,8 +1,13 @@
 """Hodge-class enumeration, reduction certificates, supports, dichotomy."""
+import functools
 import itertools
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmlab.cmtypes import CMPairSpec, subset_rank
 from cmlab.galois import weyl_full
@@ -26,7 +31,7 @@ from cmlab.hodge import (
     support_and_equivalence,
 )
 from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, compose
-from cmlab.intlattice import member
+from cmlab.intlattice import IntLattice, member
 from cmlab.reciprocity import ANTIWEYL, MonomialRelation, quad_lattice, render_relation
 from strategies import signed_perms
 
@@ -375,6 +380,84 @@ class TestCertificates:
             reduce_to_low_degree(MonomialRelation("simple", 3, (0, 0, 0)), 3)
         with pytest.raises(ValueError, match="dimension mismatch"):
             reduce_to_low_degree(MonomialRelation(ANTIWEYL, 3, (0,) * 8), 4)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_reduction_agrees_with_the_hnf_membership_oracle(self, data):
+        g = data.draw(st.integers(2, 6), label="g")
+        rows = generator_rows(g)
+        if data.draw(st.booleans(), label="combination"):
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            w = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range((1 << g) + 1)]
+        else:
+            w = data.draw(st.lists(st.integers(-2, 2), min_size=(1 << g) + 1, max_size=(1 << g) + 1))
+        rel = MonomialRelation(ANTIWEYL, g, tuple(w[:-1]), w[-1])
+        is_member = member(tuple(w), generator_lattice(g)) is not None
+        try:
+            cert = reduce_to_low_degree(rel, g)
+        except ReductionError:
+            assert not is_member
+        else:
+            assert is_member
+            assert cert.target == rel and cert.verify()
+
+    def test_seeded_g12_combination_reduces(self):
+        g = 12
+        rng = random.Random(12)
+        w = [0] * ((1 << g) + 1)
+        tops = [bits for bits in range(1 << g) if bits.bit_count() >= 2]
+        gens = [chain_generator(Subset(g, bits)) for bits in rng.sample(tops, 40)]
+        gens += [degree_one_generator(Subset(g, rng.randrange(1 << g))) for _ in range(5)]
+        for gen in gens:
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            for i, x in enumerate([*gen.vec, gen.tau]):
+                w[i] += c * x
+        rel = MonomialRelation(ANTIWEYL, g, tuple(w[:-1]), w[-1])
+        cert = reduce_to_low_degree(rel, g)
+        assert cert.target == rel and cert.verify()
+
+    def test_verify_gates_survive_optimized_mode(self):
+        # drop one chain part after stripping: both certificate checks must
+        # still reject the result when python -O removes assert statements
+        script = """
+import cmlab.hodge as hodge, cmlab.reciprocity as reciprocity
+from cmlab.hyperoct import Subset
+strip = reciprocity.chain_strip
+def lossy(vec, g):
+    rem, parts = strip(vec, g)
+    return rem, parts[1:]
+hodge.chain_strip = reciprocity.chain_strip = lossy
+rel = hodge.chain_generator(Subset.of(3, [1, 2, 3]))
+for call in (lambda: hodge.reduce_to_low_degree(rel, 3),
+             lambda: reciprocity.equiv_class_check(Subset.of(3, [1, 2]), Subset.of(3, [2, 3]))):
+    try:
+        call()
+    except (hodge.ReductionError, AssertionError) as exc:
+        print(type(exc).__name__, exc)
+    else:
+        print("accepted")
+"""
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "ReductionError certificate does not re-sum to the relation",
+            "AssertionError equivalence certificate does not re-sum to eps_I - eps_J",
+        ]
+
+
+@functools.lru_cache(maxsize=None)
+def generator_rows(g):
+    """[*vec, tau] of the degree-one generator of the empty set and of every chain."""
+    gens = [degree_one_generator(Subset.empty(g))]
+    gens += [chain_generator(Subset(g, bits)) for bits in range(1 << g) if bits.bit_count() >= 2]
+    return tuple(tuple([*x.vec, x.tau]) for x in gens)
+
+
+@functools.lru_cache(maxsize=None)
+def generator_lattice(g):
+    """HNF of the degree <= 2 generators: an oracle for membership that is
+    independent of back-substitution."""
+    return IntLattice.from_rows((1 << g) + 1, [list(row) for row in generator_rows(g)])
 
 
 def census(g):
