@@ -20,8 +20,9 @@ from .cmtypes import (
     reflex_type,
     subset_rank,
 )
-from .galois import group_from_json, weyl_full
+from .galois import from_generators, weyl_full
 from .hodge import (
+    POHLMANN_HARD_BUDGET,
     CycleIndex,
     ReductionError,
     admissible,
@@ -32,7 +33,7 @@ from .hodge import (
     reduce_to_low_degree,
     relation_of_cycle,
 )
-from .hyperoct import Subset, act_subset
+from .hyperoct import SignedPerm, Subset, act_subset, check_group_size
 from .intlattice import kernel_basis
 from .reciprocity import (
     ANTIWEYL,
@@ -115,14 +116,40 @@ def _read_json(path: str) -> dict:
     return data
 
 
-def _spec_from_data(data: dict) -> CMPairSpec:
+def _check(value, shape, name: str = ""):
+    """value, if it has the JSON shape: int, [shape] for a list of that
+    shape, or {key: shape} for an object with (at least) those keys;
+    otherwise a ValueError naming the offending field."""
+    if shape is int:
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer")
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a list")
+        for k, item in enumerate(value):
+            _check(item, shape[0], f"{name}[{k}]")
+    else:
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be an object")
+        for key, sub in shape.items():
+            if key not in value:
+                raise ValueError(f'{name or "input"} needs "{key}"')
+            _check(value[key], sub, f"{name}.{key}" if name else key)
+    return value
+
+
+def spec_from_json(data: dict) -> CMPairSpec:
+    """The CM pair of {"cyclic": {"M": int, "phi": [int]}}, {"weyl": g} or
+    {"g": g, "generators": [{"flips": [int], "perm": [int]}]}."""
     if "cyclic" in data:
-        c = data["cyclic"]
-        return CMPairSpec.from_cyclic(int(c["M"]), [int(a) for a in c["phi"]])
+        c = _check(data["cyclic"], {"M": int, "phi": [int]}, "cyclic")
+        return CMPairSpec.from_cyclic(c["M"], c["phi"])
     if "weyl" in data:
-        return CMPairSpec.weyl(int(data["weyl"]))
+        return CMPairSpec.weyl(_check(data["weyl"], int, "weyl"))
     if "generators" in data:
-        group = group_from_json(data)
+        _check(data, {"g": int, "generators": [{"flips": [int], "perm": [int]}]})
+        g = data["g"]
+        group = from_generators(g, [SignedPerm.from_json(g, x) for x in data["generators"]])
         return CMPairSpec(
             group,
             tuple(f"phi{j}" for j in range(1, group.g + 1)),
@@ -132,11 +159,7 @@ def _spec_from_data(data: dict) -> CMPairSpec:
 
 
 def _load_spec(path: str) -> CMPairSpec:
-    return _spec_from_data(_read_json(path))
-
-
-def _subset(g: int, members) -> Subset:
-    return Subset.of(g, [int(x) for x in members])
+    return spec_from_json(_read_json(path))
 
 
 def _tail_subsets(g: int):
@@ -273,12 +296,8 @@ def _cmd_hodge_basis(args):
     else:
         if args.input is None:
             raise ValueError("needs --input FILE or --weyl-full with --g")
-        spec = _load_spec(args.input)
-        target = spec
-    kwargs = {"jobs": args.jobs}
-    if args.budget is not None:
-        kwargs["budget"] = args.budget
-    basis = pohlmann_basis(target, args.p, args.n, **kwargs)
+        target = spec = _load_spec(args.input)
+    basis = pohlmann_basis(target, args.p, args.n, args.budget)
     lines = [f"basis size: {len(basis)}"]
     lines.extend(f"{k}: {_cycle_str(c, spec)}" for k, c in enumerate(basis))
     obj = {
@@ -302,12 +321,10 @@ def _certificate_json(cert, symbols, verified: bool) -> dict:
 
 
 def _cmd_reduce(args):
-    data = _read_json(args.input)
-    if "g" not in data or "vec" not in data:
-        raise ValueError('reduce input needs "g" and "vec"')
-    g = int(data["g"])
-    vec = tuple(int(x) for x in data["vec"])
-    rel = MonomialRelation(ANTIWEYL, g, vec, int(data.get("tau", 0)))
+    data = _check(_read_json(args.input), {"g": int, "vec": [int]})
+    g = data["g"]
+    check_group_size(g)
+    rel = MonomialRelation(ANTIWEYL, g, tuple(data["vec"]), _check(data.get("tau", 0), int, "tau"))
     cert = reduce_to_low_degree(rel, g)
     symbols = default_symbols(ANTIWEYL, g)
     verified = cert.verify()
@@ -323,16 +340,14 @@ def _cmd_reduce(args):
 
 
 def _cmd_support(args):
-    data = _read_json(args.input)
-    if "g" not in data or "first" not in data:
-        raise ValueError('support input needs "g" and "first"')
-    g = int(data["g"])
+    data = _check(_read_json(args.input), {"g": int, "first": [[int]]})
+    g = data["g"]
     group = weyl_full(g)
 
     def quad(entry):
         if len(entry) != 4:
             raise ValueError("a quadruple has four index sets")
-        return tuple(_subset(g, part) for part in entry)
+        return tuple(Subset.of(g, part) for part in entry)
 
     q1 = quad(data["first"])
     s1 = quadruple_support(q1, group)
@@ -346,7 +361,7 @@ def _cmd_support(args):
         lines.append(f"canonical form: r={r} s={s}")
         obj["canonical_form"] = [r, s]
     if "second" in data:
-        q2 = quad(data["second"])
+        q2 = quad(_check(data["second"], [[int]], "second"))
         s2 = quadruple_support(q2, group)
         equal = s1 == s2
         lines.append(f"second support size: {len(s2)}")
@@ -413,8 +428,8 @@ def _cmd_example_mu19(args):
         f"matches phi: {'yes' if tuple(recovered) == _MU19_PHI else 'no'}",
     ]
 
-    L = _subset(g, _MU19_L)
-    Lp = _subset(g, (4, 6, 7))
+    L = Subset.of(g, _MU19_L)
+    Lp = Subset.of(g, (4, 6, 7))
     lines += [
         "",
         "compagnons",
@@ -504,6 +519,12 @@ _COMMANDS = {
 }
 
 
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmlab",
@@ -520,12 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
         if flags.get("weyl"):
             sp.add_argument("--weyl-full", action="store_true",
                             help="use the full hyperoctahedral group at --g")
-            sp.add_argument("--g", type=int)
+            sp.add_argument("--g", type=_positive)
         if flags.get("pn"):
             sp.add_argument("--p", type=int, required=True)
             sp.add_argument("--n", type=int, required=True)
-            sp.add_argument("--budget", type=int)
-            sp.add_argument("--jobs", type=int, default=1)
+            sp.add_argument("--budget", type=_positive, default=POHLMANN_HARD_BUDGET)
         return sp
 
     add("orbits", "orbit decomposition of the group on index sets", input="required")
@@ -541,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sl2-check", help="sl2-triple verification over all index sets",
                         description="sl2-triple verification over all index sets")
     sp.add_argument("--format", choices=("table", "json"), default="table")
-    sp.add_argument("--g", type=int, required=True)
+    sp.add_argument("--g", type=_positive, required=True)
     sp = sub.add_parser("example-mu19", help="worked cyclotomic regression report",
                         description="worked cyclotomic regression report")
     sp.add_argument("--format", choices=("table", "json"), default="table")

@@ -73,14 +73,6 @@ class GaloisGroup:
             raise ValueError("group has no label map")
         return self.elements[self.labels[label]]
 
-    def label_of_index(self, i: int):
-        if self.labels is None:
-            return None
-        for lab, idx in self.labels.items():
-            if idx == i:
-                return lab
-        return None
-
 
 def from_generators(g: int, gens: list[SignedPerm]) -> GaloisGroup:
     """Close the generators under composition (deterministic BFS order)."""
@@ -161,15 +153,3 @@ def weyl_full(g: int) -> GaloisGroup:
 def is_weyl(G: GaloisGroup) -> bool:
     return len(G.elements) == (1 << G.g) * factorial(G.g)
 
-
-def group_from_json(data: dict) -> GaloisGroup:
-    """Parse {"g":..., "generators":[...]} or {"cyclic":{"M":..., "phi":[...]}}."""
-    if "cyclic" in data:
-        spec = data["cyclic"]
-        group, _ = from_cyclic_translation(int(spec["M"]), spec["phi"])
-        return group
-    if "generators" in data:
-        g = int(data["g"])
-        gens = [SignedPerm.from_json(g, item) for item in data["generators"]]
-        return from_generators(g, gens)
-    raise ValueError('group spec needs "generators" or "cyclic"')

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .cmtypes import CMPairSpec, subset_rank, subset_unrank
@@ -126,25 +125,17 @@ def _slot_universe(spec, n: int):
     return bases, weyl_full(g), act_subset
 
 
-def _pohlmann_chunk(args):
-    first, packed, target, k = args
-    base = packed[first]
-    hits = []
-    for rest in itertools.combinations(range(first + 1, len(packed)), k - 1):
-        if base + sum(packed[i] for i in rest) == target:
-            hits.append((first, *rest))
-    return hits
-
-
-def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET, jobs: int = 1) -> list[CycleIndex]:
+def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> list[CycleIndex]:
     """All 2p-slot cycles meeting every Galois translate of the CM type in
     exactly p slots, on the n-th power of the variety.
 
     spec is a CMPairSpec, or an integer g for the generalized anti-Weyl
     variety (slots are then all subsets of {1,...,g}, acted on by the full
-    hyperoctahedral group).  Enumeration is exact; if the candidate count
-    C(#slots, 2p) exceeds the budget (hard cap 10^7) a ValueError is
-    raised rather than sampling.
+    hyperoctahedral group).  Enumeration is exact: a depth-first walk in
+    itertools.combinations order drops a partial choice once some group
+    element sees more than p holomorphic slots in it.  If the unpruned
+    count C(#slots, 2p) exceeds the budget (hard cap 10^7) a ValueError
+    is raised rather than sampling.
     """
     if p < 0 or n < 1:
         raise ValueError("need p >= 0 and n >= 1")
@@ -175,18 +166,23 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET, job
     packed = [profile[base] for base, _ in slots]
     ones = sum(1 << (4 * i) for i in range(len(group.elements)))
     target = p * ones
-    k = 2 * p
-    if jobs > 1:
-        tasks = [(i, packed, target, k) for i in range(len(slots))]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_pohlmann_chunk, tasks))
-        picked = [hit for chunk in chunks for hit in chunk]
-    else:
-        picked = []
-        for combo in itertools.combinations(range(len(slots)), k):
-            if sum(packed[i] for i in combo) == target:
-                picked.append(combo)
-    return [CycleIndex(tuple(slots[i] for i in combo)) for combo in picked]
+    # partial sums keep every digit <= p, so acc + packed[i] has digits <= 8:
+    # adding 7 - p sets bit 3 of a digit iff it exceeds p, with no carry
+    lift, high = (7 - p) * ones, 8 * ones
+    picked = []
+
+    def walk(start: int, acc: int, chosen: tuple) -> None:
+        left = 2 * p - len(chosen)
+        for i in range(start, len(packed) - left + 1):
+            nxt = acc + packed[i]
+            if left == 1:
+                if nxt == target:
+                    picked.append(CycleIndex((*chosen, slots[i])))
+            elif not (nxt + lift) & high:
+                walk(i + 1, nxt, (*chosen, slots[i]))
+
+    walk(0, 0, ())
+    return picked
 
 
 def bp_multisets(g: int, p: int, n: int) -> list[CycleIndex]:
@@ -493,7 +489,7 @@ def balance_dichotomy(g: int) -> tuple[int, int]:
     containing 1 under every group element; every inadmissible quadruple
     admits an element pushing 1 into at least three slots.  Returns the
     (admissible, inadmissible) counts; a counterexample to either
-    direction raises AssertionError.
+    direction raises AssertionError (explicitly, so python -O keeps it).
     """
     if g > DICHOTOMY_MAX_G:
         raise ValueError(f"balance_dichotomy supports g <= {DICHOTOMY_MAX_G}, got {g}")
@@ -521,9 +517,11 @@ def balance_dichotomy(g: int) -> tuple[int, int]:
         )
         if admissible(I, J, K, L):
             n_adm += 1
-            assert total == 2 * ones, (str(I), str(J), str(K), str(L))
+            broken = total != 2 * ones
         else:
             n_bad += 1
             # a digit reaches 3 or 4 iff adding one more pushes it to >= 4
-            assert (total + ones) & high, (str(I), str(J), str(K), str(L))
+            broken = not (total + ones) & high
+        if broken:
+            raise AssertionError(f"balance lemma fails at quadruple ({I}, {J}, {K}, {L})")
     return n_adm, n_bad

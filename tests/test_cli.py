@@ -1,10 +1,14 @@
 """Command-line surface: exit codes, determinism, golden report, JSON."""
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmlab.cli import main
 from cmlab.cmtypes import subset_rank
@@ -165,11 +169,93 @@ class TestHodgeBasis:
         code, _, err = run_cli(argv, capsys)
         assert code == 1 and "budget exceeded" in err
 
-    def test_jobs_flag(self, capsys):
-        base = ["hodge-basis", "--p", "2", "--n", "1", "--g", "3", "--weyl-full"]
-        _, serial, _ = run_cli(base, capsys)
-        _, parallel, _ = run_cli(base + ["--jobs", "2"], capsys)
-        assert serial == parallel
+    def test_no_jobs_flag(self):
+        with pytest.raises(SystemExit) as err:
+            main(["hodge-basis", "--p", "2", "--n", "1", "--g", "3", "--weyl-full", "--jobs", "2"])
+        assert err.value.code == 2
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv", [
+        ["hodge-basis", "--p", "2", "--n", "1", "--g", "3", "--weyl-full", "--budget", "-1"],
+        ["hodge-basis", "--p", "2", "--n", "1", "--g", "3", "--weyl-full", "--budget", "0"],
+        ["hodge-basis", "--p", "2", "--n", "1", "--g", "0", "--weyl-full"],
+        ["relations", "--weyl-full", "--g", "-2"],
+        ["sl2-check", "--g", "0"],
+        ["sl2-check", "--g", "x"],
+    ])
+    def test_non_positive_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command, data, message", [
+        ("kernel", {"cyclic": {"M": None, "phi": [0, 1, 2]}}, "cyclic.M must be an integer"),
+        ("kernel", {"cyclic": {"M": 6, "phi": 5}}, "cyclic.phi must be a list"),
+        ("kernel", {"cyclic": {"M": 6, "phi": [0, "1", 2]}}, "cyclic.phi[1] must be an integer"),
+        ("kernel", {"cyclic": [6]}, "cyclic must be an object"),
+        ("kernel", {"cyclic": {"phi": [0, 1, 2]}}, 'cyclic needs "M"'),
+        ("orbits", {"g": "3", "generators": 5}, "g must be an integer"),
+        ("orbits", {"g": 3, "generators": 5}, "generators must be a list"),
+        ("orbits", {"generators": []}, 'input needs "g"'),
+        ("orbits", {"g": 2, "generators": [{"flips": [1, 2]}]}, 'generators[0] needs "perm"'),
+        ("orbits", {"g": 2, "generators": [7]}, "generators[0] must be an object"),
+        ("orbits", {"g": 2, "generators": [{"flips": 1, "perm": [1, 2]}]},
+         "generators[0].flips must be a list"),
+        ("reflex", {"weyl": "x"}, "weyl must be an integer"),
+        ("reflex", {"weyl": True}, "weyl must be an integer"),
+        ("reduce", {"g": 3, "vec": 5}, "vec must be a list"),
+        ("reduce", {"g": 3, "vec": [0] * 7 + [None]}, "vec[7] must be an integer"),
+        ("reduce", {"g": 1, "vec": [1, 1], "tau": "-1"}, "tau must be an integer"),
+        ("reduce", {"g": -1, "vec": []}, "g=-1"),
+        ("support", {"g": 3, "first": [[2], 3, [2, 3], []]}, "first[1] must be a list"),
+        ("support", {"g": 3, "first": [[2], [3], [2, 3], [2.0]]}, "first[3][0] must be an integer"),
+        ("support", {"g": 3, "first": [[], [2, 3], [2], [3]], "second": {}}, "second must be a list"),
+        ("support", {"g": 3.0, "first": []}, "g must be an integer"),
+    ])
+    def test_exit_1_naming_the_field(self, tmp_path, capsys, command, data, message):
+        path = write_json(tmp_path, "bad.json", data)
+        code, out, err = run_cli([command, "--input", path], capsys)
+        assert code == 1 and out == ""
+        assert message in err
+
+
+# small JSON values over the keys the input shapes use; integers stay small
+# because a Weyl group of genus 7 alone takes seconds to build
+_KEYS = ("cyclic", "M", "phi", "weyl", "g", "generators", "flips", "perm",
+         "vec", "tau", "first", "second")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.sampled_from(["", "1", "x"]) | st.just(1.5),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
+    max_leaves=12,
+)
+_INPUT_COMMANDS = (
+    ["orbits"], ["reflex"], ["compagnons"], ["kernel"], ["relations"],
+    ["hodge-basis", "--p", "1", "--n", "1"], ["reduce"], ["support"],
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@given(data=st.dictionaries(st.sampled_from(_KEYS), _JSON, max_size=4) | _JSON,
+       command=st.sampled_from(_INPUT_COMMANDS))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_json_never_crashes(fuzz_file, data, command):
+    fuzz_file.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, "--input", str(fuzz_file)])
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert code in (0, 1), (command, data, err.getvalue())
 
 
 class TestReduce:

@@ -1,10 +1,10 @@
 """Group construction: BFS closure, cyclic translation embedding, Weyl test."""
 import pytest
 
+from cmlab.cli import spec_from_json
 from cmlab.galois import (
     from_cyclic_translation,
     from_generators,
-    group_from_json,
     is_weyl,
     weyl_full,
 )
@@ -99,7 +99,7 @@ class TestIsWeyl:
 
 class TestJson:
     def test_cyclic_spec(self):
-        G = group_from_json({"cyclic": {"M": 18, "phi": MU19_PHI}})
+        G = spec_from_json({"cyclic": {"M": 18, "phi": MU19_PHI}}).group
         assert len(G) == 18
 
     def test_generator_spec(self):
@@ -111,8 +111,8 @@ class TestJson:
                 {"flips": [], "perm": [2, 1, 3]},
             ],
         }
-        assert len(group_from_json(data)) == 48
+        assert len(spec_from_json(data).group) == 48
 
     def test_bad_spec(self):
         with pytest.raises(ValueError, match="generators.*cyclic|cyclic.*generators"):
-            group_from_json({})
+            spec_from_json({})

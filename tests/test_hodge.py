@@ -1,6 +1,7 @@
 """Hodge-class enumeration, reduction certificates, supports, dichotomy."""
 import functools
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -10,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab.cmtypes import CMPairSpec, subset_rank
-from cmlab.galois import weyl_full
+from cmlab.galois import from_generators, weyl_full
 from cmlab.hodge import (
+    _is_hol,
+    _slot_key,
+    _slot_universe,
     Certificate,
     CycleIndex,
     ReductionError,
@@ -184,13 +188,68 @@ class TestPohlmann:
         with pytest.raises(ValueError, match="budget exceeded"):
             pohlmann_basis(3, 2, 1, budget=5)
 
-    def test_parallel_matches_serial(self):
-        assert pohlmann_basis(3, 2, 1, jobs=2) == pohlmann_basis(3, 2, 1)
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_walk_matches_the_flat_scan(self, data):
+        spec = data.draw(pohlmann_specs(), label="spec")
+        n = data.draw(st.integers(1, 2), label="n")
+        p = data.draw(st.integers(1, 3), label="p")
+        slots = n * ((1 << spec) if isinstance(spec, int) else 2 * spec.g)
+        while math.comb(slots, 2 * p) > 40_000:  # keep the oracle quick
+            p -= 1
+        assert pohlmann_basis(spec, p, n) == flat_scan(spec, p, n)
+
+    def test_g4_p3_n2(self):
+        # C(32, 6) = 906,192 candidates for the unpruned scan
+        basis = pohlmann_basis(4, 3, 2)
+        assert len(basis) == 11_744
+        assert set(basis) == set(bp_multisets(4, 3, 2))
 
     def test_mu19_kernel_cycle_is_a_basis_element(self):
         spec = mu19_spec()
         c = kernel_to_cycle(spec, (1, -1, -1, 1, 0, 0, -1, 0, 1))
         assert c in set(pohlmann_basis(spec, 3, 1))
+
+
+def flat_scan(spec, p, n):
+    """The unpruned scan pohlmann_basis used to run: every 2p-combination of
+    the sorted slots in itertools.combinations order, kept iff its packed
+    holomorphy profile has digit p at every group element."""
+    bases, group, act = _slot_universe(spec, n)
+    slots = sorted(((base, copy) for copy in range(1, n + 1) for base in bases), key=_slot_key)
+    digit = {t: 1 << (4 * i) for i, t in enumerate(group.elements)}
+    profile = {base: sum(digit[t] for t in group.elements if _is_hol(act(t, base))) for base in bases}
+    packed = [profile[base] for base, _ in slots]
+    target = p * sum(digit.values())
+    return [
+        CycleIndex(tuple(slots[i] for i in combo))
+        for combo in itertools.combinations(range(len(slots)), 2 * p)
+        if sum(packed[i] for i in combo) == target
+    ]
+
+
+@st.composite
+def pohlmann_specs(draw):
+    """An anti-Weyl genus g = 2..4, or a CM pair: the full Weyl group at
+    g = 2..4, a cyclic group of order M <= 14, or the closure of random
+    signed permutations with conjugation and a g-cycle added."""
+    kind = draw(st.sampled_from(["anti-weyl", "weyl", "cyclic", "generators"]))
+    if kind == "anti-weyl":
+        return draw(st.integers(2, 4))
+    if kind == "weyl":
+        return CMPairSpec.weyl(draw(st.integers(2, 4)))
+    if kind == "cyclic":
+        g = draw(st.integers(1, 7))
+        residues = draw(st.permutations(range(g)))
+        return CMPairSpec.from_cyclic(2 * g, [a + g * draw(st.booleans()) for a in residues])
+    g = draw(st.integers(2, 4))
+    gens = draw(st.lists(signed_perms(g), max_size=2))
+    gens += [SignedPerm.rho(g), SignedPerm(g, Subset.empty(g), (*range(2, g + 1), 1))]
+    return CMPairSpec(
+        from_generators(g, gens),
+        tuple(f"phi{j}" for j in range(1, g + 1)),
+        tuple(f"phibar{j}" for j in range(1, g + 1)),
+    )
 
 
 class TestB2Quadruples:
@@ -558,3 +617,24 @@ class TestDichotomy:
     def test_cap(self):
         with pytest.raises(ValueError, match="g <= 5"):
             balance_dichotomy(6)
+
+    def test_lemma_gates_survive_optimized_mode(self):
+        # a wrong admissibility test must break the lemma in each direction,
+        # and be reported, even when python -O removes assert statements
+        script = """
+import cmlab.hodge as hodge
+for fake in (lambda *q: True, lambda *q: False):
+    hodge.admissible = fake
+    try:
+        hodge.balance_dichotomy(3)
+    except AssertionError as exc:
+        print(exc)
+    else:
+        print("accepted")
+"""
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "balance lemma fails at quadruple ({}, {}, {}, {2})",
+            "balance lemma fails at quadruple ({}, {}, {}, {})",
+        ]
