@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cmtypes import (
@@ -19,6 +20,7 @@ from .cmtypes import (
     reflex_labels,
     reflex_type,
     subset_rank,
+    tail_subsets,
 )
 from .galois import from_generators, weyl_full
 from .hodge import (
@@ -149,7 +151,8 @@ def spec_from_json(data: dict) -> CMPairSpec:
     if "generators" in data:
         _check(data, {"g": int, "generators": [{"flips": [int], "perm": [int]}]})
         g = data["g"]
-        group = from_generators(g, [SignedPerm.from_json(g, x) for x in data["generators"]])
+        gens = [SignedPerm.make(g, x["flips"], x["perm"]) for x in data["generators"]]
+        group = from_generators(g, gens)
         return CMPairSpec(
             group,
             tuple(f"phi{j}" for j in range(1, group.g + 1)),
@@ -160,10 +163,6 @@ def spec_from_json(data: dict) -> CMPairSpec:
 
 def _load_spec(path: str) -> CMPairSpec:
     return spec_from_json(_read_json(path))
-
-
-def _tail_subsets(g: int):
-    return sorted((Subset(g, b) for b in range(1 << g) if not b & 1), key=subset_rank)
 
 
 def _label_table(spec: CMPairSpec):
@@ -181,9 +180,10 @@ def _cmd_orbits(args):
     lines = []
     table = None
     if spec.group.labels is not None:
-        table = {str(a): list(I.members()) for a, I in _label_table(spec)}
+        rows = _label_table(spec)
+        table = {str(a): list(I.members()) for a, I in rows}
         lines.append("orbit table:")
-        lines.extend(f"I([{a}]) = {_set_str(I)}" for a, I in _label_table(spec))
+        lines.extend(f"I([{a}]) = {_set_str(I)}" for a, I in rows)
     lines.append(f"orbits: {len(orbits)}")
     lines.extend(
         f"orbit {k}: degree {len(o)}, key {_set_str(o[0])}"
@@ -377,7 +377,7 @@ def _cmd_sl2_check(args):
         raise ValueError("sl2-check needs --g")
     reports = []
     lines = []
-    for U in _tail_subsets(g):
+    for U in tail_subsets(g):
         report = check_sl2(U, g)
         failed = [k for k, ok in report.items() if not ok]
         status = "pass" if not failed else "FAIL (" + ", ".join(failed) + ")"
@@ -430,12 +430,14 @@ def _cmd_example_mu19(args):
 
     L = Subset.of(g, _MU19_L)
     Lp = Subset.of(g, (4, 6, 7))
+    labels_L = compagnon_labels(spec_star, L)
+    labels_Lp = compagnon_labels(spec_star, Lp)
     lines += [
         "",
         "compagnons",
         "----------",
-        f"L = {_set_str(L)}: {_labels_str(compagnon_labels(spec_star, L))}",
-        f"L' = {_set_str(Lp)}: {_labels_str(compagnon_labels(spec_star, Lp))}",
+        f"L = {_set_str(L)}: {_labels_str(labels_L)}",
+        f"L' = {_set_str(Lp)}: {_labels_str(labels_Lp)}",
     ]
 
     kernel_obj, kernel_lines, rels = _kernel_report(spec_phi)
@@ -497,8 +499,8 @@ def _cmd_example_mu19(args):
         "orbit_table": {str(a): list(I.members()) for a, I in table},
         "orbit_degrees": {str(d): c for d, c in sorted(degree_census.items())},
         "reflex_labels": list(recovered),
-        "compagnon_L": list(compagnon_labels(spec_star, L)),
-        "compagnon_Lprime": list(compagnon_labels(spec_star, Lp)),
+        "compagnon_L": list(labels_L),
+        "compagnon_Lprime": list(labels_Lp),
         "kernel": kernel_obj,
         "certificates": certificates,
     }
@@ -577,10 +579,17 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.format == "json":
+            print(json.dumps(obj, indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early: send what is still buffered to
+        # devnull so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

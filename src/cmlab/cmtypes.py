@@ -43,6 +43,12 @@ def subset_unrank(g: int, r: int) -> Subset:
     return Subset(g, ((1 << g) - 1) ^ (((1 << g) - 1 - r) << 1))
 
 
+def tail_subsets(g: int) -> list[Subset]:
+    """The subsets of {2,...,g} in canonical order (ranks 0 .. 2^(g-1) - 1,
+    where the rank of a subset without 1 is its mask shifted right by one)."""
+    return [Subset(g, bits) for bits in range(0, 1 << g, 2)]
+
+
 @dataclass(frozen=True)
 class CMPairSpec:
     """A CM pair: the Galois group plus display names for phi_1..phi_g.

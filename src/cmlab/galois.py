@@ -148,8 +148,3 @@ def weyl_full(g: int) -> GaloisGroup:
         for bits in range(1 << g)
     )
     return GaloisGroup(g, elements)
-
-
-def is_weyl(G: GaloisGroup) -> bool:
-    return len(G.elements) == (1 << G.g) * factorial(G.g)
-

@@ -18,7 +18,10 @@ generators Theta_I * Theta_{I^c} ~ tau and degree-two quadruple
 generators.  reduce_to_low_degree certifies this by triangular
 back-substitution along the chain family of reciprocity, which decides
 membership exactly, returning a Certificate whose parts re-sum to the
-target.
+target.  equiv_class_check strips eps_I - eps_J the same way and returns
+the same Certificate type: its chain parts re-sum to eps_I - eps_J minus a
+residual on the empty set and the singletons.  Certificate.verify is the
+one re-summation checker for both.
 
 Quadruples are classified up to Galois conjugacy by their support (the
 set of translated slot pairs) or, equivalently, by the invariant (r, s)
@@ -31,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .cmtypes import CMPairSpec, subset_rank, subset_unrank
+from .cmtypes import CMPairSpec, subset_rank, subset_unrank, tail_subsets
 from .galois import GaloisGroup, weyl_full
 from .hyperoct import EmbeddingLabel, Subset, act_embedding, act_subset
 from .intlattice import member
@@ -113,7 +116,7 @@ class CycleIndex:
         return CycleIndex(tuple(sorted(moved, key=_slot_key)))
 
 
-def _slot_universe(spec, n: int):
+def _slot_universe(spec):
     """(base slots in order, group, holomorphy test) for a CM pair spec or
     a plain genus g (the generalized anti-Weyl variety of that genus)."""
     if isinstance(spec, CMPairSpec):
@@ -143,7 +146,7 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
         return [CycleIndex(())]
     if p > 7:
         raise ValueError("the packed accumulator supports p <= 7")
-    bases, group, act = _slot_universe(spec, n)
+    bases, group, act = _slot_universe(spec)
     slots = sorted(
         ((base, copy) for copy in range(1, n + 1) for base in bases), key=_slot_key
     )
@@ -244,11 +247,8 @@ def b2_quadruples(g: int, n: int) -> list[tuple]:
         raise ValueError(f"b2_quadruples is budgeted to g <= {BP_MAX_G}")
     if n < 1:
         raise ValueError("need n >= 1")
-    tail = sorted(
-        (Subset(g, b) for b in range(1 << g) if not b & 1), key=subset_rank
-    )
     by_sig: dict = {}
-    for I, J in itertools.combinations_with_replacement(tail, 2):
+    for I, J in itertools.combinations_with_replacement(tail_subsets(g), 2):
         by_sig.setdefault(((I | J).bits, (I & J).bits), []).append((I, J))
     out = []
     work = 0
@@ -416,21 +416,61 @@ def reduce_to_low_degree(r: MonomialRelation, g: int) -> Certificate:
         raise ValueError("anti-Weyl relation required")
     if r.g != g:
         raise ValueError(f"dimension mismatch: relation has g={r.g}, not {g}")
+    head = [(degree_one_generator(Subset.empty(g)), -r.tau)] if r.tau else []
+    return _chain_certificate(
+        r, head, frozenset(), ReductionError,
+        ("relation is not generated in degree <= 2", "certificate does not re-sum to the relation"),
+    )
+
+
+def equiv_class_check(I: Subset, J: Subset) -> Certificate:
+    """Certificate that eps_I and eps_J agree modulo M + quad-span, with M
+    the free module on eps_empty and the singleton vectors.
+
+    Requires |I| = |J| (equal-size index sets give equivalent period
+    classes).  Chain-stripping eps_I - eps_J leaves a residual m in M; the
+    certificate's target is eps_I - eps_J - m (tau 0) and its parts are the
+    stripped chains.
+    """
+    if I.g != J.g:
+        raise ValueError(f"dimension mismatch: g={I.g} vs g={J.g}")
+    if len(I) != len(J):
+        raise ValueError(f"sizes differ: |I|={len(I)} vs |J|={len(J)}")
+    g = I.g
+    vec = [0] * (1 << g)
+    vec[subset_rank(I)] += 1
+    vec[subset_rank(J)] -= 1
+    m_basis = [Subset.empty(g)] + [Subset.of(g, [i]) for i in range(1, g + 1)]
+    return _chain_certificate(
+        MonomialRelation(ANTIWEYL, g, tuple(vec)), [], frozenset(map(subset_rank, m_basis)),
+        AssertionError,
+        ("chain stripping left support outside M",
+         "equivalence certificate does not re-sum to eps_I - eps_J"),
+    )
+
+
+def _chain_certificate(
+    r: MonomialRelation, head: list, kept: frozenset, error: type, messages: tuple[str, str]
+) -> Certificate:
+    """Strip r minus the head parts along chains and certify the rest.
+
+    The strip residual may be nonzero only at the ranks in kept; the
+    certificate's target is r minus that residual, its parts are the head
+    and the stripped chains, and it must re-sum exactly.  A residual
+    outside kept raises error(messages[0]), a failed re-sum
+    error(messages[1]), explicitly so that python -O keeps both gates.
+    """
     w = list(r.vec)
-    parts = []
-    c_tau = -r.tau
-    if c_tau:
-        d = degree_one_generator(Subset.empty(g))
-        for i, x in enumerate(d.vec):
-            w[i] -= c_tau * x
-        parts.append((d, c_tau))
-    rem, chains = chain_strip(w, g)
-    if any(rem):
-        raise ReductionError("relation is not generated in degree <= 2")
-    parts += [(chain_generator(S), c) for S, c in chains]
-    cert = Certificate(r, tuple(parts))
+    for gen, coeff in head:
+        for i, x in enumerate(gen.vec):
+            w[i] -= coeff * x
+    rem, chains = chain_strip(w, r.g)
+    if any(x for i, x in enumerate(rem) if i not in kept):
+        raise error(messages[0])
+    target = MonomialRelation(ANTIWEYL, r.g, tuple(x - m for x, m in zip(r.vec, rem)), r.tau)
+    cert = Certificate(target, (*head, *((chain_generator(S), c) for S, c in chains)))
     if not cert.verify():
-        raise ReductionError("certificate does not re-sum to the relation")
+        raise error(messages[1])
     return cert
 
 
@@ -452,13 +492,6 @@ def quadruple_support(q, G: GaloisGroup) -> frozenset:
             )
         )
     return frozenset(out)
-
-
-def support_and_equivalence(q1, q2, G: GaloisGroup):
-    """Supports of both quadruples and whether they are equal (two Hodge
-    cycles are equivalent exactly when their supports coincide)."""
-    s1, s2 = quadruple_support(q1, G), quadruple_support(q2, G)
-    return (s1, s2), s1 == s2
 
 
 def canonical_form_weyl(q, g: int) -> tuple[int, int]:
@@ -505,10 +538,9 @@ def balance_dichotomy(g: int) -> tuple[int, int]:
             if 1 in act_subset(t, I):
                 acc |= 1 << (3 * i)
         contains[bits] = acc
-    tail = [Subset(g, b) for b in range(1 << g) if not b & 1]
     n_adm = n_bad = 0
     high = 4 * ones
-    for I, J, K, L in itertools.product(tail, repeat=4):
+    for I, J, K, L in itertools.product(tail_subsets(g), repeat=4):
         total = (
             contains[I.bits]
             + contains[J.bits]

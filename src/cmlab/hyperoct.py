@@ -101,13 +101,18 @@ class Subset:
     def __xor__(self, other: "Subset") -> "Subset":
         return self._binop(other, self.bits ^ other.bits)
 
-    def issubset(self, other: "Subset") -> bool:
-        if self.g != other.g:
-            raise ValueError(f"dimension mismatch: g={self.g} vs g={other.g}")
-        return self.bits & ~other.bits == 0
-
     def __str__(self) -> str:
         return "{" + ",".join(str(j) for j in self.members()) + "}"
+
+
+def submasks(bits: int) -> Iterator[int]:
+    """Every submask of bits, from bits itself down to 0."""
+    sub = bits
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & bits
 
 
 @dataclass(frozen=True)
@@ -158,9 +163,6 @@ class SignedPerm:
         """The central all-flips element (complex conjugation)."""
         return cls(g, Subset.full(g), tuple(range(1, g + 1)))
 
-    def is_identity(self) -> bool:
-        return self.flips.bits == 0 and self.perm == tuple(range(1, self.g + 1))
-
     def apply_perm(self, I: Subset) -> Subset:
         bits = 0
         src = I.bits
@@ -169,13 +171,6 @@ class SignedPerm:
             bits |= 1 << (self.perm[low.bit_length() - 1] - 1)
             src ^= low
         return Subset(self.g, bits)
-
-    def to_json(self) -> dict:
-        return {"flips": list(self.flips.members()), "perm": list(self.perm)}
-
-    @classmethod
-    def from_json(cls, g: int, data: dict) -> "SignedPerm":
-        return cls.make(g, data["flips"], data["perm"])
 
     def __str__(self) -> str:
         return f"(flips {self.flips}, perm {self.perm})"

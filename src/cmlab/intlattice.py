@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: HNF, kernels, saturation, membership.
+"""Exact integer linear algebra: HNF, kernels, membership.
 
 Everything is arbitrary-precision; no floating point enters this module.
 The canonical basis of a lattice is a row-style Hermite normal form with
@@ -40,10 +40,6 @@ class IntMatrix:
 
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
-
-    @classmethod
-    def from_json(cls, data: list, cols: int | None = None) -> "IntMatrix":
-        return cls.from_rows([[int(x) for x in row] for row in data], cols)
 
 
 def _trailing_pivot(row: Sequence[int]) -> int:
@@ -148,21 +144,6 @@ def kernel_basis(m: IntMatrix) -> IntLattice:
     A, _, U = _hnf_right(tr, m.rows, transform=True)
     ker = [U[i] for i in range(len(A)) if not any(A[i])]
     return IntLattice.from_rows(m.cols, ker)
-
-
-def saturate(L: IntLattice) -> IntLattice:
-    """Smallest saturated superlattice (same rank, torsion-free quotient).
-
-    Computed as the kernel of the kernel: orthogonal-complement lattices
-    are saturated by construction, and taking the complement twice returns
-    the rational row span intersected with Z^dim.
-    """
-    if L.rank == 0:
-        return L
-    K = kernel_basis(L.basis)
-    if K.rank == 0:
-        return IntLattice.full(L.dim)
-    return kernel_basis(K.basis)
 
 
 def member(v: Sequence[int], L: IntLattice):

@@ -19,16 +19,19 @@ convenient triangular family of admissible quadruples, the *chains*
     chain(S) = eps_S + eps_empty - eps_{S minus max S} - eps_{max S},
 
 one per S with |S| >= 2, spans the same lattice; stripping a vector along
-chains of decreasing size leaves a residual supported on the empty set and
-the singletons, which yields explicit membership certificates.
+chains of decreasing size (chain_strip) leaves a residual supported on the
+empty set and the singletons.  The certificates built on that strip, for
+degree <= 2 reduction and for the equivalence of eps_I and eps_J, are
+hodge.Certificate values made by hodge.reduce_to_low_degree and
+hodge.equiv_class_check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .cmtypes import CMPairSpec, subset_rank, subset_unrank
-from .hyperoct import Subset, check_powerset_size
-from .intlattice import IntLattice, IntMatrix, hnf, kernel_basis, member
+from .hyperoct import Subset, check_powerset_size, submasks
+from .intlattice import IntLattice, IntMatrix, hnf, kernel_basis
 
 SIMPLE = "simple"
 ANTIWEYL = "antiweyl"
@@ -72,11 +75,6 @@ class MonomialRelation:
                     self.side, self.g, tuple(-y for y in self.vec), -self.tau
                 )
         return self
-
-    def is_elementary_quadratic(self) -> bool:
-        pos = sorted(x for x in self.vec if x > 0)
-        neg = sorted(-x for x in self.vec if x < 0)
-        return self.tau == 0 and pos == [1, 1] and neg == [1, 1]
 
 
 def default_symbols(side: str, g: int) -> list[str]:
@@ -129,11 +127,6 @@ def kernel_N(spec: CMPairSpec) -> IntLattice:
     return kernel_basis(pairing_matrix(spec))
 
 
-def mt_dimension(spec: CMPairSpec) -> int:
-    """Dimension of the Mumford-Tate torus: (g+1) - rank of the kernel."""
-    return spec.g + 1 - kernel_N(spec).rank
-
-
 def rec_star_antiweyl(g: int) -> IntMatrix:
     """The 2g x 2^g matrix of rec* on character lattices.
 
@@ -154,31 +147,24 @@ def admissible_quadruples(g: int):
     """Yield (I, J, K, L) with I|J = K|L, I&J = K&L, deduplicated so that
     rank(I) <= rank(J), rank(K) <= rank(L) and (I,J) < (K,L)."""
     for s_bits in range(1 << g):
-        t_bits = s_bits
-        while True:  # t_bits runs over submasks of s_bits
+        for t_bits in submasks(s_bits):
             d = s_bits ^ t_bits
-            if d.bit_count() >= 2:
-                halves = [0]
-                for i in range(g):
-                    if d >> i & 1:
-                        halves += [h | (1 << i) for h in halves]
-                pairs = set()
-                for a in halves:
-                    i_bits, j_bits = t_bits | a, t_bits | (d ^ a)
-                    ri, rj = subset_rank(Subset(g, i_bits)), subset_rank(Subset(g, j_bits))
-                    pairs.add((ri, rj, i_bits, j_bits) if ri <= rj else (rj, ri, j_bits, i_bits))
-                ordered = sorted(pairs)
-                for x in range(len(ordered)):
-                    for y in range(x + 1, len(ordered)):
-                        yield (
-                            Subset(g, ordered[x][2]),
-                            Subset(g, ordered[x][3]),
-                            Subset(g, ordered[y][2]),
-                            Subset(g, ordered[y][3]),
-                        )
-            if t_bits == 0:
-                break
-            t_bits = (t_bits - 1) & s_bits
+            if d.bit_count() < 2:
+                continue
+            pairs = set()
+            for a in submasks(d):
+                i_bits, j_bits = t_bits | a, t_bits | (d ^ a)
+                ri, rj = subset_rank(Subset(g, i_bits)), subset_rank(Subset(g, j_bits))
+                pairs.add((ri, rj, i_bits, j_bits) if ri <= rj else (rj, ri, j_bits, i_bits))
+            ordered = sorted(pairs)
+            for x in range(len(ordered)):
+                for y in range(x + 1, len(ordered)):
+                    yield (
+                        Subset(g, ordered[x][2]),
+                        Subset(g, ordered[x][3]),
+                        Subset(g, ordered[y][2]),
+                        Subset(g, ordered[y][3]),
+                    )
 
 
 def quadruple_vector(I: Subset, J: Subset, K: Subset, L: Subset) -> list[int]:
@@ -221,23 +207,8 @@ def relations_from_kernel(L: IntLattice, side: str) -> list[MonomialRelation]:
     ]
 
 
-def theta_generator_reduction(I: Subset) -> MonomialRelation:
-    """The relation Theta_I * Theta_empty^(r-1) ~ product of singleton
-    periods, as an anti-Weyl exponent vector (a quad-lattice member)."""
-    r = len(I)
-    if r < 2:
-        raise ValueError(f"need |I| >= 2, got {r}")
-    g = I.g
-    vec = [0] * (1 << g)
-    vec[subset_rank(I)] += 1
-    vec[subset_rank(Subset.empty(g))] += r - 1
-    for i in I.members():
-        vec[subset_rank(Subset.of(g, [i]))] -= 1
-    return MonomialRelation(ANTIWEYL, g, tuple(vec))
-
-
 # ---------------------------------------------------------------------------
-# chain certificates
+# chains
 
 
 def chain_quadruple(S: Subset) -> tuple[Subset, Subset, Subset, Subset]:
@@ -271,72 +242,3 @@ def chain_strip(vec, g: int):
                 rem[i] -= c * q
             parts.append((S, c))
     return rem, parts
-
-
-@dataclass(frozen=True)
-class EquivClassCertificate:
-    """Witness that eps_I - eps_J lies in M + quad-span, with M the free
-    module on eps_empty and the singleton vectors."""
-
-    I: Subset
-    J: Subset
-    m_empty: int
-    m_singletons: tuple[int, ...]
-    chain_parts: tuple[tuple[Subset, int], ...]
-
-    def verify(self) -> bool:
-        g = self.I.g
-        n = 1 << g
-        total = [0] * n
-        total[subset_rank(Subset.empty(g))] += self.m_empty
-        for i, c in enumerate(self.m_singletons, start=1):
-            total[subset_rank(Subset.of(g, [i]))] += c
-        for S, c in self.chain_parts:
-            quad = quadruple_vector(*chain_quadruple(S))
-            for k, q in enumerate(quad):
-                total[k] += c * q
-        want = [0] * n
-        want[subset_rank(self.I)] += 1
-        want[subset_rank(self.J)] -= 1
-        return total == want
-
-
-def equiv_class_check(I: Subset, J: Subset) -> EquivClassCertificate:
-    """Certificate that eps_I and eps_J agree modulo M + quad-span.
-
-    Requires |I| = |J| (equal-size index sets give equivalent period
-    classes); the certificate is found by chain-stripping eps_I - eps_J.
-    """
-    if I.g != J.g:
-        raise ValueError(f"dimension mismatch: g={I.g} vs g={J.g}")
-    if len(I) != len(J):
-        raise ValueError(f"sizes differ: |I|={len(I)} vs |J|={len(J)}")
-    g = I.g
-    vec = [0] * (1 << g)
-    vec[subset_rank(I)] += 1
-    vec[subset_rank(J)] -= 1
-    rem, parts = chain_strip(vec, g)
-    m_empty = rem[subset_rank(Subset.empty(g))]
-    singles = tuple(rem[subset_rank(Subset.of(g, [i]))] for i in range(1, g + 1))
-    # everything outside M must have been stripped
-    leftovers = list(rem)
-    leftovers[subset_rank(Subset.empty(g))] = 0
-    for i in range(1, g + 1):
-        leftovers[subset_rank(Subset.of(g, [i]))] = 0
-    if any(leftovers):
-        raise AssertionError("chain stripping left support outside M")
-    cert = EquivClassCertificate(I, J, m_empty, singles, tuple(parts))
-    if not cert.verify():
-        raise AssertionError("equivalence certificate does not re-sum to eps_I - eps_J")
-    return cert
-
-
-def m_complement_basis(g: int) -> IntLattice:
-    """The complement M = Z*eps_empty + sum_i Z*eps_{{i}} of N' in Z^(2^g)."""
-    n = 1 << g
-    rows = []
-    for S in [Subset.empty(g)] + [Subset.of(g, [i]) for i in range(1, g + 1)]:
-        row = [0] * n
-        row[subset_rank(S)] = 1
-        rows.append(row)
-    return IntLattice.from_rows(n, rows)

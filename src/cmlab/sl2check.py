@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cmtypes import subset_rank
-from .hyperoct import Subset
+from .cmtypes import subset_rank, tail_subsets
+from .hyperoct import Subset, submasks
 
 SL2_MAX_G = 6
 
@@ -42,14 +42,6 @@ class SymplecticMatrix:
     def zero(cls, g: int) -> "SymplecticMatrix":
         n = 1 << g
         return cls(g, tuple((_ZERO,) * n for _ in range(n)))
-
-    @classmethod
-    def identity(cls, g: int) -> "SymplecticMatrix":
-        n = 1 << g
-        one = Fraction(1)
-        return cls(g, tuple(
-            tuple(one if i == j else _ZERO for j in range(n)) for i in range(n)
-        ))
 
     @classmethod
     def diagonal(cls, g: int, diag) -> "SymplecticMatrix":
@@ -179,15 +171,6 @@ def torus_element(coeffs, g: int) -> SymplecticMatrix:
     return SymplecticMatrix.diagonal(g, diag)
 
 
-def _subsets_of(U: Subset):
-    sub = U.bits
-    while True:
-        yield Subset(U.g, sub)
-        if sub == 0:
-            return
-        sub = (sub - 1) & U.bits
-
-
 def _tail(g: int) -> Subset:
     return Subset.of(g, range(2, g + 1))
 
@@ -205,7 +188,8 @@ def build_v(U: Subset) -> SymplecticMatrix:
         raise ValueError("expected an index set inside {2,...,g}")
     tail = _tail(g)
     total = SymplecticMatrix.zero(g)
-    for I in _subsets_of(U):
+    for bits in submasks(U.bits):
+        I = Subset(g, bits)
         total = total + root_vector(I, tail ^ I, g)
     eps = Fraction(1, 2) if U == tail else Fraction(1)
     return total.scaled(eps)
@@ -221,7 +205,8 @@ def build_vbar(U: Subset) -> SymplecticMatrix:
     tail = _tail(g)
     one = Subset.of(g, [1])
     total = SymplecticMatrix.zero(g)
-    for I in _subsets_of(U):
+    for bits in submasks(U.bits):
+        I = Subset(g, bits)
         total = total + root_vector(I.complement(), one | I, g)
     eps = Fraction(1, 2) if U == tail else Fraction(1)
     return total.scaled(eps)
@@ -243,9 +228,8 @@ def check_sl2(U: Subset, g: int, scale=1) -> dict:
     factor = Fraction(scale)
     v = build_v(U).scaled(factor)
     vbar = build_vbar(U).scaled(factor)
-    tail = _tail(g)
     vv_zero = all(
-        bracket(v, build_v(W).scaled(factor)).is_zero() for W in _subsets_of(tail)
+        bracket(v, build_v(W).scaled(factor)).is_zero() for W in tail_subsets(g)
     )
     h = bracket(v, vbar)
     return {

@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, determinism, golden report, JSON."""
 import contextlib
+import fcntl
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -75,6 +77,21 @@ class TestExitCodes:
     def test_success_is_0(self, capsys):
         code, out, _ = run_cli(["example-mu19"], capsys)
         assert code == 0 and out
+
+    def test_reader_closing_the_pipe_early_is_1_without_traceback(self):
+        # a one-page pipe holds far less than the ~14 kB report, so the
+        # writer is still writing when the reader goes away after one line
+        read_fd, write_fd = os.pipe()
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        cmd = [sys.executable, "-m", "cmlab.cli", "relations", "--weyl-full", "--g", "8"]
+        proc = subprocess.Popen(cmd, stdout=write_fd, stderr=subprocess.PIPE)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as reader:
+            assert reader.readline() == b"relations: 247\n"
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in err, err
 
 
 class TestGolden:

@@ -16,6 +16,7 @@ from cmlab.cmtypes import (
     reflex_type,
     subset_rank,
     subset_unrank,
+    tail_subsets,
 )
 from cmlab.galois import from_generators
 from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset
@@ -78,6 +79,11 @@ class TestSubsetOrder:
     def test_unrank_out_of_range(self):
         with pytest.raises(ValueError):
             subset_unrank(3, 8)
+
+    def test_tail_subsets_are_the_first_half_of_the_order(self):
+        for g in range(1, 9):
+            assert tail_subsets(g) == [subset_unrank(g, r) for r in range(1 << (g - 1))]
+            assert all(1 not in I for I in tail_subsets(g))
 
 
 class TestOrbitDecomposition:

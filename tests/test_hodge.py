@@ -32,7 +32,6 @@ from cmlab.hodge import (
     quadruple_to_cycle,
     reduce_to_low_degree,
     relation_of_cycle,
-    support_and_equivalence,
 )
 from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, compose
 from cmlab.intlattice import IntLattice, member
@@ -215,7 +214,7 @@ def flat_scan(spec, p, n):
     """The unpruned scan pohlmann_basis used to run: every 2p-combination of
     the sorted slots in itertools.combinations order, kept iff its packed
     holomorphy profile has digit p at every group element."""
-    bases, group, act = _slot_universe(spec, n)
+    bases, group, act = _slot_universe(spec)
     slots = sorted(((base, copy) for copy in range(1, n + 1) for base in bases), key=_slot_key)
     digit = {t: 1 << (4 * i) for i, t in enumerate(group.elements)}
     profile = {base: sum(digit[t] for t in group.elements if _is_hol(act(t, base))) for base in bases}
@@ -476,31 +475,39 @@ class TestCertificates:
         assert cert.target == rel and cert.verify()
 
     def test_verify_gates_survive_optimized_mode(self):
-        # drop one chain part after stripping: both certificate checks must
-        # still reject the result when python -O removes assert statements
+        # a strip that drops a chain part, or leaves a stray residual on the
+        # full set, must be rejected by the re-sum and the residual check of
+        # both certificates even when python -O removes assert statements
         script = """
-import cmlab.hodge as hodge, cmlab.reciprocity as reciprocity
+import cmlab.hodge as hodge
 from cmlab.hyperoct import Subset
-strip = reciprocity.chain_strip
+strip = hodge.chain_strip
 def lossy(vec, g):
     rem, parts = strip(vec, g)
     return rem, parts[1:]
-hodge.chain_strip = reciprocity.chain_strip = lossy
+def leaky(vec, g):
+    rem, parts = strip(vec, g)
+    rem[-1] += 1
+    return rem, parts
 rel = hodge.chain_generator(Subset.of(3, [1, 2, 3]))
-for call in (lambda: hodge.reduce_to_low_degree(rel, 3),
-             lambda: reciprocity.equiv_class_check(Subset.of(3, [1, 2]), Subset.of(3, [2, 3]))):
-    try:
-        call()
-    except (hodge.ReductionError, AssertionError) as exc:
-        print(type(exc).__name__, exc)
-    else:
-        print("accepted")
+for fake in (lossy, leaky):
+    hodge.chain_strip = fake
+    for call in (lambda: hodge.reduce_to_low_degree(rel, 3),
+                 lambda: hodge.equiv_class_check(Subset.of(3, [1, 2]), Subset.of(3, [2, 3]))):
+        try:
+            call()
+        except (hodge.ReductionError, AssertionError) as exc:
+            print(type(exc).__name__, exc)
+        else:
+            print("accepted")
 """
         out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == [
             "ReductionError certificate does not re-sum to the relation",
             "AssertionError equivalence certificate does not re-sum to eps_I - eps_J",
+            "ReductionError relation is not generated in degree <= 2",
+            "AssertionError chain stripping left support outside M",
         ]
 
 
@@ -542,23 +549,22 @@ class TestSupport:
     def test_self_and_translate_equivalence(self):
         G = weyl_full(3)
         q = (Subset.of(3, []), Subset.of(3, [2, 3]), Subset.of(3, [2]), Subset.of(3, [3]))
-        assert support_and_equivalence(q, q, G)[1]
-        for t in G:
+        s = quadruple_support(q, G)
+        for t in G:  # the identity included: q is equivalent to itself
             moved = (
                 act_subset(t, q[0]),
                 act_subset(t, q[1]),
                 act_subset(t, q[2].complement()).complement(),
                 act_subset(t, q[3].complement()).complement(),
             )
-            (s1, s2), eq = support_and_equivalence(q, moved, G)
-            assert eq and s1 == s2
+            assert quadruple_support(moved, G) == s
 
     def test_swapped_right_pair_is_equivalent(self):
         G = weyl_full(3)
         q1 = (Subset.of(3, []), Subset.of(3, [2, 3]), Subset.of(3, [2]), Subset.of(3, [3]))
         q2 = (Subset.of(3, []), Subset.of(3, [2, 3]), Subset.of(3, [3]), Subset.of(3, [2]))
-        (s1, _), eq = support_and_equivalence(q1, q2, G)
-        assert eq
+        s1 = quadruple_support(q1, G)
+        assert quadruple_support(q2, G) == s1
         assert len(s1) == 12
 
     def test_degenerate_surface_support(self):

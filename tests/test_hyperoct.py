@@ -13,6 +13,7 @@ from cmlab.hyperoct import (
     act_subset,
     compose,
     inverse,
+    submasks,
 )
 from strategies import dims, signed_perms, subsets
 
@@ -146,11 +147,8 @@ class TestSubset:
         assert str(Subset.empty(4)) == "{}"
 
 
-class TestJson:
-    def test_round_trip(self):
-        x = SignedPerm.make(4, [2, 4], [3, 1, 4, 2])
-        assert SignedPerm.from_json(4, x.to_json()) == x
-
-    def test_shape(self):
-        x = SignedPerm.make(3, [3, 1], [2, 3, 1])
-        assert x.to_json() == {"flips": [1, 3], "perm": [2, 3, 1]}
+class TestSubmasks:
+    def test_every_submask_once_in_decreasing_order(self):
+        for bits in range(64):
+            want = [s for s in range(bits, -1, -1) if s & bits == s]
+            assert list(submasks(bits)) == want

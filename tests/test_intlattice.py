@@ -1,4 +1,5 @@
 """Exact lattice algebra: HNF canonicality, kernels, saturation, membership."""
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from cmlab.intlattice import (
     kernel_basis,
     lattice_equal,
     member,
-    saturate,
 )
 
 
@@ -89,42 +89,24 @@ class TestKernel:
                 assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.entries)
             assert k.rank == cols - hnf(m).rows
 
-    def test_kernel_is_saturated(self):
-        m = IntMatrix.from_rows([[2, 4, 6], [1, 1, 1]])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+            lambda shape: st.lists(
+                st.lists(st.integers(-3, 3), min_size=shape[1], max_size=shape[1]),
+                min_size=shape[0], max_size=shape[0],
+            )
+        )
+    )
+    def test_kernel_is_saturated(self, rows):
+        # every integer solution in a small box is an integer combination of
+        # the kernel basis, not only a rational one: checked by brute force,
+        # without computing a second kernel
+        m = IntMatrix.from_rows(rows)
         k = kernel_basis(m)
-        assert lattice_equal(saturate(k), k)
-
-
-class TestSaturate:
-    def test_scaled_line(self):
-        L = IntLattice.from_rows(2, [[2, 0]])
-        assert saturate(L).basis.to_json() == [[1, 0]]
-
-    def test_already_saturated(self):
-        L = IntLattice.from_rows(3, [[1, 0, 2], [0, 1, 1]])
-        assert lattice_equal(saturate(L), L)
-
-    def test_index_matches_brute_force(self):
-        L = IntLattice.from_rows(2, [[2, 2], [0, 4]])
-        S = saturate(L)
-        assert S.rank == 2
-        # quotient of saturation by L has order |det|/|det| -- compute both dets
-        def det2(b):
-            (a, c), (d, e) = b.basis.entries
-            return abs(a * e - c * d)
-        assert det2(L) == 8
-        assert det2(S) * 8 // det2(S) == 8  # L has index 8/det(S) in S
-        # torsion-freeness: every small rational point of QL cap Z^2 is in S
-        for x in range(-4, 5):
-            for y in range(-4, 5):
-                if member([x, y], S) is None:
-                    continue
-                assert member([x, y], saturate(S)) is not None
-        assert lattice_equal(saturate(S), S)
-
-    def test_full_rank_saturates_to_full(self):
-        L = IntLattice.from_rows(2, [[2, 0], [0, 3]])
-        assert lattice_equal(saturate(L), IntLattice.full(2))
+        for v in itertools.product(range(-3, 4), repeat=m.cols):
+            if all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows):
+                assert member(v, k) is not None
 
 
 class TestMember:

@@ -1,10 +1,14 @@
 """Pairing kernels, rec*, quadratic generation, chain certificates."""
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlab.cmtypes import CMPairSpec, subset_rank
+from cmlab.cli import main
+from cmlab.cmtypes import CMPairSpec, subset_rank, subset_unrank
 from cmlab.galois import from_generators
+from cmlab.hodge import chain_generator, equiv_class_check
 from cmlab.hyperoct import SignedPerm, Subset
 from cmlab.intlattice import IntLattice, IntMatrix, hnf, kernel_basis, lattice_equal, member
 from cmlab.reciprocity import (
@@ -13,10 +17,7 @@ from cmlab.reciprocity import (
     MonomialRelation,
     admissible_quadruples,
     chain_strip,
-    equiv_class_check,
     kernel_N,
-    m_complement_basis,
-    mt_dimension,
     pairing_matrix,
     quad_lattice,
     quadruple_vector,
@@ -24,7 +25,6 @@ from cmlab.reciprocity import (
     relation_to_json,
     relations_from_kernel,
     render_relation,
-    theta_generator_reduction,
 )
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
@@ -83,16 +83,26 @@ class TestKernelN:
         assert kernel_N(spec).rank == 0
 
 
+def reported_mt_dimension(pair, tmp_path, capsys):
+    """mt_dimension as `cmlab kernel --format json` reports it for a pair."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    assert main(["kernel", "--input", str(path), "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["mt_dimension"]
+
+
 class TestMtDimension:
-    def test_weyl_is_g_plus_1(self):
+    def test_weyl_is_g_plus_1(self, tmp_path, capsys):
         for g in (2, 3):
-            assert mt_dimension(CMPairSpec.weyl(g)) == g + 1
+            assert reported_mt_dimension({"weyl": g}, tmp_path, capsys) == g + 1
 
-    def test_mu19(self, mu19):
-        assert mt_dimension(mu19) == 8
+    def test_mu19(self, tmp_path, capsys):
+        pair = {"cyclic": {"M": 18, "phi": MU19_PHI}}
+        assert reported_mt_dimension(pair, tmp_path, capsys) == 8
 
-    def test_lower_bound(self, mu19):
-        assert mt_dimension(mu19) >= 2
+    def test_lower_bound(self, tmp_path, capsys):
+        pair = {"cyclic": {"M": 18, "phi": MU19_PHI}}
+        assert reported_mt_dimension(pair, tmp_path, capsys) >= 2
 
 
 class TestRecStar:
@@ -134,14 +144,15 @@ class TestQuadLattice:
 
     def test_direct_sum_with_m(self):
         for g in (3, 4):
-            M = m_complement_basis(g)
+            # M is free on eps_empty and the singleton vectors
+            m_rows = []
+            for S in [Subset.empty(g)] + [Subset.of(g, [i]) for i in range(1, g + 1)]:
+                row = [0] * (1 << g)
+                row[subset_rank(S)] = 1
+                m_rows.append(row)
             N = quad_lattice(g)
-            stacked = hnf(
-                IntMatrix.from_rows(
-                    list(M.basis.entries) + list(N.basis.entries), 1 << g
-                )
-            )
-            assert M.rank + N.rank == 1 << g
+            stacked = hnf(IntMatrix.from_rows(m_rows + list(N.basis.entries), 1 << g))
+            assert len(m_rows) + N.rank == 1 << g
             assert stacked.rows == 1 << g  # zero intersection
 
     def test_cap(self):
@@ -166,7 +177,7 @@ class TestRelations:
     def test_antiweyl_g2(self):
         rels = relations_from_kernel(quad_lattice(2), ANTIWEYL)
         assert [render_relation(r) for r in rels] == ["Th{}*Th{1,2} ~ Th{2}*Th{1}"]
-        assert rels[0].is_elementary_quadratic()
+        assert sorted(rels[0].vec) == [-1, -1, 1, 1] and rels[0].tau == 0
 
     def test_json_shape(self):
         rel = MonomialRelation(SIMPLE, 3, (2, -1, -1))
@@ -189,29 +200,33 @@ class TestRelations:
 
 
 class TestThetaGeneratorReduction:
+    """Theta_I * Theta_empty^(|I|-1) ~ the product of the Theta_{i}, i in I."""
+
     def test_pair(self):
-        rel = theta_generator_reduction(Subset.of(3, [2, 3]))
+        # for I = {2,3}: Theta_I * Theta_empty ~ Theta_{2} * Theta_{3} is chain(I)
         vec = [0] * 8
         vec[subset_rank(Subset.of(3, [2, 3]))] = 1
         vec[0] = 1
         vec[subset_rank(Subset.of(3, [2]))] = -1
         vec[subset_rank(Subset.of(3, [3]))] = -1
-        assert rel.vec == tuple(vec)
+        assert chain_generator(Subset.of(3, [2, 3])) == MonomialRelation(ANTIWEYL, 3, tuple(vec))
 
     def test_triple_in_quad_lattice(self):
-        rel = theta_generator_reduction(Subset.of(3, [1, 2, 3]))
-        assert rel.vec[0] == 2  # eps_empty coefficient r-1
-        assert member(list(rel.vec), quad_lattice(3)) is not None
+        # Theta_{1,2,3} * Theta_empty^2 ~ Theta_{1} * Theta_{2} * Theta_{3}
+        vec = [0] * 8
+        vec[subset_rank(Subset.of(3, [1, 2, 3]))] = 1
+        vec[subset_rank(Subset.empty(3))] = 2
+        for i in (1, 2, 3):
+            vec[subset_rank(Subset.of(3, [i]))] = -1
+        assert member(vec, quad_lattice(3)) is not None
 
     def test_singleton_rejected(self):
-        with pytest.raises(ValueError, match="|I|"):
-            theta_generator_reduction(Subset.of(3, [2]))
+        with pytest.raises(ValueError, match="chains need"):
+            chain_generator(Subset.of(3, [2]))
 
 
 class TestChainCertificates:
     def test_chain_strip_annihilates_quadruples(self):
-        from cmlab.cmtypes import subset_unrank
-
         g = 3
         for I, J, K, L in admissible_quadruples(g):
             rem, _ = chain_strip(quadruple_vector(I, J, K, L), g)
@@ -224,20 +239,26 @@ class TestChainCertificates:
         I = Subset.of(4, [2, 3])
         cert = equiv_class_check(I, I)
         assert cert.verify()
-        assert cert.m_empty == 0
-        assert cert.m_singletons == (0, 0, 0, 0)
-        assert cert.chain_parts == ()
+        assert cert.target == MonomialRelation(ANTIWEYL, 4, (0,) * 16)
+        assert m_part(cert, I, I) == {}
+        assert cert.parts == ()
 
     def test_equiv_singletons_in_m(self):
-        cert = equiv_class_check(Subset.of(3, [2]), Subset.of(3, [3]))
+        I, J = Subset.of(3, [2]), Subset.of(3, [3])
+        cert = equiv_class_check(I, J)
         assert cert.verify()
-        assert cert.chain_parts == ()
-        assert cert.m_singletons == (0, 1, -1)
+        assert cert.parts == ()
+        assert cert.target.is_zero()
+        assert m_part(cert, I, J) == {I: 1, J: -1}
 
     def test_equiv_pairs(self):
-        cert = equiv_class_check(Subset.of(4, [2, 3]), Subset.of(4, [3, 4]))
+        I, J = Subset.of(4, [2, 3]), Subset.of(4, [3, 4])
+        cert = equiv_class_check(I, J)
         assert cert.verify()
-        assert cert.chain_parts != ()
+        assert cert.parts != ()
+        chains = {chain_generator(Subset(4, bits)) for bits in range(16) if bits.bit_count() >= 2}
+        assert all(gen in chains for gen, _ in cert.parts)
+        assert set(m_part(cert, I, J)) <= set(m_basis(4))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="sizes differ"):
@@ -257,4 +278,21 @@ class TestChainCertificates:
         J = Subset.of(g, members)
         if len(J) != len(I):
             return
-        assert equiv_class_check(I, J).verify()
+        cert = equiv_class_check(I, J)
+        assert cert.verify() and cert.target.tau == 0
+        assert set(m_part(cert, I, J)) <= set(m_basis(g))
+
+
+def m_basis(g):
+    """The empty set and the singletons: the index sets M is free on."""
+    return [Subset.empty(g)] + [Subset.of(g, [i]) for i in range(1, g + 1)]
+
+
+def m_part(cert, I, J):
+    """The nonzero coefficients of eps_I - eps_J - target, the part of
+    eps_I - eps_J that the certificate leaves in M, by index set."""
+    g = I.g
+    vec = [-x for x in cert.target.vec]
+    vec[subset_rank(I)] += 1
+    vec[subset_rank(J)] -= 1
+    return {subset_unrank(g, r): x for r, x in enumerate(vec) if x}

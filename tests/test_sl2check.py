@@ -40,7 +40,7 @@ class TestSymplecticMatrix:
 
     def test_omega_squares_to_minus_identity(self):
         for g in (2, 3):
-            assert omega(g) @ omega(g) == SymplecticMatrix.identity(g).scaled(-1)
+            assert omega(g) @ omega(g) == SymplecticMatrix.diagonal(g, [-1] * (1 << g))
 
     def test_conj_is_an_involution(self):
         m = build_v(Subset.of(3, [2]))
