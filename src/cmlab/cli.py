@@ -373,8 +373,8 @@ def _cmd_support(args):
 
 def _cmd_sl2_check(args):
     g = args.g
-    if g is None:
-        raise ValueError("sl2-check needs --g")
+    if g < 2:
+        raise ValueError("sl2-check needs --g >= 2")
     reports = []
     lines = []
     for U in tail_subsets(g):

@@ -22,6 +22,7 @@ from .galois import GaloisGroup, from_cyclic_translation, weyl_full
 from .hyperoct import (
     EmbeddingLabel,
     Subset,
+    _act_bits,
     act_subset,
     check_powerset_size,
 )
@@ -120,18 +121,17 @@ def orbit_decomposition(G: GaloisGroup) -> list[list[Subset]]:
     """
     g = G.g
     check_powerset_size(g)
-    unseen = set(range(1 << g))
-
-    def expand(seed_bits: int) -> list[Subset]:
-        seed = Subset(g, seed_bits)
-        members = {act_subset(el, seed).bits for el in G.elements}
-        unseen.difference_update(members)
-        return sorted((Subset(g, b) for b in members), key=subset_rank)
-
-    orbits = [expand(0)]
-    while unseen:
-        seed = min(unseen, key=lambda b: subset_rank(Subset(g, b)))
-        orbits.append(expand(seed))
+    seen = set()
+    orbits = []
+    # seeds in canonical order, so each orbit is found from its minimal
+    # member and the empty set (rank 0) comes first
+    for r in range(1 << g):
+        seed = subset_unrank(g, r).bits
+        if seed in seen:
+            continue
+        members = {_act_bits(el, seed) for el in G.elements}
+        seen |= members
+        orbits.append(sorted((Subset(g, b) for b in members), key=subset_rank))
     return orbits
 
 

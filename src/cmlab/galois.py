@@ -46,7 +46,7 @@ class GaloisGroup:
         # transitivity of the image in S_g
         seen = {1}
         frontier = [1]
-        while frontier:
+        while frontier and len(seen) < self.g:
             j = frontier.pop()
             for el in self.elements:
                 k = el.perm[j - 1]
@@ -142,9 +142,11 @@ def weyl_full(g: int) -> GaloisGroup:
     check_group_size(g)
     if (1 << g) * factorial(g) > CLOSURE_CAP:
         raise ValueError(f"full hyperoctahedral group for g={g} exceeds cap of {CLOSURE_CAP}")
-    elements = tuple(
-        SignedPerm(g, Subset(g, bits), perm)
-        for perm in permutations(range(1, g + 1))
-        for bits in range(1 << g)
-    )
-    return GaloisGroup(g, elements)
+    # validate each perm once; its 2^g elements share one inverse, and all
+    # elements share one Subset per flips mask
+    flips = [Subset(g, bits) for bits in range(1 << g)]
+    elements = []
+    for perm in permutations(range(1, g + 1)):
+        inv = SignedPerm(g, flips[0], perm)._inv_perm
+        elements += (SignedPerm._trusted(g, f, perm, inv) for f in flips)
+    return GaloisGroup(g, tuple(elements))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .cmtypes import CMPairSpec, subset_rank, subset_unrank, tail_subsets
 from .galois import GaloisGroup, weyl_full
-from .hyperoct import EmbeddingLabel, Subset, act_embedding, act_subset
+from .hyperoct import EmbeddingLabel, Subset, _act_bits, act_embedding, act_subset
 from .intlattice import member
 from .reciprocity import (
     ANTIWEYL,
@@ -117,15 +117,16 @@ class CycleIndex:
 
 
 def _slot_universe(spec):
-    """(base slots in order, group, holomorphy test) for a CM pair spec or
-    a plain genus g (the generalized anti-Weyl variety of that genus)."""
+    """(base slots in order, group, test that t moves a base slot to a
+    holomorphic one) for a CM pair spec or a plain genus g (the generalized
+    anti-Weyl variety of that genus)."""
     if isinstance(spec, CMPairSpec):
         bases = [EmbeddingLabel(j, False) for j in range(1, spec.g + 1)]
         bases += [EmbeddingLabel(j, True) for j in range(1, spec.g + 1)]
-        return bases, spec.group, act_embedding
+        return bases, spec.group, lambda t, x: not act_embedding(t, x).bar
     g = int(spec)
     bases = [subset_unrank(g, r) for r in range(1 << g)]
-    return bases, weyl_full(g), act_subset
+    return bases, weyl_full(g), lambda t, I: not _act_bits(t, I.bits) & 1
 
 
 def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> list[CycleIndex]:
@@ -146,7 +147,7 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
         return [CycleIndex(())]
     if p > 7:
         raise ValueError("the packed accumulator supports p <= 7")
-    bases, group, act = _slot_universe(spec)
+    bases, group, moves_to_hol = _slot_universe(spec)
     slots = sorted(
         ((base, copy) for copy in range(1, n + 1) for base in bases), key=_slot_key
     )
@@ -163,7 +164,7 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     for base in bases:
         acc = 0
         for i, s in enumerate(group.elements):
-            if _is_hol(act(s, base)):
+            if moves_to_hol(s, base):
                 acc |= 1 << (4 * i)
         profile[base] = acc
     packed = [profile[base] for base, _ in slots]
@@ -482,16 +483,20 @@ def quadruple_support(q, G: GaloisGroup) -> frozenset:
     """All Galois translates of the wedge-slot pairs of (I, J, K, L): the
     left block {t.I, t.J} and the right block {t.K^c, t.L^c}, as an
     ordered pair of unordered blocks."""
+    g = G.g
+    if any(X.g != g for X in q):
+        raise ValueError(f"dimension mismatch: the group acts at g={g}")
     I, J, K, L = q
-    out = set()
+    i, j, kc, lc = I.bits, J.bits, K.complement().bits, L.complement().bits
+    blocks = set()
     for t in G.elements:
-        out.add(
-            (
-                frozenset({act_subset(t, I), act_subset(t, J)}),
-                frozenset({act_subset(t, K.complement()), act_subset(t, L.complement())}),
-            )
-        )
-    return frozenset(out)
+        a, b = _act_bits(t, i), _act_bits(t, j)
+        c, d = _act_bits(t, kc), _act_bits(t, lc)
+        blocks.add((min(a, b), max(a, b), min(c, d), max(c, d)))
+    return frozenset(
+        (frozenset({Subset(g, a), Subset(g, b)}), frozenset({Subset(g, c), Subset(g, d)}))
+        for a, b, c, d in blocks
+    )
 
 
 def canonical_form_weyl(q, g: int) -> tuple[int, int]:
@@ -532,20 +537,20 @@ def balance_dichotomy(g: int) -> tuple[int, int]:
     ones = sum(1 << (3 * i) for i in range(m))
     contains = {}
     for bits in range(1 << g):
-        I = Subset(g, bits)
         acc = 0
         for i, t in enumerate(G.elements):
-            if 1 in act_subset(t, I):
+            if _act_bits(t, bits) & 1:
                 acc |= 1 << (3 * i)
         contains[bits] = acc
+    full = (1 << g) - 1
     n_adm = n_bad = 0
     high = 4 * ones
     for I, J, K, L in itertools.product(tail_subsets(g), repeat=4):
         total = (
             contains[I.bits]
             + contains[J.bits]
-            + contains[K.complement().bits]
-            + contains[L.complement().bits]
+            + contains[K.bits ^ full]
+            + contains[L.bits ^ full]
         )
         if admissible(I, J, K, L):
             n_adm += 1

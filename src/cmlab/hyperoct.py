@@ -150,6 +150,15 @@ class SignedPerm:
         object.__setattr__(self, "_inv_perm", tuple(inv))
 
     @classmethod
+    def _trusted(cls, g: int, flips: Subset, perm: tuple, inv_perm: tuple) -> "SignedPerm":
+        """An element from parts already known to be valid (perm a bijection
+        of 1..g with inverse inv_perm, flips at g), built without
+        __post_init__; compose, inverse and weyl_full only."""
+        self = object.__new__(cls)
+        self.__dict__.update(g=g, flips=flips, perm=perm, _inv_perm=inv_perm)
+        return self
+
+    @classmethod
     def make(cls, g: int, flips: Iterable[int] = (), perm: Iterable[int] | None = None) -> "SignedPerm":
         p = tuple(perm) if perm is not None else tuple(range(1, g + 1))
         return cls(g, Subset.of(g, flips), p)
@@ -163,26 +172,29 @@ class SignedPerm:
         """The central all-flips element (complex conjugation)."""
         return cls(g, Subset.full(g), tuple(range(1, g + 1)))
 
-    def apply_perm(self, I: Subset) -> Subset:
-        bits = 0
-        src = I.bits
-        while src:
-            low = src & -src
-            bits |= 1 << (self.perm[low.bit_length() - 1] - 1)
-            src ^= low
-        return Subset(self.g, bits)
-
     def __str__(self) -> str:
         return f"(flips {self.flips}, perm {self.perm})"
+
+
+def _act_bits(t: SignedPerm, bits: int) -> int:
+    """t.I on a plain g-bit mask, flips xor beta(bits), with no Subset built;
+    the integer core of act_subset for loops over whole groups."""
+    out = t.flips.bits
+    perm = t.perm
+    while bits:
+        low = bits & -bits
+        out ^= 1 << (perm[low.bit_length() - 1] - 1)
+        bits ^= low
+    return out
 
 
 def compose(a: SignedPerm, b: SignedPerm) -> SignedPerm:
     """Product a*b: apply b first, then a."""
     if a.g != b.g:
         raise ValueError(f"dimension mismatch: g={a.g} vs g={b.g}")
-    flips = a.flips ^ a.apply_perm(b.flips)
     perm = tuple(a.perm[bj - 1] for bj in b.perm)
-    return SignedPerm(a.g, flips, perm)
+    inv = tuple(b._inv_perm[j - 1] for j in a._inv_perm)
+    return SignedPerm._trusted(a.g, Subset(a.g, _act_bits(a, b.flips.bits)), perm, inv)
 
 
 def inverse(a: SignedPerm) -> SignedPerm:
@@ -193,14 +205,14 @@ def inverse(a: SignedPerm) -> SignedPerm:
         low = src & -src
         bits |= 1 << (inv[low.bit_length() - 1] - 1)
         src ^= low
-    return SignedPerm(a.g, Subset(a.g, bits), inv)
+    return SignedPerm._trusted(a.g, Subset(a.g, bits), inv, a.perm)
 
 
 def act_subset(t: SignedPerm, I: Subset) -> Subset:
     """Left action on CM-type indices: t.I = flips xor beta(I)."""
     if t.g != I.g:
         raise ValueError(f"dimension mismatch: g={t.g} vs g={I.g}")
-    return t.flips ^ t.apply_perm(I)
+    return Subset(t.g, _act_bits(t, I.bits))
 
 
 def act_embedding(t: SignedPerm, x: EmbeddingLabel) -> EmbeddingLabel:

@@ -83,10 +83,9 @@ def default_symbols(side: str, g: int) -> list[str]:
     return [f"Th{subset_unrank(g, r)}" for r in range(1 << g)]
 
 
-def render_relation(rel: MonomialRelation, symbols: list[str] | None = None) -> str:
+def render_relation(rel: MonomialRelation, symbols: list[str]) -> str:
     """ASCII form 'A*B^2 ~ C'; positive exponents left, negatives right."""
-    names = symbols if symbols is not None else default_symbols(rel.side, rel.g)
-    terms = list(zip(names, rel.vec))
+    terms = list(zip(symbols, rel.vec))
     if rel.side == ANTIWEYL:
         terms.append(("tau", rel.tau))
 
@@ -100,9 +99,8 @@ def render_relation(rel: MonomialRelation, symbols: list[str] | None = None) -> 
     return f"{side_str(+1)} ~ {side_str(-1)}"
 
 
-def relation_to_json(rel: MonomialRelation, symbols: list[str] | None = None) -> dict:
-    names = symbols if symbols is not None else default_symbols(rel.side, rel.g)
-    terms = list(zip(names, rel.vec))
+def relation_to_json(rel: MonomialRelation, symbols: list[str]) -> dict:
+    terms = list(zip(symbols, rel.vec))
     if rel.side == ANTIWEYL:
         terms.append(("tau", rel.tau))
     lhs = {name: e for name, e in terms if e > 0}

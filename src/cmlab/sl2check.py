@@ -24,83 +24,75 @@ from .hyperoct import Subset, submasks
 SL2_MAX_G = 6
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class SymplecticMatrix:
-    """Square matrix over Q acting on the 2^g-dimensional symplectic space."""
+    """Square matrix over Q acting on the 2^g-dimensional symplectic space.
+
+    Only the nonzero entries are kept, as a tuple of ((row, col), value)
+    sorted by position, so equal matrices have equal entries.  Any mapping
+    or iterable of ((row, col), value) pairs is accepted and put in that
+    canonical form; zero values are dropped.
+    """
 
     g: int
     entries: tuple
 
     def __post_init__(self) -> None:
         n = 1 << self.g
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
-            raise ValueError(f"expected a {n}x{n} matrix for g={self.g}")
+        entries = tuple(sorted((ij, a) for ij, a in dict(self.entries).items() if a))
+        for (i, j), _ in entries:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"entry ({i}, {j}) lies outside the {n}x{n} matrix for g={self.g}")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def zero(cls, g: int) -> "SymplecticMatrix":
-        n = 1 << g
-        return cls(g, tuple((_ZERO,) * n for _ in range(n)))
+        return cls(g, ())
 
     @classmethod
     def diagonal(cls, g: int, diag) -> "SymplecticMatrix":
-        n = 1 << g
         values = [Fraction(d) for d in diag]
-        if len(values) != n:
-            raise ValueError(f"expected {n} diagonal entries")
-        return cls(g, tuple(
-            tuple(values[i] if i == j else _ZERO for j in range(n)) for i in range(n)
-        ))
+        if len(values) != 1 << g:
+            raise ValueError(f"expected {1 << g} diagonal entries")
+        return cls(g, {(i, i): d for i, d in enumerate(values)})
+
+    def _combine(self, other: "SymplecticMatrix", sign: int) -> "SymplecticMatrix":
+        total = dict(self.entries)
+        for ij, b in other.entries:
+            total[ij] = total.get(ij, _ZERO) + sign * b
+        return SymplecticMatrix(self.g, total)
 
     def __add__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        return SymplecticMatrix(self.g, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        return SymplecticMatrix(self.g, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        return self._combine(other, -1)
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        n = 1 << self.g
-        rows = []
-        for i in range(n):
-            acc = [_ZERO] * n
-            for k, a in enumerate(self.entries[i]):
-                if a:
-                    row = other.entries[k]
-                    for j in range(n):
-                        if row[j]:
-                            acc[j] += a * row[j]
-            rows.append(tuple(acc))
-        return SymplecticMatrix(self.g, tuple(rows))
+        rows: dict = {}
+        for (k, j), b in other.entries:
+            rows.setdefault(k, []).append((j, b))
+        total: dict = {}
+        for (i, k), a in self.entries:
+            for j, b in rows.get(k, ()):
+                total[i, j] = total.get((i, j), _ZERO) + a * b
+        return SymplecticMatrix(self.g, total)
 
     def scaled(self, c) -> "SymplecticMatrix":
         c = Fraction(c)
-        return SymplecticMatrix(self.g, tuple(
-            tuple(c * a for a in row) for row in self.entries
-        ))
+        return SymplecticMatrix(self.g, [(ij, c * a) for ij, a in self.entries])
 
     def transpose(self) -> "SymplecticMatrix":
-        return SymplecticMatrix(self.g, tuple(zip(*self.entries)))
+        return SymplecticMatrix(self.g, [((j, i), a) for (i, j), a in self.entries])
 
     def is_zero(self) -> bool:
-        return all(not a for row in self.entries for a in row)
+        return not self.entries
 
     def is_diagonal(self) -> bool:
-        return all(
-            not a
-            for i, row in enumerate(self.entries)
-            for j, a in enumerate(row)
-            if i != j
-        )
-
-    def diag(self) -> tuple:
-        return tuple(row[i] for i, row in enumerate(self.entries))
+        return all(i == j for (i, j), _ in self.entries)
 
     def in_lie_algebra(self) -> bool:
         """Membership in sp: M^T Omega + Omega M = 0."""
@@ -111,12 +103,7 @@ class SymplecticMatrix:
 def omega(g: int) -> SymplecticMatrix:
     """The symplectic form: position k pairs with position 2^g-1-k."""
     n = 1 << g
-    rows = []
-    for k in range(n):
-        row = [_ZERO] * n
-        row[n - 1 - k] = Fraction(1) if k < n // 2 else Fraction(-1)
-        rows.append(tuple(row))
-    return SymplecticMatrix(g, tuple(rows))
+    return SymplecticMatrix(g, {(k, n - 1 - k): _ONE if k < n // 2 else -_ONE for k in range(n)})
 
 
 def conj(m: SymplecticMatrix) -> SymplecticMatrix:
@@ -147,12 +134,11 @@ def root_vector(I: Subset, J: Subset, g: int) -> SymplecticMatrix:
         )
     if not hol_i:
         return conj(root_vector(I.complement(), J.complement(), g))
-    n = 1 << g
-    rows = [[_ZERO] * n for _ in range(n)]
-    rows[subset_rank(I)][subset_rank(J.complement())] += Fraction(1)
-    if I != J:
-        rows[subset_rank(J)][subset_rank(I.complement())] += Fraction(1)
-    return SymplecticMatrix(g, tuple(tuple(row) for row in rows))
+    # the two positions coincide only when I = J, where the entry stays 1
+    return SymplecticMatrix(g, {
+        (subset_rank(I), subset_rank(J.complement())): _ONE,
+        (subset_rank(J), subset_rank(I.complement())): _ONE,
+    })
 
 
 def torus_element(coeffs, g: int) -> SymplecticMatrix:

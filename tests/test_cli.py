@@ -354,6 +354,21 @@ class TestSl2Check:
         code, _, err = run_cli(["sl2-check", "--g", "7"], capsys)
         assert code == 1 and "g <= 6" in err
 
+    def test_g_below_two_names_the_flag(self):
+        cmd = [sys.executable, "-m", "cmlab.cli", "sl2-check", "--g", "1"]
+        run = subprocess.run(cmd, capture_output=True, text=True)
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr == "error: sl2-check needs --g >= 2\n"
+
+    def test_g6_end_to_end(self):
+        cmd = [sys.executable, "-m", "cmlab.cli", "sl2-check", "--g", "6"]
+        run = subprocess.run(cmd, capture_output=True, text=True, check=True)
+        lines = run.stdout.splitlines()
+        assert len(lines) == 33
+        assert lines[0] == "U={}: pass" and lines[-2] == "U={2,3,4,5,6}: pass"
+        assert all(line.endswith(": pass") for line in lines[:-1])
+        assert lines[-1] == "all checks passed"
+
 
 class TestJsonRoundTrip:
     def test_all_report_types(self, mu19_star_file, mu19_file, tmp_path, capsys):

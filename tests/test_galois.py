@@ -1,4 +1,5 @@
 """Group construction: BFS closure, cyclic translation embedding, Weyl test."""
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -9,7 +10,7 @@ from cmlab.galois import (
     from_generators,
     weyl_full,
 )
-from cmlab.hyperoct import SignedPerm, compose
+from cmlab.hyperoct import SignedPerm, Subset, compose
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
 
@@ -82,6 +83,20 @@ class TestCyclicTranslation:
         G, emb = from_cyclic_translation(4, [0, 1])
         for t in range(4):
             assert G.element_for_label(t) == emb[t]
+
+
+class TestWeylFull:
+    def test_perm_then_flips_order(self):
+        for g in range(1, 6):
+            want = tuple(
+                SignedPerm(g, Subset(g, bits), perm)
+                for perm in permutations(range(1, g + 1))
+                for bits in range(1 << g)
+            )
+            G = weyl_full(g)
+            assert G.elements == want
+            assert all(x._inv_perm == y._inv_perm for x, y in zip(G.elements, want))
+            assert G.rho == SignedPerm.rho(g)
 
 
 class TestIsWeyl:

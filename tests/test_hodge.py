@@ -33,9 +33,15 @@ from cmlab.hodge import (
     reduce_to_low_degree,
     relation_of_cycle,
 )
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, compose
+from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_embedding, act_subset, compose
 from cmlab.intlattice import IntLattice, member
-from cmlab.reciprocity import ANTIWEYL, MonomialRelation, quad_lattice, render_relation
+from cmlab.reciprocity import (
+    ANTIWEYL,
+    MonomialRelation,
+    default_symbols,
+    quad_lattice,
+    render_relation,
+)
 from strategies import signed_perms
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
@@ -213,8 +219,10 @@ class TestPohlmann:
 def flat_scan(spec, p, n):
     """The unpruned scan pohlmann_basis used to run: every 2p-combination of
     the sorted slots in itertools.combinations order, kept iff its packed
-    holomorphy profile has digit p at every group element."""
-    bases, group, act = _slot_universe(spec)
+    holomorphy profile has digit p at every group element.  It acts through
+    act_subset and act_embedding, not the integer action of the walk."""
+    bases, group, _ = _slot_universe(spec)
+    act = act_subset if isinstance(bases[0], Subset) else act_embedding
     slots = sorted(((base, copy) for copy in range(1, n + 1) for base in bases), key=_slot_key)
     digit = {t: 1 << (4 * i) for i, t in enumerate(group.elements)}
     profile = {base: sum(digit[t] for t in group.elements if _is_hol(act(t, base))) for base in bases}
@@ -390,7 +398,7 @@ class TestRelationOfCycle:
 class TestCertificates:
     def test_degree_one_generator_renders_with_tau(self):
         rel = degree_one_generator(Subset.of(2, []))
-        assert render_relation(rel) == "Th{}*Th{1,2} ~ tau"
+        assert render_relation(rel, default_symbols(ANTIWEYL, 2)) == "Th{}*Th{1,2} ~ tau"
 
     def test_single_part_certificates(self):
         for gen in (degree_one_generator(Subset.of(3, [2])), chain_generator(Subset.of(3, [1, 3]))):
@@ -545,7 +553,39 @@ def census(g):
     return by_support
 
 
+def support_reference(q, G):
+    """quadruple_support as it was computed with Subset objects and
+    act_subset, one translate of each wedge slot per group element."""
+    I, J, K, L = q
+    return frozenset(
+        (
+            frozenset({act_subset(t, I), act_subset(t, J)}),
+            frozenset({act_subset(t, K.complement()), act_subset(t, L.complement())}),
+        )
+        for t in G.elements
+    )
+
+
+@st.composite
+def admissible_quadruples_over_tail(draw, g):
+    """(I, J, K, L) = (C|A, C|(D-A), C|B, C|(D-B)) with C, D disjoint
+    subsets of {2..g} and A, B inside D: every admissible quadruple."""
+    tail = draw(st.lists(st.integers(0, 2), min_size=g - 1, max_size=g - 1))
+    c = sum(1 << j for j, x in enumerate(tail, start=1) if x == 1)
+    d = sum(1 << j for j, x in enumerate(tail, start=1) if x == 2)
+    a = draw(st.integers(0, d)) & d
+    b = draw(st.integers(0, d)) & d
+    return tuple(Subset(g, bits) for bits in (c | a, c | (d ^ a), c | b, c | (d ^ b)))
+
+
 class TestSupport:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([4, 5]).flatmap(admissible_quadruples_over_tail))
+    def test_matches_the_subset_reference(self, q):
+        G = weyl_full(q[0].g)
+        assert admissible(*q)
+        assert quadruple_support(q, G) == support_reference(q, G)
+
     def test_self_and_translate_equivalence(self):
         G = weyl_full(3)
         q = (Subset.of(3, []), Subset.of(3, [2, 3]), Subset.of(3, [2]), Subset.of(3, [3]))
@@ -566,6 +606,11 @@ class TestSupport:
         s1 = quadruple_support(q1, G)
         assert quadruple_support(q2, G) == s1
         assert len(s1) == 12
+
+    def test_dimension_mismatch(self):
+        q = (Subset.of(3, []), Subset.of(3, [2, 3]), Subset.of(3, [2]), Subset.of(3, [3]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            quadruple_support(q, weyl_full(4))
 
     def test_degenerate_surface_support(self):
         q = (Subset.of(2, []), Subset.of(2, [2]), Subset.of(2, [2]), Subset.of(2, []))

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmlab.galois import weyl_full
 from cmlab.hyperoct import (
     EmbeddingLabel,
     SignedPerm,
     Subset,
+    _act_bits,
     act_embedding,
     act_subset,
     compose,
@@ -99,6 +101,28 @@ class TestActSubset:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             act_subset(SignedPerm.identity(2), Subset.empty(3))
+
+
+class TestIntegerAction:
+    def test_matches_act_subset_on_the_full_group(self):
+        # the reference maps each member j to beta(j) and flips through
+        # Subset operations, independently of both
+        for g in (1, 2, 3, 4):
+            for t in weyl_full(g):
+                for bits in range(1 << g):
+                    I = Subset(g, bits)
+                    want = t.flips ^ Subset.of(g, [t.perm[j - 1] for j in I.members()])
+                    assert act_subset(t, I) == want
+                    assert _act_bits(t, bits) == want.bits
+
+    @settings(max_examples=200)
+    @given(dims().flatmap(lambda g: st.tuples(signed_perms(g), signed_perms(g))))
+    def test_trusted_products_match_validated_construction(self, ab):
+        a, b = ab
+        for x in (compose(a, b), inverse(a)):
+            y = SignedPerm(x.g, x.flips, x.perm)
+            assert x == y and hash(x) == hash(y)
+            assert x._inv_perm == y._inv_perm
 
 
 class TestActEmbedding:

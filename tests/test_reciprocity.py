@@ -17,6 +17,7 @@ from cmlab.reciprocity import (
     MonomialRelation,
     admissible_quadruples,
     chain_strip,
+    default_symbols,
     kernel_N,
     pairing_matrix,
     quad_lattice,
@@ -176,7 +177,8 @@ class TestRelations:
 
     def test_antiweyl_g2(self):
         rels = relations_from_kernel(quad_lattice(2), ANTIWEYL)
-        assert [render_relation(r) for r in rels] == ["Th{}*Th{1,2} ~ Th{2}*Th{1}"]
+        symbols = default_symbols(ANTIWEYL, 2)
+        assert [render_relation(r, symbols) for r in rels] == ["Th{}*Th{1,2} ~ Th{2}*Th{1}"]
         assert sorted(rels[0].vec) == [-1, -1, 1, 1] and rels[0].tau == 0
 
     def test_json_shape(self):
@@ -196,7 +198,7 @@ class TestRelations:
         vec[0] = 1
         vec[3] = 1
         rel = MonomialRelation(ANTIWEYL, g, tuple(vec), tau=-1)
-        assert render_relation(rel) == "Th{}*Th{1,2} ~ tau"
+        assert render_relation(rel, default_symbols(ANTIWEYL, g)) == "Th{}*Th{1,2} ~ tau"
 
 
 class TestThetaGeneratorReduction:

@@ -3,6 +3,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmlab.hyperoct import Subset
 from cmlab.sl2check import (
@@ -26,6 +28,57 @@ def tail_subsets(g):
     return out
 
 
+# The dense Fraction algebra SymplecticMatrix used before it kept only its
+# nonzeros, as an oracle: a matrix is a tuple of 2^g rows of 2^g entries.
+
+
+def dense(m):
+    n = 1 << m.g
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), a in m.entries:
+        rows[i][j] = a
+    return tuple(tuple(row) for row in rows)
+
+
+def dense_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense_matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def dense_transpose(a):
+    return tuple(zip(*a))
+
+
+def dense_bracket(a, b):
+    return dense_sub(dense_matmul(a, b), dense_matmul(b, a))
+
+
+VALUES = [Fraction(v) for v in (-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2)]
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two random matrices at one g <= 3 with entries in VALUES."""
+    g = draw(st.integers(1, 3))
+    n = 1 << g
+    cells = st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), st.sampled_from(VALUES),
+        max_size=2 * n,
+    )
+    return SymplecticMatrix(g, draw(cells)), SymplecticMatrix(g, draw(cells))
+
+
 def hol_root_vectors(g):
     return [
         (I, J, root_vector(I, J, g))
@@ -35,8 +88,28 @@ def hol_root_vectors(g):
 
 class TestSymplecticMatrix:
     def test_shape_validation(self):
-        with pytest.raises(ValueError, match="4x4"):
-            SymplecticMatrix(2, ((Fraction(0),),))
+        for row, col in ((0, 4), (4, 0), (-1, 2)):
+            with pytest.raises(ValueError, match="4x4"):
+                SymplecticMatrix(2, {(row, col): Fraction(1)})
+
+    def test_canonical_entries(self):
+        m = SymplecticMatrix(2, [((3, 1), Fraction(2)), ((0, 2), Fraction(0)), ((1, 3), Fraction(-1))])
+        assert m.entries == (((1, 3), -1), ((3, 1), 2))
+        assert m == SymplecticMatrix(2, {(1, 3): Fraction(-1), (3, 1): Fraction(2)})
+        assert SymplecticMatrix.zero(2).entries == ()
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_pairs())
+    def test_agrees_with_the_dense_algebra(self, pair):
+        a, b = pair
+        assert dense(a @ b) == dense_matmul(dense(a), dense(b))
+        assert dense(a + b) == dense_add(dense(a), dense(b))
+        assert dense(a - b) == dense_sub(dense(a), dense(b))
+        assert dense(a.transpose()) == dense_transpose(dense(a))
+        assert dense(bracket(a, b)) == dense_bracket(dense(a), dense(b))
+        assert dense(a.scaled(Fraction(-1, 2))) == tuple(
+            tuple(Fraction(-1, 2) * x for x in row) for row in dense(a)
+        )
 
     def test_omega_squares_to_minus_identity(self):
         for g in (2, 3):
@@ -50,8 +123,7 @@ class TestSymplecticMatrix:
 class TestRootVectors:
     def test_rank_one_raising_matrix(self):
         e = root_vector(Subset.of(2, []), Subset.of(2, []), 2)
-        assert e.entries[0][3] == 1
-        assert sum(1 for row in e.entries for a in row if a) == 1
+        assert e.entries == (((0, 3), 1),)
 
     def test_normalization(self):
         for I, J, e in hol_root_vectors(3):
@@ -154,7 +226,7 @@ class TestCheckSl2:
     def test_surface_coweight(self):
         for U in (Subset.of(2, []), Subset.of(2, [2])):
             h = bracket(build_v(U), build_vbar(U))
-            assert h.diag() == (-1, -1, 1, 1)
+            assert h.entries == (((0, 0), -1), ((1, 1), -1), ((2, 2), 1), ((3, 3), 1))
 
     def test_all_reports_pass(self):
         for U in tail_subsets(3):
@@ -165,8 +237,19 @@ class TestCheckSl2:
                 "triple_identities": True,
             }
 
+    @pytest.mark.parametrize("g", [5, 6])
+    def test_all_reports_pass_at_large_g(self, g):
+        for U in tail_subsets(g):
+            assert all(check_sl2(U, g).values()), U
+
     def test_scale_negative_control(self):
         report = check_sl2(Subset.of(3, [2]), 3, scale=2)
+        assert report["bracket_vv_zero"]
+        assert report["bracket_vvbar_diagonal"]
+        assert not report["triple_identities"]
+
+    def test_scale_negative_control_g5(self):
+        report = check_sl2(Subset.of(5, [2, 4]), 5, scale=2)
         assert report["bracket_vv_zero"]
         assert report["bracket_vvbar_diagonal"]
         assert not report["triple_identities"]
