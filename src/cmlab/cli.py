@@ -5,6 +5,11 @@ a plain-text table or JSON, and exits 0 on success, 1 on a domain error with
 a message naming the violated precondition, 2 on a usage error.  Output is
 byte-for-byte deterministic for fixed inputs; no network access and no
 environment-variable configuration.
+
+Each command handler imports the solvers it uses when it runs, so a
+command loads only its own part of the package (sl2-check never loads the
+lattice code, orbits never loads fractions) and building the parser loads
+none of it.
 """
 from __future__ import annotations
 
@@ -13,42 +18,7 @@ import json
 import os
 import sys
 
-from .cmtypes import (
-    CMPairSpec,
-    compagnon_labels,
-    orbit_decomposition,
-    reflex_labels,
-    reflex_type,
-    subset_rank,
-    tail_subsets,
-)
-from .galois import from_generators, weyl_full
-from .hodge import (
-    POHLMANN_HARD_BUDGET,
-    CycleIndex,
-    ReductionError,
-    admissible,
-    canonical_form_weyl,
-    pohlmann_basis,
-    quadruple_support,
-    quadruple_to_cycle,
-    reduce_to_low_degree,
-    relation_of_cycle,
-)
-from .hyperoct import SignedPerm, Subset, act_subset, check_group_size
-from .intlattice import kernel_basis
-from .reciprocity import (
-    ANTIWEYL,
-    SIMPLE,
-    MonomialRelation,
-    default_symbols,
-    kernel_N,
-    rec_star_antiweyl,
-    relation_to_json,
-    relations_from_kernel,
-    render_relation,
-)
-from .sl2check import check_sl2
+from . import POHLMANN_HARD_BUDGET
 
 # the worked cyclotomic regression: base pair, its reflex, and the two
 # factorizations through the compagnon index set L = {5, 6}
@@ -59,7 +29,7 @@ _MU19_L = (5, 6)
 _MU19_MEDIATED = (((0, 17), 3), ((2, 14), 6))
 
 
-def _set_str(I: Subset) -> str:
+def _set_str(I) -> str:
     return "{" + ",".join(str(m) for m in I.members()) + "}"
 
 
@@ -67,29 +37,24 @@ def _labels_str(labels) -> str:
     return " ".join(f"[{a}]" for a in labels)
 
 
-def _slot_str(slot, copy, spec=None) -> str:
-    if isinstance(slot, Subset):
+def _slot_str(slot, copy, spec) -> str:
+    """A subset slot of the anti-Weyl variety (spec None), or a label slot
+    named by spec."""
+    if spec is None:
         return f"{_set_str(slot)}@{copy}"
-    name = spec.label_name(slot) if spec is not None else (
-        f"phibar{slot.index}" if slot.bar else f"phi{slot.index}"
-    )
-    return f"[{name}]@{copy}"
+    return f"[{spec.label_name(slot)}]@{copy}"
 
 
-def _cycle_str(c: CycleIndex, spec=None) -> str:
+def _cycle_str(c, spec) -> str:
     if not c.entries:
         return "(empty)"
     return " ".join(_slot_str(s, l, spec) for s, l in c.entries)
 
 
-def _cycle_json(c: CycleIndex) -> list:
-    out = []
-    for slot, copy in c.entries:
-        if isinstance(slot, Subset):
-            out.append({"set": list(slot.members()), "copy": copy})
-        else:
-            out.append({"phi": slot.index, "bar": slot.bar, "copy": copy})
-    return out
+def _cycle_json(c, spec) -> list:
+    if spec is None:
+        return [{"set": list(slot.members()), "copy": copy} for slot, copy in c.entries]
+    return [{"phi": slot.index, "bar": slot.bar, "copy": copy} for slot, copy in c.entries]
 
 
 def _signed_sum(row, names) -> str:
@@ -140,9 +105,13 @@ def _check(value, shape, name: str = ""):
     return value
 
 
-def spec_from_json(data: dict) -> CMPairSpec:
-    """The CM pair of {"cyclic": {"M": int, "phi": [int]}}, {"weyl": g} or
-    {"g": g, "generators": [{"flips": [int], "perm": [int]}]}."""
+def spec_from_json(data: dict):
+    """The CMPairSpec of {"cyclic": {"M": int, "phi": [int]}}, {"weyl": g}
+    or {"g": g, "generators": [{"flips": [int], "perm": [int]}]}."""
+    from .cmtypes import CMPairSpec
+    from .galois import from_generators
+    from .hyperoct import SignedPerm
+
     if "cyclic" in data:
         c = _check(data["cyclic"], {"M": int, "phi": [int]}, "cyclic")
         return CMPairSpec.from_cyclic(c["M"], c["phi"])
@@ -161,12 +130,14 @@ def spec_from_json(data: dict) -> CMPairSpec:
     raise ValueError('input needs "cyclic", "weyl" or "generators"')
 
 
-def _load_spec(path: str) -> CMPairSpec:
+def _load_spec(path: str):
     return spec_from_json(_read_json(path))
 
 
-def _label_table(spec: CMPairSpec):
+def _label_table(spec):
     """Pairs (label, orbit index set I([label])) in label order."""
+    from .hyperoct import Subset, act_subset
+
     empty = Subset.empty(spec.g)
     return [
         (a, act_subset(spec.group.element_for_label(a), empty))
@@ -175,6 +146,8 @@ def _label_table(spec: CMPairSpec):
 
 
 def _cmd_orbits(args):
+    from .cmtypes import orbit_decomposition
+
     spec = _load_spec(args.input)
     orbits = orbit_decomposition(spec.group)
     lines = []
@@ -201,6 +174,8 @@ def _cmd_orbits(args):
 
 
 def _cmd_reflex(args):
+    from .cmtypes import reflex_labels, reflex_type
+
     spec = _load_spec(args.input)
     ref = reflex_type(spec)
     labels = reflex_labels(spec)
@@ -218,6 +193,8 @@ def _cmd_reflex(args):
 
 
 def _cmd_compagnons(args):
+    from .cmtypes import compagnon_labels, orbit_decomposition, reflex_labels
+
     spec = _load_spec(args.input)
     orbits = orbit_decomposition(spec.group)
     labeled = spec.group.labels is not None
@@ -239,7 +216,9 @@ def _cmd_compagnons(args):
     return {"compagnons": items}, lines
 
 
-def _kernel_report(spec: CMPairSpec):
+def _kernel_report(spec):
+    from .reciprocity import SIMPLE, kernel_N, relation_to_json, relations_from_kernel, render_relation
+
     lattice = kernel_N(spec)
     mt = spec.g + 1 - lattice.rank
     symbols = [f"Th[{name}]" for name in spec.phi_names]
@@ -268,6 +247,18 @@ def _cmd_kernel(args):
 
 
 def _cmd_relations(args):
+    from .intlattice import kernel_basis
+    from .reciprocity import (
+        ANTIWEYL,
+        SIMPLE,
+        default_symbols,
+        kernel_N,
+        rec_star_antiweyl,
+        relation_to_json,
+        relations_from_kernel,
+        render_relation,
+    )
+
     if args.weyl_full:
         if args.g is None:
             raise ValueError("--weyl-full needs --g")
@@ -289,6 +280,8 @@ def _cmd_relations(args):
 
 
 def _cmd_hodge_basis(args):
+    from .hodge import pohlmann_basis
+
     if args.weyl_full:
         if args.g is None:
             raise ValueError("--weyl-full needs --g")
@@ -304,12 +297,14 @@ def _cmd_hodge_basis(args):
         "p": args.p,
         "n": args.n,
         "size": len(basis),
-        "basis": [_cycle_json(c) for c in basis],
+        "basis": [_cycle_json(c, spec) for c in basis],
     }
     return obj, lines
 
 
 def _certificate_json(cert, symbols, verified: bool) -> dict:
+    from .reciprocity import relation_to_json
+
     return {
         "target": relation_to_json(cert.target, symbols),
         "parts": [
@@ -321,6 +316,10 @@ def _certificate_json(cert, symbols, verified: bool) -> dict:
 
 
 def _cmd_reduce(args):
+    from .hodge import reduce_to_low_degree
+    from .hyperoct import check_group_size
+    from .reciprocity import ANTIWEYL, MonomialRelation, default_symbols, render_relation
+
     data = _check(_read_json(args.input), {"g": int, "vec": [int]})
     g = data["g"]
     check_group_size(g)
@@ -340,6 +339,10 @@ def _cmd_reduce(args):
 
 
 def _cmd_support(args):
+    from .galois import weyl_full
+    from .hodge import canonical_form_weyl, quadruple_support
+    from .hyperoct import Subset
+
     data = _check(_read_json(args.input), {"g": int, "first": [[int]]})
     g = data["g"]
     group = weyl_full(g)
@@ -372,6 +375,9 @@ def _cmd_support(args):
 
 
 def _cmd_sl2_check(args):
+    from .cmtypes import tail_subsets
+    from .sl2check import check_sl2
+
     g = args.g
     if g < 2:
         raise ValueError("sl2-check needs --g >= 2")
@@ -389,6 +395,11 @@ def _cmd_sl2_check(args):
 
 
 def _cmd_example_mu19(args):
+    from .cmtypes import CMPairSpec, compagnon_labels, orbit_decomposition, reflex_labels, subset_rank
+    from .hodge import admissible, quadruple_to_cycle, reduce_to_low_degree, relation_of_cycle
+    from .hyperoct import Subset
+    from .reciprocity import ANTIWEYL, MonomialRelation, default_symbols, render_relation
+
     spec_star = CMPairSpec.from_cyclic(_MU19_M, list(_MU19_PHI_STAR))
     spec_phi = CMPairSpec.from_cyclic(_MU19_M, list(_MU19_PHI))
     g = spec_star.g
@@ -575,7 +586,7 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         obj, lines = handler(args)
-    except (ReductionError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -16,8 +16,6 @@ downstream use this order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .galois import GaloisGroup, from_cyclic_translation, weyl_full
 from .hyperoct import (
     EmbeddingLabel,
@@ -26,6 +24,7 @@ from .hyperoct import (
     act_subset,
     check_powerset_size,
 )
+from .record import Record, set_slot
 
 
 def subset_rank(I: Subset) -> int:
@@ -50,8 +49,7 @@ def tail_subsets(g: int) -> list[Subset]:
     return [Subset(g, bits) for bits in range(0, 1 << g, 2)]
 
 
-@dataclass(frozen=True)
-class CMPairSpec:
+class CMPairSpec(Record):
     """A CM pair: the Galois group plus display names for phi_1..phi_g.
 
     `phi_names[j-1]` names the embedding phi_j; `phibar_names[j-1]` its
@@ -59,15 +57,16 @@ class CMPairSpec:
     and conjugation adds M/2.
     """
 
-    group: GaloisGroup
-    phi_names: tuple[str, ...]
-    phibar_names: tuple[str, ...]
+    __slots__ = ("group", "phi_names", "phibar_names")
 
-    def __post_init__(self) -> None:
-        if len(self.phi_names) != self.group.g or len(self.phibar_names) != self.group.g:
+    def __init__(self, group: GaloisGroup, phi_names: tuple[str, ...], phibar_names: tuple[str, ...]) -> None:
+        if len(phi_names) != group.g or len(phibar_names) != group.g:
             raise ValueError("need one name per embedding")
-        if set(self.phi_names) & set(self.phibar_names):
+        if set(phi_names) & set(phibar_names):
             raise ValueError("embedding names collide with conjugate names")
+        set_slot(self, "group", group)
+        set_slot(self, "phi_names", phi_names)
+        set_slot(self, "phibar_names", phibar_names)
 
     @classmethod
     def from_cyclic(cls, M: int, phi) -> "CMPairSpec":
@@ -95,8 +94,7 @@ class CMPairSpec:
         return self.phibar_names[x.index - 1] if x.bar else self.phi_names[x.index - 1]
 
 
-@dataclass(frozen=True)
-class Compagnon:
+class Compagnon(Record):
     """One simple isogeny factor: a Galois orbit of CM types.
 
     `orbit` is sorted by subset_rank; `cm_type` keeps the members not
@@ -104,9 +102,12 @@ class Compagnon:
     `degree` is the orbit size.  The first orbit member is the stable key.
     """
 
-    orbit: tuple[Subset, ...]
-    cm_type: tuple[Subset, ...]
-    degree: int
+    __slots__ = ("orbit", "cm_type", "degree")
+
+    def __init__(self, orbit: tuple[Subset, ...], cm_type: tuple[Subset, ...], degree: int) -> None:
+        set_slot(self, "orbit", orbit)
+        set_slot(self, "cm_type", cm_type)
+        set_slot(self, "degree", degree)
 
     @property
     def key(self) -> Subset:

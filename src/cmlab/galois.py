@@ -10,37 +10,41 @@ Hom(E, C) = Z/M and conjugation is translation by M/2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import factorial
 
 from .hyperoct import SignedPerm, Subset, check_group_size, compose
+from .record import Record, set_slot
 
 CLOSURE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class GaloisGroup:
+class GaloisGroup(Record):
     """Explicit finite group of signed permutations with optional labels.
 
     `elements` order is the construction order (BFS discovery or residue
     order) and is the row order of every matrix built from the group, so
     it must stay deterministic.  `labels` maps an external label (e.g. a
-    residue mod M) to an element index.
+    residue mod M) to an element index.  `rho_index` is the index of
+    rho, found by the constructor.
     """
 
-    g: int
-    elements: tuple[SignedPerm, ...]
-    labels: dict | None = None
-    rho_index: int = field(init=False)
+    __slots__ = ("g", "elements", "labels", "rho_index")
+
+    def __init__(self, g: int, elements: tuple[SignedPerm, ...], labels: dict | None = None) -> None:
+        set_slot(self, "g", g)
+        set_slot(self, "elements", elements)
+        set_slot(self, "labels", labels)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate the group and fill rho_index."""
         check_group_size(self.g)
         rho = SignedPerm.rho(self.g)
         ident = SignedPerm.identity(self.g)
         if ident not in self.elements:
             raise ValueError("identity not in group")
         try:
-            object.__setattr__(self, "rho_index", self.elements.index(rho))
+            set_slot(self, "rho_index", self.elements.index(rho))
         except ValueError:
             raise ValueError("conjugation not in group") from None
         # transitivity of the image in S_g

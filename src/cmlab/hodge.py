@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
+from . import POHLMANN_HARD_BUDGET
 from .cmtypes import CMPairSpec, subset_rank, subset_unrank, tail_subsets
 from .galois import GaloisGroup, weyl_full
 from .hyperoct import EmbeddingLabel, Subset, _act_bits, act_embedding, act_subset
@@ -46,16 +46,20 @@ from .reciprocity import (
     kernel_N,
     quadruple_vector,
 )
+from .record import Record, set_slot
 
-POHLMANN_HARD_BUDGET = 10**7
 BP_MAX_G = 8
 BP_MAX_P = 4
 BP_MAX_N = 3
 DICHOTOMY_MAX_G = 5
 
 
-class ReductionError(Exception):
-    """A relation failed to decompose over the degree <= 2 generators."""
+class ReductionError(ValueError):
+    """A relation failed to decompose over the degree <= 2 generators.
+
+    A ValueError, so the command line reports it like any other domain
+    error (exit 1 with its message).
+    """
 
 
 def _slot_key(entry):
@@ -73,8 +77,7 @@ def _is_hol(slot) -> bool:
     return not slot.bar
 
 
-@dataclass(frozen=True)
-class CycleIndex:
+class CycleIndex(Record):
     """An ordered 2p-tuple of embedding slots indexing a Hodge class.
 
     entries holds (slot, copy) pairs, strictly increasing: within a copy
@@ -83,18 +86,19 @@ class CycleIndex:
     base order.
     """
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        kinds = {type(slot) for slot, _ in self.entries}
+    def __init__(self, entries: tuple) -> None:
+        kinds = {type(slot) for slot, _ in entries}
         if len(kinds) > 1:
             raise ValueError("mixed slot kinds in one cycle")
-        for _, copy in self.entries:
+        for _, copy in entries:
             if copy < 1:
                 raise ValueError(f"copy index {copy} out of range")
-        keys = [_slot_key(e) for e in self.entries]
+        keys = [_slot_key(e) for e in entries]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("entries must be strictly increasing (distinct slots)")
+        set_slot(self, "entries", entries)
 
     @property
     def p(self) -> int:
@@ -233,9 +237,13 @@ def bp_multisets(g: int, p: int, n: int) -> list[CycleIndex]:
     return out
 
 
-def admissible(I: Subset, J: Subset, K: Subset, L: Subset) -> bool:
+def admissible(I, J, K, L) -> bool:
     """Union/intersection matching: I|J = K|L and I&J = K&L, i.e. every
-    point lies in exactly two of the four wedge slots I, J, K^c, L^c."""
+    point lies in exactly two of the four wedge slots I, J, K^c, L^c.
+
+    Takes four Subsets, or their four masks, where the same test runs on
+    plain integers and builds no Subset.
+    """
     return I | J == K | L and I & J == K & L
 
 
@@ -381,12 +389,14 @@ def _is_degree_two(rel: MonomialRelation) -> bool:
     return admissible(pos[0], pos[1], neg[0], neg[1])
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Integer decomposition of a relation over degree <= 2 generators."""
 
-    target: MonomialRelation
-    parts: tuple
+    __slots__ = ("target", "parts")
+
+    def __init__(self, target: MonomialRelation, parts: tuple) -> None:
+        set_slot(self, "target", target)
+        set_slot(self, "parts", parts)
 
     def verify(self) -> bool:
         """Exact re-summation, plus the generator-shape restriction."""
@@ -545,14 +555,10 @@ def balance_dichotomy(g: int) -> tuple[int, int]:
     full = (1 << g) - 1
     n_adm = n_bad = 0
     high = 4 * ones
-    for I, J, K, L in itertools.product(tail_subsets(g), repeat=4):
-        total = (
-            contains[I.bits]
-            + contains[J.bits]
-            + contains[K.bits ^ full]
-            + contains[L.bits ^ full]
-        )
-        if admissible(I, J, K, L):
+    tail = range(0, 1 << g, 2)  # the masks of the subsets of {2,...,g}
+    for i, j, k, l in itertools.product(tail, repeat=4):
+        total = contains[i] + contains[j] + contains[k ^ full] + contains[l ^ full]
+        if admissible(i, j, k, l):
             n_adm += 1
             broken = total != 2 * ones
         else:
@@ -560,5 +566,6 @@ def balance_dichotomy(g: int) -> tuple[int, int]:
             # a digit reaches 3 or 4 iff adding one more pushes it to >= 4
             broken = not (total + ones) & high
         if broken:
-            raise AssertionError(f"balance lemma fails at quadruple ({I}, {J}, {K}, {L})")
+            quad = ", ".join(str(Subset(g, bits)) for bits in (i, j, k, l))
+            raise AssertionError(f"balance lemma fails at quadruple ({quad})")
     return n_adm, n_bad

@@ -24,8 +24,10 @@ complementation; it plays the role of complex conjugation throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
+from functools import total_ordering
+
+from .record import Record, set_slot
 
 MAX_G_GROUP = 24
 MAX_G_POWERSET = 16
@@ -43,17 +45,26 @@ def check_powerset_size(g: int) -> None:
         )
 
 
-@dataclass(frozen=True, order=True)
-class Subset:
-    """A subset of {1,...,g}, stored as a g-bit mask (bit j-1 <-> element j)."""
+@total_ordering
+class Subset(Record):
+    """A subset of {1,...,g}, stored as a g-bit mask (bit j-1 <-> element j).
 
-    g: int
-    bits: int
+    Subsets are ordered by (g, bits).
+    """
 
-    def __post_init__(self) -> None:
-        check_group_size(self.g)
-        if not 0 <= self.bits < (1 << self.g):
-            raise ValueError(f"subset mask {self.bits:#x} has elements outside 1..{self.g}")
+    __slots__ = ("g", "bits")
+
+    def __init__(self, g: int, bits: int) -> None:
+        check_group_size(g)
+        if not 0 <= bits < (1 << g):
+            raise ValueError(f"subset mask {bits:#x} has elements outside 1..{g}")
+        set_slot(self, "g", g)
+        set_slot(self, "bits", bits)
+
+    def __lt__(self, other: "Subset") -> bool:
+        if other.__class__ is not Subset:
+            return NotImplemented
+        return (self.g, self.bits) < (other.g, other.bits)
 
     @classmethod
     def of(cls, g: int, members: Iterable[int] = ()) -> "Subset":
@@ -115,12 +126,14 @@ def submasks(bits: int) -> Iterator[int]:
         sub = (sub - 1) & bits
 
 
-@dataclass(frozen=True)
-class EmbeddingLabel:
+class EmbeddingLabel(Record):
     """One of the 2g labels phi_j (bar=False) or phibar_j (bar=True)."""
 
-    index: int
-    bar: bool = False
+    __slots__ = ("index", "bar")
+
+    def __init__(self, index: int, bar: bool = False) -> None:
+        set_slot(self, "index", index)
+        set_slot(self, "bar", bar)
 
     def conjugate(self) -> "EmbeddingLabel":
         return EmbeddingLabel(self.index, not self.bar)
@@ -129,16 +142,22 @@ class EmbeddingLabel:
         return f"phibar_{self.index}" if self.bar else f"phi_{self.index}"
 
 
-@dataclass(frozen=True)
-class SignedPerm:
-    """Group element theta = (flips, perm); perm[j-1] is the image beta(j)."""
+class SignedPerm(Record):
+    """Group element theta = (flips, perm); perm[j-1] is the image beta(j).
 
-    g: int
-    flips: Subset
-    perm: tuple[int, ...]
-    _inv_perm: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _inv_perm caches the inverse permutation in the same one-line notation.
+    """
+
+    __slots__ = ("g", "flips", "perm", "_inv_perm")
+
+    def __init__(self, g: int, flips: Subset, perm: tuple[int, ...]) -> None:
+        set_slot(self, "g", g)
+        set_slot(self, "flips", flips)
+        set_slot(self, "perm", perm)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate the parts and fill _inv_perm."""
         check_group_size(self.g)
         if self.flips.g != self.g:
             raise ValueError(f"dimension mismatch: flips has g={self.flips.g}, element has g={self.g}")
@@ -147,7 +166,7 @@ class SignedPerm:
         inv = [0] * self.g
         for j, bj in enumerate(self.perm, start=1):
             inv[bj - 1] = j
-        object.__setattr__(self, "_inv_perm", tuple(inv))
+        set_slot(self, "_inv_perm", tuple(inv))
 
     @classmethod
     def _trusted(cls, g: int, flips: Subset, perm: tuple, inv_perm: tuple) -> "SignedPerm":
@@ -155,7 +174,10 @@ class SignedPerm:
         of 1..g with inverse inv_perm, flips at g), built without
         __post_init__; compose, inverse and weyl_full only."""
         self = object.__new__(cls)
-        self.__dict__.update(g=g, flips=flips, perm=perm, _inv_perm=inv_perm)
+        _SET_G(self, g)
+        _SET_FLIPS(self, flips)
+        _SET_PERM(self, perm)
+        _SET_INV_PERM(self, inv_perm)
         return self
 
     @classmethod
@@ -174,6 +196,11 @@ class SignedPerm:
 
     def __str__(self) -> str:
         return f"(flips {self.flips}, perm {self.perm})"
+
+
+# the slot descriptors' own setters, for _trusted: it builds every element of
+# weyl_full, and these skip the attribute lookup that set_slot makes
+_SET_G, _SET_FLIPS, _SET_PERM, _SET_INV_PERM = (getattr(SignedPerm, name).__set__ for name in SignedPerm.__slots__)
 
 
 def _act_bits(t: SignedPerm, bits: int) -> int:

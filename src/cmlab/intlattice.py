@@ -11,19 +11,22 @@ any fixed convention would do for equality testing.)
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+
+from .record import Record, set_slot
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    entries: tuple[tuple[int, ...], ...]
-    cols: int
+class IntMatrix(Record):
+    """An integer matrix: a tuple of rows, all of length cols."""
 
-    def __post_init__(self) -> None:
-        for row in self.entries:
-            if len(row) != self.cols:
+    __slots__ = ("entries", "cols")
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...], cols: int) -> None:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged matrix")
+        set_slot(self, "entries", entries)
+        set_slot(self, "cols", cols)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -109,12 +112,14 @@ def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(A, m.cols), IntMatrix.from_rows(U, m.rows)
 
 
-@dataclass(frozen=True)
-class IntLattice:
+class IntLattice(Record):
     """A sublattice of Z^dim with HNF-canonical basis (unique per lattice)."""
 
-    dim: int
-    basis: IntMatrix
+    __slots__ = ("dim", "basis")
+
+    def __init__(self, dim: int, basis: IntMatrix) -> None:
+        set_slot(self, "dim", dim)
+        set_slot(self, "basis", basis)
 
     @classmethod
     def from_rows(cls, dim: int, rows: Iterable[Sequence[int]]) -> "IntLattice":

@@ -27,11 +27,10 @@ hodge.equiv_class_check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cmtypes import CMPairSpec, subset_rank, subset_unrank
 from .hyperoct import Subset, check_powerset_size, submasks
 from .intlattice import IntLattice, IntMatrix, hnf, kernel_basis
+from .record import Record, set_slot
 
 SIMPLE = "simple"
 ANTIWEYL = "antiweyl"
@@ -39,8 +38,7 @@ ANTIWEYL = "antiweyl"
 QUAD_LATTICE_MAX_G = 12
 
 
-@dataclass(frozen=True)
-class MonomialRelation:
+class MonomialRelation(Record):
     """Exponent vector of a monomial relation between period symbols.
 
     For side == SIMPLE, vec has one entry per embedding phi_1..phi_g and
@@ -48,19 +46,20 @@ class MonomialRelation:
     {1,...,g} in canonical subset order, plus the tau exponent.
     """
 
-    side: str
-    g: int
-    vec: tuple[int, ...]
-    tau: int = 0
+    __slots__ = ("side", "g", "vec", "tau")
 
-    def __post_init__(self) -> None:
-        if self.side not in (SIMPLE, ANTIWEYL):
-            raise ValueError(f"unknown side {self.side!r}")
-        want = self.g if self.side == SIMPLE else 1 << self.g
-        if len(self.vec) != want:
-            raise ValueError(f"vector length {len(self.vec)}, expected {want}")
-        if self.side == SIMPLE and self.tau:
+    def __init__(self, side: str, g: int, vec: tuple[int, ...], tau: int = 0) -> None:
+        if side not in (SIMPLE, ANTIWEYL):
+            raise ValueError(f"unknown side {side!r}")
+        want = g if side == SIMPLE else 1 << g
+        if len(vec) != want:
+            raise ValueError(f"vector length {len(vec)}, expected {want}")
+        if side == SIMPLE and tau:
             raise ValueError("simple-CM relations carry no tau exponent")
+        set_slot(self, "side", side)
+        set_slot(self, "g", g)
+        set_slot(self, "vec", vec)
+        set_slot(self, "tau", tau)
 
     def is_zero(self) -> bool:
         return self.tau == 0 and not any(self.vec)

@@ -15,11 +15,11 @@ and normalization passes the same checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cmtypes import subset_rank, tail_subsets
 from .hyperoct import Subset, submasks
+from .record import Record, set_slot
 
 SL2_MAX_G = 6
 
@@ -27,8 +27,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class SymplecticMatrix:
+class SymplecticMatrix(Record):
     """Square matrix over Q acting on the 2^g-dimensional symplectic space.
 
     Only the nonzero entries are kept, as a tuple of ((row, col), value)
@@ -37,16 +36,16 @@ class SymplecticMatrix:
     canonical form; zero values are dropped.
     """
 
-    g: int
-    entries: tuple
+    __slots__ = ("g", "entries")
 
-    def __post_init__(self) -> None:
-        n = 1 << self.g
-        entries = tuple(sorted((ij, a) for ij, a in dict(self.entries).items() if a))
+    def __init__(self, g: int, entries) -> None:
+        n = 1 << g
+        entries = tuple(sorted((ij, a) for ij, a in dict(entries).items() if a))
         for (i, j), _ in entries:
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"entry ({i}, {j}) lies outside the {n}x{n} matrix for g={self.g}")
-        object.__setattr__(self, "entries", entries)
+                raise ValueError(f"entry ({i}, {j}) lies outside the {n}x{n} matrix for g={g}")
+        set_slot(self, "g", g)
+        set_slot(self, "entries", entries)
 
     @classmethod
     def zero(cls, g: int) -> "SymplecticMatrix":

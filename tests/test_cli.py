@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmlab import POHLMANN_HARD_BUDGET
 from cmlab.cli import main
 from cmlab.cmtypes import subset_rank
 from cmlab.hyperoct import Subset
@@ -185,6 +186,14 @@ class TestHodgeBasis:
                 "--weyl-full", "--budget", "1"]
         code, _, err = run_cli(argv, capsys)
         assert code == 1 and "budget exceeded" in err
+
+    def test_default_budget_is_the_hard_cap(self, capsys):
+        # without --budget the cap is POHLMANN_HARD_BUDGET, which the
+        # C(64, 6) choices of 6 of the 64 slots at g = 5, n = 2 exceed
+        argv = ["hodge-basis", "--p", "3", "--n", "2", "--g", "5", "--weyl-full"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: enumeration budget exceeded: C(64,6) = 74974368 > {POHLMANN_HARD_BUDGET}\n"
 
     def test_no_jobs_flag(self):
         with pytest.raises(SystemExit) as err:

@@ -299,6 +299,13 @@ class TestAdmissible:
             Subset.of(2, []), Subset.of(2, []), Subset.of(2, []), Subset.of(2, [2])
         )
 
+    def test_mask_form_agrees_with_subsets(self):
+        # balance_dichotomy runs admissible on plain masks
+        for g in range(1, 5):
+            subsets = [Subset(g, bits) for bits in range(1 << g)]
+            for q in itertools.product(subsets, repeat=4):
+                assert admissible(*(X.bits for X in q)) == admissible(*q), q
+
     def test_stable_under_the_group(self):
         # the image quadruple (t.I, t.J, (t.K^c)^c, (t.L^c)^c) stays admissible
         for g in (3, 4):

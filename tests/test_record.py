@@ -1,0 +1,195 @@
+"""Record semantics: every value type is an immutable slotted record whose
+==, hash and repr are those of the tuple of its fields."""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cmlab.cmtypes import CMPairSpec, Compagnon, compagnons
+from cmlab.galois import GaloisGroup, from_cyclic_translation, weyl_full
+from cmlab.hodge import Certificate, CycleIndex, chain_generator, pohlmann_basis, reduce_to_low_degree
+from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset
+from cmlab.intlattice import IntLattice, IntMatrix
+from cmlab.reciprocity import ANTIWEYL, SIMPLE, MonomialRelation
+from cmlab.sl2check import SymplecticMatrix
+
+# small groups and pairs by recipe, so that two draws are often equal
+_GROUPS = [("weyl", 1), ("weyl", 2), ("cyclic", 4, (0, 1)), ("cyclic", 4, (0, 3)), ("cyclic", 6, (0, 1, 2))]
+
+
+def _group(recipe):
+    return weyl_full(recipe[1]) if recipe[0] == "weyl" else from_cyclic_translation(*recipe[1:])[0]
+
+
+def _spec(recipe):
+    return CMPairSpec.weyl(recipe[1]) if recipe[0] == "weyl" else CMPairSpec.from_cyclic(*recipe[1:])
+
+
+def _compagnon(recipe, k):
+    found = compagnons(_spec(recipe))
+    return found[k % len(found)]
+
+
+def _small_g(lo=1, hi=3):
+    return st.integers(lo, hi)
+
+
+def _subset_args():
+    return _small_g().flatmap(lambda g: st.tuples(st.just(g), st.integers(0, (1 << g) - 1)))
+
+
+def _signed_perm_args():
+    return _small_g().flatmap(lambda g: st.tuples(
+        st.just(g), st.integers(0, (1 << g) - 1), st.permutations(list(range(1, g + 1)))))
+
+
+def _relation_args():
+    def at(side, g):
+        n = g if side == SIMPLE else 1 << g
+        vec = st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(tuple)
+        tau = st.just(0) if side == SIMPLE else st.integers(-1, 1)
+        return st.tuples(st.just(side), st.just(g), vec, tau)
+    return st.tuples(st.sampled_from([SIMPLE, ANTIWEYL]), _small_g(1, 2)).flatmap(lambda t: at(*t))
+
+
+def _rows(cols):
+    return st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols).map(tuple), max_size=2).map(tuple)
+
+
+def _symplectic_args():
+    def at(g):
+        n = 1 << g
+        entry = st.tuples(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), st.integers(-1, 1).map(Fraction))
+        return st.tuples(st.just(g), st.lists(entry, max_size=3))
+    return _small_g(1, 2).flatmap(at)
+
+
+def _chain_args():
+    tops = [(g, bits) for g in (2, 3) for bits in range(1 << g) if bits.bit_count() >= 2]
+    return st.tuples(st.sampled_from(tops), st.sampled_from([-2, 1, 3]))
+
+
+def _certificate(top, c):
+    gen = chain_generator(Subset(*top))
+    return reduce_to_low_degree(MonomialRelation(ANTIWEYL, gen.g, tuple(c * x for x in gen.vec)), gen.g)
+
+
+# (record type, its fields in order, a strategy of constructor arguments,
+# the constructor from those arguments)
+RECORDS = [
+    (Subset, ("g", "bits"), _subset_args(), lambda a: Subset(*a)),
+    (EmbeddingLabel, ("index", "bar"), st.tuples(st.integers(1, 3), st.booleans()),
+     lambda a: EmbeddingLabel(*a)),
+    (SignedPerm, ("g", "flips", "perm"), _signed_perm_args(),
+     lambda a: SignedPerm(a[0], Subset(a[0], a[1]), tuple(a[2]))),
+    (GaloisGroup, ("g", "elements", "labels", "rho_index"), st.sampled_from(_GROUPS), _group),
+    (CMPairSpec, ("group", "phi_names", "phibar_names"), st.sampled_from(_GROUPS), _spec),
+    (Compagnon, ("orbit", "cm_type", "degree"),
+     st.tuples(st.sampled_from(_GROUPS), st.integers(0, 1)),
+     lambda a: _compagnon(*a)),
+    (CycleIndex, ("entries",), st.integers(0, 7), lambda k: pohlmann_basis(2, 1, 2)[k]),
+    (Certificate, ("target", "parts"), _chain_args(), lambda a: _certificate(*a)),
+    (IntMatrix, ("entries", "cols"), st.integers(1, 2).flatmap(lambda c: st.tuples(_rows(c), st.just(c))),
+     lambda a: IntMatrix(*a)),
+    (IntLattice, ("dim", "basis"), st.integers(1, 2).flatmap(lambda c: st.tuples(st.just(c), _rows(c))),
+     lambda a: IntLattice.from_rows(*a)),
+    (MonomialRelation, ("side", "g", "vec", "tau"), _relation_args(), lambda a: MonomialRelation(*a)),
+    (SymplecticMatrix, ("g", "entries"), _symplectic_args(), lambda a: SymplecticMatrix(*a)),
+]
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("cls, fields, args, build", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_eq_hash_repr_follow_the_field_tuple(cls, fields, args, build, data):
+    first = data.draw(args, label="first")
+    second = data.draw(st.just(first) | args, label="second")
+    x, y = build(first), build(second)
+    assert type(x) is cls
+    vx = tuple(getattr(x, name) for name in fields)
+    vy = tuple(getattr(y, name) for name in fields)
+    assert (x == y) == (vx == vy)
+    assert (x != y) == (vx != vy)
+    assert x != vx  # a record never equals a plain tuple
+    # an unhashable field (the label dict of a cyclic group) makes both raise
+    assert _hash_or_error(x) == _hash_or_error(vx)
+    if vx == vy:
+        assert _hash_or_error(x) == _hash_or_error(y)
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, vx))
+    assert repr(x) == f"{cls.__name__}({shown})"
+
+
+@pytest.mark.parametrize("cls, fields, args, build", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_fields_cannot_be_set_or_deleted(cls, fields, args, build, data):
+    x = build(data.draw(args))
+    before = repr(x)
+    for name in (*fields, "_inv_perm", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert repr(x) == before
+
+
+@given(_subset_args(), _subset_args())
+def test_subset_order_is_that_of_g_then_bits(a, b):
+    x, y = Subset(*a), Subset(*b)
+    assert (x < y, x <= y, x > y, x >= y) == (a < b, a <= b, a > b, a >= b)
+    assert sorted([y, x]) == [Subset(*t) for t in sorted([a, b])]
+
+
+def test_repr_matches_the_earlier_field_form():
+    assert repr(Subset(3, 5)) == "Subset(g=3, bits=5)"
+    assert repr(SignedPerm.make(2, [1], [2, 1])) == "SignedPerm(g=2, flips=Subset(g=2, bits=1), perm=(2, 1))"
+    assert repr(EmbeddingLabel(2)) == "EmbeddingLabel(index=2, bar=False)"
+
+
+def test_hot_records_have_no_instance_dict():
+    for x in (Subset(2, 1), SignedPerm.make(2, [1], [2, 1]), weyl_full(2).elements[5]):
+        assert not hasattr(x, "__dict__")
+
+
+def test_trusted_elements_equal_validated_ones():
+    # weyl_full builds its elements without validation; they must still be
+    # equal to, and hash like, the validated construction
+    for el in weyl_full(3):
+        again = SignedPerm(el.g, el.flips, el.perm)
+        assert el == again and hash(el) == hash(again)
+        assert el._inv_perm == again._inv_perm
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Subset(3, 8), "subset mask 0x8 has elements outside 1..3"),
+    (lambda: Subset(0, 0), "ground-set size g=0 outside supported range 1..24"),
+    (lambda: SignedPerm(2, Subset(3, 0), (1, 2)), "dimension mismatch: flips has g=3, element has g=2"),
+    (lambda: SignedPerm(2, Subset(2, 0), (1, 1)), "perm (1, 1) is not a bijection of 1..2"),
+    (lambda: GaloisGroup(2, (SignedPerm.rho(2),)), "identity not in group"),
+    (lambda: GaloisGroup(2, (SignedPerm.identity(2),)), "conjugation not in group"),
+    (lambda: GaloisGroup(2, (SignedPerm.identity(2), SignedPerm.rho(2))),
+     "image in S_2 is not transitive (reaches only [1])"),
+    (lambda: CMPairSpec(weyl_full(1), ("a",), ()), "need one name per embedding"),
+    (lambda: CMPairSpec(weyl_full(1), ("a",), ("a",)), "embedding names collide with conjugate names"),
+    (lambda: CycleIndex(((Subset(2, 0), 1), (EmbeddingLabel(1), 1))), "mixed slot kinds in one cycle"),
+    (lambda: CycleIndex(((Subset(2, 0), 0),)), "copy index 0 out of range"),
+    (lambda: CycleIndex(((Subset(2, 0), 1), (Subset(2, 0), 1))),
+     "entries must be strictly increasing (distinct slots)"),
+    (lambda: IntMatrix(((1, 2), (3,)), 2), "ragged matrix"),
+    (lambda: MonomialRelation("x", 2, (0, 0)), "unknown side 'x'"),
+    (lambda: MonomialRelation(ANTIWEYL, 2, (0, 0, 0)), "vector length 3, expected 4"),
+    (lambda: MonomialRelation(SIMPLE, 2, (0, 0), 1), "simple-CM relations carry no tau exponent"),
+    (lambda: SymplecticMatrix(1, {(2, 0): 1}), "entry (2, 0) lies outside the 2x2 matrix for g=1"),
+])
+def test_constructor_validation_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

@@ -14,3 +14,19 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses_or_typing_imports(path):
+    # importing dataclasses pulls in inspect, and every dataclass execs
+    # generated code when its class is built; records derive from
+    # cmlab.record instead, so start-up pays for neither
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    banned = [(line, name) for line, name in found if name.split(".")[0] in ("dataclasses", "typing")]
+    assert not banned, f"{path.name} imports {banned}"

@@ -1,0 +1,40 @@
+"""Start-up cost: a command loads only the modules its handler uses.
+
+Each case runs in a fresh interpreter and lists the modules it has loaded
+by the end; the parser alone loads no solver, and a command loads none of
+the solvers that belong to other commands.
+"""
+import json
+import subprocess
+import sys
+
+
+def loaded_by(code: str) -> set:
+    script = (
+        "import contextlib, io, sys\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    {code}\n"
+        "print(' '.join(sys.modules))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    return set(run.stdout.split())
+
+
+def test_building_the_parser_loads_no_solver():
+    loaded = loaded_by("import cmlab.cli; cmlab.cli.build_parser()")
+    assert {m for m in loaded if m.startswith("cmlab")} == {"cmlab", "cmlab.cli"}
+    assert not loaded & {"dataclasses", "fractions"}
+
+
+def test_sl2_check_loads_no_lattice_code():
+    loaded = loaded_by("import cmlab.cli; code = cmlab.cli.main(['sl2-check', '--g', '2'])")
+    assert "cmlab.sl2check" in loaded
+    assert not loaded & {"cmlab.hodge", "cmlab.reciprocity", "cmlab.intlattice"}
+
+
+def test_orbits_loads_no_hodge_sl2_or_fractions(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"weyl": 3}))
+    loaded = loaded_by(f"import cmlab.cli; code = cmlab.cli.main(['orbits', '--input', {str(path)!r}])")
+    assert "cmlab.cmtypes" in loaded
+    assert not loaded & {"cmlab.hodge", "cmlab.sl2check", "fractions"}
+
