@@ -8,7 +8,7 @@ that monomial period relations follow from degree-1 and degree-2 relations.
 
 __version__ = "0.1.0"
 
-# the hard cap on Pohlmann candidates; here rather than in cmlab.hodge so
+# the hard cap on Pohlmann walk nodes; here rather than in cmlab.hodge so
 # that the command-line parser can show it as the --budget default without
 # importing any solver
 POHLMANN_HARD_BUDGET = 10**7

@@ -558,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
         if flags.get("pn"):
             sp.add_argument("--p", type=int, required=True)
             sp.add_argument("--n", type=int, required=True)
-            sp.add_argument("--budget", type=_positive, default=POHLMANN_HARD_BUDGET)
+            sp.add_argument("--budget", type=_positive, default=POHLMANN_HARD_BUDGET, metavar="N",
+                            help="fail once the Pohlmann walk has visited more than N nodes (hard cap 10^7)")
         return sp
 
     add("orbits", "orbit decomposition of the group on index sets", input="required")

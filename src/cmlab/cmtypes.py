@@ -16,7 +16,7 @@ downstream use this order.
 """
 from __future__ import annotations
 
-from .galois import GaloisGroup, from_cyclic_translation, weyl_full
+from .galois import GaloisGroup, from_cyclic_translation, orbit, weyl_full
 from .hyperoct import (
     EmbeddingLabel,
     Subset,
@@ -114,6 +114,11 @@ class Compagnon(Record):
         return self.orbit[0]
 
 
+def translate_masks(G: GaloisGroup) -> list[int]:
+    """The sorted masks sigma.empty of the translates sigma Phi: the orbit of the empty set."""
+    return sorted(orbit(G.gens, 0, _act_bits))
+
+
 def orbit_decomposition(G: GaloisGroup) -> list[list[Subset]]:
     """Partition P({1,...,g}) into G-orbits.
 
@@ -130,7 +135,7 @@ def orbit_decomposition(G: GaloisGroup) -> list[list[Subset]]:
         seed = subset_unrank(g, r).bits
         if seed in seen:
             continue
-        members = {_act_bits(el, seed) for el in G.elements}
+        members = orbit(G.gens, seed, _act_bits)
         seen |= members
         orbits.append(sorted((Subset(g, b) for b in members), key=subset_rank))
     return orbits
@@ -151,7 +156,7 @@ def compagnons(spec: CMPairSpec) -> list[Compagnon]:
 
 def reflex_type(spec: CMPairSpec) -> Compagnon:
     """The compagnon of the orbit of the empty set: the reflex CM pair."""
-    return _compagnon_of(orbit_decomposition(spec.group)[0])
+    return _compagnon_of(sorted((Subset(spec.g, b) for b in translate_masks(spec.group)), key=subset_rank))
 
 
 def decode_cm_type(I: Subset, spec: CMPairSpec) -> frozenset[EmbeddingLabel]:

@@ -1,12 +1,12 @@
 """Galois groups as explicit subgroups of the hyperoctahedral group.
 
-A group is materialized as a list of signed permutations, closed under
-composition, containing the identity and the central all-flips element rho
-(complex conjugation), and whose image in S_g is transitive.  Two
-constructors are provided: breadth-first closure of explicit generators,
-and the translation action of Z/M on a transversal of the conjugate pairs
-of residues (covering cyclic CM fields such as cyclotomic ones, where
-Hom(E, C) = Z/M and conjugation is translation by M/2).
+A group is a list of signed permutations, closed under composition, with
+the identity, the central all-flips element rho (complex conjugation) and a
+transitive image in S_g, plus generators from which orbit() finds any orbit
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1).
+Constructors: closure of explicit generators, the full group, and Z/M acting
+by translation on a transversal of the conjugate pairs of residues (cyclic
+CM fields: Hom(E, C) = Z/M, conjugation is translation by M/2).
 """
 from __future__ import annotations
 
@@ -22,18 +22,18 @@ class GaloisGroup(Record):
     """Explicit finite group of signed permutations with optional labels.
 
     `elements` order is the construction order (BFS discovery or residue
-    order) and is the row order of every matrix built from the group, so
-    it must stay deterministic.  `labels` maps an external label (e.g. a
-    residue mod M) to an element index.  `rho_index` is the index of
-    rho, found by the constructor.
+    order) and must stay deterministic.  `labels` maps an external label
+    (e.g. a residue mod M) to an element index; `rho_index` is the index of
+    rho.  `gens` generate the group (default: the elements) for orbit().
     """
 
-    __slots__ = ("g", "elements", "labels", "rho_index")
+    __slots__ = ("g", "elements", "labels", "rho_index", "gens")
 
-    def __init__(self, g: int, elements: tuple[SignedPerm, ...], labels: dict | None = None) -> None:
+    def __init__(self, g: int, elements: tuple, labels: dict | None = None, gens: tuple | None = None) -> None:
         set_slot(self, "g", g)
         set_slot(self, "elements", elements)
         set_slot(self, "labels", labels)
+        set_slot(self, "gens", elements if gens is None else gens)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -47,20 +47,10 @@ class GaloisGroup(Record):
             set_slot(self, "rho_index", self.elements.index(rho))
         except ValueError:
             raise ValueError("conjugation not in group") from None
-        # transitivity of the image in S_g
-        seen = {1}
-        frontier = [1]
-        while frontier and len(seen) < self.g:
-            j = frontier.pop()
-            for el in self.elements:
-                k = el.perm[j - 1]
-                if k not in seen:
-                    seen.add(k)
-                    frontier.append(k)
+        # transitivity of the image in S_g: the orbit of 1 is everything
+        seen = orbit(self.gens, 1, lambda t, j: t.perm[j - 1])
         if len(seen) != self.g:
-            raise ValueError(
-                f"image in S_{self.g} is not transitive (reaches only {sorted(seen)})"
-            )
+            raise ValueError(f"image in S_{self.g} is not transitive (reaches only {sorted(seen)})")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -78,6 +68,20 @@ class GaloisGroup(Record):
         return self.elements[self.labels[label]]
 
 
+def orbit(gens, seed, act) -> set:
+    """The orbit of seed under the group generated by gens, act(t, x) being
+    the action of a generator t on a point x, by breadth-first search (in a
+    finite group the inverses are powers of the generators)."""
+    seen, queue = {seed}, [seed]
+    for x in queue:
+        for t in gens:
+            y = act(t, x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
 def from_generators(g: int, gens: list[SignedPerm]) -> GaloisGroup:
     """Close the generators under composition (deterministic BFS order)."""
     check_group_size(g)
@@ -88,20 +92,16 @@ def from_generators(g: int, gens: list[SignedPerm]) -> GaloisGroup:
     ident = SignedPerm.identity(g)
     seen = {ident}
     order = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for gen in gens:
-                prod = compose(cur, gen)
-                if prod not in seen:
-                    seen.add(prod)
-                    order.append(prod)
-                    nxt.append(prod)
-                    if len(order) > CLOSURE_CAP:
-                        raise ValueError(f"closure exceeds cap of {CLOSURE_CAP} elements")
-        frontier = nxt
-    return GaloisGroup(g, tuple(order))
+    # the list grows while it is read: a queue, so this is discovery order
+    for cur in order:
+        for gen in gens:
+            prod = compose(cur, gen)
+            if prod not in seen:
+                seen.add(prod)
+                order.append(prod)
+                if len(order) > CLOSURE_CAP:
+                    raise ValueError(f"closure exceeds cap of {CLOSURE_CAP} elements")
+    return GaloisGroup(g, tuple(order), gens=tuple(gens))
 
 
 def from_cyclic_translation(M: int, phi) -> tuple[GaloisGroup, dict]:
@@ -109,8 +109,8 @@ def from_cyclic_translation(M: int, phi) -> tuple[GaloisGroup, dict]:
 
     `phi` lists M/2 residues, exactly one from each conjugate pair
     {a, a + M/2}; its j-th entry (in input order) is the embedding phi_j.
-    Returns the group (elements in residue order [0], [1], ..., [M-1])
-    and the label map {t: embedded translation-by-t}.
+    Returns the group (elements in residue order [0], [1], ..., [M-1],
+    generated by [1]) and the label map {t: embedded translation-by-t}.
     """
     if M % 2:
         raise ValueError(f"M={M} must be even")
@@ -135,12 +135,13 @@ def from_cyclic_translation(M: int, phi) -> tuple[GaloisGroup, dict]:
                 flips |= 1 << (k - 1)
             perm[j - 1] = k
         elements.append(SignedPerm(g, Subset(g, flips), tuple(perm)))
-    group = GaloisGroup(g, tuple(elements), labels={t: t for t in range(M)})
+    group = GaloisGroup(g, tuple(elements), labels={t: t for t in range(M)}, gens=(elements[1],))
     return group, {t: elements[t] for t in range(M)}
 
 
 def weyl_full(g: int) -> GaloisGroup:
-    """The full hyperoctahedral group, in (perm, flips) lexicographic order."""
+    """The full hyperoctahedral group, in (perm, flips) lexicographic order,
+    generated by the transposition (1 2), the g-cycle and the flip of 1."""
     from itertools import permutations
 
     check_group_size(g)
@@ -153,4 +154,7 @@ def weyl_full(g: int) -> GaloisGroup:
     for perm in permutations(range(1, g + 1)):
         inv = SignedPerm(g, flips[0], perm)._inv_perm
         elements += (SignedPerm._trusted(g, f, perm, inv) for f in flips)
-    return GaloisGroup(g, tuple(elements))
+    ident = tuple(range(1, g + 1))
+    swap, cycle = ident[1::-1] + ident[2:], ident[1:] + ident[:1]
+    gens = (SignedPerm(g, flips[0], swap), SignedPerm(g, flips[0], cycle), SignedPerm(g, flips[1], ident))
+    return GaloisGroup(g, tuple(elements), gens=gens)

@@ -31,12 +31,11 @@ two-out-of-four balance lemma behind the admissibility condition.
 from __future__ import annotations
 
 import itertools
-import math
 
 from . import POHLMANN_HARD_BUDGET
-from .cmtypes import CMPairSpec, subset_rank, subset_unrank, tail_subsets
-from .galois import GaloisGroup, weyl_full
-from .hyperoct import EmbeddingLabel, Subset, _act_bits, act_embedding, act_subset
+from .cmtypes import CMPairSpec, subset_rank, subset_unrank, tail_subsets, translate_masks
+from .galois import GaloisGroup, orbit
+from .hyperoct import EmbeddingLabel, Subset, _act_bits, act_embedding, act_subset, check_powerset_size
 from .intlattice import member
 from .reciprocity import (
     ANTIWEYL,
@@ -120,17 +119,21 @@ class CycleIndex(Record):
         return CycleIndex(tuple(sorted(moved, key=_slot_key)))
 
 
-def _slot_universe(spec):
-    """(base slots in order, group, test that t moves a base slot to a
-    holomorphic one) for a CM pair spec or a plain genus g (the generalized
-    anti-Weyl variety of that genus)."""
+def _holomorphy_profiles(spec) -> tuple[dict, int]:
+    """({base slot: one base-16 digit per distinct translate of the CM
+    type, set iff the slot is holomorphic there}, number of translates).  For
+    a pair, sigma moves x to a holomorphic label iff x is in sigma^-1 Phi, whose
+    mask m = sigma^-1.empty is in translate_masks; phi_j is in it iff j is not in m."""
     if isinstance(spec, CMPairSpec):
-        bases = [EmbeddingLabel(j, False) for j in range(1, spec.g + 1)]
-        bases += [EmbeddingLabel(j, True) for j in range(1, spec.g + 1)]
-        return bases, spec.group, lambda t, x: not act_embedding(t, x).bar
+        masks = translate_masks(spec.group)
+        bases = (EmbeddingLabel(j, bar) for bar in (False, True) for j in range(1, spec.g + 1))
+        return {x: sum(1 << (4 * i) for i, m in enumerate(masks) if (m >> (x.index - 1) & 1) == x.bar)
+                for x in bases}, len(masks)
     g = int(spec)
-    bases = [subset_unrank(g, r) for r in range(1 << g)]
-    return bases, weyl_full(g), lambda t, I: not _act_bits(t, I.bits) & 1
+    check_powerset_size(g)
+    # digit 2k + f: every t with k = beta^-1(1), f = [1 in flips]; t.I avoids 1 iff f = [k in I]
+    bases = (Subset(g, bits) for bits in range(1 << g))
+    return {I: sum(1 << (4 * (2 * k + (I.bits >> k & 1))) for k in range(g)) for I in bases}, 2 * g
 
 
 def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> list[CycleIndex]:
@@ -140,10 +143,10 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     spec is a CMPairSpec, or an integer g for the generalized anti-Weyl
     variety (slots are then all subsets of {1,...,g}, acted on by the full
     hyperoctahedral group).  Enumeration is exact: a depth-first walk in
-    itertools.combinations order drops a partial choice once some group
-    element sees more than p holomorphic slots in it.  If the unpruned
-    count C(#slots, 2p) exceeds the budget (hard cap 10^7) a ValueError
-    is raised rather than sampling.
+    itertools.combinations order drops a partial choice once some translate
+    of the CM type holds more than p of its slots.  Every call of the walk
+    adds the length of its loop to a node count; once the count exceeds
+    the budget (hard cap 10^7) a ValueError is raised rather than sampling.
     """
     if p < 0 or n < 1:
         raise ValueError("need p >= 0 and n >= 1")
@@ -151,37 +154,30 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
         return [CycleIndex(())]
     if p > 7:
         raise ValueError("the packed accumulator supports p <= 7")
-    bases, group, moves_to_hol = _slot_universe(spec)
-    slots = sorted(
-        ((base, copy) for copy in range(1, n + 1) for base in bases), key=_slot_key
-    )
     eff = min(budget, POHLMANN_HARD_BUDGET)
-    count = math.comb(len(slots), 2 * p)
-    if count > eff:
-        raise ValueError(
-            f"enumeration budget exceeded: C({len(slots)},{2 * p}) = {count} > {eff}"
-        )
-    # one base-16 digit per group element; a candidate is Pohlmann-valid
-    # iff its digitwise holomorphy count is p at every element, and with
-    # 2p <= 14 the digit sums never carry
-    profile = {}
-    for base in bases:
-        acc = 0
-        for i, s in enumerate(group.elements):
-            if moves_to_hol(s, base):
-                acc |= 1 << (4 * i)
-        profile[base] = acc
+    exceeded = ValueError(f"enumeration budget exceeded: the walk visits more than {eff} nodes")
+    profile, digits = _holomorphy_profiles(spec)
+    if n * len(profile) - 2 * p + 1 > eff:  # the first call's loop, checked before any slot is built
+        raise exceeded
+    slots = sorted(((base, copy) for copy in range(1, n + 1) for base in profile), key=_slot_key)
+    # one base-16 digit per translate; a candidate is Pohlmann-valid iff each
+    # digit of its holomorphy count is p, and with 2p <= 14 no digit carries
     packed = [profile[base] for base, _ in slots]
-    ones = sum(1 << (4 * i) for i in range(len(group.elements)))
+    ones = sum(1 << (4 * i) for i in range(digits))
     target = p * ones
     # partial sums keep every digit <= p, so acc + packed[i] has digits <= 8:
     # adding 7 - p sets bit 3 of a digit iff it exceeds p, with no carry
     lift, high = (7 - p) * ones, 8 * ones
-    picked = []
+    picked, visited = [], 0
 
     def walk(start: int, acc: int, chosen: tuple) -> None:
+        nonlocal visited
         left = 2 * p - len(chosen)
-        for i in range(start, len(packed) - left + 1):
+        span = range(start, len(packed) - left + 1)
+        visited += len(span)
+        if visited > eff:
+            raise exceeded
+        for i in span:
             nxt = acc + packed[i]
             if left == 1:
                 if nxt == target:
@@ -492,19 +488,23 @@ def _chain_certificate(
 def quadruple_support(q, G: GaloisGroup) -> frozenset:
     """All Galois translates of the wedge-slot pairs of (I, J, K, L): the
     left block {t.I, t.J} and the right block {t.K^c, t.L^c}, as an
-    ordered pair of unordered blocks."""
+    ordered pair of unordered blocks; the orbit of the block pair under the
+    generators of G."""
     g = G.g
     if any(X.g != g for X in q):
         raise ValueError(f"dimension mismatch: the group acts at g={g}")
     I, J, K, L = q
-    i, j, kc, lc = I.bits, J.bits, K.complement().bits, L.complement().bits
-    blocks = set()
-    for t in G.elements:
-        a, b = _act_bits(t, i), _act_bits(t, j)
-        c, d = _act_bits(t, kc), _act_bits(t, lc)
-        blocks.add((min(a, b), max(a, b), min(c, d), max(c, d)))
+
+    def normal(a, b, c, d):
+        return (min(a, b), max(a, b), min(c, d), max(c, d))
+
+    # each generator acts through its table of images of the 2^g masks
+    tables = [[_act_bits(t, bits) for bits in range(1 << g)] for t in G.gens]
+    seed = normal(I.bits, J.bits, K.complement().bits, L.complement().bits)
+    blocks = orbit(tables, seed, lambda t, x: normal(t[x[0]], t[x[1]], t[x[2]], t[x[3]]))
+    subsets = [Subset(g, bits) for bits in range(1 << g)]
     return frozenset(
-        (frozenset({Subset(g, a), Subset(g, b)}), frozenset({Subset(g, c), Subset(g, d)}))
+        (frozenset({subsets[a], subsets[b]}), frozenset({subsets[c], subsets[d]}))
         for a, b, c, d in blocks
     )
 
@@ -541,20 +541,13 @@ def balance_dichotomy(g: int) -> tuple[int, int]:
     """
     if g > DICHOTOMY_MAX_G:
         raise ValueError(f"balance_dichotomy supports g <= {DICHOTOMY_MAX_G}, got {g}")
-    G = weyl_full(g)
-    m = len(G.elements)
-    # one base-8 digit per group element counting slots that contain 1
-    ones = sum(1 << (3 * i) for i in range(m))
-    contains = {}
-    for bits in range(1 << g):
-        acc = 0
-        for i, t in enumerate(G.elements):
-            if _act_bits(t, bits) & 1:
-                acc |= 1 << (3 * i)
-        contains[bits] = acc
-    full = (1 << g) - 1
+    # one base-16 digit per translate counting the slots that contain 1, i.e.
+    # whose complement is holomorphic (rho is central); every digit stays <= 5
+    hol, digits = _holomorphy_profiles(g)
+    ones = sum(1 << (4 * i) for i in range(digits))
+    full, high = (1 << g) - 1, 4 * ones
+    contains = [hol[Subset(g, bits ^ full)] for bits in range(1 << g)]
     n_adm = n_bad = 0
-    high = 4 * ones
     tail = range(0, 1 << g, 2)  # the masks of the subsets of {2,...,g}
     for i, j, k, l in itertools.product(tail, repeat=4):
         total = contains[i] + contains[j] + contains[k ^ full] + contains[l ^ full]

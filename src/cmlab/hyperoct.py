@@ -205,7 +205,7 @@ _SET_G, _SET_FLIPS, _SET_PERM, _SET_INV_PERM = (getattr(SignedPerm, name).__set_
 
 def _act_bits(t: SignedPerm, bits: int) -> int:
     """t.I on a plain g-bit mask, flips xor beta(bits), with no Subset built;
-    the integer core of act_subset for loops over whole groups."""
+    the integer core of act_subset for orbit walks and hot loops."""
     out = t.flips.bits
     perm = t.perm
     while bits:

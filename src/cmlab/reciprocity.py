@@ -2,8 +2,8 @@
 
 Two symbol universes occur.  On the simple-CM side a relation is an
 integer vector over the holomorphic periods th_1..th_g of one CM pair; the
-kernel of the Galois pairing matrix (one row per group element sigma, +1
-at j when sigma moves phi_j to an unbarred label, -1 when to a barred one)
+kernel of the Galois pairing matrix (one row per translate sigma Phi of
+the CM type, +1 at j when phi_j lies in it, -1 when phibar_j does)
 collects exactly the exponent vectors of monomial period relations.  On
 the generalized anti-Weyl side the symbols are Theta_I for all I in
 P({1,...,g}) together with tau (standing for 2 pi i); the reciprocity
@@ -27,7 +27,7 @@ hodge.equiv_class_check.
 """
 from __future__ import annotations
 
-from .cmtypes import CMPairSpec, subset_rank, subset_unrank
+from .cmtypes import CMPairSpec, subset_rank, subset_unrank, translate_masks
 from .hyperoct import Subset, check_powerset_size, submasks
 from .intlattice import IntLattice, IntMatrix, hnf, kernel_basis
 from .record import Record, set_slot
@@ -108,14 +108,11 @@ def relation_to_json(rel: MonomialRelation, symbols: list[str]) -> dict:
 
 
 def pairing_matrix(spec: CMPairSpec) -> IntMatrix:
-    """One row per group element sigma: +1 at j if sigma keeps phi_j
-    unbarred, -1 if it bars it (the signed Galois pairing <., sigma Phi>)."""
+    """One row per translate sigma Phi (per mask sigma.empty in the orbit of
+    the empty set, in mask order): +1 at j if phi_j lies in sigma Phi, -1 if
+    phibar_j does.  Repeating a row for every element changes no kernel."""
     g = spec.g
-    rows = []
-    for el in spec.group.elements:
-        # sigma Phi_E is the CM type indexed by act_subset(sigma, empty) =
-        # sigma.flips, so phi_j stays holomorphic iff j is not flipped
-        rows.append([-1 if j in el.flips else 1 for j in range(1, g + 1)])
+    rows = [[-1 if m >> j & 1 else 1 for j in range(g)] for m in translate_masks(spec.group)]
     return IntMatrix.from_rows(rows, g)
 
 

@@ -1,6 +1,8 @@
 """Shared hypothesis strategies."""
 from hypothesis import strategies as st
 
+from cmlab.cmtypes import CMPairSpec
+from cmlab.galois import from_generators
 from cmlab.hyperoct import SignedPerm, Subset
 
 
@@ -17,3 +19,26 @@ def signed_perms(g: int):
 
 def dims(lo: int = 2, hi: int = 12):
     return st.integers(lo, hi)
+
+
+def generator_spec(g, gens):
+    """The CM pair of the closure of gens, with default embedding names."""
+    group = from_generators(g, gens)
+    return CMPairSpec(group, tuple(f"phi{j}" for j in range(1, g + 1)),
+                      tuple(f"phibar{j}" for j in range(1, g + 1)))
+
+
+@st.composite
+def cm_pair_specs(draw, max_g=4):
+    """A cyclic pair of order 2g, the full Weyl group, or the closure of up
+    to two random signed permutations with conjugation and a g-cycle
+    added, at g = 2..max_g."""
+    kind = draw(st.sampled_from(["cyclic", "weyl", "generators"]))
+    g = draw(st.integers(2, max_g))
+    if kind == "cyclic":
+        residues = draw(st.permutations(range(g)))
+        return CMPairSpec.from_cyclic(2 * g, [a + g * draw(st.booleans()) for a in residues])
+    if kind == "weyl":
+        return CMPairSpec.weyl(g)
+    gens = draw(st.lists(signed_perms(g), max_size=2))
+    return generator_spec(g, gens + [SignedPerm.rho(g), SignedPerm(g, Subset.empty(g), (*range(2, g + 1), 1))])

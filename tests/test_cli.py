@@ -7,13 +7,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmlab.hodge
 from cmlab import POHLMANN_HARD_BUDGET
-from cmlab.cli import main
+from cmlab.cli import build_parser, main
 from cmlab.cmtypes import subset_rank
 from cmlab.hyperoct import Subset
 
@@ -187,13 +189,49 @@ class TestHodgeBasis:
         code, _, err = run_cli(argv, capsys)
         assert code == 1 and "budget exceeded" in err
 
-    def test_default_budget_is_the_hard_cap(self, capsys):
-        # without --budget the cap is POHLMANN_HARD_BUDGET, which the
-        # C(64, 6) choices of 6 of the 64 slots at g = 5, n = 2 exceed
+    def test_default_budget_is_the_hard_cap(self, capsys, monkeypatch):
+        # without --budget the cap is POHLMANN_HARD_BUDGET; it is lowered
+        # here so that the walk reaches it after a few nodes
         argv = ["hodge-basis", "--p", "3", "--n", "2", "--g", "5", "--weyl-full"]
+        assert build_parser().parse_args(argv).budget == POHLMANN_HARD_BUDGET
+        monkeypatch.setattr(cmlab.hodge, "POHLMANN_HARD_BUDGET", 50)
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
-        assert err == f"error: enumeration budget exceeded: C(64,6) = 74974368 > {POHLMANN_HARD_BUDGET}\n"
+        assert err == "error: enumeration budget exceeded: the walk visits more than 50 nodes\n"
+
+    def test_budget_counts_walk_nodes(self, capsys):
+        # C(32, 4) = 35,960 combinations exceed the budget; the walk's
+        # 12,487 nodes do not
+        argv = ["hodge-basis", "--p", "2", "--n", "1", "--g", "5", "--weyl-full", "--budget", "20000"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out.startswith("basis size: 320\n")
+
+    def test_over_budget_exits_1_without_traceback(self):
+        cmd = [sys.executable, "-m", "cmlab.cli", "hodge-basis", "--p", "2", "--n", "1",
+               "--g", "5", "--weyl-full", "--budget", "10000"]
+        run = subprocess.run(cmd, capture_output=True, text=True)
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr == "error: enumeration budget exceeded: the walk visits more than 10000 nodes\n"
+
+    def test_large_g_is_refused_before_building_slots(self, capsys):
+        # 2^20 subsets per copy: refused by the powerset cap, not after
+        # millions of slots have been built
+        start = time.perf_counter()
+        argv = ["hodge-basis", "--p", "2", "--n", "1", "--g", "20", "--weyl-full"]
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 1 and out == ""
+        assert err == "error: operation enumerates all 2^g subsets; g=20 exceeds the cap 16\n"
+
+    def test_huge_power_is_refused_before_building_slots(self, tmp_path, capsys):
+        # the first call of the walk alone would loop over 4 * 10^8 - 1 slots
+        spec = write_json(tmp_path, "weyl2.json", {"weyl": 2})
+        start = time.perf_counter()
+        argv = ["hodge-basis", "--p", "1", "--n", str(10**8), "--input", spec]
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 1 and out == ""
+        assert err == f"error: enumeration budget exceeded: the walk visits more than {POHLMANN_HARD_BUDGET} nodes\n"
 
     def test_no_jobs_flag(self):
         with pytest.raises(SystemExit) as err:

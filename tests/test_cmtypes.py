@@ -20,7 +20,7 @@ from cmlab.cmtypes import (
 )
 from cmlab.galois import from_generators
 from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset
-from strategies import signed_perms, subsets
+from strategies import cm_pair_specs, signed_perms, subsets
 
 # Orbit table of the mu19 regression datum: translation label a -> I([a]).
 MU19_ORBIT_TABLE = {
@@ -86,6 +86,19 @@ class TestSubsetOrder:
             assert all(1 not in I for I in tail_subsets(g))
 
 
+def whole_group_orbits(G):
+    """orbit_decomposition as it was computed: each orbit is the image of
+    its minimal member under every group element."""
+    seen, orbits = set(), []
+    for r in range(1 << G.g):
+        seed = subset_unrank(G.g, r)
+        if seed not in seen:
+            members = {act_subset(t, seed) for t in G.elements}
+            seen |= members
+            orbits.append(sorted(members, key=subset_rank))
+    return orbits
+
+
 class TestOrbitDecomposition:
     def test_mu19_first_orbit_is_table(self, mu19):
         orbits = orbit_decomposition(mu19.group)
@@ -116,6 +129,19 @@ class TestOrbitDecomposition:
             assert ranks == sorted(ranks)
         keys = [subset_rank(o[0]) for o in orbits[1:]]
         assert keys == sorted(keys)
+
+    @given(cm_pair_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_whole_group_orbits(self, spec):
+        assert orbit_decomposition(spec.group) == whole_group_orbits(spec.group)
+        assert reflex_type(spec) == compagnons(spec)[0]
+
+    def test_reflex_walks_only_the_orbit_of_the_empty_set(self):
+        # at g = 20 the full decomposition would enumerate 2^20 subsets
+        spec = CMPairSpec.from_cyclic(40, list(range(20)))
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            orbit_decomposition(spec.group)
+        assert reflex_type(spec).degree == 40
 
     def test_weyl_g3_single_orbit(self):
         spec = CMPairSpec.weyl(3)

@@ -6,8 +6,10 @@ import pytest
 
 from cmlab.cli import spec_from_json
 from cmlab.galois import (
+    GaloisGroup,
     from_cyclic_translation,
     from_generators,
+    orbit,
     weyl_full,
 )
 from cmlab.hyperoct import SignedPerm, Subset, compose
@@ -112,6 +114,40 @@ class TestIsWeyl:
     def test_g1(self):
         G = from_generators(1, [SignedPerm.rho(1)])
         assert len(G) == 2 == (1 << 1) * factorial(1)
+
+
+class TestGenerators:
+    """Each constructor records generators of the group it builds."""
+
+    def test_orbit_is_closed_and_reached(self):
+        # translation by 3 on Z/12 reaches the residues of 1 mod 3
+        assert orbit([3], 1, lambda t, x: (x + t) % 12) == {1, 4, 7, 10}
+        assert orbit([], 5, lambda t, x: x) == {5}
+
+    def test_weyl_generators_generate_the_group(self):
+        for g in range(1, 5):
+            G = weyl_full(g)
+            assert len(G.gens) == 3
+            assert set(from_generators(g, list(G.gens)).elements) == set(G.elements)
+
+    def test_cyclic_generator_is_translation_by_one(self):
+        G, emb = from_cyclic_translation(18, MU19_PHI)
+        assert G.gens == (emb[1],)
+
+    def test_closure_keeps_its_generators(self):
+        gens = [SignedPerm.make(3, [1], [2, 3, 1]), SignedPerm.make(3, [2])]
+        assert set(from_generators(3, gens).gens) == set(gens)
+
+    def test_bare_element_list_generates_itself(self):
+        G = weyl_full(2)
+        assert GaloisGroup(2, G.elements).gens == G.elements
+
+    def test_transitivity_is_checked_on_the_generators(self):
+        # the elements close to a transitive group, but the given
+        # generators alone fix 2: the check reads the generators
+        elements = weyl_full(2).elements
+        with pytest.raises(ValueError, match=r"not transitive \(reaches only \[1\]\)"):
+            GaloisGroup(2, elements, gens=(SignedPerm.rho(2),))
 
 
 class TestJson:

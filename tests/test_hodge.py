@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab.cmtypes import CMPairSpec, subset_rank
-from cmlab.galois import from_generators, weyl_full
+from cmlab.cli import main
+from cmlab.galois import GaloisGroup, from_generators, weyl_full
 from cmlab.hodge import (
     _is_hol,
     _slot_key,
-    _slot_universe,
     Certificate,
     CycleIndex,
     ReductionError,
@@ -193,6 +193,20 @@ class TestPohlmann:
         with pytest.raises(ValueError, match="budget exceeded"):
             pohlmann_basis(3, 2, 1, budget=5)
 
+    def test_budget_counts_walk_nodes_not_combinations(self):
+        # C(32, 4) = 35,960 unpruned candidates; the walk visits 12,487
+        # nodes, so a budget between the two now suffices
+        assert pohlmann_basis(5, 2, 1, budget=20_000) == bp_multisets(5, 2, 1)
+        with pytest.raises(ValueError, match="walk visits more than 10000 nodes"):
+            pohlmann_basis(5, 2, 1, budget=10_000)
+
+    def test_triple_oracle_at_g6(self):
+        # out of reach while the digits came from all 46,080 group elements
+        basis = pohlmann_basis(6, 2, 1)
+        assert len(basis) == 1_936
+        assert basis == bp_multisets(6, 2, 1)
+        assert set(basis) == {quadruple_to_cycle(*q[:4], q[4]) for q in b2_quadruples(6, 1)}
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_pruned_walk_matches_the_flat_scan(self, data):
@@ -217,15 +231,21 @@ class TestPohlmann:
 
 
 def flat_scan(spec, p, n):
-    """The unpruned scan pohlmann_basis used to run: every 2p-combination of
-    the sorted slots in itertools.combinations order, kept iff its packed
-    holomorphy profile has digit p at every group element.  It acts through
-    act_subset and act_embedding, not the integer action of the walk."""
-    bases, group, _ = _slot_universe(spec)
-    act = act_subset if isinstance(bases[0], Subset) else act_embedding
+    """The unpruned whole-group scan pohlmann_basis used to run: every
+    2p-combination of the sorted slots in itertools.combinations order, kept
+    iff its packed holomorphy profile has digit p at every group element.
+    It acts through act_subset and act_embedding on every element of the
+    group (weyl_full(g) for the anti-Weyl variety), not through the
+    translate classes of the walk."""
+    if isinstance(spec, CMPairSpec):
+        bases = [EmbeddingLabel(j, bar) for bar in (False, True) for j in range(1, spec.g + 1)]
+        group, act = spec.group.elements, act_embedding
+    else:
+        bases = [Subset(spec, bits) for bits in range(1 << spec)]
+        group, act = weyl_full(spec).elements, act_subset
     slots = sorted(((base, copy) for copy in range(1, n + 1) for base in bases), key=_slot_key)
-    digit = {t: 1 << (4 * i) for i, t in enumerate(group.elements)}
-    profile = {base: sum(digit[t] for t in group.elements if _is_hol(act(t, base))) for base in bases}
+    digit = {t: 1 << (4 * i) for i, t in enumerate(group)}
+    profile = {base: sum(digit[t] for t in group if _is_hol(act(t, base))) for base in bases}
     packed = [profile[base] for base, _ in slots]
     target = p * sum(digit.values())
     return [
@@ -560,6 +580,11 @@ def census(g):
     return by_support
 
 
+@functools.lru_cache(maxsize=None)
+def weyl_group(g):
+    return weyl_full(g)
+
+
 def support_reference(q, G):
     """quadruple_support as it was computed with Subset objects and
     act_subset, one translate of each wedge slot per group element."""
@@ -589,7 +614,14 @@ class TestSupport:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([4, 5]).flatmap(admissible_quadruples_over_tail))
     def test_matches_the_subset_reference(self, q):
-        G = weyl_full(q[0].g)
+        G = weyl_group(q[0].g)
+        assert admissible(*q)
+        assert quadruple_support(q, G) == support_reference(q, G)
+
+    @settings(max_examples=6, deadline=None)  # the reference takes ~0.5 s at g = 6
+    @given(st.sampled_from([3, 6]).flatmap(admissible_quadruples_over_tail))
+    def test_matches_the_subset_reference_at_g3_and_g6(self, q):
+        G = weyl_group(q[0].g)
         assert admissible(*q)
         assert quadruple_support(q, G) == support_reference(q, G)
 
@@ -675,6 +707,22 @@ class TestDichotomy:
     def test_cap(self):
         with pytest.raises(ValueError, match="g <= 5"):
             balance_dichotomy(6)
+
+    def test_builds_no_group(self, monkeypatch, capsys):
+        # the anti-Weyl Pohlmann digits and the dichotomy digits come from
+        # the 2g classes of translates, not from the 3,840 elements at g = 5
+        built = []
+        original = GaloisGroup.__post_init__
+
+        def record(self):
+            built.append(len(self.elements))
+            original(self)
+
+        monkeypatch.setattr(GaloisGroup, "__post_init__", record)
+        assert main(["hodge-basis", "--weyl-full", "--g", "5", "--p", "2", "--n", "1"]) == 0
+        assert capsys.readouterr().out.startswith("basis size: 320\n")
+        assert balance_dichotomy(5) == (1296, 64240)
+        assert built == []
 
     def test_lemma_gates_survive_optimized_mode(self):
         # a wrong admissibility test must break the lemma in each direction,

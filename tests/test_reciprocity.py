@@ -27,6 +27,7 @@ from cmlab.reciprocity import (
     relations_from_kernel,
     render_relation,
 )
+from strategies import cm_pair_specs, generator_spec
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
 G1 = (1, -1, -1, 1, 0, 0, -1, 0, 1)  # [0]-[2]-[3]+[6]-[14]+[17]
@@ -38,28 +39,45 @@ def mu19():
     return CMPairSpec.from_cyclic(18, MU19_PHI)
 
 
+def flip_sets(spec):
+    """The masks sigma.empty = sigma.flips over every group element."""
+    return {el.flips.bits for el in spec.group.elements}
+
+
 class TestPairingMatrix:
+    """One row per translate sigma Phi, not per group element."""
+
     def test_identity_row_all_ones(self, mu19):
         m = pairing_matrix(mu19)
-        assert m.entries[0] == (1,) * 9
+        assert (1,) * 9 in m.entries
 
     def test_conjugation_negates_rows(self, mu19):
-        m = pairing_matrix(mu19)
-        for t in range(18):
-            s = (t + 9) % 18
-            assert m.entries[s] == tuple(-x for x in m.entries[t])
+        rows = set(pairing_matrix(mu19).entries)
+        assert rows == {tuple(-x for x in row) for row in rows}
 
     def test_conjugation_negates_rows_weyl(self):
-        spec = CMPairSpec.weyl(3)
-        m = pairing_matrix(spec)
-        G = spec.group
-        rho = G.rho
-        from cmlab.hyperoct import compose
+        rows = set(pairing_matrix(CMPairSpec.weyl(3)).entries)
+        assert len(rows) == 8
+        assert rows == {tuple(-x for x in row) for row in rows}
 
-        index = {el: i for i, el in enumerate(G.elements)}
-        for i, el in enumerate(G.elements):
-            j = index[compose(rho, el)]
-            assert m.entries[j] == tuple(-x for x in m.entries[i])
+    @pytest.mark.parametrize("make", [
+        lambda: CMPairSpec.from_cyclic(18, MU19_PHI),
+        lambda: CMPairSpec.weyl(4),
+        lambda: generator_spec(3, [SignedPerm.make(3, [1], [2, 3, 1]), SignedPerm.make(3, [2])]),
+    ])
+    def test_one_row_per_mask_in_the_orbit_of_the_empty_set(self, make):
+        spec = make()
+        m = pairing_matrix(spec)
+        want = sorted(flip_sets(spec))
+        assert [sum(1 << j for j, x in enumerate(row) if x < 0) for row in m.entries] == want
+
+
+def pairing_matrix_reference(spec):
+    """The pairing matrix as it was built: one row per group element."""
+    return IntMatrix.from_rows(
+        [[-1 if j in el.flips else 1 for j in range(1, spec.g + 1)] for el in spec.group.elements],
+        spec.g,
+    )
 
 
 class TestKernelN:
@@ -74,6 +92,11 @@ class TestKernelN:
         K = kernel_N(mu19)
         for row in K.basis.entries:
             assert sum(row) == 0
+
+    @given(cm_pair_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_kernel_of_the_whole_group_matrix(self, spec):
+        assert kernel_N(spec) == kernel_basis(pairing_matrix_reference(spec))
 
     def test_weyl_kernel_trivial(self):
         assert kernel_N(CMPairSpec.weyl(3)).rank == 0

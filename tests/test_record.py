@@ -83,7 +83,7 @@ RECORDS = [
      lambda a: EmbeddingLabel(*a)),
     (SignedPerm, ("g", "flips", "perm"), _signed_perm_args(),
      lambda a: SignedPerm(a[0], Subset(a[0], a[1]), tuple(a[2]))),
-    (GaloisGroup, ("g", "elements", "labels", "rho_index"), st.sampled_from(_GROUPS), _group),
+    (GaloisGroup, ("g", "elements", "labels", "rho_index", "gens"), st.sampled_from(_GROUPS), _group),
     (CMPairSpec, ("group", "phi_names", "phibar_names"), st.sampled_from(_GROUPS), _spec),
     (Compagnon, ("orbit", "cm_type", "degree"),
      st.tuples(st.sampled_from(_GROUPS), st.integers(0, 1)),
