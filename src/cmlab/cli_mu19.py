@@ -1,0 +1,126 @@
+"""Command handler of example-mu19, the worked cyclotomic regression report."""
+from __future__ import annotations
+
+from .cli_pairs import label_table, labels_str
+from .cli_relations import certificate_json, kernel_report
+from .cmtypes import CMPairSpec, compagnon_labels, orbit_decomposition, reflex_labels
+from .hodge import admissible, quadruple_to_cycle, relation_of_cycle
+from .hyperoct import Subset, subset_rank
+from .reciprocity import ANTIWEYL, MonomialRelation, reduce_to_low_degree, render_relation
+
+# the base pair, its reflex, and the two factorizations through the
+# compagnon index set L = {5, 6}
+_MU19_M = 18
+_MU19_PHI = (0, 2, 3, 6, 10, 13, 14, 16, 17)
+_MU19_PHI_STAR = (0, 1, 2, 4, 5, 8, 12, 15, 16)
+_MU19_L = (5, 6)
+_MU19_MEDIATED = (((0, 17), 3), ((2, 14), 6))
+
+
+def cmd_example_mu19(args, as_json):
+    spec_star = CMPairSpec.from_cyclic(_MU19_M, list(_MU19_PHI_STAR))
+    spec_phi = CMPairSpec.from_cyclic(_MU19_M, list(_MU19_PHI))
+    g = spec_star.g
+    table = label_table(spec_star)
+    orbits = orbit_decomposition(spec_star.group)
+    degree_census = {}
+    for o in orbits:
+        degree_census[len(o)] = degree_census.get(len(o), 0) + 1
+    recovered = reflex_labels(spec_star)
+    L = Subset.of(g, _MU19_L)
+    Lp = Subset.of(g, (4, 6, 7))
+    labels_L = compagnon_labels(spec_star, L)
+    labels_Lp = compagnon_labels(spec_star, Lp)
+    kernel, rels = kernel_report(spec_phi, as_json)
+
+    # lift each label relation to the anti-Weyl side via the orbit table
+    index_of = dict(table)
+
+    def lift(rel):
+        exps = {}
+        for j, c in rel.terms:
+            r = subset_rank(index_of[_MU19_PHI[j]])
+            exps[r] = exps.get(r, 0) + c
+        return MonomialRelation(ANTIWEYL, g, exps.items())
+
+    def difference(a, b):
+        exps = dict(a.terms)
+        for r, c in b.terms:
+            exps[r] = exps.get(r, 0) - c
+        return MonomialRelation(ANTIWEYL, g, exps.items())
+
+    symbols = [f"Th[{name}]" for name in spec_phi.phi_names]
+    certificates = []
+    factorization = []
+    for rel in rels:
+        cubic = lift(rel)
+        cert = reduce_to_low_degree(cubic, g)
+        verified = cert.verify()
+        if as_json:
+            certificates.append(certificate_json(cert, verified))
+            continue
+        factorization.append(f"cubic: {render_relation(rel, symbols)}")
+        if dict(rel.terms).get(_MU19_PHI.index(17)):
+            for (a, b), mediator in _MU19_MEDIATED:
+                quad = (index_of[a], index_of[b], index_of[mediator], L)
+                factorization.append(
+                    f"  quadruple ({', '.join(str(X) for X in quad)}): "
+                    + ("admissible" if admissible(*quad) else "NOT admissible")
+                )
+            qa = relation_of_cycle(quadruple_to_cycle(index_of[0], index_of[17], index_of[3], L))
+            qb = relation_of_cycle(quadruple_to_cycle(index_of[2], index_of[14], index_of[6], L))
+            diff = difference(qa, qb)
+            match = cubic in (diff, difference(qb, qa))
+            factorization.append("  quadratic difference reproduces the cubic: " + ("yes" if match else "no"))
+        signs = "{" + ",".join(f"{c:+d}" for c in sorted({c for _, c in cert.parts})) + "}"
+        factorization.append(
+            f"  reduction certificate: {len(cert.parts)} parts, coefficients in {signs}, "
+            + ("verified" if verified else "NOT verified")
+        )
+
+    if as_json:
+        return {
+            "phi": list(_MU19_PHI),
+            "phi_star": list(_MU19_PHI_STAR),
+            "orbit_table": {str(a): list(I.members()) for a, I in table},
+            "orbit_degrees": {str(d): c for d, c in sorted(degree_census.items())},
+            "reflex_labels": list(recovered),
+            "compagnon_L": list(labels_L),
+            "compagnon_Lprime": list(labels_Lp),
+            "kernel": kernel,
+            "certificates": certificates,
+        }
+    return [
+        "mu19 regression report",
+        "======================",
+        "",
+        f"base cyclic pair: M={_MU19_M}, phi* = {labels_str(_MU19_PHI_STAR)}",
+        f"reflex cyclic pair: M={_MU19_M}, phi = {labels_str(_MU19_PHI)}",
+        "",
+        "orbit table",
+        "-----------",
+        *(f"I([{a}]) = {I}" for a, I in table),
+        "",
+        "orbit census",
+        "------------",
+        f"orbits: {len(orbits)}",
+        "degrees: " + ", ".join(f"{d} x {degree_census[d]}" for d in sorted(degree_census)),
+        "",
+        "reflex recovery",
+        "---------------",
+        f"labels with 1 not in I([a]): {labels_str(recovered)}",
+        f"matches phi: {'yes' if tuple(recovered) == _MU19_PHI else 'no'}",
+        "",
+        "compagnons",
+        "----------",
+        f"L = {L}: {labels_str(labels_L)}",
+        f"L' = {Lp}: {labels_str(labels_Lp)}",
+        "",
+        "period kernel (reflex pair)",
+        "---------------------------",
+        *kernel,
+        "",
+        "factorization",
+        "-------------",
+        *factorization,
+    ]

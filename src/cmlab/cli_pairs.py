@@ -1,0 +1,82 @@
+"""Command handlers on one CM pair: orbits, reflex and compagnons."""
+from __future__ import annotations
+
+from .cli import _load_spec
+from .cmtypes import compagnon_labels, orbit_decomposition, reflex_labels, reflex_type
+from .hyperoct import Subset, act_subset
+
+
+def labels_str(labels) -> str:
+    return " ".join(f"[{a}]" for a in labels)
+
+
+def label_table(spec):
+    """Pairs (label, orbit index set I([label])) in label order."""
+    empty = Subset.empty(spec.g)
+    return [
+        (a, act_subset(spec.group.element_for_label(a), empty))
+        for a in sorted(spec.group.labels)
+    ]
+
+
+def cmd_orbits(args, as_json):
+    spec = _load_spec(args.input)
+    orbits = orbit_decomposition(spec.group)
+    rows = label_table(spec) if spec.group.labels is not None else None
+    if as_json:
+        return {
+            "table": None if rows is None else {str(a): list(I.members()) for a, I in rows},
+            "orbits": [
+                {"degree": len(o), "key": list(o[0].members()),
+                 "members": [list(I.members()) for I in o]}
+                for o in orbits
+            ],
+        }
+    lines = []
+    if rows is not None:
+        lines.append("orbit table:")
+        lines.extend(f"I([{a}]) = {I}" for a, I in rows)
+    lines.append(f"orbits: {len(orbits)}")
+    lines.extend(f"orbit {k}: degree {len(o)}, key {o[0]}" for k, o in enumerate(orbits))
+    return lines
+
+
+def cmd_reflex(args, as_json):
+    spec = _load_spec(args.input)
+    ref = reflex_type(spec)
+    labels = reflex_labels(spec)
+    if as_json:
+        return {
+            "degree": ref.degree,
+            "labels": list(labels),
+            "cm_type": [list(I.members()) for I in ref.cm_type],
+        }
+    return [
+        f"reflex degree: {ref.degree}",
+        f"reflex labels: {labels_str(labels)}",
+        *(f"type {I}" for I in ref.cm_type),
+    ]
+
+
+def cmd_compagnons(args, as_json):
+    spec = _load_spec(args.input)
+    orbits = orbit_decomposition(spec.group)
+    labeled = spec.group.labels is not None
+    found = []
+    for k, orbit in enumerate(orbits):
+        labels = None
+        if labeled:
+            labels = reflex_labels(spec) if k == 0 else compagnon_labels(spec, orbit[0])
+        found.append((len(orbit), orbit[0], labels))
+    if as_json:
+        return {"compagnons": [
+            {"degree": degree, "key": list(key.members()), "labels": None if labels is None else list(labels)}
+            for degree, key, labels in found
+        ]}
+    lines = [f"compagnons: {len(orbits)}"]
+    for k, (degree, key, labels) in enumerate(found):
+        line = f"compagnon {k}: degree {degree}, key {key}"
+        if labels is not None:
+            line += f", labels {labels_str(labels)}"
+        lines.append(line)
+    return lines

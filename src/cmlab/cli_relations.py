@@ -1,0 +1,102 @@
+"""Command handlers on monomial relations: kernel, relations and reduce.
+
+relations --weyl-full and reduce run only reciprocity (with hyperoct and
+record); the period kernel of a pair loads the lattice code when it runs.
+"""
+from __future__ import annotations
+
+from .cli import _check, _load_spec, _read_json
+from .hyperoct import check_group_size
+from .reciprocity import (
+    ANTIWEYL,
+    SIMPLE,
+    MonomialRelation,
+    antiweyl_relations,
+    kernel_N,
+    reduce_to_low_degree,
+    relation_to_json,
+    relations_from_kernel,
+    render_relation,
+)
+
+
+def _signed_sum(row, names) -> str:
+    parts = []
+    for name, c in zip(names, row):
+        if c == 0:
+            continue
+        term = ("" if abs(c) == 1 else f"{abs(c)}*") + f"[{name}]"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts) if parts else "0"
+
+
+def kernel_report(spec, as_json):
+    """(the kernel command's report on a pair, its relations)."""
+    lattice = kernel_N(spec)
+    mt = spec.g + 1 - lattice.rank
+    symbols = [f"Th[{name}]" for name in spec.phi_names]
+    rels = relations_from_kernel(lattice)
+    if as_json:
+        return {
+            "rank": lattice.rank,
+            "mt_dimension": mt,
+            "basis": [list(row) for row in lattice.basis.entries],
+            "relations": [relation_to_json(r, symbols) for r in rels],
+        }, rels
+    return [
+        f"kernel rank: {lattice.rank}",
+        f"mt dimension: {mt}",
+        *(f"generator: {_signed_sum(row, spec.phi_names)}" for row in lattice.basis.entries),
+        *(f"relation: {render_relation(r, symbols)}" for r in rels),
+    ], rels
+
+
+def cmd_kernel(args, as_json):
+    return kernel_report(_load_spec(args.input), as_json)[0]
+
+
+def cmd_relations(args, as_json):
+    if args.weyl_full:
+        if args.g is None:
+            raise ValueError("--weyl-full needs --g")
+        side, rels, symbols = ANTIWEYL, antiweyl_relations(args.g), None
+    else:
+        if args.input is None:
+            raise ValueError("needs --input FILE or --weyl-full with --g")
+        spec = _load_spec(args.input)
+        side, rels = SIMPLE, relations_from_kernel(kernel_N(spec))
+        symbols = [f"Th[{name}]" for name in spec.phi_names]
+    if as_json:
+        return {"side": side, "relations": [relation_to_json(r, symbols) for r in rels]}
+    return [f"relations: {len(rels)}", *(f"relation: {render_relation(r, symbols)}" for r in rels)]
+
+
+def certificate_json(cert, verified: bool) -> dict:
+    return {
+        "target": relation_to_json(cert.target),
+        "parts": [{"gen": relation_to_json(gen), "coeff": coeff} for gen, coeff in cert.parts],
+        "verified": verified,
+    }
+
+
+def cmd_reduce(args, as_json):
+    data = _check(_read_json(args.input), {"g": int, "vec": [int]})
+    g, vec = data["g"], data["vec"]
+    check_group_size(g)
+    tau = _check(data.get("tau", 0), int, "tau")
+    if len(vec) != 1 << g:
+        raise ValueError(f"vec has {len(vec)} entries, expected 2^{g} = {1 << g}")
+    rel = MonomialRelation.from_vec(ANTIWEYL, g, vec, tau)
+    cert = reduce_to_low_degree(rel, g)
+    verified = cert.verify()
+    if as_json:
+        return certificate_json(cert, verified)
+    return [
+        f"target: {render_relation(rel)}",
+        f"parts: {len(cert.parts)}",
+        *(f"{coeff:+d} * {render_relation(gen)}" for gen, coeff in cert.parts),
+        "verified: yes" if verified else "verified: no",
+    ]

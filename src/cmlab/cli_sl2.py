@@ -1,0 +1,23 @@
+"""Command handler of sl2-check."""
+from __future__ import annotations
+
+from .cmtypes import tail_subsets
+from .sl2check import check_sl2
+
+_GATES = ("bracket_vv_zero", "bracket_vvbar_diagonal", "triple_identities")
+
+
+def cmd_sl2_check(args, as_json):
+    g = args.g
+    if g < 2:
+        raise ValueError("sl2-check needs --g >= 2")
+    reports = [(U, check_sl2(U, g)) for U in tail_subsets(g)]
+    if as_json:
+        return {"g": g, "reports": [{"U": list(U.members()), **report} for U, report in reports]}
+    lines = []
+    for U, report in reports:
+        failed = [k for k, ok in report.items() if not ok]
+        lines.append(f"U={U}: " + ("pass" if not failed else "FAIL (" + ", ".join(failed) + ")"))
+    ok = all(report[k] for _, report in reports for k in _GATES)
+    lines.append("all checks passed" if ok else "some checks FAILED")
+    return lines

@@ -8,11 +8,8 @@ yields one simple isogeny factor ("compagnon") of the generalized
 anti-Weyl variety, whose CM type is indexed by the orbit members not
 containing the distinguished position 1.
 
-Subsets are ordered by a total order compatible with complementation:
-subsets without 1 come first, ranked by the binary value of their
-indicator over positions 2..g; subsets containing 1 are ranked so that
-rank(I) = 2^g - 1 - rank(I^c).  All tables, matrices and wedge signs
-downstream use this order.
+Subsets are ranked in the canonical order of hyperoct.subset_rank, which
+this module re-exports with subset_unrank.
 """
 from __future__ import annotations
 
@@ -23,24 +20,10 @@ from .hyperoct import (
     _act_bits,
     act_subset,
     check_powerset_size,
+    subset_rank,
+    subset_unrank,
 )
 from .record import Record, set_slot
-
-
-def subset_rank(I: Subset) -> int:
-    """Position of I in the canonical total order on P({1,...,g})."""
-    if I.bits & 1 == 0:
-        return I.bits >> 1
-    return (1 << I.g) - 1 - ((I.bits ^ ((1 << I.g) - 1)) >> 1)
-
-
-def subset_unrank(g: int, r: int) -> Subset:
-    if not 0 <= r < (1 << g):
-        raise ValueError(f"rank {r} outside 0..{(1 << g) - 1}")
-    half = 1 << (g - 1)
-    if r < half:
-        return Subset(g, r << 1)
-    return Subset(g, ((1 << g) - 1) ^ (((1 << g) - 1 - r) << 1))
 
 
 def tail_subsets(g: int) -> list[Subset]:

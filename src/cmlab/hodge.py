@@ -1,5 +1,5 @@
-"""Hodge-class bases, quadruple supports, and degree-two reduction
-certificates.
+"""Hodge-class bases, the relations their cycles induce, and quadruple
+supports.
 
 A (p,p)-Hodge class on the n-th power of a CM abelian variety is indexed
 by a 2p-element set P of embedding slots (an embedding, or a CM-type
@@ -13,15 +13,9 @@ with I|J = K|L and I&J = K&L, wedged as eps_I ^ eps_J ^ eps_{K^c} ^
 eps_{L^c}).  The three must agree element for element.
 
 Each balanced cycle induces a monomial relation between the periods
-Theta_I, and every such relation is an integer combination of degree-one
-generators Theta_I * Theta_{I^c} ~ tau and degree-two quadruple
-generators.  reduce_to_low_degree certifies this by triangular
-back-substitution along the chain family of reciprocity, which decides
-membership exactly, returning a Certificate whose parts re-sum to the
-target.  equiv_class_check strips eps_I - eps_J the same way and returns
-the same Certificate type: its chain parts re-sum to eps_I - eps_J minus a
-residual on the empty set and the singletons.  Certificate.verify is the
-one re-summation checker for both.
+Theta_I (relation_of_cycle); reciprocity.reduce_to_low_degree certifies
+that every such relation is generated by degree-one relations
+Theta_I * Theta_{I^c} ~ tau and degree-two quadruple relations.
 
 Quadruples are classified up to Galois conjugacy by their support (the
 set of translated slot pairs) or, equivalently, by the invariant (r, s)
@@ -33,32 +27,26 @@ from __future__ import annotations
 import itertools
 
 from . import POHLMANN_HARD_BUDGET
-from .cmtypes import CMPairSpec, subset_rank, subset_unrank, tail_subsets, translate_masks
+from .cmtypes import CMPairSpec, tail_subsets, translate_masks
 from .galois import GaloisGroup, orbit
-from .hyperoct import EmbeddingLabel, Subset, _act_bits, act_embedding, act_subset, check_powerset_size
-from .intlattice import member
-from .reciprocity import (
-    ANTIWEYL,
-    MonomialRelation,
-    chain_quadruple,
-    chain_strip,
-    kernel_N,
-    quadruple_vector,
+from .hyperoct import (
+    EmbeddingLabel,
+    Subset,
+    _act_bits,
+    act_embedding,
+    act_subset,
+    check_powerset_size,
+    subset_rank,
+    subset_unrank,
 )
+from .intlattice import member
+from .reciprocity import ANTIWEYL, MonomialRelation, kernel_N
 from .record import Record, set_slot
 
 BP_MAX_G = 8
 BP_MAX_P = 4
 BP_MAX_N = 3
-DICHOTOMY_MAX_G = 5
-
-
-class ReductionError(ValueError):
-    """A relation failed to decompose over the degree <= 2 generators.
-
-    A ValueError, so the command line reports it like any other domain
-    error (exit 1 with its message).
-    """
+DICHOTOMY_MAX_G = 6
 
 
 def _slot_key(entry):
@@ -336,149 +324,11 @@ def relation_of_cycle(c: CycleIndex) -> MonomialRelation:
     hol, anti = c.bidegree
     if hol != anti:
         raise ValueError(f"unbalanced cycle: {hol} holomorphic vs {anti} antiholomorphic slots")
-    vec = [0] * (1 << g)
+    exps = {}
     for slot, _ in c.entries:
-        if 1 not in slot:
-            vec[subset_rank(slot)] += 1
-        else:
-            vec[subset_rank(slot.complement())] -= 1
-    return MonomialRelation(ANTIWEYL, g, tuple(vec))
-
-
-# ---------------------------------------------------------------------------
-# degree <= 2 generators and reduction certificates
-
-
-def degree_one_generator(I: Subset) -> MonomialRelation:
-    """Theta_I * Theta_{I^c} ~ tau."""
-    vec = [0] * (1 << I.g)
-    vec[subset_rank(I)] += 1
-    vec[subset_rank(I.complement())] += 1
-    return MonomialRelation(ANTIWEYL, I.g, tuple(vec), tau=-1)
-
-
-def chain_generator(S: Subset) -> MonomialRelation:
-    """The degree-two quadruple relation of the chain through S."""
-    return MonomialRelation(ANTIWEYL, S.g, tuple(quadruple_vector(*chain_quadruple(S))))
-
-
-def _is_degree_one(rel: MonomialRelation) -> bool:
-    if rel.side != ANTIWEYL or rel.tau != -1:
-        return False
-    hits = [i for i, x in enumerate(rel.vec) if x]
-    if len(hits) != 2 or any(rel.vec[i] != 1 for i in hits):
-        return False
-    return subset_unrank(rel.g, hits[0]) == subset_unrank(rel.g, hits[1]).complement()
-
-
-def _is_degree_two(rel: MonomialRelation) -> bool:
-    if rel.side != ANTIWEYL or rel.tau != 0:
-        return False
-    pos, neg = [], []
-    for i, x in enumerate(rel.vec):
-        if x > 0:
-            pos += [subset_unrank(rel.g, i)] * x
-        elif x < 0:
-            neg += [subset_unrank(rel.g, i)] * -x
-    if len(pos) != 2 or len(neg) != 2:
-        return False
-    return admissible(pos[0], pos[1], neg[0], neg[1])
-
-
-class Certificate(Record):
-    """Integer decomposition of a relation over degree <= 2 generators."""
-
-    __slots__ = ("target", "parts")
-
-    def __init__(self, target: MonomialRelation, parts: tuple) -> None:
-        set_slot(self, "target", target)
-        set_slot(self, "parts", parts)
-
-    def verify(self) -> bool:
-        """Exact re-summation, plus the generator-shape restriction."""
-        want = [*self.target.vec, self.target.tau]
-        total = [0] * len(want)
-        for gen, coeff in self.parts:
-            if gen.g != self.target.g:
-                return False
-            if not (_is_degree_one(gen) or _is_degree_two(gen)):
-                return False
-            for i, x in enumerate([*gen.vec, gen.tau]):
-                total[i] += coeff * x
-        return total == want
-
-
-def reduce_to_low_degree(r: MonomialRelation, g: int) -> Certificate:
-    """Certificate expressing r over the degree-one generator of the empty
-    set and chain quadruples, found by triangular back-substitution.
-
-    The generators are triangular: the degree-one generator is the only one
-    carrying tau, and each chain has a unit pivot on its own top subset of
-    size >= 2.  Stripping tau and then every chain from large subsets down
-    (chain_strip) therefore decides membership exactly: r is generated in
-    degree <= 2 iff the residual vanishes, and otherwise ReductionError is
-    raised.
-    """
-    if r.side != ANTIWEYL:
-        raise ValueError("anti-Weyl relation required")
-    if r.g != g:
-        raise ValueError(f"dimension mismatch: relation has g={r.g}, not {g}")
-    head = [(degree_one_generator(Subset.empty(g)), -r.tau)] if r.tau else []
-    return _chain_certificate(
-        r, head, frozenset(), ReductionError,
-        ("relation is not generated in degree <= 2", "certificate does not re-sum to the relation"),
-    )
-
-
-def equiv_class_check(I: Subset, J: Subset) -> Certificate:
-    """Certificate that eps_I and eps_J agree modulo M + quad-span, with M
-    the free module on eps_empty and the singleton vectors.
-
-    Requires |I| = |J| (equal-size index sets give equivalent period
-    classes).  Chain-stripping eps_I - eps_J leaves a residual m in M; the
-    certificate's target is eps_I - eps_J - m (tau 0) and its parts are the
-    stripped chains.
-    """
-    if I.g != J.g:
-        raise ValueError(f"dimension mismatch: g={I.g} vs g={J.g}")
-    if len(I) != len(J):
-        raise ValueError(f"sizes differ: |I|={len(I)} vs |J|={len(J)}")
-    g = I.g
-    vec = [0] * (1 << g)
-    vec[subset_rank(I)] += 1
-    vec[subset_rank(J)] -= 1
-    m_basis = [Subset.empty(g)] + [Subset.of(g, [i]) for i in range(1, g + 1)]
-    return _chain_certificate(
-        MonomialRelation(ANTIWEYL, g, tuple(vec)), [], frozenset(map(subset_rank, m_basis)),
-        AssertionError,
-        ("chain stripping left support outside M",
-         "equivalence certificate does not re-sum to eps_I - eps_J"),
-    )
-
-
-def _chain_certificate(
-    r: MonomialRelation, head: list, kept: frozenset, error: type, messages: tuple[str, str]
-) -> Certificate:
-    """Strip r minus the head parts along chains and certify the rest.
-
-    The strip residual may be nonzero only at the ranks in kept; the
-    certificate's target is r minus that residual, its parts are the head
-    and the stripped chains, and it must re-sum exactly.  A residual
-    outside kept raises error(messages[0]), a failed re-sum
-    error(messages[1]), explicitly so that python -O keeps both gates.
-    """
-    w = list(r.vec)
-    for gen, coeff in head:
-        for i, x in enumerate(gen.vec):
-            w[i] -= coeff * x
-    rem, chains = chain_strip(w, r.g)
-    if any(x for i, x in enumerate(rem) if i not in kept):
-        raise error(messages[0])
-    target = MonomialRelation(ANTIWEYL, r.g, tuple(x - m for x, m in zip(r.vec, rem)), r.tau)
-    cert = Certificate(target, (*head, *((chain_generator(S), c) for S, c in chains)))
-    if not cert.verify():
-        raise error(messages[1])
-    return cert
+        r, e = (subset_rank(slot), 1) if 1 not in slot else (subset_rank(slot.complement()), -1)
+        exps[r] = exps.get(r, 0) + e
+    return MonomialRelation(ANTIWEYL, g, exps.items())
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,12 @@ class Subset(Record):
         return cls(g, (1 << g) - 1)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(j for j in range(1, self.g + 1) if self.bits >> (j - 1) & 1)
+        out, bits = [], self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length())
+            bits ^= low
+        return tuple(out)
 
     def __contains__(self, j: int) -> bool:
         return 1 <= j <= self.g and bool(self.bits >> (j - 1) & 1)
@@ -113,7 +118,41 @@ class Subset(Record):
         return self._binop(other, self.bits ^ other.bits)
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(j) for j in self.members()) + "}"
+        return "{" + ",".join(map(str, self.members())) + "}"
+
+
+# Subsets are ordered by a total order compatible with complementation:
+# subsets without 1 come first, ranked by the binary value of their indicator
+# over positions 2..g; subsets containing 1 are ranked so that
+# rank(I) = 2^g - 1 - rank(I^c).  All tables, matrices and wedge signs
+# downstream use this order.
+
+
+def _rank_bits(g: int, bits: int) -> int:
+    """subset_rank of a plain g-bit mask, with no Subset built."""
+    if bits & 1 == 0:
+        return bits >> 1
+    full = (1 << g) - 1
+    return full - ((bits ^ full) >> 1)
+
+
+def _unrank_bits(g: int, r: int) -> int:
+    """The mask of subset_unrank(g, r), for r in 0 .. 2^g - 1."""
+    if r < 1 << (g - 1):
+        return r << 1
+    full = (1 << g) - 1
+    return full ^ ((full - r) << 1)
+
+
+def subset_rank(I: Subset) -> int:
+    """Position of I in the canonical total order on P({1,...,g})."""
+    return _rank_bits(I.g, I.bits)
+
+
+def subset_unrank(g: int, r: int) -> Subset:
+    if not 0 <= r < (1 << g):
+        raise ValueError(f"rank {r} outside 0..{(1 << g) - 1}")
+    return Subset(g, _unrank_bits(g, r))
 
 
 def submasks(bits: int) -> Iterator[int]:

@@ -1,4 +1,5 @@
-"""Reciprocity pairings, integer relation kernels, and monomial relations.
+"""Monomial period relations: the anti-Weyl relations and their degree <= 2
+certificates, and the period kernels of simple CM pairs.
 
 Two symbol universes occur.  On the simple-CM side a relation is an
 integer vector over the holomorphic periods th_1..th_g of one CM pair; the
@@ -11,228 +12,336 @@ matrix rec* sends the basis vector of Theta_I to sum_{j not in I} phi_j +
 sum_{j in I} phibar_j, and its kernel N' is the relation lattice.
 
 N' is generated by the "admissible quadruple" vectors
-eps_I + eps_J - eps_K - eps_L with I cup J = K cup L and I cap J = K cap L
-(quad_lattice materializes that span and lattice-equality against
-kernel_basis(rec*) makes the generation statement executable).  A
-convenient triangular family of admissible quadruples, the *chains*
+eps_I + eps_J - eps_K - eps_L with I cup J = K cup L and I cap J = K cap L.
+A convenient triangular family of admissible quadruples, the *chains*
 
     chain(S) = eps_S + eps_empty - eps_{S minus max S} - eps_{max S},
 
 one per S with |S| >= 2, spans the same lattice; stripping a vector along
 chains of decreasing size (chain_strip) leaves a residual supported on the
-empty set and the singletons.  The certificates built on that strip, for
-degree <= 2 reduction and for the equivalence of eps_I and eps_J, are
-hodge.Certificate values made by hodge.reduce_to_low_degree and
-hodge.equiv_class_check.
+empty set and the singletons.  Stripping eps_S gives the closed-form basis
+of N' that antiweyl_relations returns, one row
+
+    eps_S + (|S| - 1) eps_empty - sum_{j in S} eps_{j}
+
+per S with |S| >= 2: each row has a unit pivot on its own S, so the rows
+span a saturated lattice, and there are 2^g - g - 1 = 2^g - rank(rec*) of
+them.  They are the canonical HNF basis of N', in the same order.
+
+A relation stores only its nonzero exponents, and everything here (the
+closed form, the strip, the certificates, rendering) touches only those.
+The certificates built on the strip, for degree <= 2 reduction
+(reduce_to_low_degree) and for the equivalence of eps_I and eps_J
+(equiv_class_check), are one Certificate type with one re-summation
+checker.
 """
 from __future__ import annotations
 
-from .cmtypes import CMPairSpec, subset_rank, subset_unrank, translate_masks
-from .hyperoct import Subset, check_powerset_size, submasks
-from .intlattice import IntLattice, IntMatrix, hnf, kernel_basis
+from .hyperoct import Subset, _rank_bits, _unrank_bits, check_powerset_size, subset_rank, subset_unrank
 from .record import Record, set_slot
 
 SIMPLE = "simple"
 ANTIWEYL = "antiweyl"
 
-QUAD_LATTICE_MAX_G = 12
-
 
 class MonomialRelation(Record):
-    """Exponent vector of a monomial relation between period symbols.
+    """A monomial relation between period symbols, by its exponents.
 
-    For side == SIMPLE, vec has one entry per embedding phi_1..phi_g and
-    tau must be 0.  For side == ANTIWEYL, vec has one entry per subset of
-    {1,...,g} in canonical subset order, plus the tau exponent.
+    terms holds the nonzero exponents as (index, exponent) pairs in index
+    order.  For side == SIMPLE the indices are the embeddings phi_1..phi_g
+    (0-based) and tau must be 0; for side == ANTIWEYL they are the subsets
+    of {1,...,g} by canonical rank, and tau is the exponent of tau.  The
+    constructor takes the pairs, with distinct indices, in any order and
+    drops zero exponents, so == and hash compare relations.
     """
 
-    __slots__ = ("side", "g", "vec", "tau")
+    __slots__ = ("side", "g", "terms", "tau")
 
-    def __init__(self, side: str, g: int, vec: tuple[int, ...], tau: int = 0) -> None:
+    def __init__(self, side: str, g: int, terms, tau: int = 0) -> None:
         if side not in (SIMPLE, ANTIWEYL):
             raise ValueError(f"unknown side {side!r}")
-        want = g if side == SIMPLE else 1 << g
-        if len(vec) != want:
-            raise ValueError(f"vector length {len(vec)}, expected {want}")
         if side == SIMPLE and tau:
             raise ValueError("simple-CM relations carry no tau exponent")
+        terms = tuple(sorted((i, e) for i, e in terms if e))
+        size = g if side == SIMPLE else 1 << g
+        if terms and not (0 <= terms[0][0] and terms[-1][0] < size):
+            raise ValueError(f"an index lies outside 0..{size - 1}")
+        if any(a[0] == b[0] for a, b in zip(terms, terms[1:])):
+            raise ValueError("an index occurs twice")
         set_slot(self, "side", side)
         set_slot(self, "g", g)
-        set_slot(self, "vec", vec)
+        set_slot(self, "terms", terms)
         set_slot(self, "tau", tau)
 
+    @classmethod
+    def from_vec(cls, side: str, g: int, vec, tau: int = 0) -> "MonomialRelation":
+        """The relation with exponent vector vec, one entry per index."""
+        size = g if side == SIMPLE else 1 << g
+        if len(vec) != size:
+            raise ValueError(f"vector length {len(vec)}, expected {size}")
+        return cls(side, g, ((i, e) for i, e in enumerate(vec) if e), tau)
+
     def is_zero(self) -> bool:
-        return self.tau == 0 and not any(self.vec)
+        return self.tau == 0 and not self.terms
 
     def normalized(self) -> "MonomialRelation":
         """Flip signs so the first nonzero exponent is positive."""
-        for x in self.vec + (self.tau,):
-            if x > 0:
-                return self
-            if x < 0:
-                return MonomialRelation(
-                    self.side, self.g, tuple(-y for y in self.vec), -self.tau
-                )
-        return self
+        lead = self.terms[0][1] if self.terms else self.tau
+        if lead >= 0:
+            return self
+        return MonomialRelation(self.side, self.g, ((i, -e) for i, e in self.terms), -self.tau)
 
 
-def default_symbols(side: str, g: int) -> list[str]:
-    if side == SIMPLE:
-        return [f"th{j}" for j in range(1, g + 1)]
-    return [f"Th{subset_unrank(g, r)}" for r in range(1 << g)]
+def _named_terms(rel: MonomialRelation, symbols) -> list:
+    """(symbol, exponent) per nonzero exponent, in index order, tau last."""
+    if rel.side == SIMPLE:
+        return [(symbols[i], e) for i, e in rel.terms]
+    named = [(f"Th{subset_unrank(rel.g, i)}", e) for i, e in rel.terms]
+    if rel.tau:
+        named.append(("tau", rel.tau))
+    return named
 
 
-def render_relation(rel: MonomialRelation, symbols: list[str]) -> str:
-    """ASCII form 'A*B^2 ~ C'; positive exponents left, negatives right."""
-    terms = list(zip(symbols, rel.vec))
-    if rel.side == ANTIWEYL:
-        terms.append(("tau", rel.tau))
+def render_relation(rel: MonomialRelation, symbols=None) -> str:
+    """ASCII form 'A*B^2 ~ C'; positive exponents left, negatives right.
+
+    symbols names the periods of a simple-side relation by index; the
+    anti-Weyl symbols are Th{I} and tau.
+    """
+    named = _named_terms(rel, symbols)
 
     def side_str(sign: int) -> str:
-        parts = []
-        for name, e in terms:
-            if sign * e > 0:
-                parts.append(name if abs(e) == 1 else f"{name}^{abs(e)}")
+        parts = [name if e == sign else f"{name}^{sign * e}" for name, e in named if sign * e > 0]
         return "*".join(parts) if parts else "1"
 
     return f"{side_str(+1)} ~ {side_str(-1)}"
 
 
-def relation_to_json(rel: MonomialRelation, symbols: list[str]) -> dict:
-    terms = list(zip(symbols, rel.vec))
-    if rel.side == ANTIWEYL:
-        terms.append(("tau", rel.tau))
-    lhs = {name: e for name, e in terms if e > 0}
-    rhs = {name: -e for name, e in terms if e < 0}
-    return {"lhs": lhs, "rhs": rhs}
+def relation_to_json(rel: MonomialRelation, symbols=None) -> dict:
+    named = _named_terms(rel, symbols)
+    return {"lhs": {name: e for name, e in named if e > 0}, "rhs": {name: -e for name, e in named if e < 0}}
 
 
-def pairing_matrix(spec: CMPairSpec) -> IntMatrix:
+# ---------------------------------------------------------------------------
+# the simple side: period kernels of a CM pair
+
+
+def pairing_matrix(spec):
     """One row per translate sigma Phi (per mask sigma.empty in the orbit of
     the empty set, in mask order): +1 at j if phi_j lies in sigma Phi, -1 if
     phibar_j does.  Repeating a row for every element changes no kernel."""
+    from .cmtypes import translate_masks
+    from .intlattice import IntMatrix
+
     g = spec.g
     rows = [[-1 if m >> j & 1 else 1 for j in range(g)] for m in translate_masks(spec.group)]
     return IntMatrix.from_rows(rows, g)
 
 
-def kernel_N(spec: CMPairSpec) -> IntLattice:
+def kernel_N(spec):
     """Lattice of exponent vectors of holomorphic-period relations."""
+    from .intlattice import kernel_basis
+
     return kernel_basis(pairing_matrix(spec))
 
 
-def rec_star_antiweyl(g: int) -> IntMatrix:
-    """The 2g x 2^g matrix of rec* on character lattices.
-
-    Rows are phi_1..phi_g then phibar_1..phibar_g; the column of Theta_I
-    (canonical subset order) is the indicator of {phi_j : j not in I} +
-    {phibar_j : j in I}.
-    """
-    if g < 2:
-        raise ValueError(f"need g >= 2, got {g}")
-    check_powerset_size(g)
-    cols = [subset_unrank(g, r).bits for r in range(1 << g)]
-    rows = [[0 if bits >> (j - 1) & 1 else 1 for bits in cols] for j in range(1, g + 1)]
-    rows += [[1 if bits >> (j - 1) & 1 else 0 for bits in cols] for j in range(1, g + 1)]
-    return IntMatrix.from_rows(rows, 1 << g)
-
-
-def admissible_quadruples(g: int):
-    """Yield (I, J, K, L) with I|J = K|L, I&J = K&L, deduplicated so that
-    rank(I) <= rank(J), rank(K) <= rank(L) and (I,J) < (K,L)."""
-    for s_bits in range(1 << g):
-        for t_bits in submasks(s_bits):
-            d = s_bits ^ t_bits
-            if d.bit_count() < 2:
-                continue
-            pairs = set()
-            for a in submasks(d):
-                i_bits, j_bits = t_bits | a, t_bits | (d ^ a)
-                ri, rj = subset_rank(Subset(g, i_bits)), subset_rank(Subset(g, j_bits))
-                pairs.add((ri, rj, i_bits, j_bits) if ri <= rj else (rj, ri, j_bits, i_bits))
-            ordered = sorted(pairs)
-            for x in range(len(ordered)):
-                for y in range(x + 1, len(ordered)):
-                    yield (
-                        Subset(g, ordered[x][2]),
-                        Subset(g, ordered[x][3]),
-                        Subset(g, ordered[y][2]),
-                        Subset(g, ordered[y][3]),
-                    )
-
-
-def quadruple_vector(I: Subset, J: Subset, K: Subset, L: Subset) -> list[int]:
-    v = [0] * (1 << I.g)
-    v[subset_rank(I)] += 1
-    v[subset_rank(J)] += 1
-    v[subset_rank(K)] -= 1
-    v[subset_rank(L)] -= 1
-    return v
-
-
-def quad_lattice(g: int) -> IntLattice:
-    """Span of all admissible quadruple vectors (equals ker rec*)."""
-    if g > QUAD_LATTICE_MAX_G:
-        raise ValueError(f"quad_lattice supports g <= {QUAD_LATTICE_MAX_G}, got {g}")
-    n = 1 << g
-    basis: list = []
-    batch: list = []
-    for I, J, K, L in admissible_quadruples(g):
-        batch.append(quadruple_vector(I, J, K, L))
-        if len(batch) >= 4 * n:
-            basis = list(hnf(IntMatrix.from_rows(basis + batch, n)).entries)
-            batch = []
-    basis = list(hnf(IntMatrix.from_rows(basis + batch, n)).entries) if (batch or basis) else []
-    return IntLattice(n, IntMatrix.from_rows(basis, n))
-
-
-def relations_from_kernel(L: IntLattice, side: str) -> list[MonomialRelation]:
-    """One sign-normalized relation per canonical basis row."""
-    if side == SIMPLE:
-        g = L.dim
-    elif side == ANTIWEYL:
-        g = L.dim.bit_length() - 1
-        if 1 << g != L.dim:
-            raise ValueError(f"anti-Weyl lattice dimension {L.dim} is not a power of two")
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    return [
-        MonomialRelation(side, g, tuple(row)).normalized() for row in L.basis.entries
-    ]
+def relations_from_kernel(L) -> list[MonomialRelation]:
+    """One sign-normalized simple-side relation per canonical basis row of a
+    period kernel."""
+    return [MonomialRelation.from_vec(SIMPLE, L.dim, row).normalized() for row in L.basis.entries]
 
 
 # ---------------------------------------------------------------------------
-# chains
+# the anti-Weyl side: the closed-form kernel and chains
 
 
-def chain_quadruple(S: Subset) -> tuple[Subset, Subset, Subset, Subset]:
-    """chain(S) as the admissible quadruple (S, empty, S-max, {max})."""
-    if len(S) < 2:
-        raise ValueError("chains need |S| >= 2")
-    m = max(S.members())
-    return (S, Subset.empty(S.g), S ^ Subset.of(S.g, [m]), Subset.of(S.g, [m]))
+def antiweyl_relations(g: int) -> list[MonomialRelation]:
+    """The canonical basis of ker rec* as relations, one per S with
+    |S| >= 2 in rank order: Th_S * Th_{}^(|S|-1) ~ prod_{j in S} Th_{j}."""
+    if g < 2:
+        raise ValueError(f"need g >= 2, got {g}")
+    check_powerset_size(g)
+    singleton = [_rank_bits(g, 1 << j) for j in range(g)]
+    out = []
+    for r in range(1 << g):
+        bits = _unrank_bits(g, r)
+        size = bits.bit_count()
+        if size >= 2:
+            terms = [(0, size - 1), (r, 1), *((singleton[j], -1) for j in range(g) if bits >> j & 1)]
+            out.append(MonomialRelation(ANTIWEYL, g, terms))
+    return out
 
 
-def chain_strip(vec, g: int):
-    """Strip an anti-Weyl vector along chain generators.
+def chain_strip(terms, g: int):
+    """Strip an anti-Weyl vector, given by (rank, coefficient) pairs, along
+    chain generators.
 
     Returns (residual, parts): parts is a list of (S, coeff) meaning
-    coeff * chain(S) was subtracted; the residual has support inside
-    {empty} + singletons.  Since chains have pairwise distinct top sets,
-    one pass over subset sizes g..2 is exact back-substitution.
+    coeff * chain(S) was subtracted, by size descending and then mask
+    ascending; the residual, a dict rank -> nonzero coefficient, has
+    support inside {empty} + singletons.  Since chains have pairwise
+    distinct top sets, one pass over subset sizes g..2 is exact
+    back-substitution; it visits only the support.
     """
-    rem = list(vec)
+    rem = {}
+    levels = [set() for _ in range(g + 1)]
+    for r, c in terms:
+        bits = _unrank_bits(g, r)
+        rem[bits] = c
+        levels[bits.bit_count()].add(bits)
     parts = []
     for size in range(g, 1, -1):
-        for bits in range(1 << g):
-            if bits.bit_count() != size:
-                continue
-            S = Subset(g, bits)
-            c = rem[subset_rank(S)]
+        for bits in sorted(levels[size]):
+            c = rem.pop(bits)
             if not c:
                 continue
-            quad = quadruple_vector(*chain_quadruple(S))
-            for i, q in enumerate(quad):
-                rem[i] -= c * q
-            parts.append((S, c))
-    return rem, parts
+            # chain(S) = eps_S + eps_empty - eps_{S - max} - eps_{max}
+            top = 1 << (bits.bit_length() - 1)
+            for x, d in ((0, -c), (bits ^ top, c), (top, c)):
+                rem[x] = rem.get(x, 0) + d
+            levels[size - 1].add(bits ^ top)
+            parts.append((Subset(g, bits), c))
+    return {_rank_bits(g, bits): c for bits, c in rem.items() if c}, parts
+
+
+# ---------------------------------------------------------------------------
+# degree <= 2 generators and reduction certificates
+
+
+class ReductionError(ValueError):
+    """A relation failed to decompose over the degree <= 2 generators.
+
+    A ValueError, so the command line reports it like any other domain
+    error (exit 1 with its message).
+    """
+
+
+def degree_one_generator(I: Subset) -> MonomialRelation:
+    """Theta_I * Theta_{I^c} ~ tau."""
+    return MonomialRelation(ANTIWEYL, I.g, ((subset_rank(I), 1), (subset_rank(I.complement()), 1)), tau=-1)
+
+
+def chain_generator(S: Subset) -> MonomialRelation:
+    """The degree-two quadruple relation of the chain through S."""
+    if len(S) < 2:
+        raise ValueError("chains need |S| >= 2")
+    g, top = S.g, 1 << (S.bits.bit_length() - 1)
+    terms = ((subset_rank(S), 1), (0, 1), (_rank_bits(g, S.bits ^ top), -1), (_rank_bits(g, top), -1))
+    return MonomialRelation(ANTIWEYL, g, terms)
+
+
+def _is_degree_one(rel: MonomialRelation) -> bool:
+    if rel.side != ANTIWEYL or rel.tau != -1 or len(rel.terms) != 2:
+        return False
+    (a, x), (b, y) = rel.terms
+    return x == y == 1 and a + b == (1 << rel.g) - 1  # rank(I^c) = 2^g - 1 - rank(I)
+
+
+def _is_degree_two(rel: MonomialRelation) -> bool:
+    if rel.side != ANTIWEYL or rel.tau != 0:
+        return False
+    if sum(e for _, e in rel.terms if e > 0) != 2 or sum(e for _, e in rel.terms if e < 0) != -2:
+        return False
+    pos, neg = [], []
+    for r, e in rel.terms:
+        (pos if e > 0 else neg).extend([_unrank_bits(rel.g, r)] * abs(e))
+    (i, j), (k, l) = pos, neg
+    return i | j == k | l and i & j == k & l
+
+
+class Certificate(Record):
+    """Integer decomposition of a relation over degree <= 2 generators."""
+
+    __slots__ = ("target", "parts")
+
+    def __init__(self, target: MonomialRelation, parts: tuple) -> None:
+        set_slot(self, "target", target)
+        set_slot(self, "parts", parts)
+
+    def verify(self) -> bool:
+        """Exact re-summation, plus the generator-shape restriction."""
+        total, tau = {}, 0
+        for gen, coeff in self.parts:
+            if gen.g != self.target.g:
+                return False
+            if not (_is_degree_one(gen) or _is_degree_two(gen)):
+                return False
+            for r, e in gen.terms:
+                total[r] = total.get(r, 0) + coeff * e
+            tau += coeff * gen.tau
+        return tau == self.target.tau and {r: e for r, e in total.items() if e} == dict(self.target.terms)
+
+
+def reduce_to_low_degree(r: MonomialRelation, g: int) -> Certificate:
+    """Certificate expressing r over the degree-one generator of the empty
+    set and chain quadruples, found by triangular back-substitution.
+
+    The generators are triangular: the degree-one generator is the only one
+    carrying tau, and each chain has a unit pivot on its own top subset of
+    size >= 2.  Stripping tau and then every chain from large subsets down
+    (chain_strip) therefore decides membership exactly: r is generated in
+    degree <= 2 iff the residual vanishes, and otherwise ReductionError is
+    raised.
+    """
+    if r.side != ANTIWEYL:
+        raise ValueError("anti-Weyl relation required")
+    if r.g != g:
+        raise ValueError(f"dimension mismatch: relation has g={r.g}, not {g}")
+    head = [(degree_one_generator(Subset.empty(g)), -r.tau)] if r.tau else []
+    return _chain_certificate(
+        r, head, frozenset(), ReductionError,
+        ("relation is not generated in degree <= 2", "certificate does not re-sum to the relation"),
+    )
+
+
+def equiv_class_check(I: Subset, J: Subset) -> Certificate:
+    """Certificate that eps_I and eps_J agree modulo M + quad-span, with M
+    the free module on eps_empty and the singleton vectors.
+
+    Requires |I| = |J| (equal-size index sets give equivalent period
+    classes).  Chain-stripping eps_I - eps_J leaves a residual m in M; the
+    certificate's target is eps_I - eps_J - m (tau 0) and its parts are the
+    stripped chains.
+    """
+    if I.g != J.g:
+        raise ValueError(f"dimension mismatch: g={I.g} vs g={J.g}")
+    if len(I) != len(J):
+        raise ValueError(f"sizes differ: |I|={len(I)} vs |J|={len(J)}")
+    g = I.g
+    terms = [(subset_rank(I), 1), (subset_rank(J), -1)] if I != J else []
+    kept = frozenset([0, *(_rank_bits(g, 1 << j) for j in range(g))])
+    return _chain_certificate(
+        MonomialRelation(ANTIWEYL, g, terms), [], kept, AssertionError,
+        ("chain stripping left support outside M",
+         "equivalence certificate does not re-sum to eps_I - eps_J"),
+    )
+
+
+def _chain_certificate(
+    r: MonomialRelation, head: list, kept: frozenset, error: type, messages: tuple[str, str]
+) -> Certificate:
+    """Strip r minus the head parts along chains and certify the rest.
+
+    The strip residual may be nonzero only at the ranks in kept; the
+    certificate's target is r minus that residual, its parts are the head
+    and the stripped chains, and it must re-sum exactly.  A residual
+    outside kept raises error(messages[0]), a failed re-sum
+    error(messages[1]), explicitly so that python -O keeps both gates.
+    """
+    w = dict(r.terms)
+    for gen, coeff in head:
+        for i, e in gen.terms:
+            w[i] = w.get(i, 0) - coeff * e
+    rem, chains = chain_strip(w.items(), r.g)
+    if any(i not in kept for i in rem):
+        raise error(messages[0])
+    target = dict(r.terms)
+    for i, e in rem.items():
+        target[i] = target.get(i, 0) - e
+    cert = Certificate(
+        MonomialRelation(ANTIWEYL, r.g, target.items(), r.tau),
+        (*head, *((chain_generator(S), c) for S, c in chains)),
+    )
+    if not cert.verify():
+        raise error(messages[1])
+    return cert

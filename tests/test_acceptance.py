@@ -14,22 +14,20 @@ from cmlab.hodge import (
     bp_multisets,
     pohlmann_basis,
     quadruple_to_cycle,
-    reduce_to_low_degree,
     relation_of_cycle,
 )
 from cmlab.hyperoct import Subset, act_subset, compose, inverse
 from cmlab.intlattice import IntLattice, IntMatrix, hnf, kernel_basis, lattice_equal
 from cmlab.reciprocity import (
     ANTIWEYL,
-    SIMPLE,
     MonomialRelation,
     kernel_N,
-    quad_lattice,
-    rec_star_antiweyl,
+    reduce_to_low_degree,
     relations_from_kernel,
     render_relation,
 )
 from cmlab.sl2check import check_sl2
+from oracles import quad_lattice, rec_star_antiweyl
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
 MU19_PHI_STAR = [0, 1, 2, 4, 5, 8, 12, 15, 16]
@@ -75,7 +73,7 @@ def mu19_cubics():
             vec[subset_rank(orbit_subset(a))] += 1
         for a in neg:
             vec[subset_rank(orbit_subset(a))] -= 1
-        out.append(MonomialRelation(ANTIWEYL, 9, tuple(vec)))
+        out.append(MonomialRelation.from_vec(ANTIWEYL, 9, vec))
     return out
 
 
@@ -88,7 +86,7 @@ def test_criterion_01_mu19_kernel_and_relations():
     symbols = [f"Th[{a}]" for a in MU19_PHI]
     rendered = {
         render_relation(r, symbols)
-        for r in relations_from_kernel(lattice, SIMPLE)
+        for r in relations_from_kernel(lattice)
     }
     assert rendered == {
         "Th[0]*Th[6]*Th[17] ~ Th[2]*Th[3]*Th[14]",

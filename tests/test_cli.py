@@ -279,6 +279,11 @@ class TestMalformedInput:
         ("support", {"g": 3, "first": [[2], [3], [2, 3], [2.0]]}, "first[3][0] must be an integer"),
         ("support", {"g": 3, "first": [[], [2, 3], [2], [3]], "second": {}}, "second must be a list"),
         ("support", {"g": 3.0, "first": []}, "g must be an integer"),
+        ("reduce", {"g": 3, "vec": [0, 0, 0]}, "vec has 3 entries, expected 2^3 = 8"),
+        ("support", {"g": 3, "first": [[], [2], [3]]}, "first has 3 index sets, expected 4"),
+        ("support", {"g": 3, "first": [[], [9], [2], [3]]}, "first[1]: element 9 outside 1..3"),
+        ("support", {"g": 3, "first": [[], [2, 3], [2], [3]], "second": [[], [2, 3], [2], [0]]},
+         "second[3]: element 0 outside 1..3"),
     ])
     def test_exit_1_naming_the_field(self, tmp_path, capsys, command, data, message):
         path = write_json(tmp_path, "bad.json", data)
@@ -415,6 +420,30 @@ class TestSl2Check:
         assert lines[0] == "U={}: pass" and lines[-2] == "U={2,3,4,5,6}: pass"
         assert all(line.endswith(": pass") for line in lines[:-1])
         assert lines[-1] == "all checks passed"
+
+
+class TestOneRender:
+    """A handler builds only the chosen format: a table run renders no JSON
+    relation and a JSON run no table line."""
+
+    def test_relation_commands(self, mu19_file, tmp_path, capsys, monkeypatch):
+        import cmlab.cli_mu19
+        import cmlab.cli_relations
+
+        def refuse(*args):
+            raise AssertionError("rendered the format that was not asked for")
+
+        reduce_file = write_json(tmp_path, "r.json", {"g": 3, "vec": [1, 0, 0, 0, 0, 0, 0, 1], "tau": -1})
+        commands = [["relations", "--weyl-full", "--g", "3"], ["reduce", "--input", reduce_file],
+                    ["kernel", "--input", mu19_file], ["example-mu19"]]
+        for fmt, unused in (("table", "relation_to_json"), ("json", "render_relation")):
+            with monkeypatch.context() as patch:
+                for module in (cmlab.cli_relations, cmlab.cli_mu19):
+                    if hasattr(module, unused):
+                        patch.setattr(module, unused, refuse)
+                for argv in commands:
+                    assert main([*argv, "--format", fmt]) == 0, argv
+            capsys.readouterr()
 
 
 class TestJsonRoundTrip:

@@ -1,5 +1,6 @@
 """Exact lattice algebra: HNF canonicality, kernels, saturation, membership."""
 import itertools
+import math
 import random
 
 import pytest
@@ -174,3 +175,90 @@ def test_hnf_preserves_row_lattice(rows):
     # and conversely every HNF row is an integer combination of the inputs
     H2, U = hnf_with_transform(m)
     assert H2.entries[: h.rows] == h.entries
+
+
+# ---------------------------------------------------------------------------
+# an independent check of the lattice core against sympy (a test-only extra)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def integer_matrices(max_rows=5, max_cols=5):
+    return st.integers(1, max_cols).flatmap(lambda cols: st.lists(
+        st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), min_size=1, max_size=max_rows,
+    ).map(lambda rows: (rows, cols)))
+
+
+def sympy_row_lattice(sympy, rows):
+    """Columns spanning the row lattice of rows: sympy's column-style HNF of
+    the transpose (full column rank; no columns when the rows are zero)."""
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    return hermite_normal_form(sympy.Matrix(rows).T)
+
+
+def in_column_lattice(sympy, H, v) -> bool:
+    """Whether v is an integer combination of the independent columns of H,
+    by an exact rational solve."""
+    if H.cols == 0:
+        return not any(v)
+    try:
+        solution, _ = H.gauss_jordan_solve(sympy.Matrix(v))
+    except ValueError:  # inconsistent: v is not even in the rational span
+        return False
+    return all(x.is_integer for x in solution)
+
+
+class TestSympyCrossCheck:
+    """hnf, kernel_basis and member against sympy, compared as lattices
+    (rank plus mutual membership), since the HNF conventions differ."""
+
+    @given(integer_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_hnf_spans_the_sympy_hnf_lattice(self, sympy, case):
+        rows, cols = case
+        ours = IntLattice(cols, hnf(IntMatrix.from_rows(rows, cols)))
+        H = sympy_row_lattice(sympy, rows)
+        assert ours.rank == H.cols
+        for j in range(H.cols):
+            assert member([int(x) for x in H.col(j)], ours) is not None
+        for row in ours.basis.entries:
+            assert in_column_lattice(sympy, H, row)
+
+    @given(integer_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_is_the_saturated_rational_nullspace(self, sympy, case):
+        from sympy.matrices.normalforms import smith_normal_form
+
+        rows, cols = case
+        K = kernel_basis(IntMatrix.from_rows(rows, cols))
+        nullspace = sympy.Matrix(rows).nullspace()
+        assert K.rank == len(nullspace)
+        for n in nullspace:
+            # the primitive integer multiple of a rational kernel vector
+            v = [int(x * math.lcm(*(x.q for x in n))) for x in n]
+            assert member([x // math.gcd(*v) for x in v], K) is not None
+        for row in K.basis.entries:
+            assert sympy.Matrix(rows) * sympy.Matrix(row) == sympy.zeros(len(rows), 1)
+        if K.rank:
+            # saturated: every invariant factor of the basis is a unit
+            snf = smith_normal_form(sympy.Matrix(K.basis.entries), domain=sympy.ZZ)
+            assert [abs(snf[i, i]) for i in range(K.rank)] == [1] * K.rank
+
+    @given(integer_matrices(max_rows=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_member_agrees_with_an_exact_rational_solve(self, sympy, case, data):
+        rows, cols = case
+        if data.draw(st.booleans(), label="combination"):
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            v = [sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(cols)]
+        else:
+            v = data.draw(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), label="v")
+        L = IntLattice.from_rows(cols, rows)
+        found = member(v, L)
+        assert (found is not None) == in_column_lattice(sympy, sympy_row_lattice(sympy, rows), v)
+        if found is not None:
+            assert [sum(c * row[k] for c, row in zip(found, L.basis.entries)) for k in range(cols)] == v

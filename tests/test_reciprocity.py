@@ -1,5 +1,7 @@
-"""Pairing kernels, rec*, quadratic generation, chain certificates."""
+"""Pairing kernels, rec*, the closed-form kernel, quadratic generation,
+chain certificates."""
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,24 +10,30 @@ from hypothesis import strategies as st
 from cmlab.cli import main
 from cmlab.cmtypes import CMPairSpec, subset_rank, subset_unrank
 from cmlab.galois import from_generators
-from cmlab.hodge import chain_generator, equiv_class_check
 from cmlab.hyperoct import SignedPerm, Subset
 from cmlab.intlattice import IntLattice, IntMatrix, hnf, kernel_basis, lattice_equal, member
 from cmlab.reciprocity import (
     ANTIWEYL,
     SIMPLE,
     MonomialRelation,
-    admissible_quadruples,
+    antiweyl_relations,
+    chain_generator,
     chain_strip,
-    default_symbols,
+    degree_one_generator,
+    equiv_class_check,
     kernel_N,
     pairing_matrix,
-    quad_lattice,
-    quadruple_vector,
-    rec_star_antiweyl,
     relation_to_json,
     relations_from_kernel,
     render_relation,
+)
+from oracles import (
+    admissible_quadruples,
+    dense,
+    dense_chain_strip,
+    quad_lattice,
+    quadruple_vector,
+    rec_star_antiweyl,
 )
 from strategies import cm_pair_specs, generator_spec
 
@@ -187,7 +195,7 @@ class TestQuadLattice:
 class TestRelations:
     def test_mu19_cubics(self, mu19):
         K = kernel_N(mu19)
-        rels = relations_from_kernel(K, SIMPLE)
+        rels = relations_from_kernel(K)
         symbols = [f"Th[{a}]" for a in MU19_PHI]
         rendered = [render_relation(r, symbols) for r in rels]
         assert set(rendered) == {
@@ -196,32 +204,38 @@ class TestRelations:
         }
 
     def test_zero_lattice_empty(self):
-        assert relations_from_kernel(IntLattice.zero(5), SIMPLE) == []
+        assert relations_from_kernel(IntLattice.zero(5)) == []
 
     def test_antiweyl_g2(self):
-        rels = relations_from_kernel(quad_lattice(2), ANTIWEYL)
-        symbols = default_symbols(ANTIWEYL, 2)
-        assert [render_relation(r, symbols) for r in rels] == ["Th{}*Th{1,2} ~ Th{2}*Th{1}"]
-        assert sorted(rels[0].vec) == [-1, -1, 1, 1] and rels[0].tau == 0
+        rels = antiweyl_relations(2)
+        assert [render_relation(r) for r in rels] == ["Th{}*Th{1,2} ~ Th{2}*Th{1}"]
+        assert [dense(r) for r in rels] == [tuple(row) for row in quad_lattice(2).basis.entries]
+        assert sorted(dense(rels[0])) == [-1, -1, 1, 1] and rels[0].tau == 0
 
     def test_json_shape(self):
-        rel = MonomialRelation(SIMPLE, 3, (2, -1, -1))
+        rel = MonomialRelation.from_vec(SIMPLE, 3, (2, -1, -1))
         assert relation_to_json(rel, ["a", "b", "c"]) == {
             "lhs": {"a": 2},
             "rhs": {"b": 1, "c": 1},
         }
 
     def test_normalization(self):
-        rel = MonomialRelation(SIMPLE, 2, (-1, 1)).normalized()
-        assert rel.vec == (1, -1)
+        rel = MonomialRelation.from_vec(SIMPLE, 2, (-1, 1)).normalized()
+        assert rel.terms == ((0, 1), (1, -1))
 
     def test_tau_renders(self):
-        g = 2
-        vec = [0] * 4
-        vec[0] = 1
-        vec[3] = 1
-        rel = MonomialRelation(ANTIWEYL, g, tuple(vec), tau=-1)
-        assert render_relation(rel, default_symbols(ANTIWEYL, g)) == "Th{}*Th{1,2} ~ tau"
+        rel = MonomialRelation(ANTIWEYL, 2, [(3, 1), (0, 1)], tau=-1)
+        assert render_relation(rel) == "Th{}*Th{1,2} ~ tau"
+        assert relation_to_json(rel) == {"lhs": {"Th{}": 1, "Th{1,2}": 1}, "rhs": {"tau": 1}}
+
+    def test_sparse_form_is_canonical(self):
+        a = MonomialRelation(ANTIWEYL, 3, [(5, 2), (0, 0), (1, -1)])
+        b = MonomialRelation.from_vec(ANTIWEYL, 3, (0, -1, 0, 0, 0, 2, 0, 0))
+        assert a == b and hash(a) == hash(b) and a.terms == ((1, -1), (5, 2))
+        with pytest.raises(ValueError, match="outside 0..7"):
+            MonomialRelation(ANTIWEYL, 3, [(8, 1)])
+        with pytest.raises(ValueError, match="twice"):
+            MonomialRelation(ANTIWEYL, 3, [(2, 1), (2, -1)])
 
 
 class TestThetaGeneratorReduction:
@@ -234,7 +248,7 @@ class TestThetaGeneratorReduction:
         vec[0] = 1
         vec[subset_rank(Subset.of(3, [2]))] = -1
         vec[subset_rank(Subset.of(3, [3]))] = -1
-        assert chain_generator(Subset.of(3, [2, 3])) == MonomialRelation(ANTIWEYL, 3, tuple(vec))
+        assert chain_generator(Subset.of(3, [2, 3])) == MonomialRelation.from_vec(ANTIWEYL, 3, vec)
 
     def test_triple_in_quad_lattice(self):
         # Theta_{1,2,3} * Theta_empty^2 ~ Theta_{1} * Theta_{2} * Theta_{3}
@@ -254,17 +268,15 @@ class TestChainCertificates:
     def test_chain_strip_annihilates_quadruples(self):
         g = 3
         for I, J, K, L in admissible_quadruples(g):
-            rem, _ = chain_strip(quadruple_vector(I, J, K, L), g)
+            rem, _ = chain_strip(enumerate(quadruple_vector(I, J, K, L)), g)
             # residual must live in M (empty + singletons)
-            for r in range(1 << g):
-                if len(subset_unrank(g, r)) >= 2:
-                    assert rem[r] == 0
+            assert all(len(subset_unrank(g, r)) < 2 for r in rem)
 
     def test_equiv_same_subset_zero(self):
         I = Subset.of(4, [2, 3])
         cert = equiv_class_check(I, I)
         assert cert.verify()
-        assert cert.target == MonomialRelation(ANTIWEYL, 4, (0,) * 16)
+        assert cert.target == MonomialRelation(ANTIWEYL, 4, ())
         assert m_part(cert, I, I) == {}
         assert cert.parts == ()
 
@@ -317,7 +329,79 @@ def m_part(cert, I, J):
     """The nonzero coefficients of eps_I - eps_J - target, the part of
     eps_I - eps_J that the certificate leaves in M, by index set."""
     g = I.g
-    vec = [-x for x in cert.target.vec]
+    vec = [-x for x in dense(cert.target)]
     vec[subset_rank(I)] += 1
     vec[subset_rank(J)] -= 1
     return {subset_unrank(g, r): x for r, x in enumerate(vec) if x}
+
+
+class TestClosedFormKernel:
+    """antiweyl_relations against the HNF kernel of the dense rec*."""
+
+    @pytest.mark.parametrize("g", range(2, 11))
+    def test_equals_the_hnf_kernel_row_for_row(self, g):
+        rows = [dense(r) for r in antiweyl_relations(g)]
+        assert rows == list(kernel_basis(rec_star_antiweyl(g)).basis.entries)
+
+    def test_each_row_is_the_strip_of_its_top_set(self):
+        g = 6
+        for rel in antiweyl_relations(g):
+            top = max(r for r, _ in rel.terms if len(subset_unrank(g, r)) >= 2)
+            residual, parts = chain_strip([(top, 1)], g)
+            assert {r: -c for r, c in residual.items()} == {r: c for r, c in rel.terms if r != top}
+            assert parts[0] == (subset_unrank(g, top), 1)
+
+    def test_size_limits(self):
+        with pytest.raises(ValueError, match="need g >= 2"):
+            antiweyl_relations(1)
+        with pytest.raises(ValueError, match="exceeds the cap 16"):
+            antiweyl_relations(17)
+
+
+@st.composite
+def sparse_vectors(draw):
+    """(g, {rank: coefficient}) with a few nonzero coefficients at g <= 10."""
+    g = draw(st.integers(2, 10), label="g")
+    ranks = st.integers(0, (1 << g) - 1)
+    return g, draw(st.dictionaries(ranks, st.integers(-3, 3), max_size=12), label="vec")
+
+
+class TestSparseStrip:
+    @given(sparse_vectors())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_dense_strip(self, case):
+        g, vec = case
+        residual, parts = chain_strip(vec.items(), g)
+        dense_vec = [vec.get(r, 0) for r in range(1 << g)]
+        want_residual, want_parts = dense_chain_strip(dense_vec, g)
+        assert parts == want_parts
+        assert residual == {r: c for r, c in enumerate(want_residual) if c}
+
+    def test_large_g_touches_only_the_support(self):
+        # 2^24 subsets, of which the strip visits a handful
+        g = 24
+        S = Subset.of(g, [3, 9, 24])
+        rel = chain_generator(S)
+        residual, parts = chain_strip(rel.terms, g)
+        assert residual == {} and parts == [(S, 1)]
+
+
+def test_reduce_verifies_a_seeded_combination_at_g16(tmp_path, capsys):
+    g = 16
+    rng = random.Random(16)
+    vec, tau = [0] * (1 << g), 0
+    tops = rng.sample([bits for bits in range(1 << g) if bits.bit_count() >= 2], 40)
+    gens = [chain_generator(Subset(g, bits)) for bits in tops]
+    gens += [degree_one_generator(Subset(g, rng.randrange(1 << g))) for _ in range(5)]
+    for gen in gens:
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        for r, e in gen.terms:
+            vec[r] += c * e
+        tau += c * gen.tau
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps({"g": g, "vec": vec, "tau": tau}))
+    assert main(["reduce", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "verified: yes"
+    assert main(["reduce", "--input", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from cmlab.cmtypes import CMPairSpec, Compagnon, compagnons
 from cmlab.galois import GaloisGroup, from_cyclic_translation, weyl_full
-from cmlab.hodge import Certificate, CycleIndex, chain_generator, pohlmann_basis, reduce_to_low_degree
+from cmlab.hodge import CycleIndex, pohlmann_basis
 from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset
 from cmlab.intlattice import IntLattice, IntMatrix
-from cmlab.reciprocity import ANTIWEYL, SIMPLE, MonomialRelation
+from cmlab.reciprocity import ANTIWEYL, SIMPLE, Certificate, MonomialRelation, chain_generator, reduce_to_low_degree
 from cmlab.sl2check import SymplecticMatrix
 
 # small groups and pairs by recipe, so that two draws are often equal
@@ -47,9 +47,10 @@ def _signed_perm_args():
 def _relation_args():
     def at(side, g):
         n = g if side == SIMPLE else 1 << g
-        vec = st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(tuple)
+        terms = st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(
+            lambda vec: tuple((i, e) for i, e in enumerate(vec) if e))
         tau = st.just(0) if side == SIMPLE else st.integers(-1, 1)
-        return st.tuples(st.just(side), st.just(g), vec, tau)
+        return st.tuples(st.just(side), st.just(g), terms, tau)
     return st.tuples(st.sampled_from([SIMPLE, ANTIWEYL]), _small_g(1, 2)).flatmap(lambda t: at(*t))
 
 
@@ -72,7 +73,7 @@ def _chain_args():
 
 def _certificate(top, c):
     gen = chain_generator(Subset(*top))
-    return reduce_to_low_degree(MonomialRelation(ANTIWEYL, gen.g, tuple(c * x for x in gen.vec)), gen.g)
+    return reduce_to_low_degree(MonomialRelation(ANTIWEYL, gen.g, ((i, c * e) for i, e in gen.terms)), gen.g)
 
 
 # (record type, its fields in order, a strategy of constructor arguments,
@@ -94,7 +95,7 @@ RECORDS = [
      lambda a: IntMatrix(*a)),
     (IntLattice, ("dim", "basis"), st.integers(1, 2).flatmap(lambda c: st.tuples(st.just(c), _rows(c))),
      lambda a: IntLattice.from_rows(*a)),
-    (MonomialRelation, ("side", "g", "vec", "tau"), _relation_args(), lambda a: MonomialRelation(*a)),
+    (MonomialRelation, ("side", "g", "terms", "tau"), _relation_args(), lambda a: MonomialRelation(*a)),
     (SymplecticMatrix, ("g", "entries"), _symplectic_args(), lambda a: SymplecticMatrix(*a)),
 ]
 
@@ -184,9 +185,9 @@ def test_trusted_elements_equal_validated_ones():
     (lambda: CycleIndex(((Subset(2, 0), 1), (Subset(2, 0), 1))),
      "entries must be strictly increasing (distinct slots)"),
     (lambda: IntMatrix(((1, 2), (3,)), 2), "ragged matrix"),
-    (lambda: MonomialRelation("x", 2, (0, 0)), "unknown side 'x'"),
-    (lambda: MonomialRelation(ANTIWEYL, 2, (0, 0, 0)), "vector length 3, expected 4"),
-    (lambda: MonomialRelation(SIMPLE, 2, (0, 0), 1), "simple-CM relations carry no tau exponent"),
+    (lambda: MonomialRelation("x", 2, ()), "unknown side 'x'"),
+    (lambda: MonomialRelation.from_vec(ANTIWEYL, 2, (0, 0, 0)), "vector length 3, expected 4"),
+    (lambda: MonomialRelation(SIMPLE, 2, (), 1), "simple-CM relations carry no tau exponent"),
     (lambda: SymplecticMatrix(1, {(2, 0): 1}), "entry (2, 0) lies outside the 2x2 matrix for g=1"),
 ])
 def test_constructor_validation_messages(build, message):

@@ -19,10 +19,14 @@ def loaded_by(code: str) -> set:
     return set(run.stdout.split())
 
 
+def cmlab_modules(loaded: set) -> set:
+    return {m for m in loaded if m.split(".")[0] == "cmlab"}
+
+
 def test_building_the_parser_loads_no_solver():
     loaded = loaded_by("import cmlab.cli; cmlab.cli.build_parser()")
-    assert {m for m in loaded if m.startswith("cmlab")} == {"cmlab", "cmlab.cli"}
-    assert not loaded & {"dataclasses", "fractions"}
+    assert cmlab_modules(loaded) == {"cmlab", "cmlab.cli"}
+    assert not loaded & {"dataclasses", "fractions", "json"}
 
 
 def test_sl2_check_loads_no_lattice_code():
@@ -38,3 +42,18 @@ def test_orbits_loads_no_hodge_sl2_or_fractions(tmp_path):
     assert "cmlab.cmtypes" in loaded
     assert not loaded & {"cmlab.hodge", "cmlab.sl2check", "fractions"}
 
+
+ANTIWEYL_SIDE = {"cmlab", "cmlab.cli", "cmlab.cli_relations", "cmlab.reciprocity", "cmlab.hyperoct", "cmlab.record"}
+
+
+def test_relations_weyl_full_loads_only_the_antiweyl_side():
+    loaded = loaded_by("import cmlab.cli; code = cmlab.cli.main(['relations', '--weyl-full', '--g', '4'])")
+    assert cmlab_modules(loaded) == ANTIWEYL_SIDE
+    assert "json" not in loaded
+
+
+def test_reduce_loads_only_the_antiweyl_side(tmp_path):
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps({"g": 2, "vec": [1, 0, 0, 1], "tau": -1}))
+    loaded = loaded_by(f"import cmlab.cli; code = cmlab.cli.main(['reduce', '--input', {str(path)!r}])")
+    assert cmlab_modules(loaded) == ANTIWEYL_SIDE
