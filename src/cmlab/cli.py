@@ -11,9 +11,11 @@ handlers live in one small module per family of commands (cli_pairs,
 cli_relations, cli_hodge, cli_sl2, cli_mu19); main imports only the module
 of the command it runs, and a handler imports the solvers it uses and
 renders only the chosen --format.  So a command compiles and loads only its
-own part of the package (reduce and relations --weyl-full load reciprocity,
-hyperoct and record, and never the lattice code), and building the parser
-loads none of it.
+own part of the package, and building the parser loads none of it: reduce
+and relations --weyl-full load reciprocity, hyperoct and record;
+hodge-basis and support load hodge, cmtypes, galois, hyperoct and record,
+never the lattice or relation code; sl2-check loads sl2check, hyperoct and
+record.
 """
 from __future__ import annotations
 
@@ -78,17 +80,23 @@ def spec_from_json(data: dict):
         _check(data, {"g": int, "generators": [{"flips": [int], "perm": [int]}]})
         g = data["g"]
         gens = [SignedPerm.make(g, x["flips"], x["perm"]) for x in data["generators"]]
-        group = from_generators(g, gens)
-        return CMPairSpec(
-            group,
-            tuple(f"phi{j}" for j in range(1, group.g + 1)),
-            tuple(f"phibar{j}" for j in range(1, group.g + 1)),
-        )
+        return CMPairSpec.of_group(from_generators(g, gens))
     raise ValueError('input needs "cyclic", "weyl" or "generators"')
 
 
 def _load_spec(path: str):
     return spec_from_json(_read_json(path))
+
+
+def _load_source(args):
+    """The genus g of --weyl-full --g, or the pair read from --input."""
+    if args.weyl_full:
+        if args.g is None:
+            raise ValueError("--weyl-full needs --g")
+        return args.g
+    if args.input is None:
+        raise ValueError("needs --input FILE or --weyl-full with --g")
+    return _load_spec(args.input)
 
 
 # command -> (handler module, handler); each handler takes the parsed
@@ -121,33 +129,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, description, **flags):
+    def add(name, description, weyl=False, pn=False):
         sp = sub.add_parser(name, help=description, description=description)
         sp.add_argument("--format", choices=("table", "json"), default="table")
-        if flags.get("input"):
-            sp.add_argument("--input", required=flags["input"] == "required",
-                            metavar="FILE", help="JSON input file")
-        if flags.get("weyl"):
-            sp.add_argument("--weyl-full", action="store_true",
-                            help="use the full hyperoctahedral group at --g")
+        # --weyl-full stands in for the input file, so the two exclude each other
+        source = sp.add_mutually_exclusive_group() if weyl else sp
+        source.add_argument("--input", required=not weyl, metavar="FILE", help="JSON input file")
+        if weyl:
+            source.add_argument("--weyl-full", action="store_true",
+                                help="use the full hyperoctahedral group at --g")
             sp.add_argument("--g", type=_positive)
-        if flags.get("pn"):
+        if pn:
             sp.add_argument("--p", type=int, required=True)
             sp.add_argument("--n", type=int, required=True)
             sp.add_argument("--budget", type=_positive, default=POHLMANN_HARD_BUDGET, metavar="N",
                             help="fail once the Pohlmann walk has visited more than N nodes (hard cap 10^7)")
-        return sp
 
-    add("orbits", "orbit decomposition of the group on index sets", input="required")
-    add("reflex", "reflex CM type of a labeled pair", input="required")
-    add("compagnons", "all simple factors with degrees and labels", input="required")
-    add("kernel", "period-relation kernel, rank and monomial relations", input="required")
-    add("relations", "sign-normalized monomial relations", input="optional", weyl=True)
-    add("hodge-basis", "Hodge-class basis in degree p at power n",
-        input="optional", weyl=True, pn=True)
-    add("reduce", "degree <= 2 reduction certificate for a relation", input="required")
-    add("support", "support size, canonical form and equivalence of quadruples",
-        input="required")
+    add("orbits", "orbit decomposition of the group on index sets")
+    add("reflex", "reflex CM type of a labeled pair")
+    add("compagnons", "all simple factors with degrees and labels")
+    add("kernel", "period-relation kernel, rank and monomial relations")
+    add("relations", "sign-normalized monomial relations", weyl=True)
+    add("hodge-basis", "Hodge-class basis in degree p at power n", weyl=True, pn=True)
+    add("reduce", "degree <= 2 reduction certificate for a relation")
+    add("support", "support size, canonical form and equivalence of quadruples")
     sp = sub.add_parser("sl2-check", help="sl2-triple verification over all index sets",
                         description="sl2-triple verification over all index sets")
     sp.add_argument("--format", choices=("table", "json"), default="table")
@@ -159,7 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if vars(args).get("weyl_full") is False and args.g is not None:
+        parser.error(f"{args.command}: --g needs --weyl-full")
     module, name = _COMMANDS[args.command]
     handler = getattr(import_module(f"{__package__}.{module}"), name)
     as_json = args.format == "json"

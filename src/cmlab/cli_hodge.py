@@ -1,7 +1,7 @@
 """Command handlers on Hodge classes: hodge-basis and support."""
 from __future__ import annotations
 
-from .cli import _check, _load_spec, _read_json
+from .cli import _check, _load_source, _read_json
 from .galois import weyl_full
 from .hodge import canonical_form_weyl, pohlmann_basis, quadruple_support
 from .hyperoct import Subset
@@ -28,14 +28,8 @@ def _cycle_json(c, spec) -> list:
 
 
 def cmd_hodge_basis(args, as_json):
-    if args.weyl_full:
-        if args.g is None:
-            raise ValueError("--weyl-full needs --g")
-        target, spec = args.g, None
-    else:
-        if args.input is None:
-            raise ValueError("needs --input FILE or --weyl-full with --g")
-        target = spec = _load_spec(args.input)
+    target = _load_source(args)
+    spec = None if isinstance(target, int) else target
     basis = pohlmann_basis(target, args.p, args.n, args.budget)
     if as_json:
         return {

@@ -1,11 +1,11 @@
 """Command handler of example-mu19, the worked cyclotomic regression report."""
 from __future__ import annotations
 
-from .cli_pairs import label_table, labels_str
-from .cli_relations import certificate_json, kernel_report
-from .cmtypes import CMPairSpec, compagnon_labels, orbit_decomposition, reflex_labels
-from .hodge import admissible, quadruple_to_cycle, relation_of_cycle
-from .hyperoct import Subset, subset_rank
+from .cli_pairs import labels_str
+from .cli_relations import certificate_json, kernel_report, period_symbols
+from .cmtypes import CMPairSpec, compagnon_labels, labeled_translates, orbit_decomposition, reflex_labels
+from .hodge import quadruple_to_cycle, relation_of_cycle
+from .hyperoct import Subset, admissible, subset_rank
 from .reciprocity import ANTIWEYL, MonomialRelation, reduce_to_low_degree, render_relation
 
 # the base pair, its reflex, and the two factorizations through the
@@ -21,7 +21,7 @@ def cmd_example_mu19(args, as_json):
     spec_star = CMPairSpec.from_cyclic(_MU19_M, list(_MU19_PHI_STAR))
     spec_phi = CMPairSpec.from_cyclic(_MU19_M, list(_MU19_PHI))
     g = spec_star.g
-    table = label_table(spec_star)
+    table = labeled_translates(spec_star, Subset.empty(g))
     orbits = orbit_decomposition(spec_star.group)
     degree_census = {}
     for o in orbits:
@@ -49,7 +49,7 @@ def cmd_example_mu19(args, as_json):
             exps[r] = exps.get(r, 0) - c
         return MonomialRelation(ANTIWEYL, g, exps.items())
 
-    symbols = [f"Th[{name}]" for name in spec_phi.phi_names]
+    symbols = period_symbols(spec_phi)
     certificates = []
     factorization = []
     for rel in rels:

@@ -2,27 +2,18 @@
 from __future__ import annotations
 
 from .cli import _load_spec
-from .cmtypes import compagnon_labels, orbit_decomposition, reflex_labels, reflex_type
-from .hyperoct import Subset, act_subset
+from .cmtypes import compagnon_labels, labeled_translates, orbit_decomposition, reflex_labels, reflex_type
+from .hyperoct import Subset
 
 
 def labels_str(labels) -> str:
     return " ".join(f"[{a}]" for a in labels)
 
 
-def label_table(spec):
-    """Pairs (label, orbit index set I([label])) in label order."""
-    empty = Subset.empty(spec.g)
-    return [
-        (a, act_subset(spec.group.element_for_label(a), empty))
-        for a in sorted(spec.group.labels)
-    ]
-
-
 def cmd_orbits(args, as_json):
     spec = _load_spec(args.input)
     orbits = orbit_decomposition(spec.group)
-    rows = label_table(spec) if spec.group.labels is not None else None
+    rows = labeled_translates(spec, Subset.empty(spec.g)) if spec.group.labels is not None else None
     if as_json:
         return {
             "table": None if rows is None else {str(a): list(I.members()) for a, I in rows},

@@ -5,7 +5,7 @@ record); the period kernel of a pair loads the lattice code when it runs.
 """
 from __future__ import annotations
 
-from .cli import _check, _load_spec, _read_json
+from .cli import _check, _load_source, _load_spec, _read_json
 from .hyperoct import check_group_size
 from .reciprocity import (
     ANTIWEYL,
@@ -33,11 +33,16 @@ def _signed_sum(row, names) -> str:
     return " ".join(parts) if parts else "0"
 
 
+def period_symbols(spec) -> list[str]:
+    """The period symbols Th[name] of a pair's embeddings phi_1..phi_g."""
+    return [f"Th[{name}]" for name in spec.phi_names]
+
+
 def kernel_report(spec, as_json):
     """(the kernel command's report on a pair, its relations)."""
     lattice = kernel_N(spec)
     mt = spec.g + 1 - lattice.rank
-    symbols = [f"Th[{name}]" for name in spec.phi_names]
+    symbols = period_symbols(spec)
     rels = relations_from_kernel(lattice)
     if as_json:
         return {
@@ -59,16 +64,11 @@ def cmd_kernel(args, as_json):
 
 
 def cmd_relations(args, as_json):
-    if args.weyl_full:
-        if args.g is None:
-            raise ValueError("--weyl-full needs --g")
-        side, rels, symbols = ANTIWEYL, antiweyl_relations(args.g), None
+    source = _load_source(args)
+    if isinstance(source, int):
+        side, rels, symbols = ANTIWEYL, antiweyl_relations(source), None
     else:
-        if args.input is None:
-            raise ValueError("needs --input FILE or --weyl-full with --g")
-        spec = _load_spec(args.input)
-        side, rels = SIMPLE, relations_from_kernel(kernel_N(spec))
-        symbols = [f"Th[{name}]" for name in spec.phi_names]
+        side, rels, symbols = SIMPLE, relations_from_kernel(kernel_N(source)), period_symbols(source)
     if as_json:
         return {"side": side, "relations": [relation_to_json(r, symbols) for r in rels]}
     return [f"relations: {len(rels)}", *(f"relation: {render_relation(r, symbols)}" for r in rels)]

@@ -1,7 +1,7 @@
 """Command handler of sl2-check."""
 from __future__ import annotations
 
-from .cmtypes import tail_subsets
+from .hyperoct import tail_subsets
 from .sl2check import check_sl2
 
 _GATES = ("bracket_vv_zero", "bracket_vvbar_diagonal", "triple_identities")

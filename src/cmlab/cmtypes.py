@@ -6,10 +6,8 @@ empty set decodes to the base type Phi_E = {phi_1,...,phi_g}.  The Galois
 group permutes the 2^g CM types through the subset action; each orbit O_r
 yields one simple isogeny factor ("compagnon") of the generalized
 anti-Weyl variety, whose CM type is indexed by the orbit members not
-containing the distinguished position 1.
-
-Subsets are ranked in the canonical order of hyperoct.subset_rank, which
-this module re-exports with subset_unrank.
+containing the distinguished position 1.  Labeled (cyclic) pairs also
+have an orbit table, the translates a.I of an index set by each label a.
 """
 from __future__ import annotations
 
@@ -24,12 +22,6 @@ from .hyperoct import (
     subset_unrank,
 )
 from .record import Record, set_slot
-
-
-def tail_subsets(g: int) -> list[Subset]:
-    """The subsets of {2,...,g} in canonical order (ranks 0 .. 2^(g-1) - 1,
-    where the rank of a subset without 1 is its mask shifted right by one)."""
-    return [Subset(g, bits) for bits in range(0, 1 << g, 2)]
 
 
 class CMPairSpec(Record):
@@ -53,7 +45,7 @@ class CMPairSpec(Record):
 
     @classmethod
     def from_cyclic(cls, M: int, phi) -> "CMPairSpec":
-        group, _ = from_cyclic_translation(M, phi)
+        group = from_cyclic_translation(M, phi)
         phi = [a % M for a in phi]
         return cls(
             group,
@@ -62,12 +54,17 @@ class CMPairSpec(Record):
         )
 
     @classmethod
-    def weyl(cls, g: int) -> "CMPairSpec":
+    def of_group(cls, group: GaloisGroup) -> "CMPairSpec":
+        """The pair of group with its embeddings named phi1.. and phibar1.."""
         return cls(
-            weyl_full(g),
-            tuple(f"phi{j}" for j in range(1, g + 1)),
-            tuple(f"phibar{j}" for j in range(1, g + 1)),
+            group,
+            tuple(f"phi{j}" for j in range(1, group.g + 1)),
+            tuple(f"phibar{j}" for j in range(1, group.g + 1)),
         )
+
+    @classmethod
+    def weyl(cls, g: int) -> "CMPairSpec":
+        return cls.of_group(weyl_full(g))
 
     @property
     def g(self) -> int:
@@ -165,6 +162,13 @@ def encode_cm_type(labels, spec: CMPairSpec) -> Subset:
     return Subset(spec.g, bits)
 
 
+def labeled_translates(spec: CMPairSpec, base: Subset) -> list[tuple]:
+    """Pairs (a, a.base) for every label a of a labeled group, in label
+    order; base = empty gives the orbit table a -> I([a])."""
+    G = spec.group
+    return [(a, act_subset(G.elements[i], base)) for a, i in sorted(G.labels.items())]
+
+
 def reflex_labels(spec: CMPairSpec) -> list:
     """Labels a with 1 not in a.empty -- the CM type recovered by the reflex.
 
@@ -172,13 +176,9 @@ def reflex_labels(spec: CMPairSpec) -> list:
     the orbit-table entry of a avoids position 1 exactly when the
     translated base type is holomorphic at the distinguished embedding.
     """
-    G = spec.group
-    if G.labels is None:
+    if spec.group.labels is None:
         raise ValueError("reflex labels need a labeled (cyclic) group")
-    empty = Subset.empty(G.g)
-    return sorted(
-        lab for lab, i in G.labels.items() if 1 not in act_subset(G.elements[i], empty)
-    )
+    return [a for a, I in labeled_translates(spec, Subset.empty(spec.g)) if 1 not in I]
 
 
 def compagnon_labels(spec: CMPairSpec, base: Subset) -> list:
@@ -191,9 +191,6 @@ def compagnon_labels(spec: CMPairSpec, base: Subset) -> list:
     labels *avoiding* 1; both conventions are fixed by the cyclotomic
     regression data.
     """
-    G = spec.group
-    if G.labels is None:
+    if spec.group.labels is None:
         raise ValueError("compagnon labels need a labeled (cyclic) group")
-    return sorted(
-        lab for lab, i in G.labels.items() if 1 in act_subset(G.elements[i], base)
-    )
+    return [a for a, I in labeled_translates(spec, base) if 1 in I]

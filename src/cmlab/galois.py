@@ -23,11 +23,11 @@ class GaloisGroup(Record):
 
     `elements` order is the construction order (BFS discovery or residue
     order) and must stay deterministic.  `labels` maps an external label
-    (e.g. a residue mod M) to an element index; `rho_index` is the index of
-    rho.  `gens` generate the group (default: the elements) for orbit().
+    (e.g. a residue mod M) to an element index.  `gens` generate the group
+    (default: the elements) for orbit().
     """
 
-    __slots__ = ("g", "elements", "labels", "rho_index", "gens")
+    __slots__ = ("g", "elements", "labels", "gens")
 
     def __init__(self, g: int, elements: tuple, labels: dict | None = None, gens: tuple | None = None) -> None:
         set_slot(self, "g", g)
@@ -37,16 +37,12 @@ class GaloisGroup(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Validate the group and fill rho_index."""
+        """Validate the group."""
         check_group_size(self.g)
-        rho = SignedPerm.rho(self.g)
-        ident = SignedPerm.identity(self.g)
-        if ident not in self.elements:
+        if SignedPerm.identity(self.g) not in self.elements:
             raise ValueError("identity not in group")
-        try:
-            set_slot(self, "rho_index", self.elements.index(rho))
-        except ValueError:
-            raise ValueError("conjugation not in group") from None
+        if SignedPerm.rho(self.g) not in self.elements:
+            raise ValueError("conjugation not in group")
         # transitivity of the image in S_g: the orbit of 1 is everything
         seen = orbit(self.gens, 1, lambda t, j: t.perm[j - 1])
         if len(seen) != self.g:
@@ -57,10 +53,6 @@ class GaloisGroup(Record):
 
     def __iter__(self):
         return iter(self.elements)
-
-    @property
-    def rho(self) -> SignedPerm:
-        return self.elements[self.rho_index]
 
     def element_for_label(self, label) -> SignedPerm:
         if self.labels is None:
@@ -104,13 +96,13 @@ def from_generators(g: int, gens: list[SignedPerm]) -> GaloisGroup:
     return GaloisGroup(g, tuple(order), gens=tuple(gens))
 
 
-def from_cyclic_translation(M: int, phi) -> tuple[GaloisGroup, dict]:
+def from_cyclic_translation(M: int, phi) -> GaloisGroup:
     """Group of Z/M acting on itself by translation, via a CM transversal.
 
     `phi` lists M/2 residues, exactly one from each conjugate pair
     {a, a + M/2}; its j-th entry (in input order) is the embedding phi_j.
-    Returns the group (elements in residue order [0], [1], ..., [M-1],
-    generated by [1]) and the label map {t: embedded translation-by-t}.
+    Returns the group, its elements in residue order [0], [1], ..., [M-1],
+    generated by [1] and labeled by residue.
     """
     if M % 2:
         raise ValueError(f"M={M} must be even")
@@ -135,8 +127,7 @@ def from_cyclic_translation(M: int, phi) -> tuple[GaloisGroup, dict]:
                 flips |= 1 << (k - 1)
             perm[j - 1] = k
         elements.append(SignedPerm(g, Subset(g, flips), tuple(perm)))
-    group = GaloisGroup(g, tuple(elements), labels={t: t for t in range(M)}, gens=(elements[1],))
-    return group, {t: elements[t] for t in range(M)}
+    return GaloisGroup(g, tuple(elements), labels={t: t for t in range(M)}, gens=(elements[1],))
 
 
 def weyl_full(g: int) -> GaloisGroup:

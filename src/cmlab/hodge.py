@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 
 from . import POHLMANN_HARD_BUDGET
-from .cmtypes import CMPairSpec, tail_subsets, translate_masks
+from .cmtypes import CMPairSpec, translate_masks
 from .galois import GaloisGroup, orbit
 from .hyperoct import (
     EmbeddingLabel,
@@ -35,12 +35,12 @@ from .hyperoct import (
     _act_bits,
     act_embedding,
     act_subset,
+    admissible,
     check_powerset_size,
     subset_rank,
     subset_unrank,
+    tail_subsets,
 )
-from .intlattice import member
-from .reciprocity import ANTIWEYL, MonomialRelation, kernel_N
 from .record import Record, set_slot
 
 BP_MAX_G = 8
@@ -221,16 +221,6 @@ def bp_multisets(g: int, p: int, n: int) -> list[CycleIndex]:
     return out
 
 
-def admissible(I, J, K, L) -> bool:
-    """Union/intersection matching: I|J = K|L and I&J = K&L, i.e. every
-    point lies in exactly two of the four wedge slots I, J, K^c, L^c.
-
-    Takes four Subsets, or their four masks, where the same test runs on
-    plain integers and builds no Subset.
-    """
-    return I | J == K | L and I & J == K & L
-
-
 def b2_quadruples(g: int, n: int) -> list[tuple]:
     """Admissible quadruples (I, J, K, L, copies) over {2,...,g} with the
     canonical slot ordering: rank(I),copy <= rank(J),copy on the left,
@@ -290,6 +280,9 @@ def kernel_to_cycle(spec: CMPairSpec, alpha, n: int | None = None) -> CycleIndex
     """The canonical cycle of a kernel vector: copy l collects the
     embeddings with exponent >= l unbarred and those with exponent <= -l
     barred."""
+    from .intlattice import member
+    from .reciprocity import kernel_N
+
     g = spec.g
     alpha = tuple(alpha)
     if len(alpha) != g:
@@ -316,6 +309,8 @@ def relation_of_cycle(c: CycleIndex) -> MonomialRelation:
     """The monomial relation induced by a balanced subset-slot cycle:
     Theta_I on the left per holomorphic slot, Theta_{I^c} on the right per
     antiholomorphic slot; copy indices are irrelevant and dropped."""
+    from .reciprocity import ANTIWEYL, MonomialRelation
+
     if not c.entries:
         raise ValueError("cannot infer the ambient dimension of an empty cycle")
     if not isinstance(c.entries[0][0], Subset):

@@ -121,6 +121,16 @@ class Subset(Record):
         return "{" + ",".join(map(str, self.members())) + "}"
 
 
+def admissible(I, J, K, L) -> bool:
+    """Union/intersection matching: I|J = K|L and I&J = K&L, i.e. every
+    point lies in exactly two of the four wedge slots I, J, K^c, L^c.
+
+    Takes four Subsets, or their four masks, where the same test runs on
+    plain integers and builds no Subset.
+    """
+    return I | J == K | L and I & J == K & L
+
+
 # Subsets are ordered by a total order compatible with complementation:
 # subsets without 1 come first, ranked by the binary value of their indicator
 # over positions 2..g; subsets containing 1 are ranked so that
@@ -163,6 +173,12 @@ def submasks(bits: int) -> Iterator[int]:
         if not sub:
             return
         sub = (sub - 1) & bits
+
+
+def tail_subsets(g: int) -> list[Subset]:
+    """The subsets of {2,...,g} in canonical order (ranks 0 .. 2^(g-1) - 1,
+    where the rank of a subset without 1 is its mask shifted right by one)."""
+    return [Subset(g, bits) for bits in range(0, 1 << g, 2)]
 
 
 class EmbeddingLabel(Record):

@@ -32,12 +32,20 @@ A relation stores only its nonzero exponents, and everything here (the
 closed form, the strip, the certificates, rendering) touches only those.
 The certificates built on the strip, for degree <= 2 reduction
 (reduce_to_low_degree) and for the equivalence of eps_I and eps_J
-(equiv_class_check), are one Certificate type with one re-summation
-checker.
+(equiv_class_check), come from one path: equiv_class_check strips its
+residual off and reduces the rest.
 """
 from __future__ import annotations
 
-from .hyperoct import Subset, _rank_bits, _unrank_bits, check_powerset_size, subset_rank, subset_unrank
+from .hyperoct import (
+    Subset,
+    _rank_bits,
+    _unrank_bits,
+    admissible,
+    check_powerset_size,
+    subset_rank,
+    subset_unrank,
+)
 from .record import Record, set_slot
 
 SIMPLE = "simple"
@@ -245,8 +253,7 @@ def _is_degree_two(rel: MonomialRelation) -> bool:
     pos, neg = [], []
     for r, e in rel.terms:
         (pos if e > 0 else neg).extend([_unrank_bits(rel.g, r)] * abs(e))
-    (i, j), (k, l) = pos, neg
-    return i | j == k | l and i & j == k & l
+    return admissible(*pos, *neg)
 
 
 class Certificate(Record):
@@ -281,17 +288,27 @@ def reduce_to_low_degree(r: MonomialRelation, g: int) -> Certificate:
     size >= 2.  Stripping tau and then every chain from large subsets down
     (chain_strip) therefore decides membership exactly: r is generated in
     degree <= 2 iff the residual vanishes, and otherwise ReductionError is
-    raised.
+    raised.  The certificate must re-sum to r exactly; both gates raise
+    explicitly, so that python -O keeps them.
     """
     if r.side != ANTIWEYL:
         raise ValueError("anti-Weyl relation required")
     if r.g != g:
         raise ValueError(f"dimension mismatch: relation has g={r.g}, not {g}")
-    head = [(degree_one_generator(Subset.empty(g)), -r.tau)] if r.tau else []
-    return _chain_certificate(
-        r, head, frozenset(), ReductionError,
-        ("relation is not generated in degree <= 2", "certificate does not re-sum to the relation"),
-    )
+    w = dict(r.terms)
+    head = ()
+    if r.tau:
+        gen = degree_one_generator(Subset.empty(g))
+        head = ((gen, -r.tau),)
+        for i, e in gen.terms:
+            w[i] = w.get(i, 0) + r.tau * e
+    rem, chains = chain_strip(w.items(), g)
+    if rem:
+        raise ReductionError("relation is not generated in degree <= 2")
+    cert = Certificate(r, (*head, *((chain_generator(S), c) for S, c in chains)))
+    if not cert.verify():
+        raise ReductionError("certificate does not re-sum to the relation")
+    return cert
 
 
 def equiv_class_check(I: Subset, J: Subset) -> Certificate:
@@ -299,49 +316,21 @@ def equiv_class_check(I: Subset, J: Subset) -> Certificate:
     the free module on eps_empty and the singleton vectors.
 
     Requires |I| = |J| (equal-size index sets give equivalent period
-    classes).  Chain-stripping eps_I - eps_J leaves a residual m in M; the
-    certificate's target is eps_I - eps_J - m (tau 0) and its parts are the
-    stripped chains.
+    classes).  Chain-stripping eps_I - eps_J leaves a residual m, which
+    must lie in M (an explicit AssertionError otherwise, kept under
+    python -O); the certificate is the reduction of eps_I - eps_J - m,
+    whose parts are the stripped chains, since no chain top has size <= 1.
     """
     if I.g != J.g:
         raise ValueError(f"dimension mismatch: g={I.g} vs g={J.g}")
     if len(I) != len(J):
         raise ValueError(f"sizes differ: |I|={len(I)} vs |J|={len(J)}")
     g = I.g
-    terms = [(subset_rank(I), 1), (subset_rank(J), -1)] if I != J else []
-    kept = frozenset([0, *(_rank_bits(g, 1 << j) for j in range(g))])
-    return _chain_certificate(
-        MonomialRelation(ANTIWEYL, g, terms), [], kept, AssertionError,
-        ("chain stripping left support outside M",
-         "equivalence certificate does not re-sum to eps_I - eps_J"),
-    )
-
-
-def _chain_certificate(
-    r: MonomialRelation, head: list, kept: frozenset, error: type, messages: tuple[str, str]
-) -> Certificate:
-    """Strip r minus the head parts along chains and certify the rest.
-
-    The strip residual may be nonzero only at the ranks in kept; the
-    certificate's target is r minus that residual, its parts are the head
-    and the stripped chains, and it must re-sum exactly.  A residual
-    outside kept raises error(messages[0]), a failed re-sum
-    error(messages[1]), explicitly so that python -O keeps both gates.
-    """
-    w = dict(r.terms)
-    for gen, coeff in head:
-        for i, e in gen.terms:
-            w[i] = w.get(i, 0) - coeff * e
-    rem, chains = chain_strip(w.items(), r.g)
+    w = {subset_rank(I): 1, subset_rank(J): -1} if I != J else {}
+    rem, _ = chain_strip(w.items(), g)
+    kept = {0, *(_rank_bits(g, 1 << j) for j in range(g))}
     if any(i not in kept for i in rem):
-        raise error(messages[0])
-    target = dict(r.terms)
+        raise AssertionError("chain stripping left support outside M")
     for i, e in rem.items():
-        target[i] = target.get(i, 0) - e
-    cert = Certificate(
-        MonomialRelation(ANTIWEYL, r.g, target.items(), r.tau),
-        (*head, *((chain_generator(S), c) for S, c in chains)),
-    )
-    if not cert.verify():
-        raise error(messages[1])
-    return cert
+        w[i] = w.get(i, 0) - e
+    return reduce_to_low_degree(MonomialRelation(ANTIWEYL, g, w.items()), g)

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cmtypes import subset_rank, tail_subsets
-from .hyperoct import Subset, submasks
+from .hyperoct import Subset, submasks, subset_rank, tail_subsets
 from .record import Record, set_slot
 
 SL2_MAX_G = 6
@@ -156,10 +155,6 @@ def torus_element(coeffs, g: int) -> SymplecticMatrix:
     return SymplecticMatrix.diagonal(g, diag)
 
 
-def _tail(g: int) -> Subset:
-    return Subset.of(g, range(2, g + 1))
-
-
 def build_v(U: Subset) -> SymplecticMatrix:
     """The nilpotent v_U: sum of E_{I, {2..g} minus I} over index sets I in U.
 
@@ -171,7 +166,7 @@ def build_v(U: Subset) -> SymplecticMatrix:
         raise ValueError("build_v needs g >= 2")
     if 1 in U:
         raise ValueError("expected an index set inside {2,...,g}")
-    tail = _tail(g)
+    tail = Subset.of(g, range(2, g + 1))
     total = SymplecticMatrix.zero(g)
     for bits in submasks(U.bits):
         I = Subset(g, bits)
@@ -180,25 +175,9 @@ def build_v(U: Subset) -> SymplecticMatrix:
     return total.scaled(eps)
 
 
-def build_vbar(U: Subset) -> SymplecticMatrix:
-    """The conjugate nilpotent, built directly from lowering root vectors."""
-    g = U.g
-    if g < 2:
-        raise ValueError("build_vbar needs g >= 2")
-    if 1 in U:
-        raise ValueError("expected an index set inside {2,...,g}")
-    tail = _tail(g)
-    one = Subset.of(g, [1])
-    total = SymplecticMatrix.zero(g)
-    for bits in submasks(U.bits):
-        I = Subset(g, bits)
-        total = total + root_vector(I.complement(), one | I, g)
-    eps = Fraction(1, 2) if U == tail else Fraction(1)
-    return total.scaled(eps)
-
-
 def check_sl2(U: Subset, g: int, scale=1) -> dict:
-    """Verify that (v_U, vbar_U, [v_U, vbar_U]) is an sl2-triple.
+    """Verify that (v_U, vbar_U, [v_U, vbar_U]) is an sl2-triple, with
+    vbar_U = conj(v_U).
 
     The report keys name the identity groups: all v's commute pairwise,
     the bracket with the conjugate is diagonal, and the double brackets
@@ -212,7 +191,7 @@ def check_sl2(U: Subset, g: int, scale=1) -> dict:
         raise ValueError(f"index set lives at g={U.g}, not {g}")
     factor = Fraction(scale)
     v = build_v(U).scaled(factor)
-    vbar = build_vbar(U).scaled(factor)
+    vbar = conj(v)
     vv_zero = all(
         bracket(v, build_v(W).scaled(factor)).is_zero() for W in tail_subsets(g)
     )

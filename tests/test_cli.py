@@ -292,6 +292,47 @@ class TestMalformedInput:
         assert message in err
 
 
+class TestPinnedMessages:
+    @pytest.mark.parametrize("argv, data, message", [
+        (["reflex"], {"weyl": 3}, "reflex labels need a labeled (cyclic) group"),
+        (["orbits"], {"weyl": 17}, "full hyperoctahedral group for g=17 exceeds cap of 1000000"),
+        (["support"], {"g": 8, "first": [[], [2, 3], [2], [3]]},
+         "full hyperoctahedral group for g=8 exceeds cap of 1000000"),
+        (["hodge-basis", "--weyl-full", "--g", "2", "--p", "8", "--n", "1"], None,
+         "the packed accumulator supports p <= 7"),
+        (["sl2-check", "--g", "7"], None, "check_sl2 supports g <= 6, got 7"),
+        (["relations"], None, "needs --input FILE or --weyl-full with --g"),
+        (["hodge-basis", "--p", "1", "--n", "1"], None, "needs --input FILE or --weyl-full with --g"),
+        (["relations", "--weyl-full"], None, "--weyl-full needs --g"),
+        (["kernel"], "{not json",
+         "{path} is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (["kernel"], [1], "{path}: expected a JSON object"),
+        (["kernel"], {"cyclic": {"M": 5, "phi": [0, 1]}}, "M=5 must be even"),
+    ])
+    def test_exact_stderr_and_exit_1(self, tmp_path, capsys, argv, data, message):
+        path = tmp_path / "input.json"
+        if data is not None:
+            path.write_text(data if isinstance(data, str) else json.dumps(data))
+            argv = [*argv, "--input", str(path)]
+        assert run_cli(argv, capsys) == (1, "", f"error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["relations", "--weyl-full", "--g", "2", "--input", "nonexist.json"],
+         "cmlab relations: error: argument --input: not allowed with argument --weyl-full"),
+        (["hodge-basis", "--p", "1", "--n", "1", "--input", "x.json", "--weyl-full", "--g", "2"],
+         "cmlab hodge-basis: error: argument --weyl-full: not allowed with argument --input"),
+        (["relations", "--g", "2"], "cmlab: error: relations: --g needs --weyl-full"),
+        (["hodge-basis", "--p", "1", "--n", "1", "--g", "2", "--input", "x.json"],
+         "cmlab: error: hodge-basis: --g needs --weyl-full"),
+    ])
+    def test_contradictory_flags_are_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        out, err_text = capsys.readouterr()
+        assert err.value.code == 2 and out == ""
+        assert err_text.startswith("usage: cmlab") and err_text.endswith(f"\n{message}\n")
+
+
 # small JSON values over the keys the input shapes use; integers stay small
 # because a Weyl group of genus 7 alone takes seconds to build
 _KEYS = ("cyclic", "M", "phi", "weyl", "g", "generators", "flips", "perm",

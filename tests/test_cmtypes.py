@@ -16,10 +16,9 @@ from cmlab.cmtypes import (
     reflex_type,
     subset_rank,
     subset_unrank,
-    tail_subsets,
 )
 from cmlab.galois import from_generators
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset
+from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, tail_subsets
 from strategies import cm_pair_specs, signed_perms, subsets
 
 # Orbit table of the mu19 regression datum: translation label a -> I([a]).
@@ -173,6 +172,15 @@ class TestReflexAndCompagnons:
     def test_compagnon_Lprime(self, mu19):
         Lp = Subset.of(9, [4, 6, 7])
         assert compagnon_labels(mu19, Lp) == [4, 6, 7, 8, 9, 10, 11, 12, 14]
+
+    def test_unlabeled_group_messages(self):
+        spec = CMPairSpec.weyl(2)
+        with pytest.raises(ValueError) as err:
+            reflex_labels(spec)
+        assert str(err.value) == "reflex labels need a labeled (cyclic) group"
+        with pytest.raises(ValueError) as err:
+            compagnon_labels(spec, Subset.empty(2))
+        assert str(err.value) == "compagnon labels need a labeled (cyclic) group"
 
     def test_census(self, mu19):
         cs = compagnons(mu19)

@@ -19,7 +19,7 @@ _GROUPS = [("weyl", 1), ("weyl", 2), ("cyclic", 4, (0, 1)), ("cyclic", 4, (0, 3)
 
 
 def _group(recipe):
-    return weyl_full(recipe[1]) if recipe[0] == "weyl" else from_cyclic_translation(*recipe[1:])[0]
+    return weyl_full(recipe[1]) if recipe[0] == "weyl" else from_cyclic_translation(*recipe[1:])
 
 
 def _spec(recipe):
@@ -84,7 +84,7 @@ RECORDS = [
      lambda a: EmbeddingLabel(*a)),
     (SignedPerm, ("g", "flips", "perm"), _signed_perm_args(),
      lambda a: SignedPerm(a[0], Subset(a[0], a[1]), tuple(a[2]))),
-    (GaloisGroup, ("g", "elements", "labels", "rho_index", "gens"), st.sampled_from(_GROUPS), _group),
+    (GaloisGroup, ("g", "elements", "labels", "gens"), st.sampled_from(_GROUPS), _group),
     (CMPairSpec, ("group", "phi_names", "phibar_names"), st.sampled_from(_GROUPS), _spec),
     (Compagnon, ("orbit", "cm_type", "degree"),
      st.tuples(st.sampled_from(_GROUPS), st.integers(0, 1)),

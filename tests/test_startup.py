@@ -8,6 +8,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def loaded_by(code: str) -> set:
     script = (
@@ -57,3 +59,24 @@ def test_reduce_loads_only_the_antiweyl_side(tmp_path):
     path.write_text(json.dumps({"g": 2, "vec": [1, 0, 0, 1], "tau": -1}))
     loaded = loaded_by(f"import cmlab.cli; code = cmlab.cli.main(['reduce', '--input', {str(path)!r}])")
     assert cmlab_modules(loaded) == ANTIWEYL_SIDE
+
+
+HODGE_SIDE = {"cmlab", "cmlab.cli", "cmlab.cli_hodge", "cmlab.hodge", "cmlab.cmtypes", "cmlab.galois",
+              "cmlab.hyperoct", "cmlab.record"}
+SL2_SIDE = {"cmlab", "cmlab.cli", "cmlab.cli_sl2", "cmlab.sl2check", "cmlab.hyperoct", "cmlab.record"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["hodge-basis", "--weyl-full", "--g", "3", "--p", "1", "--n", "1"], HODGE_SIDE),
+    (["support", "--input", "QUAD"], HODGE_SIDE),
+    (["sl2-check", "--g", "2"], SL2_SIDE),
+], ids=["hodge-basis", "support", "sl2-check"])
+def test_hodge_and_sl2_commands_load_no_lattice_or_relation_code(tmp_path, argv, expected):
+    # hodge imports the lattice and relation code only inside
+    # kernel_to_cycle and relation_of_cycle, which neither command runs, and
+    # sl2-check takes its subsets from hyperoct, not from the group code
+    path = tmp_path / "quad.json"
+    path.write_text(json.dumps({"g": 3, "first": [[], [2, 3], [2], [3]]}))
+    argv = [str(path) if a == "QUAD" else a for a in argv]
+    loaded = loaded_by(f"import cmlab.cli; code = cmlab.cli.main({argv!r})")
+    assert cmlab_modules(loaded) == expected
