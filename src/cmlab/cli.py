@@ -33,10 +33,12 @@ def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        # besides I/O errors: bytes that are not UTF-8, an integer past the
+        # digit limit, or nesting past the recursion limit
+        raise ValueError(f"cannot read {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return data

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from .cli import _load_spec
-from .cmtypes import compagnon_labels, labeled_translates, orbit_decomposition, reflex_labels, reflex_type
+from .cmtypes import compagnon_labels, compagnons, labeled_translates, orbit_decomposition, reflex_labels, reflex_type
 from .hyperoct import Subset
 
 
@@ -51,20 +51,19 @@ def cmd_reflex(args, as_json):
 
 def cmd_compagnons(args, as_json):
     spec = _load_spec(args.input)
-    orbits = orbit_decomposition(spec.group)
     labeled = spec.group.labels is not None
     found = []
-    for k, orbit in enumerate(orbits):
+    for k, c in enumerate(compagnons(spec)):
         labels = None
         if labeled:
-            labels = reflex_labels(spec) if k == 0 else compagnon_labels(spec, orbit[0])
-        found.append((len(orbit), orbit[0], labels))
+            labels = reflex_labels(spec) if k == 0 else compagnon_labels(spec, c.key)
+        found.append((c.degree, c.key, labels))
     if as_json:
         return {"compagnons": [
             {"degree": degree, "key": list(key.members()), "labels": None if labels is None else list(labels)}
             for degree, key, labels in found
         ]}
-    lines = [f"compagnons: {len(orbits)}"]
+    lines = [f"compagnons: {len(found)}"]
     for k, (degree, key, labels) in enumerate(found):
         line = f"compagnon {k}: degree {degree}, key {key}"
         if labels is not None:

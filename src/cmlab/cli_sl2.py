@@ -1,8 +1,7 @@
 """Command handler of sl2-check."""
 from __future__ import annotations
 
-from .hyperoct import tail_subsets
-from .sl2check import check_sl2
+from .sl2check import sl2_reports
 
 _GATES = ("bracket_vv_zero", "bracket_vvbar_diagonal", "triple_identities")
 
@@ -11,7 +10,7 @@ def cmd_sl2_check(args, as_json):
     g = args.g
     if g < 2:
         raise ValueError("sl2-check needs --g >= 2")
-    reports = [(U, check_sl2(U, g)) for U in tail_subsets(g)]
+    reports = sl2_reports(g)
     if as_json:
         return {"g": g, "reports": [{"U": list(U.members()), **report} for U, report in reports]}
     lines = []

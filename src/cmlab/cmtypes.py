@@ -1,13 +1,14 @@
 """CM types as subsets, orbit decomposition, reflex types and compagnons.
 
 A CM type on E is encoded by the subset I of {1,...,g} of conjugated
-positions: it decodes to {phi_j : j not in I} + {phibar_j : j in I}, so the
-empty set decodes to the base type Phi_E = {phi_1,...,phi_g}.  The Galois
-group permutes the 2^g CM types through the subset action; each orbit O_r
-yields one simple isogeny factor ("compagnon") of the generalized
-anti-Weyl variety, whose CM type is indexed by the orbit members not
-containing the distinguished position 1.  Labeled (cyclic) pairs also
-have an orbit table, the translates a.I of an index set by each label a.
+positions: it stands for {phi_j : j not in I} + {phibar_j : j in I}, so the
+empty set is the base type Phi_E = {phi_1,...,phi_g}; only the subsets are
+ever built.  The Galois group permutes the 2^g CM types through the subset
+action; each orbit O_r yields one simple isogeny factor ("compagnon") of
+the generalized anti-Weyl variety, whose CM type is indexed by the orbit
+members not containing the distinguished position 1.  Labeled (cyclic)
+pairs also have an orbit table, the translates a.I of an index set by
+each label a.
 """
 from __future__ import annotations
 
@@ -139,34 +140,11 @@ def reflex_type(spec: CMPairSpec) -> Compagnon:
     return _compagnon_of(sorted((Subset(spec.g, b) for b in translate_masks(spec.group)), key=subset_rank))
 
 
-def decode_cm_type(I: Subset, spec: CMPairSpec) -> frozenset[EmbeddingLabel]:
-    """The CM type indexed by I: {phi_j : j not in I} + {phibar_j : j in I}."""
-    return frozenset(
-        EmbeddingLabel(j, bar=(j in I)) for j in range(1, spec.g + 1)
-    )
-
-
-def encode_cm_type(labels, spec: CMPairSpec) -> Subset:
-    """Inverse of decode_cm_type; rejects non-transversal label sets."""
-    labels = set(labels)
-    if len(labels) != spec.g:
-        raise ValueError(f"a CM type has {spec.g} labels, got {len(labels)}")
-    bits = 0
-    for x in labels:
-        if not 1 <= x.index <= spec.g:
-            raise ValueError(f"label index {x.index} outside 1..{spec.g}")
-        if x.conjugate() in labels:
-            raise ValueError(f"labels contain a conjugate pair at index {x.index}")
-        if x.bar:
-            bits |= 1 << (x.index - 1)
-    return Subset(spec.g, bits)
-
-
 def labeled_translates(spec: CMPairSpec, base: Subset) -> list[tuple]:
     """Pairs (a, a.base) for every label a of a labeled group, in label
     order; base = empty gives the orbit table a -> I([a])."""
     G = spec.group
-    return [(a, act_subset(G.elements[i], base)) for a, i in sorted(G.labels.items())]
+    return [(a, act_subset(G.element_for_label(a), base)) for a in sorted(G.labels)]
 
 
 def reflex_labels(spec: CMPairSpec) -> list:

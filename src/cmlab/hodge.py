@@ -33,8 +33,6 @@ from .hyperoct import (
     EmbeddingLabel,
     Subset,
     _act_bits,
-    act_embedding,
-    act_subset,
     admissible,
     check_powerset_size,
     subset_rank,
@@ -88,23 +86,9 @@ class CycleIndex(Record):
         set_slot(self, "entries", entries)
 
     @property
-    def p(self) -> int:
-        return len(self.entries) // 2
-
-    @property
     def bidegree(self) -> tuple[int, int]:
         hol = sum(1 for slot, _ in self.entries if _is_hol(slot))
         return (hol, len(self.entries) - hol)
-
-    def translated(self, t) -> "CycleIndex":
-        """Apply a signed permutation to every slot and re-sort."""
-        moved = []
-        for slot, copy in self.entries:
-            if isinstance(slot, Subset):
-                moved.append((act_subset(t, slot), copy))
-            else:
-                moved.append((act_embedding(t, slot), copy))
-        return CycleIndex(tuple(sorted(moved, key=_slot_key)))
 
 
 def _holomorphy_profiles(spec) -> tuple[dict, int]:
@@ -274,35 +258,6 @@ def quadruple_to_cycle(I: Subset, J: Subset, K: Subset, L: Subset, copies=(1, 1,
         (L.complement(), copies[3]),
     ]
     return CycleIndex(tuple(sorted(slots, key=_slot_key)))
-
-
-def kernel_to_cycle(spec: CMPairSpec, alpha, n: int | None = None) -> CycleIndex:
-    """The canonical cycle of a kernel vector: copy l collects the
-    embeddings with exponent >= l unbarred and those with exponent <= -l
-    barred."""
-    from .intlattice import member
-    from .reciprocity import kernel_N
-
-    g = spec.g
-    alpha = tuple(alpha)
-    if len(alpha) != g:
-        raise ValueError(f"vector length {len(alpha)}, expected {g}")
-    if member(alpha, kernel_N(spec)) is None:
-        raise ValueError("vector is not in the relation kernel")
-    depth = max((abs(a) for a in alpha), default=0)
-    if n is None:
-        n = depth
-    elif n < depth:
-        raise ValueError(f"n too small: the vector needs n >= {depth}")
-    entries = []
-    for copy in range(1, n + 1):
-        for j, a in enumerate(alpha, start=1):
-            if a >= copy:
-                entries.append((EmbeddingLabel(j, False), copy))
-        for j, a in enumerate(alpha, start=1):
-            if a <= -copy:
-                entries.append((EmbeddingLabel(j, True), copy))
-    return CycleIndex(tuple(sorted(entries, key=_slot_key)))
 
 
 def relation_of_cycle(c: CycleIndex) -> MonomialRelation:

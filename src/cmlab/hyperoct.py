@@ -190,9 +190,6 @@ class EmbeddingLabel(Record):
         set_slot(self, "index", index)
         set_slot(self, "bar", bar)
 
-    def conjugate(self) -> "EmbeddingLabel":
-        return EmbeddingLabel(self.index, not self.bar)
-
     def __str__(self) -> str:
         return f"phibar_{self.index}" if self.bar else f"phi_{self.index}"
 
@@ -295,11 +292,3 @@ def act_subset(t: SignedPerm, I: Subset) -> Subset:
     if t.g != I.g:
         raise ValueError(f"dimension mismatch: g={t.g} vs g={I.g}")
     return Subset(t.g, _act_bits(t, I.bits))
-
-
-def act_embedding(t: SignedPerm, x: EmbeddingLabel) -> EmbeddingLabel:
-    """Left action on the 2g embedding labels."""
-    if not 1 <= x.index <= t.g:
-        raise ValueError(f"label index {x.index} outside 1..{t.g}")
-    j = t.perm[x.index - 1]
-    return EmbeddingLabel(j, x.bar ^ (j in t.flips))

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: HNF, kernels, membership.
+"""Exact integer linear algebra: HNF and kernels.
 
 Everything is arbitrary-precision; no floating point enters this module.
 The canonical basis of a lattice is a row-style Hermite normal form with
@@ -40,16 +40,6 @@ class IntMatrix(Record):
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
-
-def _trailing_pivot(row: Sequence[int]) -> int:
-    for c in range(len(row) - 1, -1, -1):
-        if row[c]:
-            return c
-    return -1
 
 
 def _hnf_right(rows: list[list[int]], ncols: int, transform: bool):
@@ -106,12 +96,6 @@ def hnf(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(A[:rank], m.cols)
 
 
-def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """(H, U) with U unimodular, U*m = H; zero rows of H retained."""
-    A, _, U = _hnf_right([list(r) for r in m.entries], m.cols, transform=True)
-    return IntMatrix.from_rows(A, m.cols), IntMatrix.from_rows(U, m.rows)
-
-
 class IntLattice(Record):
     """A sublattice of Z^dim with HNF-canonical basis (unique per lattice)."""
 
@@ -124,10 +108,6 @@ class IntLattice(Record):
     @classmethod
     def from_rows(cls, dim: int, rows: Iterable[Sequence[int]]) -> "IntLattice":
         return cls(dim, hnf(IntMatrix.from_rows(rows, dim)))
-
-    @classmethod
-    def zero(cls, dim: int) -> "IntLattice":
-        return cls(dim, IntMatrix.from_rows([], dim))
 
     @classmethod
     def full(cls, dim: int) -> "IntLattice":
@@ -149,26 +129,6 @@ def kernel_basis(m: IntMatrix) -> IntLattice:
     A, _, U = _hnf_right(tr, m.rows, transform=True)
     ker = [U[i] for i in range(len(A)) if not any(A[i])]
     return IntLattice.from_rows(m.cols, ker)
-
-
-def member(v: Sequence[int], L: IntLattice):
-    """Coefficients of v over L's canonical basis, or None if v not in L."""
-    if len(v) != L.dim:
-        raise ValueError(f"dimension mismatch: vector has {len(v)}, lattice has {L.dim}")
-    rem = [int(x) for x in v]
-    coeffs = []
-    # back-substitute from the row with the rightmost pivot down
-    for row in reversed(L.basis.entries):
-        p = _trailing_pivot(row)
-        c, res = divmod(rem[p], row[p])
-        if res:
-            return None
-        coeffs.append(c)
-        if c:
-            rem = [x - c * y for x, y in zip(rem, row)]
-    if any(rem):
-        return None
-    return tuple(reversed(coeffs))
 
 
 def lattice_equal(L1: IntLattice, L2: IntLattice) -> bool:

@@ -29,11 +29,8 @@ span a saturated lattice, and there are 2^g - g - 1 = 2^g - rank(rec*) of
 them.  They are the canonical HNF basis of N', in the same order.
 
 A relation stores only its nonzero exponents, and everything here (the
-closed form, the strip, the certificates, rendering) touches only those.
-The certificates built on the strip, for degree <= 2 reduction
-(reduce_to_low_degree) and for the equivalence of eps_I and eps_J
-(equiv_class_check), come from one path: equiv_class_check strips its
-residual off and reduces the rest.
+closed form, the strip, the degree <= 2 certificates of
+reduce_to_low_degree, rendering) touches only those.
 """
 from __future__ import annotations
 
@@ -88,9 +85,6 @@ class MonomialRelation(Record):
         if len(vec) != size:
             raise ValueError(f"vector length {len(vec)}, expected {size}")
         return cls(side, g, ((i, e) for i, e in enumerate(vec) if e), tau)
-
-    def is_zero(self) -> bool:
-        return self.tau == 0 and not self.terms
 
     def normalized(self) -> "MonomialRelation":
         """Flip signs so the first nonzero exponent is positive."""
@@ -310,27 +304,3 @@ def reduce_to_low_degree(r: MonomialRelation, g: int) -> Certificate:
         raise ReductionError("certificate does not re-sum to the relation")
     return cert
 
-
-def equiv_class_check(I: Subset, J: Subset) -> Certificate:
-    """Certificate that eps_I and eps_J agree modulo M + quad-span, with M
-    the free module on eps_empty and the singleton vectors.
-
-    Requires |I| = |J| (equal-size index sets give equivalent period
-    classes).  Chain-stripping eps_I - eps_J leaves a residual m, which
-    must lie in M (an explicit AssertionError otherwise, kept under
-    python -O); the certificate is the reduction of eps_I - eps_J - m,
-    whose parts are the stripped chains, since no chain top has size <= 1.
-    """
-    if I.g != J.g:
-        raise ValueError(f"dimension mismatch: g={I.g} vs g={J.g}")
-    if len(I) != len(J):
-        raise ValueError(f"sizes differ: |I|={len(I)} vs |J|={len(J)}")
-    g = I.g
-    w = {subset_rank(I): 1, subset_rank(J): -1} if I != J else {}
-    rem, _ = chain_strip(w.items(), g)
-    kept = {0, *(_rank_bits(g, 1 << j) for j in range(g))}
-    if any(i not in kept for i in rem):
-        raise AssertionError("chain stripping left support outside M")
-    for i, e in rem.items():
-        w[i] = w.get(i, 0) - e
-    return reduce_to_low_degree(MonomialRelation(ANTIWEYL, g, w.items()), g)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .hyperoct import Subset, submasks, subset_rank, tail_subsets
 from .record import Record, set_slot
 
-SL2_MAX_G = 6
+SL2_MAX_G = 8
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -49,13 +49,6 @@ class SymplecticMatrix(Record):
     @classmethod
     def zero(cls, g: int) -> "SymplecticMatrix":
         return cls(g, ())
-
-    @classmethod
-    def diagonal(cls, g: int, diag) -> "SymplecticMatrix":
-        values = [Fraction(d) for d in diag]
-        if len(values) != 1 << g:
-            raise ValueError(f"expected {1 << g} diagonal entries")
-        return cls(g, {(i, i): d for i, d in enumerate(values)})
 
     def _combine(self, other: "SymplecticMatrix", sign: int) -> "SymplecticMatrix":
         total = dict(self.entries)
@@ -91,17 +84,6 @@ class SymplecticMatrix(Record):
 
     def is_diagonal(self) -> bool:
         return all(i == j for (i, j), _ in self.entries)
-
-    def in_lie_algebra(self) -> bool:
-        """Membership in sp: M^T Omega + Omega M = 0."""
-        form = omega(self.g)
-        return (self.transpose() @ form + form @ self).is_zero()
-
-
-def omega(g: int) -> SymplecticMatrix:
-    """The symplectic form: position k pairs with position 2^g-1-k."""
-    n = 1 << g
-    return SymplecticMatrix(g, {(k, n - 1 - k): _ONE if k < n // 2 else -_ONE for k in range(n)})
 
 
 def conj(m: SymplecticMatrix) -> SymplecticMatrix:
@@ -139,22 +121,6 @@ def root_vector(I: Subset, J: Subset, g: int) -> SymplecticMatrix:
     })
 
 
-def torus_element(coeffs, g: int) -> SymplecticMatrix:
-    """Diagonal torus element with value c_I on x_I and -c_I on y_I.
-
-    `coeffs` maps index sets inside {2,...,g} to rational values; missing
-    sets default to zero.
-    """
-    n = 1 << g
-    diag = [_ZERO] * n
-    for I, c in coeffs.items():
-        if I.g != g or 1 in I:
-            raise ValueError("torus coefficients are indexed by subsets of {2,...,g}")
-        diag[subset_rank(I)] = Fraction(c)
-        diag[subset_rank(I.complement())] = -Fraction(c)
-    return SymplecticMatrix.diagonal(g, diag)
-
-
 def build_v(U: Subset) -> SymplecticMatrix:
     """The nilpotent v_U: sum of E_{I, {2..g} minus I} over index sets I in U.
 
@@ -175,31 +141,47 @@ def build_v(U: Subset) -> SymplecticMatrix:
     return total.scaled(eps)
 
 
+def _nilpotents(g: int, scale) -> list[SymplecticMatrix]:
+    """scale * v_W for every W inside {2,...,g}, in canonical order: the
+    index of W is its mask shifted right by one."""
+    if g > SL2_MAX_G:
+        raise ValueError(f"check_sl2 supports g <= {SL2_MAX_G}, got {g}")
+    factor = Fraction(scale)
+    return [build_v(W).scaled(factor) for W in tail_subsets(g)]
+
+
+def _report(v: SymplecticMatrix, nilpotents) -> dict:
+    vbar = conj(v)
+    h = bracket(v, vbar)
+    return {
+        "bracket_vv_zero": all(bracket(v, w).is_zero() for w in nilpotents),
+        "bracket_vvbar_diagonal": h.is_diagonal(),
+        "triple_identities": (
+            bracket(v, h) == v.scaled(2) and bracket(vbar, bracket(vbar, v)) == vbar.scaled(2)
+        ),
+    }
+
+
 def check_sl2(U: Subset, g: int, scale=1) -> dict:
     """Verify that (v_U, vbar_U, [v_U, vbar_U]) is an sl2-triple, with
     vbar_U = conj(v_U).
 
     The report keys name the identity groups: all v's commute pairwise,
     the bracket with the conjugate is diagonal, and the double brackets
-    reproduce twice the nilpotents.  `scale` rescales both nilpotents and
+    reproduce twice the nilpotents.  `scale` rescales all nilpotents and
     serves as a negative control: values other than +1 or -1 must break
     the triple identities.
     """
-    if g > SL2_MAX_G:
-        raise ValueError(f"check_sl2 supports g <= {SL2_MAX_G}, got {g}")
     if U.g != g:
         raise ValueError(f"index set lives at g={U.g}, not {g}")
-    factor = Fraction(scale)
-    v = build_v(U).scaled(factor)
-    vbar = conj(v)
-    vv_zero = all(
-        bracket(v, build_v(W).scaled(factor)).is_zero() for W in tail_subsets(g)
-    )
-    h = bracket(v, vbar)
-    return {
-        "bracket_vv_zero": vv_zero,
-        "bracket_vvbar_diagonal": h.is_diagonal(),
-        "triple_identities": (
-            bracket(v, h) == v.scaled(2) and bracket(vbar, bracket(vbar, v)) == vbar.scaled(2)
-        ),
-    }
+    if 1 in U:
+        raise ValueError("expected an index set inside {2,...,g}")
+    nilpotents = _nilpotents(g, scale)
+    return _report(nilpotents[U.bits >> 1], nilpotents)
+
+
+def sl2_reports(g: int) -> list[tuple[Subset, dict]]:
+    """(U, check_sl2(U, g)) for every U inside {2,...,g}, building each
+    nilpotent once rather than once per U."""
+    nilpotents = _nilpotents(g, 1)
+    return [(U, _report(v, nilpotents)) for U, v in zip(tail_subsets(g), nilpotents)]

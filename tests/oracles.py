@@ -1,13 +1,18 @@
-"""Dense reference computations of the anti-Weyl side, for the tests.
+"""Reference computations that the tests compare the package against.
 
 The package computes the kernel of rec* in closed form and strips only the
-support of a relation; these are the dense versions they must agree with:
-rec* as a matrix (its HNF kernel is the oracle for the closed form), the
-span of all admissible quadruples, and the strip over all 2^g subsets.
+support of a relation; the dense versions here are what they must agree
+with: rec* as a matrix, the span of all admissible quadruples, and the
+strip over all 2^g subsets.  The rest is what no command runs: the label
+form of CM types, lattice membership, the HNF witness, the symplectic form.
 """
-from cmlab.hyperoct import Subset, check_powerset_size, submasks, subset_rank, subset_unrank
-from cmlab.intlattice import IntLattice, IntMatrix, hnf
-from cmlab.reciprocity import SIMPLE
+from fractions import Fraction
+
+from cmlab.hodge import CycleIndex, _slot_key
+from cmlab.hyperoct import EmbeddingLabel, Subset, act_subset, check_powerset_size, submasks, subset_rank, subset_unrank
+from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right, hnf
+from cmlab.reciprocity import SIMPLE, kernel_N
+from cmlab.sl2check import SymplecticMatrix
 
 QUAD_LATTICE_MAX_G = 12
 
@@ -112,3 +117,127 @@ def dense_chain_strip(vec, g: int):
                 rem[i] -= c * q
             parts.append((S, c))
     return rem, parts
+
+
+# ---------------------------------------------------------------------------
+# CM types as label sets, and the action on embedding labels
+
+
+def act_embedding(t, x: EmbeddingLabel) -> EmbeddingLabel:
+    """Left action on the 2g embedding labels: t.phi_j = phi_{beta(j)},
+    barred iff beta(j) is in flips, conjugate-equivariantly."""
+    if not 1 <= x.index <= t.g:
+        raise ValueError(f"label index {x.index} outside 1..{t.g}")
+    j = t.perm[x.index - 1]
+    return EmbeddingLabel(j, x.bar ^ (j in t.flips))
+
+
+def decode_cm_type(I: Subset, spec) -> frozenset:
+    """The CM type indexed by I: {phi_j : j not in I} + {phibar_j : j in I}."""
+    return frozenset(EmbeddingLabel(j, bar=(j in I)) for j in range(1, spec.g + 1))
+
+
+def encode_cm_type(labels, spec) -> Subset:
+    """Inverse of decode_cm_type; rejects non-transversal label sets."""
+    labels = set(labels)
+    if len(labels) != spec.g:
+        raise ValueError(f"a CM type has {spec.g} labels, got {len(labels)}")
+    bits = 0
+    for x in labels:
+        if not 1 <= x.index <= spec.g:
+            raise ValueError(f"label index {x.index} outside 1..{spec.g}")
+        if EmbeddingLabel(x.index, not x.bar) in labels:
+            raise ValueError(f"labels contain a conjugate pair at index {x.index}")
+        if x.bar:
+            bits |= 1 << (x.index - 1)
+    return Subset(spec.g, bits)
+
+
+def translated(c: CycleIndex, t) -> CycleIndex:
+    """A signed permutation applied to every slot of a cycle, re-sorted."""
+    moved = [(act_subset(t, slot) if isinstance(slot, Subset) else act_embedding(t, slot), copy)
+             for slot, copy in c.entries]
+    return CycleIndex(tuple(sorted(moved, key=_slot_key)))
+
+
+# ---------------------------------------------------------------------------
+# lattice membership and the HNF witness
+
+
+def member(v, L: IntLattice):
+    """Coefficients of v over L's canonical basis, or None if v not in L."""
+    if len(v) != L.dim:
+        raise ValueError(f"dimension mismatch: vector has {len(v)}, lattice has {L.dim}")
+    rem = [int(x) for x in v]
+    coeffs = []
+    # back-substitute from the row with the rightmost pivot down
+    for row in reversed(L.basis.entries):
+        p = max(c for c, x in enumerate(row) if x)
+        c, res = divmod(rem[p], row[p])
+        if res:
+            return None
+        coeffs.append(c)
+        if c:
+            rem = [x - c * y for x, y in zip(rem, row)]
+    if any(rem):
+        return None
+    return tuple(reversed(coeffs))
+
+
+def hnf_with_transform(m: IntMatrix) -> tuple:
+    """(H, U) with U unimodular, U*m = H; zero rows of H retained."""
+    A, _, U = _hnf_right([list(r) for r in m.entries], m.cols, transform=True)
+    return IntMatrix.from_rows(A, m.cols), IntMatrix.from_rows(U, m.rows)
+
+
+def kernel_to_cycle(spec, alpha, n=None) -> CycleIndex:
+    """The canonical cycle of a kernel vector: copy l collects the
+    embeddings with exponent >= l unbarred and those with exponent <= -l
+    barred."""
+    g = spec.g
+    alpha = tuple(alpha)
+    if len(alpha) != g:
+        raise ValueError(f"vector length {len(alpha)}, expected {g}")
+    if member(alpha, kernel_N(spec)) is None:
+        raise ValueError("vector is not in the relation kernel")
+    depth = max((abs(a) for a in alpha), default=0)
+    if n is None:
+        n = depth
+    elif n < depth:
+        raise ValueError(f"n too small: the vector needs n >= {depth}")
+    entries = []
+    for copy in range(1, n + 1):
+        entries += [(EmbeddingLabel(j, False), copy) for j, a in enumerate(alpha, start=1) if a >= copy]
+        entries += [(EmbeddingLabel(j, True), copy) for j, a in enumerate(alpha, start=1) if a <= -copy]
+    return CycleIndex(tuple(sorted(entries, key=_slot_key)))
+
+
+# ---------------------------------------------------------------------------
+# the symplectic form and the torus of the sl2 model
+
+
+def omega(g: int) -> SymplecticMatrix:
+    """The symplectic form: position k pairs with position 2^g-1-k."""
+    n = 1 << g
+    return SymplecticMatrix(g, {(k, n - 1 - k): Fraction(1 if k < n // 2 else -1) for k in range(n)})
+
+
+def in_lie_algebra(m: SymplecticMatrix) -> bool:
+    """Membership in sp: M^T Omega + Omega M = 0."""
+    form = omega(m.g)
+    return (m.transpose() @ form + form @ m).is_zero()
+
+
+def torus_element(coeffs, g: int) -> SymplecticMatrix:
+    """Diagonal torus element with value c_I on x_I and -c_I on y_I.
+
+    `coeffs` maps index sets inside {2,...,g} to rational values; missing
+    sets default to zero.
+    """
+    diag = {}
+    for I, c in coeffs.items():
+        if I.g != g or 1 in I:
+            raise ValueError("torus coefficients are indexed by subsets of {2,...,g}")
+        diag[subset_rank(I), subset_rank(I)] = Fraction(c)
+        diag[subset_rank(I.complement()), subset_rank(I.complement())] = -Fraction(c)
+    return SymplecticMatrix(g, diag)

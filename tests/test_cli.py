@@ -77,6 +77,20 @@ class TestExitCodes:
         code, _, err = run_cli(["kernel", "--input", str(broken)], capsys)
         assert code == 1 and "not valid JSON" in err
 
+    @pytest.mark.parametrize("content", [
+        b'{"weyl": 3, "note": "\xff"}',  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+        b'{"weyl": ' + b"7" * 5000 + b"}",  # past the integer digit limit
+    ], ids=["not-utf8", "deep-nesting", "long-integer"])
+    def test_undecodable_file_is_1_naming_it(self, tmp_path, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        cmd = [sys.executable, "-m", "cmlab.cli", "orbits", "--input", str(path)]
+        run = subprocess.run(cmd, capture_output=True, text=True)
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr.startswith(f"error: cannot read {path}: "), run.stderr
+        assert "Traceback" not in run.stderr
+
     def test_success_is_0(self, capsys):
         code, out, _ = run_cli(["example-mu19"], capsys)
         assert code == 0 and out
@@ -300,7 +314,7 @@ class TestPinnedMessages:
          "full hyperoctahedral group for g=8 exceeds cap of 1000000"),
         (["hodge-basis", "--weyl-full", "--g", "2", "--p", "8", "--n", "1"], None,
          "the packed accumulator supports p <= 7"),
-        (["sl2-check", "--g", "7"], None, "check_sl2 supports g <= 6, got 7"),
+        (["sl2-check", "--g", "9"], None, "check_sl2 supports g <= 8, got 9"),
         (["relations"], None, "needs --input FILE or --weyl-full with --g"),
         (["hodge-basis", "--p", "1", "--n", "1"], None, "needs --input FILE or --weyl-full with --g"),
         (["relations", "--weyl-full"], None, "--weyl-full needs --g"),
@@ -444,8 +458,8 @@ class TestSl2Check:
         ]
 
     def test_cap(self, capsys):
-        code, _, err = run_cli(["sl2-check", "--g", "7"], capsys)
-        assert code == 1 and "g <= 6" in err
+        code, _, err = run_cli(["sl2-check", "--g", "9"], capsys)
+        assert code == 1 and "g <= 8" in err
 
     def test_g_below_two_names_the_flag(self):
         cmd = [sys.executable, "-m", "cmlab.cli", "sl2-check", "--g", "1"]
@@ -461,6 +475,14 @@ class TestSl2Check:
         assert lines[0] == "U={}: pass" and lines[-2] == "U={2,3,4,5,6}: pass"
         assert all(line.endswith(": pass") for line in lines[:-1])
         assert lines[-1] == "all checks passed"
+
+    def test_g8_end_to_end(self):
+        cmd = [sys.executable, "-m", "cmlab.cli", "sl2-check", "--g", "8"]
+        run = subprocess.run(cmd, capture_output=True, text=True, check=True)
+        # one line per U inside {2,...,8}, in canonical order (by mask)
+        want = [f"U={Subset(8, bits)}: pass" for bits in range(0, 1 << 8, 2)]
+        assert run.stdout.splitlines() == [*want, "all checks passed"]
+        assert len(want) == 128
 
 
 class TestOneRender:

@@ -22,14 +22,13 @@ from cmlab.hodge import (
     balance_dichotomy,
     bp_multisets,
     canonical_form_weyl,
-    kernel_to_cycle,
     pohlmann_basis,
     quadruple_support,
     quadruple_to_cycle,
     relation_of_cycle,
 )
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_embedding, act_subset, compose
-from cmlab.intlattice import IntLattice, member
+from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, compose
+from cmlab.intlattice import IntLattice
 from cmlab.reciprocity import (
     ANTIWEYL,
     Certificate,
@@ -40,7 +39,7 @@ from cmlab.reciprocity import (
     reduce_to_low_degree,
     render_relation,
 )
-from oracles import dense, quad_lattice
+from oracles import act_embedding, dense, kernel_to_cycle, member, quad_lattice, translated
 from strategies import signed_perms
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
@@ -101,7 +100,7 @@ class TestCycleIndex:
     def test_copy_major_ordering(self):
         # a copy-2 slot sorts after every copy-1 slot, whatever the ranks
         c = CycleIndex(((Subset.of(2, [1, 2]), 1), (Subset.of(2, []), 2)))
-        assert c.p == 1
+        assert c.bidegree == (1, 1)
 
     def test_mixed_slot_kinds_rejected(self):
         with pytest.raises(ValueError, match="mixed slot kinds"):
@@ -116,13 +115,13 @@ class TestCycleIndex:
         assert c.bidegree == (2, 2)
         one_sided = CycleIndex(((Subset.of(2, []), 1), (Subset.of(2, [2]), 1)))
         assert one_sided.bidegree == (2, 0)
-        assert one_sided.translated(SignedPerm.rho(2)).bidegree == (0, 2)
+        assert translated(one_sided, SignedPerm.rho(2)).bidegree == (0, 2)
 
     @given(signed_perms(3), signed_perms(3))
     @settings(max_examples=40, deadline=None)
     def test_translation_is_an_action(self, a, b):
         for c in bp_multisets(3, 1, 2):
-            assert c.translated(a).translated(b) == c.translated(compose(b, a))
+            assert translated(translated(c, a), b) == translated(c, compose(b, a))
 
 
 class TestBpMultisets:
@@ -186,7 +185,7 @@ class TestPohlmann:
     def test_basis_is_group_stable(self):
         basis = set(pohlmann_basis(3, 2, 1))
         for t in weyl_full(3):
-            assert {c.translated(t) for c in basis} == basis
+            assert {translated(c, t) for c in basis} == basis
 
     def test_budget_error(self):
         with pytest.raises(ValueError, match="budget exceeded"):
@@ -356,7 +355,7 @@ class TestKernelToCycle:
         spec = mu19_spec()
         c = kernel_to_cycle(spec, (1, -1, -1, 1, 0, 0, -1, 0, 1))
         for s in spec.group:
-            assert c.translated(s).bidegree == (3, 3)
+            assert translated(c, s).bidegree == (3, 3)
 
     def test_zero_vector(self):
         assert kernel_to_cycle(mu19_spec(), (0,) * 9) == CycleIndex(())
@@ -387,11 +386,11 @@ class TestRelationOfCycle:
     def test_degree_one_cancels_to_the_trivial_relation(self):
         for g in (2, 3):
             for c in bp_multisets(g, 1, 1):
-                assert relation_of_cycle(c).is_zero()
+                assert relation_of_cycle(c) == MonomialRelation(ANTIWEYL, g, ())
 
     def test_degenerate_quadruple_is_trivial(self):
         e, s = Subset.of(2, []), Subset.of(2, [2])
-        assert relation_of_cycle(quadruple_to_cycle(e, s, s, e)).is_zero()
+        assert relation_of_cycle(quadruple_to_cycle(e, s, s, e)) == MonomialRelation(ANTIWEYL, 2, ())
 
     def test_mu19_mediated_quadratic(self):
         c = quadruple_to_cycle(MU19_I[0], MU19_I[17], MU19_I[3], L56)
@@ -511,7 +510,7 @@ class TestCertificates:
     def test_verify_gates_survive_optimized_mode(self):
         # a strip that drops a chain part, or leaves a stray residual on the
         # full set, must be rejected by the re-sum and the residual check of
-        # both certificates even when python -O removes assert statements
+        # the certificate even when python -O removes assert statements
         script = """
 import cmlab.reciprocity as reciprocity
 from cmlab.hyperoct import Subset
@@ -526,22 +525,18 @@ def leaky(terms, g):
 rel = reciprocity.chain_generator(Subset.of(3, [1, 2, 3]))
 for fake in (lossy, leaky):
     reciprocity.chain_strip = fake
-    for call in (lambda: reciprocity.reduce_to_low_degree(rel, 3),
-                 lambda: reciprocity.equiv_class_check(Subset.of(3, [1, 2]), Subset.of(3, [2, 3]))):
-        try:
-            call()
-        except (reciprocity.ReductionError, AssertionError) as exc:
-            print(type(exc).__name__, exc)
-        else:
-            print("accepted")
+    try:
+        reciprocity.reduce_to_low_degree(rel, 3)
+    except reciprocity.ReductionError as exc:
+        print(type(exc).__name__, exc)
+    else:
+        print("accepted")
 """
         out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == [
             "ReductionError certificate does not re-sum to the relation",
-            "ReductionError certificate does not re-sum to the relation",
             "ReductionError relation is not generated in degree <= 2",
-            "AssertionError chain stripping left support outside M",
         ]
 
 

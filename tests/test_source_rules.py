@@ -48,3 +48,92 @@ def test_functions_and_classes_are_imported_from_their_defining_module(path):
                 if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ != module.__name__:
                     found.append((node.lineno, alias.name, module.__name__, obj.__module__))
     assert not found, f"{path.name} re-imports (line, name, via, defined in): {found}"
+
+
+def _code(node):
+    """What runs when a definition is used: a function's decorators,
+    defaults and body; a class's decorators, bases and the statements of its
+    body other than methods.  Annotations never run."""
+    if isinstance(node, ast.FunctionDef):
+        return node.decorator_list + node.args.defaults + node.body
+    return node.decorator_list + node.bases + [s for s in node.body if not isinstance(s, ast.FunctionDef)]
+
+
+def _names(nodes, classes, returns):
+    """(class, name) for each name the nodes load.  The class of an
+    attribute is known for Class.attr, Class(...).attr and f(...).attr with f
+    annotated to return a class; else it is None."""
+    found = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            found.add((None, node.id))
+        elif isinstance(node, ast.Attribute):
+            base = node.value.func if isinstance(node.value, ast.Call) else node.value
+            name = getattr(base, "id", None)
+            cls = returns.get(name, name)
+            found.add((cls if cls in classes else None, node.attr))
+    return found
+
+
+def unreached_public_definitions(package, acceptance):
+    """The public functions, classes and methods of package that no command
+    reaches and the acceptance tests do not import, as 'module.name (N lines)'.
+
+    Reachability goes by name from cli.main, the handlers that cli._COMMANDS
+    names, and module-level code: a reached definition reaches each
+    definition that its code names (only the member of the class, where the
+    class is known and has one), and a reached class its dunder methods.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    defs = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[module, node.name] = (node, None)
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef):
+                        defs[module, f"{node.name}.{item.name}"] = (item, node.name)
+    classes = {node.name for node, _ in defs.values() if isinstance(node, ast.ClassDef)}
+    returns = {node.name: getattr(node.returns, "id", getattr(node.returns, "value", None))
+               for node, owner in defs.values() if owner is None and isinstance(node, ast.FunctionDef)}
+    by_name = {}
+    for key, (node, owner) in defs.items():
+        for cls in {None, owner}:
+            by_name.setdefault((cls, node.name), []).append(key)
+
+    def targets(names):
+        return [key for cls, name in names for key in by_name.get((cls, name)) or by_name.get((None, name), [])]
+
+    commands = next(node.value for node in trees["cli"].body
+                    if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_COMMANDS")
+    todo = [("cli", "main"), *ast.literal_eval(commands).values()]
+    module_code = [node for tree in trees.values() for node in tree.body
+                   if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom))]
+    todo += targets(_names(module_code, classes, returns))
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            node = defs[key][0]
+            todo += targets(_names(_code(node), classes, returns))
+            if isinstance(node, ast.ClassDef):
+                todo += [(key[0], f"{node.name}.{item.name}") for item in node.body
+                         if isinstance(item, ast.FunctionDef) and item.name.startswith("__")]
+
+    imported = {alias.name for node in ast.walk(ast.parse(acceptance.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package.name
+                for alias in node.names}
+    return [f"{module}.{name} ({node.end_lineno - node.lineno + 1} lines)"
+            for (module, name), (node, owner) in sorted(defs.items())
+            if (module, name) not in reached and not any(part.startswith("_") for part in name.split("."))
+            and not (owner is None and name in imported)]
+
+
+def test_every_public_definition_is_run_by_a_command_or_imported_by_acceptance():
+    # the package holds what the command line runs and what the acceptance
+    # criteria call; reference code that tests compare against lives in
+    # tests/oracles.py
+    acceptance = pathlib.Path(__file__).parent / "test_acceptance.py"
+    unused = unreached_public_definitions(SOURCES[0].parent, acceptance)
+    assert not unused, f"no command runs and no acceptance test imports: {unused}"

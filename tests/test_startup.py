@@ -72,9 +72,9 @@ SL2_SIDE = {"cmlab", "cmlab.cli", "cmlab.cli_sl2", "cmlab.sl2check", "cmlab.hype
     (["sl2-check", "--g", "2"], SL2_SIDE),
 ], ids=["hodge-basis", "support", "sl2-check"])
 def test_hodge_and_sl2_commands_load_no_lattice_or_relation_code(tmp_path, argv, expected):
-    # hodge imports the lattice and relation code only inside
-    # kernel_to_cycle and relation_of_cycle, which neither command runs, and
-    # sl2-check takes its subsets from hyperoct, not from the group code
+    # hodge imports the relation code only inside relation_of_cycle, which
+    # neither command runs, and never the lattice code; sl2-check takes its
+    # subsets from hyperoct, not from the group code
     path = tmp_path / "quad.json"
     path.write_text(json.dumps({"g": 3, "first": [[], [2, 3], [2], [3]]}))
     argv = [str(path) if a == "QUAD" else a for a in argv]
