@@ -68,11 +68,15 @@ def _check(value, shape, name: str = ""):
 
 def spec_from_json(data: dict):
     """The CMPairSpec of {"cyclic": {"M": int, "phi": [int]}}, {"weyl": g}
-    or {"g": g, "generators": [{"flips": [int], "perm": [int]}]}."""
+    or {"g": g, "generators": [{"flips": [int], "perm": [int]}]}; an input
+    with more than one of these keys is refused."""
     from .cmtypes import CMPairSpec
     from .galois import from_generators
     from .hyperoct import SignedPerm
 
+    shapes = [f'"{key}"' for key in ("cyclic", "weyl", "generators") if key in data]
+    if len(shapes) > 1:
+        raise ValueError(f"input gives more than one pair: {' and '.join(shapes)}")
     if "cyclic" in data:
         c = _check(data["cyclic"], {"M": int, "phi": [int]}, "cyclic")
         return CMPairSpec.from_cyclic(c["M"], c["phi"])

@@ -15,30 +15,29 @@ def _slot_str(slot, copy, spec) -> str:
     return f"[{spec.label_name(slot)}]@{copy}"
 
 
-def _cycle_str(c, spec) -> str:
-    if not c.entries:
-        return "(empty)"
-    return " ".join(_slot_str(s, l, spec) for s, l in c.entries)
-
-
-def _cycle_json(c, spec) -> list:
+def _slot_json(slot, copy, spec) -> dict:
     if spec is None:
-        return [{"set": list(slot.members()), "copy": copy} for slot, copy in c.entries]
-    return [{"phi": slot.index, "bar": slot.bar, "copy": copy} for slot, copy in c.entries]
+        return {"set": list(slot.members()), "copy": copy}
+    return {"phi": slot.index, "bar": slot.bar, "copy": copy}
 
 
 def cmd_hodge_basis(args, as_json):
     target = _load_source(args)
     spec = None if isinstance(target, int) else target
     basis = pohlmann_basis(target, args.p, args.n, args.budget)
+    render = _slot_json if as_json else _slot_str
+    rendered = {}  # (slot, copy) -> its rendering, made once per command
+
+    def slots(c) -> list:
+        for entry in c.entries:
+            if entry not in rendered:
+                rendered[entry] = render(*entry, spec)
+        return [rendered[entry] for entry in c.entries]
+
     if as_json:
-        return {
-            "p": args.p,
-            "n": args.n,
-            "size": len(basis),
-            "basis": [_cycle_json(c, spec) for c in basis],
-        }
-    return [f"basis size: {len(basis)}", *(f"{k}: {_cycle_str(c, spec)}" for k, c in enumerate(basis))]
+        return {"p": args.p, "n": args.n, "size": len(basis), "basis": [slots(c) for c in basis]}
+    lines = (f"{k}: {' '.join(slots(c)) or '(empty)'}" for k, c in enumerate(basis))
+    return [f"basis size: {len(basis)}", *lines]
 
 
 def cmd_support(args, as_json):

@@ -6,7 +6,7 @@ from .cli_relations import certificate_json, kernel_report, period_symbols
 from .cmtypes import CMPairSpec, compagnon_labels, labeled_translates, orbit_decomposition, reflex_labels
 from .hodge import quadruple_to_cycle, relation_of_cycle
 from .hyperoct import Subset, admissible, subset_rank
-from .reciprocity import ANTIWEYL, MonomialRelation, reduce_to_low_degree, render_relation
+from .reciprocity import ANTIWEYL, MonomialRelation, lift_relation, reduce_to_low_degree, render_relation
 
 # the base pair, its reflex, and the two factorizations through the
 # compagnon index set L = {5, 6}
@@ -35,25 +35,12 @@ def cmd_example_mu19(args, as_json):
 
     # lift each label relation to the anti-Weyl side via the orbit table
     index_of = dict(table)
-
-    def lift(rel):
-        exps = {}
-        for j, c in rel.terms:
-            r = subset_rank(index_of[_MU19_PHI[j]])
-            exps[r] = exps.get(r, 0) + c
-        return MonomialRelation(ANTIWEYL, g, exps.items())
-
-    def difference(a, b):
-        exps = dict(a.terms)
-        for r, c in b.terms:
-            exps[r] = exps.get(r, 0) - c
-        return MonomialRelation(ANTIWEYL, g, exps.items())
-
+    ranks = [subset_rank(index_of[a]) for a in _MU19_PHI]
     symbols = period_symbols(spec_phi)
     certificates = []
     factorization = []
     for rel in rels:
-        cubic = lift(rel)
+        cubic = lift_relation(rel, ranks)
         cert = reduce_to_low_degree(cubic, g)
         verified = cert.verify()
         if as_json:
@@ -69,8 +56,8 @@ def cmd_example_mu19(args, as_json):
                 )
             qa = relation_of_cycle(quadruple_to_cycle(index_of[0], index_of[17], index_of[3], L))
             qb = relation_of_cycle(quadruple_to_cycle(index_of[2], index_of[14], index_of[6], L))
-            diff = difference(qa, qb)
-            match = cubic in (diff, difference(qb, qa))
+            diff = MonomialRelation(ANTIWEYL, g, (*qa.terms, *((r, -c) for r, c in qb.terms)))
+            match = cubic.normalized() == diff.normalized()
             factorization.append("  quadratic difference reproduces the cubic: " + ("yes" if match else "no"))
         signs = "{" + ",".join(f"{c:+d}" for c in sorted({c for _, c in cert.parts})) + "}"
         factorization.append(

@@ -274,11 +274,9 @@ def relation_of_cycle(c: CycleIndex) -> MonomialRelation:
     hol, anti = c.bidegree
     if hol != anti:
         raise ValueError(f"unbalanced cycle: {hol} holomorphic vs {anti} antiholomorphic slots")
-    exps = {}
-    for slot, _ in c.entries:
-        r, e = (subset_rank(slot), 1) if 1 not in slot else (subset_rank(slot.complement()), -1)
-        exps[r] = exps.get(r, 0) + e
-    return MonomialRelation(ANTIWEYL, g, exps.items())
+    return MonomialRelation(ANTIWEYL, g, (
+        (subset_rank(slot), 1) if 1 not in slot else (subset_rank(slot.complement()), -1) for slot, _ in c.entries
+    ))
 
 
 # ---------------------------------------------------------------------------

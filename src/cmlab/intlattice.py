@@ -42,14 +42,11 @@ class IntMatrix(Record):
         return len(self.entries)
 
 
-def _hnf_right(rows: list[list[int]], ncols: int, transform: bool):
-    """Row HNF with trailing pivots.  Returns (hnf_rows, rank, U or None).
-
-    U is unimodular with U * input = output (zero rows included).
-    """
+def _hnf_right(rows: list[list[int]], ncols: int):
+    """Row HNF with trailing pivots.  Returns (hnf_rows, rank); the zero
+    rows follow the rank pivot rows."""
     A = [list(r) for r in rows]
     m = len(A)
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
     r = 0
     for col in range(ncols - 1, -1, -1):
         # gcd-reduce column col among rows r..m-1 down to one nonzero entry
@@ -62,37 +59,26 @@ def _hnf_right(rows: list[list[int]], ncols: int, transform: bool):
             for b in nz[1:]:
                 q = A[b][col] // A[a][col]
                 A[b] = [x - q * y for x, y in zip(A[b], A[a])]
-                if transform:
-                    U[b] = [x - q * y for x, y in zip(U[b], U[a])]
         nz = [i for i in range(r, m) if A[i][col]]
         if not nz:
             continue
         i0 = nz[0]
         A[r], A[i0] = A[i0], A[r]
-        if transform:
-            U[r], U[i0] = U[i0], U[r]
         if A[r][col] < 0:
             A[r] = [-x for x in A[r]]
-            if transform:
-                U[r] = [-x for x in U[r]]
         for i in range(r):
             q = A[i][col] // A[r][col]
             if q:
                 A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-                if transform:
-                    U[i] = [x - q * y for x, y in zip(U[i], U[r])]
         r += 1
     # pivot rows were produced right-to-left; present them with increasing
     # trailing-pivot column (so e.g. an identity matrix is already canonical)
-    A = A[:r][::-1] + A[r:]
-    if transform:
-        U = U[:r][::-1] + U[r:]
-    return A, r, U
+    return A[:r][::-1] + A[r:], r
 
 
 def hnf(m: IntMatrix) -> IntMatrix:
     """Canonical trailing-pivot row HNF; zero rows dropped."""
-    A, rank, _ = _hnf_right([list(r) for r in m.entries], m.cols, transform=False)
+    A, rank = _hnf_right([list(r) for r in m.entries], m.cols)
     return IntMatrix.from_rows(A[:rank], m.cols)
 
 
@@ -109,11 +95,6 @@ class IntLattice(Record):
     def from_rows(cls, dim: int, rows: Iterable[Sequence[int]]) -> "IntLattice":
         return cls(dim, hnf(IntMatrix.from_rows(rows, dim)))
 
-    @classmethod
-    def full(cls, dim: int) -> "IntLattice":
-        eye = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-        return cls(dim, IntMatrix.from_rows(eye, dim))
-
     @property
     def rank(self) -> int:
         return self.basis.rows
@@ -121,14 +102,13 @@ class IntLattice(Record):
 
 def kernel_basis(m: IntMatrix) -> IntLattice:
     """The saturated lattice {v in Z^cols : m*v = 0}."""
-    if m.rows == 0:
-        return IntLattice.full(m.cols)
-    # rows of the transpose are the columns of m; transform rows that reduce
-    # them to zero are exactly the kernel vectors
-    tr = [[m.entries[r][c] for r in range(m.rows)] for c in range(m.cols)]
-    A, _, U = _hnf_right(tr, m.rows, transform=True)
-    ker = [U[i] for i in range(len(A)) if not any(A[i])]
-    return IntLattice.from_rows(m.cols, ker)
+    # one row [e_c | column c of m] per column c: the trailing pivots clear
+    # the m part first, and the rows whose m part is then zero are the
+    # kernel, already in canonical form
+    n = m.cols
+    rows = [[int(i == c) for i in range(n)] + [row[c] for row in m.entries] for c in range(n)]
+    A, _ = _hnf_right(rows, n + m.rows)
+    return IntLattice.from_rows(n, (row[:n] for row in A if not any(row[n:])))
 
 
 def lattice_equal(L1: IntLattice, L2: IntLattice) -> bool:

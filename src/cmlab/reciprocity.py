@@ -56,8 +56,9 @@ class MonomialRelation(Record):
     order.  For side == SIMPLE the indices are the embeddings phi_1..phi_g
     (0-based) and tau must be 0; for side == ANTIWEYL they are the subsets
     of {1,...,g} by canonical rank, and tau is the exponent of tau.  The
-    constructor takes the pairs, with distinct indices, in any order and
-    drops zero exponents, so == and hash compare relations.
+    constructor takes the pairs in any order, sums the exponents of a
+    repeated index and drops zero sums, so a relation is the sum of its
+    terms and == and hash compare relations.
     """
 
     __slots__ = ("side", "g", "terms", "tau")
@@ -67,12 +68,13 @@ class MonomialRelation(Record):
             raise ValueError(f"unknown side {side!r}")
         if side == SIMPLE and tau:
             raise ValueError("simple-CM relations carry no tau exponent")
-        terms = tuple(sorted((i, e) for i, e in terms if e))
+        sums = {}
+        for i, e in terms:
+            sums[i] = sums.get(i, 0) + e
+        terms = tuple(sorted((i, e) for i, e in sums.items() if e))
         size = g if side == SIMPLE else 1 << g
         if terms and not (0 <= terms[0][0] and terms[-1][0] < size):
             raise ValueError(f"an index lies outside 0..{size - 1}")
-        if any(a[0] == b[0] for a, b in zip(terms, terms[1:])):
-            raise ValueError("an index occurs twice")
         set_slot(self, "side", side)
         set_slot(self, "g", g)
         set_slot(self, "terms", terms)
@@ -151,6 +153,14 @@ def relations_from_kernel(L) -> list[MonomialRelation]:
     """One sign-normalized simple-side relation per canonical basis row of a
     period kernel."""
     return [MonomialRelation.from_vec(SIMPLE, L.dim, row).normalized() for row in L.basis.entries]
+
+
+def lift_relation(rel: MonomialRelation, ranks) -> MonomialRelation:
+    """The anti-Weyl relation of a simple-side one: the period of index j
+    goes to Theta of the subset of rank ranks[j]."""
+    if rel.side != SIMPLE:
+        raise ValueError("simple-CM relation required")
+    return MonomialRelation(ANTIWEYL, rel.g, ((ranks[j], e) for j, e in rel.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +271,11 @@ class Certificate(Record):
 
     def verify(self) -> bool:
         """Exact re-summation, plus the generator-shape restriction."""
-        total, tau = {}, 0
-        for gen, coeff in self.parts:
-            if gen.g != self.target.g:
-                return False
-            if not (_is_degree_one(gen) or _is_degree_two(gen)):
-                return False
-            for r, e in gen.terms:
-                total[r] = total.get(r, 0) + coeff * e
-            tau += coeff * gen.tau
-        return tau == self.target.tau and {r: e for r, e in total.items() if e} == dict(self.target.terms)
+        g = self.target.g
+        if not all(gen.g == g and (_is_degree_one(gen) or _is_degree_two(gen)) for gen, _ in self.parts):
+            return False
+        terms = ((r, c * e) for gen, c in self.parts for r, e in gen.terms)
+        return MonomialRelation(ANTIWEYL, g, terms, sum(c * gen.tau for gen, c in self.parts)) == self.target
 
 
 def reduce_to_low_degree(r: MonomialRelation, g: int) -> Certificate:
@@ -289,14 +294,9 @@ def reduce_to_low_degree(r: MonomialRelation, g: int) -> Certificate:
         raise ValueError("anti-Weyl relation required")
     if r.g != g:
         raise ValueError(f"dimension mismatch: relation has g={r.g}, not {g}")
-    w = dict(r.terms)
-    head = ()
-    if r.tau:
-        gen = degree_one_generator(Subset.empty(g))
-        head = ((gen, -r.tau),)
-        for i, e in gen.terms:
-            w[i] = w.get(i, 0) + r.tau * e
-    rem, chains = chain_strip(w.items(), g)
+    head = ((degree_one_generator(Subset.empty(g)), -r.tau),) if r.tau else ()
+    w = MonomialRelation(ANTIWEYL, g, (*r.terms, *((i, -c * e) for gen, c in head for i, e in gen.terms)))
+    rem, chains = chain_strip(w.terms, g)
     if rem:
         raise ReductionError("relation is not generated in degree <= 2")
     cert = Certificate(r, (*head, *((chain_generator(S), c) for S, c in chains)))

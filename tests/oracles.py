@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from cmlab.hodge import CycleIndex, _slot_key
 from cmlab.hyperoct import EmbeddingLabel, Subset, act_subset, check_powerset_size, submasks, subset_rank, subset_unrank
-from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right, hnf
+from cmlab.intlattice import IntLattice, IntMatrix, hnf
 from cmlab.reciprocity import SIMPLE, kernel_N
 from cmlab.sl2check import SymplecticMatrix
 
@@ -182,12 +182,6 @@ def member(v, L: IntLattice):
     if any(rem):
         return None
     return tuple(reversed(coeffs))
-
-
-def hnf_with_transform(m: IntMatrix) -> tuple:
-    """(H, U) with U unimodular, U*m = H; zero rows of H retained."""
-    A, _, U = _hnf_right([list(r) for r in m.entries], m.cols, transform=True)
-    return IntMatrix.from_rows(A, m.cols), IntMatrix.from_rows(U, m.rows)
 
 
 def kernel_to_cycle(spec, alpha, n=None) -> CycleIndex:

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, golden report, JSON."""
 import contextlib
 import fcntl
+import hashlib
 import io
 import json
 import os
@@ -322,6 +323,10 @@ class TestPinnedMessages:
          "{path} is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
         (["kernel"], [1], "{path}: expected a JSON object"),
         (["kernel"], {"cyclic": {"M": 5, "phi": [0, 1]}}, "M=5 must be even"),
+        (["orbits"], {"weyl": 3, "g": 2, "generators": [{"flips": [1, 2], "perm": [1, 2]}]},
+         'input gives more than one pair: "weyl" and "generators"'),
+        (["kernel"], {"cyclic": {"M": 8, "phi": [0, 1, 2, 3]}, "weyl": 4},
+         'input gives more than one pair: "cyclic" and "weyl"'),
     ])
     def test_exact_stderr_and_exit_1(self, tmp_path, capsys, argv, data, message):
         path = tmp_path / "input.json"
@@ -536,3 +541,44 @@ class TestJsonRoundTrip:
             assert code == 0, argv
             parsed = json.loads(out)
             assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == out, argv
+
+
+DIGESTS = pathlib.Path(__file__).parent / "data" / "cli_digests.json"
+
+
+def digest_of(case, fmt, tmp_dir) -> str:
+    """sha256 of what a corpus case prints in one format; it must exit 0
+    with nothing on stderr."""
+    argv = [*case["argv"], "--format", fmt]
+    if case["input"] is not None:
+        path = pathlib.Path(tmp_dir) / "case.json"
+        path.write_text(json.dumps(case["input"]))
+        argv += ["--input", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if (code, err.getvalue()) != (0, ""):
+        raise AssertionError(f"{case['name']} --format {fmt}: exit {code}, stderr {err.getvalue()!r}")
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+CORPUS = json.loads(DIGESTS.read_text(encoding="utf-8"))["cases"]
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=[case["name"] for case in CORPUS])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_output_bytes_are_pinned(case, fmt, tmp_path):
+    # every command's output, pinned by sha256 on a small corpus; after an
+    # intended output change rewrite the digests with
+    # PYTHONPATH=src python tests/test_cli.py --write-digests
+    assert digest_of(case, fmt, tmp_path) == case["sha256"][fmt]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write-digests"]:
+    import tempfile
+
+    corpus = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in corpus["cases"]:
+            case["sha256"] = {fmt: digest_of(case, fmt, tmp) for fmt in ("table", "json")}
+    DIGESTS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")

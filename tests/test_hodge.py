@@ -436,6 +436,8 @@ class TestCertificates:
         bad_vec[subset_rank(Subset.of(3, []))] = 1
         bad = MonomialRelation.from_vec(ANTIWEYL, 3, bad_vec)
         assert not Certificate(bad, ((bad, 1),)).verify()
+        # a part of another dimension is refused, not summed or raised on
+        assert not Certificate(gen, ((chain_generator(Subset.of(4, [1, 3])), 1),)).verify()
 
     def test_trivial_relation_reduces_to_the_empty_certificate(self):
         cert = reduce_to_low_degree(MonomialRelation(ANTIWEYL, 3, ()), 3)

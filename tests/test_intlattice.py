@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab.intlattice import IntLattice, IntMatrix, hnf, kernel_basis, lattice_equal
-from oracles import hnf_with_transform, member
+from oracles import member
 
 
 def unimodular(n, rng):
@@ -54,13 +54,6 @@ class TestHnf:
             h = hnf(B)
             assert hnf(h) == h
 
-    def test_transform_is_witness(self):
-        rng = random.Random(11)
-        B = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(4)] for _ in range(6)])
-        H, U = hnf_with_transform(B)
-        assert matmul(U.entries, B.entries) == [list(row) for row in H.entries]
-        assert H.rows == B.rows  # zero rows retained here
-
 
 class TestKernel:
     def test_repeated_row(self):
@@ -71,7 +64,7 @@ class TestKernel:
 
     def test_zero_matrix(self):
         k = kernel_basis(IntMatrix.from_rows([[0, 0, 0, 0]] * 3))
-        assert lattice_equal(k, IntLattice.full(4))
+        assert lattice_equal(k, IntLattice.from_rows(4, [[int(i == j) for j in range(4)] for i in range(4)]))
 
     def test_annihilation_and_rank_nullity(self):
         rng = random.Random(5)
@@ -165,9 +158,29 @@ def test_hnf_preserves_row_lattice(rows):
     L = IntLattice(4, h)
     for row in rows:
         assert member(row, L) is not None
-    # and conversely every HNF row is an integer combination of the inputs
-    H2, U = hnf_with_transform(m)
-    assert H2.entries[: h.rows] == h.entries
+    # and conversely every HNF row is an integer combination of the inputs:
+    # adding the HNF rows to the inputs leaves the canonical basis as it is,
+    # and the lattices L(rows) inside L(h), both of rank r, have index
+    # gcd of r x r minors of rows / that of h, which must be 1
+    assert hnf(IntMatrix.from_rows([*rows, *h.entries], 4)) == h
+    assert minors_gcd(rows, 4, h.rows) == minors_gcd(h.entries, 4, h.rows)
+
+
+def minors_gcd(rows, cols: int, k: int) -> int:
+    """gcd of the k x k minors of rows of width cols (1 for k = 0), by
+    Leibniz's formula."""
+
+    def det(a):
+        return sum(
+            (-1) ** sum(x > y for x, y in itertools.combinations(p, 2)) * math.prod(a[i][p[i]] for i in range(k))
+            for p in itertools.permutations(range(k))
+        )
+
+    return math.gcd(*(
+        det([[rows[i][j] for j in cs] for i in rs])
+        for rs in itertools.combinations(range(len(rows)), k)
+        for cs in itertools.combinations(range(cols), k)
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab.cli import main
-from cmlab.cmtypes import CMPairSpec, subset_rank, subset_unrank
+from cmlab.cmtypes import CMPairSpec, labeled_translates, reflex_labels, subset_rank, subset_unrank
 from cmlab.galois import from_generators
 from cmlab.hyperoct import SignedPerm, Subset
 from cmlab.intlattice import IntLattice, IntMatrix, hnf, kernel_basis, lattice_equal
@@ -21,7 +21,9 @@ from cmlab.reciprocity import (
     chain_strip,
     degree_one_generator,
     kernel_N,
+    lift_relation,
     pairing_matrix,
+    reduce_to_low_degree,
     relation_to_json,
     relations_from_kernel,
     render_relation,
@@ -234,8 +236,10 @@ class TestRelations:
         assert a == b and hash(a) == hash(b) and a.terms == ((1, -1), (5, 2))
         with pytest.raises(ValueError, match="outside 0..7"):
             MonomialRelation(ANTIWEYL, 3, [(8, 1)])
-        with pytest.raises(ValueError, match="twice"):
-            MonomialRelation(ANTIWEYL, 3, [(2, 1), (2, -1)])
+        # a repeated index sums its exponents, and a zero sum vanishes
+        c = MonomialRelation(ANTIWEYL, 3, [(1, -1), (5, 3), (2, 1), (5, -1), (2, -1)])
+        assert c == a and c.terms == ((1, -1), (5, 2))
+        assert MonomialRelation(ANTIWEYL, 3, [(2, 1), (2, -1)]).terms == ()
 
 
 class TestThetaGeneratorReduction:
@@ -343,3 +347,58 @@ def test_reduce_verifies_a_seeded_combination_at_g16(tmp_path, capsys):
     assert lines[-1] == "verified: yes"
     assert main(["reduce", "--input", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def transversals(M: int, masks):
+    """The transversals of Z/M containing 0: mask bit a-1 picks a + M/2
+    over a, for a = 1..M/2 - 1."""
+    half = M // 2
+    return [[0, *(a + half * (mask >> (a - 1) & 1) for a in range(1, half))] for mask in masks]
+
+
+def rec_star_of(rel) -> list:
+    """rec* of an anti-Weyl relation without tau, over its support only:
+    Theta_I goes to phi_j for j not in I and to phibar_j for j in I."""
+    g = rel.g
+    out = [0] * (2 * g)
+    for r, e in rel.terms:
+        bits = subset_unrank(g, r).bits
+        for j in range(g):
+            out[j + g * (bits >> j & 1)] += e
+    return out
+
+
+class TestTheoremBeyondMu19:
+    """Every period relation of the reflex of a cyclic pair lifts, through
+    the pair's orbit table, to a relation in ker rec* that is generated in
+    degree <= 2, as for mu19."""
+
+    @staticmethod
+    def certify(M: int, bases) -> tuple:
+        """(relations lifted, certificates with parts) over the base pairs."""
+        lifted = with_parts = 0
+        for base in bases:
+            spec = CMPairSpec.from_cyclic(M, base)
+            index_of = dict(labeled_translates(spec, Subset.empty(spec.g)))
+            phi = reflex_labels(spec)
+            ranks = [subset_rank(index_of[a]) for a in phi]
+            for rel in relations_from_kernel(kernel_N(CMPairSpec.from_cyclic(M, phi))):
+                lift = lift_relation(rel, ranks)
+                assert lift.tau == 0 and not any(rec_star_of(lift)), (base, rel)
+                cert = reduce_to_low_degree(lift, spec.g)
+                assert cert.verify(), (base, rel)
+                lifted += 1
+                with_parts += bool(cert.parts)
+        return lifted, with_parts
+
+    def test_every_transversal_at_m18(self):
+        lifted, with_parts = self.certify(18, transversals(18, range(1 << 8)))
+        assert (lifted, with_parts) == (80, 54)
+
+    def test_seeded_transversals_at_m30(self):
+        lifted, with_parts = self.certify(30, transversals(30, random.Random(30).sample(range(1 << 14), 300)))
+        assert lifted and with_parts
+
+    def test_only_simple_side_relations_lift(self):
+        with pytest.raises(ValueError, match="simple-CM relation required"):
+            lift_relation(chain_generator(Subset.of(3, [1, 2])), [0, 1, 2])
