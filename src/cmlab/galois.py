@@ -1,12 +1,15 @@
-"""Galois groups as explicit subgroups of the hyperoctahedral group.
+"""Galois groups as subgroups of the hyperoctahedral group, held by generators.
 
-A group is a list of signed permutations, closed under composition, with
-the identity, the central all-flips element rho (complex conjugation) and a
-transitive image in S_g, plus generators from which orbit() finds any orbit
-(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1).
-Constructors: closure of explicit generators, the full group, and Z/M acting
-by translation on a transversal of the conjugate pairs of residues (cyclic
-CM fields: Hom(E, C) = Z/M, conjugation is translation by M/2).
+A group is its generators: signed permutations whose closure contains the
+central all-flips element rho (complex conjugation) and has a transitive
+image in S_g.  orbit() finds any orbit from the generators (Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, 4.1), so no solver lists
+the elements.  closure() walks them under CLOSURE_CAP, for from_generators
+to check that outside generators reach rho and for the read-only
+GaloisGroup.elements.
+Constructors: explicit generators, the full group, and Z/M acting by
+translation on a transversal of the conjugate pairs of residues (cyclic CM
+fields: Hom(E, C) = Z/M, conjugation is translation by M/2).
 """
 from __future__ import annotations
 
@@ -19,45 +22,34 @@ CLOSURE_CAP = 10**6
 
 
 class GaloisGroup(Record):
-    """Explicit finite group of signed permutations with optional labels.
+    """A finite group of signed permutations, given by its generators `gens`,
+    with an optional map `labels` from an external label (e.g. a residue
+    mod M) to its element.  The constructors put rho in the group."""
 
-    `elements` order is the construction order (BFS discovery or residue
-    order) and must stay deterministic.  `labels` maps an external label
-    (e.g. a residue mod M) to an element index.  `gens` generate the group
-    (default: the elements) for orbit().
-    """
+    __slots__ = ("g", "gens", "labels")
 
-    __slots__ = ("g", "elements", "labels", "gens")
-
-    def __init__(self, g: int, elements: tuple, labels: dict | None = None, gens: tuple | None = None) -> None:
+    def __init__(self, g: int, gens: tuple, labels: dict | None = None) -> None:
         set_slot(self, "g", g)
-        set_slot(self, "elements", elements)
+        set_slot(self, "gens", gens)
         set_slot(self, "labels", labels)
-        set_slot(self, "gens", elements if gens is None else gens)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         """Validate the group."""
         check_group_size(self.g)
-        if SignedPerm.identity(self.g) not in self.elements:
-            raise ValueError("identity not in group")
-        if SignedPerm.rho(self.g) not in self.elements:
-            raise ValueError("conjugation not in group")
         # transitivity of the image in S_g: the orbit of 1 is everything
         seen = orbit(self.gens, 1, lambda t, j: t.perm[j - 1])
         if len(seen) != self.g:
             raise ValueError(f"image in S_{self.g} is not transitive (reaches only {sorted(seen)})")
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
+    # every element, in the deterministic order of closure(); read by the
+    # tests and the benchmark tracer, never by a command
+    elements = property(lambda self: closure(self.g, self.gens))
 
     def element_for_label(self, label) -> SignedPerm:
         if self.labels is None:
             raise ValueError("group has no label map")
-        return self.elements[self.labels[label]]
+        return self.labels[label]
 
 
 def orbit(gens, seed, act) -> set:
@@ -74,13 +66,9 @@ def orbit(gens, seed, act) -> set:
     return seen
 
 
-def from_generators(g: int, gens: list[SignedPerm]) -> GaloisGroup:
-    """Close the generators under composition (deterministic BFS order)."""
-    check_group_size(g)
-    for x in gens:
-        if x.g != g:
-            raise ValueError(f"generator has g={x.g}, expected {g}")
-    gens = sorted(set(gens), key=lambda x: (x.flips.bits, x.perm))
+def closure(g: int, gens) -> tuple:
+    """The group generated by gens, breadth first from the identity; more
+    than CLOSURE_CAP elements is an error."""
     ident = SignedPerm.identity(g)
     seen = {ident}
     order = [ident]
@@ -93,7 +81,19 @@ def from_generators(g: int, gens: list[SignedPerm]) -> GaloisGroup:
                 order.append(prod)
                 if len(order) > CLOSURE_CAP:
                     raise ValueError(f"closure exceeds cap of {CLOSURE_CAP} elements")
-    return GaloisGroup(g, tuple(order), gens=tuple(gens))
+    return tuple(order)
+
+
+def from_generators(g: int, gens: list[SignedPerm]) -> GaloisGroup:
+    """The group generated by outside generators, checked to contain rho."""
+    check_group_size(g)
+    for x in gens:
+        if x.g != g:
+            raise ValueError(f"generator has g={x.g}, expected {g}")
+    gens = tuple(sorted(set(gens), key=lambda x: (x.flips.bits, x.perm)))
+    if SignedPerm.rho(g) not in closure(g, gens):
+        raise ValueError("conjugation not in group")
+    return GaloisGroup(g, gens)
 
 
 def from_cyclic_translation(M: int, phi) -> GaloisGroup:
@@ -101,8 +101,7 @@ def from_cyclic_translation(M: int, phi) -> GaloisGroup:
 
     `phi` lists M/2 residues, exactly one from each conjugate pair
     {a, a + M/2}; its j-th entry (in input order) is the embedding phi_j.
-    Returns the group, its elements in residue order [0], [1], ..., [M-1],
-    generated by [1] and labeled by residue.
+    Returns the group generated by [1], labeled by residue; rho is [M/2].
     """
     if M % 2:
         raise ValueError(f"M={M} must be even")
@@ -115,7 +114,7 @@ def from_cyclic_translation(M: int, phi) -> GaloisGroup:
     for a in phi:
         if (a + g) % M in index_of:
             raise ValueError(f"residues {a} and {(a + g) % M} are conjugate: not a transversal")
-    elements = []
+    labels = {}
     for t in range(M):
         perm = [0] * g
         flips = 0
@@ -126,26 +125,17 @@ def from_cyclic_translation(M: int, phi) -> GaloisGroup:
                 k = index_of[(r + g) % M]
                 flips |= 1 << (k - 1)
             perm[j - 1] = k
-        elements.append(SignedPerm(g, Subset(g, flips), tuple(perm)))
-    return GaloisGroup(g, tuple(elements), labels={t: t for t in range(M)}, gens=(elements[1],))
+        labels[t] = SignedPerm(g, Subset(g, flips), tuple(perm))
+    return GaloisGroup(g, (labels[1],), labels)
 
 
 def weyl_full(g: int) -> GaloisGroup:
-    """The full hyperoctahedral group, in (perm, flips) lexicographic order,
-    generated by the transposition (1 2), the g-cycle and the flip of 1."""
-    from itertools import permutations
-
+    """The full hyperoctahedral group, generated by the transposition (1 2),
+    the g-cycle and the flip of 1 (whose conjugates by the cycle give rho)."""
     check_group_size(g)
     if (1 << g) * factorial(g) > CLOSURE_CAP:
         raise ValueError(f"full hyperoctahedral group for g={g} exceeds cap of {CLOSURE_CAP}")
-    # validate each perm once; its 2^g elements share one inverse, and all
-    # elements share one Subset per flips mask
-    flips = [Subset(g, bits) for bits in range(1 << g)]
-    elements = []
-    for perm in permutations(range(1, g + 1)):
-        inv = SignedPerm(g, flips[0], perm)._inv_perm
-        elements += (SignedPerm._trusted(g, f, perm, inv) for f in flips)
     ident = tuple(range(1, g + 1))
     swap, cycle = ident[1::-1] + ident[2:], ident[1:] + ident[:1]
-    gens = (SignedPerm(g, flips[0], swap), SignedPerm(g, flips[0], cycle), SignedPerm(g, flips[1], ident))
-    return GaloisGroup(g, tuple(elements), gens=gens)
+    none = Subset(g, 0)
+    return GaloisGroup(g, (SignedPerm(g, none, swap), SignedPerm(g, none, cycle), SignedPerm(g, Subset(g, 1), ident)))

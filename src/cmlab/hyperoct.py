@@ -224,7 +224,7 @@ class SignedPerm(Record):
     def _trusted(cls, g: int, flips: Subset, perm: tuple, inv_perm: tuple) -> "SignedPerm":
         """An element from parts already known to be valid (perm a bijection
         of 1..g with inverse inv_perm, flips at g), built without
-        __post_init__; compose, inverse and weyl_full only."""
+        __post_init__; compose and inverse only."""
         self = object.__new__(cls)
         _SET_G(self, g)
         _SET_FLIPS(self, flips)
@@ -250,8 +250,9 @@ class SignedPerm(Record):
         return f"(flips {self.flips}, perm {self.perm})"
 
 
-# the slot descriptors' own setters, for _trusted: it builds every element of
-# weyl_full, and these skip the attribute lookup that set_slot makes
+# the slot descriptors' own setters, for _trusted: it builds every product of
+# galois.closure, up to CLOSURE_CAP of them for a generators input, and these
+# skip the attribute lookup that set_slot makes
 _SET_G, _SET_FLIPS, _SET_PERM, _SET_INV_PERM = (getattr(SignedPerm, name).__set__ for name in SignedPerm.__slots__)
 
 

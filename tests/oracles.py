@@ -4,12 +4,15 @@ The package computes the kernel of rec* in closed form and strips only the
 support of a relation; the dense versions here are what they must agree
 with: rec* as a matrix, the span of all admissible quadruples, and the
 strip over all 2^g subsets.  The rest is what no command runs: the label
-form of CM types, lattice membership, the HNF witness, the symplectic form.
+form of CM types, the elements of the whole Weyl group, lattice membership,
+the HNF witness, the symplectic form.
 """
+import functools
 from fractions import Fraction
+from itertools import permutations
 
 from cmlab.hodge import CycleIndex, _slot_key
-from cmlab.hyperoct import EmbeddingLabel, Subset, act_subset, check_powerset_size, submasks, subset_rank, subset_unrank
+from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, check_powerset_size, submasks, subset_rank, subset_unrank
 from cmlab.intlattice import IntLattice, IntMatrix, hnf
 from cmlab.reciprocity import SIMPLE, kernel_N
 from cmlab.sl2check import SymplecticMatrix
@@ -120,7 +123,16 @@ def dense_chain_strip(vec, g: int):
 
 
 # ---------------------------------------------------------------------------
-# CM types as label sets, and the action on embedding labels
+# The whole Weyl group, CM types as label sets, and the action on labels
+
+
+@functools.lru_cache(maxsize=None)
+def weyl_elements(g: int) -> tuple:
+    """Every element of the hyperoctahedral group W_g, permutations in
+    lexicographic order and the 2^g flip masks within each: an enumeration
+    that shares nothing with the breadth-first closure of the package."""
+    flips = [Subset(g, bits) for bits in range(1 << g)]
+    return tuple(SignedPerm(g, f, perm) for perm in permutations(range(1, g + 1)) for f in flips)
 
 
 def act_embedding(t, x: EmbeddingLabel) -> EmbeddingLabel:

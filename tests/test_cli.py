@@ -18,7 +18,7 @@ import cmlab.hodge
 from cmlab import POHLMANN_HARD_BUDGET
 from cmlab.cli import build_parser, main
 from cmlab.cmtypes import subset_rank
-from cmlab.hyperoct import Subset
+from cmlab.hyperoct import SignedPerm, Subset
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "example_mu19.txt"
 
@@ -512,6 +512,37 @@ class TestOneRender:
                 for argv in commands:
                     assert main([*argv, "--format", fmt]) == 0, argv
             capsys.readouterr()
+
+
+class TestGroupWork:
+    """A command on the full Weyl group reads its three generators: it
+    builds a few signed permutations, not the 2^g g! elements."""
+
+    def test_weyl_commands_build_no_element_list(self, tmp_path, capsys, monkeypatch):
+        made = 0
+        validated, trusted = SignedPerm.__post_init__, SignedPerm._trusted.__func__
+
+        def count_validated(self):
+            nonlocal made
+            made += 1
+            validated(self)
+
+        def count_trusted(cls, *args):
+            nonlocal made
+            made += 1
+            return trusted(cls, *args)
+
+        monkeypatch.setattr(SignedPerm, "__post_init__", count_validated)
+        monkeypatch.setattr(SignedPerm, "_trusted", classmethod(count_trusted))
+        support = write_json(tmp_path, "support.json", {
+            "g": 7, "first": [[2, 3, 6], [4, 5, 6], [2, 4, 6], [3, 5, 6]],
+            "second": [[1, 7], [2, 4, 7], [1, 2, 7], [4, 7]]})
+        weyl = write_json(tmp_path, "weyl.json", {"weyl": 7})
+        for argv in (["support", "--input", support], ["orbits", "--input", weyl], ["relations", "--input", weyl]):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        # W_7 has 645,120 elements
+        assert made < 100
 
 
 class TestJsonRoundTrip:

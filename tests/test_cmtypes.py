@@ -240,7 +240,7 @@ def test_action_compatible_with_decoding():
     """Acting on labels then encoding equals acting on the subset directly."""
     for g in (2, 3):
         spec = CMPairSpec.weyl(g)
-        for t in spec.group:
+        for t in spec.group.elements:
             for bits in range(1 << g):
                 I = Subset(g, bits)
                 moved = {act_embedding(t, x) for x in decode_cm_type(I, spec)}

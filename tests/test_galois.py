@@ -1,9 +1,12 @@
-"""Group construction: BFS closure, cyclic translation embedding, Weyl test."""
-from itertools import permutations
+"""Group construction: generators, their capped closure, cyclic translation
+embedding, Weyl test."""
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cmlab import galois
 from cmlab.cli import spec_from_json
 from cmlab.galois import (
     GaloisGroup,
@@ -12,7 +15,8 @@ from cmlab.galois import (
     orbit,
     weyl_full,
 )
-from cmlab.hyperoct import SignedPerm, Subset, compose
+from cmlab.hyperoct import SignedPerm, compose
+from oracles import weyl_elements
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
 
@@ -25,7 +29,7 @@ class TestFromGenerators:
             SignedPerm.make(3, [2]),
         ]
         G = from_generators(3, gens)
-        assert len(G) == 24
+        assert len(G.elements) == 24
 
     def test_full_hyperoctahedral_g3(self):
         gens = [
@@ -34,7 +38,7 @@ class TestFromGenerators:
             SignedPerm.make(3, [], [2, 1, 3]),
         ]
         G = from_generators(3, gens)
-        assert len(G) == 48
+        assert len(G.elements) == 48
         assert set(G.elements) == set(weyl_full(3).elements)
 
     def test_empty_generators_lack_conjugation(self):
@@ -49,25 +53,49 @@ class TestFromGenerators:
         gens = [SignedPerm.make(3, [1], [2, 3, 1]), SignedPerm.make(3, [2])]
         assert from_generators(3, gens).elements == from_generators(3, list(reversed(gens))).elements
 
+    def test_closure_cap(self, monkeypatch):
+        # the cap is the only bound on what a generators input can cost
+        gens = list(weyl_full(4).gens)  # they close to all 384 elements of W_4
+        monkeypatch.setattr(galois, "CLOSURE_CAP", 100)
+        with pytest.raises(ValueError) as err:
+            from_generators(4, gens)
+        assert str(err.value) == "closure exceeds cap of 100 elements"
+
 
 class TestCyclicTranslation:
     def test_mu19_group(self):
         G = from_cyclic_translation(18, MU19_PHI)
-        assert len(G) == 18
-        assert G.elements[9] == SignedPerm.rho(9)
+        assert len(G.labels) == len(set(G.labels.values())) == len(G.elements) == 18
+        assert G.element_for_label(9) == SignedPerm.rho(9)
 
     def test_homomorphism_exhaustive(self):
-        emb = from_cyclic_translation(18, MU19_PHI).elements
+        emb = from_cyclic_translation(18, MU19_PHI).labels
         for s in range(18):
             for t in range(18):
                 assert compose(emb[s], emb[t]) == emb[(s + t) % 18]
 
     def test_mu5_shape(self):
         G = from_cyclic_translation(4, [0, 1])
-        emb = G.elements
-        assert len(G) == 4
+        emb = G.labels
+        assert len(G.elements) == 4
         assert emb[2] == SignedPerm.rho(2)
         assert compose(emb[1], emb[1]) == emb[2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 24).flatmap(lambda g: st.tuples(
+        st.just(g), st.permutations(range(g)), st.lists(st.booleans(), min_size=g, max_size=g))))
+    def test_rho_and_the_residue_law_hold_by_construction(self, drawn):
+        # no runtime check looks for rho in a cyclic group: label M/2 is rho
+        # and labels compose as residues add, for every transversal
+        g, residues, conj = drawn
+        M = 2 * g
+        G = from_cyclic_translation(M, [a + g * c for a, c in zip(residues, conj)])
+        assert G.element_for_label(M // 2) == SignedPerm.rho(g)
+        emb = G.labels
+        assert sorted(emb) == list(range(M))
+        for s in range(M):
+            for t in range(M):
+                assert compose(emb[s], emb[t]) == emb[(s + t) % M]
 
     def test_wrong_transversal_size(self):
         with pytest.raises(ValueError, match="wrong transversal size"):
@@ -82,38 +110,41 @@ class TestCyclicTranslation:
             from_cyclic_translation(9, [0, 1, 2, 3])
 
     def test_labels_map(self):
+        # label t is the t-th power of the generator, the t-th element of
+        # the closure
         G = from_cyclic_translation(4, [0, 1])
         for t in range(4):
             assert G.element_for_label(t) == G.elements[t]
 
 
 class TestWeylFull:
-    def test_perm_then_flips_order(self):
+    def test_elements_are_the_whole_group_in_a_deterministic_order(self):
+        # the closure of the three generators is every signed permutation
+        # (against an enumeration of permutations x flip masks), each with
+        # the inverse of the validated construction; the order is fixed
+        # but not promised
         for g in range(1, 6):
-            want = tuple(
-                SignedPerm(g, Subset(g, bits), perm)
-                for perm in permutations(range(1, g + 1))
-                for bits in range(1 << g)
-            )
-            G = weyl_full(g)
-            assert G.elements == want
-            assert all(x._inv_perm == y._inv_perm for x, y in zip(G.elements, want))
-            assert SignedPerm.rho(g) in G.elements
+            elements = weyl_full(g).elements
+            assert len(elements) == len(set(elements)) == (1 << g) * factorial(g)
+            assert set(elements) == set(weyl_elements(g))
+            assert all(x._inv_perm == SignedPerm(g, x.flips, x.perm)._inv_perm for x in elements)
+            assert weyl_full(g).elements == elements
+            assert SignedPerm.rho(g) in elements
 
 
 class TestIsWeyl:
     """A group is the full Weyl group of genus g iff it has 2^g g! elements."""
 
     def test_full_g3(self):
-        assert len(weyl_full(3)) == (1 << 3) * factorial(3)
+        assert len(weyl_full(3).elements) == (1 << 3) * factorial(3)
 
     def test_mu19_not_weyl(self):
         G = from_cyclic_translation(18, MU19_PHI)
-        assert len(G) < (1 << 9) * factorial(9)
+        assert len(G.elements) < (1 << 9) * factorial(9)
 
     def test_g1(self):
         G = from_generators(1, [SignedPerm.rho(1)])
-        assert len(G) == 2 == (1 << 1) * factorial(1)
+        assert len(G.elements) == 2 == (1 << 1) * factorial(1)
 
 
 class TestGenerators:
@@ -132,28 +163,23 @@ class TestGenerators:
 
     def test_cyclic_generator_is_translation_by_one(self):
         G = from_cyclic_translation(18, MU19_PHI)
-        assert G.gens == (G.elements[1],)
+        assert G.gens == (G.element_for_label(1),)
 
     def test_closure_keeps_its_generators(self):
         gens = [SignedPerm.make(3, [1], [2, 3, 1]), SignedPerm.make(3, [2])]
         assert set(from_generators(3, gens).gens) == set(gens)
 
-    def test_bare_element_list_generates_itself(self):
-        G = weyl_full(2)
-        assert GaloisGroup(2, G.elements).gens == G.elements
-
     def test_transitivity_is_checked_on_the_generators(self):
-        # the elements close to a transitive group, but the given
-        # generators alone fix 2: the check reads the generators
-        elements = weyl_full(2).elements
+        # rho alone fixes 2; the check walks the orbit of 1 under the
+        # generators, with no element list
         with pytest.raises(ValueError, match=r"not transitive \(reaches only \[1\]\)"):
-            GaloisGroup(2, elements, gens=(SignedPerm.rho(2),))
+            GaloisGroup(2, (SignedPerm.rho(2),))
 
 
 class TestJson:
     def test_cyclic_spec(self):
         G = spec_from_json({"cyclic": {"M": 18, "phi": MU19_PHI}}).group
-        assert len(G) == 18
+        assert len(G.elements) == 18
 
     def test_generator_spec(self):
         data = {
@@ -164,7 +190,7 @@ class TestJson:
                 {"flips": [], "perm": [2, 1, 3]},
             ],
         }
-        assert len(spec_from_json(data).group) == 48
+        assert len(spec_from_json(data).group.elements) == 48
 
     def test_bad_spec(self):
         with pytest.raises(ValueError, match="generators.*cyclic|cyclic.*generators"):

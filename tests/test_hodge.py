@@ -39,7 +39,7 @@ from cmlab.reciprocity import (
     reduce_to_low_degree,
     render_relation,
 )
-from oracles import act_embedding, dense, kernel_to_cycle, member, quad_lattice, translated
+from oracles import act_embedding, dense, kernel_to_cycle, member, quad_lattice, translated, weyl_elements
 from strategies import signed_perms
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
@@ -184,7 +184,7 @@ class TestPohlmann:
 
     def test_basis_is_group_stable(self):
         basis = set(pohlmann_basis(3, 2, 1))
-        for t in weyl_full(3):
+        for t in weyl_elements(3):
             assert {translated(c, t) for c in basis} == basis
 
     def test_budget_error(self):
@@ -233,14 +233,14 @@ def flat_scan(spec, p, n):
     2p-combination of the sorted slots in itertools.combinations order, kept
     iff its packed holomorphy profile has digit p at every group element.
     It acts through act_subset and act_embedding on every element of the
-    group (weyl_full(g) for the anti-Weyl variety), not through the
+    group (all of W_g for the anti-Weyl variety), not through the
     translate classes of the walk."""
     if isinstance(spec, CMPairSpec):
         bases = [EmbeddingLabel(j, bar) for bar in (False, True) for j in range(1, spec.g + 1)]
         group, act = spec.group.elements, act_embedding
     else:
         bases = [Subset(spec, bits) for bits in range(1 << spec)]
-        group, act = weyl_full(spec).elements, act_subset
+        group, act = weyl_elements(spec), act_subset
     slots = sorted(((base, copy) for copy in range(1, n + 1) for base in bases), key=_slot_key)
     digit = {t: 1 << (4 * i) for i, t in enumerate(group)}
     profile = {base: sum(digit[t] for t in group if _is_hol(act(t, base))) for base in bases}
@@ -327,9 +327,8 @@ class TestAdmissible:
     def test_stable_under_the_group(self):
         # the image quadruple (t.I, t.J, (t.K^c)^c, (t.L^c)^c) stays admissible
         for g in (3, 4):
-            G = weyl_full(g)
             for I, J, K, L, _ in b2_quadruples(g, 1):
-                for t in G:
+                for t in weyl_elements(g):
                     assert admissible(
                         act_subset(t, I),
                         act_subset(t, J),
@@ -354,7 +353,7 @@ class TestKernelToCycle:
     def test_satisfies_the_counting_condition(self):
         spec = mu19_spec()
         c = kernel_to_cycle(spec, (1, -1, -1, 1, 0, 0, -1, 0, 1))
-        for s in spec.group:
+        for s in spec.group.elements:
             assert translated(c, s).bidegree == (3, 3)
 
     def test_zero_vector(self):
@@ -576,12 +575,7 @@ def census(g):
     return by_support
 
 
-@functools.lru_cache(maxsize=None)
-def weyl_group(g):
-    return weyl_full(g)
-
-
-def support_reference(q, G):
+def support_reference(q, elements):
     """quadruple_support as it was computed with Subset objects and
     act_subset, one translate of each wedge slot per group element."""
     I, J, K, L = q
@@ -590,7 +584,7 @@ def support_reference(q, G):
             frozenset({act_subset(t, I), act_subset(t, J)}),
             frozenset({act_subset(t, K.complement()), act_subset(t, L.complement())}),
         )
-        for t in G.elements
+        for t in elements
     )
 
 
@@ -610,22 +604,22 @@ class TestSupport:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([4, 5]).flatmap(admissible_quadruples_over_tail))
     def test_matches_the_subset_reference(self, q):
-        G = weyl_group(q[0].g)
+        g = q[0].g
         assert admissible(*q)
-        assert quadruple_support(q, G) == support_reference(q, G)
+        assert quadruple_support(q, weyl_full(g)) == support_reference(q, weyl_elements(g))
 
     @settings(max_examples=6, deadline=None)  # the reference takes ~0.5 s at g = 6
     @given(st.sampled_from([3, 6]).flatmap(admissible_quadruples_over_tail))
     def test_matches_the_subset_reference_at_g3_and_g6(self, q):
-        G = weyl_group(q[0].g)
+        g = q[0].g
         assert admissible(*q)
-        assert quadruple_support(q, G) == support_reference(q, G)
+        assert quadruple_support(q, weyl_full(g)) == support_reference(q, weyl_elements(g))
 
     def test_self_and_translate_equivalence(self):
         G = weyl_full(3)
         q = (Subset.of(3, []), Subset.of(3, [2, 3]), Subset.of(3, [2]), Subset.of(3, [3]))
         s = quadruple_support(q, G)
-        for t in G:  # the identity included: q is equivalent to itself
+        for t in weyl_elements(3):  # the identity included: q is equivalent to itself
             moved = (
                 act_subset(t, q[0]),
                 act_subset(t, q[1]),

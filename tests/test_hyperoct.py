@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlab.galois import weyl_full
 from cmlab.hyperoct import (
     EmbeddingLabel,
     SignedPerm,
@@ -16,7 +15,7 @@ from cmlab.hyperoct import (
     inverse,
     submasks,
 )
-from oracles import act_embedding
+from oracles import act_embedding, weyl_elements
 from strategies import dims, signed_perms, subsets
 
 
@@ -108,7 +107,7 @@ class TestIntegerAction:
         # the reference maps each member j to beta(j) and flips through
         # Subset operations, independently of both
         for g in (1, 2, 3, 4):
-            for t in weyl_full(g):
+            for t in weyl_elements(g):
                 for bits in range(1 << g):
                     I = Subset(g, bits)
                     want = t.flips ^ Subset.of(g, [t.perm[j - 1] for j in I.members()])
