@@ -72,7 +72,7 @@ def spec_from_json(data: dict):
     with more than one of these keys is refused."""
     from .cmtypes import CMPairSpec
     from .galois import from_generators
-    from .hyperoct import SignedPerm
+    from .hyperoct import SignedPerm, check_group_size
 
     shapes = [f'"{key}"' for key in ("cyclic", "weyl", "generators") if key in data]
     if len(shapes) > 1:
@@ -85,7 +85,13 @@ def spec_from_json(data: dict):
     if "generators" in data:
         _check(data, {"g": int, "generators": [{"flips": [int], "perm": [int]}]})
         g = data["g"]
-        gens = [SignedPerm.make(g, x["flips"], x["perm"]) for x in data["generators"]]
+        check_group_size(g)
+        gens = []
+        for k, x in enumerate(data["generators"]):
+            try:
+                gens.append(SignedPerm.make(g, x["flips"], x["perm"]))
+            except ValueError as exc:
+                raise ValueError(f"generators[{k}]: {exc}") from None
         return CMPairSpec.of_group(from_generators(g, gens))
     raise ValueError('input needs "cyclic", "weyl" or "generators"')
 

@@ -117,7 +117,7 @@ def orbit_decomposition(G: GaloisGroup) -> list[list[Subset]]:
         if seed in seen:
             continue
         members = orbit(G.gens, seed, _act_bits)
-        seen |= members
+        seen.update(members)
         orbits.append(sorted((Subset(g, b) for b in members), key=subset_rank))
     return orbits
 

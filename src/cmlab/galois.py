@@ -2,9 +2,11 @@
 
 A group is its generators: signed permutations whose closure contains the
 central all-flips element rho (complex conjugation) and has a transitive
-image in S_g.  orbit() finds any orbit from the generators (Holt, Eick and
-O'Brien, Handbook of Computational Group Theory, 4.1), so no solver lists
-the elements.  closure() walks them under CLOSURE_CAP, for from_generators
+image in S_g.  orbit() walks any orbit from the generators breadth first
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1) and
+refuses more than CLOSURE_CAP points, so no solver lists the elements.  The
+group itself is one such orbit: closure() is the orbit of the identity under
+left multiplication, over plain (flips mask, perm) keys, for from_generators
 to check that outside generators reach rho and for the read-only
 GaloisGroup.elements.
 Constructors: explicit generators, the full group, and Z/M acting by
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .hyperoct import SignedPerm, Subset, check_group_size, compose
+from .hyperoct import SignedPerm, Subset, _act_bits, check_group_size
 from .record import Record, set_slot
 
 CLOSURE_CAP = 10**6
@@ -42,9 +44,10 @@ class GaloisGroup(Record):
         if len(seen) != self.g:
             raise ValueError(f"image in S_{self.g} is not transitive (reaches only {sorted(seen)})")
 
-    # every element, in the deterministic order of closure(); read by the
-    # tests and the benchmark tracer, never by a command
-    elements = property(lambda self: closure(self.g, self.gens))
+    # every element, validated, in the discovery order of closure(); read by
+    # the tests and the benchmark tracer, never by a command
+    elements = property(lambda self: tuple(
+        SignedPerm(self.g, Subset(self.g, flips), perm) for flips, perm in closure(self.g, self.gens)))
 
     def element_for_label(self, label) -> SignedPerm:
         if self.labels is None:
@@ -52,10 +55,11 @@ class GaloisGroup(Record):
         return self.labels[label]
 
 
-def orbit(gens, seed, act) -> set:
+def orbit(gens, seed, act) -> list:
     """The orbit of seed under the group generated by gens, act(t, x) being
-    the action of a generator t on a point x, by breadth-first search (in a
-    finite group the inverses are powers of the generators)."""
+    the action of a generator t on a point x, in breadth-first discovery
+    order (in a finite group the inverses are powers of the generators);
+    more than CLOSURE_CAP points is an error."""
     seen, queue = {seed}, [seed]
     for x in queue:
         for t in gens:
@@ -63,25 +67,16 @@ def orbit(gens, seed, act) -> set:
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
-    return seen
+                if len(queue) > CLOSURE_CAP:
+                    raise ValueError(f"orbit exceeds cap of {CLOSURE_CAP} points")
+    return queue
 
 
-def closure(g: int, gens) -> tuple:
-    """The group generated by gens, breadth first from the identity; more
-    than CLOSURE_CAP elements is an error."""
-    ident = SignedPerm.identity(g)
-    seen = {ident}
-    order = [ident]
-    # the list grows while it is read: a queue, so this is discovery order
-    for cur in order:
-        for gen in gens:
-            prod = compose(cur, gen)
-            if prod not in seen:
-                seen.add(prod)
-                order.append(prod)
-                if len(order) > CLOSURE_CAP:
-                    raise ValueError(f"closure exceeds cap of {CLOSURE_CAP} elements")
-    return tuple(order)
+def closure(g: int, gens) -> list:
+    """The group generated by gens as (flips mask, perm) keys: the orbit of
+    the identity, a generator t acting by left multiplication t*x."""
+    return orbit(gens, (0, tuple(range(1, g + 1))),
+                 lambda t, x: (_act_bits(t, x[0]), tuple(t.perm[j - 1] for j in x[1])))
 
 
 def from_generators(g: int, gens: list[SignedPerm]) -> GaloisGroup:
@@ -91,7 +86,7 @@ def from_generators(g: int, gens: list[SignedPerm]) -> GaloisGroup:
         if x.g != g:
             raise ValueError(f"generator has g={x.g}, expected {g}")
     gens = tuple(sorted(set(gens), key=lambda x: (x.flips.bits, x.perm)))
-    if SignedPerm.rho(g) not in closure(g, gens):
+    if ((1 << g) - 1, tuple(range(1, g + 1))) not in closure(g, gens):
         raise ValueError("conjugation not in group")
     return GaloisGroup(g, gens)
 

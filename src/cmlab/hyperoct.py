@@ -25,7 +25,6 @@ complementation; it plays the role of complex conjugation throughout.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import total_ordering
 
 from .record import Record, set_slot
 
@@ -45,12 +44,8 @@ def check_powerset_size(g: int) -> None:
         )
 
 
-@total_ordering
 class Subset(Record):
-    """A subset of {1,...,g}, stored as a g-bit mask (bit j-1 <-> element j).
-
-    Subsets are ordered by (g, bits).
-    """
+    """A subset of {1,...,g}, stored as a g-bit mask (bit j-1 <-> element j)."""
 
     __slots__ = ("g", "bits")
 
@@ -60,11 +55,6 @@ class Subset(Record):
             raise ValueError(f"subset mask {bits:#x} has elements outside 1..{g}")
         set_slot(self, "g", g)
         set_slot(self, "bits", bits)
-
-    def __lt__(self, other: "Subset") -> bool:
-        if other.__class__ is not Subset:
-            return NotImplemented
-        return (self.g, self.bits) < (other.g, other.bits)
 
     @classmethod
     def of(cls, g: int, members: Iterable[int] = ()) -> "Subset":
@@ -78,10 +68,6 @@ class Subset(Record):
     @classmethod
     def empty(cls, g: int) -> "Subset":
         return cls(g, 0)
-
-    @classmethod
-    def full(cls, g: int) -> "Subset":
-        return cls(g, (1 << g) - 1)
 
     def members(self) -> tuple[int, ...]:
         out, bits = [], self.bits
@@ -221,39 +207,12 @@ class SignedPerm(Record):
         set_slot(self, "_inv_perm", tuple(inv))
 
     @classmethod
-    def _trusted(cls, g: int, flips: Subset, perm: tuple, inv_perm: tuple) -> "SignedPerm":
-        """An element from parts already known to be valid (perm a bijection
-        of 1..g with inverse inv_perm, flips at g), built without
-        __post_init__; compose and inverse only."""
-        self = object.__new__(cls)
-        _SET_G(self, g)
-        _SET_FLIPS(self, flips)
-        _SET_PERM(self, perm)
-        _SET_INV_PERM(self, inv_perm)
-        return self
-
-    @classmethod
     def make(cls, g: int, flips: Iterable[int] = (), perm: Iterable[int] | None = None) -> "SignedPerm":
         p = tuple(perm) if perm is not None else tuple(range(1, g + 1))
         return cls(g, Subset.of(g, flips), p)
 
-    @classmethod
-    def identity(cls, g: int) -> "SignedPerm":
-        return cls(g, Subset.empty(g), tuple(range(1, g + 1)))
-
-    @classmethod
-    def rho(cls, g: int) -> "SignedPerm":
-        """The central all-flips element (complex conjugation)."""
-        return cls(g, Subset.full(g), tuple(range(1, g + 1)))
-
     def __str__(self) -> str:
         return f"(flips {self.flips}, perm {self.perm})"
-
-
-# the slot descriptors' own setters, for _trusted: it builds every product of
-# galois.closure, up to CLOSURE_CAP of them for a generators input, and these
-# skip the attribute lookup that set_slot makes
-_SET_G, _SET_FLIPS, _SET_PERM, _SET_INV_PERM = (getattr(SignedPerm, name).__set__ for name in SignedPerm.__slots__)
 
 
 def _act_bits(t: SignedPerm, bits: int) -> int:
@@ -272,9 +231,7 @@ def compose(a: SignedPerm, b: SignedPerm) -> SignedPerm:
     """Product a*b: apply b first, then a."""
     if a.g != b.g:
         raise ValueError(f"dimension mismatch: g={a.g} vs g={b.g}")
-    perm = tuple(a.perm[bj - 1] for bj in b.perm)
-    inv = tuple(b._inv_perm[j - 1] for j in a._inv_perm)
-    return SignedPerm._trusted(a.g, Subset(a.g, _act_bits(a, b.flips.bits)), perm, inv)
+    return SignedPerm(a.g, Subset(a.g, _act_bits(a, b.flips.bits)), tuple(a.perm[bj - 1] for bj in b.perm))
 
 
 def inverse(a: SignedPerm) -> SignedPerm:
@@ -285,7 +242,7 @@ def inverse(a: SignedPerm) -> SignedPerm:
         low = src & -src
         bits |= 1 << (inv[low.bit_length() - 1] - 1)
         src ^= low
-    return SignedPerm._trusted(a.g, Subset(a.g, bits), inv, a.perm)
+    return SignedPerm(a.g, Subset(a.g, bits), inv)
 
 
 def act_subset(t: SignedPerm, I: Subset) -> Subset:

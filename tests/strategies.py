@@ -41,4 +41,4 @@ def cm_pair_specs(draw, max_g=4):
     if kind == "weyl":
         return CMPairSpec.weyl(g)
     gens = draw(st.lists(signed_perms(g), max_size=2))
-    return generator_spec(g, gens + [SignedPerm.rho(g), SignedPerm(g, Subset.empty(g), (*range(2, g + 1), 1))])
+    return generator_spec(g, gens + [SignedPerm.make(g, range(1, g + 1)), SignedPerm(g, Subset.empty(g), (*range(2, g + 1), 1))])

@@ -299,6 +299,10 @@ class TestMalformedInput:
         ("support", {"g": 3, "first": [[], [9], [2], [3]]}, "first[1]: element 9 outside 1..3"),
         ("support", {"g": 3, "first": [[], [2, 3], [2], [3]], "second": [[], [2, 3], [2], [0]]},
          "second[3]: element 0 outside 1..3"),
+        ("orbits", {"g": 3, "generators": [{"flips": [5], "perm": [1, 2, 3]}]},
+         "generators[0]: element 5 outside 1..3"),
+        ("orbits", {"g": 3, "generators": [{"flips": [], "perm": [2, 3, 1]}, {"flips": [], "perm": [1, 2]}]},
+         "generators[1]: perm (1, 2) is not a bijection of 1..3"),
     ])
     def test_exit_1_naming_the_field(self, tmp_path, capsys, command, data, message):
         path = write_json(tmp_path, "bad.json", data)
@@ -515,25 +519,21 @@ class TestOneRender:
 
 
 class TestGroupWork:
-    """A command on the full Weyl group reads its three generators: it
-    builds a few signed permutations, not the 2^g g! elements."""
+    """A command reads a group's generators: it builds a few signed
+    permutations and subsets, not one per element of the group."""
 
     def test_weyl_commands_build_no_element_list(self, tmp_path, capsys, monkeypatch):
         made = 0
-        validated, trusted = SignedPerm.__post_init__, SignedPerm._trusted.__func__
 
-        def count_validated(self):
-            nonlocal made
-            made += 1
-            validated(self)
+        def counting(init):
+            def wrapper(self, *args):
+                nonlocal made
+                made += 1
+                init(self, *args)
+            return wrapper
 
-        def count_trusted(cls, *args):
-            nonlocal made
-            made += 1
-            return trusted(cls, *args)
-
-        monkeypatch.setattr(SignedPerm, "__post_init__", count_validated)
-        monkeypatch.setattr(SignedPerm, "_trusted", classmethod(count_trusted))
+        # every SignedPerm is built through __post_init__
+        monkeypatch.setattr(SignedPerm, "__post_init__", counting(SignedPerm.__post_init__))
         support = write_json(tmp_path, "support.json", {
             "g": 7, "first": [[2, 3, 6], [4, 5, 6], [2, 4, 6], [3, 5, 6]],
             "second": [[1, 7], [2, 4, 7], [1, 2, 7], [4, 7]]})
@@ -543,6 +543,20 @@ class TestGroupWork:
         capsys.readouterr()
         # W_7 has 645,120 elements
         assert made < 100
+
+        # W_6's three generators as an outside input: the closure that checks
+        # them walks plain keys
+        made = 0
+        monkeypatch.setattr(Subset, "__init__", counting(Subset.__init__))
+        ident = [1, 2, 3, 4, 5, 6]
+        generators = write_json(tmp_path, "w6.json", {"g": 6, "generators": [
+            {"flips": [], "perm": [2, 1, 3, 4, 5, 6]}, {"flips": [], "perm": ident[1:] + ident[:1]},
+            {"flips": [1], "perm": ident}]})
+        for command in ("orbits", "compagnons"):
+            assert main([command, "--input", generators]) == 0, command
+        capsys.readouterr()
+        # W_6 has 46,080 elements
+        assert made < 1000
 
 
 class TestJsonRoundTrip:

@@ -197,7 +197,7 @@ class TestReflexAndCompagnons:
         assert {I.members() for I in ref.cm_type} == {(), (2,), (3,), (2, 3)}
 
     def test_g1_reflex(self):
-        G = from_generators(1, [SignedPerm.rho(1)])
+        G = from_generators(1, [SignedPerm.make(1, [1])])
         spec = CMPairSpec(G, ("phi1",), ("phibar1",))
         ref = reflex_type(spec)
         assert [I.members() for I in ref.cm_type] == [()]
@@ -209,7 +209,7 @@ class TestDecodeEncode:
         assert labels == frozenset(EmbeddingLabel(j) for j in range(1, 10))
 
     def test_full_is_conjugate_type(self, mu19):
-        labels = decode_cm_type(Subset.full(9), mu19)
+        labels = decode_cm_type(Subset(9, (1 << 9) - 1), mu19)
         assert labels == frozenset(EmbeddingLabel(j, bar=True) for j in range(1, 10))
 
     def test_mu19_translate_display(self, mu19):

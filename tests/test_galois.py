@@ -15,7 +15,8 @@ from cmlab.galois import (
     orbit,
     weyl_full,
 )
-from cmlab.hyperoct import SignedPerm, compose
+from cmlab.hodge import quadruple_support
+from cmlab.hyperoct import SignedPerm, Subset, _act_bits, compose
 from oracles import weyl_elements
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
@@ -47,7 +48,7 @@ class TestFromGenerators:
 
     def test_rho_alone_not_transitive(self):
         with pytest.raises(ValueError, match="not transitive"):
-            from_generators(2, [SignedPerm.rho(2)])
+            from_generators(2, [SignedPerm.make(2, [1, 2])])
 
     def test_deterministic_order(self):
         gens = [SignedPerm.make(3, [1], [2, 3, 1]), SignedPerm.make(3, [2])]
@@ -59,14 +60,27 @@ class TestFromGenerators:
         monkeypatch.setattr(galois, "CLOSURE_CAP", 100)
         with pytest.raises(ValueError) as err:
             from_generators(4, gens)
-        assert str(err.value) == "closure exceeds cap of 100 elements"
+        assert str(err.value) == "orbit exceeds cap of 100 points"
+
+    def test_every_orbit_walk_is_capped(self, monkeypatch):
+        # the same cap budgets walks that are not the group: the block pairs
+        # of a support (a W_4 orbit of 48 points here) and the CM types
+        G = weyl_full(4)
+        q = tuple(Subset.of(4, s) for s in ([], [2, 3], [2], [3]))
+        assert len(quadruple_support(q, G)) == 48
+        monkeypatch.setattr(galois, "CLOSURE_CAP", 47)
+        with pytest.raises(ValueError, match=r"^orbit exceeds cap of 47 points$"):
+            quadruple_support(q, G)
+        monkeypatch.setattr(galois, "CLOSURE_CAP", 15)
+        with pytest.raises(ValueError, match=r"^orbit exceeds cap of 15 points$"):
+            orbit(G.gens, 0, _act_bits)
 
 
 class TestCyclicTranslation:
     def test_mu19_group(self):
         G = from_cyclic_translation(18, MU19_PHI)
         assert len(G.labels) == len(set(G.labels.values())) == len(G.elements) == 18
-        assert G.element_for_label(9) == SignedPerm.rho(9)
+        assert G.element_for_label(9) == SignedPerm.make(9, range(1, 10))
 
     def test_homomorphism_exhaustive(self):
         emb = from_cyclic_translation(18, MU19_PHI).labels
@@ -78,7 +92,7 @@ class TestCyclicTranslation:
         G = from_cyclic_translation(4, [0, 1])
         emb = G.labels
         assert len(G.elements) == 4
-        assert emb[2] == SignedPerm.rho(2)
+        assert emb[2] == SignedPerm.make(2, [1, 2])
         assert compose(emb[1], emb[1]) == emb[2]
 
     @settings(max_examples=40, deadline=None)
@@ -90,7 +104,7 @@ class TestCyclicTranslation:
         g, residues, conj = drawn
         M = 2 * g
         G = from_cyclic_translation(M, [a + g * c for a, c in zip(residues, conj)])
-        assert G.element_for_label(M // 2) == SignedPerm.rho(g)
+        assert G.element_for_label(M // 2) == SignedPerm.make(g, range(1, g + 1))
         emb = G.labels
         assert sorted(emb) == list(range(M))
         for s in range(M):
@@ -129,7 +143,7 @@ class TestWeylFull:
             assert set(elements) == set(weyl_elements(g))
             assert all(x._inv_perm == SignedPerm(g, x.flips, x.perm)._inv_perm for x in elements)
             assert weyl_full(g).elements == elements
-            assert SignedPerm.rho(g) in elements
+            assert SignedPerm.make(g, range(1, g + 1)) in elements
 
 
 class TestIsWeyl:
@@ -143,7 +157,7 @@ class TestIsWeyl:
         assert len(G.elements) < (1 << 9) * factorial(9)
 
     def test_g1(self):
-        G = from_generators(1, [SignedPerm.rho(1)])
+        G = from_generators(1, [SignedPerm.make(1, [1])])
         assert len(G.elements) == 2 == (1 << 1) * factorial(1)
 
 
@@ -152,8 +166,8 @@ class TestGenerators:
 
     def test_orbit_is_closed_and_reached(self):
         # translation by 3 on Z/12 reaches the residues of 1 mod 3
-        assert orbit([3], 1, lambda t, x: (x + t) % 12) == {1, 4, 7, 10}
-        assert orbit([], 5, lambda t, x: x) == {5}
+        assert set(orbit([3], 1, lambda t, x: (x + t) % 12)) == {1, 4, 7, 10}
+        assert orbit([], 5, lambda t, x: x) == [5]
 
     def test_weyl_generators_generate_the_group(self):
         for g in range(1, 5):
@@ -173,7 +187,7 @@ class TestGenerators:
         # rho alone fixes 2; the check walks the orbit of 1 under the
         # generators, with no element list
         with pytest.raises(ValueError, match=r"not transitive \(reaches only \[1\]\)"):
-            GaloisGroup(2, (SignedPerm.rho(2),))
+            GaloisGroup(2, (SignedPerm.make(2, [1, 2]),))
 
 
 class TestJson:

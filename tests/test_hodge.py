@@ -115,7 +115,7 @@ class TestCycleIndex:
         assert c.bidegree == (2, 2)
         one_sided = CycleIndex(((Subset.of(2, []), 1), (Subset.of(2, [2]), 1)))
         assert one_sided.bidegree == (2, 0)
-        assert translated(one_sided, SignedPerm.rho(2)).bidegree == (0, 2)
+        assert translated(one_sided, SignedPerm.make(2, [1, 2])).bidegree == (0, 2)
 
     @given(signed_perms(3), signed_perms(3))
     @settings(max_examples=40, deadline=None)
@@ -269,7 +269,7 @@ def pohlmann_specs(draw):
         return CMPairSpec.from_cyclic(2 * g, [a + g * draw(st.booleans()) for a in residues])
     g = draw(st.integers(2, 4))
     gens = draw(st.lists(signed_perms(g), max_size=2))
-    gens += [SignedPerm.rho(g), SignedPerm(g, Subset.empty(g), (*range(2, g + 1), 1))]
+    gens += [SignedPerm.make(g, range(1, g + 1)), SignedPerm(g, Subset.empty(g), (*range(2, g + 1), 1))]
     return CMPairSpec(
         from_generators(g, gens),
         tuple(f"phi{j}" for j in range(1, g + 1)),

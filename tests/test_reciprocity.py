@@ -112,7 +112,7 @@ class TestKernelN:
         assert kernel_N(CMPairSpec.weyl(3)).rank == 0
 
     def test_g1_kernel_trivial(self):
-        G = from_generators(1, [SignedPerm.rho(1)])
+        G = from_generators(1, [SignedPerm.make(1, [1])])
         spec = CMPairSpec(G, ("phi1",), ("phibar1",))
         assert kernel_N(spec).rank == 0
 

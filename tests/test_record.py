@@ -142,13 +142,6 @@ def test_fields_cannot_be_set_or_deleted(cls, fields, args, build, data):
     assert repr(x) == before
 
 
-@given(_subset_args(), _subset_args())
-def test_subset_order_is_that_of_g_then_bits(a, b):
-    x, y = Subset(*a), Subset(*b)
-    assert (x < y, x <= y, x > y, x >= y) == (a < b, a <= b, a > b, a >= b)
-    assert sorted([y, x]) == [Subset(*t) for t in sorted([a, b])]
-
-
 def test_repr_matches_the_earlier_field_form():
     assert repr(Subset(3, 5)) == "Subset(g=3, bits=5)"
     assert repr(SignedPerm.make(2, [1], [2, 1])) == "SignedPerm(g=2, flips=Subset(g=2, bits=1), perm=(2, 1))"
@@ -160,22 +153,13 @@ def test_hot_records_have_no_instance_dict():
         assert not hasattr(x, "__dict__")
 
 
-def test_trusted_elements_equal_validated_ones():
-    # the closure builds its elements without validation; they must still
-    # be equal to, and hash like, the validated construction
-    for el in weyl_full(3).elements:
-        again = SignedPerm(el.g, el.flips, el.perm)
-        assert el == again and hash(el) == hash(again)
-        assert el._inv_perm == again._inv_perm
-
-
 @pytest.mark.parametrize("build, message", [
     (lambda: Subset(3, 8), "subset mask 0x8 has elements outside 1..3"),
     (lambda: Subset(0, 0), "ground-set size g=0 outside supported range 1..24"),
     (lambda: SignedPerm(2, Subset(3, 0), (1, 2)), "dimension mismatch: flips has g=3, element has g=2"),
     (lambda: SignedPerm(2, Subset(2, 0), (1, 1)), "perm (1, 1) is not a bijection of 1..2"),
-    (lambda: from_generators(2, [SignedPerm.identity(2)]), "conjugation not in group"),
-    (lambda: GaloisGroup(2, (SignedPerm.identity(2), SignedPerm.rho(2))),
+    (lambda: from_generators(2, [SignedPerm.make(2)]), "conjugation not in group"),
+    (lambda: GaloisGroup(2, (SignedPerm.make(2), SignedPerm.make(2, [1, 2]))),
      "image in S_2 is not transitive (reaches only [1])"),
     (lambda: CMPairSpec(weyl_full(1), ("a",), ()), "need one name per embedding"),
     (lambda: CMPairSpec(weyl_full(1), ("a",), ("a",)), "embedding names collide with conjugate names"),
