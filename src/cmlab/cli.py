@@ -16,10 +16,16 @@ and relations --weyl-full load reciprocity, hyperoct and record;
 hodge-basis and support load hodge, cmtypes, galois, hyperoct and record,
 never the lattice or relation code; sl2-check loads sl2check, hyperoct and
 record.
+
+main() without argv runs the process's own command line (the `cmlab`
+console script and `python -m cmlab.cli`) and freezes the heap before it
+returns, so the collection at interpreter exit skips every object and the
+OS reclaims the memory; main(argv) leaves the collector as it is.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from importlib import import_module
@@ -176,6 +182,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code (argparse raises SystemExit(2)
+    on a usage error).  Without argv, run sys.argv[1:] as the process's own
+    command line and freeze the heap before returning, whatever the exit."""
+    try:
+        return _run(argv)
+    finally:
+        if argv is None:
+            # the process ends next: the collection at exit skips frozen
+            # objects, and cmlab leaves no cyclic garbage for it to free
+            gc.freeze()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if vars(args).get("weyl_full") is False and args.g is not None:

@@ -116,7 +116,7 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     variety (slots are then all subsets of {1,...,g}, acted on by the full
     hyperoctahedral group).  Enumeration is exact: a depth-first walk in
     itertools.combinations order drops a partial choice once some translate
-    of the CM type holds more than p of its slots.  Every call of the walk
+    of the CM type holds more than p of its slots.  Every node of the walk
     adds the length of its loop to a node count; once the count exceeds
     the budget (hard cap 10^7) a ValueError is raised rather than sampling.
     """
@@ -127,10 +127,10 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     if p > 7:
         raise ValueError("the packed accumulator supports p <= 7")
     eff = min(budget, POHLMANN_HARD_BUDGET)
-    exceeded = ValueError(f"enumeration budget exceeded: the walk visits more than {eff} nodes")
+    exceeded = f"enumeration budget exceeded: the walk visits more than {eff} nodes"
     profile, digits = _holomorphy_profiles(spec)
-    if n * len(profile) - 2 * p + 1 > eff:  # the first call's loop, checked before any slot is built
-        raise exceeded
+    if n * len(profile) - 2 * p + 1 > eff:  # the root's loop, checked before any slot is built
+        raise ValueError(exceeded)
     slots = sorted(((base, copy) for copy in range(1, n + 1) for base in profile), key=_slot_key)
     # one base-16 digit per translate; a candidate is Pohlmann-valid iff each
     # digit of its holomorphy count is p, and with 2p <= 14 no digit carries
@@ -141,23 +141,25 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     # adding 7 - p sets bit 3 of a digit iff it exceeds p, with no carry
     lift, high = (7 - p) * ones, 8 * ones
     picked, visited = [], 0
-
-    def walk(start: int, acc: int, chosen: tuple) -> None:
-        nonlocal visited
+    # the walk's nodes as (start, acc, chosen), children pushed in reverse so
+    # that they pop in itertools.combinations order
+    stack = [(0, 0, ())]
+    while stack:
+        start, acc, chosen = stack.pop()
         left = 2 * p - len(chosen)
         span = range(start, len(packed) - left + 1)
         visited += len(span)
         if visited > eff:
-            raise exceeded
-        for i in span:
-            nxt = acc + packed[i]
-            if left == 1:
-                if nxt == target:
+            raise ValueError(exceeded)
+        if left == 1:
+            for i in span:
+                if acc + packed[i] == target:
                     picked.append(CycleIndex((*chosen, slots[i])))
-            elif not (nxt + lift) & high:
-                walk(i + 1, nxt, (*chosen, slots[i]))
-
-    walk(0, 0, ())
+        else:
+            for i in reversed(span):
+                nxt = acc + packed[i]
+                if not (nxt + lift) & high:
+                    stack.append((i + 1, nxt, (*chosen, slots[i])))
     return picked
 
 
@@ -177,31 +179,26 @@ def bp_multisets(g: int, p: int, n: int) -> list[CycleIndex]:
     )
     out: list[CycleIndex] = []
     nodes = 0
-
-    def descend(i: int, chosen: list, cover: list[int], left: int) -> None:
-        nonlocal nodes
+    # depth-first over (next slot, chosen slots, cover count per point),
+    # children pushed in reverse so that they pop in slot order
+    stack = [(0, (), (0,) * g)]
+    while stack:
+        i, chosen, cover = stack.pop()
         nodes += 1
         if nodes > POHLMANN_HARD_BUDGET:
             raise ValueError("enumeration budget exceeded")
+        left = 2 * p - len(chosen)
         if left == 0:
             if all(c == p for c in cover):
-                out.append(CycleIndex(tuple(chosen)))
-            return
+                out.append(CycleIndex(chosen))
+            continue
         if len(slots) - i < left:
-            return
-        for k in range(i, len(slots)):
-            I = slots[k][0]
-            if any(cover[j - 1] + 1 > p for j in I.members()):
-                continue
-            for j in I.members():
-                cover[j - 1] += 1
-            chosen.append(slots[k])
-            descend(k + 1, chosen, cover, left - 1)
-            chosen.pop()
-            for j in I.members():
-                cover[j - 1] -= 1
-
-    descend(0, [], [0] * g, 2 * p)
+            continue
+        for k in reversed(range(i, len(slots))):
+            bits = slots[k][0].bits
+            step = tuple(c + (bits >> j & 1) for j, c in enumerate(cover))
+            if all(c <= p for c in step):
+                stack.append((k + 1, (*chosen, slots[k]), step))
     return out
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, golden report, JSON."""
 import contextlib
 import fcntl
+import gc
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -591,17 +593,23 @@ class TestJsonRoundTrip:
 DIGESTS = pathlib.Path(__file__).parent / "data" / "cli_digests.json"
 
 
-def digest_of(case, fmt, tmp_dir) -> str:
-    """sha256 of what a corpus case prints in one format; it must exit 0
-    with nothing on stderr."""
+def case_argv(case, fmt, tmp_dir) -> list:
+    """The command line of a corpus case in one format, its input written
+    to tmp_dir."""
     argv = [*case["argv"], "--format", fmt]
     if case["input"] is not None:
         path = pathlib.Path(tmp_dir) / "case.json"
         path.write_text(json.dumps(case["input"]))
         argv += ["--input", str(path)]
+    return argv
+
+
+def digest_of(case, fmt, tmp_dir) -> str:
+    """sha256 of what a corpus case prints in one format; it must exit 0
+    with nothing on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(case_argv(case, fmt, tmp_dir))
     if (code, err.getvalue()) != (0, ""):
         raise AssertionError(f"{case['name']} --format {fmt}: exit {code}, stderr {err.getvalue()!r}")
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
@@ -617,6 +625,108 @@ def test_output_bytes_are_pinned(case, fmt, tmp_path):
     # intended output change rewrite the digests with
     # PYTHONPATH=src python tests/test_cli.py --write-digests
     assert digest_of(case, fmt, tmp_path) == case["sha256"][fmt]
+
+
+def cmlab_cyclic_garbage(run) -> list:
+    """The functions defined in cmlab, and the types defined there of the
+    other objects, that run() leaves for the cyclic collector to free."""
+    def defined_in(obj):
+        return obj.__module__ if isinstance(obj, types.FunctionType) else type(obj).__module__
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return sorted({repr(obj) if isinstance(obj, types.FunctionType) else type(obj).__qualname__
+                       for obj in gc.garbage if (defined_in(obj) or "").split(".")[0] == "cmlab"})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+# `cmlab` freezes the heap instead of collecting it at exit, which loses
+# nothing only while reference counting frees every cmlab object
+# (argparse's and json's own cycles are theirs)
+@pytest.mark.parametrize("case", CORPUS, ids=[case["name"] for case in CORPUS])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_leaves_no_cyclic_garbage_of_its_own(case, fmt, tmp_path):
+    assert cmlab_cyclic_garbage(lambda: digest_of(case, fmt, tmp_path)) == []
+
+
+def test_budget_error_leaves_no_cyclic_garbage_of_its_own(capsys):
+    argv = ["hodge-basis", "--weyl-full", "--g", "4", "--p", "2", "--n", "1", "--budget", "50"]
+    codes = []
+    assert cmlab_cyclic_garbage(lambda: codes.append(main(argv))) == []
+    assert codes == [1]
+
+
+class TestProgramMode:
+    """main() runs the process's own command line and freezes the heap on
+    the way out; main(argv) leaves the collector as it found it."""
+
+    ENTRY = "import sys; from cmlab.cli import main; sys.exit(main())"
+    # one corpus case per handler module
+    FAMILIES = ["cyclic-orbits", "relations-weyl-full", "hodge-basis-weyl-full", "sl2-check", "example-mu19"]
+
+    def run_program(self, argv):
+        return subprocess.run([sys.executable, "-c", self.ENTRY, *argv], capture_output=True)
+
+    @staticmethod
+    def exit_code(argv=None) -> int:
+        """main's exit code, returned or raised by argparse."""
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sl2-check", "--g", "2"], 0),
+        (["sl2-check", "--g", "9"], 1),
+        (["relations", "--g", "2"], 2),
+    ])
+    def test_library_call_leaves_the_collector_alone(self, capsys, argv, code):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        assert self.exit_code(argv) == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("argv, code", [(["sl2-check", "--g", "2"], 0), (["relations", "--g", "2"], 2)])
+    def test_program_call_freezes_the_heap(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["cmlab", *argv])
+        before = gc.get_freeze_count()
+        try:
+            assert self.exit_code() == code
+            assert gc.get_freeze_count() > before
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_program_prints_the_pinned_bytes(self, tmp_path, name, fmt):
+        case = next(case for case in CORPUS if case["name"] == name)
+        run = self.run_program(case_argv(case, fmt, tmp_path))
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert hashlib.sha256(run.stdout).hexdigest() == case["sha256"][fmt]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sl2-check", "--g", "9"], 1),
+        (["kernel", "--input", "BAD"], 1),
+        (["relations", "--g", "2"], 2),
+        (["no-such-command"], 2),
+    ])
+    def test_program_exits_as_the_library_call_does(self, tmp_path, capsys, argv, code):
+        path = write_json(tmp_path, "bad.json", {"cyclic": {"M": 5, "phi": [0, 1]}})
+        argv = [path if a == "BAD" else a for a in argv]
+        assert self.exit_code(argv) == code
+        out, err = capsys.readouterr()
+        run = self.run_program(argv)
+        assert (run.returncode, run.stdout.decode(), run.stderr.decode()) == (code, out, err)
+        assert err
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write-digests"]:

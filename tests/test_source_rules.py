@@ -59,10 +59,15 @@ def _code(node):
     return node.decorator_list + node.bases + [s for s in node.body if not isinstance(s, ast.FunctionDef)]
 
 
+# the owner of an attribute whose class is not known
+ANY = "*"
+
+
 def _names(nodes, classes, returns):
-    """(class, name) for each name the nodes load.  The class of an
-    attribute is known for Class.attr, Class(...).attr and f(...).attr with f
-    annotated to return a class; else it is None."""
+    """(owner, name) for each name the nodes load: owner None for a bare
+    name, which can only be a module-level definition; for an attribute the
+    class where it is known (Class.attr, Class(...).attr and f(...).attr
+    with f annotated to return a class), else ANY."""
     found = set()
     for node in (n for top in nodes for n in ast.walk(top)):
         if isinstance(node, ast.Name):
@@ -71,7 +76,7 @@ def _names(nodes, classes, returns):
             base = node.value.func if isinstance(node.value, ast.Call) else node.value
             name = getattr(base, "id", None)
             cls = returns.get(name, name)
-            found.add((cls if cls in classes else None, node.attr))
+            found.add((cls if cls in classes else ANY, node.attr))
     return found
 
 
@@ -81,8 +86,9 @@ def unreached_public_definitions(package, acceptance):
 
     Reachability goes by name from cli.main, the handlers that cli._COMMANDS
     names, and module-level code: a reached definition reaches each
-    definition that its code names (only the member of the class, where the
-    class is known and has one), and a reached class its dunder methods.
+    module-level definition that its code names bare, each definition that
+    it names as an attribute (only the member of the class, where the class
+    is known and has one), and a reached class its dunder methods.
     """
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
     defs = {}
@@ -98,11 +104,12 @@ def unreached_public_definitions(package, acceptance):
                for node, owner in defs.values() if owner is None and isinstance(node, ast.FunctionDef)}
     by_name = {}
     for key, (node, owner) in defs.items():
-        for cls in {None, owner}:
+        for cls in {ANY, owner}:
             by_name.setdefault((cls, node.name), []).append(key)
 
     def targets(names):
-        return [key for cls, name in names for key in by_name.get((cls, name)) or by_name.get((None, name), [])]
+        return [key for cls, name in names
+                for key in by_name.get((cls, name)) or (by_name.get((ANY, name), []) if cls else [])]
 
     commands = next(node.value for node in trees["cli"].body
                     if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_COMMANDS")
@@ -128,6 +135,19 @@ def unreached_public_definitions(package, acceptance):
             for (module, name), (node, owner) in sorted(defs.items())
             if (module, name) not in reached and not any(part.startswith("_") for part in name.split("."))
             and not (owner is None and name in imported)]
+
+
+def test_a_bare_name_reaches_no_method(tmp_path):
+    # a local variable that shares a method's name does not reach the method
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "cli.py").write_text(
+        '_COMMANDS = {"go": ("cli_go", "cmd_go")}\n\n\ndef main():\n    return 0\n')
+    (package / "cli_go.py").write_text(
+        "class Box:\n    def full(self):\n        return 1\n\n    def used(self):\n        return 2\n\n\n"
+        "def cmd_go(args, as_json):\n    full = Box()\n    return full.used()\n")
+    (tmp_path / "acceptance.py").write_text("")
+    assert unreached_public_definitions(package, tmp_path / "acceptance.py") == ["cli_go.Box.full (2 lines)"]
 
 
 def test_every_public_definition_is_run_by_a_command_or_imported_by_acceptance():
