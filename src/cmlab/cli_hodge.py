@@ -2,9 +2,8 @@
 from __future__ import annotations
 
 from .cli import _check, _load_source, _read_json
-from .galois import weyl_full
-from .hodge import canonical_form_weyl, pohlmann_basis, quadruple_support
-from .hyperoct import Subset
+from .hodge import canonical_form_weyl, pohlmann_basis, support_class
+from .hyperoct import Subset, check_group_size
 
 
 def _slot_str(slot, copy, spec) -> str:
@@ -43,7 +42,7 @@ def cmd_hodge_basis(args, as_json):
 def cmd_support(args, as_json):
     data = _check(_read_json(args.input), {"g": int, "first": [[int]]})
     g = data["g"]
-    group = weyl_full(g)
+    check_group_size(g)
 
     def quad(name, entry):
         if len(entry) != 4:
@@ -57,24 +56,21 @@ def cmd_support(args, as_json):
         return tuple(parts)
 
     q1 = quad("first", data["first"])
-    s1 = quadruple_support(q1, group)
+    size, key = support_class(q1)
     try:
         form = canonical_form_weyl(q1, g)
     except ValueError:
         form = None
-    s2 = None
+    obj = {"support_size": size, "canonical_form": None if form is None else list(form)}
     if "second" in data:
-        s2 = quadruple_support(quad("second", _check(data["second"], [[int]], "second")), group)
+        size2, key2 = support_class(quad("second", _check(data["second"], [[int]], "second")))
+        obj.update(second_support_size=size2, equivalent=key == key2)
     if as_json:
-        obj = {"support_size": len(s1), "canonical_form": None if form is None else list(form)}
-        if s2 is not None:
-            obj["second_support_size"] = len(s2)
-            obj["equivalent"] = s1 == s2
         return obj
-    lines = [f"support size: {len(s1)}"]
+    lines = [f"support size: {size}"]
     if form is not None:
         lines.append(f"canonical form: r={form[0]} s={form[1]}")
-    if s2 is not None:
-        lines.append(f"second support size: {len(s2)}")
-        lines.append(f"equivalent: {'yes' if s1 == s2 else 'no'}")
+    if "equivalent" in obj:
+        lines.append(f"second support size: {obj['second_support_size']}")
+        lines.append(f"equivalent: {'yes' if obj['equivalent'] else 'no'}")
     return lines

@@ -15,9 +15,7 @@ fields: Hom(E, C) = Z/M, conjugation is translation by M/2).
 """
 from __future__ import annotations
 
-from math import factorial
-
-from .hyperoct import SignedPerm, Subset, _act_bits, check_group_size
+from .hyperoct import SignedPerm, Subset, _act_bits, check_group_size, check_powerset_size
 from .record import Record, set_slot
 
 CLOSURE_CAP = 10**6
@@ -128,8 +126,7 @@ def weyl_full(g: int) -> GaloisGroup:
     """The full hyperoctahedral group, generated by the transposition (1 2),
     the g-cycle and the flip of 1 (whose conjugates by the cycle give rho)."""
     check_group_size(g)
-    if (1 << g) * factorial(g) > CLOSURE_CAP:
-        raise ValueError(f"full hyperoctahedral group for g={g} exceeds cap of {CLOSURE_CAP}")
+    check_powerset_size(g)  # every CM type is in one orbit: a pair command walks all 2^g masks
     ident = tuple(range(1, g + 1))
     swap, cycle = ident[1::-1] + ident[2:], ident[1:] + ident[:1]
     none = Subset(g, 0)

@@ -17,22 +17,22 @@ Theta_I (relation_of_cycle); reciprocity.reduce_to_low_degree certifies
 that every such relation is generated by degree-one relations
 Theta_I * Theta_{I^c} ~ tau and degree-two quadruple relations.
 
-Quadruples are classified up to Galois conjugacy by their support (the
-set of translated slot pairs) or, equivalently, by the invariant (r, s)
-of canonical_form_weyl; balance_dichotomy verifies the exhaustive
+A quadruple's support is the W_g-orbit of its block pair, sized and keyed
+by support_class from the pattern counts of its four masks; on admissible
+quadruples the key and the invariant (r, s) of canonical_form_weyl
+determine each other.  balance_dichotomy verifies the exhaustive
 two-out-of-four balance lemma behind the admissibility condition.
 """
 from __future__ import annotations
 
 import itertools
+from math import factorial, prod
 
 from . import POHLMANN_HARD_BUDGET
 from .cmtypes import CMPairSpec, translate_masks
-from .galois import GaloisGroup, orbit
 from .hyperoct import (
     EmbeddingLabel,
     Subset,
-    _act_bits,
     admissible,
     check_powerset_size,
     subset_rank,
@@ -280,28 +280,32 @@ def relation_of_cycle(c: CycleIndex) -> MonomialRelation:
 # supports, canonical forms, and the balance dichotomy
 
 
-def quadruple_support(q, G: GaloisGroup) -> frozenset:
-    """All Galois translates of the wedge-slot pairs of (I, J, K, L): the
-    left block {t.I, t.J} and the right block {t.K^c, t.L^c}, as an
-    ordered pair of unordered blocks; the orbit of the block pair under the
-    generators of G."""
-    g = G.g
+def _class_counts(a: int, b: int, c: int, d: int, g: int) -> tuple:
+    """The number of points j in each class {p, p ^ 15}, indexed by min(p, p ^ 15),
+    of the pattern p = [j in a] + 2[j in b] + 4[j in c] + 8[j in d]."""
+    counts = [0] * 8
+    for j in range(g):
+        p = (a >> j & 1) | (b >> j & 1) << 1 | (c >> j & 1) << 2 | (d >> j & 1) << 3
+        counts[min(p, p ^ 15)] += 1
+    return tuple(counts)
+
+
+def support_class(q) -> tuple[int, tuple]:
+    """(size, key) of the support of (I, J, K, L), the W_g-orbit of its
+    block pair ({I, J}, {K^c, L^c}).  W_g permutes points and a flip
+    complements a point's pattern, so 4-tuples share an orbit iff their
+    class counts n_c agree, and the stabilizer of one has order prod n_c!.
+    The support has 2^g g! / (prod n_c! h) points, h the distinct orderings
+    of the block pair with the tuple's own counts, and two supports agree
+    iff their keys (the least counts over the orderings) do."""
+    g = q[0].g
     if any(X.g != g for X in q):
-        raise ValueError(f"dimension mismatch: the group acts at g={g}")
-    I, J, K, L = q
-
-    def normal(a, b, c, d):
-        return (min(a, b), max(a, b), min(c, d), max(c, d))
-
-    # each generator acts through its table of images of the 2^g masks
-    tables = [[_act_bits(t, bits) for bits in range(1 << g)] for t in G.gens]
-    seed = normal(I.bits, J.bits, K.complement().bits, L.complement().bits)
-    blocks = orbit(tables, seed, lambda t, x: normal(t[x[0]], t[x[1]], t[x[2]], t[x[3]]))
-    subsets = [Subset(g, bits) for bits in range(1 << g)]
-    return frozenset(
-        (frozenset({subsets[a], subsets[b]}), frozenset({subsets[c], subsets[d]}))
-        for a, b, c, d in blocks
-    )
+        raise ValueError(f"dimension mismatch: index sets at g={', '.join(str(X.g) for X in q)}")
+    a, b, c, d = q[0].bits, q[1].bits, q[2].complement().bits, q[3].complement().bits
+    own = _class_counts(a, b, c, d, g)
+    counts = [_class_counts(*o, g) for o in {(a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c)}]
+    stabilizer = prod(map(factorial, own)) * counts.count(own)
+    return (1 << g) * factorial(g) // stabilizer, min(counts)
 
 
 def canonical_form_weyl(q, g: int) -> tuple[int, int]:

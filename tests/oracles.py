@@ -4,15 +4,17 @@ The package computes the kernel of rec* in closed form and strips only the
 support of a relation; the dense versions here are what they must agree
 with: rec* as a matrix, the span of all admissible quadruples, and the
 strip over all 2^g subsets.  The rest is what no command runs: the label
-form of CM types, the elements of the whole Weyl group, lattice membership,
-the HNF witness, the symplectic form.
+form of CM types, the elements of the whole Weyl group, the support of a
+quadruple as a walked orbit, lattice membership, the HNF witness, the
+symplectic form.
 """
 import functools
 from fractions import Fraction
 from itertools import permutations
 
+from cmlab.galois import GaloisGroup, orbit
 from cmlab.hodge import CycleIndex, _slot_key
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, check_powerset_size, submasks, subset_rank, subset_unrank
+from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, _act_bits, act_subset, check_powerset_size, submasks, subset_rank, subset_unrank
 from cmlab.intlattice import IntLattice, IntMatrix, hnf
 from cmlab.reciprocity import SIMPLE, kernel_N
 from cmlab.sl2check import SymplecticMatrix
@@ -133,6 +135,30 @@ def weyl_elements(g: int) -> tuple:
     that shares nothing with the breadth-first closure of the package."""
     flips = [Subset(g, bits) for bits in range(1 << g)]
     return tuple(SignedPerm(g, f, perm) for perm in permutations(range(1, g + 1)) for f in flips)
+
+
+def quadruple_support(q, G: GaloisGroup) -> frozenset:
+    """All Galois translates of the wedge-slot pairs of (I, J, K, L): the
+    left block {t.I, t.J} and the right block {t.K^c, t.L^c}, as an
+    ordered pair of unordered blocks; the orbit of the block pair under the
+    generators of G."""
+    g = G.g
+    if any(X.g != g for X in q):
+        raise ValueError(f"dimension mismatch: the group acts at g={g}")
+    I, J, K, L = q
+
+    def normal(a, b, c, d):
+        return (min(a, b), max(a, b), min(c, d), max(c, d))
+
+    # each generator acts through its table of images of the 2^g masks
+    tables = [[_act_bits(t, bits) for bits in range(1 << g)] for t in G.gens]
+    seed = normal(I.bits, J.bits, K.complement().bits, L.complement().bits)
+    blocks = orbit(tables, seed, lambda t, x: normal(t[x[0]], t[x[1]], t[x[2]], t[x[3]]))
+    subsets = [Subset(g, bits) for bits in range(1 << g)]
+    return frozenset(
+        (frozenset({subsets[a], subsets[b]}), frozenset({subsets[c], subsets[d]}))
+        for a, b, c, d in blocks
+    )
 
 
 def act_embedding(t, x: EmbeddingLabel) -> EmbeddingLabel:

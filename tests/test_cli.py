@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -20,7 +21,9 @@ import cmlab.hodge
 from cmlab import POHLMANN_HARD_BUDGET
 from cmlab.cli import build_parser, main
 from cmlab.cmtypes import subset_rank
+from cmlab.galois import GaloisGroup, weyl_full
 from cmlab.hyperoct import SignedPerm, Subset
+from oracles import quadruple_support
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "example_mu19.txt"
 
@@ -316,9 +319,8 @@ class TestMalformedInput:
 class TestPinnedMessages:
     @pytest.mark.parametrize("argv, data, message", [
         (["reflex"], {"weyl": 3}, "reflex labels need a labeled (cyclic) group"),
-        (["orbits"], {"weyl": 17}, "full hyperoctahedral group for g=17 exceeds cap of 1000000"),
-        (["support"], {"g": 8, "first": [[], [2, 3], [2], [3]]},
-         "full hyperoctahedral group for g=8 exceeds cap of 1000000"),
+        (["orbits"], {"weyl": 17}, "operation enumerates all 2^g subsets; g=17 exceeds the cap 16"),
+        (["kernel"], {"weyl": 17}, "operation enumerates all 2^g subsets; g=17 exceeds the cap 16"),
         (["hodge-basis", "--weyl-full", "--g", "2", "--p", "8", "--n", "1"], None,
          "the packed accumulator supports p <= 7"),
         (["sl2-check", "--g", "9"], None, "check_sl2 supports g <= 8, got 9"),
@@ -333,6 +335,11 @@ class TestPinnedMessages:
          'input gives more than one pair: "weyl" and "generators"'),
         (["kernel"], {"cyclic": {"M": 8, "phi": [0, 1, 2, 3]}, "weyl": 4},
          'input gives more than one pair: "cyclic" and "weyl"'),
+        (["reflex"], {"weyl": 17}, "operation enumerates all 2^g subsets; g=17 exceeds the cap 16"),
+        (["orbits"], {"weyl": 25}, "ground-set size g=25 outside supported range 1..24"),
+        (["support"], {"g": 0, "first": [[], [], [], []]}, "ground-set size g=0 outside supported range 1..24"),
+        (["support"], {"g": 25, "first": [[], [2, 3], [2], [3]]},
+         "ground-set size g=25 outside supported range 1..24"),
     ])
     def test_exact_stderr_and_exit_1(self, tmp_path, capsys, argv, data, message):
         path = tmp_path / "input.json"
@@ -452,6 +459,20 @@ class TestSupport:
         assert code == 0
         assert out.splitlines() == ["support size: 4", "canonical form: r=2 s=1"]
 
+    def test_g8_matches_the_walk(self, tmp_path, capsys):
+        q = [[], [2, 3], [2], [3]]
+        path = write_json(tmp_path, "g8.json", {"g": 8, "first": q})
+        code, out, _ = run_cli(["support", "--input", path], capsys)
+        size = len(quadruple_support(tuple(Subset.of(8, s) for s in q), weyl_full(8)))
+        assert (code, out.splitlines()) == (0, [f"support size: {size}", "canonical form: r=3 s=2"])
+
+    def test_g24(self, tmp_path, capsys):
+        # no group is built: the size is 2^24 24! over the stabilizer 22! and h = 4
+        path = write_json(tmp_path, "g24.json", {"g": 24, "first": [[], [2, 3], [2], [3]]})
+        code, out, _ = run_cli(["support", "--input", path], capsys)
+        size = (1 << 24) * math.factorial(24) // (math.factorial(22) * 4)
+        assert (code, out.splitlines()) == (0, [f"support size: {size}", "canonical form: r=3 s=2"])
+
     def test_missing_fields(self, tmp_path, capsys):
         path = write_json(tmp_path, "nofirst.json", {"g": 2})
         code, _, err = run_cli(["support", "--input", path], capsys)
@@ -534,13 +555,17 @@ class TestGroupWork:
                 init(self, *args)
             return wrapper
 
-        # every SignedPerm is built through __post_init__
+        # every SignedPerm and every GaloisGroup is built through __post_init__
         monkeypatch.setattr(SignedPerm, "__post_init__", counting(SignedPerm.__post_init__))
+        monkeypatch.setattr(GaloisGroup, "__post_init__", counting(GaloisGroup.__post_init__))
         support = write_json(tmp_path, "support.json", {
             "g": 7, "first": [[2, 3, 6], [4, 5, 6], [2, 4, 6], [3, 5, 6]],
             "second": [[1, 7], [2, 4, 7], [1, 2, 7], [4, 7]]})
+        assert main(["support", "--input", support]) == 0
+        # a support is counted, not walked: no group at all
+        assert made == 0
         weyl = write_json(tmp_path, "weyl.json", {"weyl": 7})
-        for argv in (["support", "--input", support], ["orbits", "--input", weyl], ["relations", "--input", weyl]):
+        for argv in (["orbits", "--input", weyl], ["relations", "--input", weyl]):
             assert main(argv) == 0, argv
         capsys.readouterr()
         # W_7 has 645,120 elements
@@ -559,6 +584,12 @@ class TestGroupWork:
         capsys.readouterr()
         # W_6 has 46,080 elements
         assert made < 1000
+
+    def test_weyl_16_is_walked_by_its_masks(self, tmp_path, capsys):
+        # W_16 has 2^16 16! elements; the 2^16 CM types are one orbit
+        weyl = write_json(tmp_path, "weyl.json", {"weyl": 16})
+        code, out, _ = run_cli(["orbits", "--input", weyl], capsys)
+        assert (code, out.splitlines()[:2]) == (0, ["orbits: 1", "orbit 0: degree 65536, key {}"])
 
 
 class TestJsonRoundTrip:

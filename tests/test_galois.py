@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cmlab import galois
 from cmlab.cli import spec_from_json
+from cmlab.cmtypes import orbit_decomposition
 from cmlab.galois import (
     GaloisGroup,
     from_cyclic_translation,
@@ -15,8 +16,7 @@ from cmlab.galois import (
     orbit,
     weyl_full,
 )
-from cmlab.hodge import quadruple_support
-from cmlab.hyperoct import SignedPerm, Subset, _act_bits, compose
+from cmlab.hyperoct import SignedPerm, compose
 from oracles import weyl_elements
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
@@ -63,17 +63,13 @@ class TestFromGenerators:
         assert str(err.value) == "orbit exceeds cap of 100 points"
 
     def test_every_orbit_walk_is_capped(self, monkeypatch):
-        # the same cap budgets walks that are not the group: the block pairs
-        # of a support (a W_4 orbit of 48 points here) and the CM types
+        # the same cap budgets walks that are not the group: the CM types,
+        # all 16 of which form one W_4 orbit
         G = weyl_full(4)
-        q = tuple(Subset.of(4, s) for s in ([], [2, 3], [2], [3]))
-        assert len(quadruple_support(q, G)) == 48
-        monkeypatch.setattr(galois, "CLOSURE_CAP", 47)
-        with pytest.raises(ValueError, match=r"^orbit exceeds cap of 47 points$"):
-            quadruple_support(q, G)
+        assert [len(o) for o in orbit_decomposition(G)] == [16]
         monkeypatch.setattr(galois, "CLOSURE_CAP", 15)
         with pytest.raises(ValueError, match=r"^orbit exceeds cap of 15 points$"):
-            orbit(G.gens, 0, _act_bits)
+            orbit_decomposition(G)
 
 
 class TestCyclicTranslation:

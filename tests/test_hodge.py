@@ -23,11 +23,11 @@ from cmlab.hodge import (
     bp_multisets,
     canonical_form_weyl,
     pohlmann_basis,
-    quadruple_support,
     quadruple_to_cycle,
     relation_of_cycle,
+    support_class,
 )
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, compose
+from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, compose, tail_subsets
 from cmlab.intlattice import IntLattice
 from cmlab.reciprocity import (
     ANTIWEYL,
@@ -39,8 +39,10 @@ from cmlab.reciprocity import (
     reduce_to_low_degree,
     render_relation,
 )
-from oracles import act_embedding, dense, kernel_to_cycle, member, quad_lattice, translated, weyl_elements
-from strategies import signed_perms
+from oracles import (
+    act_embedding, dense, kernel_to_cycle, member, quad_lattice, quadruple_support, translated, weyl_elements,
+)
+from strategies import signed_perms, subsets
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
 # Galois-orbit index sets I([a]) of the mu19 pair, for the labels used below
@@ -556,22 +558,21 @@ def generator_lattice(g):
     return IntLattice.from_rows((1 << g) + 1, [list(row) for row in generator_rows(g)])
 
 
+def admissible_over_tail(g):
+    """Every admissible quadruple over {2..g}, each block an unordered pair
+    taken once: the pairs (I, J) grouped by (I | J, I & J)."""
+    by_sig = {}
+    for I, J in itertools.combinations_with_replacement(tail_subsets(g), 2):
+        by_sig.setdefault(((I | J).bits, (I & J).bits), []).append((I, J))
+    return [(I, J, K, L) for pairs in by_sig.values() for I, J in pairs for K, L in pairs]
+
+
 def census(g):
-    """Canonical admissible quadruples over {2..g} grouped by support."""
+    """Admissible quadruples over {2..g} grouped by their walked support."""
     G = weyl_full(g)
-    tail = sorted((Subset(g, b) for b in range(1 << g) if not b & 1), key=subset_rank)
     by_support = {}
-    for I, J in itertools.combinations_with_replacement(tail, 2):
-        for A, B in itertools.combinations_with_replacement(tail, 2):
-            if not admissible(I, J, A, B):
-                continue
-            K, L = (
-                (A, B)
-                if subset_rank(A.complement()) <= subset_rank(B.complement())
-                else (B, A)
-            )
-            q = (I, J, K, L)
-            by_support.setdefault(quadruple_support(q, G), []).append(q)
+    for q in admissible_over_tail(g):
+        by_support.setdefault(quadruple_support(q, G), []).append(q)
     return by_support
 
 
@@ -600,25 +601,93 @@ def admissible_quadruples_over_tail(draw, g):
     return tuple(Subset(g, bits) for bits in (c | a, c | (d ^ a), c | b, c | (d ^ b)))
 
 
+@st.composite
+def quadruples(draw, g):
+    """Any four subsets of {1..g}, often with a degenerate block: I = J,
+    K = L or {I, J} = {K, L}."""
+    I, J, K, L = (draw(subsets(g)) for _ in range(4))
+    shape = draw(st.sampled_from(["any", "I=J", "K=L", "same blocks", "swapped blocks"]))
+    if shape == "I=J":
+        J = I
+    elif shape == "K=L":
+        L = K
+    elif shape != "any":
+        K, L = (I, J) if shape == "same blocks" else (J, I)
+    return (I, J, K, L)
+
+
+@st.composite
+def translated_quadruple(draw, q):
+    """t.q for a random t in W_g, its blocks' members possibly swapped: a
+    quadruple with the support of q."""
+    g = q[0].g
+    t = draw(signed_perms(g))
+    I, J, K, L = (act_subset(t, X) for X in (q[0], q[1], q[2].complement(), q[3].complement()))
+    if draw(st.booleans()):
+        I, J = J, I
+    if draw(st.booleans()):
+        K, L = L, K
+    return (I, J, K.complement(), L.complement())
+
+
+@st.composite
+def quadruple_pairs(draw):
+    """Two quadruples at one g <= 5, the second a translate of the first
+    half of the time."""
+    q = draw(st.integers(1, 5).flatmap(quadruples))
+    other = translated_quadruple(q) if draw(st.booleans()) else quadruples(q[0].g)
+    return q, draw(other)
+
+
+def assert_matches_the_walk(quads):
+    """support_class agrees with the walked orbit: sizes are equal, and keys
+    are equal exactly when supports are."""
+    G = weyl_full(quads[0][0].g)
+    walked = [quadruple_support(q, G) for q in quads]
+    classes = [support_class(q) for q in quads]
+    assert [size for size, _ in classes] == [len(s) for s in walked]
+    key_of = {}
+    for s, (_, key) in zip(walked, classes):
+        assert key_of.setdefault(s, key) == key
+    assert len(set(key_of.values())) == len(key_of)
+
+
 class TestSupport:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([4, 5]).flatmap(admissible_quadruples_over_tail))
     def test_matches_the_subset_reference(self, q):
         g = q[0].g
         assert admissible(*q)
-        assert quadruple_support(q, weyl_full(g)) == support_reference(q, weyl_elements(g))
+        support = quadruple_support(q, weyl_full(g))
+        assert support == support_reference(q, weyl_elements(g))
+        assert support_class(q)[0] == len(support)
 
     @settings(max_examples=6, deadline=None)  # the reference takes ~0.5 s at g = 6
     @given(st.sampled_from([3, 6]).flatmap(admissible_quadruples_over_tail))
     def test_matches_the_subset_reference_at_g3_and_g6(self, q):
         g = q[0].g
         assert admissible(*q)
-        assert quadruple_support(q, weyl_full(g)) == support_reference(q, weyl_elements(g))
+        support = quadruple_support(q, weyl_full(g))
+        assert support == support_reference(q, weyl_elements(g))
+        assert support_class(q)[0] == len(support)
+
+    @settings(max_examples=200, deadline=None)
+    @given(quadruple_pairs())
+    def test_any_pair_matches_the_walk(self, pair):
+        assert_matches_the_walk(pair)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_every_quadruple_matches_the_walk(self, g):
+        assert_matches_the_walk(list(itertools.product([Subset(g, bits) for bits in range(1 << g)], repeat=4)))
+
+    def test_size_at_g8_matches_the_walk(self):
+        # every ordering of the blocks has the tuple's counts: h = 4
+        q = tuple(Subset.of(8, s) for s in ([2, 3, 6], [4, 5, 6], [2, 4, 6], [3, 5, 6]))
+        assert support_class(q)[0] == len(quadruple_support(q, weyl_full(8))) == 26880
 
     def test_self_and_translate_equivalence(self):
-        G = weyl_full(3)
         q = (Subset.of(3, []), Subset.of(3, [2, 3]), Subset.of(3, [2]), Subset.of(3, [3]))
-        s = quadruple_support(q, G)
+        key = support_class(q)[1]
         for t in weyl_elements(3):  # the identity included: q is equivalent to itself
             moved = (
                 act_subset(t, q[0]),
@@ -626,24 +695,29 @@ class TestSupport:
                 act_subset(t, q[2].complement()).complement(),
                 act_subset(t, q[3].complement()).complement(),
             )
-            assert quadruple_support(moved, G) == s
+            assert support_class(moved)[1] == key
 
     def test_swapped_right_pair_is_equivalent(self):
-        G = weyl_full(3)
         q1 = (Subset.of(3, []), Subset.of(3, [2, 3]), Subset.of(3, [2]), Subset.of(3, [3]))
         q2 = (Subset.of(3, []), Subset.of(3, [2, 3]), Subset.of(3, [3]), Subset.of(3, [2]))
-        s1 = quadruple_support(q1, G)
-        assert quadruple_support(q2, G) == s1
-        assert len(s1) == 12
+        assert support_class(q1) == support_class(q2)
+        assert support_class(q1)[0] == 12
 
     def test_dimension_mismatch(self):
-        q = (Subset.of(3, []), Subset.of(3, [2, 3]), Subset.of(3, [2]), Subset.of(3, [3]))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            quadruple_support(q, weyl_full(4))
+        q = (Subset.of(3, []), Subset.of(3, [2, 3]), Subset.of(3, [2]), Subset.of(4, [3]))
+        with pytest.raises(ValueError, match="^dimension mismatch: index sets at g=3, 3, 3, 4$"):
+            support_class(q)
 
     def test_degenerate_surface_support(self):
         q = (Subset.of(2, []), Subset.of(2, [2]), Subset.of(2, [2]), Subset.of(2, []))
-        assert len(quadruple_support(q, weyl_full(2))) == 4
+        assert support_class(q)[0] == 4
+
+    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    def test_key_and_canonical_form_determine_each_other(self, g):
+        form_of = {}
+        for q in admissible_over_tail(g):
+            assert form_of.setdefault(support_class(q)[1], canonical_form_weyl(q, g)) == canonical_form_weyl(q, g)
+        assert len(set(form_of.values())) == len(form_of)
 
     def test_census_matches_canonical_form(self):
         sizes = {
