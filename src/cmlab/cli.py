@@ -147,12 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, description, weyl=False, pn=False):
+    def add(name, description, weyl=False, pn=False, has_input=True):
         sp = sub.add_parser(name, help=description, description=description)
         sp.add_argument("--format", choices=("table", "json"), default="table")
-        # --weyl-full stands in for the input file, so the two exclude each other
-        source = sp.add_mutually_exclusive_group() if weyl else sp
-        source.add_argument("--input", required=not weyl, metavar="FILE", help="JSON input file")
+        if has_input:
+            # --weyl-full stands in for the input file, so the two exclude each other
+            source = sp.add_mutually_exclusive_group() if weyl else sp
+            source.add_argument("--input", required=not weyl, metavar="FILE", help="JSON input file")
         if weyl:
             source.add_argument("--weyl-full", action="store_true",
                                 help="use the full hyperoctahedral group at --g")
@@ -162,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n", type=int, required=True)
             sp.add_argument("--budget", type=_positive, default=POHLMANN_HARD_BUDGET, metavar="N",
                             help="fail once the Pohlmann walk has visited more than N nodes (hard cap 10^7)")
+        return sp
 
     add("orbits", "orbit decomposition of the group on index sets")
     add("reflex", "reflex CM type of a labeled pair")
@@ -171,13 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("hodge-basis", "Hodge-class basis in degree p at power n", weyl=True, pn=True)
     add("reduce", "degree <= 2 reduction certificate for a relation")
     add("support", "support size, canonical form and equivalence of quadruples")
-    sp = sub.add_parser("sl2-check", help="sl2-triple verification over all index sets",
-                        description="sl2-triple verification over all index sets")
-    sp.add_argument("--format", choices=("table", "json"), default="table")
-    sp.add_argument("--g", type=_positive, required=True)
-    sp = sub.add_parser("example-mu19", help="worked cyclotomic regression report",
-                        description="worked cyclotomic regression report")
-    sp.add_argument("--format", choices=("table", "json"), default="table")
+    sl2 = add("sl2-check", "sl2-triple verification over all index sets", has_input=False)
+    sl2.add_argument("--g", type=_positive, required=True)
+    add("example-mu19", "worked cyclotomic regression report", has_input=False)
     return parser
 
 

@@ -8,12 +8,13 @@ from .hodge import quadruple_to_cycle, relation_of_cycle
 from .hyperoct import Subset, admissible, subset_rank
 from .reciprocity import ANTIWEYL, MonomialRelation, lift_relation, reduce_to_low_degree, render_relation
 
-# the base pair, its reflex, and the two factorizations through the
-# compagnon index set L = {5, 6}
+# the base pair, its reflex, the two factorizations through the compagnon
+# index set L = {5, 6}, and the second compagnon index set L' = {4, 6, 7}
 _MU19_M = 18
 _MU19_PHI = (0, 2, 3, 6, 10, 13, 14, 16, 17)
 _MU19_PHI_STAR = (0, 1, 2, 4, 5, 8, 12, 15, 16)
 _MU19_L = (5, 6)
+_MU19_L_PRIME = (4, 6, 7)
 _MU19_MEDIATED = (((0, 17), 3), ((2, 14), 6))
 
 
@@ -28,7 +29,7 @@ def cmd_example_mu19(args, as_json):
         degree_census[len(o)] = degree_census.get(len(o), 0) + 1
     recovered = reflex_labels(spec_star)
     L = Subset.of(g, _MU19_L)
-    Lp = Subset.of(g, (4, 6, 7))
+    Lp = Subset.of(g, _MU19_L_PRIME)
     labels_L = compagnon_labels(spec_star, L)
     labels_Lp = compagnon_labels(spec_star, Lp)
     kernel, rels = kernel_report(spec_phi, as_json)
@@ -41,29 +42,25 @@ def cmd_example_mu19(args, as_json):
     factorization = []
     for rel in rels:
         cubic = lift_relation(rel, ranks)
+        # reduce_to_low_degree raises unless the certificate verifies
         cert = reduce_to_low_degree(cubic, g)
-        verified = cert.verify()
         if as_json:
-            certificates.append(certificate_json(cert, verified))
+            certificates.append(certificate_json(cert))
             continue
         factorization.append(f"cubic: {render_relation(rel, symbols)}")
         if dict(rel.terms).get(_MU19_PHI.index(17)):
-            for (a, b), mediator in _MU19_MEDIATED:
-                quad = (index_of[a], index_of[b], index_of[mediator], L)
-                factorization.append(
-                    f"  quadruple ({', '.join(str(X) for X in quad)}): "
-                    + ("admissible" if admissible(*quad) else "NOT admissible")
-                )
-            qa = relation_of_cycle(quadruple_to_cycle(index_of[0], index_of[17], index_of[3], L))
-            qb = relation_of_cycle(quadruple_to_cycle(index_of[2], index_of[14], index_of[6], L))
+            quads = [(index_of[a], index_of[b], index_of[mediator], L) for (a, b), mediator in _MU19_MEDIATED]
+            factorization.extend(
+                f"  quadruple ({', '.join(str(X) for X in quad)}): "
+                + ("admissible" if admissible(*quad) else "NOT admissible")
+                for quad in quads
+            )
+            qa, qb = (relation_of_cycle(quadruple_to_cycle(*quad)) for quad in quads)
             diff = MonomialRelation(ANTIWEYL, g, (*qa.terms, *((r, -c) for r, c in qb.terms)))
             match = cubic.normalized() == diff.normalized()
             factorization.append("  quadratic difference reproduces the cubic: " + ("yes" if match else "no"))
         signs = "{" + ",".join(f"{c:+d}" for c in sorted({c for _, c in cert.parts})) + "}"
-        factorization.append(
-            f"  reduction certificate: {len(cert.parts)} parts, coefficients in {signs}, "
-            + ("verified" if verified else "NOT verified")
-        )
+        factorization.append(f"  reduction certificate: {len(cert.parts)} parts, coefficients in {signs}, verified")
 
     if as_json:
         return {

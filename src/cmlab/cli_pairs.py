@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from .cli import _load_spec
-from .cmtypes import compagnon_labels, compagnons, labeled_translates, orbit_decomposition, reflex_labels, reflex_type
+from .cmtypes import compagnon_labels, labeled_translates, orbit_decomposition, reflex_labels, translate_masks
 from .hyperoct import Subset
 
 
@@ -34,18 +34,20 @@ def cmd_orbits(args, as_json):
 
 def cmd_reflex(args, as_json):
     spec = _load_spec(args.input)
-    ref = reflex_type(spec)
+    masks = translate_masks(spec.group)
+    # the members avoiding 1, already in rank order
+    cm_type = [Subset(spec.g, m) for m in masks if not m & 1]
     labels = reflex_labels(spec)
     if as_json:
         return {
-            "degree": ref.degree,
+            "degree": len(masks),
             "labels": list(labels),
-            "cm_type": [list(I.members()) for I in ref.cm_type],
+            "cm_type": [list(I.members()) for I in cm_type],
         }
     return [
-        f"reflex degree: {ref.degree}",
+        f"reflex degree: {len(masks)}",
         f"reflex labels: {labels_str(labels)}",
-        *(f"type {I}" for I in ref.cm_type),
+        *(f"type {I}" for I in cm_type),
     ]
 
 
@@ -53,11 +55,11 @@ def cmd_compagnons(args, as_json):
     spec = _load_spec(args.input)
     labeled = spec.group.labels is not None
     found = []
-    for k, c in enumerate(compagnons(spec)):
+    for k, o in enumerate(orbit_decomposition(spec.group)):
         labels = None
         if labeled:
-            labels = reflex_labels(spec) if k == 0 else compagnon_labels(spec, c.key)
-        found.append((c.degree, c.key, labels))
+            labels = reflex_labels(spec) if k == 0 else compagnon_labels(spec, o[0])
+        found.append((len(o), o[0], labels))
     if as_json:
         return {"compagnons": [
             {"degree": degree, "key": list(key.members()), "labels": None if labels is None else list(labels)}

@@ -1,14 +1,16 @@
-"""CM types as subsets, orbit decomposition, reflex types and compagnons.
+"""CM types as subsets, their Galois orbits, and the labeled orbit table.
 
 A CM type on E is encoded by the subset I of {1,...,g} of conjugated
 positions: it stands for {phi_j : j not in I} + {phibar_j : j in I}, so the
 empty set is the base type Phi_E = {phi_1,...,phi_g}; only the subsets are
 ever built.  The Galois group permutes the 2^g CM types through the subset
-action; each orbit O_r yields one simple isogeny factor ("compagnon") of
-the generalized anti-Weyl variety, whose CM type is indexed by the orbit
-members not containing the distinguished position 1.  Labeled (cyclic)
-pairs also have an orbit table, the translates a.I of an index set by
-each label a.
+action.  Orbit k of orbit_decomposition is compagnon k, one simple isogeny
+factor of the generalized anti-Weyl variety: its degree is the orbit size,
+its key the first member, and its CM type the members not containing the
+distinguished position 1 (half the orbit, since conjugation lies in the
+group).  The orbit of the empty set, translate_masks, is the reflex.
+Labeled (cyclic) pairs also have an orbit table, the translates a.I of an
+index set by each label a.
 """
 from __future__ import annotations
 
@@ -17,10 +19,10 @@ from .hyperoct import (
     EmbeddingLabel,
     Subset,
     _act_bits,
+    _unrank_bits,
     act_subset,
     check_powerset_size,
     subset_rank,
-    subset_unrank,
 )
 from .record import Record, set_slot
 
@@ -75,28 +77,10 @@ class CMPairSpec(Record):
         return self.phibar_names[x.index - 1] if x.bar else self.phi_names[x.index - 1]
 
 
-class Compagnon(Record):
-    """One simple isogeny factor: a Galois orbit of CM types.
-
-    `orbit` is sorted by subset_rank; `cm_type` keeps the members not
-    containing 1 (half of the orbit, since conjugation lies in the group);
-    `degree` is the orbit size.  The first orbit member is the stable key.
-    """
-
-    __slots__ = ("orbit", "cm_type", "degree")
-
-    def __init__(self, orbit: tuple[Subset, ...], cm_type: tuple[Subset, ...], degree: int) -> None:
-        set_slot(self, "orbit", orbit)
-        set_slot(self, "cm_type", cm_type)
-        set_slot(self, "degree", degree)
-
-    @property
-    def key(self) -> Subset:
-        return self.orbit[0]
-
-
 def translate_masks(G: GaloisGroup) -> list[int]:
-    """The sorted masks sigma.empty of the translates sigma Phi: the orbit of the empty set."""
+    """The sorted masks sigma.empty of the translates sigma Phi: the orbit of
+    the empty set, walked alone, so it needs no powerset cap.  Among masks
+    without bit 1 the numeric order is the canonical subset order."""
     return sorted(orbit(G.gens, 0, _act_bits))
 
 
@@ -113,31 +97,13 @@ def orbit_decomposition(G: GaloisGroup) -> list[list[Subset]]:
     # seeds in canonical order, so each orbit is found from its minimal
     # member and the empty set (rank 0) comes first
     for r in range(1 << g):
-        seed = subset_unrank(g, r).bits
+        seed = _unrank_bits(g, r)
         if seed in seen:
             continue
         members = orbit(G.gens, seed, _act_bits)
         seen.update(members)
         orbits.append(sorted((Subset(g, b) for b in members), key=subset_rank))
     return orbits
-
-
-def _compagnon_of(orbit: list[Subset]) -> Compagnon:
-    return Compagnon(
-        orbit=tuple(orbit),
-        cm_type=tuple(I for I in orbit if 1 not in I),
-        degree=len(orbit),
-    )
-
-
-def compagnons(spec: CMPairSpec) -> list[Compagnon]:
-    """One compagnon per orbit; degrees sum to 2^g, CM types to 2^(g-1)."""
-    return [_compagnon_of(o) for o in orbit_decomposition(spec.group)]
-
-
-def reflex_type(spec: CMPairSpec) -> Compagnon:
-    """The compagnon of the orbit of the empty set: the reflex CM pair."""
-    return _compagnon_of(sorted((Subset(spec.g, b) for b in translate_masks(spec.group)), key=subset_rank))
 
 
 def labeled_translates(spec: CMPairSpec, base: Subset) -> list[tuple]:

@@ -181,12 +181,9 @@ class EmbeddingLabel(Record):
 
 
 class SignedPerm(Record):
-    """Group element theta = (flips, perm); perm[j-1] is the image beta(j).
+    """Group element theta = (flips, perm); perm[j-1] is the image beta(j)."""
 
-    _inv_perm caches the inverse permutation in the same one-line notation.
-    """
-
-    __slots__ = ("g", "flips", "perm", "_inv_perm")
+    __slots__ = ("g", "flips", "perm")
 
     def __init__(self, g: int, flips: Subset, perm: tuple[int, ...]) -> None:
         set_slot(self, "g", g)
@@ -195,16 +192,12 @@ class SignedPerm(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Validate the parts and fill _inv_perm."""
+        """Validate the parts."""
         check_group_size(self.g)
         if self.flips.g != self.g:
             raise ValueError(f"dimension mismatch: flips has g={self.flips.g}, element has g={self.g}")
         if len(self.perm) != self.g or sorted(self.perm) != list(range(1, self.g + 1)):
             raise ValueError(f"perm {self.perm} is not a bijection of 1..{self.g}")
-        inv = [0] * self.g
-        for j, bj in enumerate(self.perm, start=1):
-            inv[bj - 1] = j
-        set_slot(self, "_inv_perm", tuple(inv))
 
     @classmethod
     def make(cls, g: int, flips: Iterable[int] = (), perm: Iterable[int] | None = None) -> "SignedPerm":
@@ -235,14 +228,16 @@ def compose(a: SignedPerm, b: SignedPerm) -> SignedPerm:
 
 
 def inverse(a: SignedPerm) -> SignedPerm:
-    inv = a._inv_perm
+    inv = [0] * a.g
+    for j, bj in enumerate(a.perm, start=1):
+        inv[bj - 1] = j
     bits = 0
     src = a.flips.bits
     while src:
         low = src & -src
         bits |= 1 << (inv[low.bit_length() - 1] - 1)
         src ^= low
-    return SignedPerm(a.g, Subset(a.g, bits), inv)
+    return SignedPerm(a.g, Subset(a.g, bits), tuple(inv))
 
 
 def act_subset(t: SignedPerm, I: Subset) -> Subset:

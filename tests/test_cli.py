@@ -178,6 +178,15 @@ class TestOrbitCommands:
         assert len(lines) == 31
         assert ", labels [0] [2] [3] [6] [10] [13] [14] [16] [17]" in lines[1]
 
+    def test_reflex_walks_only_the_orbit_of_the_empty_set(self, tmp_path, capsys):
+        # at g = 20 the whole decomposition would enumerate 2^20 subsets
+        pair = write_json(tmp_path, "m40.json", {"cyclic": {"M": 40, "phi": list(range(20))}})
+        code, out, _ = run_cli(["reflex", "--input", pair], capsys)
+        assert (code, out.splitlines()[0]) == (0, "reflex degree: 40")
+        for command in ("orbits", "compagnons"):
+            refused = run_cli([command, "--input", pair], capsys)
+            assert refused == (1, "", "error: operation enumerates all 2^g subsets; g=20 exceeds the cap 16\n")
+
 
 class TestHodgeBasis:
     def test_weyl_quadruple_list(self, capsys):

@@ -1,22 +1,17 @@
-"""Subset order, orbits, reflex recovery and compagnons (cyclotomic regression)."""
+"""Subset order, orbits, reflex recovery and compagnons (cyclotomic regression).
+
+Compagnon k is orbit k of orbit_decomposition: its degree is the orbit size
+and its CM type the members avoiding 1; the reflex is the orbit of the
+empty set, translate_masks."""
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlab.cmtypes import (
-    CMPairSpec,
-    compagnon_labels,
-    compagnons,
-    orbit_decomposition,
-    reflex_labels,
-    reflex_type,
-    subset_rank,
-    subset_unrank,
-)
+from cmlab.cmtypes import CMPairSpec, compagnon_labels, orbit_decomposition, reflex_labels, translate_masks
 from cmlab.galois import from_generators
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, tail_subsets
+from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, subset_rank, subset_unrank, tail_subsets
 from oracles import act_embedding, decode_cm_type, encode_cm_type
 from strategies import cm_pair_specs, signed_perms, subsets
 
@@ -131,15 +126,26 @@ class TestOrbitDecomposition:
     @given(cm_pair_specs())
     @settings(max_examples=40, deadline=None)
     def test_matches_the_whole_group_orbits(self, spec):
-        assert orbit_decomposition(spec.group) == whole_group_orbits(spec.group)
-        assert reflex_type(spec) == compagnons(spec)[0]
+        orbits = orbit_decomposition(spec.group)
+        assert orbits == whole_group_orbits(spec.group)
+        # the reflex walk gives the first orbit, the orbit of the empty set,
+        # and its masks avoiding 1 are already in rank order
+        masks = translate_masks(spec.group)
+        assert masks == sorted(I.bits for I in orbits[0])
+        assert [Subset(spec.g, m) for m in masks if not m & 1] == [I for I in orbits[0] if 1 not in I]
 
-    def test_reflex_walks_only_the_orbit_of_the_empty_set(self):
-        # at g = 20 the full decomposition would enumerate 2^20 subsets
-        spec = CMPairSpec.from_cyclic(40, list(range(20)))
-        with pytest.raises(ValueError, match="exceeds the cap"):
-            orbit_decomposition(spec.group)
-        assert reflex_type(spec).degree == 40
+    @given(cm_pair_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_each_orbit_is_a_compagnon(self, spec):
+        # conjugation lies in the group: every orbit is closed under
+        # complement, so exactly half of it avoids 1 (its CM type), and the
+        # degrees sum to 2^g
+        orbits = orbit_decomposition(spec.group)
+        for o in orbits:
+            members = {I.bits for I in o}
+            assert {I.complement().bits for I in o} == members
+            assert 2 * sum(1 not in I for I in o) == len(o)
+        assert sum(map(len, orbits)) == 1 << spec.g
 
     def test_weyl_g3_single_orbit(self):
         spec = CMPairSpec.weyl(3)
@@ -159,10 +165,12 @@ class TestReflexAndCompagnons:
         assert reflex_labels(mu19) == [0, 2, 3, 6, 10, 13, 14, 16, 17]
 
     def test_reflex_cm_type_half_orbit(self, mu19):
-        ref = reflex_type(mu19)
-        assert ref.degree == 18 and len(ref.cm_type) == 9
-        assert all(1 not in I for I in ref.cm_type)
-        assert ref.key == Subset.empty(9)
+        masks = translate_masks(mu19.group)
+        cm_type = [Subset(9, m) for m in masks if not m & 1]
+        assert len(masks) == 18 and len(cm_type) == 9
+        ranks = [subset_rank(I) for I in cm_type]
+        assert ranks == sorted(ranks)
+        assert masks[0] == 0
 
     def test_compagnon_L(self, mu19):
         L = Subset.of(9, [5, 6])
@@ -182,25 +190,23 @@ class TestReflexAndCompagnons:
         assert str(err.value) == "compagnon labels need a labeled (cyclic) group"
 
     def test_census(self, mu19):
-        cs = compagnons(mu19)
-        assert sum(c.degree for c in cs) == 512
-        assert sum(len(c.cm_type) for c in cs) == 256
-        for c in cs:
-            assert len(c.cm_type) * 2 == c.degree
-            members = {I.bits for I in c.orbit}
-            assert {I.complement().bits for I in c.orbit} == members
+        orbits = orbit_decomposition(mu19.group)
+        cm_types = [[I for I in o if 1 not in I] for o in orbits]
+        assert sum(map(len, orbits)) == 512
+        assert sum(map(len, cm_types)) == 256
+        for o, cm_type in zip(orbits, cm_types):
+            assert len(cm_type) * 2 == len(o)
+            members = {I.bits for I in o}
+            assert {I.complement().bits for I in o} == members
 
     def test_weyl_reflex_all_subsets_without_1(self):
-        spec = CMPairSpec.weyl(3)
-        ref = reflex_type(spec)
-        assert ref.degree == 8
-        assert {I.members() for I in ref.cm_type} == {(), (2,), (3,), (2, 3)}
+        masks = translate_masks(CMPairSpec.weyl(3).group)
+        assert len(masks) == 8
+        assert {Subset(3, m).members() for m in masks if not m & 1} == {(), (2,), (3,), (2, 3)}
 
     def test_g1_reflex(self):
         G = from_generators(1, [SignedPerm.make(1, [1])])
-        spec = CMPairSpec(G, ("phi1",), ("phibar1",))
-        ref = reflex_type(spec)
-        assert [I.members() for I in ref.cm_type] == [()]
+        assert translate_masks(G) == [0, 1]
 
 
 class TestDecodeEncode:

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab.cli import main
-from cmlab.cmtypes import CMPairSpec, labeled_translates, reflex_labels, subset_rank, subset_unrank
+from cmlab.cmtypes import CMPairSpec, labeled_translates, reflex_labels
 from cmlab.galois import from_generators
-from cmlab.hyperoct import SignedPerm, Subset
+from cmlab.hyperoct import SignedPerm, Subset, subset_rank, subset_unrank
 from cmlab.intlattice import IntLattice, IntMatrix, hnf, kernel_basis, lattice_equal
 from cmlab.reciprocity import (
     ANTIWEYL,
