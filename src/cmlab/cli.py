@@ -13,9 +13,10 @@ of the command it runs, and a handler imports the solvers it uses and
 renders only the chosen --format.  So a command compiles and loads only its
 own part of the package, and building the parser loads none of it: reduce
 and relations --weyl-full load reciprocity, hyperoct and record;
-hodge-basis and support load hodge, cmtypes, galois, hyperoct and record,
-never the lattice or relation code; sl2-check loads sl2check, hyperoct and
-record.
+hodge-basis --weyl-full and support load hodge, hyperoct and record, never
+the group, lattice or relation code; sl2-check loads sl2check, hyperoct and
+record.  A CM pair, read from --input or built by example-mu19, adds
+cmtypes and galois.
 
 main() without argv runs the process's own command line (the `cmlab`
 console script and `python -m cmlab.cli`) and freezes the heap before it
@@ -72,26 +73,38 @@ def _check(value, shape, name: str = ""):
     return value
 
 
+# the ground-set sizes an input may name; the library itself has no bound
+MAX_G_GROUP = 24
+
+
+def _check_group_size(g: int) -> int:
+    """g, if it is a ground-set size the command line accepts."""
+    if not 1 <= g <= MAX_G_GROUP:
+        raise ValueError(f"ground-set size g={g} outside supported range 1..{MAX_G_GROUP}")
+    return g
+
+
 def spec_from_json(data: dict):
     """The CMPairSpec of {"cyclic": {"M": int, "phi": [int]}}, {"weyl": g}
     or {"g": g, "generators": [{"flips": [int], "perm": [int]}]}; an input
     with more than one of these keys is refused."""
     from .cmtypes import CMPairSpec
     from .galois import from_generators
-    from .hyperoct import SignedPerm, check_group_size
+    from .hyperoct import SignedPerm
 
     shapes = [f'"{key}"' for key in ("cyclic", "weyl", "generators") if key in data]
     if len(shapes) > 1:
         raise ValueError(f"input gives more than one pair: {' and '.join(shapes)}")
     if "cyclic" in data:
         c = _check(data["cyclic"], {"M": int, "phi": [int]}, "cyclic")
+        if c["M"] % 2 == 0:  # an odd M fails the parity check in from_cyclic
+            _check_group_size(c["M"] // 2)
         return CMPairSpec.from_cyclic(c["M"], c["phi"])
     if "weyl" in data:
-        return CMPairSpec.weyl(_check(data["weyl"], int, "weyl"))
+        return CMPairSpec.weyl(_check_group_size(_check(data["weyl"], int, "weyl")))
     if "generators" in data:
         _check(data, {"g": int, "generators": [{"flips": [int], "perm": [int]}]})
-        g = data["g"]
-        check_group_size(g)
+        g = _check_group_size(data["g"])
         gens = []
         for k, x in enumerate(data["generators"]):
             try:

@@ -1,9 +1,9 @@
 """Command handlers on Hodge classes: hodge-basis and support."""
 from __future__ import annotations
 
-from .cli import _check, _load_source, _read_json
+from .cli import _check, _check_group_size, _load_source, _read_json
 from .hodge import canonical_form_weyl, pohlmann_basis, support_class
-from .hyperoct import Subset, check_group_size
+from .hyperoct import Subset
 
 
 def _slot_str(slot, copy, spec) -> str:
@@ -41,8 +41,7 @@ def cmd_hodge_basis(args, as_json):
 
 def cmd_support(args, as_json):
     data = _check(_read_json(args.input), {"g": int, "first": [[int]]})
-    g = data["g"]
-    check_group_size(g)
+    g = _check_group_size(data["g"])
 
     def quad(name, entry):
         if len(entry) != 4:

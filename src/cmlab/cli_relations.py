@@ -5,8 +5,7 @@ record); the period kernel of a pair loads the lattice code when it runs.
 """
 from __future__ import annotations
 
-from .cli import _check, _load_source, _load_spec, _read_json
-from .hyperoct import check_group_size
+from .cli import _check, _check_group_size, _load_source, _load_spec, _read_json
 from .reciprocity import (
     ANTIWEYL,
     SIMPLE,
@@ -85,8 +84,7 @@ def certificate_json(cert) -> dict:
 
 def cmd_reduce(args, as_json):
     data = _check(_read_json(args.input), {"g": int, "vec": [int]})
-    g, vec = data["g"], data["vec"]
-    check_group_size(g)
+    g, vec = _check_group_size(data["g"]), data["vec"]
     tau = _check(data.get("tau", 0), int, "tau")
     if len(vec) != 1 << g:
         raise ValueError(f"vec has {len(vec)} entries, expected 2^{g} = {1 << g}")

@@ -29,7 +29,6 @@ import itertools
 from math import factorial, prod
 
 from . import POHLMANN_HARD_BUDGET
-from .cmtypes import CMPairSpec, translate_masks
 from .hyperoct import (
     EmbeddingLabel,
     Subset,
@@ -96,16 +95,19 @@ def _holomorphy_profiles(spec) -> tuple[dict, int]:
     type, set iff the slot is holomorphic there}, number of translates).  For
     a pair, sigma moves x to a holomorphic label iff x is in sigma^-1 Phi, whose
     mask m = sigma^-1.empty is in translate_masks; phi_j is in it iff j is not in m."""
-    if isinstance(spec, CMPairSpec):
-        masks = translate_masks(spec.group)
-        bases = (EmbeddingLabel(j, bar) for bar in (False, True) for j in range(1, spec.g + 1))
-        return {x: sum(1 << (4 * i) for i, m in enumerate(masks) if (m >> (x.index - 1) & 1) == x.bar)
-                for x in bases}, len(masks)
-    g = int(spec)
-    check_powerset_size(g)
-    # digit 2k + f: every t with k = beta^-1(1), f = [1 in flips]; t.I avoids 1 iff f = [k in I]
-    bases = (Subset(g, bits) for bits in range(1 << g))
-    return {I: sum(1 << (4 * (2 * k + (I.bits >> k & 1))) for k in range(g)) for I in bases}, 2 * g
+    if isinstance(spec, int):
+        g = spec
+        check_powerset_size(g)
+        # digit 2k + f: every t with k = beta^-1(1), f = [1 in flips]; t.I avoids 1 iff f = [k in I]
+        bases = (Subset(g, bits) for bits in range(1 << g))
+        return {I: sum(1 << (4 * (2 * k + (I.bits >> k & 1))) for k in range(g)) for I in bases}, 2 * g
+    # only a pair reads its group's orbits, so only a pair loads the group code
+    from .cmtypes import translate_masks
+
+    masks = translate_masks(spec.group)
+    bases = (EmbeddingLabel(j, bar) for bar in (False, True) for j in range(1, spec.g + 1))
+    return {x: sum(1 << (4 * i) for i, m in enumerate(masks) if (m >> (x.index - 1) & 1) == x.bar)
+            for x in bases}, len(masks)
 
 
 def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> list[CycleIndex]:

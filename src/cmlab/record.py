@@ -1,10 +1,8 @@
 """Immutable slotted records: the one base of every cmlab value type.
 
-A record class names its attributes in __slots__.  Those without a leading
-underscore are its fields, in __slots__ order: == and hash compare the
-tuple of fields of two records of the same class, and repr shows
-Name(field=value, ...).  An attribute with a leading underscore is a cache
-derived from the fields and takes no part in any of them.
+A record class names its fields in __slots__, in order: == and hash
+compare the tuple of fields of two records of the same class, and repr
+shows Name(field=value, ...).
 
 Instances are immutable: assigning or deleting an attribute raises
 AttributeError.  A constructor fills its slots with set_slot.  There is no
@@ -22,11 +20,10 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-        get = attrgetter(*fields)
-        cls._fields = fields
+        get = attrgetter(*cls.__slots__)
+        cls._fields = cls.__slots__
         # attrgetter of a single name returns the bare value, not a 1-tuple
-        cls._values = staticmethod(get if len(fields) > 1 else lambda self: (get(self),))
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

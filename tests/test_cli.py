@@ -349,6 +349,14 @@ class TestPinnedMessages:
         (["support"], {"g": 0, "first": [[], [], [], []]}, "ground-set size g=0 outside supported range 1..24"),
         (["support"], {"g": 25, "first": [[], [2, 3], [2], [3]]},
          "ground-set size g=25 outside supported range 1..24"),
+        # each size an input names is refused before the rest of the input
+        # is read: the transversal, the generators and the vector are bad too
+        (["orbits"], {"weyl": 0}, "ground-set size g=0 outside supported range 1..24"),
+        (["kernel"], {"cyclic": {"M": 50, "phi": [0, 1]}}, "ground-set size g=25 outside supported range 1..24"),
+        (["kernel"], {"cyclic": {"M": 51, "phi": [0, 1]}}, "M=51 must be even"),
+        (["orbits"], {"g": 25, "generators": [{"flips": [], "perm": [1, 2]}]},
+         "ground-set size g=25 outside supported range 1..24"),
+        (["reduce"], {"g": 25, "vec": [1]}, "ground-set size g=25 outside supported range 1..24"),
     ])
     def test_exact_stderr_and_exit_1(self, tmp_path, capsys, argv, data, message):
         path = tmp_path / "input.json"
@@ -564,9 +572,8 @@ class TestGroupWork:
                 init(self, *args)
             return wrapper
 
-        # every SignedPerm and every GaloisGroup is built through __post_init__
-        monkeypatch.setattr(SignedPerm, "__post_init__", counting(SignedPerm.__post_init__))
-        monkeypatch.setattr(GaloisGroup, "__post_init__", counting(GaloisGroup.__post_init__))
+        monkeypatch.setattr(SignedPerm, "__init__", counting(SignedPerm.__init__))
+        monkeypatch.setattr(GaloisGroup, "__init__", counting(GaloisGroup.__init__))
         support = write_json(tmp_path, "support.json", {
             "g": 7, "first": [[2, 3, 6], [4, 5, 6], [2, 4, 6], [3, 5, 6]],
             "second": [[1, 7], [2, 4, 7], [1, 2, 7], [4, 7]]})

@@ -4,13 +4,14 @@ Compagnon k is orbit k of orbit_decomposition: its degree is the orbit size
 and its CM type the members avoiding 1; the reflex is the orbit of the
 empty set, translate_masks."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab.cmtypes import CMPairSpec, compagnon_labels, orbit_decomposition, reflex_labels, translate_masks
-from cmlab.galois import from_generators
+from cmlab.galois import from_cyclic_translation, from_generators
 from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, subset_rank, subset_unrank, tail_subsets
 from oracles import act_embedding, decode_cm_type, encode_cm_type
 from strategies import cm_pair_specs, signed_perms, subsets
@@ -207,6 +208,16 @@ class TestReflexAndCompagnons:
     def test_g1_reflex(self):
         G = from_generators(1, [SignedPerm.make(1, [1])])
         assert translate_masks(G) == [0, 1]
+
+    def test_cyclic_reflex_past_g_24(self):
+        # only the command line bounds the g of its input: Z/60 acting on a
+        # random transversal builds, and the walked orbit of the empty set is
+        # its image under every label
+        rng = random.Random(60)
+        G = from_cyclic_translation(60, [a + 30 * rng.randrange(2) for a in range(30)])
+        assert G.g == 30 and sorted(G.labels) == list(range(60))
+        images = {act_subset(G.element_for_label(a), Subset.empty(30)).bits for a in range(60)}
+        assert translate_masks(G) == sorted(images)
 
 
 class TestDecodeEncode:

@@ -153,9 +153,13 @@ class TestSubset:
         with pytest.raises(ValueError):
             Subset.of(3, [4])
 
-    def test_group_size_cap(self):
-        with pytest.raises(ValueError, match="outside supported range"):
-            Subset.empty(25)
+    def test_no_bound_on_g(self):
+        # only the command line bounds the g of its input
+        assert len(Subset.empty(25).complement()) == 25
+        I = Subset.of(30, [1, 30])
+        t = SignedPerm.make(30, [2, 30], [*range(2, 31), 1])
+        assert act_subset(t, I) == Subset.of(30, [2, 30]) ^ Subset.of(30, [1, 2])
+        assert compose(t, inverse(t)) == SignedPerm.make(30)
 
     def test_str(self):
         assert str(Subset.of(4, [3, 1])) == "{1,3}"

@@ -198,6 +198,17 @@ def integer_matrices(max_rows=5, max_cols=5):
     ).map(lambda rows: (rows, cols)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices(max_rows=6, max_cols=7))
+def test_kernel_basis_is_canonical_and_annihilated(case):
+    # a canonical basis (hnf leaves it as it is) of vectors that m annihilates
+    rows, cols = case
+    k = kernel_basis(IntMatrix.from_rows(rows, cols))
+    assert hnf(k.basis) == k.basis
+    for v in k.basis.entries:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
 def sympy_row_lattice(sympy, rows):
     """Columns spanning the row lattice of rows: sympy's column-style HNF of
     the transpose (full column rank; no columns when the rows are zero)."""

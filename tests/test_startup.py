@@ -61,8 +61,7 @@ def test_reduce_loads_only_the_antiweyl_side(tmp_path):
     assert cmlab_modules(loaded) == ANTIWEYL_SIDE
 
 
-HODGE_SIDE = {"cmlab", "cmlab.cli", "cmlab.cli_hodge", "cmlab.hodge", "cmlab.cmtypes", "cmlab.galois",
-              "cmlab.hyperoct", "cmlab.record"}
+HODGE_SIDE = {"cmlab", "cmlab.cli", "cmlab.cli_hodge", "cmlab.hodge", "cmlab.hyperoct", "cmlab.record"}
 SL2_SIDE = {"cmlab", "cmlab.cli", "cmlab.cli_sl2", "cmlab.sl2check", "cmlab.hyperoct", "cmlab.record"}
 
 
@@ -73,10 +72,37 @@ SL2_SIDE = {"cmlab", "cmlab.cli", "cmlab.cli_sl2", "cmlab.sl2check", "cmlab.hype
 ], ids=["hodge-basis", "support", "sl2-check"])
 def test_hodge_and_sl2_commands_load_no_lattice_or_relation_code(tmp_path, argv, expected):
     # hodge imports the relation code only inside relation_of_cycle, which
-    # neither command runs, and never the lattice code; sl2-check takes its
-    # subsets from hyperoct, not from the group code
+    # neither command runs, the group code only for a pair, and never the
+    # lattice code; sl2-check takes its subsets from hyperoct, not from the
+    # group code
     path = tmp_path / "quad.json"
     path.write_text(json.dumps({"g": 3, "first": [[], [2, 3], [2], [3]]}))
     argv = [str(path) if a == "QUAD" else a for a in argv]
     loaded = loaded_by(f"import cmlab.cli; code = cmlab.cli.main({argv!r})")
     assert cmlab_modules(loaded) == expected
+
+
+PAIR_SIDE = {"cmlab", "cmlab.cli", "cmlab.cmtypes", "cmlab.galois", "cmlab.hyperoct", "cmlab.record"}
+KERNEL_SIDE = PAIR_SIDE | {"cmlab.cli_relations", "cmlab.reciprocity", "cmlab.intlattice"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["orbits"], PAIR_SIDE | {"cmlab.cli_pairs"}),
+    (["reflex"], PAIR_SIDE | {"cmlab.cli_pairs"}),
+    (["compagnons"], PAIR_SIDE | {"cmlab.cli_pairs"}),
+    (["kernel"], KERNEL_SIDE),
+    (["relations"], KERNEL_SIDE),
+    (["hodge-basis", "--p", "1", "--n", "1"], PAIR_SIDE | {"cmlab.cli_hodge", "cmlab.hodge"}),
+], ids=["orbits", "reflex", "compagnons", "kernel", "relations", "hodge-basis"])
+def test_a_cyclic_pair_loads_the_group_code_and_only_what_its_command_runs(tmp_path, argv, expected):
+    # the pair is read through cmtypes and galois; only kernel and relations
+    # load the lattice code, and only hodge-basis the Hodge code
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"cyclic": {"M": 8, "phi": [0, 1, 2, 3]}}))
+    loaded = loaded_by(f"import cmlab.cli; code = cmlab.cli.main({[*argv, '--input', str(path)]!r})")
+    assert cmlab_modules(loaded) == expected
+
+
+def test_example_mu19_loads_every_module_but_sl2():
+    loaded = loaded_by("import cmlab.cli; code = cmlab.cli.main(['example-mu19'])")
+    assert cmlab_modules(loaded) == KERNEL_SIDE | {"cmlab.cli_mu19", "cmlab.cli_pairs", "cmlab.hodge"}
