@@ -6,12 +6,16 @@ a message naming the violated precondition, 2 on a usage error.  Output is
 byte-for-byte deterministic for fixed inputs; no network access and no
 environment-variable configuration.
 
-This module holds the parser, the JSON input readers and main.  The
-handlers live in one small module per family of commands (cli_pairs,
-cli_relations, cli_hodge, cli_sl2, cli_mu19); main imports only the module
-of the command it runs, and a handler imports the solvers it uses and
-renders only the chosen --format.  So a command compiles and loads only its
-own part of the package, and building the parser loads none of it: reduce
+This module holds the command table, the parser built from it, the JSON
+input readers and main.  A row of _COMMANDS gives a command's handler, its
+description and what it reads; build_parser makes one subcommand per row,
+and main reads and checks that input once, in _read, and hands it to the
+handler with the parsed arguments.  The handlers live in one small module
+per family of commands (cli_pairs, cli_relations, cli_hodge, cli_sl2,
+cli_mu19); main imports only the module of the command it runs, and a
+handler imports the solvers it uses and renders only the chosen --format.
+So a command compiles and loads only its own part of the package, and
+building the parser loads none of it: reduce
 and relations --weyl-full load reciprocity, hyperoct and record;
 hodge-basis --weyl-full and support load hodge, hyperoct and record, never
 the group, lattice or relation code; sl2-check loads sl2check, hyperoct and
@@ -115,36 +119,51 @@ def spec_from_json(data: dict):
     raise ValueError('input needs "cyclic", "weyl" or "generators"')
 
 
-def _load_spec(path: str):
-    return spec_from_json(_read_json(path))
+# what a command reads: a CM pair from --input; a pair, or the genus --g of
+# --weyl-full; --g alone
+_PAIR, _PAIR_OR_GENUS, _GENUS = "pair", "pair or genus", "genus"
 
-
-def _load_source(args):
-    """The genus g of --weyl-full --g, or the pair read from --input."""
-    if args.weyl_full:
-        if args.g is None:
-            raise ValueError("--weyl-full needs --g")
-        return args.g
-    if args.input is None:
-        raise ValueError("needs --input FILE or --weyl-full with --g")
-    return _load_spec(args.input)
-
-
-# command -> (handler module, handler); each handler takes the parsed
-# arguments and whether to render JSON, and returns the JSON object or the
-# table lines
+# command -> (handler module, handler, description, reads), in the order of
+# the help listing.  reads is one of the tags above, the JSON shape (for
+# _check) of the object that --input holds, whose "g" is a ground-set size,
+# or None for a command that reads nothing.  Each handler takes what its
+# command read, the parsed arguments and whether to render JSON, and returns
+# the JSON object or the table lines.
 _COMMANDS = {
-    "orbits": ("cli_pairs", "cmd_orbits"),
-    "reflex": ("cli_pairs", "cmd_reflex"),
-    "compagnons": ("cli_pairs", "cmd_compagnons"),
-    "kernel": ("cli_relations", "cmd_kernel"),
-    "relations": ("cli_relations", "cmd_relations"),
-    "reduce": ("cli_relations", "cmd_reduce"),
-    "hodge-basis": ("cli_hodge", "cmd_hodge_basis"),
-    "support": ("cli_hodge", "cmd_support"),
-    "sl2-check": ("cli_sl2", "cmd_sl2_check"),
-    "example-mu19": ("cli_mu19", "cmd_example_mu19"),
+    "orbits": ("cli_pairs", "cmd_orbits", "orbit decomposition of the group on index sets", _PAIR),
+    "reflex": ("cli_pairs", "cmd_reflex", "reflex CM type of a labeled pair", _PAIR),
+    "compagnons": ("cli_pairs", "cmd_compagnons", "all simple factors with degrees and labels", _PAIR),
+    "kernel": ("cli_relations", "cmd_kernel", "period-relation kernel, rank and monomial relations", _PAIR),
+    "relations": ("cli_relations", "cmd_relations", "sign-normalized monomial relations", _PAIR_OR_GENUS),
+    "hodge-basis": ("cli_hodge", "cmd_hodge_basis", "Hodge-class basis in degree p at power n", _PAIR_OR_GENUS),
+    "reduce": ("cli_relations", "cmd_reduce", "degree <= 2 reduction certificate for a relation",
+               {"g": int, "vec": [int]}),
+    "support": ("cli_hodge", "cmd_support", "support size, canonical form and equivalence of quadruples",
+                {"g": int, "first": [[int]]}),
+    "sl2-check": ("cli_sl2", "cmd_sl2_check", "sl2-triple verification over all index sets", _GENUS),
+    "example-mu19": ("cli_mu19", "cmd_example_mu19", "worked cyclotomic regression report", None),
 }
+
+
+def _read(reads, args):
+    """The input of a command that reads `reads`, checked: the CMPairSpec,
+    the genus --g, the JSON object of that shape, or None."""
+    if reads is None:
+        return None
+    if reads == _GENUS:
+        return args.g
+    if reads == _PAIR_OR_GENUS:
+        if args.weyl_full:
+            if args.g is None:
+                raise ValueError("--weyl-full needs --g")
+            return args.g
+        if args.input is None:
+            raise ValueError("needs --input FILE or --weyl-full with --g")
+    data = _read_json(args.input)
+    if isinstance(reads, dict):
+        _check_group_size(_check(data, reads)["g"])
+        return data
+    return spec_from_json(data)
 
 
 def _positive(text: str) -> int:
@@ -159,36 +178,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monomial period relations, Hodge-class bases and sl2 checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, description, weyl=False, pn=False, has_input=True):
+    for name, (_, _, description, reads) in _COMMANDS.items():
         sp = sub.add_parser(name, help=description, description=description)
         sp.add_argument("--format", choices=("table", "json"), default="table")
-        if has_input:
+        if reads == _GENUS:
+            sp.add_argument("--g", type=_positive, required=True)
+        elif reads == _PAIR_OR_GENUS:
             # --weyl-full stands in for the input file, so the two exclude each other
-            source = sp.add_mutually_exclusive_group() if weyl else sp
-            source.add_argument("--input", required=not weyl, metavar="FILE", help="JSON input file")
-        if weyl:
+            source = sp.add_mutually_exclusive_group()
+            source.add_argument("--input", metavar="FILE", help="JSON input file")
             source.add_argument("--weyl-full", action="store_true",
                                 help="use the full hyperoctahedral group at --g")
             sp.add_argument("--g", type=_positive)
-        if pn:
+        elif reads is not None:
+            sp.add_argument("--input", required=True, metavar="FILE", help="JSON input file")
+        if name == "hodge-basis":
             sp.add_argument("--p", type=int, required=True)
             sp.add_argument("--n", type=int, required=True)
             sp.add_argument("--budget", type=_positive, default=POHLMANN_HARD_BUDGET, metavar="N",
                             help="fail once the Pohlmann walk has visited more than N nodes (hard cap 10^7)")
-        return sp
-
-    add("orbits", "orbit decomposition of the group on index sets")
-    add("reflex", "reflex CM type of a labeled pair")
-    add("compagnons", "all simple factors with degrees and labels")
-    add("kernel", "period-relation kernel, rank and monomial relations")
-    add("relations", "sign-normalized monomial relations", weyl=True)
-    add("hodge-basis", "Hodge-class basis in degree p at power n", weyl=True, pn=True)
-    add("reduce", "degree <= 2 reduction certificate for a relation")
-    add("support", "support size, canonical form and equivalence of quadruples")
-    sl2 = add("sl2-check", "sl2-triple verification over all index sets", has_input=False)
-    sl2.add_argument("--g", type=_positive, required=True)
-    add("example-mu19", "worked cyclotomic regression report", has_input=False)
     return parser
 
 
@@ -208,13 +216,13 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if vars(args).get("weyl_full") is False and args.g is not None:
+    module, name, _, reads = _COMMANDS[args.command]
+    if reads == _PAIR_OR_GENUS and args.g is not None and not args.weyl_full:
         parser.error(f"{args.command}: --g needs --weyl-full")
-    module, name = _COMMANDS[args.command]
     handler = getattr(import_module(f"{__package__}.{module}"), name)
     as_json = args.format == "json"
     try:
-        result = handler(args, as_json)
+        result = handler(_read(reads, args), args, as_json)
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

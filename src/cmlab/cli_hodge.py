@@ -1,7 +1,7 @@
 """Command handlers on Hodge classes: hodge-basis and support."""
 from __future__ import annotations
 
-from .cli import _check, _check_group_size, _load_source, _read_json
+from .cli import _check
 from .hodge import canonical_form_weyl, pohlmann_basis, support_class
 from .hyperoct import Subset
 
@@ -20,8 +20,7 @@ def _slot_json(slot, copy, spec) -> dict:
     return {"phi": slot.index, "bar": slot.bar, "copy": copy}
 
 
-def cmd_hodge_basis(args, as_json):
-    target = _load_source(args)
+def cmd_hodge_basis(target, args, as_json):
     spec = None if isinstance(target, int) else target
     basis = pohlmann_basis(target, args.p, args.n, args.budget)
     render = _slot_json if as_json else _slot_str
@@ -39,9 +38,8 @@ def cmd_hodge_basis(args, as_json):
     return [f"basis size: {len(basis)}", *lines]
 
 
-def cmd_support(args, as_json):
-    data = _check(_read_json(args.input), {"g": int, "first": [[int]]})
-    g = _check_group_size(data["g"])
+def cmd_support(data, args, as_json):
+    g = data["g"]
 
     def quad(name, entry):
         if len(entry) != 4:

@@ -18,7 +18,7 @@ _MU19_L_PRIME = (4, 6, 7)
 _MU19_MEDIATED = (((0, 17), 3), ((2, 14), 6))
 
 
-def cmd_example_mu19(args, as_json):
+def cmd_example_mu19(read, args, as_json):
     spec_star = CMPairSpec.from_cyclic(_MU19_M, list(_MU19_PHI_STAR))
     spec_phi = CMPairSpec.from_cyclic(_MU19_M, list(_MU19_PHI))
     g = spec_star.g

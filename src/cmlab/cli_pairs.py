@@ -1,7 +1,6 @@
 """Command handlers on one CM pair: orbits, reflex and compagnons."""
 from __future__ import annotations
 
-from .cli import _load_spec
 from .cmtypes import compagnon_labels, labeled_translates, orbit_decomposition, reflex_labels, translate_masks
 from .hyperoct import Subset
 
@@ -10,8 +9,7 @@ def labels_str(labels) -> str:
     return " ".join(f"[{a}]" for a in labels)
 
 
-def cmd_orbits(args, as_json):
-    spec = _load_spec(args.input)
+def cmd_orbits(spec, args, as_json):
     orbits = orbit_decomposition(spec.group)
     rows = labeled_translates(spec, Subset.empty(spec.g)) if spec.group.labels is not None else None
     if as_json:
@@ -32,8 +30,7 @@ def cmd_orbits(args, as_json):
     return lines
 
 
-def cmd_reflex(args, as_json):
-    spec = _load_spec(args.input)
+def cmd_reflex(spec, args, as_json):
     masks = translate_masks(spec.group)
     # the members avoiding 1, already in rank order
     cm_type = [Subset(spec.g, m) for m in masks if not m & 1]
@@ -51,8 +48,7 @@ def cmd_reflex(args, as_json):
     ]
 
 
-def cmd_compagnons(args, as_json):
-    spec = _load_spec(args.input)
+def cmd_compagnons(spec, args, as_json):
     labeled = spec.group.labels is not None
     found = []
     for k, o in enumerate(orbit_decomposition(spec.group)):

@@ -5,7 +5,7 @@ record); the period kernel of a pair loads the lattice code when it runs.
 """
 from __future__ import annotations
 
-from .cli import _check, _check_group_size, _load_source, _load_spec, _read_json
+from .cli import _check
 from .reciprocity import (
     ANTIWEYL,
     SIMPLE,
@@ -58,12 +58,11 @@ def kernel_report(spec, as_json):
     ], rels
 
 
-def cmd_kernel(args, as_json):
-    return kernel_report(_load_spec(args.input), as_json)[0]
+def cmd_kernel(spec, args, as_json):
+    return kernel_report(spec, as_json)[0]
 
 
-def cmd_relations(args, as_json):
-    source = _load_source(args)
+def cmd_relations(source, args, as_json):
     if isinstance(source, int):
         side, rels, symbols = ANTIWEYL, antiweyl_relations(source), None
     else:
@@ -82,9 +81,8 @@ def certificate_json(cert) -> dict:
     }
 
 
-def cmd_reduce(args, as_json):
-    data = _check(_read_json(args.input), {"g": int, "vec": [int]})
-    g, vec = _check_group_size(data["g"]), data["vec"]
+def cmd_reduce(data, args, as_json):
+    g, vec = data["g"], data["vec"]
     tau = _check(data.get("tau", 0), int, "tau")
     if len(vec) != 1 << g:
         raise ValueError(f"vec has {len(vec)} entries, expected 2^{g} = {1 << g}")

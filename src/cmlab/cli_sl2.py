@@ -6,8 +6,7 @@ from .sl2check import sl2_reports
 _GATES = ("bracket_vv_zero", "bracket_vvbar_diagonal", "triple_identities")
 
 
-def cmd_sl2_check(args, as_json):
-    g = args.g
+def cmd_sl2_check(g, args, as_json):
     if g < 2:
         raise ValueError("sl2-check needs --g >= 2")
     reports = sl2_reports(g)

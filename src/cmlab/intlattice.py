@@ -108,7 +108,7 @@ def kernel_basis(m: IntMatrix) -> IntLattice:
     n = m.cols
     rows = [[int(i == c) for i in range(n)] + [row[c] for row in m.entries] for c in range(n)]
     A, _ = _hnf_right(rows, n + m.rows)
-    return IntLattice.from_rows(n, (row[:n] for row in A if not any(row[n:])))
+    return IntLattice(n, IntMatrix.from_rows((row[:n] for row in A if not any(row[n:])), n))
 
 
 def lattice_equal(L1: IntLattice, L2: IntLattice) -> bool:

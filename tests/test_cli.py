@@ -357,6 +357,10 @@ class TestPinnedMessages:
         (["orbits"], {"g": 25, "generators": [{"flips": [], "perm": [1, 2]}]},
          "ground-set size g=25 outside supported range 1..24"),
         (["reduce"], {"g": 25, "vec": [1]}, "ground-set size g=25 outside supported range 1..24"),
+        # a missing file, for each kind of input that --input holds
+        *(([command, "--input", "no-such-input.json"], None,
+           "cannot read no-such-input.json: [Errno 2] No such file or directory: 'no-such-input.json'")
+          for command in ("kernel", "relations", "reduce", "support")),
     ])
     def test_exact_stderr_and_exit_1(self, tmp_path, capsys, argv, data, message):
         path = tmp_path / "input.json"
@@ -380,6 +384,39 @@ class TestPinnedMessages:
         out, err_text = capsys.readouterr()
         assert err.value.code == 2 and out == ""
         assert err_text.startswith("usage: cmlab") and err_text.endswith(f"\n{message}\n")
+
+    def test_help_and_usage_errors_are_pinned(self, monkeypatch):
+        # argparse wraps its text at the terminal width, which COLUMNS sets
+        monkeypatch.setenv("COLUMNS", "80")
+        assert usage_transcript() == USAGE.read_text(encoding="utf-8")
+
+
+USAGE = pathlib.Path(__file__).parent / "data" / "cli_usage.txt"
+USAGE_ARGV = [
+    ["--help"],
+    *([command, "--help"] for command in (
+        "orbits", "reflex", "compagnons", "kernel", "relations", "hodge-basis",
+        "reduce", "support", "sl2-check", "example-mu19")),
+    ["relations", "--g", "3"],
+    ["orbits"],
+    ["sl2-check"],
+    ["relations", "--input", "x", "--weyl-full", "--g", "2"],
+    ["no-such-command"],
+]
+
+
+def usage_transcript() -> str:
+    """What each USAGE_ARGV command line prints, after a '$ cmlab ...' line
+    and its exit code."""
+    parts = []
+    for argv in USAGE_ARGV:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+        parts.append(f"$ cmlab {' '.join(argv)}\n[exit {exc.value.code}]\n"
+                     f"[stdout]\n{out.getvalue()}[stderr]\n{err.getvalue()}")
+    return "".join(parts)
 
 
 # small JSON values over the keys the input shapes use; integers stay small
