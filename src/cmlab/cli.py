@@ -6,11 +6,20 @@ a message naming the violated precondition, 2 on a usage error.  Output is
 byte-for-byte deterministic for fixed inputs; no network access and no
 environment-variable configuration.
 
-This module holds the command table, the parser built from it, the JSON
-input readers and main.  A row of _COMMANDS gives a command's handler, its
-description and what it reads; build_parser makes one subcommand per row,
-and main reads and checks that input once, in _read, and hands it to the
-handler with the parsed arguments.  The handlers live in one small module
+This module holds the command table, the option table and parser built
+from it, the JSON input readers and main.  A row of _COMMANDS gives a
+command's handler, its description and what it reads; _options gives the
+options of a row, and build_parser makes one subcommand per row with those
+options.  A plain command line (a command, then each of its options once
+as `--flag value`, every value valid) is read from the same tables by
+_plain_args, without argparse; argparse is imported and the parser built
+only for any other line: help, usage errors and the spellings that a plain
+line does not use, such as `--flag=value` or an abbreviated flag.  A job
+is mostly start-up: the interpreter and `site` take about 60 ms, compiling
+cmlab's source about 17 ms when no bytecode is cached, and argparse took
+about 9 ms when it read every line (2-vCPU VM).  main reads and checks a
+command's input once, in _read, and hands it to the handler with the
+parsed arguments.  The handlers live in one small module
 per family of commands (cli_pairs, cli_relations, cli_hodge, cli_sl2,
 cli_mu19); main imports only the module of the command it runs, and a
 handler imports the solvers it uses and renders only the chosen --format.
@@ -29,11 +38,11 @@ OS reclaims the memory; main(argv) leaves the collector as it is.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from . import POHLMANN_HARD_BUDGET
 
@@ -167,36 +176,109 @@ def _read(reads, args):
 
 
 def _positive(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    try:
+        value = int(text) if text.isdecimal() else 0
+    except ValueError:  # past int's digit limit
+        value = 0
+    if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    return value
+
+
+# the sources of a command that reads a pair or genus, which exclude each other
+_SOURCES = ("--input", "--weyl-full")
+_INPUT = {"metavar": "FILE", "help": "JSON input file"}
+
+
+def _options(name: str, reads) -> list:
+    """The options of command `name`, which reads `reads`, in the order of
+    its usage line: (flag, add_argument keywords), which give the converter
+    (type) or choices, the default and whether the option is required.  A
+    command that reads a pair or genus has both _SOURCES, which exclude each
+    other, and --g, which needs --weyl-full."""
+    options = [("--format", {"choices": ("table", "json"), "default": "table"})]
+    if reads == _GENUS:
+        options.append(("--g", {"type": _positive, "required": True}))
+    elif reads == _PAIR_OR_GENUS:
+        options += [("--input", _INPUT),
+                    ("--weyl-full", {"action": "store_true", "default": False,
+                                     "help": "use the full hyperoctahedral group at --g"}),
+                    ("--g", {"type": _positive})]
+    elif reads is not None:
+        options.append(("--input", {"required": True, **_INPUT}))
+    if name == "hodge-basis":
+        options += [("--p", {"type": int, "required": True}),
+                    ("--n", {"type": int, "required": True}),
+                    ("--budget", {"type": _positive, "default": POHLMANN_HARD_BUDGET, "metavar": "N",
+                                  "help": "fail once the Pohlmann walk has visited more than N nodes (hard cap 10^7)"})]
+    return options
+
+
+def _plain_args(argv):
+    """The namespace that build_parser().parse_args(argv) returns, read
+    without argparse, for a plain command line: a command, then each of its
+    options at most once as `--flag value` (a bare --weyl-full), every
+    value valid and none starting with "-", every required option given,
+    and the sources and --g used as _options allows.  None for any other
+    line, which argparse reads instead."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = dict(_options(argv[0], _COMMANDS[argv[0]][3]))
+    given = {}
+    rest = iter(argv[1:])
+    for flag in rest:
+        keywords = options.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if "action" in keywords:  # store_true: the bare --weyl-full
+            given[flag] = True
+            continue
+        text = next(rest, "-")  # a missing value reads as a flag
+        if text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:  # int's ValueError, or _positive's ArgumentTypeError, a class of argparse
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(keywords.get("required") and flag not in given for flag, keywords in options.items()):
+        return None
+    # --weyl-full excludes --input, and --g needs --weyl-full
+    if "--weyl-full" in options and ("--input" if "--weyl-full" in given else "--g") in given:
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        flag[2:].replace("-", "_"): given.get(flag, keywords.get("default")) for flag, keywords in options.items()})
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the command line: one subcommand per row of
+    _COMMANDS, with the options of _options."""
+    import argparse
+
+    class Command(argparse.ArgumentParser):
+        """A subcommand's parser, which also refuses --g without --weyl-full."""
+
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            # an unrecognized argument is reported first, by the top-level parser
+            if not extras and not getattr(namespace, "weyl_full", True) and namespace.g is not None:
+                self.error("--g needs --weyl-full")
+            return namespace, extras
+
     parser = argparse.ArgumentParser(
         prog="cmlab",
         description="Monomial period relations, Hodge-class bases and sl2 checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Command)
     for name, (_, _, description, reads) in _COMMANDS.items():
         sp = sub.add_parser(name, help=description, description=description)
-        sp.add_argument("--format", choices=("table", "json"), default="table")
-        if reads == _GENUS:
-            sp.add_argument("--g", type=_positive, required=True)
-        elif reads == _PAIR_OR_GENUS:
-            # --weyl-full stands in for the input file, so the two exclude each other
-            source = sp.add_mutually_exclusive_group()
-            source.add_argument("--input", metavar="FILE", help="JSON input file")
-            source.add_argument("--weyl-full", action="store_true",
-                                help="use the full hyperoctahedral group at --g")
-            sp.add_argument("--g", type=_positive)
-        elif reads is not None:
-            sp.add_argument("--input", required=True, metavar="FILE", help="JSON input file")
-        if name == "hodge-basis":
-            sp.add_argument("--p", type=int, required=True)
-            sp.add_argument("--n", type=int, required=True)
-            sp.add_argument("--budget", type=_positive, default=POHLMANN_HARD_BUDGET, metavar="N",
-                            help="fail once the Pohlmann walk has visited more than N nodes (hard cap 10^7)")
+        sources = sp.add_mutually_exclusive_group() if reads == _PAIR_OR_GENUS else sp
+        for flag, keywords in _options(name, reads):
+            (sources if flag in _SOURCES else sp).add_argument(flag, **keywords)
     return parser
 
 
@@ -214,11 +296,10 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads the lines _plain_args leaves: help, usage errors and
+    # the spellings a plain line does not use
+    args = _plain_args(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     module, name, _, reads = _COMMANDS[args.command]
-    if reads == _PAIR_OR_GENUS and args.g is not None and not args.weyl_full:
-        parser.error(f"{args.command}: --g needs --weyl-full")
     handler = getattr(import_module(f"{__package__}.{module}"), name)
     as_json = args.format == "json"
     try:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import cmlab.hodge
 from cmlab import POHLMANN_HARD_BUDGET
-from cmlab.cli import build_parser, main
+from cmlab.cli import _COMMANDS, _options, _plain_args, build_parser, main
 from cmlab.cmtypes import subset_rank
 from cmlab.galois import GaloisGroup, weyl_full
 from cmlab.hyperoct import SignedPerm, Subset
@@ -276,6 +276,9 @@ class TestNumericFlags:
         ["relations", "--weyl-full", "--g", "-2"],
         ["sl2-check", "--g", "0"],
         ["sl2-check", "--g", "x"],
+        # past int's digit limit
+        ["sl2-check", "--g", "1" * 5000],
+        ["hodge-basis", "--p", "2", "--n", "1", "--g", "3", "--weyl-full", "--budget", "1" * 5000],
     ])
     def test_non_positive_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -374,16 +377,18 @@ class TestPinnedMessages:
          "cmlab relations: error: argument --input: not allowed with argument --weyl-full"),
         (["hodge-basis", "--p", "1", "--n", "1", "--input", "x.json", "--weyl-full", "--g", "2"],
          "cmlab hodge-basis: error: argument --weyl-full: not allowed with argument --input"),
-        (["relations", "--g", "2"], "cmlab: error: relations: --g needs --weyl-full"),
+        (["relations", "--g", "2"], "cmlab relations: error: --g needs --weyl-full"),
         (["hodge-basis", "--p", "1", "--n", "1", "--g", "2", "--input", "x.json"],
-         "cmlab: error: hodge-basis: --g needs --weyl-full"),
+         "cmlab hodge-basis: error: --g needs --weyl-full"),
     ])
     def test_contradictory_flags_are_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as err:
             main(argv)
         out, err_text = capsys.readouterr()
         assert err.value.code == 2 and out == ""
-        assert err_text.startswith("usage: cmlab") and err_text.endswith(f"\n{message}\n")
+        # the usage line is the subcommand's, as the message's prog names it
+        prog = message.split(": ")[0]
+        assert err_text.startswith(f"usage: {prog} ") and err_text.endswith(f"\n{message}\n")
 
     def test_help_and_usage_errors_are_pinned(self, monkeypatch):
         # argparse wraps its text at the terminal width, which COLUMNS sets
@@ -417,6 +422,77 @@ def usage_transcript() -> str:
         parts.append(f"$ cmlab {' '.join(argv)}\n[exit {exc.value.code}]\n"
                      f"[stdout]\n{out.getvalue()}[stderr]\n{err.getvalue()}")
     return "".join(parts)
+
+
+_FLAGS = sorted({flag for name, row in _COMMANDS.items() for flag, _ in _options(name, row[3])})
+_NEAR_MISSES = ["--form", "--format=json", "-h", "--"]
+_VALUES = ["0", "-1", "3_0", "\uff10", "", "x", "json", "yaml", "1" * 5000, "1", "2", "table", "job.json"]
+_VALID = {"--format": ["table", "json"], "--input": ["job.json"], "--g": ["1", "3"], "--p": ["1", "2"],
+          "--n": ["1"], "--budget": ["50"]}
+
+
+@st.composite
+def command_lines(draw):
+    """argv over every command, flag, near-miss option and edge value: a
+    command with valid values for its required options and some of its
+    others, in any order, then up to three tokens inserted, replaced or
+    deleted anywhere, the command too."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    line = [command]
+    for flag, keywords in draw(st.permutations(_options(command, _COMMANDS[command][3]))):
+        if keywords.get("required") or draw(st.booleans()):
+            line += [flag] if flag == "--weyl-full" else [flag, draw(st.sampled_from(_VALID[flag]))]
+    tokens = st.sampled_from([*_COMMANDS, *_FLAGS, *_NEAR_MISSES, *_VALUES])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(line)))
+        line[at:at + draw(st.integers(0, 1))] = draw(st.sampled_from([[], [draw(tokens)]]))
+    return line
+
+
+class TestPlainArgs:
+    """_plain_args reads a plain command line as argparse does and leaves
+    every other line, help and usage errors among them, to argparse."""
+
+    # one line per row, as the benchmark spells it: the command and its
+    # options, then --format and --input last; relations and hodge-basis
+    # also with a pair from --input
+    PLAIN = [
+        ["orbits", "--format", "{fmt}", "--input", "job.json"],
+        ["reflex", "--format", "{fmt}", "--input", "job.json"],
+        ["compagnons", "--format", "{fmt}", "--input", "job.json"],
+        ["kernel", "--format", "{fmt}", "--input", "job.json"],
+        ["relations", "--weyl-full", "--g", "4", "--format", "{fmt}"],
+        ["relations", "--format", "{fmt}", "--input", "job.json"],
+        ["hodge-basis", "--weyl-full", "--g", "3", "--p", "2", "--n", "1", "--format", "{fmt}"],
+        ["hodge-basis", "--p", "2", "--n", "1", "--format", "{fmt}", "--input", "job.json"],
+        ["reduce", "--format", "{fmt}", "--input", "job.json"],
+        ["support", "--format", "{fmt}", "--input", "job.json"],
+        ["sl2-check", "--g", "3", "--format", "{fmt}"],
+        ["example-mu19", "--format", "{fmt}"],
+    ]
+
+    def test_every_command_has_a_plain_line(self):
+        assert list(dict.fromkeys(line[0] for line in self.PLAIN)) == list(_COMMANDS)
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("line", PLAIN, ids=lambda line: " ".join(line[:3]))
+    def test_a_plain_line_takes_the_plain_path(self, line, fmt):
+        argv = [token.format(fmt=fmt) for token in line]
+        args = _plain_args(argv)
+        assert args is not None
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+    @given(argv=command_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_a_line_is_left_to_argparse_or_read_as_argparse_reads_it(self, argv):
+        # a line argparse refuses (or answers with help) is never read plain
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                expected = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            expected = None
+        args = _plain_args(argv)
+        assert args is None or vars(args) == expected
 
 
 # small JSON values over the keys the input shapes use; integers stay small

@@ -106,3 +106,34 @@ def test_a_cyclic_pair_loads_the_group_code_and_only_what_its_command_runs(tmp_p
 def test_example_mu19_loads_every_module_but_sl2():
     loaded = loaded_by("import cmlab.cli; code = cmlab.cli.main(['example-mu19'])")
     assert cmlab_modules(loaded) == KERNEL_SIDE | {"cmlab.cli_mu19", "cmlab.cli_pairs", "cmlab.hodge"}
+
+
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--format", "json", "--input", "PAIR"],
+    ["kernel", "--format", "table", "--input", "PAIR"],
+    ["reduce", "--format", "json", "--input", "REL"],
+    ["relations", "--weyl-full", "--g", "4", "--format", "table"],
+    ["hodge-basis", "--weyl-full", "--g", "3", "--p", "1", "--n", "1", "--format", "json"],
+    ["support", "--format", "table", "--input", "QUAD"],
+    ["sl2-check", "--g", "2", "--format", "json"],
+    ["example-mu19", "--format", "table"],
+], ids=lambda argv: argv[0])
+def test_a_plain_line_loads_no_argparse(tmp_path, argv):
+    # a plain command line is read from the command table; argparse is
+    # built only for help and usage errors
+    inputs = {"PAIR": {"cyclic": {"M": 8, "phi": [0, 1, 2, 3]}},
+              "REL": {"g": 2, "vec": [1, 0, 0, 1], "tau": -1},
+              "QUAD": {"g": 3, "first": [[], [2, 3], [2], [3]]}}
+    for name, data in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    argv = [str(tmp_path / f"{a}.json") if a in inputs else a for a in argv]
+    loaded = loaded_by(f"import cmlab.cli; code = cmlab.cli.main({argv!r}); assert code == 0")
+    assert not loaded & ARGPARSE
+
+
+def test_help_still_builds_the_parser():
+    run = subprocess.run([sys.executable, "-m", "cmlab.cli", "--help"], capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout.startswith("usage: cmlab")
