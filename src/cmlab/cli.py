@@ -15,12 +15,11 @@ as `--flag value`, every value valid) is read from the same tables by
 _plain_args, without argparse; argparse is imported and the parser built
 only for any other line: help, usage errors and the spellings that a plain
 line does not use, such as `--flag=value` or an abbreviated flag.  A job
-is mostly start-up: the interpreter and `site` take about 60 ms, compiling
-cmlab's source about 17 ms when no bytecode is cached, and argparse took
-about 9 ms when it read every line (2-vCPU VM).  main reads and checks a
-command's input once, in _read, and hands it to the handler with the
-parsed arguments.  The handlers live in one small module
-per family of commands (cli_pairs, cli_relations, cli_hodge, cli_sl2,
+is mostly start-up: the interpreter and `site` take about 60 ms, and
+compiling cmlab's source about 17 ms when no bytecode is cached (2-vCPU
+VM).  main reads and checks a command's input once, in _read, and hands it
+to the handler with the parsed arguments.  The handlers live in one small
+module per family of commands (cli_pairs, cli_relations, cli_hodge, cli_sl2,
 cli_mu19); main imports only the module of the command it runs, and a
 handler imports the solvers it uses and renders only the chosen --format.
 So a command compiles and loads only its own part of the package, and

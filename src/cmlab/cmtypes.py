@@ -9,8 +9,8 @@ factor of the generalized anti-Weyl variety: its degree is the orbit size,
 its key the first member, and its CM type the members not containing the
 distinguished position 1 (half the orbit, since conjugation lies in the
 group).  The orbit of the empty set, translate_masks, is the reflex.
-Labeled (cyclic) pairs also have an orbit table, the translates a.I of an
-index set by each label a.
+Labeled (cyclic) pairs also have an orbit table, the translates [a].I of an
+index set by each residue a, walked as [1]^a.I under the generator [1].
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from .hyperoct import (
     Subset,
     _act_bits,
     _unrank_bits,
-    act_subset,
     check_powerset_size,
     subset_rank,
 )
@@ -107,10 +106,13 @@ def orbit_decomposition(G: GaloisGroup) -> list[list[Subset]]:
 
 
 def labeled_translates(spec: CMPairSpec, base: Subset) -> list[tuple]:
-    """Pairs (a, a.base) for every label a of a labeled group, in label
-    order; base = empty gives the orbit table a -> I([a])."""
-    G = spec.group
-    return [(a, act_subset(G.element_for_label(a), base)) for a in sorted(G.labels)]
+    """Pairs (a, [a].base) for every label a, in label order: label a is step
+    a of the walk of base under [1]; base = empty gives a -> I([a])."""
+    G, rows, bits = spec.group, [], base.bits
+    for a in G.labels:
+        rows.append((a, Subset(G.g, bits)))
+        bits = _act_bits(G.gens[0], bits)
+    return rows
 
 
 def reflex_labels(spec: CMPairSpec) -> list:

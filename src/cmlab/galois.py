@@ -11,7 +11,8 @@ to check that outside generators reach rho and for the read-only
 GaloisGroup.elements.
 Constructors: explicit generators, the full group, and Z/M acting by
 translation on a transversal of the conjugate pairs of residues (cyclic CM
-fields: Hom(E, C) = Z/M, conjugation is translation by M/2).
+fields: Hom(E, C) = Z/M, conjugation is translation by M/2), held as its one
+generator [1] and labeled by the residues range(M), residue a naming [1]^a.
 """
 from __future__ import annotations
 
@@ -23,12 +24,12 @@ CLOSURE_CAP = 10**6
 
 class GaloisGroup(Record):
     """A finite group of signed permutations, given by its generators `gens`,
-    with an optional map `labels` from an external label (e.g. a residue
-    mod M) to its element.  The constructors put rho in the group."""
+    with optional `labels`: for a cyclic group the residues range(M), residue
+    a naming gens[0]^a.  The constructors put rho in the group."""
 
     __slots__ = ("g", "gens", "labels")
 
-    def __init__(self, g: int, gens: tuple, labels: dict | None = None) -> None:
+    def __init__(self, g: int, gens: tuple, labels: range | None = None) -> None:
         set_slot(self, "g", g)
         set_slot(self, "gens", gens)
         set_slot(self, "labels", labels)
@@ -45,11 +46,6 @@ class GaloisGroup(Record):
     # the tests and the benchmark tracer, never by a command
     elements = property(lambda self: tuple(
         SignedPerm(self.g, Subset(self.g, flips), perm) for flips, perm in closure(self.g, self.gens)))
-
-    def element_for_label(self, label) -> SignedPerm:
-        if self.labels is None:
-            raise ValueError("group has no label map")
-        return self.labels[label]
 
 
 def orbit(gens, seed, act) -> list:
@@ -92,7 +88,7 @@ def from_cyclic_translation(M: int, phi) -> GaloisGroup:
 
     `phi` lists M/2 residues, exactly one from each conjugate pair
     {a, a + M/2}; its j-th entry (in input order) is the embedding phi_j.
-    Returns the group generated by [1], labeled by residue; rho is [M/2].
+    Returns the group generated by [1], labeled by range(M); rho is [M/2].
     """
     if M % 2:
         raise ValueError(f"M={M} must be even")
@@ -104,19 +100,15 @@ def from_cyclic_translation(M: int, phi) -> GaloisGroup:
     for a in phi:
         if (a + g) % M in index_of:
             raise ValueError(f"residues {a} and {(a + g) % M} are conjugate: not a transversal")
-    labels = {}
-    for t in range(M):
-        perm = [0] * g
-        flips = 0
-        for j, a in enumerate(phi, start=1):
-            r = (a + t) % M
-            k = index_of.get(r)
-            if k is None:
-                k = index_of[(r + g) % M]
-                flips |= 1 << (k - 1)
-            perm[j - 1] = k
-        labels[t] = SignedPerm(g, Subset(g, flips), tuple(perm))
-    return GaloisGroup(g, (labels[1],), labels)
+    # [1] sends phi_j to the residue a_j + 1: phi_k, or phibar_k (flip k)
+    perm, flips = [], 0
+    for a in phi:
+        k = index_of.get((a + 1) % M)
+        if k is None:
+            k = index_of[(a + 1 + g) % M]
+            flips |= 1 << (k - 1)
+        perm.append(k)
+    return GaloisGroup(g, (SignedPerm(g, Subset(g, flips), tuple(perm)),), range(M))
 
 
 def weyl_full(g: int) -> GaloisGroup:

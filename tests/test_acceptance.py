@@ -98,7 +98,7 @@ def test_criterion_02_mu19_orbit_table():
     spec = mu19_orbit_spec()
     empty = Subset.empty(9)
     for a, expect in MU19_ORBIT_TABLE.items():
-        got = act_subset(spec.group.element_for_label(a), empty)
+        got = act_subset(spec.group.elements[a], empty)
         assert set(got.members()) == expect, a
 
 

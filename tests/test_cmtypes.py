@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlab.cmtypes import CMPairSpec, compagnon_labels, orbit_decomposition, reflex_labels, translate_masks
+from cmlab.cmtypes import (
+    CMPairSpec,
+    compagnon_labels,
+    labeled_translates,
+    orbit_decomposition,
+    reflex_labels,
+    translate_masks,
+)
 from cmlab.galois import from_cyclic_translation, from_generators
 from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, subset_rank, subset_unrank, tail_subsets
 from oracles import act_embedding, decode_cm_type, encode_cm_type
@@ -98,11 +105,12 @@ class TestOrbitDecomposition:
         orbits = orbit_decomposition(mu19.group)
         first = {I.members() for I in orbits[0]}
         assert first == {tuple(sorted(v)) for v in MU19_ORBIT_TABLE.values()}
-        # and the table itself: label a acts on the empty set to give I([a])
+        # and the table itself: [a], the a-th element of the closure, acts
+        # on the empty set to give I([a]), as the walk of [1] does
         empty = Subset.empty(9)
         for a, expect in MU19_ORBIT_TABLE.items():
-            el = mu19.group.element_for_label(a)
-            assert set(act_subset(el, empty).members()) == expect
+            assert set(act_subset(mu19.group.elements[a], empty).members()) == expect
+        assert {a: set(I.members()) for a, I in labeled_translates(mu19, empty)} == MU19_ORBIT_TABLE
 
     def test_mu19_orbit_census(self, mu19):
         orbits = orbit_decomposition(mu19.group)
@@ -212,12 +220,36 @@ class TestReflexAndCompagnons:
     def test_cyclic_reflex_past_g_24(self):
         # only the command line bounds the g of its input: Z/60 acting on a
         # random transversal builds, and the walked orbit of the empty set is
-        # its image under every label
+        # its image under every element of the closure
         rng = random.Random(60)
         G = from_cyclic_translation(60, [a + 30 * rng.randrange(2) for a in range(30)])
-        assert G.g == 30 and sorted(G.labels) == list(range(60))
-        images = {act_subset(G.element_for_label(a), Subset.empty(30)).bits for a in range(60)}
+        assert G.g == 30 and G.labels == range(60) and len(G.elements) == 60
+        images = {act_subset(t, Subset.empty(30)).bits for t in G.elements}
         assert translate_masks(G) == sorted(images)
+
+
+class TestLabeledTranslates:
+    """The orbit table of a cyclic pair is one walk of the generator [1]."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 15).flatmap(lambda g: st.tuples(
+        st.permutations(range(g)), st.lists(st.booleans(), min_size=g, max_size=g), subsets(g))))
+    def test_walk_matches_the_closure(self, drawn):
+        # step a of the walk is [a].base, [a] being the a-th element of the
+        # closure of [1]
+        residues, conj, base = drawn
+        g = len(residues)
+        spec = CMPairSpec.from_cyclic(2 * g, [a + g * c for a, c in zip(residues, conj)])
+        G = spec.group
+        assert labeled_translates(spec, base) == [(a, act_subset(G.elements[a], base)) for a in range(2 * g)]
+
+    @pytest.mark.parametrize("M", [18, 60])
+    def test_one_signed_permutation_per_cyclic_pair(self, M, monkeypatch):
+        made = []
+        check = SignedPerm.__post_init__
+        monkeypatch.setattr(SignedPerm, "__post_init__", lambda self: made.append(self) or check(self))
+        spec = CMPairSpec.from_cyclic(M, [a + M // 2 * (a % 2) for a in range(M // 2)])
+        assert made == list(spec.group.gens) and len(made) == 1
 
 
 class TestDecodeEncode:

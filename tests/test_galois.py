@@ -16,10 +16,21 @@ from cmlab.galois import (
     orbit,
     weyl_full,
 )
-from cmlab.hyperoct import SignedPerm, compose, inverse
-from oracles import weyl_elements
+from cmlab.hyperoct import EmbeddingLabel, SignedPerm, compose, inverse
+from oracles import act_embedding, weyl_elements
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
+
+
+def translates_by(el: SignedPerm, t: int, M: int, phi) -> bool:
+    """Whether el moves every embedding of the transversal phi of Z/M to
+    the one at its residue plus t: phi_j sits at phi[j-1], phibar_j at
+    phi[j-1] + M/2."""
+    def residue(x):
+        return (phi[x.index - 1] + M // 2 * x.bar) % M
+
+    labels = [EmbeddingLabel(j, bar) for j in range(1, el.g + 1) for bar in (False, True)]
+    return all(residue(act_embedding(el, x)) == (residue(x) + t) % M for x in labels)
 
 
 class TestFromGenerators:
@@ -73,39 +84,42 @@ class TestFromGenerators:
 
 
 class TestCyclicTranslation:
+    # the closure of the one generator [1] lists its powers in order, so
+    # elements[t] is [t]: each check below reads the closure, not the labels
+
     def test_mu19_group(self):
         G = from_cyclic_translation(18, MU19_PHI)
-        assert len(G.labels) == len(set(G.labels.values())) == len(G.elements) == 18
-        assert G.element_for_label(9) == SignedPerm.make(9, range(1, 10))
+        assert G.labels == range(18) and len(set(G.elements)) == 18
+        assert all(translates_by(G.elements[t], t, 18, MU19_PHI) for t in range(18))
+        assert G.elements[9] == SignedPerm.make(9, range(1, 10))
 
     def test_homomorphism_exhaustive(self):
-        emb = from_cyclic_translation(18, MU19_PHI).labels
+        E = from_cyclic_translation(18, MU19_PHI).elements
         for s in range(18):
             for t in range(18):
-                assert compose(emb[s], emb[t]) == emb[(s + t) % 18]
+                assert compose(E[s], E[t]) == E[(s + t) % 18]
 
     def test_mu5_shape(self):
         G = from_cyclic_translation(4, [0, 1])
-        emb = G.labels
-        assert len(G.elements) == 4
-        assert emb[2] == SignedPerm.make(2, [1, 2])
-        assert compose(emb[1], emb[1]) == emb[2]
+        E = G.elements
+        assert G.labels == range(4) and len(E) == 4
+        assert E[2] == SignedPerm.make(2, [1, 2])
+        assert compose(E[1], E[1]) == E[2]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 24).flatmap(lambda g: st.tuples(
         st.just(g), st.permutations(range(g)), st.lists(st.booleans(), min_size=g, max_size=g))))
     def test_rho_and_the_residue_law_hold_by_construction(self, drawn):
-        # no runtime check looks for rho in a cyclic group: label M/2 is rho
-        # and labels compose as residues add, for every transversal
+        # no runtime check looks for rho in a cyclic group: [M/2] is rho,
+        # and [t] translates every residue by t, for every transversal
         g, residues, conj = drawn
         M = 2 * g
-        G = from_cyclic_translation(M, [a + g * c for a, c in zip(residues, conj)])
-        assert G.element_for_label(M // 2) == SignedPerm.make(g, range(1, g + 1))
-        emb = G.labels
-        assert sorted(emb) == list(range(M))
-        for s in range(M):
-            for t in range(M):
-                assert compose(emb[s], emb[t]) == emb[(s + t) % M]
+        phi = [a + g * c for a, c in zip(residues, conj)]
+        G = from_cyclic_translation(M, phi)
+        E = G.elements
+        assert G.labels == range(M) and len(E) == M
+        assert E[M // 2] == SignedPerm.make(g, range(1, g + 1))
+        assert all(translates_by(E[t], t, M, phi) for t in range(M))
 
     def test_wrong_transversal_size(self):
         with pytest.raises(ValueError, match="wrong transversal size"):
@@ -120,11 +134,15 @@ class TestCyclicTranslation:
             from_cyclic_translation(9, [0, 1, 2, 3])
 
     def test_labels_map(self):
-        # label t is the t-th power of the generator, the t-th element of
-        # the closure
+        # label t names the t-th power of the generator, the t-th element
+        # of the closure; a group from generators has no labels
         G = from_cyclic_translation(4, [0, 1])
-        for t in range(4):
-            assert G.element_for_label(t) == G.elements[t]
+        assert G.labels == range(4)
+        power = SignedPerm.make(2)
+        for t in G.labels:
+            assert G.elements[t] == power
+            power = compose(G.gens[0], power)
+        assert from_generators(2, list(G.gens)).labels is None
 
 
 class TestWeylFull:
@@ -172,7 +190,7 @@ class TestGenerators:
 
     def test_cyclic_generator_is_translation_by_one(self):
         G = from_cyclic_translation(18, MU19_PHI)
-        assert G.gens == (G.element_for_label(1),)
+        assert G.gens == (G.elements[1],) and translates_by(G.gens[0], 1, 18, MU19_PHI)
 
     def test_closure_keeps_its_generators(self):
         gens = [SignedPerm.make(3, [1], [2, 3, 1]), SignedPerm.make(3, [2])]

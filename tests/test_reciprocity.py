@@ -375,29 +375,32 @@ class TestTheoremBeyondMu19:
 
     @staticmethod
     def certify(M: int, bases) -> tuple:
-        """(relations lifted, certificates with parts) over the base pairs."""
-        lifted = with_parts = 0
+        """(reflex kernels with a relation, relations lifted, certificates
+        with parts) over the base pairs."""
+        kernels = lifted = with_parts = 0
         for base in bases:
             spec = CMPairSpec.from_cyclic(M, base)
             index_of = dict(labeled_translates(spec, Subset.empty(spec.g)))
             phi = reflex_labels(spec)
             ranks = [subset_rank(index_of[a]) for a in phi]
-            for rel in relations_from_kernel(kernel_N(CMPairSpec.from_cyclic(M, phi))):
+            rels = relations_from_kernel(kernel_N(CMPairSpec.from_cyclic(M, phi)))
+            kernels += bool(rels)
+            for rel in rels:
                 lift = lift_relation(rel, ranks)
                 assert lift.tau == 0 and not any(rec_star_of(lift)), (base, rel)
                 cert = reduce_to_low_degree(lift, spec.g)
                 assert cert.verify(), (base, rel)
                 lifted += 1
                 with_parts += bool(cert.parts)
-        return lifted, with_parts
+        return kernels, lifted, with_parts
 
     def test_every_transversal_at_m18(self):
-        lifted, with_parts = self.certify(18, transversals(18, range(1 << 8)))
-        assert (lifted, with_parts) == (80, 54)
+        assert self.certify(18, transversals(18, range(1 << 8))) == (31, 80, 54)
 
     def test_seeded_transversals_at_m30(self):
-        lifted, with_parts = self.certify(30, transversals(30, random.Random(30).sample(range(1 << 14), 300)))
-        assert lifted and with_parts
+        # only 16 of the 300 seeded types have a relation in their reflex
+        # kernel; each of their 34 lifts needs a chain part
+        assert self.certify(30, transversals(30, random.Random(30).sample(range(1 << 14), 300))) == (16, 34, 34)
 
     def test_only_simple_side_relations_lift(self):
         with pytest.raises(ValueError, match="simple-CM relation required"):
