@@ -5,12 +5,11 @@ A (p,p)-Hodge class on the n-th power of a CM abelian variety is indexed
 by a 2p-element set P of embedding slots (an embedding, or a CM-type
 index set I, together with a copy index 1..n).  P contributes a class
 exactly when it meets every Galois translate of the CM type in p slots
-(the Pohlmann condition); pohlmann_basis enumerates these directly.  For
-the generalized anti-Weyl variety two independent re-enumerations exist:
-bp_multisets (every point of {1,...,g} covered exactly p times) and, in
-degree two, b2_quadruples (admissible quadruples I,J,K,L inside {2,...,g}
-with I|J = K|L and I&J = K&L, wedged as eps_I ^ eps_J ^ eps_{K^c} ^
-eps_{L^c}).  The three must agree element for element.
+(the Pohlmann condition); pohlmann_basis enumerates these directly.  On
+the generalized anti-Weyl variety, tests/oracles.py re-enumerates the
+same basis independently (by point coverage, and in degree two by
+admissible quadruples wedged by quadruple_to_cycle) and checks the
+two-out-of-four balance lemma behind the admissibility condition.
 
 Each balanced cycle induces a monomial relation between the periods
 Theta_I (relation_of_cycle); reciprocity.reduce_to_low_degree certifies
@@ -20,30 +19,15 @@ Theta_I * Theta_{I^c} ~ tau and degree-two quadruple relations.
 A quadruple's support is the W_g-orbit of its block pair, sized and keyed
 by support_class from the pattern counts of its four masks; on admissible
 quadruples the key and the invariant (r, s) of canonical_form_weyl
-determine each other.  balance_dichotomy verifies the exhaustive
-two-out-of-four balance lemma behind the admissibility condition.
+determine each other.
 """
 from __future__ import annotations
 
-import itertools
 from math import factorial, prod
 
 from . import POHLMANN_HARD_BUDGET
-from .hyperoct import (
-    EmbeddingLabel,
-    Subset,
-    admissible,
-    check_powerset_size,
-    subset_rank,
-    subset_unrank,
-    tail_subsets,
-)
+from .hyperoct import EmbeddingLabel, Subset, admissible, check_powerset_size, subset_rank
 from .record import Record, set_slot
-
-BP_MAX_G = 8
-BP_MAX_P = 4
-BP_MAX_N = 3
-DICHOTOMY_MAX_G = 6
 
 
 def _slot_key(entry):
@@ -165,89 +149,6 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     return picked
 
 
-def bp_multisets(g: int, p: int, n: int) -> list[CycleIndex]:
-    """Ordered 2p-tuples of (subset, copy) slots covering every point of
-    {1,...,g} exactly p times; the balanced basis of the generalized
-    anti-Weyl variety."""
-    if g > BP_MAX_G or p > BP_MAX_P or n > BP_MAX_N:
-        raise ValueError(
-            f"bp_multisets is budgeted to g <= {BP_MAX_G}, p <= {BP_MAX_P}, n <= {BP_MAX_N}"
-        )
-    if p < 0 or n < 1:
-        raise ValueError("need p >= 0 and n >= 1")
-    slots = sorted(
-        ((subset_unrank(g, r), copy) for copy in range(1, n + 1) for r in range(1 << g)),
-        key=_slot_key,
-    )
-    out: list[CycleIndex] = []
-    nodes = 0
-    # depth-first over (next slot, chosen slots, cover count per point),
-    # children pushed in reverse so that they pop in slot order
-    stack = [(0, (), (0,) * g)]
-    while stack:
-        i, chosen, cover = stack.pop()
-        nodes += 1
-        if nodes > POHLMANN_HARD_BUDGET:
-            raise ValueError("enumeration budget exceeded")
-        left = 2 * p - len(chosen)
-        if left == 0:
-            if all(c == p for c in cover):
-                out.append(CycleIndex(chosen))
-            continue
-        if len(slots) - i < left:
-            continue
-        for k in reversed(range(i, len(slots))):
-            bits = slots[k][0].bits
-            step = tuple(c + (bits >> j & 1) for j, c in enumerate(cover))
-            if all(c <= p for c in step):
-                stack.append((k + 1, (*chosen, slots[k]), step))
-    return out
-
-
-def b2_quadruples(g: int, n: int) -> list[tuple]:
-    """Admissible quadruples (I, J, K, L, copies) over {2,...,g} with the
-    canonical slot ordering: rank(I),copy <= rank(J),copy on the left,
-    rank(K^c),copy <= rank(L^c),copy on the right, all four wedge slots
-    distinct."""
-    if g > BP_MAX_G:
-        raise ValueError(f"b2_quadruples is budgeted to g <= {BP_MAX_G}")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    by_sig: dict = {}
-    for I, J in itertools.combinations_with_replacement(tail_subsets(g), 2):
-        by_sig.setdefault(((I | J).bits, (I & J).bits), []).append((I, J))
-    out = []
-    work = 0
-    for pairs in by_sig.values():
-        work += len(pairs) * len(pairs) * n**4
-        if work > POHLMANN_HARD_BUDGET:
-            raise ValueError("enumeration budget exceeded")
-        for I, J in pairs:
-            ri, rj = subset_rank(I), subset_rank(J)
-            for A, B in pairs:
-                K, L = (
-                    (A, B)
-                    if subset_rank(A.complement()) <= subset_rank(B.complement())
-                    else (B, A)
-                )
-                rk, rl = subset_rank(K.complement()), subset_rank(L.complement())
-                for copies in itertools.product(range(1, n + 1), repeat=4):
-                    if (ri, copies[0]) >= (rj, copies[1]):
-                        continue
-                    if (rk, copies[2]) >= (rl, copies[3]):
-                        continue
-                    out.append((I, J, K, L, copies))
-    out.sort(
-        key=lambda q: (
-            (subset_rank(q[0]), q[4][0]),
-            (subset_rank(q[1]), q[4][1]),
-            (subset_rank(q[2].complement()), q[4][2]),
-            (subset_rank(q[3].complement()), q[4][3]),
-        )
-    )
-    return out
-
-
 def quadruple_to_cycle(I: Subset, J: Subset, K: Subset, L: Subset, copies=(1, 1, 1, 1)) -> CycleIndex:
     """The wedge cycle eps_I ^ eps_J ^ eps_{K^c} ^ eps_{L^c}."""
     slots = [
@@ -279,7 +180,7 @@ def relation_of_cycle(c: CycleIndex) -> MonomialRelation:
 
 
 # ---------------------------------------------------------------------------
-# supports, canonical forms, and the balance dichotomy
+# supports and canonical forms
 
 
 def _class_counts(a: int, b: int, c: int, d: int, g: int) -> tuple:
@@ -329,37 +230,3 @@ def canonical_form_weyl(q, g: int) -> tuple[int, int]:
     if {I, J} == {K, L}:
         return (r, 1)
     return (r, 1 + min(len(I ^ K), len(I ^ L), len(J ^ K), len(J ^ L)))
-
-
-def balance_dichotomy(g: int) -> tuple[int, int]:
-    """Exhaustive two-sided balance check over all quadruples in {2,...,g}.
-
-    Admissible quadruples keep exactly two of the four wedge slots
-    containing 1 under every group element; every inadmissible quadruple
-    admits an element pushing 1 into at least three slots.  Returns the
-    (admissible, inadmissible) counts; a counterexample to either
-    direction raises AssertionError (explicitly, so python -O keeps it).
-    """
-    if g > DICHOTOMY_MAX_G:
-        raise ValueError(f"balance_dichotomy supports g <= {DICHOTOMY_MAX_G}, got {g}")
-    # one base-16 digit per translate counting the slots that contain 1, i.e.
-    # whose complement is holomorphic (rho is central); every digit stays <= 5
-    hol, digits = _holomorphy_profiles(g)
-    ones = sum(1 << (4 * i) for i in range(digits))
-    full, high = (1 << g) - 1, 4 * ones
-    contains = [hol[Subset(g, bits ^ full)] for bits in range(1 << g)]
-    n_adm = n_bad = 0
-    tail = range(0, 1 << g, 2)  # the masks of the subsets of {2,...,g}
-    for i, j, k, l in itertools.product(tail, repeat=4):
-        total = contains[i] + contains[j] + contains[k ^ full] + contains[l ^ full]
-        if admissible(i, j, k, l):
-            n_adm += 1
-            broken = total != 2 * ones
-        else:
-            n_bad += 1
-            # a digit reaches 3 or 4 iff adding one more pushes it to >= 4
-            broken = not (total + ones) & high
-        if broken:
-            quad = ", ".join(str(Subset(g, bits)) for bits in (i, j, k, l))
-            raise AssertionError(f"balance lemma fails at quadruple ({quad})")
-    return n_adm, n_bad

@@ -76,12 +76,6 @@ def _hnf_right(rows: list[list[int]], ncols: int):
     return A[:r][::-1] + A[r:], r
 
 
-def hnf(m: IntMatrix) -> IntMatrix:
-    """Canonical trailing-pivot row HNF; zero rows dropped."""
-    A, rank = _hnf_right([list(r) for r in m.entries], m.cols)
-    return IntMatrix.from_rows(A[:rank], m.cols)
-
-
 class IntLattice(Record):
     """A sublattice of Z^dim with HNF-canonical basis (unique per lattice)."""
 
@@ -90,10 +84,6 @@ class IntLattice(Record):
     def __init__(self, dim: int, basis: IntMatrix) -> None:
         set_slot(self, "dim", dim)
         set_slot(self, "basis", basis)
-
-    @classmethod
-    def from_rows(cls, dim: int, rows: Iterable[Sequence[int]]) -> "IntLattice":
-        return cls(dim, hnf(IntMatrix.from_rows(rows, dim)))
 
     @property
     def rank(self) -> int:
@@ -109,9 +99,3 @@ def kernel_basis(m: IntMatrix) -> IntLattice:
     rows = [[int(i == c) for i in range(n)] + [row[c] for row in m.entries] for c in range(n)]
     A, _ = _hnf_right(rows, n + m.rows)
     return IntLattice(n, IntMatrix.from_rows((row[:n] for row in A if not any(row[n:])), n))
-
-
-def lattice_equal(L1: IntLattice, L2: IntLattice) -> bool:
-    if L1.dim != L2.dim:
-        raise ValueError(f"ambient dimension mismatch: {L1.dim} vs {L2.dim}")
-    return L1.basis == L2.basis

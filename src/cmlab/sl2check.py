@@ -7,8 +7,10 @@ the mirrored position rank(I^c).  Root vectors E_{I,J} for the weights
 e_I + e_J are elementary raising matrices normalized so that the double
 bracket with the conjugate root vector returns twice the original.  On top
 of the root vectors sit the nilpotents v_U (one per index set U inside
-{2,...,g}) and their complex conjugates; `check_sl2` confirms by exact
-rational arithmetic that each pair spans an sl2-triple.
+{2,...,g}) and their complex conjugates; `sl2_reports` confirms by exact
+rational arithmetic that each pair spans an sl2-triple.  The scaled
+negative control, which must break the triple identities, lives with the
+tests in tests/oracles.py.
 
 The concrete matrices are one valid gauge; any model with the same weights
 and normalization passes the same checks.
@@ -141,13 +143,12 @@ def build_v(U: Subset) -> SymplecticMatrix:
     return total.scaled(eps)
 
 
-def _nilpotents(g: int, scale) -> list[SymplecticMatrix]:
-    """scale * v_W for every W inside {2,...,g}, in canonical order: the
-    index of W is its mask shifted right by one."""
+def _nilpotents(g: int) -> list[SymplecticMatrix]:
+    """v_W for every W inside {2,...,g}, in canonical order: the index of W
+    is its mask shifted right by one."""
     if g > SL2_MAX_G:
-        raise ValueError(f"check_sl2 supports g <= {SL2_MAX_G}, got {g}")
-    factor = Fraction(scale)
-    return [build_v(W).scaled(factor) for W in tail_subsets(g)]
+        raise ValueError(f"sl2-check supports g <= {SL2_MAX_G}, got {g}")
+    return [build_v(W) for W in tail_subsets(g)]
 
 
 def _report(v: SymplecticMatrix, nilpotents) -> dict:
@@ -162,26 +163,13 @@ def _report(v: SymplecticMatrix, nilpotents) -> dict:
     }
 
 
-def check_sl2(U: Subset, g: int, scale=1) -> dict:
-    """Verify that (v_U, vbar_U, [v_U, vbar_U]) is an sl2-triple, with
-    vbar_U = conj(v_U).
+def sl2_reports(g: int) -> list[tuple[Subset, dict]]:
+    """(U, report) for every U inside {2,...,g}: whether (v_U, vbar_U,
+    [v_U, vbar_U]) is an sl2-triple, with vbar_U = conj(v_U).
 
     The report keys name the identity groups: all v's commute pairwise,
     the bracket with the conjugate is diagonal, and the double brackets
-    reproduce twice the nilpotents.  `scale` rescales all nilpotents and
-    serves as a negative control: values other than +1 or -1 must break
-    the triple identities.
+    reproduce twice the nilpotents.  Each nilpotent is built once.
     """
-    if U.g != g:
-        raise ValueError(f"index set lives at g={U.g}, not {g}")
-    if 1 in U:
-        raise ValueError("expected an index set inside {2,...,g}")
-    nilpotents = _nilpotents(g, scale)
-    return _report(nilpotents[U.bits >> 1], nilpotents)
-
-
-def sl2_reports(g: int) -> list[tuple[Subset, dict]]:
-    """(U, check_sl2(U, g)) for every U inside {2,...,g}, building each
-    nilpotent once rather than once per U."""
-    nilpotents = _nilpotents(g, 1)
+    nilpotents = _nilpotents(g)
     return [(U, _report(v, nilpotents)) for U, v in zip(tail_subsets(g), nilpotents)]

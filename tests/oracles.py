@@ -1,24 +1,35 @@
-"""Reference computations that the tests compare the package against.
+"""Reference computations that the tests compare the package against;
+no command runs them.
 
 The package computes the kernel of rec* in closed form and strips only the
 support of a relation; the dense versions here are what they must agree
 with: rec* as a matrix, the span of all admissible quadruples, and the
-strip over all 2^g subsets.  The rest is what no command runs: the label
-form of CM types, the elements of the whole Weyl group, the support of a
-quadruple as a walked orbit, lattice membership, the HNF witness, the
-symplectic form.
+strip over all 2^g subsets.  The anti-Weyl Hodge basis is re-enumerated
+by point coverage and, in degree two, by admissible quadruples, and the
+two-out-of-four balance lemma is checked over every quadruple.  The rest:
+the label form of CM types, the elements of the whole Weyl group, the
+support of a quadruple as a walked orbit, the HNF, lattice span, equality
+and membership, the symplectic form and the scaled sl2 negative control.
+Gates raise explicitly: pytest rewrites assert statements only in test
+modules, and python -O strips them everywhere else.
 """
 import functools
+import itertools
 from fractions import Fraction
-from itertools import permutations
 
+from cmlab import POHLMANN_HARD_BUDGET
 from cmlab.galois import GaloisGroup, orbit
 from cmlab.hodge import CycleIndex, _slot_key
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, _act_bits, act_subset, check_powerset_size, submasks, subset_rank, subset_unrank
-from cmlab.intlattice import IntLattice, IntMatrix, hnf
+from cmlab.hyperoct import (EmbeddingLabel, SignedPerm, Subset, _act_bits, act_subset, admissible, check_powerset_size,
+                            submasks, subset_rank, subset_unrank, tail_subsets)
+from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right
 from cmlab.reciprocity import SIMPLE, kernel_N
-from cmlab.sl2check import SymplecticMatrix
+from cmlab.sl2check import SymplecticMatrix, _nilpotents, _report
 
+BP_MAX_G = 8
+BP_MAX_P = 4
+BP_MAX_N = 3
+DICHOTOMY_MAX_G = 6
 QUAD_LATTICE_MAX_G = 12
 
 
@@ -125,6 +136,118 @@ def dense_chain_strip(vec, g: int):
 
 
 # ---------------------------------------------------------------------------
+# the anti-Weyl Hodge basis re-enumerated, and the balance lemma
+
+
+def bp_multisets(g: int, p: int, n: int) -> list[CycleIndex]:
+    """Ordered 2p-tuples of (subset, copy) slots covering every point of
+    {1,...,g} exactly p times; the balanced basis of the generalized
+    anti-Weyl variety."""
+    if g > BP_MAX_G or p > BP_MAX_P or n > BP_MAX_N:
+        raise ValueError(f"bp_multisets is budgeted to g <= {BP_MAX_G}, p <= {BP_MAX_P}, n <= {BP_MAX_N}")
+    if p < 0 or n < 1:
+        raise ValueError("need p >= 0 and n >= 1")
+    slots = sorted(((subset_unrank(g, r), copy) for copy in range(1, n + 1) for r in range(1 << g)), key=_slot_key)
+    out: list[CycleIndex] = []
+    nodes = 0
+    # depth-first over (next slot, chosen slots, cover count per point),
+    # children pushed in reverse so that they pop in slot order
+    stack = [(0, (), (0,) * g)]
+    while stack:
+        i, chosen, cover = stack.pop()
+        nodes += 1
+        if nodes > POHLMANN_HARD_BUDGET:
+            raise ValueError("enumeration budget exceeded")
+        left = 2 * p - len(chosen)
+        if left == 0:
+            if all(c == p for c in cover):
+                out.append(CycleIndex(chosen))
+            continue
+        if len(slots) - i < left:
+            continue
+        for k in reversed(range(i, len(slots))):
+            bits = slots[k][0].bits
+            step = tuple(c + (bits >> j & 1) for j, c in enumerate(cover))
+            if all(c <= p for c in step):
+                stack.append((k + 1, (*chosen, slots[k]), step))
+    return out
+
+
+def b2_quadruples(g: int, n: int) -> list[tuple]:
+    """Admissible quadruples (I, J, K, L, copies) over {2,...,g} with the
+    canonical slot ordering: rank(I),copy <= rank(J),copy on the left,
+    rank(K^c),copy <= rank(L^c),copy on the right, all four wedge slots
+    distinct."""
+    if g > BP_MAX_G:
+        raise ValueError(f"b2_quadruples is budgeted to g <= {BP_MAX_G}")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    by_sig: dict = {}
+    for I, J in itertools.combinations_with_replacement(tail_subsets(g), 2):
+        by_sig.setdefault(((I | J).bits, (I & J).bits), []).append((I, J))
+    out = []
+    work = 0
+    for pairs in by_sig.values():
+        work += len(pairs) * len(pairs) * n**4
+        if work > POHLMANN_HARD_BUDGET:
+            raise ValueError("enumeration budget exceeded")
+        for I, J in pairs:
+            ri, rj = subset_rank(I), subset_rank(J)
+            for A, B in pairs:
+                K, L = (A, B) if subset_rank(A.complement()) <= subset_rank(B.complement()) else (B, A)
+                rk, rl = subset_rank(K.complement()), subset_rank(L.complement())
+                for copies in itertools.product(range(1, n + 1), repeat=4):
+                    if (ri, copies[0]) >= (rj, copies[1]):
+                        continue
+                    if (rk, copies[2]) >= (rl, copies[3]):
+                        continue
+                    out.append((I, J, K, L, copies))
+    out.sort(key=lambda q: ((subset_rank(q[0]), q[4][0]), (subset_rank(q[1]), q[4][1]),
+                            (subset_rank(q[2].complement()), q[4][2]), (subset_rank(q[3].complement()), q[4][3])))
+    return out
+
+
+def balance_dichotomy(g: int) -> tuple[int, int]:
+    """Exhaustive two-sided balance check over all quadruples in {2,...,g}.
+
+    Admissible quadruples keep exactly two of the four wedge slots
+    containing 1 under every group element; every inadmissible quadruple
+    admits an element pushing 1 into at least three slots.  Returns the
+    (admissible, inadmissible) counts; a counterexample to either
+    direction raises AssertionError (explicitly, so python -O keeps it).
+    """
+    if g > DICHOTOMY_MAX_G:
+        raise ValueError(f"balance_dichotomy supports g <= {DICHOTOMY_MAX_G}, got {g}")
+    # whether t.I contains 1 depends only on (beta^-1(1), [1 in flips]), so
+    # one element per class stands for it: the transposition (1 k), with and
+    # without flipping 1.  contains[I] holds one base-16 digit per class, set
+    # iff t.I contains 1; a sum of four digits plus one stays <= 5
+    reps = []
+    for k in range(1, g + 1):
+        perm = list(range(1, g + 1))
+        perm[0], perm[k - 1] = k, 1
+        reps += [SignedPerm.make(g, flips, perm) for flips in ((), (1,))]
+    contains = [sum((_act_bits(t, bits) & 1) << (4 * i) for i, t in enumerate(reps)) for bits in range(1 << g)]
+    ones = sum(1 << (4 * i) for i in range(len(reps)))
+    full, high = (1 << g) - 1, 4 * ones
+    n_adm = n_bad = 0
+    tail = range(0, 1 << g, 2)  # the masks of the subsets of {2,...,g}
+    for i, j, k, l in itertools.product(tail, repeat=4):
+        total = contains[i] + contains[j] + contains[k ^ full] + contains[l ^ full]
+        if admissible(i, j, k, l):
+            n_adm += 1
+            broken = total != 2 * ones
+        else:
+            n_bad += 1
+            # a digit reaches 3 or 4 iff adding one more pushes it to >= 4
+            broken = not (total + ones) & high
+        if broken:
+            quad = ", ".join(str(Subset(g, bits)) for bits in (i, j, k, l))
+            raise AssertionError(f"balance lemma fails at quadruple ({quad})")
+    return n_adm, n_bad
+
+
+# ---------------------------------------------------------------------------
 # The whole Weyl group, CM types as label sets, and the action on labels
 
 
@@ -134,7 +257,7 @@ def weyl_elements(g: int) -> tuple:
     lexicographic order and the 2^g flip masks within each: an enumeration
     that shares nothing with the breadth-first closure of the package."""
     flips = [Subset(g, bits) for bits in range(1 << g)]
-    return tuple(SignedPerm(g, f, perm) for perm in permutations(range(1, g + 1)) for f in flips)
+    return tuple(SignedPerm(g, f, perm) for perm in itertools.permutations(range(1, g + 1)) for f in flips)
 
 
 def quadruple_support(q, G: GaloisGroup) -> frozenset:
@@ -199,7 +322,24 @@ def translated(c: CycleIndex, t) -> CycleIndex:
 
 
 # ---------------------------------------------------------------------------
-# lattice membership and the HNF witness
+# the HNF, lattice equality and membership, and the HNF witness
+
+
+def hnf(m: IntMatrix) -> IntMatrix:
+    """Canonical trailing-pivot row HNF; zero rows dropped."""
+    A, rank = _hnf_right([list(r) for r in m.entries], m.cols)
+    return IntMatrix.from_rows(A[:rank], m.cols)
+
+
+def span(dim: int, rows) -> IntLattice:
+    """The sublattice of Z^dim that rows span, in canonical form."""
+    return IntLattice(dim, hnf(IntMatrix.from_rows(rows, dim)))
+
+
+def lattice_equal(L1: IntLattice, L2: IntLattice) -> bool:
+    if L1.dim != L2.dim:
+        raise ValueError(f"ambient dimension mismatch: {L1.dim} vs {L2.dim}")
+    return L1.basis == L2.basis
 
 
 def member(v, L: IntLattice):
@@ -245,7 +385,7 @@ def kernel_to_cycle(spec, alpha, n=None) -> CycleIndex:
 
 
 # ---------------------------------------------------------------------------
-# the symplectic form and the torus of the sl2 model
+# the symplectic form, the torus of the sl2 model and the negative control
 
 
 def omega(g: int) -> SymplecticMatrix:
@@ -273,3 +413,15 @@ def torus_element(coeffs, g: int) -> SymplecticMatrix:
         diag[subset_rank(I), subset_rank(I)] = Fraction(c)
         diag[subset_rank(I.complement()), subset_rank(I.complement())] = -Fraction(c)
     return SymplecticMatrix(g, diag)
+
+
+def check_sl2(U: Subset, g: int, scale=1) -> dict:
+    """The sl2 report of v_U with every nilpotent scaled by `scale`, a
+    negative control: values other than +1 or -1 must break the triple
+    identities."""
+    if U.g != g:
+        raise ValueError(f"index set lives at g={U.g}, not {g}")
+    if 1 in U:
+        raise ValueError("expected an index set inside {2,...,g}")
+    nilpotents = [v.scaled(scale) for v in _nilpotents(g)]
+    return _report(nilpotents[U.bits >> 1], nilpotents)

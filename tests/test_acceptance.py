@@ -6,18 +6,9 @@ import itertools
 
 from cmlab.cmtypes import CMPairSpec, compagnon_labels, reflex_labels, subset_rank
 from cmlab.galois import weyl_full
-from cmlab.hodge import (
-    CycleIndex,
-    admissible,
-    b2_quadruples,
-    balance_dichotomy,
-    bp_multisets,
-    pohlmann_basis,
-    quadruple_to_cycle,
-    relation_of_cycle,
-)
+from cmlab.hodge import CycleIndex, admissible, pohlmann_basis, quadruple_to_cycle, relation_of_cycle
 from cmlab.hyperoct import Subset, act_subset, compose, inverse
-from cmlab.intlattice import IntLattice, IntMatrix, hnf, kernel_basis, lattice_equal
+from cmlab.intlattice import IntMatrix, kernel_basis
 from cmlab.reciprocity import (
     ANTIWEYL,
     MonomialRelation,
@@ -26,8 +17,9 @@ from cmlab.reciprocity import (
     relations_from_kernel,
     render_relation,
 )
-from cmlab.sl2check import check_sl2
-from oracles import quad_lattice, rec_star_antiweyl
+from oracles import (
+    b2_quadruples, balance_dichotomy, bp_multisets, check_sl2, hnf, lattice_equal, quad_lattice, rec_star_antiweyl, span,
+)
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
 MU19_PHI_STAR = [0, 1, 2, 4, 5, 8, 12, 15, 16]
@@ -82,7 +74,7 @@ def test_criterion_01_mu19_kernel_and_relations():
     lattice = kernel_N(spec)
     g1 = (1, -1, -1, 1, 0, 0, -1, 0, 1)
     g2 = (1, 0, -1, 1, -1, 1, 0, -1, 0)
-    assert lattice_equal(lattice, IntLattice.from_rows(9, [g1, g2]))
+    assert lattice_equal(lattice, span(9, [g1, g2]))
     symbols = [f"Th[{a}]" for a in MU19_PHI]
     rendered = {
         render_relation(r, symbols)

@@ -335,7 +335,7 @@ class TestPinnedMessages:
         (["kernel"], {"weyl": 17}, "operation enumerates all 2^g subsets; g=17 exceeds the cap 16"),
         (["hodge-basis", "--weyl-full", "--g", "2", "--p", "8", "--n", "1"], None,
          "the packed accumulator supports p <= 7"),
-        (["sl2-check", "--g", "9"], None, "check_sl2 supports g <= 8, got 9"),
+        (["sl2-check", "--g", "9"], None, "sl2-check supports g <= 8, got 9"),
         (["relations"], None, "needs --input FILE or --weyl-full with --g"),
         (["hodge-basis", "--p", "1", "--n", "1"], None, "needs --input FILE or --weyl-full with --g"),
         (["relations", "--weyl-full"], None, "--weyl-full needs --g"),

@@ -2,6 +2,7 @@
 import functools
 import itertools
 import math
+import pathlib
 import random
 import subprocess
 import sys
@@ -18,9 +19,6 @@ from cmlab.hodge import (
     _slot_key,
     CycleIndex,
     admissible,
-    b2_quadruples,
-    balance_dichotomy,
-    bp_multisets,
     canonical_form_weyl,
     pohlmann_basis,
     quadruple_to_cycle,
@@ -28,7 +26,6 @@ from cmlab.hodge import (
     support_class,
 )
 from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, compose, tail_subsets
-from cmlab.intlattice import IntLattice
 from cmlab.reciprocity import (
     ANTIWEYL,
     Certificate,
@@ -40,7 +37,8 @@ from cmlab.reciprocity import (
     render_relation,
 )
 from oracles import (
-    act_embedding, dense, kernel_to_cycle, member, quad_lattice, quadruple_support, translated, weyl_elements,
+    act_embedding, b2_quadruples, balance_dichotomy, bp_multisets, dense, kernel_to_cycle, member, quad_lattice,
+    quadruple_support, span, translated, weyl_elements,
 )
 from strategies import signed_perms, subsets
 
@@ -555,7 +553,7 @@ def generator_rows(g):
 def generator_lattice(g):
     """HNF of the degree <= 2 generators: an oracle for membership that is
     independent of back-substitution."""
-    return IntLattice.from_rows((1 << g) + 1, [list(row) for row in generator_rows(g)])
+    return span((1 << g) + 1, [list(row) for row in generator_rows(g)])
 
 
 def admissible_over_tail(g):
@@ -791,15 +789,26 @@ class TestDichotomy:
         assert balance_dichotomy(5) == (1296, 64240)
         assert built == []
 
+    def test_digits_do_not_read_the_pohlmann_profiles(self, monkeypatch):
+        # the oracle computes its own translate digits, so that it stays
+        # independent of the code it checks
+        def refuse(spec):
+            raise RuntimeError("the dichotomy read hodge._holomorphy_profiles")
+
+        monkeypatch.setattr("cmlab.hodge._holomorphy_profiles", refuse)
+        assert [balance_dichotomy(g) for g in (3, 4, 5)] == [(36, 220), (216, 3880), (1296, 64240)]
+
     def test_lemma_gates_survive_optimized_mode(self):
         # a wrong admissibility test must break the lemma in each direction,
         # and be reported, even when python -O removes assert statements
-        script = """
-import cmlab.hodge as hodge
+        script = f"""
+import sys
+sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})
+import oracles
 for fake in (lambda *q: True, lambda *q: False):
-    hodge.admissible = fake
+    oracles.admissible = fake
     try:
-        hodge.balance_dichotomy(3)
+        oracles.balance_dichotomy(3)
     except AssertionError as exc:
         print(exc)
     else:

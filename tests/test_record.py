@@ -13,6 +13,7 @@ from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset
 from cmlab.intlattice import IntLattice, IntMatrix
 from cmlab.reciprocity import ANTIWEYL, SIMPLE, Certificate, MonomialRelation, chain_generator, reduce_to_low_degree
 from cmlab.sl2check import SymplecticMatrix
+from oracles import span
 
 # small groups and pairs by recipe, so that two draws are often equal
 _GROUPS = [("weyl", 1), ("weyl", 2), ("cyclic", 4, (0, 1)), ("cyclic", 4, (0, 3)), ("cyclic", 6, (0, 1, 2))]
@@ -86,7 +87,7 @@ RECORDS = [
     (IntMatrix, ("entries", "cols"), st.integers(1, 2).flatmap(lambda c: st.tuples(_rows(c), st.just(c))),
      lambda a: IntMatrix(*a)),
     (IntLattice, ("dim", "basis"), st.integers(1, 2).flatmap(lambda c: st.tuples(st.just(c), _rows(c))),
-     lambda a: IntLattice.from_rows(*a)),
+     lambda a: span(*a)),
     (MonomialRelation, ("side", "g", "terms", "tau"), _relation_args(), lambda a: MonomialRelation(*a)),
     (SymplecticMatrix, ("g", "entries"), _symplectic_args(), lambda a: SymplecticMatrix(*a)),
 ]

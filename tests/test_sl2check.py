@@ -11,12 +11,11 @@ from cmlab.sl2check import (
     SymplecticMatrix,
     bracket,
     build_v,
-    check_sl2,
     conj,
     root_vector,
     sl2_reports,
 )
-from oracles import in_lie_algebra, omega, torus_element
+from oracles import check_sl2, in_lie_algebra, omega, torus_element
 
 
 def lowering_sum(U):

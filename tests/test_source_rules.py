@@ -7,12 +7,14 @@ import pathlib
 import pytest
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "cmlab").glob("*.py"))
+ORACLES = pathlib.Path(__file__).parent / "oracles.py"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*SOURCES, ORACLES], ids=lambda p: p.name)
 def test_no_assert_statements(path):
     # python -O strips assert statements, so a correctness gate written as
-    # one would vanish; gates raise explicitly instead
+    # one would vanish; gates raise explicitly instead.  pytest rewrites
+    # asserts only in test modules, so the oracles keep the rule too
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
@@ -80,16 +82,16 @@ def _names(nodes, classes, returns):
     return found
 
 
-def unreached_public_definitions(package, acceptance):
-    """The public functions, classes and methods of package that neither a
-    command nor the acceptance tests reach, as 'module.name (N lines)'.
+def unreached_public_definitions(package):
+    """The public functions, classes and methods of package that no command
+    reaches, as 'module.name (N lines)'.
 
     Reachability goes by name from cli.main, the handlers that the first two
-    fields of each cli._COMMANDS row name, module-level code and the code of
-    the acceptance module: a reached definition reaches each
-    module-level definition that its code names bare, each definition that
-    it names as an attribute (only the member of the class, where the class
-    is known and has one), and a reached class its dunder methods.
+    fields of each cli._COMMANDS row name, and module-level code: a reached
+    definition reaches each module-level definition that its code names
+    bare, each definition that it names as an attribute (only the member of
+    the class, where the class is known and has one), and a reached class
+    its dunder methods.
     """
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
     defs = {}
@@ -119,7 +121,6 @@ def unreached_public_definitions(package, acceptance):
     todo = [("cli", "main"), *((row.elts[0].value, row.elts[1].value) for row in commands.values)]
     module_code = [node for tree in trees.values() for node in tree.body
                    if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom))]
-    module_code.append(ast.parse(acceptance.read_text(encoding="utf-8")))
     todo += targets(_names(module_code, classes, returns))
     reached = set()
     while todo:
@@ -146,14 +147,14 @@ def test_a_bare_name_reaches_no_method(tmp_path):
     (package / "cli_go.py").write_text(
         "class Box:\n    def full(self):\n        return 1\n\n    def used(self):\n        return 2\n\n\n"
         "def cmd_go(read, args, as_json):\n    full = Box()\n    return full.used()\n")
-    (tmp_path / "acceptance.py").write_text("")
-    assert unreached_public_definitions(package, tmp_path / "acceptance.py") == ["cli_go.Box.full (2 lines)"]
+    assert unreached_public_definitions(package) == ["cli_go.Box.full (2 lines)"]
 
 
-def test_every_public_definition_is_run_by_a_command_or_called_by_acceptance():
-    # the package holds what the command line runs and what the acceptance
-    # criteria call; reference code that tests compare against lives in
-    # tests/oracles.py
-    acceptance = pathlib.Path(__file__).parent / "test_acceptance.py"
-    unused = unreached_public_definitions(SOURCES[0].parent, acceptance)
-    assert not unused, f"neither a command nor an acceptance test reaches: {unused}"
+def test_every_public_definition_is_run_by_a_command():
+    # the package holds what the command line runs; reference code that
+    # tests compare against lives in tests/oracles.py.  The three hyperoct
+    # exceptions are the group arithmetic that criterion 10 checks, and the
+    # benchmark's metrics hyperoct.act_subset.calls and hyperoct.compose.calls
+    # name two of them: they move when those counters do
+    unused = unreached_public_definitions(SOURCES[0].parent)
+    assert [u.split(" ")[0] for u in unused] == ["hyperoct.act_subset", "hyperoct.compose", "hyperoct.inverse"], unused
