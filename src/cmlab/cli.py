@@ -35,8 +35,6 @@ console script and `python -m cmlab.cli`) and freezes the heap before it
 returns, so the collection at interpreter exit skips every object and the
 OS reclaims the memory; main(argv) leaves the collector as it is.
 """
-from __future__ import annotations
-
 import gc
 import os
 import sys
@@ -123,7 +121,7 @@ def spec_from_json(data: dict):
                 gens.append(SignedPerm.make(g, x["flips"], x["perm"]))
             except ValueError as exc:
                 raise ValueError(f"generators[{k}]: {exc}") from None
-        return CMPairSpec.of_group(from_generators(g, gens))
+        return CMPairSpec(from_generators(g, gens))
     raise ValueError('input needs "cyclic", "weyl" or "generators"')
 
 
@@ -253,7 +251,7 @@ def _plain_args(argv):
         flag[2:].replace("-", "_"): given.get(flag, keywords.get("default")) for flag, keywords in options.items()})
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     """The argparse parser of the command line: one subcommand per row of
     _COMMANDS, with the options of _options."""
     import argparse

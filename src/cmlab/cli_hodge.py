@@ -1,6 +1,4 @@
 """Command handlers on Hodge classes: hodge-basis and support."""
-from __future__ import annotations
-
 from .cli import _check
 from .hodge import canonical_form_weyl, pohlmann_basis, support_class
 from .hyperoct import Subset

@@ -1,6 +1,4 @@
 """Command handler of example-mu19, the worked cyclotomic regression report."""
-from __future__ import annotations
-
 from .cli_pairs import labels_str
 from .cli_relations import certificate_json, kernel_report, period_symbols
 from .cmtypes import CMPairSpec, compagnon_labels, labeled_translates, orbit_decomposition, reflex_labels

@@ -1,6 +1,4 @@
 """Command handlers on one CM pair: orbits, reflex and compagnons."""
-from __future__ import annotations
-
 from .cmtypes import compagnon_labels, labeled_translates, orbit_decomposition, reflex_labels, translate_masks
 from .hyperoct import Subset
 
@@ -11,7 +9,7 @@ def labels_str(labels) -> str:
 
 def cmd_orbits(spec, args, as_json):
     orbits = orbit_decomposition(spec.group)
-    rows = labeled_translates(spec, Subset.empty(spec.g)) if spec.group.labels is not None else None
+    rows = labeled_translates(spec, Subset.empty(spec.g)) if spec.residues is not None else None
     if as_json:
         return {
             "table": None if rows is None else {str(a): list(I.members()) for a, I in rows},
@@ -49,7 +47,7 @@ def cmd_reflex(spec, args, as_json):
 
 
 def cmd_compagnons(spec, args, as_json):
-    labeled = spec.group.labels is not None
+    labeled = spec.residues is not None
     found = []
     for k, o in enumerate(orbit_decomposition(spec.group)):
         labels = None

@@ -3,9 +3,8 @@
 relations --weyl-full and reduce run only reciprocity (with hyperoct and
 record); the period kernel of a pair loads the lattice code when it runs.
 """
-from __future__ import annotations
-
 from .cli import _check
+from .hyperoct import EmbeddingLabel
 from .reciprocity import (
     ANTIWEYL,
     SIMPLE,
@@ -19,12 +18,12 @@ from .reciprocity import (
 )
 
 
-def _signed_sum(row, names) -> str:
+def _signed_sum(row, spec) -> str:
     parts = []
-    for name, c in zip(names, row):
+    for j, c in enumerate(row, start=1):
         if c == 0:
             continue
-        term = ("" if abs(c) == 1 else f"{abs(c)}*") + f"[{name}]"
+        term = ("" if abs(c) == 1 else f"{abs(c)}*") + f"[{spec.label_name(EmbeddingLabel(j))}]"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:
@@ -34,7 +33,7 @@ def _signed_sum(row, names) -> str:
 
 def period_symbols(spec) -> list[str]:
     """The period symbols Th[name] of a pair's embeddings phi_1..phi_g."""
-    return [f"Th[{name}]" for name in spec.phi_names]
+    return [f"Th[{spec.label_name(EmbeddingLabel(j))}]" for j in range(1, spec.g + 1)]
 
 
 def kernel_report(spec, as_json):
@@ -53,7 +52,7 @@ def kernel_report(spec, as_json):
     return [
         f"kernel rank: {lattice.rank}",
         f"mt dimension: {mt}",
-        *(f"generator: {_signed_sum(row, spec.phi_names)}" for row in lattice.basis.entries),
+        *(f"generator: {_signed_sum(row, spec)}" for row in lattice.basis.entries),
         *(f"relation: {render_relation(r, symbols)}" for r in rels),
     ], rels
 

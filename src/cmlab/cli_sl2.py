@@ -1,6 +1,4 @@
 """Command handler of sl2-check."""
-from __future__ import annotations
-
 from .sl2check import sl2_reports
 
 _GATES = ("bracket_vv_zero", "bracket_vvbar_diagonal", "triple_identities")

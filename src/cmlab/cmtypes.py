@@ -1,4 +1,4 @@
-"""CM types as subsets, their Galois orbits, and the labeled orbit table.
+"""CM pairs, CM types as subsets, their Galois orbits, and the orbit table.
 
 A CM type on E is encoded by the subset I of {1,...,g} of conjugated
 positions: it stands for {phi_j : j not in I} + {phibar_j : j in I}, so the
@@ -9,11 +9,9 @@ factor of the generalized anti-Weyl variety: its degree is the orbit size,
 its key the first member, and its CM type the members not containing the
 distinguished position 1 (half the orbit, since conjugation lies in the
 group).  The orbit of the empty set, translate_masks, is the reflex.
-Labeled (cyclic) pairs also have an orbit table, the translates [a].I of an
-index set by each residue a, walked as [1]^a.I under the generator [1].
+Cyclic pairs also have an orbit table, the translates [a].I of an index set
+by each residue a mod 2g, walked as [1]^a.I under the generator [1].
 """
-from __future__ import annotations
-
 from .galois import GaloisGroup, from_cyclic_translation, orbit, weyl_full
 from .hyperoct import (
     EmbeddingLabel,
@@ -27,53 +25,37 @@ from .record import Record, set_slot
 
 
 class CMPairSpec(Record):
-    """A CM pair: the Galois group plus display names for phi_1..phi_g.
+    """A CM pair: the Galois group and, for cyclic (translation) data, the
+    residues a_1..a_g mod M = 2g of the transversal phi_1..phi_g.
 
-    `phi_names[j-1]` names the embedding phi_j; `phibar_names[j-1]` its
-    conjugate.  For cyclic (translation) data the names are residues mod M
-    and conjugation adds M/2.
+    `residues` is None for a pair given by its group alone.  label_name
+    names the embeddings from it.
     """
 
-    __slots__ = ("group", "phi_names", "phibar_names")
+    __slots__ = ("group", "residues")
 
-    def __init__(self, group: GaloisGroup, phi_names: tuple[str, ...], phibar_names: tuple[str, ...]) -> None:
-        if len(phi_names) != group.g or len(phibar_names) != group.g:
-            raise ValueError("need one name per embedding")
-        if set(phi_names) & set(phibar_names):
-            raise ValueError("embedding names collide with conjugate names")
+    def __init__(self, group: GaloisGroup, residues: tuple | None = None) -> None:
         set_slot(self, "group", group)
-        set_slot(self, "phi_names", phi_names)
-        set_slot(self, "phibar_names", phibar_names)
+        set_slot(self, "residues", residues)
 
     @classmethod
     def from_cyclic(cls, M: int, phi) -> "CMPairSpec":
-        group = from_cyclic_translation(M, phi)
-        phi = [a % M for a in phi]
-        return cls(
-            group,
-            tuple(str(a) for a in phi),
-            tuple(str((a + M // 2) % M) for a in phi),
-        )
-
-    @classmethod
-    def of_group(cls, group: GaloisGroup) -> "CMPairSpec":
-        """The pair of group with its embeddings named phi1.. and phibar1.."""
-        return cls(
-            group,
-            tuple(f"phi{j}" for j in range(1, group.g + 1)),
-            tuple(f"phibar{j}" for j in range(1, group.g + 1)),
-        )
+        return cls(from_cyclic_translation(M, phi), tuple(a % M for a in phi))
 
     @classmethod
     def weyl(cls, g: int) -> "CMPairSpec":
-        return cls.of_group(weyl_full(g))
+        return cls(weyl_full(g))
 
     @property
     def g(self) -> int:
         return self.group.g
 
     def label_name(self, x: EmbeddingLabel) -> str:
-        return self.phibar_names[x.index - 1] if x.bar else self.phi_names[x.index - 1]
+        """The name of x: for a cyclic pair its residue, a_j for phi_j and
+        (a_j + g) mod 2g for phibar_j; else phi{j} or phibar{j}."""
+        if self.residues is None:
+            return f"phibar{x.index}" if x.bar else f"phi{x.index}"
+        return str((self.residues[x.index - 1] + self.g * x.bar) % (2 * self.g))
 
 
 def translate_masks(G: GaloisGroup) -> list[int]:
@@ -106,10 +88,10 @@ def orbit_decomposition(G: GaloisGroup) -> list[list[Subset]]:
 
 
 def labeled_translates(spec: CMPairSpec, base: Subset) -> list[tuple]:
-    """Pairs (a, [a].base) for every label a, in label order: label a is step
-    a of the walk of base under [1]; base = empty gives a -> I([a])."""
+    """Pairs (a, [a].base) for every residue a mod 2g, in order: residue a is
+    step a of the walk of base under [1]; base = empty gives a -> I([a])."""
     G, rows, bits = spec.group, [], base.bits
-    for a in G.labels:
+    for a in range(2 * G.g):
         rows.append((a, Subset(G.g, bits)))
         bits = _act_bits(G.gens[0], bits)
     return rows
@@ -122,7 +104,7 @@ def reflex_labels(spec: CMPairSpec) -> list:
     the orbit-table entry of a avoids position 1 exactly when the
     translated base type is holomorphic at the distinguished embedding.
     """
-    if spec.group.labels is None:
+    if spec.residues is None:
         raise ValueError("reflex labels need a labeled (cyclic) group")
     return [a for a, I in labeled_translates(spec, Subset.empty(spec.g)) if 1 not in I]
 
@@ -137,6 +119,6 @@ def compagnon_labels(spec: CMPairSpec, base: Subset) -> list:
     labels *avoiding* 1; both conventions are fixed by the cyclotomic
     regression data.
     """
-    if spec.group.labels is None:
+    if spec.residues is None:
         raise ValueError("compagnon labels need a labeled (cyclic) group")
     return [a for a, I in labeled_translates(spec, base) if 1 in I]

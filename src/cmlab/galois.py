@@ -12,10 +12,9 @@ GaloisGroup.elements.
 Constructors: explicit generators, the full group, and Z/M acting by
 translation on a transversal of the conjugate pairs of residues (cyclic CM
 fields: Hom(E, C) = Z/M, conjugation is translation by M/2), held as its one
-generator [1] and labeled by the residues range(M), residue a naming [1]^a.
+generator [1]: residue a names [1]^a, so the group keeps no labels, and the
+residues of the transversal live in the CM pair (cmtypes.CMPairSpec).
 """
-from __future__ import annotations
-
 from .hyperoct import SignedPerm, Subset, _act_bits, check_powerset_size
 from .record import Record, set_slot
 
@@ -23,16 +22,14 @@ CLOSURE_CAP = 10**6
 
 
 class GaloisGroup(Record):
-    """A finite group of signed permutations, given by its generators `gens`,
-    with optional `labels`: for a cyclic group the residues range(M), residue
-    a naming gens[0]^a.  The constructors put rho in the group."""
+    """A finite group of signed permutations, given by its generators `gens`.
+    The constructors put rho in the group."""
 
-    __slots__ = ("g", "gens", "labels")
+    __slots__ = ("g", "gens")
 
-    def __init__(self, g: int, gens: tuple, labels: range | None = None) -> None:
+    def __init__(self, g: int, gens: tuple) -> None:
         set_slot(self, "g", g)
         set_slot(self, "gens", gens)
-        set_slot(self, "labels", labels)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -88,7 +85,7 @@ def from_cyclic_translation(M: int, phi) -> GaloisGroup:
 
     `phi` lists M/2 residues, exactly one from each conjugate pair
     {a, a + M/2}; its j-th entry (in input order) is the embedding phi_j.
-    Returns the group generated by [1], labeled by range(M); rho is [M/2].
+    Returns the group generated by [1]; rho is [M/2].
     """
     if M % 2:
         raise ValueError(f"M={M} must be even")
@@ -108,7 +105,7 @@ def from_cyclic_translation(M: int, phi) -> GaloisGroup:
             k = index_of[(a + 1 + g) % M]
             flips |= 1 << (k - 1)
         perm.append(k)
-    return GaloisGroup(g, (SignedPerm(g, Subset(g, flips), tuple(perm)),), range(M))
+    return GaloisGroup(g, (SignedPerm(g, Subset(g, flips), tuple(perm)),))
 
 
 def weyl_full(g: int) -> GaloisGroup:

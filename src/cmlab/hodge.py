@@ -21,8 +21,6 @@ by support_class from the pattern counts of its four masks; on admissible
 quadruples the key and the invariant (r, s) of canonical_form_weyl
 determine each other.
 """
-from __future__ import annotations
-
 from math import factorial, prod
 
 from . import POHLMANN_HARD_BUDGET
@@ -160,7 +158,7 @@ def quadruple_to_cycle(I: Subset, J: Subset, K: Subset, L: Subset, copies=(1, 1,
     return CycleIndex(tuple(sorted(slots, key=_slot_key)))
 
 
-def relation_of_cycle(c: CycleIndex) -> MonomialRelation:
+def relation_of_cycle(c: CycleIndex) -> "MonomialRelation":
     """The monomial relation induced by a balanced subset-slot cycle:
     Theta_I on the left per holomorphic slot, Theta_{I^c} on the right per
     antiholomorphic slot; copy indices are irrelevant and dropped."""

@@ -22,8 +22,6 @@ on subsets implemented here:
 The element rho = (full set, identity) is central and acts on subsets as
 complementation; it plays the role of complex conjugation throughout.
 """
-from __future__ import annotations
-
 from collections.abc import Iterable, Iterator
 
 from .record import Record, set_slot
@@ -75,9 +73,6 @@ class Subset(Record):
 
     def __len__(self) -> int:
         return self.bits.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members())
 
     def complement(self) -> "Subset":
         return Subset(self.g, self.bits ^ ((1 << self.g) - 1))
@@ -168,9 +163,6 @@ class EmbeddingLabel(Record):
     def __init__(self, index: int, bar: bool = False) -> None:
         set_slot(self, "index", index)
         set_slot(self, "bar", bar)
-
-    def __str__(self) -> str:
-        return f"phibar_{self.index}" if self.bar else f"phi_{self.index}"
 
 
 class SignedPerm(Record):

@@ -9,8 +9,6 @@ trailing-pivot convention makes kernel bases of the reciprocity pairings
 come out in the shape their monomial relations are usually written in;
 any fixed convention would do for equality testing.)
 """
-from __future__ import annotations
-
 from collections.abc import Iterable, Sequence
 
 from .record import Record, set_slot

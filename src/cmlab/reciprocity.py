@@ -32,8 +32,6 @@ A relation stores only its nonzero exponents, and everything here (the
 closed form, the strip, the degree <= 2 certificates of
 reduce_to_low_degree, rendering) touches only those.
 """
-from __future__ import annotations
-
 from .hyperoct import (
     Subset,
     _rank_bits,

@@ -15,8 +15,6 @@ tests in tests/oracles.py.
 The concrete matrices are one valid gauge; any model with the same weights
 and normalization passes the same checks.
 """
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .hyperoct import Subset, submasks, subset_rank, tail_subsets

@@ -22,10 +22,8 @@ def dims(lo: int = 2, hi: int = 12):
 
 
 def generator_spec(g, gens):
-    """The CM pair of the closure of gens, with default embedding names."""
-    group = from_generators(g, gens)
-    return CMPairSpec(group, tuple(f"phi{j}" for j in range(1, g + 1)),
-                      tuple(f"phibar{j}" for j in range(1, g + 1)))
+    """The CM pair of the closure of gens, its embeddings named phi{j}."""
+    return CMPairSpec(from_generators(g, gens))
 
 
 @st.composite

@@ -223,7 +223,7 @@ class TestReflexAndCompagnons:
         # its image under every element of the closure
         rng = random.Random(60)
         G = from_cyclic_translation(60, [a + 30 * rng.randrange(2) for a in range(30)])
-        assert G.g == 30 and G.labels == range(60) and len(G.elements) == 60
+        assert G.g == 30 and len(G.elements) == 60
         images = {act_subset(t, Subset.empty(30)).bits for t in G.elements}
         assert translate_masks(G) == sorted(images)
 
@@ -250,6 +250,34 @@ class TestLabeledTranslates:
         monkeypatch.setattr(SignedPerm, "__post_init__", lambda self: made.append(self) or check(self))
         spec = CMPairSpec.from_cyclic(M, [a + M // 2 * (a % 2) for a in range(M // 2)])
         assert made == list(spec.group.gens) and len(made) == 1
+
+
+class TestLabelNames:
+    """label_name renders the 2g embedding names from the pair's residues."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 15).flatmap(lambda g: st.tuples(
+        st.permutations(range(g)), st.lists(st.booleans(), min_size=g, max_size=g),
+        st.lists(st.integers(-2, 2), min_size=g, max_size=g))))
+    def test_cyclic_names_are_distinct_residues(self, drawn):
+        # a random transversal of Z/M, M <= 30, each residue shifted by a
+        # multiple of M: phi_j is named a_j mod M, phibar_j (a_j + M/2) mod M,
+        # and no two of the 2g names agree
+        residues, conj, shift = drawn
+        g = len(residues)
+        M = 2 * g
+        phi = [a + g * c + M * k for a, c, k in zip(residues, conj, shift)]
+        spec = CMPairSpec.from_cyclic(M, phi)
+        assert spec.residues == tuple(a % M for a in phi)
+        names = [spec.label_name(EmbeddingLabel(j, bar)) for bar in (False, True) for j in range(1, g + 1)]
+        assert names == [str(a % M) for a in phi] + [str((a + M // 2) % M) for a in phi]
+        assert len(set(names)) == M
+
+    def test_a_pair_without_residues_names_by_position(self):
+        spec = CMPairSpec.weyl(2)
+        assert spec.residues is None
+        names = [spec.label_name(EmbeddingLabel(j, bar)) for bar in (False, True) for j in (1, 2)]
+        assert names == ["phi1", "phi2", "phibar1", "phibar2"]
 
 
 class TestDecodeEncode:

@@ -85,11 +85,11 @@ class TestFromGenerators:
 
 class TestCyclicTranslation:
     # the closure of the one generator [1] lists its powers in order, so
-    # elements[t] is [t]: each check below reads the closure, not the labels
+    # elements[t] is [t]: each check below reads the closure
 
     def test_mu19_group(self):
         G = from_cyclic_translation(18, MU19_PHI)
-        assert G.labels == range(18) and len(set(G.elements)) == 18
+        assert len(set(G.elements)) == 18
         assert all(translates_by(G.elements[t], t, 18, MU19_PHI) for t in range(18))
         assert G.elements[9] == SignedPerm.make(9, range(1, 10))
 
@@ -102,7 +102,7 @@ class TestCyclicTranslation:
     def test_mu5_shape(self):
         G = from_cyclic_translation(4, [0, 1])
         E = G.elements
-        assert G.labels == range(4) and len(E) == 4
+        assert len(E) == 4
         assert E[2] == SignedPerm.make(2, [1, 2])
         assert compose(E[1], E[1]) == E[2]
 
@@ -117,7 +117,7 @@ class TestCyclicTranslation:
         phi = [a + g * c for a, c in zip(residues, conj)]
         G = from_cyclic_translation(M, phi)
         E = G.elements
-        assert G.labels == range(M) and len(E) == M
+        assert len(E) == M
         assert E[M // 2] == SignedPerm.make(g, range(1, g + 1))
         assert all(translates_by(E[t], t, M, phi) for t in range(M))
 
@@ -134,15 +134,13 @@ class TestCyclicTranslation:
             from_cyclic_translation(9, [0, 1, 2, 3])
 
     def test_labels_map(self):
-        # label t names the t-th power of the generator, the t-th element
-        # of the closure; a group from generators has no labels
+        # residue t names the t-th power of the generator, the t-th element
+        # of the closure
         G = from_cyclic_translation(4, [0, 1])
-        assert G.labels == range(4)
         power = SignedPerm.make(2)
-        for t in G.labels:
+        for t in range(4):
             assert G.elements[t] == power
             power = compose(G.gens[0], power)
-        assert from_generators(2, list(G.gens)).labels is None
 
 
 class TestWeylFull:

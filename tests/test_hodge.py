@@ -270,11 +270,7 @@ def pohlmann_specs(draw):
     g = draw(st.integers(2, 4))
     gens = draw(st.lists(signed_perms(g), max_size=2))
     gens += [SignedPerm.make(g, range(1, g + 1)), SignedPerm(g, Subset.empty(g), (*range(2, g + 1), 1))]
-    return CMPairSpec(
-        from_generators(g, gens),
-        tuple(f"phi{j}" for j in range(1, g + 1)),
-        tuple(f"phibar{j}" for j in range(1, g + 1)),
-    )
+    return CMPairSpec(from_generators(g, gens))
 
 
 class TestB2Quadruples:

@@ -108,7 +108,7 @@ class TestKernelN:
 
     def test_g1_kernel_trivial(self):
         G = from_generators(1, [SignedPerm.make(1, [1])])
-        spec = CMPairSpec(G, ("phi1",), ("phibar1",))
+        spec = CMPairSpec(G)
         assert kernel_N(spec).rank == 0
 
 
