@@ -9,7 +9,7 @@ def _slot_str(slot, copy, spec) -> str:
     named by spec."""
     if spec is None:
         return f"{slot}@{copy}"
-    return f"[{spec.label_name(slot)}]@{copy}"
+    return f"[{spec.label_name(slot.index, slot.bar)}]@{copy}"
 
 
 def _slot_json(slot, copy, spec) -> dict:

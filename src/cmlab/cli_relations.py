@@ -4,7 +4,6 @@ relations --weyl-full and reduce run only reciprocity (with hyperoct and
 record); the period kernel of a pair loads the lattice code when it runs.
 """
 from .cli import _check
-from .hyperoct import EmbeddingLabel
 from .reciprocity import (
     ANTIWEYL,
     SIMPLE,
@@ -23,7 +22,7 @@ def _signed_sum(row, spec) -> str:
     for j, c in enumerate(row, start=1):
         if c == 0:
             continue
-        term = ("" if abs(c) == 1 else f"{abs(c)}*") + f"[{spec.label_name(EmbeddingLabel(j))}]"
+        term = ("" if abs(c) == 1 else f"{abs(c)}*") + f"[{spec.label_name(j)}]"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:
@@ -33,7 +32,7 @@ def _signed_sum(row, spec) -> str:
 
 def period_symbols(spec) -> list[str]:
     """The period symbols Th[name] of a pair's embeddings phi_1..phi_g."""
-    return [f"Th[{spec.label_name(EmbeddingLabel(j))}]" for j in range(1, spec.g + 1)]
+    return [f"Th[{spec.label_name(j)}]" for j in range(1, spec.g + 1)]
 
 
 def kernel_report(spec, as_json):

@@ -13,14 +13,7 @@ Cyclic pairs also have an orbit table, the translates [a].I of an index set
 by each residue a mod 2g, walked as [1]^a.I under the generator [1].
 """
 from .galois import GaloisGroup, from_cyclic_translation, orbit, weyl_full
-from .hyperoct import (
-    EmbeddingLabel,
-    Subset,
-    _act_bits,
-    _unrank_bits,
-    check_powerset_size,
-    subset_rank,
-)
+from .hyperoct import Subset, _act_bits, _unrank_bits, check_powerset_size, subset_rank
 from .record import Record, set_slot
 
 
@@ -50,12 +43,12 @@ class CMPairSpec(Record):
     def g(self) -> int:
         return self.group.g
 
-    def label_name(self, x: EmbeddingLabel) -> str:
-        """The name of x: for a cyclic pair its residue, a_j for phi_j and
-        (a_j + g) mod 2g for phibar_j; else phi{j} or phibar{j}."""
+    def label_name(self, j: int, bar: bool = False) -> str:
+        """The name of phi_j, or of phibar_j if bar: for a cyclic pair its
+        residue, a_j or (a_j + g) mod 2g; else phi{j} or phibar{j}."""
         if self.residues is None:
-            return f"phibar{x.index}" if x.bar else f"phi{x.index}"
-        return str((self.residues[x.index - 1] + self.g * x.bar) % (2 * self.g))
+            return f"phibar{j}" if bar else f"phi{j}"
+        return str((self.residues[j - 1] + self.g * bar) % (2 * self.g))
 
 
 def translate_masks(G: GaloisGroup) -> list[int]:

@@ -6,16 +6,16 @@ image in S_g.  orbit() walks any orbit from the generators breadth first
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1) and
 refuses more than CLOSURE_CAP points, so no solver lists the elements.  The
 group itself is one such orbit: closure() is the orbit of the identity under
-left multiplication, over plain (flips mask, perm) keys, for from_generators
-to check that outside generators reach rho and for the read-only
-GaloisGroup.elements.
+left multiplication, over (flips, perm) keys that are SignedPerm's own
+fields, for from_generators to check that outside generators reach rho and
+for the read-only GaloisGroup.elements.
 Constructors: explicit generators, the full group, and Z/M acting by
 translation on a transversal of the conjugate pairs of residues (cyclic CM
 fields: Hom(E, C) = Z/M, conjugation is translation by M/2), held as its one
 generator [1]: residue a names [1]^a, so the group keeps no labels, and the
 residues of the transversal live in the CM pair (cmtypes.CMPairSpec).
 """
-from .hyperoct import SignedPerm, Subset, _act_bits, check_powerset_size
+from .hyperoct import SignedPerm, _act_bits, check_powerset_size
 from .record import Record, set_slot
 
 CLOSURE_CAP = 10**6
@@ -41,8 +41,7 @@ class GaloisGroup(Record):
 
     # every element, validated, in the discovery order of closure(); read by
     # the tests and the benchmark tracer, never by a command
-    elements = property(lambda self: tuple(
-        SignedPerm(self.g, Subset(self.g, flips), perm) for flips, perm in closure(self.g, self.gens)))
+    elements = property(lambda self: tuple(SignedPerm(self.g, *key) for key in closure(self.g, self.gens)))
 
 
 def orbit(gens, seed, act) -> list:
@@ -63,8 +62,9 @@ def orbit(gens, seed, act) -> list:
 
 
 def closure(g: int, gens) -> list:
-    """The group generated by gens as (flips mask, perm) keys: the orbit of
-    the identity, a generator t acting by left multiplication t*x."""
+    """The group generated by gens as (flips, perm) keys, the fields of a
+    SignedPerm: the orbit of the identity, a generator t acting by left
+    multiplication t*x."""
     return orbit(gens, (0, tuple(range(1, g + 1))),
                  lambda t, x: (_act_bits(t, x[0]), tuple(t.perm[j - 1] for j in x[1])))
 
@@ -74,7 +74,7 @@ def from_generators(g: int, gens: list[SignedPerm]) -> GaloisGroup:
     for x in gens:
         if x.g != g:
             raise ValueError(f"generator has g={x.g}, expected {g}")
-    gens = tuple(sorted(set(gens), key=lambda x: (x.flips.bits, x.perm)))
+    gens = tuple(sorted(set(gens), key=lambda x: (x.flips, x.perm)))
     if ((1 << g) - 1, tuple(range(1, g + 1))) not in closure(g, gens):
         raise ValueError("conjugation not in group")
     return GaloisGroup(g, gens)
@@ -105,7 +105,7 @@ def from_cyclic_translation(M: int, phi) -> GaloisGroup:
             k = index_of[(a + 1 + g) % M]
             flips |= 1 << (k - 1)
         perm.append(k)
-    return GaloisGroup(g, (SignedPerm(g, Subset(g, flips), tuple(perm)),))
+    return GaloisGroup(g, (SignedPerm(g, flips, tuple(perm)),))
 
 
 def weyl_full(g: int) -> GaloisGroup:
@@ -114,5 +114,4 @@ def weyl_full(g: int) -> GaloisGroup:
     check_powerset_size(g)  # every CM type is in one orbit: a pair command walks all 2^g masks
     ident = tuple(range(1, g + 1))
     swap, cycle = ident[1::-1] + ident[2:], ident[1:] + ident[:1]
-    none = Subset(g, 0)
-    return GaloisGroup(g, (SignedPerm(g, none, swap), SignedPerm(g, none, cycle), SignedPerm(g, Subset(g, 1), ident)))
+    return GaloisGroup(g, (SignedPerm(g, 0, swap), SignedPerm(g, 0, cycle), SignedPerm(g, 1, ident)))

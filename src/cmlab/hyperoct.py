@@ -1,9 +1,9 @@
 """Arithmetic of the hyperoctahedral group (Z/2Z)^g semidirect S_g.
 
 Elements are signed permutations theta = (flips, perm): perm is a bijection
-beta of {1,...,g} in one-line notation and flips is the subset of {1,...,g}
-recording which *target* indices pick up a conjugation.  Multiplication
-follows the semidirect rule
+beta of {1,...,g} in one-line notation and flips is the g-bit mask (bit j-1
+<-> index j) of the *target* indices that pick up a conjugation.
+Multiplication follows the semidirect rule
 
     (F1, b1) * (F2, b2) = (F1 xor b1(F2), b1 b2),
 
@@ -15,11 +15,11 @@ labels {phi_1..phi_g, phibar_1..phibar_g}:
 extended conjugate-equivariantly to barred labels.  CM types are indexed
 by subsets of {1,...,g} via I <-> {phi_j : j not in I} + {phibar_j : j in I};
 transporting the label action through that bijection gives the left action
-on subsets implemented here:
+on subset masks implemented here (_act_bits):
 
     theta . I = flips xor beta(I).
 
-The element rho = (full set, identity) is central and acts on subsets as
+The element rho = (full mask, identity) is central and acts on subsets as
 complementation; it plays the role of complex conjugation throughout.
 """
 from collections.abc import Iterable, Iterator
@@ -166,11 +166,12 @@ class EmbeddingLabel(Record):
 
 
 class SignedPerm(Record):
-    """Group element theta = (flips, perm); perm[j-1] is the image beta(j)."""
+    """Group element theta = (flips, perm): flips is the g-bit mask of the
+    conjugated target indices, and perm[j-1] is the image beta(j)."""
 
     __slots__ = ("g", "flips", "perm")
 
-    def __init__(self, g: int, flips: Subset, perm: tuple[int, ...]) -> None:
+    def __init__(self, g: int, flips: int, perm: tuple[int, ...]) -> None:
         set_slot(self, "g", g)
         set_slot(self, "flips", flips)
         set_slot(self, "perm", perm)
@@ -178,54 +179,24 @@ class SignedPerm(Record):
 
     def __post_init__(self) -> None:
         """Validate the parts; benchmarks/tracer.py wraps this to count constructions."""
-        if self.flips.g != self.g:
-            raise ValueError(f"dimension mismatch: flips has g={self.flips.g}, element has g={self.g}")
+        if not 0 <= self.flips < (1 << self.g):
+            raise ValueError(f"flips mask {self.flips:#x} has indices outside 1..{self.g}")
         if len(self.perm) != self.g or sorted(self.perm) != list(range(1, self.g + 1)):
             raise ValueError(f"perm {self.perm} is not a bijection of 1..{self.g}")
 
     @classmethod
     def make(cls, g: int, flips: Iterable[int] = (), perm: Iterable[int] | None = None) -> "SignedPerm":
         p = tuple(perm) if perm is not None else tuple(range(1, g + 1))
-        return cls(g, Subset.of(g, flips), p)
-
-    def __str__(self) -> str:
-        return f"(flips {self.flips}, perm {self.perm})"
+        return cls(g, Subset.of(g, flips).bits, p)
 
 
 def _act_bits(t: SignedPerm, bits: int) -> int:
-    """t.I on a plain g-bit mask, flips xor beta(bits), with no Subset built;
-    the integer core of act_subset for orbit walks and hot loops."""
-    out = t.flips.bits
+    """t.I on a g-bit mask: flips xor beta(bits), the left action on CM-type
+    indices, for orbit walks and hot loops."""
+    out = t.flips
     perm = t.perm
     while bits:
         low = bits & -bits
         out ^= 1 << (perm[low.bit_length() - 1] - 1)
         bits ^= low
     return out
-
-
-def compose(a: SignedPerm, b: SignedPerm) -> SignedPerm:
-    """Product a*b: apply b first, then a."""
-    if a.g != b.g:
-        raise ValueError(f"dimension mismatch: g={a.g} vs g={b.g}")
-    return SignedPerm(a.g, Subset(a.g, _act_bits(a, b.flips.bits)), tuple(a.perm[bj - 1] for bj in b.perm))
-
-
-def inverse(a: SignedPerm) -> SignedPerm:
-    inv = [0] * a.g
-    for j, bj in enumerate(a.perm, start=1):
-        inv[bj - 1] = j
-    bits = 0
-    src = a.flips.bits
-    while src:
-        low = src & -src
-        bits |= 1 << (inv[low.bit_length() - 1] - 1)
-        src ^= low
-    return SignedPerm(a.g, Subset(a.g, bits), tuple(inv))
-
-
-def act_subset(t: SignedPerm, I: Subset) -> Subset:
-    """Left action on CM-type indices: t.I = flips xor beta(I)."""
-    if t.g != I.g:
-        raise ValueError(f"dimension mismatch: g={t.g} vs g={I.g}")
-    return Subset(t.g, _act_bits(t, I.bits))

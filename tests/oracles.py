@@ -7,9 +7,11 @@ with: rec* as a matrix, the span of all admissible quadruples, and the
 strip over all 2^g subsets.  The anti-Weyl Hodge basis is re-enumerated
 by point coverage and, in degree two, by admissible quadruples, and the
 two-out-of-four balance lemma is checked over every quadruple.  The rest:
-the label form of CM types, the elements of the whole Weyl group, the
-support of a quadruple as a walked orbit, the HNF, lattice span, equality
-and membership, the symplectic form and the scaled sl2 negative control.
+the product, inverse and subset action of signed permutations (the package
+only walks orbits under generators), the label form of CM types, the
+elements of the whole Weyl group, the support of a quadruple as a walked
+orbit, the HNF, lattice span, equality and membership, the symplectic form
+and the scaled sl2 negative control.
 Gates raise explicitly: pytest rewrites assert statements only in test
 modules, and python -O strips them everywhere else.
 """
@@ -20,8 +22,8 @@ from fractions import Fraction
 from cmlab import POHLMANN_HARD_BUDGET
 from cmlab.galois import GaloisGroup, orbit
 from cmlab.hodge import CycleIndex, _slot_key
-from cmlab.hyperoct import (EmbeddingLabel, SignedPerm, Subset, _act_bits, act_subset, admissible, check_powerset_size,
-                            submasks, subset_rank, subset_unrank, tail_subsets)
+from cmlab.hyperoct import (EmbeddingLabel, SignedPerm, Subset, _act_bits, admissible, check_powerset_size, submasks,
+                            subset_rank, subset_unrank, tail_subsets)
 from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right
 from cmlab.reciprocity import SIMPLE, kernel_N
 from cmlab.sl2check import SymplecticMatrix, _nilpotents, _report
@@ -248,7 +250,35 @@ def balance_dichotomy(g: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# The whole Weyl group, CM types as label sets, and the action on labels
+# Group arithmetic, the whole Weyl group, CM types as label sets, and the
+# action on labels
+
+
+def compose(a: SignedPerm, b: SignedPerm) -> SignedPerm:
+    """Product a*b: apply b first, then a."""
+    if a.g != b.g:
+        raise ValueError(f"dimension mismatch: g={a.g} vs g={b.g}")
+    return SignedPerm(a.g, _act_bits(a, b.flips), tuple(a.perm[bj - 1] for bj in b.perm))
+
+
+def inverse(a: SignedPerm) -> SignedPerm:
+    inv = [0] * a.g
+    for j, bj in enumerate(a.perm, start=1):
+        inv[bj - 1] = j
+    bits = 0
+    src = a.flips
+    while src:
+        low = src & -src
+        bits |= 1 << (inv[low.bit_length() - 1] - 1)
+        src ^= low
+    return SignedPerm(a.g, bits, tuple(inv))
+
+
+def act_subset(t: SignedPerm, I: Subset) -> Subset:
+    """Left action on CM-type indices: t.I = flips xor beta(I)."""
+    if t.g != I.g:
+        raise ValueError(f"dimension mismatch: g={t.g} vs g={I.g}")
+    return Subset(t.g, _act_bits(t, I.bits))
 
 
 @functools.lru_cache(maxsize=None)
@@ -256,8 +286,7 @@ def weyl_elements(g: int) -> tuple:
     """Every element of the hyperoctahedral group W_g, permutations in
     lexicographic order and the 2^g flip masks within each: an enumeration
     that shares nothing with the breadth-first closure of the package."""
-    flips = [Subset(g, bits) for bits in range(1 << g)]
-    return tuple(SignedPerm(g, f, perm) for perm in itertools.permutations(range(1, g + 1)) for f in flips)
+    return tuple(SignedPerm(g, f, perm) for perm in itertools.permutations(range(1, g + 1)) for f in range(1 << g))
 
 
 def quadruple_support(q, G: GaloisGroup) -> frozenset:
@@ -290,7 +319,7 @@ def act_embedding(t, x: EmbeddingLabel) -> EmbeddingLabel:
     if not 1 <= x.index <= t.g:
         raise ValueError(f"label index {x.index} outside 1..{t.g}")
     j = t.perm[x.index - 1]
-    return EmbeddingLabel(j, x.bar ^ (j in t.flips))
+    return EmbeddingLabel(j, x.bar ^ bool(t.flips >> (j - 1) & 1))
 
 
 def decode_cm_type(I: Subset, spec) -> frozenset:

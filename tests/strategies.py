@@ -14,7 +14,7 @@ def signed_perms(g: int):
     return st.tuples(
         st.integers(0, (1 << g) - 1),
         st.permutations(list(range(1, g + 1))),
-    ).map(lambda t: SignedPerm(g, Subset(g, t[0]), tuple(t[1])))
+    ).map(lambda t: SignedPerm(g, t[0], tuple(t[1])))
 
 
 def dims(lo: int = 2, hi: int = 12):
@@ -39,4 +39,4 @@ def cm_pair_specs(draw, max_g=4):
     if kind == "weyl":
         return CMPairSpec.weyl(g)
     gens = draw(st.lists(signed_perms(g), max_size=2))
-    return generator_spec(g, gens + [SignedPerm.make(g, range(1, g + 1)), SignedPerm(g, Subset.empty(g), (*range(2, g + 1), 1))])
+    return generator_spec(g, gens + [SignedPerm.make(g, range(1, g + 1)), SignedPerm(g, 0, (*range(2, g + 1), 1))])

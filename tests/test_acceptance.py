@@ -7,7 +7,7 @@ import itertools
 from cmlab.cmtypes import CMPairSpec, compagnon_labels, reflex_labels, subset_rank
 from cmlab.galois import weyl_full
 from cmlab.hodge import CycleIndex, admissible, pohlmann_basis, quadruple_to_cycle, relation_of_cycle
-from cmlab.hyperoct import Subset, act_subset, compose, inverse
+from cmlab.hyperoct import Subset
 from cmlab.intlattice import IntMatrix, kernel_basis
 from cmlab.reciprocity import (
     ANTIWEYL,
@@ -18,7 +18,8 @@ from cmlab.reciprocity import (
     render_relation,
 )
 from oracles import (
-    b2_quadruples, balance_dichotomy, bp_multisets, check_sl2, hnf, lattice_equal, quad_lattice, rec_star_antiweyl, span,
+    act_subset, b2_quadruples, balance_dichotomy, bp_multisets, check_sl2, compose, hnf, inverse, lattice_equal,
+    quad_lattice, rec_star_antiweyl, span,
 )
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]

@@ -19,8 +19,8 @@ from cmlab.cmtypes import (
     translate_masks,
 )
 from cmlab.galois import from_cyclic_translation, from_generators
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, subset_rank, subset_unrank, tail_subsets
-from oracles import act_embedding, decode_cm_type, encode_cm_type
+from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, subset_rank, subset_unrank, tail_subsets
+from oracles import act_embedding, act_subset, decode_cm_type, encode_cm_type
 from strategies import cm_pair_specs, signed_perms, subsets
 
 # Orbit table of the mu19 regression datum: translation label a -> I([a]).
@@ -269,14 +269,14 @@ class TestLabelNames:
         phi = [a + g * c + M * k for a, c, k in zip(residues, conj, shift)]
         spec = CMPairSpec.from_cyclic(M, phi)
         assert spec.residues == tuple(a % M for a in phi)
-        names = [spec.label_name(EmbeddingLabel(j, bar)) for bar in (False, True) for j in range(1, g + 1)]
+        names = [spec.label_name(j, bar) for bar in (False, True) for j in range(1, g + 1)]
         assert names == [str(a % M) for a in phi] + [str((a + M // 2) % M) for a in phi]
         assert len(set(names)) == M
 
     def test_a_pair_without_residues_names_by_position(self):
         spec = CMPairSpec.weyl(2)
         assert spec.residues is None
-        names = [spec.label_name(EmbeddingLabel(j, bar)) for bar in (False, True) for j in (1, 2)]
+        names = [spec.label_name(j, bar) for bar in (False, True) for j in (1, 2)]
         assert names == ["phi1", "phi2", "phibar1", "phibar2"]
 
 
@@ -291,7 +291,7 @@ class TestDecodeEncode:
 
     def test_mu19_translate_display(self, mu19):
         I2 = Subset.of(9, MU19_ORBIT_TABLE[2])
-        residues = {int(mu19.label_name(x)) for x in decode_cm_type(I2, mu19)}
+        residues = {int(mu19.label_name(x.index, x.bar)) for x in decode_cm_type(I2, mu19)}
         assert residues == {2, 3, 4, 6, 7, 10, 14, 17, 0}
 
     def test_encode_rejects_conjugate_pair(self, mu19):

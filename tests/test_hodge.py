@@ -25,7 +25,7 @@ from cmlab.hodge import (
     relation_of_cycle,
     support_class,
 )
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, act_subset, compose, tail_subsets
+from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, tail_subsets
 from cmlab.reciprocity import (
     ANTIWEYL,
     Certificate,
@@ -37,8 +37,8 @@ from cmlab.reciprocity import (
     render_relation,
 )
 from oracles import (
-    act_embedding, b2_quadruples, balance_dichotomy, bp_multisets, dense, kernel_to_cycle, member, quad_lattice,
-    quadruple_support, span, translated, weyl_elements,
+    act_embedding, act_subset, b2_quadruples, balance_dichotomy, bp_multisets, compose, dense, kernel_to_cycle, member,
+    quad_lattice, quadruple_support, span, translated, weyl_elements,
 )
 from strategies import signed_perms, subsets
 
@@ -269,7 +269,7 @@ def pohlmann_specs(draw):
         return CMPairSpec.from_cyclic(2 * g, [a + g * draw(st.booleans()) for a in residues])
     g = draw(st.integers(2, 4))
     gens = draw(st.lists(signed_perms(g), max_size=2))
-    gens += [SignedPerm.make(g, range(1, g + 1)), SignedPerm(g, Subset.empty(g), (*range(2, g + 1), 1))]
+    gens += [SignedPerm.make(g, range(1, g + 1)), SignedPerm(g, 0, (*range(2, g + 1), 1))]
     return CMPairSpec(from_generators(g, gens))
 
 

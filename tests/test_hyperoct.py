@@ -5,24 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlab.hyperoct import (
-    EmbeddingLabel,
-    SignedPerm,
-    Subset,
-    _act_bits,
-    act_subset,
-    compose,
-    inverse,
-    submasks,
-)
-from oracles import act_embedding, weyl_elements
+from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, _act_bits, submasks
+from oracles import act_embedding, act_subset, compose, inverse, weyl_elements
 from strategies import dims, signed_perms, subsets
 
 
 def full_group(g):
     for perm in itertools.permutations(range(1, g + 1)):
         for bits in range(1 << g):
-            yield SignedPerm(g, Subset(g, bits), perm)
+            yield SignedPerm(g, bits, perm)
 
 
 class TestCompose:
@@ -110,7 +101,7 @@ class TestIntegerAction:
             for t in weyl_elements(g):
                 for bits in range(1 << g):
                     I = Subset(g, bits)
-                    want = t.flips ^ Subset.of(g, [t.perm[j - 1] for j in I.members()])
+                    want = Subset(g, t.flips) ^ Subset.of(g, [t.perm[j - 1] for j in I.members()])
                     assert act_subset(t, I) == want
                     assert _act_bits(t, bits) == want.bits
 

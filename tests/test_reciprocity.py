@@ -46,7 +46,7 @@ def mu19():
 
 def flip_sets(spec):
     """The masks sigma.empty = sigma.flips over every group element."""
-    return {el.flips.bits for el in spec.group.elements}
+    return {el.flips for el in spec.group.elements}
 
 
 class TestPairingMatrix:
@@ -80,7 +80,7 @@ class TestPairingMatrix:
 def pairing_matrix_reference(spec):
     """The pairing matrix as it was built: one row per group element."""
     return IntMatrix.from_rows(
-        [[-1 if j in el.flips else 1 for j in range(1, spec.g + 1)] for el in spec.group.elements],
+        [[-1 if el.flips >> (j - 1) & 1 else 1 for j in range(1, spec.g + 1)] for el in spec.group.elements],
         spec.g,
     )
 

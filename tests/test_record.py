@@ -79,7 +79,7 @@ RECORDS = [
     (EmbeddingLabel, ("index", "bar"), st.tuples(st.integers(1, 3), st.booleans()),
      lambda a: EmbeddingLabel(*a)),
     (SignedPerm, ("g", "flips", "perm"), _signed_perm_args(),
-     lambda a: SignedPerm(a[0], Subset(a[0], a[1]), tuple(a[2]))),
+     lambda a: SignedPerm(a[0], a[1], tuple(a[2]))),
     (GaloisGroup, ("g", "gens"), st.sampled_from(_GROUPS), _group),
     (CMPairSpec, ("group", "residues"), st.sampled_from(_GROUPS), _spec),
     (CycleIndex, ("entries",), st.integers(0, 7), lambda k: pohlmann_basis(2, 1, 2)[k]),
@@ -137,7 +137,7 @@ def test_fields_cannot_be_set_or_deleted(cls, fields, args, build, data):
 
 def test_repr_matches_the_earlier_field_form():
     assert repr(Subset(3, 5)) == "Subset(g=3, bits=5)"
-    assert repr(SignedPerm.make(2, [1], [2, 1])) == "SignedPerm(g=2, flips=Subset(g=2, bits=1), perm=(2, 1))"
+    assert repr(SignedPerm.make(2, [1], [2, 1])) == "SignedPerm(g=2, flips=1, perm=(2, 1))"
     assert repr(EmbeddingLabel(2)) == "EmbeddingLabel(index=2, bar=False)"
 
 
@@ -148,8 +148,8 @@ def test_hot_records_have_no_instance_dict():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: Subset(3, 8), "subset mask 0x8 has elements outside 1..3"),
-    (lambda: SignedPerm(2, Subset(3, 0), (1, 2)), "dimension mismatch: flips has g=3, element has g=2"),
-    (lambda: SignedPerm(2, Subset(2, 0), (1, 1)), "perm (1, 1) is not a bijection of 1..2"),
+    (lambda: SignedPerm(2, 4, (1, 2)), "flips mask 0x4 has indices outside 1..2"),
+    (lambda: SignedPerm(2, 0, (1, 1)), "perm (1, 1) is not a bijection of 1..2"),
     (lambda: from_generators(2, [SignedPerm.make(2)]), "conjugation not in group"),
     (lambda: GaloisGroup(2, (SignedPerm.make(2), SignedPerm.make(2, [1, 2]))),
      "image in S_2 is not transitive (reaches only [1])"),
