@@ -1,34 +1,36 @@
 """Command handlers on Hodge classes: hodge-basis and support."""
 from .cli import _check
 from .hodge import canonical_form_weyl, pohlmann_basis, support_class
-from .hyperoct import Subset
+from .hyperoct import Subset, subset_unrank
 
 
-def _slot_str(slot, copy, spec) -> str:
-    """A subset slot of the anti-Weyl variety (spec None), or a label slot
-    named by spec."""
+def _slot_str(g, k, copy, spec) -> str:
+    """Position k of a copy: an index set of the anti-Weyl variety at g
+    (spec None), or phi_{k+1} (k < g) or phibar_{k-g+1}, named by spec."""
     if spec is None:
-        return f"{slot}@{copy}"
-    return f"[{spec.label_name(slot.index, slot.bar)}]@{copy}"
+        return f"{subset_unrank(g, k)}@{copy}"
+    return f"[{spec.label_name(k % g + 1, k >= g)}]@{copy}"
 
 
-def _slot_json(slot, copy, spec) -> dict:
+def _slot_json(g, k, copy, spec) -> dict:
     if spec is None:
-        return {"set": list(slot.members()), "copy": copy}
-    return {"phi": slot.index, "bar": slot.bar, "copy": copy}
+        return {"set": list(subset_unrank(g, k).members()), "copy": copy}
+    return {"phi": k % g + 1, "bar": k >= g, "copy": copy}
 
 
 def cmd_hodge_basis(target, args, as_json):
     spec = None if isinstance(target, int) else target
+    g = target if spec is None else spec.g
     basis = pohlmann_basis(target, args.p, args.n, args.budget)
     render = _slot_json if as_json else _slot_str
-    rendered = {}  # (slot, copy) -> its rendering, made once per command
+    rendered = {}  # slot -> its rendering, made once per command
 
     def slots(c) -> list:
-        for entry in c.entries:
-            if entry not in rendered:
-                rendered[entry] = render(*entry, spec)
-        return [rendered[entry] for entry in c.entries]
+        for s in c.slots:
+            if s not in rendered:
+                copy, k = divmod(s, c.base)
+                rendered[s] = render(g, k, copy + 1, spec)
+        return [rendered[s] for s in c.slots]
 
     if as_json:
         return {"p": args.p, "n": args.n, "size": len(basis), "basis": [slots(c) for c in basis]}

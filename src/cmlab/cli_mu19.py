@@ -53,7 +53,7 @@ def cmd_example_mu19(read, args, as_json):
                 + ("admissible" if admissible(*quad) else "NOT admissible")
                 for quad in quads
             )
-            qa, qb = (relation_of_cycle(quadruple_to_cycle(*quad)) for quad in quads)
+            qa, qb = (relation_of_cycle(quadruple_to_cycle(*quad), g) for quad in quads)
             diff = MonomialRelation(ANTIWEYL, g, (*qa.terms, *((r, -c) for r, c in qb.terms)))
             match = cubic.normalized() == diff.normalized()
             factorization.append("  quadratic difference reproduces the cubic: " + ("yes" if match else "no"))

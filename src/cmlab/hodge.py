@@ -2,14 +2,18 @@
 supports.
 
 A (p,p)-Hodge class on the n-th power of a CM abelian variety is indexed
-by a 2p-element set P of embedding slots (an embedding, or a CM-type
-index set I, together with a copy index 1..n).  P contributes a class
-exactly when it meets every Galois translate of the CM type in p slots
-(the Pohlmann condition); pohlmann_basis enumerates these directly.  On
-the generalized anti-Weyl variety, tests/oracles.py re-enumerates the
-same basis independently (by point coverage, and in degree two by
-admissible quadruples wedged by quadruple_to_cycle) and checks the
-two-out-of-four balance lemma behind the admissibility condition.
+by a 2p-element set P of embedding slots.  A slot is one number,
+(copy - 1) * base + position, where base is the number of embeddings of
+the variety and position follows its base order: the 2^g CM-type index
+sets in canonical rank order on the anti-Weyl variety, phi_1..phi_g then
+phibar_1..phibar_g on a CM pair.  In both orders the first half of the
+positions is the holomorphic half.  P contributes a class exactly when
+it meets every Galois translate of the CM type in p slots (the Pohlmann
+condition); pohlmann_basis enumerates these directly.  On the generalized
+anti-Weyl variety, tests/oracles.py re-enumerates the same basis
+independently (by point coverage, and in degree two by admissible
+quadruples wedged by quadruple_to_cycle) and checks the two-out-of-four
+balance lemma behind the admissibility condition.
 
 Each balanced cycle induces a monomial relation between the periods
 Theta_I (relation_of_cycle); reciprocity.reduce_to_low_degree certifies
@@ -24,72 +28,54 @@ determine each other.
 from math import factorial, prod
 
 from . import POHLMANN_HARD_BUDGET
-from .hyperoct import EmbeddingLabel, Subset, admissible, check_powerset_size, subset_rank
+from .hyperoct import Subset, _unrank_bits, admissible, check_powerset_size, subset_rank
 from .record import Record, set_slot
 
 
-def _slot_key(entry):
-    """Sort key for (slot, copy) pairs: copies first, then the base order
-    (subset rank, or unbarred-before-barred by index for embeddings)."""
-    slot, copy = entry
-    if isinstance(slot, Subset):
-        return (copy, 0, subset_rank(slot))
-    return (copy, 1 if slot.bar else 0, slot.index)
-
-
-def _is_hol(slot) -> bool:
-    if isinstance(slot, Subset):
-        return 1 not in slot
-    return not slot.bar
-
-
 class CycleIndex(Record):
-    """An ordered 2p-tuple of embedding slots indexing a Hodge class.
+    """The 2p embedding slots of a Hodge class, as slot numbers.
 
-    entries holds (slot, copy) pairs, strictly increasing: within a copy
-    by the base order, across copies by the copy index; holomorphic slots
-    precede antiholomorphic ones inside each copy by construction of the
-    base order.
+    Slot s is position s % base of copy s // base + 1, the positions in the
+    base order of the variety, whose first base // 2 positions are the
+    holomorphic ones.  slots is strictly increasing: copy-major, and
+    within a copy in base order.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("base", "slots")
 
-    def __init__(self, entries: tuple) -> None:
-        kinds = {type(slot) for slot, _ in entries}
-        if len(kinds) > 1:
-            raise ValueError("mixed slot kinds in one cycle")
-        for _, copy in entries:
-            if copy < 1:
-                raise ValueError(f"copy index {copy} out of range")
-        keys = [_slot_key(e) for e in entries]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise ValueError("entries must be strictly increasing (distinct slots)")
-        set_slot(self, "entries", entries)
+    def __init__(self, base: int, slots: tuple) -> None:
+        if any(a >= b for a, b in zip(slots, slots[1:])):
+            raise ValueError("slots must be strictly increasing (distinct slots)")
+        if slots and slots[0] < 0:
+            raise ValueError(f"copy index {slots[0] // base + 1} out of range")
+        set_slot(self, "base", base)
+        set_slot(self, "slots", slots)
 
     @property
     def bidegree(self) -> tuple[int, int]:
-        hol = sum(1 for slot, _ in self.entries if _is_hol(slot))
-        return (hol, len(self.entries) - hol)
+        base = self.base
+        hol = sum(1 for s in self.slots if s % base < base // 2)
+        return (hol, len(self.slots) - hol)
 
 
-def _holomorphy_profiles(spec) -> tuple[dict, int]:
-    """({base slot: one base-16 digit per distinct translate of the CM
-    type, set iff the slot is holomorphic there}, number of translates).  For
-    a pair, sigma moves x to a holomorphic label iff x is in sigma^-1 Phi, whose
-    mask m = sigma^-1.empty is in translate_masks; phi_j is in it iff j is not in m."""
+def _holomorphy_profiles(spec) -> tuple[list, int]:
+    """([per position in base order: one base-16 digit per distinct
+    translate of the CM type, set iff the position is holomorphic there],
+    number of translates).  For a pair, sigma moves x to a holomorphic label
+    iff x is in sigma^-1 Phi, whose mask m = sigma^-1.empty is in
+    translate_masks; phi_j is in it iff j is not in m."""
     if isinstance(spec, int):
         g = spec
         check_powerset_size(g)
         # digit 2k + f: every t with k = beta^-1(1), f = [1 in flips]; t.I avoids 1 iff f = [k in I]
-        bases = (Subset(g, bits) for bits in range(1 << g))
-        return {I: sum(1 << (4 * (2 * k + (I.bits >> k & 1))) for k in range(g)) for I in bases}, 2 * g
+        masks = (_unrank_bits(g, r) for r in range(1 << g))
+        return [sum(1 << (4 * (2 * k + (bits >> k & 1))) for k in range(g)) for bits in masks], 2 * g
     # only a pair reads its group's orbits, so only a pair loads the group code
     from .cmtypes import translate_masks
 
     masks = translate_masks(spec.group)
-    bases = (EmbeddingLabel(j, bar) for bar in (False, True) for j in range(1, spec.g + 1))
-    return {x: sum(1 << (4 * i) for i, m in enumerate(masks) if (m >> (x.index - 1) & 1) == x.bar)
-            for x in bases}, len(masks)
+    return [sum(1 << (4 * i) for i, m in enumerate(masks) if (m >> j & 1) == bar)
+            for bar in (0, 1) for j in range(spec.g)], len(masks)
 
 
 def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> list[CycleIndex]:
@@ -106,19 +92,20 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     """
     if p < 0 or n < 1:
         raise ValueError("need p >= 0 and n >= 1")
+    base = (1 << spec) if isinstance(spec, int) else 2 * spec.g
     if p == 0:
-        return [CycleIndex(())]
+        return [CycleIndex(base, ())]
     if p > 7:
         raise ValueError("the packed accumulator supports p <= 7")
     eff = min(budget, POHLMANN_HARD_BUDGET)
     exceeded = f"enumeration budget exceeded: the walk visits more than {eff} nodes"
     profile, digits = _holomorphy_profiles(spec)
-    if n * len(profile) - 2 * p + 1 > eff:  # the root's loop, checked before any slot is built
+    if n * base - 2 * p + 1 > eff:  # the root's loop, checked before the copies are laid out
         raise ValueError(exceeded)
-    slots = sorted(((base, copy) for copy in range(1, n + 1) for base in profile), key=_slot_key)
-    # one base-16 digit per translate; a candidate is Pohlmann-valid iff each
-    # digit of its holomorphy count is p, and with 2p <= 14 no digit carries
-    packed = [profile[base] for base, _ in slots]
+    # one base-16 digit per translate, slot s at packed[s]; a candidate is
+    # Pohlmann-valid iff each digit of its holomorphy count is p, and with
+    # 2p <= 14 no digit carries
+    packed = profile * n
     ones = sum(1 << (4 * i) for i in range(digits))
     target = p * ones
     # partial sums keep every digit <= p, so acc + packed[i] has digits <= 8:
@@ -138,42 +125,39 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
         if left == 1:
             for i in span:
                 if acc + packed[i] == target:
-                    picked.append(CycleIndex((*chosen, slots[i])))
+                    picked.append(CycleIndex(base, (*chosen, i)))
         else:
             for i in reversed(span):
                 nxt = acc + packed[i]
                 if not (nxt + lift) & high:
-                    stack.append((i + 1, nxt, (*chosen, slots[i])))
+                    stack.append((i + 1, nxt, (*chosen, i)))
     return picked
 
 
 def quadruple_to_cycle(I: Subset, J: Subset, K: Subset, L: Subset, copies=(1, 1, 1, 1)) -> CycleIndex:
     """The wedge cycle eps_I ^ eps_J ^ eps_{K^c} ^ eps_{L^c}."""
-    slots = [
-        (I, copies[0]),
-        (J, copies[1]),
-        (K.complement(), copies[2]),
-        (L.complement(), copies[3]),
-    ]
-    return CycleIndex(tuple(sorted(slots, key=_slot_key)))
+    base = 1 << I.g
+    wedge = (I, J, K.complement(), L.complement())
+    return CycleIndex(base, tuple(sorted((copy - 1) * base + subset_rank(X) for X, copy in zip(wedge, copies))))
 
 
-def relation_of_cycle(c: CycleIndex) -> "MonomialRelation":
-    """The monomial relation induced by a balanced subset-slot cycle:
-    Theta_I on the left per holomorphic slot, Theta_{I^c} on the right per
-    antiholomorphic slot; copy indices are irrelevant and dropped."""
+def relation_of_cycle(c: CycleIndex, g: int) -> "MonomialRelation":
+    """The monomial relation induced by a balanced cycle on the anti-Weyl
+    variety at g: Theta_I on the left per holomorphic slot I, Theta_{I^c}
+    on the right per antiholomorphic slot; copy indices are irrelevant and
+    dropped.  g is passed because a base alone does not name the variety: a
+    CM pair of genus 2^(g-1) has 2^g embeddings too."""
     from .reciprocity import ANTIWEYL, MonomialRelation
 
-    if not c.entries:
-        raise ValueError("cannot infer the ambient dimension of an empty cycle")
-    if not isinstance(c.entries[0][0], Subset):
-        raise ValueError("subset slots required")
-    g = c.entries[0][0].g
+    base = 1 << g
+    if c.base != base:
+        raise ValueError(f"subset slots required: the cycle has {c.base} positions per copy, not 2^{g}")
     hol, anti = c.bidegree
     if hol != anti:
         raise ValueError(f"unbalanced cycle: {hol} holomorphic vs {anti} antiholomorphic slots")
+    # rank(I^c) = 2^g - 1 - rank(I)
     return MonomialRelation(ANTIWEYL, g, (
-        (subset_rank(slot), 1) if 1 not in slot else (subset_rank(slot.complement()), -1) for slot, _ in c.entries
+        (k, 1) if k < base // 2 else (base - 1 - k, -1) for k in (s % base for s in c.slots)
     ))
 
 

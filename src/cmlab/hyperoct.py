@@ -155,16 +155,6 @@ def tail_subsets(g: int) -> list[Subset]:
     return [Subset(g, bits) for bits in range(0, 1 << g, 2)]
 
 
-class EmbeddingLabel(Record):
-    """One of the 2g labels phi_j (bar=False) or phibar_j (bar=True)."""
-
-    __slots__ = ("index", "bar")
-
-    def __init__(self, index: int, bar: bool = False) -> None:
-        set_slot(self, "index", index)
-        set_slot(self, "bar", bar)
-
-
 class SignedPerm(Record):
     """Group element theta = (flips, perm): flips is the g-bit mask of the
     conjugated target indices, and perm[j-1] is the image beta(j)."""

@@ -8,8 +8,10 @@ strip over all 2^g subsets.  The anti-Weyl Hodge basis is re-enumerated
 by point coverage and, in degree two, by admissible quadruples, and the
 two-out-of-four balance lemma is checked over every quadruple.  The rest:
 the product, inverse and subset action of signed permutations (the package
-only walks orbits under generators), the label form of CM types, the
-elements of the whole Weyl group, the support of a quadruple as a walked
+only walks orbits under generators), the embedding labels phi_j and
+phibar_j with the label form of CM types, the converters between slot
+numbers and (index set or label, copy) pairs, the elements of the whole
+Weyl group, the support of a quadruple as a walked
 orbit, the HNF, lattice span, equality and membership, the symplectic form
 and the scaled sl2 negative control.
 Gates raise explicitly: pytest rewrites assert statements only in test
@@ -21,11 +23,12 @@ from fractions import Fraction
 
 from cmlab import POHLMANN_HARD_BUDGET
 from cmlab.galois import GaloisGroup, orbit
-from cmlab.hodge import CycleIndex, _slot_key
-from cmlab.hyperoct import (EmbeddingLabel, SignedPerm, Subset, _act_bits, admissible, check_powerset_size, submasks,
-                            subset_rank, subset_unrank, tail_subsets)
+from cmlab.hodge import CycleIndex
+from cmlab.hyperoct import (SignedPerm, Subset, _act_bits, admissible, check_powerset_size, submasks, subset_rank,
+                            subset_unrank, tail_subsets)
 from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right
 from cmlab.reciprocity import SIMPLE, kernel_N
+from cmlab.record import Record, set_slot
 from cmlab.sl2check import SymplecticMatrix, _nilpotents, _report
 
 BP_MAX_G = 8
@@ -149,7 +152,8 @@ def bp_multisets(g: int, p: int, n: int) -> list[CycleIndex]:
         raise ValueError(f"bp_multisets is budgeted to g <= {BP_MAX_G}, p <= {BP_MAX_P}, n <= {BP_MAX_N}")
     if p < 0 or n < 1:
         raise ValueError("need p >= 0 and n >= 1")
-    slots = sorted(((subset_unrank(g, r), copy) for copy in range(1, n + 1) for r in range(1 << g)), key=_slot_key)
+    # slot k of the n copies is the index set of rank k mod 2^g
+    masks = [subset_unrank(g, r).bits for r in range(1 << g)] * n
     out: list[CycleIndex] = []
     nodes = 0
     # depth-first over (next slot, chosen slots, cover count per point),
@@ -163,15 +167,15 @@ def bp_multisets(g: int, p: int, n: int) -> list[CycleIndex]:
         left = 2 * p - len(chosen)
         if left == 0:
             if all(c == p for c in cover):
-                out.append(CycleIndex(chosen))
+                out.append(CycleIndex(1 << g, chosen))
             continue
-        if len(slots) - i < left:
+        if len(masks) - i < left:
             continue
-        for k in reversed(range(i, len(slots))):
-            bits = slots[k][0].bits
+        for k in reversed(range(i, len(masks))):
+            bits = masks[k]
             step = tuple(c + (bits >> j & 1) for j, c in enumerate(cover))
             if all(c <= p for c in step):
-                stack.append((k + 1, (*chosen, slots[k]), step))
+                stack.append((k + 1, (*chosen, k), step))
     return out
 
 
@@ -313,6 +317,16 @@ def quadruple_support(q, G: GaloisGroup) -> frozenset:
     )
 
 
+class EmbeddingLabel(Record):
+    """One of the 2g labels phi_j (bar=False) or phibar_j (bar=True)."""
+
+    __slots__ = ("index", "bar")
+
+    def __init__(self, index: int, bar: bool = False) -> None:
+        set_slot(self, "index", index)
+        set_slot(self, "bar", bar)
+
+
 def act_embedding(t, x: EmbeddingLabel) -> EmbeddingLabel:
     """Left action on the 2g embedding labels: t.phi_j = phi_{beta(j)},
     barred iff beta(j) is in flips, conjugate-equivariantly."""
@@ -343,11 +357,44 @@ def encode_cm_type(labels, spec) -> Subset:
     return Subset(spec.g, bits)
 
 
-def translated(c: CycleIndex, t) -> CycleIndex:
-    """A signed permutation applied to every slot of a cycle, re-sorted."""
-    moved = [(act_subset(t, slot) if isinstance(slot, Subset) else act_embedding(t, slot), copy)
-             for slot, copy in c.entries]
-    return CycleIndex(tuple(sorted(moved, key=_slot_key)))
+# ---------------------------------------------------------------------------
+# slot numbers as (index set or label, copy) pairs: slot (copy - 1) * base + k
+# is the index set of rank k (base 2^g), or phi_{k+1} for k < g and
+# phibar_{k-g+1} otherwise (base 2g)
+
+
+def subset_cycle(g: int, entries) -> CycleIndex:
+    """The cycle on the anti-Weyl variety at g of (index set, copy) pairs, in any order."""
+    base = 1 << g
+    return CycleIndex(base, tuple(sorted((copy - 1) * base + subset_rank(I) for I, copy in entries)))
+
+
+def label_cycle(g: int, entries) -> CycleIndex:
+    """The cycle on a CM pair of genus g of (EmbeddingLabel, copy) pairs, in any order."""
+    base = 2 * g
+    return CycleIndex(base, tuple(sorted((copy - 1) * base + g * x.bar + x.index - 1 for x, copy in entries)))
+
+
+def slot_entries(c: CycleIndex, g: int, labels: bool = False) -> tuple:
+    """The (index set, copy) pairs of a cycle on the anti-Weyl variety at g,
+    or with labels its (EmbeddingLabel, copy) pairs on a CM pair of genus g."""
+    base = 2 * g if labels else 1 << g
+    if c.base != base:
+        raise ValueError(f"the cycle has {c.base} positions per copy, expected {base}")
+    out = []
+    for s in c.slots:
+        copy, k = divmod(s, base)
+        out.append((EmbeddingLabel(k % g + 1, k >= g) if labels else subset_unrank(g, k), copy + 1))
+    return tuple(out)
+
+
+def translated(c: CycleIndex, t, labels: bool = False) -> CycleIndex:
+    """A signed permutation applied to every slot of a cycle on the
+    anti-Weyl variety, or with labels on a CM pair; the kind is passed
+    because the base alone does not tell them apart."""
+    if labels:
+        return label_cycle(t.g, [(act_embedding(t, x), copy) for x, copy in slot_entries(c, t.g, True)])
+    return subset_cycle(t.g, [(act_subset(t, I), copy) for I, copy in slot_entries(c, t.g)])
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +457,7 @@ def kernel_to_cycle(spec, alpha, n=None) -> CycleIndex:
     for copy in range(1, n + 1):
         entries += [(EmbeddingLabel(j, False), copy) for j, a in enumerate(alpha, start=1) if a >= copy]
         entries += [(EmbeddingLabel(j, True), copy) for j, a in enumerate(alpha, start=1) if a <= -copy]
-    return CycleIndex(tuple(sorted(entries, key=_slot_key)))
+    return label_cycle(g, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import itertools
 
 from cmlab.cmtypes import CMPairSpec, compagnon_labels, reflex_labels, subset_rank
 from cmlab.galois import weyl_full
-from cmlab.hodge import CycleIndex, admissible, pohlmann_basis, quadruple_to_cycle, relation_of_cycle
+from cmlab.hodge import admissible, pohlmann_basis, quadruple_to_cycle, relation_of_cycle
 from cmlab.hyperoct import Subset
 from cmlab.intlattice import IntMatrix, kernel_basis
 from cmlab.reciprocity import (
@@ -19,7 +19,7 @@ from cmlab.reciprocity import (
 )
 from oracles import (
     act_subset, b2_quadruples, balance_dichotomy, bp_multisets, check_sl2, compose, hnf, inverse, lattice_equal,
-    quad_lattice, rec_star_antiweyl, span,
+    quad_lattice, rec_star_antiweyl, span, subset_cycle,
 )
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
@@ -144,7 +144,7 @@ def test_criterion_06_triple_oracle_agreement():
                     for l2 in range(l1, n + 1):
                         if l1 == l2 and subset_rank(J) < subset_rank(I):
                             continue
-                        direct.add(CycleIndex(((I, l1), (J, l2))))
+                        direct.add(subset_cycle(g, ((I, l1), (J, l2))))
             assert basis == direct, (g, n)
 
 
@@ -154,7 +154,7 @@ def test_criterion_07_every_g4_cubic_class_reduces():
     failures = []
     for cycle in basis:
         assert cycle.bidegree == (3, 3)
-        cert = reduce_to_low_degree(relation_of_cycle(cycle), 4)
+        cert = reduce_to_low_degree(relation_of_cycle(cycle, 4), 4)
         if not cert.verify():
             failures.append(cycle)
     assert failures == []

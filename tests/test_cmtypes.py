@@ -19,8 +19,8 @@ from cmlab.cmtypes import (
     translate_masks,
 )
 from cmlab.galois import from_cyclic_translation, from_generators
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, subset_rank, subset_unrank, tail_subsets
-from oracles import act_embedding, act_subset, decode_cm_type, encode_cm_type
+from cmlab.hyperoct import SignedPerm, Subset, subset_rank, subset_unrank, tail_subsets
+from oracles import EmbeddingLabel, act_embedding, act_subset, decode_cm_type, encode_cm_type
 from strategies import cm_pair_specs, signed_perms, subsets
 
 # Orbit table of the mu19 regression datum: translation label a -> I([a]).

@@ -16,8 +16,8 @@ from cmlab.galois import (
     orbit,
     weyl_full,
 )
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm
-from oracles import act_embedding, compose, inverse, weyl_elements
+from cmlab.hyperoct import SignedPerm
+from oracles import EmbeddingLabel, act_embedding, compose, inverse, weyl_elements
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
 

@@ -15,8 +15,6 @@ from cmlab.cmtypes import CMPairSpec, subset_rank
 from cmlab.cli import main
 from cmlab.galois import GaloisGroup, from_generators, weyl_full
 from cmlab.hodge import (
-    _is_hol,
-    _slot_key,
     CycleIndex,
     admissible,
     canonical_form_weyl,
@@ -25,7 +23,7 @@ from cmlab.hodge import (
     relation_of_cycle,
     support_class,
 )
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, tail_subsets
+from cmlab.hyperoct import SignedPerm, Subset, subset_unrank, tail_subsets
 from cmlab.reciprocity import (
     ANTIWEYL,
     Certificate,
@@ -37,8 +35,8 @@ from cmlab.reciprocity import (
     render_relation,
 )
 from oracles import (
-    act_embedding, act_subset, b2_quadruples, balance_dichotomy, bp_multisets, compose, dense, kernel_to_cycle, member,
-    quad_lattice, quadruple_support, span, translated, weyl_elements,
+    EmbeddingLabel, act_embedding, act_subset, b2_quadruples, balance_dichotomy, bp_multisets, compose, dense,
+    kernel_to_cycle, member, quad_lattice, quadruple_support, slot_entries, span, subset_cycle, translated, weyl_elements,
 )
 from strategies import signed_perms, subsets
 
@@ -91,29 +89,28 @@ def mu19_cubics():
 
 class TestCycleIndex:
     def test_entries_must_be_strictly_sorted(self):
-        a, b = Subset.of(2, [1]), Subset.of(2, [])
+        # slot 2 is {1} and slot 0 the empty set, in copy 1 at g = 2
         with pytest.raises(ValueError, match="strictly increasing"):
-            CycleIndex(((a, 1), (b, 1)))
+            CycleIndex(4, (2, 0))
         with pytest.raises(ValueError, match="strictly increasing"):
-            CycleIndex(((b, 1), (b, 1)))
+            CycleIndex(4, (0, 0))
 
     def test_copy_major_ordering(self):
         # a copy-2 slot sorts after every copy-1 slot, whatever the ranks
-        c = CycleIndex(((Subset.of(2, [1, 2]), 1), (Subset.of(2, []), 2)))
+        c = CycleIndex(4, (3, 4))
+        assert slot_entries(c, 2) == ((Subset.of(2, [1, 2]), 1), (Subset.of(2, []), 2))
+        assert subset_cycle(2, ((Subset.of(2, []), 2), (Subset.of(2, [1, 2]), 1))) == c
         assert c.bidegree == (1, 1)
 
-    def test_mixed_slot_kinds_rejected(self):
-        with pytest.raises(ValueError, match="mixed slot kinds"):
-            CycleIndex(((Subset.of(2, []), 1), (EmbeddingLabel(1, True), 1)))
-
     def test_copy_range(self):
-        with pytest.raises(ValueError, match="copy index"):
-            CycleIndex(((Subset.of(2, []), 0),))
+        # a negative slot lies in a copy before copy 1
+        with pytest.raises(ValueError, match="copy index 0"):
+            CycleIndex(4, (-1, 0))
 
     def test_bidegree_and_rho_reversal(self):
         c = bp_multisets(2, 2, 1)[0]
         assert c.bidegree == (2, 2)
-        one_sided = CycleIndex(((Subset.of(2, []), 1), (Subset.of(2, [2]), 1)))
+        one_sided = subset_cycle(2, ((Subset.of(2, []), 1), (Subset.of(2, [2]), 1)))
         assert one_sided.bidegree == (2, 0)
         assert translated(one_sided, SignedPerm.make(2, [1, 2])).bidegree == (0, 2)
 
@@ -131,7 +128,7 @@ class TestBpMultisets:
 
     def test_top_class_of_the_surface(self):
         (c,) = bp_multisets(2, 2, 1)
-        assert c.entries == (
+        assert slot_entries(c, 2) == (
             (Subset.of(2, []), 1),
             (Subset.of(2, [2]), 1),
             (Subset.of(2, [1]), 1),
@@ -140,13 +137,13 @@ class TestBpMultisets:
 
     def test_degree_one_pairs_are_complementary(self):
         cycles = bp_multisets(2, 1, 1)
-        assert [c.entries for c in cycles] == [
+        assert [slot_entries(c, 2) for c in cycles] == [
             ((Subset.of(2, []), 1), (Subset.of(2, [1, 2]), 1)),
             ((Subset.of(2, [2]), 1), (Subset.of(2, [1]), 1)),
         ]
         for g in (2, 3):
             for c in bp_multisets(g, 1, 2):
-                (I, _), (J, _) = c.entries
+                (I, _), (J, _) = slot_entries(c, g)
                 assert J == I.complement()
             assert len(bp_multisets(g, 1, 2)) == (1 << (g - 1)) * 4
 
@@ -165,19 +162,19 @@ class TestPohlmann:
             assert set(pohlmann_basis(g, p, n)) == set(bp_multisets(g, p, n)), (g, p, n)
 
     def test_p_zero_is_the_empty_cycle(self):
-        assert pohlmann_basis(3, 0, 1) == [CycleIndex(())]
-        assert pohlmann_basis(mu19_spec(), 0, 2) == [CycleIndex(())]
+        assert pohlmann_basis(3, 0, 1) == [CycleIndex(8, ())]
+        assert pohlmann_basis(mu19_spec(), 0, 2) == [CycleIndex(18, ())]
 
     def test_weyl_spec_degree_one(self):
         got = pohlmann_basis(CMPairSpec.weyl(3), 1, 1)
-        assert [c.entries for c in got] == [
+        assert [slot_entries(c, 3, labels=True) for c in got] == [
             ((EmbeddingLabel(j, False), 1), (EmbeddingLabel(j, True), 1))
             for j in range(1, 4)
         ]
 
     def test_mu19_degree_one_pairs(self):
         got = pohlmann_basis(mu19_spec(), 1, 1)
-        assert [c.entries for c in got] == [
+        assert [slot_entries(c, 9, labels=True) for c in got] == [
             ((EmbeddingLabel(j, False), 1), (EmbeddingLabel(j, True), 1))
             for j in range(1, 10)
         ]
@@ -230,25 +227,24 @@ class TestPohlmann:
 
 def flat_scan(spec, p, n):
     """The unpruned whole-group scan pohlmann_basis used to run: every
-    2p-combination of the sorted slots in itertools.combinations order, kept
-    iff its packed holomorphy profile has digit p at every group element.
-    It acts through act_subset and act_embedding on every element of the
-    group (all of W_g for the anti-Weyl variety), not through the
-    translate classes of the walk."""
+    2p-combination of the slots in itertools.combinations order, kept iff
+    its packed holomorphy profile has digit p at every group element.  It
+    acts through act_subset and act_embedding on every element of the group
+    (all of W_g for the anti-Weyl variety), not through the translate
+    classes of the walk, and reads holomorphy from the labels and index
+    sets, not from the slot positions."""
     if isinstance(spec, CMPairSpec):
         bases = [EmbeddingLabel(j, bar) for bar in (False, True) for j in range(1, spec.g + 1)]
-        group, act = spec.group.elements, act_embedding
+        group, act, hol = spec.group.elements, act_embedding, lambda x: not x.bar
     else:
-        bases = [Subset(spec, bits) for bits in range(1 << spec)]
-        group, act = weyl_elements(spec), act_subset
-    slots = sorted(((base, copy) for copy in range(1, n + 1) for base in bases), key=_slot_key)
+        bases = [subset_unrank(spec, r) for r in range(1 << spec)]
+        group, act, hol = weyl_elements(spec), act_subset, lambda I: 1 not in I
     digit = {t: 1 << (4 * i) for i, t in enumerate(group)}
-    profile = {base: sum(digit[t] for t in group if _is_hol(act(t, base))) for base in bases}
-    packed = [profile[base] for base, _ in slots]
+    packed = [sum(digit[t] for t in group if hol(act(t, x))) for x in bases] * n
     target = p * sum(digit.values())
     return [
-        CycleIndex(tuple(slots[i] for i in combo))
-        for combo in itertools.combinations(range(len(slots)), 2 * p)
+        CycleIndex(len(bases), combo)
+        for combo in itertools.combinations(range(len(packed)), 2 * p)
         if sum(packed[i] for i in combo) == target
     ]
 
@@ -336,7 +332,7 @@ class TestAdmissible:
 class TestKernelToCycle:
     def test_mu19_generator(self):
         c = kernel_to_cycle(mu19_spec(), (1, -1, -1, 1, 0, 0, -1, 0, 1))
-        assert c.entries == (
+        assert slot_entries(c, 9, labels=True) == (
             (EmbeddingLabel(1, False), 1),
             (EmbeddingLabel(4, False), 1),
             (EmbeddingLabel(9, False), 1),
@@ -350,18 +346,17 @@ class TestKernelToCycle:
         spec = mu19_spec()
         c = kernel_to_cycle(spec, (1, -1, -1, 1, 0, 0, -1, 0, 1))
         for s in spec.group.elements:
-            assert translated(c, s).bidegree == (3, 3)
+            assert translated(c, s, labels=True).bidegree == (3, 3)
 
     def test_zero_vector(self):
-        assert kernel_to_cycle(mu19_spec(), (0,) * 9) == CycleIndex(())
+        assert kernel_to_cycle(mu19_spec(), (0,) * 9) == CycleIndex(18, ())
 
     def test_doubled_vector_fills_both_copies(self):
         spec = mu19_spec()
         single = kernel_to_cycle(spec, (1, -1, -1, 1, 0, 0, -1, 0, 1))
         double = kernel_to_cycle(spec, (2, -2, -2, 2, 0, 0, -2, 0, 2))
-        assert double.entries == single.entries + tuple(
-            (x, 2) for x, _ in single.entries
-        )
+        # copy 2 repeats copy 1, one base of 18 slots further on
+        assert double.slots == single.slots + tuple(s + 18 for s in single.slots)
 
     def test_depth_validation(self):
         spec = mu19_spec()
@@ -381,15 +376,15 @@ class TestRelationOfCycle:
     def test_degree_one_cancels_to_the_trivial_relation(self):
         for g in (2, 3):
             for c in bp_multisets(g, 1, 1):
-                assert relation_of_cycle(c) == MonomialRelation(ANTIWEYL, g, ())
+                assert relation_of_cycle(c, g) == MonomialRelation(ANTIWEYL, g, ())
 
     def test_degenerate_quadruple_is_trivial(self):
         e, s = Subset.of(2, []), Subset.of(2, [2])
-        assert relation_of_cycle(quadruple_to_cycle(e, s, s, e)) == MonomialRelation(ANTIWEYL, 2, ())
+        assert relation_of_cycle(quadruple_to_cycle(e, s, s, e), 2) == MonomialRelation(ANTIWEYL, 2, ())
 
     def test_mu19_mediated_quadratic(self):
         c = quadruple_to_cycle(MU19_I[0], MU19_I[17], MU19_I[3], L56)
-        rel = relation_of_cycle(c)
+        rel = relation_of_cycle(c, 9)
         want = [0] * (1 << 9)
         want[subset_rank(MU19_I[0])] += 1
         want[subset_rank(MU19_I[17])] += 1
@@ -398,21 +393,25 @@ class TestRelationOfCycle:
         assert dense(rel) == tuple(want) and rel.tau == 0
 
     def test_cubic_is_the_difference_of_the_two_quadratics(self):
-        qa = relation_of_cycle(quadruple_to_cycle(MU19_I[0], MU19_I[17], MU19_I[3], L56))
-        qb = relation_of_cycle(quadruple_to_cycle(MU19_I[2], MU19_I[14], MU19_I[6], L56))
+        qa = relation_of_cycle(quadruple_to_cycle(MU19_I[0], MU19_I[17], MU19_I[3], L56), 9)
+        qb = relation_of_cycle(quadruple_to_cycle(MU19_I[2], MU19_I[14], MU19_I[6], L56), 9)
         cubic = mu19_cubics()[0]
         assert tuple(a - b for a, b in zip(dense(qa), dense(qb))) == dense(cubic)
 
     def test_unbalanced_cycle_rejected(self):
-        c = CycleIndex(((Subset.of(2, []), 1), (Subset.of(2, [2]), 1)))
+        c = subset_cycle(2, ((Subset.of(2, []), 1), (Subset.of(2, [2]), 1)))
         with pytest.raises(ValueError, match="unbalanced"):
-            relation_of_cycle(c)
+            relation_of_cycle(c, 2)
 
-    def test_label_and_empty_cycles_rejected(self):
+    def test_label_cycles_rejected(self):
         with pytest.raises(ValueError, match="subset slots"):
-            relation_of_cycle(kernel_to_cycle(mu19_spec(), (1, -1, -1, 1, 0, 0, -1, 0, 1)))
-        with pytest.raises(ValueError, match="empty cycle"):
-            relation_of_cycle(CycleIndex(()))
+            relation_of_cycle(kernel_to_cycle(mu19_spec(), (1, -1, -1, 1, 0, 0, -1, 0, 1)), 9)
+        # a cycle at another g is refused too
+        with pytest.raises(ValueError, match="subset slots"):
+            relation_of_cycle(bp_multisets(2, 1, 1)[0], 3)
+
+    def test_empty_cycle_is_trivial(self):
+        assert relation_of_cycle(CycleIndex(8, ()), 3) == MonomialRelation(ANTIWEYL, 3, ())
 
 
 class TestCertificates:
@@ -452,7 +451,7 @@ class TestCertificates:
     def test_every_small_balanced_relation_reduces(self):
         lattice = quad_lattice(3)
         for c in bp_multisets(3, 2, 1):
-            rel = relation_of_cycle(c)
+            rel = relation_of_cycle(c, 3)
             assert reduce_to_low_degree(rel, 3).verify()
             # tau-free targets independently lie in the quadruple span
             assert member(dense(rel), lattice) is not None

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset, _act_bits, submasks
-from oracles import act_embedding, act_subset, compose, inverse, weyl_elements
+from cmlab.hyperoct import SignedPerm, Subset, _act_bits, submasks
+from oracles import EmbeddingLabel, act_embedding, act_subset, compose, inverse, weyl_elements
 from strategies import dims, signed_perms, subsets
 
 

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from cmlab.cmtypes import CMPairSpec
 from cmlab.galois import GaloisGroup, from_cyclic_translation, from_generators, weyl_full
 from cmlab.hodge import CycleIndex, pohlmann_basis
-from cmlab.hyperoct import EmbeddingLabel, SignedPerm, Subset
+from cmlab.hyperoct import SignedPerm, Subset
 from cmlab.intlattice import IntLattice, IntMatrix
 from cmlab.reciprocity import ANTIWEYL, SIMPLE, Certificate, MonomialRelation, chain_generator, reduce_to_low_degree
 from cmlab.sl2check import SymplecticMatrix
-from oracles import span
+from oracles import EmbeddingLabel, span
 
 # small groups and pairs by recipe, so that two draws are often equal
 _GROUPS = [("weyl", 1), ("weyl", 2), ("cyclic", 4, (0, 1)), ("cyclic", 4, (0, 3)), ("cyclic", 6, (0, 1, 2))]
@@ -82,7 +82,7 @@ RECORDS = [
      lambda a: SignedPerm(a[0], a[1], tuple(a[2]))),
     (GaloisGroup, ("g", "gens"), st.sampled_from(_GROUPS), _group),
     (CMPairSpec, ("group", "residues"), st.sampled_from(_GROUPS), _spec),
-    (CycleIndex, ("entries",), st.integers(0, 7), lambda k: pohlmann_basis(2, 1, 2)[k]),
+    (CycleIndex, ("base", "slots"), st.integers(0, 7), lambda k: pohlmann_basis(2, 1, 2)[k]),
     (Certificate, ("target", "parts"), _chain_args(), lambda a: _certificate(*a)),
     (IntMatrix, ("entries", "cols"), st.integers(1, 2).flatmap(lambda c: st.tuples(_rows(c), st.just(c))),
      lambda a: IntMatrix(*a)),
@@ -153,10 +153,8 @@ def test_hot_records_have_no_instance_dict():
     (lambda: from_generators(2, [SignedPerm.make(2)]), "conjugation not in group"),
     (lambda: GaloisGroup(2, (SignedPerm.make(2), SignedPerm.make(2, [1, 2]))),
      "image in S_2 is not transitive (reaches only [1])"),
-    (lambda: CycleIndex(((Subset(2, 0), 1), (EmbeddingLabel(1), 1))), "mixed slot kinds in one cycle"),
-    (lambda: CycleIndex(((Subset(2, 0), 0),)), "copy index 0 out of range"),
-    (lambda: CycleIndex(((Subset(2, 0), 1), (Subset(2, 0), 1))),
-     "entries must be strictly increasing (distinct slots)"),
+    (lambda: CycleIndex(4, (-1,)), "copy index 0 out of range"),
+    (lambda: CycleIndex(4, (0, 0)), "slots must be strictly increasing (distinct slots)"),
     (lambda: IntMatrix(((1, 2), (3,)), 2), "ragged matrix"),
     (lambda: MonomialRelation("x", 2, ()), "unknown side 'x'"),
     (lambda: MonomialRelation.from_vec(ANTIWEYL, 2, (0, 0, 0)), "vector length 3, expected 4"),
