@@ -33,8 +33,7 @@ def cmd_example_mu19(read, args, as_json):
     kernel, rels = kernel_report(spec_phi, as_json)
 
     # lift each label relation to the anti-Weyl side via the orbit table
-    index_of = dict(table)
-    ranks = [subset_rank(index_of[a]) for a in _MU19_PHI]
+    ranks = [subset_rank(table[a]) for a in _MU19_PHI]
     symbols = period_symbols(spec_phi)
     certificates = []
     factorization = []
@@ -47,7 +46,7 @@ def cmd_example_mu19(read, args, as_json):
             continue
         factorization.append(f"cubic: {render_relation(rel, symbols)}")
         if dict(rel.terms).get(_MU19_PHI.index(17)):
-            quads = [(index_of[a], index_of[b], index_of[mediator], L) for (a, b), mediator in _MU19_MEDIATED]
+            quads = [(table[a], table[b], table[mediator], L) for (a, b), mediator in _MU19_MEDIATED]
             factorization.extend(
                 f"  quadruple ({', '.join(str(X) for X in quad)}): "
                 + ("admissible" if admissible(*quad) else "NOT admissible")
@@ -64,7 +63,7 @@ def cmd_example_mu19(read, args, as_json):
         return {
             "phi": list(_MU19_PHI),
             "phi_star": list(_MU19_PHI_STAR),
-            "orbit_table": {str(a): list(I.members()) for a, I in table},
+            "orbit_table": {str(a): list(I.members()) for a, I in enumerate(table)},
             "orbit_degrees": {str(d): c for d, c in sorted(degree_census.items())},
             "reflex_labels": list(recovered),
             "compagnon_L": list(labels_L),
@@ -81,7 +80,7 @@ def cmd_example_mu19(read, args, as_json):
         "",
         "orbit table",
         "-----------",
-        *(f"I([{a}]) = {I}" for a, I in table),
+        *(f"I([{a}]) = {I}" for a, I in enumerate(table)),
         "",
         "orbit census",
         "------------",

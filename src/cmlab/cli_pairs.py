@@ -12,7 +12,7 @@ def cmd_orbits(spec, args, as_json):
     rows = labeled_translates(spec, Subset.empty(spec.g)) if spec.residues is not None else None
     if as_json:
         return {
-            "table": None if rows is None else {str(a): list(I.members()) for a, I in rows},
+            "table": None if rows is None else {str(a): list(I.members()) for a, I in enumerate(rows)},
             "orbits": [
                 {"degree": len(o), "key": list(o[0].members()),
                  "members": [list(I.members()) for I in o]}
@@ -22,7 +22,7 @@ def cmd_orbits(spec, args, as_json):
     lines = []
     if rows is not None:
         lines.append("orbit table:")
-        lines.extend(f"I([{a}]) = {I}" for a, I in rows)
+        lines.extend(f"I([{a}]) = {I}" for a, I in enumerate(rows))
     lines.append(f"orbits: {len(orbits)}")
     lines.extend(f"orbit {k}: degree {len(o)}, key {o[0]}" for k, o in enumerate(orbits))
     return lines

@@ -9,8 +9,9 @@ factor of the generalized anti-Weyl variety: its degree is the orbit size,
 its key the first member, and its CM type the members not containing the
 distinguished position 1 (half the orbit, since conjugation lies in the
 group).  The orbit of the empty set, translate_masks, is the reflex.
-Cyclic pairs also have an orbit table, the translates [a].I of an index set
-by each residue a mod 2g, walked as [1]^a.I under the generator [1].
+Cyclic pairs also have an orbit table, the list of translates [a].I of an
+index set indexed by the residue a mod 2g, walked as [1]^a.I under the
+generator [1].
 """
 from .galois import GaloisGroup, from_cyclic_translation, orbit, weyl_full
 from .hyperoct import Subset, _act_bits, _unrank_bits, check_powerset_size, subset_rank
@@ -80,12 +81,12 @@ def orbit_decomposition(G: GaloisGroup) -> list[list[Subset]]:
     return orbits
 
 
-def labeled_translates(spec: CMPairSpec, base: Subset) -> list[tuple]:
-    """Pairs (a, [a].base) for every residue a mod 2g, in order: residue a is
-    step a of the walk of base under [1]; base = empty gives a -> I([a])."""
+def labeled_translates(spec: CMPairSpec, base: Subset) -> list[Subset]:
+    """The translates [a].base, indexed by the residue a mod 2g: entry a is
+    step a of the walk of base under [1]; base = empty gives I([a])."""
     G, rows, bits = spec.group, [], base.bits
-    for a in range(2 * G.g):
-        rows.append((a, Subset(G.g, bits)))
+    for _ in range(2 * G.g):
+        rows.append(Subset(G.g, bits))
         bits = _act_bits(G.gens[0], bits)
     return rows
 
@@ -99,7 +100,7 @@ def reflex_labels(spec: CMPairSpec) -> list:
     """
     if spec.residues is None:
         raise ValueError("reflex labels need a labeled (cyclic) group")
-    return [a for a, I in labeled_translates(spec, Subset.empty(spec.g)) if 1 not in I]
+    return [a for a, I in enumerate(labeled_translates(spec, Subset.empty(spec.g))) if 1 not in I]
 
 
 def compagnon_labels(spec: CMPairSpec, base: Subset) -> list:
@@ -114,4 +115,4 @@ def compagnon_labels(spec: CMPairSpec, base: Subset) -> list:
     """
     if spec.residues is None:
         raise ValueError("compagnon labels need a labeled (cyclic) group")
-    return [a for a, I in labeled_translates(spec, base) if 1 in I]
+    return [a for a, I in enumerate(labeled_translates(spec, base)) if 1 in I]

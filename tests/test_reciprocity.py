@@ -375,7 +375,7 @@ class TestTheoremBeyondMu19:
         kernels = lifted = with_parts = 0
         for base in bases:
             spec = CMPairSpec.from_cyclic(M, base)
-            index_of = dict(labeled_translates(spec, Subset.empty(spec.g)))
+            index_of = labeled_translates(spec, Subset.empty(spec.g))
             phi = reflex_labels(spec)
             ranks = [subset_rank(index_of[a]) for a in phi]
             rels = relations_from_kernel(kernel_N(CMPairSpec.from_cyclic(M, phi)))
