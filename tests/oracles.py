@@ -11,9 +11,9 @@ the product, inverse and subset action of signed permutations (the package
 only walks orbits under generators), the embedding labels phi_j and
 phibar_j with the label form of CM types, the converters between slot
 numbers and (index set or label, copy) pairs, the elements of the whole
-Weyl group, the support of a quadruple as a walked
-orbit, the HNF, lattice span, equality and membership, the symplectic form
-and the scaled sl2 negative control.
+Weyl group, the support of a quadruple as a walked orbit, the HNF, lattice
+span, equality and membership, the symplectic form and the scaled sl2
+negative control.
 Gates raise explicitly: pytest rewrites assert statements only in test
 modules, and python -O strips them everywhere else.
 """
