@@ -1,20 +1,20 @@
 """Command handlers on Hodge classes: hodge-basis and support."""
 from .cli import _check
 from .hodge import canonical_form_weyl, pohlmann_basis, support_class
-from .hyperoct import Subset, subset_unrank
+from .hyperoct import mask_of, members, subset_str, subset_unrank
 
 
 def _slot_str(g, k, copy, spec) -> str:
     """Position k of a copy: an index set of the anti-Weyl variety at g
     (spec None), or phi_{k+1} (k < g) or phibar_{k-g+1}, named by spec."""
     if spec is None:
-        return f"{subset_unrank(g, k)}@{copy}"
+        return f"{subset_str(subset_unrank(g, k))}@{copy}"
     return f"[{spec.label_name(k % g + 1, k >= g)}]@{copy}"
 
 
 def _slot_json(g, k, copy, spec) -> dict:
     if spec is None:
-        return {"set": list(subset_unrank(g, k).members()), "copy": copy}
+        return {"set": list(members(subset_unrank(g, k))), "copy": copy}
     return {"phi": k % g + 1, "bar": k >= g, "copy": copy}
 
 
@@ -45,22 +45,22 @@ def cmd_support(data, args, as_json):
         if len(entry) != 4:
             raise ValueError(f"{name} has {len(entry)} index sets, expected 4")
         parts = []
-        for k, members in enumerate(entry):
+        for k, elements in enumerate(entry):
             try:
-                parts.append(Subset.of(g, members))
+                parts.append(mask_of(g, elements))
             except ValueError as exc:
                 raise ValueError(f"{name}[{k}]: {exc}") from None
         return tuple(parts)
 
     q1 = quad("first", data["first"])
-    size, key = support_class(q1)
+    size, key = support_class(q1, g)
     try:
         form = canonical_form_weyl(q1, g)
     except ValueError:
         form = None
     obj = {"support_size": size, "canonical_form": None if form is None else list(form)}
     if "second" in data:
-        size2, key2 = support_class(quad("second", _check(data["second"], [[int]], "second")))
+        size2, key2 = support_class(quad("second", _check(data["second"], [[int]], "second")), g)
         obj.update(second_support_size=size2, equivalent=key == key2)
     if as_json:
         return obj

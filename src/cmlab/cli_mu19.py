@@ -3,7 +3,7 @@ from .cli_pairs import labels_str
 from .cli_relations import certificate_json, kernel_report, period_symbols
 from .cmtypes import CMPairSpec, compagnon_labels, labeled_translates, orbit_decomposition, reflex_labels
 from .hodge import quadruple_to_cycle, relation_of_cycle
-from .hyperoct import Subset, admissible, subset_rank
+from .hyperoct import admissible, mask_of, members, subset_rank, subset_str
 from .reciprocity import ANTIWEYL, MonomialRelation, lift_relation, reduce_to_low_degree, render_relation
 
 # the base pair, its reflex, the two factorizations through the compagnon
@@ -20,20 +20,20 @@ def cmd_example_mu19(read, args, as_json):
     spec_star = CMPairSpec.from_cyclic(_MU19_M, list(_MU19_PHI_STAR))
     spec_phi = CMPairSpec.from_cyclic(_MU19_M, list(_MU19_PHI))
     g = spec_star.g
-    table = labeled_translates(spec_star, Subset.empty(g))
+    table = labeled_translates(spec_star, 0)
     orbits = orbit_decomposition(spec_star.group)
     degree_census = {}
     for o in orbits:
         degree_census[len(o)] = degree_census.get(len(o), 0) + 1
     recovered = reflex_labels(spec_star)
-    L = Subset.of(g, _MU19_L)
-    Lp = Subset.of(g, _MU19_L_PRIME)
+    L = mask_of(g, _MU19_L)
+    Lp = mask_of(g, _MU19_L_PRIME)
     labels_L = compagnon_labels(spec_star, L)
     labels_Lp = compagnon_labels(spec_star, Lp)
     kernel, rels = kernel_report(spec_phi, as_json)
 
     # lift each label relation to the anti-Weyl side via the orbit table
-    ranks = [subset_rank(table[a]) for a in _MU19_PHI]
+    ranks = [subset_rank(g, table[a]) for a in _MU19_PHI]
     symbols = period_symbols(spec_phi)
     certificates = []
     factorization = []
@@ -48,11 +48,11 @@ def cmd_example_mu19(read, args, as_json):
         if dict(rel.terms).get(_MU19_PHI.index(17)):
             quads = [(table[a], table[b], table[mediator], L) for (a, b), mediator in _MU19_MEDIATED]
             factorization.extend(
-                f"  quadruple ({', '.join(str(X) for X in quad)}): "
+                f"  quadruple ({', '.join(map(subset_str, quad))}): "
                 + ("admissible" if admissible(*quad) else "NOT admissible")
                 for quad in quads
             )
-            qa, qb = (relation_of_cycle(quadruple_to_cycle(*quad), g) for quad in quads)
+            qa, qb = (relation_of_cycle(quadruple_to_cycle(*quad, g), g) for quad in quads)
             diff = MonomialRelation(ANTIWEYL, g, (*qa.terms, *((r, -c) for r, c in qb.terms)))
             match = cubic.normalized() == diff.normalized()
             factorization.append("  quadratic difference reproduces the cubic: " + ("yes" if match else "no"))
@@ -63,7 +63,7 @@ def cmd_example_mu19(read, args, as_json):
         return {
             "phi": list(_MU19_PHI),
             "phi_star": list(_MU19_PHI_STAR),
-            "orbit_table": {str(a): list(I.members()) for a, I in enumerate(table)},
+            "orbit_table": {str(a): list(members(I)) for a, I in enumerate(table)},
             "orbit_degrees": {str(d): c for d, c in sorted(degree_census.items())},
             "reflex_labels": list(recovered),
             "compagnon_L": list(labels_L),
@@ -80,7 +80,7 @@ def cmd_example_mu19(read, args, as_json):
         "",
         "orbit table",
         "-----------",
-        *(f"I([{a}]) = {I}" for a, I in enumerate(table)),
+        *(f"I([{a}]) = {subset_str(I)}" for a, I in enumerate(table)),
         "",
         "orbit census",
         "------------",
@@ -94,8 +94,8 @@ def cmd_example_mu19(read, args, as_json):
         "",
         "compagnons",
         "----------",
-        f"L = {L}: {labels_str(labels_L)}",
-        f"L' = {Lp}: {labels_str(labels_Lp)}",
+        f"L = {subset_str(L)}: {labels_str(labels_L)}",
+        f"L' = {subset_str(Lp)}: {labels_str(labels_Lp)}",
         "",
         "period kernel (reflex pair)",
         "---------------------------",

@@ -1,6 +1,6 @@
 """Command handlers on one CM pair: orbits, reflex and compagnons."""
 from .cmtypes import compagnon_labels, labeled_translates, orbit_decomposition, reflex_labels, translate_masks
-from .hyperoct import Subset
+from .hyperoct import members, subset_str
 
 
 def labels_str(labels) -> str:
@@ -9,40 +9,40 @@ def labels_str(labels) -> str:
 
 def cmd_orbits(spec, args, as_json):
     orbits = orbit_decomposition(spec.group)
-    rows = labeled_translates(spec, Subset.empty(spec.g)) if spec.residues is not None else None
+    rows = labeled_translates(spec, 0) if spec.residues is not None else None
     if as_json:
         return {
-            "table": None if rows is None else {str(a): list(I.members()) for a, I in enumerate(rows)},
+            "table": None if rows is None else {str(a): list(members(I)) for a, I in enumerate(rows)},
             "orbits": [
-                {"degree": len(o), "key": list(o[0].members()),
-                 "members": [list(I.members()) for I in o]}
+                {"degree": len(o), "key": list(members(o[0])),
+                 "members": [list(members(I)) for I in o]}
                 for o in orbits
             ],
         }
     lines = []
     if rows is not None:
         lines.append("orbit table:")
-        lines.extend(f"I([{a}]) = {I}" for a, I in enumerate(rows))
+        lines.extend(f"I([{a}]) = {subset_str(I)}" for a, I in enumerate(rows))
     lines.append(f"orbits: {len(orbits)}")
-    lines.extend(f"orbit {k}: degree {len(o)}, key {o[0]}" for k, o in enumerate(orbits))
+    lines.extend(f"orbit {k}: degree {len(o)}, key {subset_str(o[0])}" for k, o in enumerate(orbits))
     return lines
 
 
 def cmd_reflex(spec, args, as_json):
     masks = translate_masks(spec.group)
     # the members avoiding 1, already in rank order
-    cm_type = [Subset(spec.g, m) for m in masks if not m & 1]
+    cm_type = [m for m in masks if not m & 1]
     labels = reflex_labels(spec)
     if as_json:
         return {
             "degree": len(masks),
             "labels": list(labels),
-            "cm_type": [list(I.members()) for I in cm_type],
+            "cm_type": [list(members(I)) for I in cm_type],
         }
     return [
         f"reflex degree: {len(masks)}",
         f"reflex labels: {labels_str(labels)}",
-        *(f"type {I}" for I in cm_type),
+        *(f"type {subset_str(I)}" for I in cm_type),
     ]
 
 
@@ -56,12 +56,12 @@ def cmd_compagnons(spec, args, as_json):
         found.append((len(o), o[0], labels))
     if as_json:
         return {"compagnons": [
-            {"degree": degree, "key": list(key.members()), "labels": None if labels is None else list(labels)}
+            {"degree": degree, "key": list(members(key)), "labels": None if labels is None else list(labels)}
             for degree, key, labels in found
         ]}
     lines = [f"compagnons: {len(found)}"]
     for k, (degree, key, labels) in enumerate(found):
-        line = f"compagnon {k}: degree {degree}, key {key}"
+        line = f"compagnon {k}: degree {degree}, key {subset_str(key)}"
         if labels is not None:
             line += f", labels {labels_str(labels)}"
         lines.append(line)

@@ -1,4 +1,5 @@
 """Command handler of sl2-check."""
+from .hyperoct import members, subset_str
 from .sl2check import sl2_reports
 
 _GATES = ("bracket_vv_zero", "bracket_vvbar_diagonal", "triple_identities")
@@ -9,11 +10,11 @@ def cmd_sl2_check(g, args, as_json):
         raise ValueError("sl2-check needs --g >= 2")
     reports = sl2_reports(g)
     if as_json:
-        return {"g": g, "reports": [{"U": list(U.members()), **report} for U, report in reports]}
+        return {"g": g, "reports": [{"U": list(members(U)), **report} for U, report in reports]}
     lines = []
     for U, report in reports:
         failed = [k for k, ok in report.items() if not ok]
-        lines.append(f"U={U}: " + ("pass" if not failed else "FAIL (" + ", ".join(failed) + ")"))
+        lines.append(f"U={subset_str(U)}: " + ("pass" if not failed else "FAIL (" + ", ".join(failed) + ")"))
     ok = all(report[k] for _, report in reports for k in _GATES)
     lines.append("all checks passed" if ok else "some checks FAILED")
     return lines

@@ -2,8 +2,8 @@
 
 A CM type on E is encoded by the subset I of {1,...,g} of conjugated
 positions: it stands for {phi_j : j not in I} + {phibar_j : j in I}, so the
-empty set is the base type Phi_E = {phi_1,...,phi_g}; only the subsets are
-ever built.  The Galois group permutes the 2^g CM types through the subset
+empty set is the base type Phi_E = {phi_1,...,phi_g}; only the masks of
+the subsets are ever built.  The Galois group permutes the 2^g CM types through the subset
 action.  Orbit k of orbit_decomposition is compagnon k, one simple isogeny
 factor of the generalized anti-Weyl variety: its degree is the orbit size,
 its key the first member, and its CM type the members not containing the
@@ -14,7 +14,7 @@ index set indexed by the residue a mod 2g, walked as [1]^a.I under the
 generator [1].
 """
 from .galois import GaloisGroup, from_cyclic_translation, orbit, weyl_full
-from .hyperoct import Subset, _act_bits, _unrank_bits, check_powerset_size, subset_rank
+from .hyperoct import _act_bits, check_powerset_size, subset_rank, subset_unrank
 from .record import Record, set_slot
 
 
@@ -59,8 +59,8 @@ def translate_masks(G: GaloisGroup) -> list[int]:
     return sorted(orbit(G.gens, 0, _act_bits))
 
 
-def orbit_decomposition(G: GaloisGroup) -> list[list[Subset]]:
-    """Partition P({1,...,g}) into G-orbits.
+def orbit_decomposition(G: GaloisGroup) -> list[list[int]]:
+    """Partition P({1,...,g}) into G-orbits of masks.
 
     The orbit of the empty set comes first; the rest follow by their
     minimal member; each orbit is sorted in the canonical subset order.
@@ -72,22 +72,23 @@ def orbit_decomposition(G: GaloisGroup) -> list[list[Subset]]:
     # seeds in canonical order, so each orbit is found from its minimal
     # member and the empty set (rank 0) comes first
     for r in range(1 << g):
-        seed = _unrank_bits(g, r)
+        seed = subset_unrank(g, r)
         if seed in seen:
             continue
         members = orbit(G.gens, seed, _act_bits)
         seen.update(members)
-        orbits.append(sorted((Subset(g, b) for b in members), key=subset_rank))
+        orbits.append(sorted(members, key=lambda b: subset_rank(g, b)))
     return orbits
 
 
-def labeled_translates(spec: CMPairSpec, base: Subset) -> list[Subset]:
-    """The translates [a].base, indexed by the residue a mod 2g: entry a is
-    step a of the walk of base under [1]; base = empty gives I([a])."""
-    G, rows, bits = spec.group, [], base.bits
-    for _ in range(2 * G.g):
-        rows.append(Subset(G.g, bits))
-        bits = _act_bits(G.gens[0], bits)
+def labeled_translates(spec: CMPairSpec, base: int) -> list[int]:
+    """The masks of the translates [a].base, indexed by the residue a mod 2g:
+    entry a is step a of the walk of base under [1]; base = 0, the empty
+    set, gives I([a])."""
+    step, rows = spec.group.gens[0], []
+    for _ in range(2 * spec.g):
+        rows.append(base)
+        base = _act_bits(step, base)
     return rows
 
 
@@ -100,10 +101,10 @@ def reflex_labels(spec: CMPairSpec) -> list:
     """
     if spec.residues is None:
         raise ValueError("reflex labels need a labeled (cyclic) group")
-    return [a for a, I in enumerate(labeled_translates(spec, Subset.empty(spec.g))) if 1 not in I]
+    return [a for a, I in enumerate(labeled_translates(spec, 0)) if not I & 1]
 
 
-def compagnon_labels(spec: CMPairSpec, base: Subset) -> list:
+def compagnon_labels(spec: CMPairSpec, base: int) -> list:
     """Labels a with 1 in a.base -- the CM type of the compagnon of base.
 
     This is the labeling convention for orbits other than the orbit of the
@@ -115,4 +116,4 @@ def compagnon_labels(spec: CMPairSpec, base: Subset) -> list:
     """
     if spec.residues is None:
         raise ValueError("compagnon labels need a labeled (cyclic) group")
-    return [a for a, I in enumerate(labeled_translates(spec, base)) if 1 in I]
+    return [a for a, I in enumerate(labeled_translates(spec, base)) if I & 1]

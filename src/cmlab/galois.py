@@ -91,9 +91,12 @@ def from_cyclic_translation(M: int, phi) -> GaloisGroup:
         raise ValueError(f"M={M} must be even")
     g = M // 2
     phi = [a % M for a in phi]
-    if len(phi) != g or len(set(phi)) != g:
+    if len(phi) != g:
         raise ValueError(f"wrong transversal size: need {g} distinct residues, got {len(phi)}")
-    index_of = {a: j for j, a in enumerate(phi, start=1)}
+    index_of = {}
+    for j, a in enumerate(phi, start=1):
+        if index_of.setdefault(a, j) != j:
+            raise ValueError(f"residue {a} repeats mod {M}: not a transversal")
     for a in phi:
         if (a + g) % M in index_of:
             raise ValueError(f"residues {a} and {(a + g) % M} are conjugate: not a transversal")

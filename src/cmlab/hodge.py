@@ -28,7 +28,7 @@ determine each other.
 from math import factorial, prod
 
 from . import POHLMANN_HARD_BUDGET
-from .hyperoct import Subset, _unrank_bits, admissible, check_powerset_size, subset_rank
+from .hyperoct import admissible, check_powerset_size, subset_rank, subset_unrank
 from .record import Record, set_slot
 
 
@@ -68,7 +68,7 @@ def _holomorphy_profiles(spec) -> tuple[list, int]:
         g = spec
         check_powerset_size(g)
         # digit 2k + f: every t with k = beta^-1(1), f = [1 in flips]; t.I avoids 1 iff f = [k in I]
-        masks = (_unrank_bits(g, r) for r in range(1 << g))
+        masks = (subset_unrank(g, r) for r in range(1 << g))
         return [sum(1 << (4 * (2 * k + (bits >> k & 1))) for k in range(g)) for bits in masks], 2 * g
     # only a pair reads its group's orbits, so only a pair loads the group code
     from .cmtypes import translate_masks
@@ -134,11 +134,11 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     return picked
 
 
-def quadruple_to_cycle(I: Subset, J: Subset, K: Subset, L: Subset, copies=(1, 1, 1, 1)) -> CycleIndex:
-    """The wedge cycle eps_I ^ eps_J ^ eps_{K^c} ^ eps_{L^c}."""
-    base = 1 << I.g
-    wedge = (I, J, K.complement(), L.complement())
-    return CycleIndex(base, tuple(sorted((copy - 1) * base + subset_rank(X) for X, copy in zip(wedge, copies))))
+def quadruple_to_cycle(I: int, J: int, K: int, L: int, g: int, copies=(1, 1, 1, 1)) -> CycleIndex:
+    """The wedge cycle eps_I ^ eps_J ^ eps_{K^c} ^ eps_{L^c} of four masks at g."""
+    base = 1 << g
+    wedge = (I, J, K ^ (base - 1), L ^ (base - 1))
+    return CycleIndex(base, tuple(sorted((copy - 1) * base + subset_rank(g, X) for X, copy in zip(wedge, copies))))
 
 
 def relation_of_cycle(c: CycleIndex, g: int) -> "MonomialRelation":
@@ -175,18 +175,17 @@ def _class_counts(a: int, b: int, c: int, d: int, g: int) -> tuple:
     return tuple(counts)
 
 
-def support_class(q) -> tuple[int, tuple]:
-    """(size, key) of the support of (I, J, K, L), the W_g-orbit of its
-    block pair ({I, J}, {K^c, L^c}).  W_g permutes points and a flip
-    complements a point's pattern, so 4-tuples share an orbit iff their
-    class counts n_c agree, and the stabilizer of one has order prod n_c!.
+def support_class(q, g: int) -> tuple[int, tuple]:
+    """(size, key) of the support of the masks (I, J, K, L) at g, the
+    W_g-orbit of its block pair ({I, J}, {K^c, L^c}).  W_g permutes points
+    and a flip complements a point's pattern, so 4-tuples share an orbit iff
+    their class counts n_c agree, and the stabilizer of one has order
+    prod n_c!.
     The support has 2^g g! / (prod n_c! h) points, h the distinct orderings
     of the block pair with the tuple's own counts, and two supports agree
     iff their keys (the least counts over the orderings) do."""
-    g = q[0].g
-    if any(X.g != g for X in q):
-        raise ValueError(f"dimension mismatch: index sets at g={', '.join(str(X.g) for X in q)}")
-    a, b, c, d = q[0].bits, q[1].bits, q[2].complement().bits, q[3].complement().bits
+    full = (1 << g) - 1
+    a, b, c, d = q[0], q[1], q[2] ^ full, q[3] ^ full
     own = _class_counts(a, b, c, d, g)
     counts = [_class_counts(*o, g) for o in {(a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c)}]
     stabilizer = prod(map(factorial, own)) * counts.count(own)
@@ -194,8 +193,8 @@ def support_class(q) -> tuple[int, tuple]:
 
 
 def canonical_form_weyl(q, g: int) -> tuple[int, int]:
-    """The conjugacy invariant (r, s) of an admissible quadruple over
-    {2,...,g} under the full hyperoctahedral group.
+    """The conjugacy invariant (r, s) of an admissible quadruple of masks
+    over {2,...,g} under the full hyperoctahedral group.
 
     r - 1 = |I ^ J| is the block width; s - 1 is the least overlap defect
     between the two blocks, with s = 1 reserved for the degenerate case
@@ -204,11 +203,11 @@ def canonical_form_weyl(q, g: int) -> tuple[int, int]:
     """
     I, J, K, L = q
     for X in q:
-        if 1 in X or X.g != g:
+        if X & 1 or X >> g:
             raise ValueError("expected index sets inside {2,...,g}")
     if not admissible(I, J, K, L):
         raise ValueError("quadruple is not admissible: unions or intersections differ")
-    r = len(I ^ J) + 1
+    r = (I ^ J).bit_count() + 1
     if {I, J} == {K, L}:
         return (r, 1)
-    return (r, 1 + min(len(I ^ K), len(I ^ L), len(J ^ K), len(J ^ L)))
+    return (r, 1 + min((x ^ y).bit_count() for x in (I, J) for y in (K, L)))

@@ -19,6 +19,12 @@ on subset masks implemented here (_act_bits):
 
     theta . I = flips xor beta(I).
 
+An index set is its g-bit mask throughout the package, bit j-1 <-> element
+j: the complement of I is I ^ ((1 << g) - 1).  The helpers here read a mask
+from its elements (mask_of), list and render its elements (members,
+subset_str) and rank it in the canonical order (subset_rank,
+subset_unrank).
+
 The element rho = (full mask, identity) is central and acts on subsets as
 complementation; it plays the role of complex conjugation throughout.
 """
@@ -36,72 +42,37 @@ def check_powerset_size(g: int) -> None:
         )
 
 
-class Subset(Record):
-    """A subset of {1,...,g}, stored as a g-bit mask (bit j-1 <-> element j)."""
-
-    __slots__ = ("g", "bits")
-
-    def __init__(self, g: int, bits: int) -> None:
-        if not 0 <= bits < (1 << g):
-            raise ValueError(f"subset mask {bits:#x} has elements outside 1..{g}")
-        set_slot(self, "g", g)
-        set_slot(self, "bits", bits)
-
-    @classmethod
-    def of(cls, g: int, members: Iterable[int] = ()) -> "Subset":
-        bits = 0
-        for j in members:
-            if not 1 <= j <= g:
-                raise ValueError(f"element {j} outside 1..{g}")
-            bits |= 1 << (j - 1)
-        return cls(g, bits)
-
-    @classmethod
-    def empty(cls, g: int) -> "Subset":
-        return cls(g, 0)
-
-    def members(self) -> tuple[int, ...]:
-        out, bits = [], self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length())
-            bits ^= low
-        return tuple(out)
-
-    def __contains__(self, j: int) -> bool:
-        return 1 <= j <= self.g and bool(self.bits >> (j - 1) & 1)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def complement(self) -> "Subset":
-        return Subset(self.g, self.bits ^ ((1 << self.g) - 1))
-
-    def _binop(self, other: "Subset", bits: int) -> "Subset":
-        if self.g != other.g:
-            raise ValueError(f"dimension mismatch: g={self.g} vs g={other.g}")
-        return Subset(self.g, bits)
-
-    def __or__(self, other: "Subset") -> "Subset":
-        return self._binop(other, self.bits | other.bits)
-
-    def __and__(self, other: "Subset") -> "Subset":
-        return self._binop(other, self.bits & other.bits)
-
-    def __xor__(self, other: "Subset") -> "Subset":
-        return self._binop(other, self.bits ^ other.bits)
-
-    def __str__(self) -> str:
-        return "{" + ",".join(map(str, self.members())) + "}"
+def mask_of(g: int, elements: Iterable[int] = ()) -> int:
+    """The mask of a set of elements of {1,...,g}, each given once."""
+    bits = 0
+    for j in elements:
+        if not 1 <= j <= g:
+            raise ValueError(f"element {j} outside 1..{g}")
+        if bits >> (j - 1) & 1:
+            raise ValueError(f"element {j} repeats")
+        bits |= 1 << (j - 1)
+    return bits
 
 
-def admissible(I, J, K, L) -> bool:
-    """Union/intersection matching: I|J = K|L and I&J = K&L, i.e. every
-    point lies in exactly two of the four wedge slots I, J, K^c, L^c.
+def members(bits: int) -> tuple[int, ...]:
+    """The elements of a mask, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length())
+        bits ^= low
+    return tuple(out)
 
-    Takes four Subsets, or their four masks, where the same test runs on
-    plain integers and builds no Subset.
-    """
+
+def subset_str(bits: int) -> str:
+    """A mask as its elements in braces, such as {1,3}."""
+    return "{" + ",".join(map(str, members(bits))) + "}"
+
+
+def admissible(I: int, J: int, K: int, L: int) -> bool:
+    """Union/intersection matching of four masks: I|J = K|L and I&J = K&L,
+    i.e. every point lies in exactly two of the four wedge slots I, J, K^c,
+    L^c."""
     return I | J == K | L and I & J == K & L
 
 
@@ -112,31 +83,20 @@ def admissible(I, J, K, L) -> bool:
 # downstream use this order.
 
 
-def _rank_bits(g: int, bits: int) -> int:
-    """subset_rank of a plain g-bit mask, with no Subset built."""
+def subset_rank(g: int, bits: int) -> int:
+    """Position of the mask bits in the canonical total order on P({1,...,g})."""
     if bits & 1 == 0:
         return bits >> 1
     full = (1 << g) - 1
     return full - ((bits ^ full) >> 1)
 
 
-def _unrank_bits(g: int, r: int) -> int:
-    """The mask of subset_unrank(g, r), for r in 0 .. 2^g - 1."""
+def subset_unrank(g: int, r: int) -> int:
+    """The mask of rank r, for r in 0 .. 2^g - 1."""
     if r < 1 << (g - 1):
         return r << 1
     full = (1 << g) - 1
     return full ^ ((full - r) << 1)
-
-
-def subset_rank(I: Subset) -> int:
-    """Position of I in the canonical total order on P({1,...,g})."""
-    return _rank_bits(I.g, I.bits)
-
-
-def subset_unrank(g: int, r: int) -> Subset:
-    if not 0 <= r < (1 << g):
-        raise ValueError(f"rank {r} outside 0..{(1 << g) - 1}")
-    return Subset(g, _unrank_bits(g, r))
 
 
 def submasks(bits: int) -> Iterator[int]:
@@ -147,12 +107,6 @@ def submasks(bits: int) -> Iterator[int]:
         if not sub:
             return
         sub = (sub - 1) & bits
-
-
-def tail_subsets(g: int) -> list[Subset]:
-    """The subsets of {2,...,g} in canonical order (ranks 0 .. 2^(g-1) - 1,
-    where the rank of a subset without 1 is its mask shifted right by one)."""
-    return [Subset(g, bits) for bits in range(0, 1 << g, 2)]
 
 
 class SignedPerm(Record):
@@ -177,7 +131,7 @@ class SignedPerm(Record):
     @classmethod
     def make(cls, g: int, flips: Iterable[int] = (), perm: Iterable[int] | None = None) -> "SignedPerm":
         p = tuple(perm) if perm is not None else tuple(range(1, g + 1))
-        return cls(g, Subset.of(g, flips).bits, p)
+        return cls(g, mask_of(g, flips), p)
 
 
 def _act_bits(t: SignedPerm, bits: int) -> int:

@@ -32,15 +32,7 @@ A relation stores only its nonzero exponents, and everything here (the
 closed form, the strip, the degree <= 2 certificates of
 reduce_to_low_degree, rendering) touches only those.
 """
-from .hyperoct import (
-    Subset,
-    _rank_bits,
-    _unrank_bits,
-    admissible,
-    check_powerset_size,
-    subset_rank,
-    subset_unrank,
-)
+from .hyperoct import admissible, check_powerset_size, subset_rank, subset_str, subset_unrank
 from .record import Record, set_slot
 
 SIMPLE = "simple"
@@ -98,7 +90,7 @@ def _named_terms(rel: MonomialRelation, symbols) -> list:
     """(symbol, exponent) per nonzero exponent, in index order, tau last."""
     if rel.side == SIMPLE:
         return [(symbols[i], e) for i, e in rel.terms]
-    named = [(f"Th{subset_unrank(rel.g, i)}", e) for i, e in rel.terms]
+    named = [(f"Th{subset_str(subset_unrank(rel.g, i))}", e) for i, e in rel.terms]
     if rel.tau:
         named.append(("tau", rel.tau))
     return named
@@ -171,10 +163,10 @@ def antiweyl_relations(g: int) -> list[MonomialRelation]:
     if g < 2:
         raise ValueError(f"need g >= 2, got {g}")
     check_powerset_size(g)
-    singleton = [_rank_bits(g, 1 << j) for j in range(g)]
+    singleton = [subset_rank(g, 1 << j) for j in range(g)]
     out = []
     for r in range(1 << g):
-        bits = _unrank_bits(g, r)
+        bits = subset_unrank(g, r)
         size = bits.bit_count()
         if size >= 2:
             terms = [(0, size - 1), (r, 1), *((singleton[j], -1) for j in range(g) if bits >> j & 1)]
@@ -186,8 +178,8 @@ def chain_strip(terms, g: int):
     """Strip an anti-Weyl vector, given by (rank, coefficient) pairs, along
     chain generators.
 
-    Returns (residual, parts): parts is a list of (S, coeff) meaning
-    coeff * chain(S) was subtracted, by size descending and then mask
+    Returns (residual, parts): parts is a list of (S, coeff), S a mask,
+    meaning coeff * chain(S) was subtracted, by size descending and then mask
     ascending; the residual, a dict rank -> nonzero coefficient, has
     support inside {empty} + singletons.  Since chains have pairwise
     distinct top sets, one pass over subset sizes g..2 is exact
@@ -196,7 +188,7 @@ def chain_strip(terms, g: int):
     rem = {}
     levels = [set() for _ in range(g + 1)]
     for r, c in terms:
-        bits = _unrank_bits(g, r)
+        bits = subset_unrank(g, r)
         rem[bits] = c
         levels[bits.bit_count()].add(bits)
     parts = []
@@ -210,8 +202,8 @@ def chain_strip(terms, g: int):
             for x, d in ((0, -c), (bits ^ top, c), (top, c)):
                 rem[x] = rem.get(x, 0) + d
             levels[size - 1].add(bits ^ top)
-            parts.append((Subset(g, bits), c))
-    return {_rank_bits(g, bits): c for bits, c in rem.items() if c}, parts
+            parts.append((bits, c))
+    return {subset_rank(g, bits): c for bits, c in rem.items() if c}, parts
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +218,17 @@ class ReductionError(ValueError):
     """
 
 
-def degree_one_generator(I: Subset) -> MonomialRelation:
-    """Theta_I * Theta_{I^c} ~ tau."""
-    return MonomialRelation(ANTIWEYL, I.g, ((subset_rank(I), 1), (subset_rank(I.complement()), 1)), tau=-1)
+def degree_one_generator(I: int, g: int) -> MonomialRelation:
+    """Theta_I * Theta_{I^c} ~ tau, for the mask I at g."""
+    return MonomialRelation(ANTIWEYL, g, ((subset_rank(g, I), 1), (subset_rank(g, I ^ ((1 << g) - 1)), 1)), tau=-1)
 
 
-def chain_generator(S: Subset) -> MonomialRelation:
-    """The degree-two quadruple relation of the chain through S."""
-    if len(S) < 2:
+def chain_generator(S: int, g: int) -> MonomialRelation:
+    """The degree-two quadruple relation of the chain through the mask S at g."""
+    if S.bit_count() < 2:
         raise ValueError("chains need |S| >= 2")
-    g, top = S.g, 1 << (S.bits.bit_length() - 1)
-    terms = ((subset_rank(S), 1), (0, 1), (_rank_bits(g, S.bits ^ top), -1), (_rank_bits(g, top), -1))
+    top = 1 << (S.bit_length() - 1)
+    terms = ((subset_rank(g, S), 1), (0, 1), (subset_rank(g, S ^ top), -1), (subset_rank(g, top), -1))
     return MonomialRelation(ANTIWEYL, g, terms)
 
 
@@ -254,7 +246,7 @@ def _is_degree_two(rel: MonomialRelation) -> bool:
         return False
     pos, neg = [], []
     for r, e in rel.terms:
-        (pos if e > 0 else neg).extend([_unrank_bits(rel.g, r)] * abs(e))
+        (pos if e > 0 else neg).extend([subset_unrank(rel.g, r)] * abs(e))
     return admissible(*pos, *neg)
 
 
@@ -292,12 +284,12 @@ def reduce_to_low_degree(r: MonomialRelation, g: int) -> Certificate:
         raise ValueError("anti-Weyl relation required")
     if r.g != g:
         raise ValueError(f"dimension mismatch: relation has g={r.g}, not {g}")
-    head = ((degree_one_generator(Subset.empty(g)), -r.tau),) if r.tau else ()
+    head = ((degree_one_generator(0, g), -r.tau),) if r.tau else ()
     w = MonomialRelation(ANTIWEYL, g, (*r.terms, *((i, -c * e) for gen, c in head for i, e in gen.terms)))
     rem, chains = chain_strip(w.terms, g)
     if rem:
         raise ReductionError("relation is not generated in degree <= 2")
-    cert = Certificate(r, (*head, *((chain_generator(S), c) for S, c in chains)))
+    cert = Certificate(r, (*head, *((chain_generator(S, g), c) for S, c in chains)))
     if not cert.verify():
         raise ReductionError("certificate does not re-sum to the relation")
     return cert

@@ -1,7 +1,8 @@
 """Exact-matrix verification of sl2-triples inside the symplectic Lie algebra.
 
 The model: a symplectic space of dimension 2^g whose ordered basis is the
-subsets of {1,...,g} in SubsetOrder.  The vector x_I sits at position
+subsets of {1,...,g} in the canonical rank order (hyperoct.subset_rank), each
+index set a mask.  The vector x_I sits at position
 rank(I) for index sets with 1 not in I, and its pairing partner y_I sits at
 the mirrored position rank(I^c).  Root vectors E_{I,J} for the weights
 e_I + e_J are elementary raising matrices normalized so that the double
@@ -17,7 +18,7 @@ and normalization passes the same checks.
 """
 from fractions import Fraction
 
-from .hyperoct import Subset, submasks, subset_rank, tail_subsets
+from .hyperoct import submasks, subset_rank, subset_str
 from .record import Record, set_slot
 
 SL2_MAX_G = 8
@@ -99,43 +100,42 @@ def bracket(a: SymplecticMatrix, b: SymplecticMatrix) -> SymplecticMatrix:
     return a @ b - b @ a
 
 
-def root_vector(I: Subset, J: Subset, g: int) -> SymplecticMatrix:
-    """Root vector E_{I,J} for the weight e_I + e_J.
+def root_vector(I: int, J: int, g: int) -> SymplecticMatrix:
+    """Root vector E_{I,J} for the weight e_I + e_J, of two masks at g.
 
     Both index sets must avoid 1 (raising) or both contain 1 (lowering);
     the normalization makes [E, [E, conj(E)]] = 2E.
     """
-    if I.g != g or J.g != g:
+    if (I | J) >> g:
         raise ValueError(f"index sets must live in {{1,...,{g}}}")
-    hol_i, hol_j = 1 not in I, 1 not in J
-    if hol_i != hol_j:
+    if (I ^ J) & 1:
         raise ValueError(
-            f"non-root index pair: {I} and {J} disagree on membership of 1"
+            f"non-root index pair: {subset_str(I)} and {subset_str(J)} disagree on membership of 1"
         )
-    if not hol_i:
-        return conj(root_vector(I.complement(), J.complement(), g))
+    full = (1 << g) - 1
+    if I & 1:
+        return conj(root_vector(I ^ full, J ^ full, g))
     # the two positions coincide only when I = J, where the entry stays 1
     return SymplecticMatrix(g, {
-        (subset_rank(I), subset_rank(J.complement())): _ONE,
-        (subset_rank(J), subset_rank(I.complement())): _ONE,
+        (subset_rank(g, I), subset_rank(g, J ^ full)): _ONE,
+        (subset_rank(g, J), subset_rank(g, I ^ full)): _ONE,
     })
 
 
-def build_v(U: Subset) -> SymplecticMatrix:
-    """The nilpotent v_U: sum of E_{I, {2..g} minus I} over index sets I in U.
+def build_v(U: int, g: int) -> SymplecticMatrix:
+    """The nilpotent v_U of the mask U at g: sum of E_{I, {2..g} minus I}
+    over index sets I in U.
 
     The coefficient drops to 1/2 when U is all of {2,...,g}, where the sum
     visits every root vector twice.
     """
-    g = U.g
     if g < 2:
         raise ValueError("build_v needs g >= 2")
-    if 1 in U:
+    if U & 1:
         raise ValueError("expected an index set inside {2,...,g}")
-    tail = Subset.of(g, range(2, g + 1))
+    tail = (1 << g) - 2  # {2,...,g}
     total = SymplecticMatrix.zero(g)
-    for bits in submasks(U.bits):
-        I = Subset(g, bits)
+    for I in submasks(U):
         total = total + root_vector(I, tail ^ I, g)
     eps = Fraction(1, 2) if U == tail else Fraction(1)
     return total.scaled(eps)
@@ -146,7 +146,7 @@ def _nilpotents(g: int) -> list[SymplecticMatrix]:
     is its mask shifted right by one."""
     if g > SL2_MAX_G:
         raise ValueError(f"sl2-check supports g <= {SL2_MAX_G}, got {g}")
-    return [build_v(W) for W in tail_subsets(g)]
+    return [build_v(W, g) for W in range(0, 1 << g, 2)]
 
 
 def _report(v: SymplecticMatrix, nilpotents) -> dict:
@@ -161,8 +161,8 @@ def _report(v: SymplecticMatrix, nilpotents) -> dict:
     }
 
 
-def sl2_reports(g: int) -> list[tuple[Subset, dict]]:
-    """(U, report) for every U inside {2,...,g}: whether (v_U, vbar_U,
+def sl2_reports(g: int) -> list[tuple[int, dict]]:
+    """(U, report) for every mask U inside {2,...,g}: whether (v_U, vbar_U,
     [v_U, vbar_U]) is an sl2-triple, with vbar_U = conj(v_U).
 
     The report keys name the identity groups: all v's commute pairwise,
@@ -170,4 +170,4 @@ def sl2_reports(g: int) -> list[tuple[Subset, dict]]:
     reproduce twice the nilpotents.  Each nilpotent is built once.
     """
     nilpotents = _nilpotents(g)
-    return [(U, _report(v, nilpotents)) for U, v in zip(tail_subsets(g), nilpotents)]
+    return [(U, _report(v, nilpotents)) for U, v in zip(range(0, 1 << g, 2), nilpotents)]

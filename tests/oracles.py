@@ -24,8 +24,8 @@ from fractions import Fraction
 from cmlab import POHLMANN_HARD_BUDGET
 from cmlab.galois import GaloisGroup, orbit
 from cmlab.hodge import CycleIndex
-from cmlab.hyperoct import (SignedPerm, Subset, _act_bits, admissible, check_powerset_size, submasks, subset_rank,
-                            subset_unrank, tail_subsets)
+from cmlab.hyperoct import (SignedPerm, _act_bits, admissible, check_powerset_size, mask_of, members, submasks,
+                            subset_rank, subset_str, subset_unrank)
 from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right
 from cmlab.reciprocity import SIMPLE, kernel_N
 from cmlab.record import Record, set_slot
@@ -57,15 +57,15 @@ def rec_star_antiweyl(g: int) -> IntMatrix:
     if g < 2:
         raise ValueError(f"need g >= 2, got {g}")
     check_powerset_size(g)
-    cols = [subset_unrank(g, r).bits for r in range(1 << g)]
+    cols = [subset_unrank(g, r) for r in range(1 << g)]
     rows = [[0 if bits >> (j - 1) & 1 else 1 for bits in cols] for j in range(1, g + 1)]
     rows += [[1 if bits >> (j - 1) & 1 else 0 for bits in cols] for j in range(1, g + 1)]
     return IntMatrix.from_rows(rows, 1 << g)
 
 
 def admissible_quadruples(g: int):
-    """Yield (I, J, K, L) with I|J = K|L, I&J = K&L, deduplicated so that
-    rank(I) <= rank(J), rank(K) <= rank(L) and (I,J) < (K,L)."""
+    """Yield the masks (I, J, K, L) with I|J = K|L, I&J = K&L, deduplicated
+    so that rank(I) <= rank(J), rank(K) <= rank(L) and (I,J) < (K,L)."""
     for s_bits in range(1 << g):
         for t_bits in submasks(s_bits):
             d = s_bits ^ t_bits
@@ -74,25 +74,20 @@ def admissible_quadruples(g: int):
             pairs = set()
             for a in submasks(d):
                 i_bits, j_bits = t_bits | a, t_bits | (d ^ a)
-                ri, rj = subset_rank(Subset(g, i_bits)), subset_rank(Subset(g, j_bits))
+                ri, rj = subset_rank(g, i_bits), subset_rank(g, j_bits)
                 pairs.add((ri, rj, i_bits, j_bits) if ri <= rj else (rj, ri, j_bits, i_bits))
             ordered = sorted(pairs)
             for x in range(len(ordered)):
                 for y in range(x + 1, len(ordered)):
-                    yield (
-                        Subset(g, ordered[x][2]),
-                        Subset(g, ordered[x][3]),
-                        Subset(g, ordered[y][2]),
-                        Subset(g, ordered[y][3]),
-                    )
+                    yield (ordered[x][2], ordered[x][3], ordered[y][2], ordered[y][3])
 
 
-def quadruple_vector(I: Subset, J: Subset, K: Subset, L: Subset) -> list:
-    v = [0] * (1 << I.g)
-    v[subset_rank(I)] += 1
-    v[subset_rank(J)] += 1
-    v[subset_rank(K)] -= 1
-    v[subset_rank(L)] -= 1
+def quadruple_vector(I: int, J: int, K: int, L: int, g: int) -> list:
+    v = [0] * (1 << g)
+    v[subset_rank(g, I)] += 1
+    v[subset_rank(g, J)] += 1
+    v[subset_rank(g, K)] -= 1
+    v[subset_rank(g, L)] -= 1
     return v
 
 
@@ -104,7 +99,7 @@ def quad_lattice(g: int) -> IntLattice:
     basis: list = []
     batch: list = []
     for I, J, K, L in admissible_quadruples(g):
-        batch.append(quadruple_vector(I, J, K, L))
+        batch.append(quadruple_vector(I, J, K, L, g))
         if len(batch) >= 4 * n:
             basis = list(hnf(IntMatrix.from_rows(basis + batch, n)).entries)
             batch = []
@@ -112,12 +107,12 @@ def quad_lattice(g: int) -> IntLattice:
     return IntLattice(n, IntMatrix.from_rows(basis, n))
 
 
-def chain_quadruple(S: Subset) -> tuple:
-    """chain(S) as the admissible quadruple (S, empty, S-max, {max})."""
-    if len(S) < 2:
+def chain_quadruple(S: int) -> tuple:
+    """chain(S) as the admissible quadruple of masks (S, empty, S-max, {max})."""
+    if S.bit_count() < 2:
         raise ValueError("chains need |S| >= 2")
-    m = max(S.members())
-    return (S, Subset.empty(S.g), S ^ Subset.of(S.g, [m]), Subset.of(S.g, [m]))
+    top = 1 << (S.bit_length() - 1)
+    return (S, 0, S ^ top, top)
 
 
 def dense_chain_strip(vec, g: int):
@@ -130,13 +125,12 @@ def dense_chain_strip(vec, g: int):
         for bits in range(1 << g):
             if bits.bit_count() != size:
                 continue
-            S = Subset(g, bits)
-            c = rem[subset_rank(S)]
+            c = rem[subset_rank(g, bits)]
             if not c:
                 continue
-            for i, q in enumerate(quadruple_vector(*chain_quadruple(S))):
+            for i, q in enumerate(quadruple_vector(*chain_quadruple(bits), g)):
                 rem[i] -= c * q
-            parts.append((S, c))
+            parts.append((bits, c))
     return rem, parts
 
 
@@ -153,7 +147,7 @@ def bp_multisets(g: int, p: int, n: int) -> list[CycleIndex]:
     if p < 0 or n < 1:
         raise ValueError("need p >= 0 and n >= 1")
     # slot k of the n copies is the index set of rank k mod 2^g
-    masks = [subset_unrank(g, r).bits for r in range(1 << g)] * n
+    masks = [subset_unrank(g, r) for r in range(1 << g)] * n
     out: list[CycleIndex] = []
     nodes = 0
     # depth-first over (next slot, chosen slots, cover count per point),
@@ -180,7 +174,7 @@ def bp_multisets(g: int, p: int, n: int) -> list[CycleIndex]:
 
 
 def b2_quadruples(g: int, n: int) -> list[tuple]:
-    """Admissible quadruples (I, J, K, L, copies) over {2,...,g} with the
+    """Admissible quadruples of masks (I, J, K, L, copies) over {2,...,g} with the
     canonical slot ordering: rank(I),copy <= rank(J),copy on the left,
     rank(K^c),copy <= rank(L^c),copy on the right, all four wedge slots
     distinct."""
@@ -189,8 +183,9 @@ def b2_quadruples(g: int, n: int) -> list[tuple]:
     if n < 1:
         raise ValueError("need n >= 1")
     by_sig: dict = {}
-    for I, J in itertools.combinations_with_replacement(tail_subsets(g), 2):
-        by_sig.setdefault(((I | J).bits, (I & J).bits), []).append((I, J))
+    full = (1 << g) - 1
+    for I, J in itertools.combinations_with_replacement(range(0, 1 << g, 2), 2):
+        by_sig.setdefault((I | J, I & J), []).append((I, J))
     out = []
     work = 0
     for pairs in by_sig.values():
@@ -198,18 +193,18 @@ def b2_quadruples(g: int, n: int) -> list[tuple]:
         if work > POHLMANN_HARD_BUDGET:
             raise ValueError("enumeration budget exceeded")
         for I, J in pairs:
-            ri, rj = subset_rank(I), subset_rank(J)
+            ri, rj = subset_rank(g, I), subset_rank(g, J)
             for A, B in pairs:
-                K, L = (A, B) if subset_rank(A.complement()) <= subset_rank(B.complement()) else (B, A)
-                rk, rl = subset_rank(K.complement()), subset_rank(L.complement())
+                K, L = (A, B) if subset_rank(g, A ^ full) <= subset_rank(g, B ^ full) else (B, A)
+                rk, rl = subset_rank(g, K ^ full), subset_rank(g, L ^ full)
                 for copies in itertools.product(range(1, n + 1), repeat=4):
                     if (ri, copies[0]) >= (rj, copies[1]):
                         continue
                     if (rk, copies[2]) >= (rl, copies[3]):
                         continue
                     out.append((I, J, K, L, copies))
-    out.sort(key=lambda q: ((subset_rank(q[0]), q[4][0]), (subset_rank(q[1]), q[4][1]),
-                            (subset_rank(q[2].complement()), q[4][2]), (subset_rank(q[3].complement()), q[4][3])))
+    out.sort(key=lambda q: ((subset_rank(g, q[0]), q[4][0]), (subset_rank(g, q[1]), q[4][1]),
+                            (subset_rank(g, q[2] ^ full), q[4][2]), (subset_rank(g, q[3] ^ full), q[4][3])))
     return out
 
 
@@ -248,7 +243,7 @@ def balance_dichotomy(g: int) -> tuple[int, int]:
             # a digit reaches 3 or 4 iff adding one more pushes it to >= 4
             broken = not (total + ones) & high
         if broken:
-            quad = ", ".join(str(Subset(g, bits)) for bits in (i, j, k, l))
+            quad = ", ".join(map(subset_str, (i, j, k, l)))
             raise AssertionError(f"balance lemma fails at quadruple ({quad})")
     return n_adm, n_bad
 
@@ -278,11 +273,12 @@ def inverse(a: SignedPerm) -> SignedPerm:
     return SignedPerm(a.g, bits, tuple(inv))
 
 
-def act_subset(t: SignedPerm, I: Subset) -> Subset:
-    """Left action on CM-type indices: t.I = flips xor beta(I)."""
-    if t.g != I.g:
-        raise ValueError(f"dimension mismatch: g={t.g} vs g={I.g}")
-    return Subset(t.g, _act_bits(t, I.bits))
+def act_subset(t: SignedPerm, I: int) -> int:
+    """Left action on CM-type indices: t.I = flips xor beta(I), the elements
+    of the mask I mapped one at a time."""
+    if I >> t.g:
+        raise ValueError(f"dimension mismatch: index set {subset_str(I)} lies outside 1..{t.g}")
+    return t.flips ^ mask_of(t.g, [t.perm[j - 1] for j in members(I)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,13 +290,11 @@ def weyl_elements(g: int) -> tuple:
 
 
 def quadruple_support(q, G: GaloisGroup) -> frozenset:
-    """All Galois translates of the wedge-slot pairs of (I, J, K, L): the
+    """All Galois translates of the wedge-slot pairs of the masks (I, J, K, L): the
     left block {t.I, t.J} and the right block {t.K^c, t.L^c}, as an
     ordered pair of unordered blocks; the orbit of the block pair under the
     generators of G."""
-    g = G.g
-    if any(X.g != g for X in q):
-        raise ValueError(f"dimension mismatch: the group acts at g={g}")
+    g, full = G.g, (1 << G.g) - 1
     I, J, K, L = q
 
     def normal(a, b, c, d):
@@ -308,13 +302,9 @@ def quadruple_support(q, G: GaloisGroup) -> frozenset:
 
     # each generator acts through its table of images of the 2^g masks
     tables = [[_act_bits(t, bits) for bits in range(1 << g)] for t in G.gens]
-    seed = normal(I.bits, J.bits, K.complement().bits, L.complement().bits)
+    seed = normal(I, J, K ^ full, L ^ full)
     blocks = orbit(tables, seed, lambda t, x: normal(t[x[0]], t[x[1]], t[x[2]], t[x[3]]))
-    subsets = [Subset(g, bits) for bits in range(1 << g)]
-    return frozenset(
-        (frozenset({subsets[a], subsets[b]}), frozenset({subsets[c], subsets[d]}))
-        for a, b, c, d in blocks
-    )
+    return frozenset((frozenset({a, b}), frozenset({c, d})) for a, b, c, d in blocks)
 
 
 class EmbeddingLabel(Record):
@@ -336,12 +326,12 @@ def act_embedding(t, x: EmbeddingLabel) -> EmbeddingLabel:
     return EmbeddingLabel(j, x.bar ^ bool(t.flips >> (j - 1) & 1))
 
 
-def decode_cm_type(I: Subset, spec) -> frozenset:
-    """The CM type indexed by I: {phi_j : j not in I} + {phibar_j : j in I}."""
-    return frozenset(EmbeddingLabel(j, bar=(j in I)) for j in range(1, spec.g + 1))
+def decode_cm_type(I: int, spec) -> frozenset:
+    """The CM type indexed by the mask I: {phi_j : j not in I} + {phibar_j : j in I}."""
+    return frozenset(EmbeddingLabel(j, bar=bool(I >> (j - 1) & 1)) for j in range(1, spec.g + 1))
 
 
-def encode_cm_type(labels, spec) -> Subset:
+def encode_cm_type(labels, spec) -> int:
     """Inverse of decode_cm_type; rejects non-transversal label sets."""
     labels = set(labels)
     if len(labels) != spec.g:
@@ -354,7 +344,7 @@ def encode_cm_type(labels, spec) -> Subset:
             raise ValueError(f"labels contain a conjugate pair at index {x.index}")
         if x.bar:
             bits |= 1 << (x.index - 1)
-    return Subset(spec.g, bits)
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +354,9 @@ def encode_cm_type(labels, spec) -> Subset:
 
 
 def subset_cycle(g: int, entries) -> CycleIndex:
-    """The cycle on the anti-Weyl variety at g of (index set, copy) pairs, in any order."""
+    """The cycle on the anti-Weyl variety at g of (mask, copy) pairs, in any order."""
     base = 1 << g
-    return CycleIndex(base, tuple(sorted((copy - 1) * base + subset_rank(I) for I, copy in entries)))
+    return CycleIndex(base, tuple(sorted((copy - 1) * base + subset_rank(g, I) for I, copy in entries)))
 
 
 def label_cycle(g: int, entries) -> CycleIndex:
@@ -376,7 +366,7 @@ def label_cycle(g: int, entries) -> CycleIndex:
 
 
 def slot_entries(c: CycleIndex, g: int, labels: bool = False) -> tuple:
-    """The (index set, copy) pairs of a cycle on the anti-Weyl variety at g,
+    """The (mask, copy) pairs of a cycle on the anti-Weyl variety at g,
     or with labels its (EmbeddingLabel, copy) pairs on a CM pair of genus g."""
     base = 2 * g if labels else 1 << g
     if c.base != base:
@@ -479,25 +469,26 @@ def in_lie_algebra(m: SymplecticMatrix) -> bool:
 def torus_element(coeffs, g: int) -> SymplecticMatrix:
     """Diagonal torus element with value c_I on x_I and -c_I on y_I.
 
-    `coeffs` maps index sets inside {2,...,g} to rational values; missing
-    sets default to zero.
+    `coeffs` maps the masks of index sets inside {2,...,g} to rational
+    values; missing sets default to zero.
     """
     diag = {}
     for I, c in coeffs.items():
-        if I.g != g or 1 in I:
+        if I & 1 or I >> g:
             raise ValueError("torus coefficients are indexed by subsets of {2,...,g}")
-        diag[subset_rank(I), subset_rank(I)] = Fraction(c)
-        diag[subset_rank(I.complement()), subset_rank(I.complement())] = -Fraction(c)
+        x, y = subset_rank(g, I), subset_rank(g, I ^ ((1 << g) - 1))
+        diag[x, x] = Fraction(c)
+        diag[y, y] = -Fraction(c)
     return SymplecticMatrix(g, diag)
 
 
-def check_sl2(U: Subset, g: int, scale=1) -> dict:
-    """The sl2 report of v_U with every nilpotent scaled by `scale`, a
-    negative control: values other than +1 or -1 must break the triple
-    identities."""
-    if U.g != g:
-        raise ValueError(f"index set lives at g={U.g}, not {g}")
-    if 1 in U:
+def check_sl2(U: int, g: int, scale=1) -> dict:
+    """The sl2 report of v_U, U a mask at g, with every nilpotent scaled by
+    `scale`, a negative control: values other than +1 or -1 must break the
+    triple identities."""
+    if U >> g:
+        raise ValueError(f"index set {subset_str(U)} lies outside 1..{g}")
+    if U & 1:
         raise ValueError("expected an index set inside {2,...,g}")
     nilpotents = [v.scaled(scale) for v in _nilpotents(g)]
-    return _report(nilpotents[U.bits >> 1], nilpotents)
+    return _report(nilpotents[U >> 1], nilpotents)

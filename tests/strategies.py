@@ -3,11 +3,12 @@ from hypothesis import strategies as st
 
 from cmlab.cmtypes import CMPairSpec
 from cmlab.galois import from_generators
-from cmlab.hyperoct import SignedPerm, Subset
+from cmlab.hyperoct import SignedPerm
 
 
 def subsets(g: int):
-    return st.integers(0, (1 << g) - 1).map(lambda bits: Subset(g, bits))
+    """The masks of the subsets of {1,...,g}."""
+    return st.integers(0, (1 << g) - 1)
 
 
 def signed_perms(g: int):

@@ -19,7 +19,7 @@ from cmlab.cmtypes import (
     translate_masks,
 )
 from cmlab.galois import from_cyclic_translation, from_generators
-from cmlab.hyperoct import SignedPerm, Subset, subset_rank, subset_unrank, tail_subsets
+from cmlab.hyperoct import SignedPerm, mask_of, members, subset_rank, subset_unrank
 from oracles import EmbeddingLabel, act_embedding, act_subset, decode_cm_type, encode_cm_type
 from strategies import cm_pair_specs, signed_perms, subsets
 
@@ -55,36 +55,29 @@ def mu19():
 
 class TestSubsetOrder:
     def test_g2_order(self):
-        ranked = [subset_unrank(2, r).members() for r in range(4)]
+        ranked = [members(subset_unrank(2, r)) for r in range(4)]
         assert ranked == [(), (2,), (1,), (1, 2)]
 
     def test_rank_unrank_bijection(self):
         for g in range(1, 9):
-            assert sorted(subset_rank(subset_unrank(g, r)) for r in range(1 << g)) == list(
-                range(1 << g)
-            )
+            assert sorted(subset_unrank(g, r) for r in range(1 << g)) == list(range(1 << g))
             for r in range(1 << g):
-                assert subset_rank(subset_unrank(g, r)) == r
+                assert subset_rank(g, subset_unrank(g, r)) == r
 
     def test_ordering_constraints_exhaustive(self):
         for g in range(1, 9):
-            for bits in range(1 << g):
-                I = Subset(g, bits)
+            for I in range(1 << g):
                 # complement-reversal: rank(I) + rank(I^c) = 2^g - 1
-                assert subset_rank(I) + subset_rank(I.complement()) == (1 << g) - 1
-                if 1 not in I:
-                    assert subset_rank(I) < (1 << (g - 1))
+                assert subset_rank(g, I) + subset_rank(g, I ^ ((1 << g) - 1)) == (1 << g) - 1
+                if not I & 1:
+                    assert subset_rank(g, I) < (1 << (g - 1))
                 else:
-                    assert subset_rank(I) >= (1 << (g - 1))
-
-    def test_unrank_out_of_range(self):
-        with pytest.raises(ValueError):
-            subset_unrank(3, 8)
+                    assert subset_rank(g, I) >= (1 << (g - 1))
 
     def test_tail_subsets_are_the_first_half_of_the_order(self):
+        # the subsets of {2,...,g} are the even masks, ranked by mask
         for g in range(1, 9):
-            assert tail_subsets(g) == [subset_unrank(g, r) for r in range(1 << (g - 1))]
-            assert all(1 not in I for I in tail_subsets(g))
+            assert list(range(0, 1 << g, 2)) == [subset_unrank(g, r) for r in range(1 << (g - 1))]
 
 
 def whole_group_orbits(G):
@@ -94,23 +87,22 @@ def whole_group_orbits(G):
     for r in range(1 << G.g):
         seed = subset_unrank(G.g, r)
         if seed not in seen:
-            members = {act_subset(t, seed) for t in G.elements}
-            seen |= members
-            orbits.append(sorted(members, key=subset_rank))
+            images = {act_subset(t, seed) for t in G.elements}
+            seen |= images
+            orbits.append(sorted(images, key=lambda I: subset_rank(G.g, I)))
     return orbits
 
 
 class TestOrbitDecomposition:
     def test_mu19_first_orbit_is_table(self, mu19):
         orbits = orbit_decomposition(mu19.group)
-        first = {I.members() for I in orbits[0]}
+        first = {members(I) for I in orbits[0]}
         assert first == {tuple(sorted(v)) for v in MU19_ORBIT_TABLE.values()}
         # and the table itself: [a], the a-th element of the closure, acts
         # on the empty set to give I([a]), as the walk of [1] does
-        empty = Subset.empty(9)
         for a, expect in MU19_ORBIT_TABLE.items():
-            assert set(act_subset(mu19.group.elements[a], empty).members()) == expect
-        assert {a: set(I.members()) for a, I in enumerate(labeled_translates(mu19, empty))} == MU19_ORBIT_TABLE
+            assert set(members(act_subset(mu19.group.elements[a], 0))) == expect
+        assert {a: set(members(I)) for a, I in enumerate(labeled_translates(mu19, 0))} == MU19_ORBIT_TABLE
 
     def test_mu19_orbit_census(self, mu19):
         orbits = orbit_decomposition(mu19.group)
@@ -121,15 +113,15 @@ class TestOrbitDecomposition:
 
     def test_partition_property(self, mu19):
         orbits = orbit_decomposition(mu19.group)
-        seen = [I.bits for o in orbits for I in o]
+        seen = [I for o in orbits for I in o]
         assert sorted(seen) == list(range(512))
 
     def test_orbits_sorted_and_keyed(self, mu19):
         orbits = orbit_decomposition(mu19.group)
         for o in orbits:
-            ranks = [subset_rank(I) for I in o]
+            ranks = [subset_rank(9, I) for I in o]
             assert ranks == sorted(ranks)
-        keys = [subset_rank(o[0]) for o in orbits[1:]]
+        keys = [subset_rank(9, o[0]) for o in orbits[1:]]
         assert keys == sorted(keys)
 
     @given(cm_pair_specs())
@@ -140,8 +132,8 @@ class TestOrbitDecomposition:
         # the reflex walk gives the first orbit, the orbit of the empty set,
         # and its masks avoiding 1 are already in rank order
         masks = translate_masks(spec.group)
-        assert masks == sorted(I.bits for I in orbits[0])
-        assert [Subset(spec.g, m) for m in masks if not m & 1] == [I for I in orbits[0] if 1 not in I]
+        assert masks == sorted(orbits[0])
+        assert [m for m in masks if not m & 1] == [I for I in orbits[0] if not I & 1]
 
     @given(cm_pair_specs())
     @settings(max_examples=40, deadline=None)
@@ -150,10 +142,10 @@ class TestOrbitDecomposition:
         # complement, so exactly half of it avoids 1 (its CM type), and the
         # degrees sum to 2^g
         orbits = orbit_decomposition(spec.group)
+        full = (1 << spec.g) - 1
         for o in orbits:
-            members = {I.bits for I in o}
-            assert {I.complement().bits for I in o} == members
-            assert 2 * sum(1 not in I for I in o) == len(o)
+            assert {I ^ full for I in o} == set(o)
+            assert 2 * sum(not I & 1 for I in o) == len(o)
         assert sum(map(len, orbits)) == 1 << spec.g
 
     def test_weyl_g3_single_orbit(self):
@@ -163,9 +155,9 @@ class TestOrbitDecomposition:
 
     def test_L_not_in_first_orbit(self, mu19):
         orbits = orbit_decomposition(mu19.group)
-        L = Subset.of(9, [5, 6])
-        assert L.bits not in {I.bits for I in orbits[0]}
-        (orbL,) = [o for o in orbits if L.bits in {I.bits for I in o}]
+        L = mask_of(9, [5, 6])
+        assert L not in orbits[0]
+        (orbL,) = [o for o in orbits if L in o]
         assert len(orbL) == 18
 
 
@@ -175,18 +167,18 @@ class TestReflexAndCompagnons:
 
     def test_reflex_cm_type_half_orbit(self, mu19):
         masks = translate_masks(mu19.group)
-        cm_type = [Subset(9, m) for m in masks if not m & 1]
+        cm_type = [m for m in masks if not m & 1]
         assert len(masks) == 18 and len(cm_type) == 9
-        ranks = [subset_rank(I) for I in cm_type]
+        ranks = [subset_rank(9, I) for I in cm_type]
         assert ranks == sorted(ranks)
         assert masks[0] == 0
 
     def test_compagnon_L(self, mu19):
-        L = Subset.of(9, [5, 6])
+        L = mask_of(9, [5, 6])
         assert compagnon_labels(mu19, L) == [5, 7, 8, 9, 10, 11, 12, 13, 15]
 
     def test_compagnon_Lprime(self, mu19):
-        Lp = Subset.of(9, [4, 6, 7])
+        Lp = mask_of(9, [4, 6, 7])
         assert compagnon_labels(mu19, Lp) == [4, 6, 7, 8, 9, 10, 11, 12, 14]
 
     def test_unlabeled_group_messages(self):
@@ -195,23 +187,22 @@ class TestReflexAndCompagnons:
             reflex_labels(spec)
         assert str(err.value) == "reflex labels need a labeled (cyclic) group"
         with pytest.raises(ValueError) as err:
-            compagnon_labels(spec, Subset.empty(2))
+            compagnon_labels(spec, 0)
         assert str(err.value) == "compagnon labels need a labeled (cyclic) group"
 
     def test_census(self, mu19):
         orbits = orbit_decomposition(mu19.group)
-        cm_types = [[I for I in o if 1 not in I] for o in orbits]
+        cm_types = [[I for I in o if not I & 1] for o in orbits]
         assert sum(map(len, orbits)) == 512
         assert sum(map(len, cm_types)) == 256
         for o, cm_type in zip(orbits, cm_types):
             assert len(cm_type) * 2 == len(o)
-            members = {I.bits for I in o}
-            assert {I.complement().bits for I in o} == members
+            assert {I ^ 511 for I in o} == set(o)
 
     def test_weyl_reflex_all_subsets_without_1(self):
         masks = translate_masks(CMPairSpec.weyl(3).group)
         assert len(masks) == 8
-        assert {Subset(3, m).members() for m in masks if not m & 1} == {(), (2,), (3,), (2, 3)}
+        assert {members(m) for m in masks if not m & 1} == {(), (2,), (3,), (2, 3)}
 
     def test_g1_reflex(self):
         G = from_generators(1, [SignedPerm.make(1, [1])])
@@ -224,7 +215,7 @@ class TestReflexAndCompagnons:
         rng = random.Random(60)
         G = from_cyclic_translation(60, [a + 30 * rng.randrange(2) for a in range(30)])
         assert G.g == 30 and len(G.elements) == 60
-        images = {act_subset(t, Subset.empty(30)).bits for t in G.elements}
+        images = {act_subset(t, 0) for t in G.elements}
         assert translate_masks(G) == sorted(images)
 
 
@@ -282,15 +273,15 @@ class TestLabelNames:
 
 class TestDecodeEncode:
     def test_empty_is_base_type(self, mu19):
-        labels = decode_cm_type(Subset.empty(9), mu19)
+        labels = decode_cm_type(0, mu19)
         assert labels == frozenset(EmbeddingLabel(j) for j in range(1, 10))
 
     def test_full_is_conjugate_type(self, mu19):
-        labels = decode_cm_type(Subset(9, (1 << 9) - 1), mu19)
+        labels = decode_cm_type((1 << 9) - 1, mu19)
         assert labels == frozenset(EmbeddingLabel(j, bar=True) for j in range(1, 10))
 
     def test_mu19_translate_display(self, mu19):
-        I2 = Subset.of(9, MU19_ORBIT_TABLE[2])
+        I2 = mask_of(9, MU19_ORBIT_TABLE[2])
         residues = {int(mu19.label_name(x.index, x.bar)) for x in decode_cm_type(I2, mu19)}
         assert residues == {2, 3, 4, 6, 7, 10, 14, 17, 0}
 
@@ -309,8 +300,7 @@ class TestDecodeEncode:
     @given(st.integers(0, 511))
     def test_round_trip(self, bits):
         spec = CMPairSpec.from_cyclic(18, MU19_PHI_STAR)
-        I = Subset(9, bits)
-        assert encode_cm_type(decode_cm_type(I, spec), spec) == I
+        assert encode_cm_type(decode_cm_type(bits, spec), spec) == bits
 
 
 def test_action_compatible_with_decoding():
@@ -318,7 +308,6 @@ def test_action_compatible_with_decoding():
     for g in (2, 3):
         spec = CMPairSpec.weyl(g)
         for t in spec.group.elements:
-            for bits in range(1 << g):
-                I = Subset(g, bits)
+            for I in range(1 << g):
                 moved = {act_embedding(t, x) for x in decode_cm_type(I, spec)}
                 assert encode_cm_type(moved, spec) == act_subset(t, I)

@@ -125,6 +125,13 @@ class TestCyclicTranslation:
         with pytest.raises(ValueError, match="wrong transversal size"):
             from_cyclic_translation(18, [0, 2])
 
+    def test_repeated_residue_is_named(self):
+        # the count is right, so the message names the repeat, not the size
+        with pytest.raises(ValueError, match="^residue 0 repeats mod 4: not a transversal$"):
+            from_cyclic_translation(4, [0, 4])
+        with pytest.raises(ValueError, match="wrong transversal size: need 3 distinct residues, got 2"):
+            from_cyclic_translation(6, [1, 1])
+
     def test_conjugate_pair_rejected(self):
         with pytest.raises(ValueError, match="not a transversal"):
             from_cyclic_translation(4, [0, 2])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlab.hyperoct import SignedPerm, Subset, _act_bits, submasks
+from cmlab.hyperoct import SignedPerm, _act_bits, mask_of, members, submasks, subset_str
 from oracles import EmbeddingLabel, act_embedding, act_subset, compose, inverse, weyl_elements
 from strategies import dims, signed_perms, subsets
 
@@ -67,12 +67,12 @@ class TestInverse:
 
 class TestActSubset:
     def test_identity(self):
-        I = Subset.of(5, [2, 4])
+        I = mask_of(5, [2, 4])
         assert act_subset(SignedPerm.make(5), I) == I
 
     def test_rho_complements(self):
-        I = Subset.of(9, [2, 5])
-        assert act_subset(SignedPerm.make(9, range(1, 10)), I) == Subset.of(9, [1, 3, 4, 6, 7, 8, 9])
+        I = mask_of(9, [2, 5])
+        assert act_subset(SignedPerm.make(9, range(1, 10)), I) == mask_of(9, [1, 3, 4, 6, 7, 8, 9])
 
     @settings(max_examples=200)
     @given(dims().flatmap(lambda g: st.tuples(signed_perms(g), signed_perms(g), subsets(g))))
@@ -86,24 +86,25 @@ class TestActSubset:
         t, I = tI
         rho = SignedPerm.make(t.g, range(1, t.g + 1))
         assert compose(rho, t) == compose(t, rho)
-        assert act_subset(rho, I) == I.complement()
+        assert act_subset(rho, I) == I ^ ((1 << t.g) - 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            act_subset(SignedPerm.make(2), Subset.empty(3))
+            act_subset(SignedPerm.make(2), mask_of(3, [3]))
 
 
 class TestIntegerAction:
     def test_matches_act_subset_on_the_full_group(self):
-        # the reference maps each member j to beta(j) and flips through
-        # Subset operations, independently of both
+        # the reference maps each member j to beta(j) and flips through set
+        # operations, independently of both
         for g in (1, 2, 3, 4):
             for t in weyl_elements(g):
                 for bits in range(1 << g):
-                    I = Subset(g, bits)
-                    want = Subset(g, t.flips) ^ Subset.of(g, [t.perm[j - 1] for j in I.members()])
-                    assert act_subset(t, I) == want
-                    assert _act_bits(t, bits) == want.bits
+                    image = {t.perm[j - 1] for j in range(1, g + 1) if bits >> (j - 1) & 1}
+                    flips = {j for j in range(1, g + 1) if t.flips >> (j - 1) & 1}
+                    want = sum(1 << (j - 1) for j in image ^ flips)
+                    assert act_subset(t, bits) == want
+                    assert _act_bits(t, bits) == want
 
 
 class TestActEmbedding:
@@ -136,25 +137,35 @@ class TestActEmbedding:
 
 
 class TestSubset:
-    def test_double_complement(self):
-        I = Subset.of(6, [1, 5])
-        assert I.complement().complement() == I
-
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            Subset.of(3, [4])
+        with pytest.raises(ValueError, match="^element 4 outside 1..3$"):
+            mask_of(3, [4])
+        with pytest.raises(ValueError, match="^element 0 outside 1..3$"):
+            mask_of(3, [0])
+
+    def test_repeated_element(self):
+        with pytest.raises(ValueError, match="^element 2 repeats$"):
+            mask_of(3, [2, 3, 2])
+        with pytest.raises(ValueError, match="^element 1 repeats$"):
+            SignedPerm.make(3, [1, 1])
+
+    def test_members_round_trip(self):
+        for bits in range(1 << 6):
+            assert mask_of(6, members(bits)) == bits
+            assert list(members(bits)) == sorted(members(bits))
+        assert members(mask_of(5, [4, 1])) == (1, 4)
 
     def test_no_bound_on_g(self):
         # only the command line bounds the g of its input
-        assert len(Subset.empty(25).complement()) == 25
-        I = Subset.of(30, [1, 30])
+        assert members(mask_of(25, range(1, 26))) == tuple(range(1, 26))
+        I = mask_of(30, [1, 30])
         t = SignedPerm.make(30, [2, 30], [*range(2, 31), 1])
-        assert act_subset(t, I) == Subset.of(30, [2, 30]) ^ Subset.of(30, [1, 2])
+        assert act_subset(t, I) == mask_of(30, [2, 30]) ^ mask_of(30, [1, 2])
         assert compose(t, inverse(t)) == SignedPerm.make(30)
 
     def test_str(self):
-        assert str(Subset.of(4, [3, 1])) == "{1,3}"
-        assert str(Subset.empty(4)) == "{}"
+        assert subset_str(mask_of(4, [3, 1])) == "{1,3}"
+        assert subset_str(0) == "{}"
 
 
 class TestSubmasks:

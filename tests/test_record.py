@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cmlab.cmtypes import CMPairSpec
 from cmlab.galois import GaloisGroup, from_cyclic_translation, from_generators, weyl_full
 from cmlab.hodge import CycleIndex, pohlmann_basis
-from cmlab.hyperoct import SignedPerm, Subset
+from cmlab.hyperoct import SignedPerm
 from cmlab.intlattice import IntLattice, IntMatrix
 from cmlab.reciprocity import ANTIWEYL, SIMPLE, Certificate, MonomialRelation, chain_generator, reduce_to_low_degree
 from cmlab.sl2check import SymplecticMatrix
@@ -29,10 +29,6 @@ def _spec(recipe):
 
 def _small_g(lo=1, hi=3):
     return st.integers(lo, hi)
-
-
-def _subset_args():
-    return _small_g().flatmap(lambda g: st.tuples(st.just(g), st.integers(0, (1 << g) - 1)))
 
 
 def _signed_perm_args():
@@ -63,19 +59,18 @@ def _symplectic_args():
 
 
 def _chain_args():
-    tops = [(g, bits) for g in (2, 3) for bits in range(1 << g) if bits.bit_count() >= 2]
+    tops = [(bits, g) for g in (2, 3) for bits in range(1 << g) if bits.bit_count() >= 2]
     return st.tuples(st.sampled_from(tops), st.sampled_from([-2, 1, 3]))
 
 
 def _certificate(top, c):
-    gen = chain_generator(Subset(*top))
+    gen = chain_generator(*top)
     return reduce_to_low_degree(MonomialRelation(ANTIWEYL, gen.g, ((i, c * e) for i, e in gen.terms)), gen.g)
 
 
 # (record type, its fields in order, a strategy of constructor arguments,
 # the constructor from those arguments)
 RECORDS = [
-    (Subset, ("g", "bits"), _subset_args(), lambda a: Subset(*a)),
     (EmbeddingLabel, ("index", "bar"), st.tuples(st.integers(1, 3), st.booleans()),
      lambda a: EmbeddingLabel(*a)),
     (SignedPerm, ("g", "flips", "perm"), _signed_perm_args(),
@@ -136,18 +131,17 @@ def test_fields_cannot_be_set_or_deleted(cls, fields, args, build, data):
 
 
 def test_repr_matches_the_earlier_field_form():
-    assert repr(Subset(3, 5)) == "Subset(g=3, bits=5)"
+    assert repr(CycleIndex(4, (0, 3))) == "CycleIndex(base=4, slots=(0, 3))"
     assert repr(SignedPerm.make(2, [1], [2, 1])) == "SignedPerm(g=2, flips=1, perm=(2, 1))"
     assert repr(EmbeddingLabel(2)) == "EmbeddingLabel(index=2, bar=False)"
 
 
 def test_hot_records_have_no_instance_dict():
-    for x in (Subset(2, 1), SignedPerm.make(2, [1], [2, 1]), weyl_full(2).elements[5]):
+    for x in (CycleIndex(4, (0, 3)), SignedPerm.make(2, [1], [2, 1]), weyl_full(2).elements[5]):
         assert not hasattr(x, "__dict__")
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Subset(3, 8), "subset mask 0x8 has elements outside 1..3"),
     (lambda: SignedPerm(2, 4, (1, 2)), "flips mask 0x4 has indices outside 1..2"),
     (lambda: SignedPerm(2, 0, (1, 1)), "perm (1, 1) is not a bijection of 1..2"),
     (lambda: from_generators(2, [SignedPerm.make(2)]), "conjugation not in group"),

@@ -8,6 +8,7 @@ import pytest
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "cmlab").glob("*.py"))
 ORACLES = pathlib.Path(__file__).parent / "oracles.py"
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", [*SOURCES, ORACLES], ids=lambda p: p.name)
@@ -38,19 +39,25 @@ def test_no_dataclasses_or_typing_imports(path):
     assert not banned, f"{path.name} imports {banned}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*SOURCES, *TESTS], ids=lambda p: p.name)
 def test_functions_and_classes_are_imported_from_their_defining_module(path):
     # a name imported through a module that merely re-imports it hides the
-    # module that defines it, and makes the importer load both
+    # module that defines it, and makes the importer load both; the package
+    # imports its own modules relatively, the tests by absolute cmlab names
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(".".join(filter(None, ("cmlab", node.module))))
-            for alias in node.names:
-                obj = getattr(module, alias.name)
-                if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ != module.__name__:
-                    found.append((node.lineno, alias.name, module.__name__, obj.__module__))
+            name = ".".join(filter(None, ("cmlab", node.module)))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "cmlab":
+            name = node.module
+        else:
+            continue
+        module = importlib.import_module(name)
+        for alias in node.names:
+            obj = getattr(module, alias.name)
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ != module.__name__:
+                found.append((node.lineno, alias.name, module.__name__, obj.__module__))
     assert not found, f"{path.name} re-imports (line, name, via, defined in): {found}"
 
 
