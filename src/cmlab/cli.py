@@ -6,29 +6,26 @@ a message naming the violated precondition, 2 on a usage error.  Output is
 byte-for-byte deterministic for fixed inputs; no network access and no
 environment-variable configuration.
 
-This module holds the command table, the option table and parser built
-from it, the JSON input readers and main.  A row of _COMMANDS gives a
-command's handler, its description and what it reads; _options gives the
-options of a row, and build_parser makes one subcommand per row with those
-options.  A plain command line (a command, then each of its options once
-as `--flag value`, every value valid) is read from the same tables by
-_plain_args, without argparse; argparse is imported and the parser built
-only for any other line: help, usage errors and the spellings that a plain
-line does not use, such as `--flag=value` or an abbreviated flag.  A job
-is mostly start-up: the interpreter and `site` take about 60 ms, and
-compiling cmlab's source about 17 ms when no bytecode is cached (2-vCPU
-VM).  main reads and checks a command's input once, in _read, and hands it
-to the handler with the parsed arguments.  The handlers live in one small
-module per family of commands (cli_pairs, cli_relations, cli_hodge, cli_sl2,
-cli_mu19); main imports only the module of the command it runs, and a
-handler imports the solvers it uses and renders only the chosen --format.
-So a command compiles and loads only its own part of the package, and
-building the parser loads none of it: reduce
-and relations --weyl-full load reciprocity, hyperoct and record;
-hodge-basis --weyl-full and support load hodge, hyperoct and record, never
-the group, lattice or relation code; sl2-check loads sl2check, hyperoct and
-record.  A CM pair, read from --input or built by example-mu19, adds
-cmtypes and galois.
+This module holds the command table, the option table, the one reader of
+the command line, the JSON input readers and main.  A row of _COMMANDS
+gives a command's handler, its description and what it reads; build_parser
+gives the options of each row.  parse_args reads each line from those
+tables, and prints its help and usage errors from them too, laid out at a
+fixed 80 columns: the bytes are the same at any terminal width and on any
+Python version, and no line imports argparse (with gettext and locale) or
+textwrap.  A job is mostly start-up: the interpreter and `site` take about
+60 ms, and compiling cmlab's source about 17 ms when no bytecode is cached
+(2-vCPU VM).  main reads and checks a command's input once, in _read, and
+hands it to the handler with the parsed arguments.  The handlers live in
+one small module per family of commands (cli_pairs, cli_relations,
+cli_hodge, cli_sl2, cli_mu19); main imports only the module of the command
+it runs, and a handler imports the solvers it uses and renders only the
+chosen --format.  So a command compiles and loads only its own part of the
+package, and reading the line loads none of it: reduce and relations
+--weyl-full load reciprocity, hyperoct and record; hodge-basis --weyl-full
+and support load hodge, hyperoct and record, never the group, lattice or
+relation code; sl2-check loads sl2check, hyperoct and record.  A CM pair,
+read from --input or built by example-mu19, adds cmtypes and galois.
 
 main() without argv runs the process's own command line (the `cmlab`
 console script and `python -m cmlab.cli`) and freezes the heap before it
@@ -178,9 +175,7 @@ def _positive(text: str) -> int:
     except ValueError:  # past int's digit limit
         value = 0
     if value < 1:
-        import argparse
-
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise ValueError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -189,100 +184,164 @@ _SOURCES = ("--input", "--weyl-full")
 _INPUT = {"metavar": "FILE", "help": "JSON input file"}
 
 
-def _options(name: str, reads) -> list:
-    """The options of command `name`, which reads `reads`, in the order of
-    its usage line: (flag, add_argument keywords), which give the converter
-    (type) or choices, the default and whether the option is required.  A
-    command that reads a pair or genus has both _SOURCES, which exclude each
-    other, and --g, which needs --weyl-full."""
-    options = [("--format", {"choices": ("table", "json"), "default": "table"})]
-    if reads == _GENUS:
-        options.append(("--g", {"type": _positive, "required": True}))
-    elif reads == _PAIR_OR_GENUS:
-        options += [("--input", _INPUT),
-                    ("--weyl-full", {"action": "store_true", "default": False,
-                                     "help": "use the full hyperoctahedral group at --g"}),
-                    ("--g", {"type": _positive})]
-    elif reads is not None:
-        options.append(("--input", {"required": True, **_INPUT}))
-    if name == "hodge-basis":
-        options += [("--p", {"type": int, "required": True}),
-                    ("--n", {"type": int, "required": True}),
-                    ("--budget", {"type": _positive, "default": POHLMANN_HARD_BUDGET, "metavar": "N",
-                                  "help": "fail once the Pohlmann walk has visited more than N nodes (hard cap 10^7)"})]
-    return options
+def build_parser() -> dict:
+    """The options of each command, which parse_args reads: command ->
+    {flag: keywords} in usage order, the keywords giving the converter
+    (type) or choices, the default, whether it is required, its metavar and
+    help; "action" marks the bare --weyl-full.  A pair or genus is read from
+    one of _SOURCES, and --g needs --weyl-full."""
+    tables = {}
+    for name, (_, _, _, reads) in _COMMANDS.items():
+        options = tables[name] = {"--format": {"choices": ("table", "json"), "default": "table"}}
+        if reads == _GENUS:
+            options["--g"] = {"type": _positive, "required": True}
+        elif reads == _PAIR_OR_GENUS:
+            options.update({"--input": _INPUT,
+                            "--weyl-full": {"action": "store_true", "default": False,
+                                            "help": "use the full hyperoctahedral group at --g"},
+                            "--g": {"type": _positive}})
+        elif reads is not None:
+            options["--input"] = {"required": True, **_INPUT}
+        if name == "hodge-basis":
+            options.update({"--p": {"type": int, "required": True}, "--n": {"type": int, "required": True},
+                            "--budget": {"type": _positive, "default": POHLMANN_HARD_BUDGET, "metavar": "N",
+                                         "help": "fail once the Pohlmann walk has visited more than N nodes "
+                                                 "(hard cap 10^7)"}})
+    return tables
 
 
-def _plain_args(argv):
-    """The namespace that build_parser().parse_args(argv) returns, read
-    without argparse, for a plain command line: a command, then each of its
-    options at most once as `--flag value` (a bare --weyl-full), every
-    value valid and none starting with "-", every required option given,
-    and the sources and --g used as _options allows.  None for any other
-    line, which argparse reads instead."""
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    options = dict(_options(argv[0], _COMMANDS[argv[0]][3]))
-    given = {}
-    rest = iter(argv[1:])
-    for flag in rest:
+def _is_value(token: str) -> bool:
+    """Whether token, read after a flag, is that flag's value: it does not
+    start with "-", or it is "-" alone or a number such as -2 or -.5."""
+    whole, dot, frac = token[1:].partition(".")
+    return token[:1] != "-" or token == "-" or (whole + frac).isdecimal() and (frac.isdecimal() or not dot)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The arguments of a command line, read from build_parser's tables: a
+    command, then its options as `--flag value`, `--flag=value` or a bare
+    --weyl-full, the last of a repeated option winning.  -h or --help,
+    first or once read after the command, prints help and exits 0.  A
+    usage error prints the usage and a message to stderr and exits 2, in
+    argparse's order, but an option before the command, `--` and an
+    abbreviated flag are refused before any option is read."""
+    tables = build_parser()
+    if argv and argv[0] in ("-h", "--help"):
+        sys.stdout.write(_help(None))
+        raise SystemExit(0)
+    if not argv or argv[0] not in tables:
+        raise _usage_error(None, f"argument command: invalid choice: {argv[0]!r} (choose from "
+                                 f"{', '.join(map(repr, tables))})" if argv else
+                                 "the following arguments are required: command")
+    name, options, given, extras, rest = argv[0], tables[argv[0]], {}, [], iter(argv[1:])
+    flags = (*options, "--help")
+    for token in argv[1:]:  # `--`, or a flag cut short, such as --in or --form=json
+        begun = token.partition("=")[0]
+        if begun[:2] == "--" and begun not in flags and any(flag.startswith(begun) for flag in flags):
+            raise _usage_error(name, f"unrecognized arguments: {token}")
+    for token in rest:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(name))
+            raise SystemExit(0)
+        flag, eq, text = token.partition("=")
         keywords = options.get(flag)
-        if keywords is None or flag in given:
-            return None
-        if "action" in keywords:  # store_true: the bare --weyl-full
-            given[flag] = True
+        if keywords is None:
+            extras.append(token)
             continue
-        text = next(rest, "-")  # a missing value reads as a flag
-        if text.startswith("-"):
-            return None
-        try:
-            value = keywords.get("type", str)(text)
-        except Exception:  # int's ValueError, or _positive's ArgumentTypeError, a class of argparse
-            return None
-        if value not in keywords.get("choices", (value,)):
-            return None
+        if "action" in keywords:  # store_true: the bare --weyl-full
+            if eq:
+                raise _usage_error(name, f"argument {flag}: ignored explicit argument {text!r}")
+            value = True
+        else:
+            text = text if eq else next(rest, None)
+            if text is None or not (eq or _is_value(text)):
+                raise _usage_error(name, f"argument {flag}: expected one argument")
+            convert = keywords.get("type", str)
+            try:
+                value = convert(text)
+            except ValueError as exc:  # int's message is argparse's, _positive's its own
+                fault = exc.args[0] if convert is _positive else f"invalid int value: {text!r}"
+                raise _usage_error(name, f"argument {flag}: {fault}") from None
+            if value not in keywords.get("choices", (value,)):
+                raise _usage_error(name, f"argument {flag}: invalid choice: {value!r} "
+                                         f"(choose from {', '.join(map(repr, keywords['choices']))})")
+        if flag in _SOURCES and (other := _SOURCES[flag == _SOURCES[0]]) in given:  # they exclude each other
+            raise _usage_error(name, f"argument {flag}: not allowed with argument {other}")
         given[flag] = value
-    if any(keywords.get("required") and flag not in given for flag, keywords in options.items()):
-        return None
-    # --weyl-full excludes --input, and --g needs --weyl-full
-    if "--weyl-full" in options and ("--input" if "--weyl-full" in given else "--g") in given:
-        return None
-    return SimpleNamespace(command=argv[0], **{
+    missing = [flag for flag, keywords in options.items() if keywords.get("required") and flag not in given]
+    if missing:
+        raise _usage_error(name, f"the following arguments are required: {', '.join(missing)}")
+    if not extras and "--g" in given and "--weyl-full" in options and "--weyl-full" not in given:
+        raise _usage_error(name, "--g needs --weyl-full")
+    if extras:
+        raise _usage_error(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=name, **{
         flag[2:].replace("-", "_"): given.get(flag, keywords.get("default")) for flag, keywords in options.items()})
 
 
-def build_parser() -> "argparse.ArgumentParser":
-    """The argparse parser of the command line: one subcommand per row of
-    _COMMANDS, with the options of _options."""
-    import argparse
+def _usage_error(name, message: str) -> SystemExit:
+    """Print the usage of command `name` and message; the SystemExit to raise."""
+    sys.stderr.write(f"{_usage(name)}\ncmlab{f' {name}' if name else ''}: error: {message}\n")
+    return SystemExit(2)
 
-    class Command(argparse.ArgumentParser):
-        """A subcommand's parser, which also refuses --g without --weyl-full."""
 
-        def parse_known_args(self, args=None, namespace=None):
-            namespace, extras = super().parse_known_args(args, namespace)
-            # an unrecognized argument is reported first, by the top-level parser
-            if not extras and not getattr(namespace, "weyl_full", True) and namespace.g is not None:
-                self.error("--g needs --weyl-full")
-            return namespace, extras
+def _fill(words, width: int, indent: str) -> list:
+    """The words on lines of at most width columns, each line after the
+    first starting with indent; a word that fits on no line stands alone."""
+    lines = [words[0]]
+    for word in words[1:]:
+        if len(lines[-1]) + 1 + len(word) > width:
+            lines.append(indent + word)
+        else:
+            lines[-1] += " " + word
+    return lines
 
-    parser = argparse.ArgumentParser(
-        prog="cmlab",
-        description="Monomial period relations, Hodge-class bases and sl2 checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=Command)
-    for name, (_, _, description, reads) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=description, description=description)
-        sources = sp.add_mutually_exclusive_group() if reads == _PAIR_OR_GENUS else sp
-        for flag, keywords in _options(name, reads):
-            (sources if flag in _SOURCES else sp).add_argument(flag, **keywords)
-    return parser
+
+def _invocation(flag: str, keywords: dict) -> str:
+    """A flag as usage and help show it: with its metavar, its choices in
+    braces or its name in capitals, but the bare --weyl-full alone."""
+    choices = keywords.get("choices")
+    metavar = keywords.get("metavar") or ("{" + ",".join(choices) + "}" if choices else flag[2:].upper())
+    return flag if "action" in keywords else f"{flag} {metavar}"
+
+
+def _usage(name) -> str:
+    """The usage of command `name`, or of cmlab for None, filled to 78
+    columns with a hanging indent; a bracket is never broken."""
+    prog = f"cmlab {name}" if name else "cmlab"
+    parts = ["[-h]"] if name else ["[-h]", "{" + ",".join(_COMMANDS) + "}", "..."]
+    for flag, keywords in build_parser().get(name, {}).items():
+        text = _invocation(flag, keywords)
+        if flag == _SOURCES[1]:  # in the bracket of _SOURCES[0], which it excludes
+            parts[-1] = f"{parts[-1][:-1]} | {text}]"
+        else:
+            parts.append(text if keywords.get("required") else f"[{text}]")
+    return "\n".join(_fill([f"usage: {prog}", *parts], 78, " " * (len(prog) + 8)))
+
+
+def _help(name) -> str:
+    """The help of command `name`, or of cmlab for None: usage, description,
+    then each command or option with its help from column 24 to 78."""
+    rows = [("", ""), ("options:", ""), ("  -h, --help", "show this help message and exit")]
+    if name:
+        description = _COMMANDS[name][2]
+        rows += [(f"  {_invocation(flag, keywords)}", keywords.get("help", ""))
+                 for flag, keywords in build_parser()[name].items()]
+    else:
+        description = "Monomial period relations, Hodge-class bases and sl2 checks."
+        rows[:0] = [("", ""), ("positional arguments:", ""), ("  {" + ",".join(_COMMANDS) + "}", ""),
+                    *((f"    {command}", row[2]) for command, row in _COMMANDS.items())]
+    lines = [_usage(name), "", *_fill(description.split(), 78, "")]
+    for head, text in rows:
+        lines += _fill([f"{head:<23}", *text.split()], 78, " " * 24) if text else [head]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code (argparse raises SystemExit(2)
-    on a usage error).  Without argv, run sys.argv[1:] as the process's own
-    command line and freeze the heap before returning, whatever the exit."""
+    """Run one command and return its exit code (parse_args raises
+    SystemExit(2) on a usage error, and SystemExit(0) after help).  Without
+    argv, run sys.argv[1:] as the process's own command line and freeze the
+    heap before returning, whatever the exit."""
     try:
         return _run(argv)
     finally:
@@ -293,9 +352,7 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    # argparse reads the lines _plain_args leaves: help, usage errors and
-    # the spellings a plain line does not use
-    args = _plain_args(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     module, name, _, reads = _COMMANDS[args.command]
     handler = getattr(import_module(f"{__package__}.{module}"), name)
     as_json = args.format == "json"

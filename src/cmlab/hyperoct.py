@@ -85,6 +85,8 @@ def admissible(I: int, J: int, K: int, L: int) -> bool:
 
 def subset_rank(g: int, bits: int) -> int:
     """Position of the mask bits in the canonical total order on P({1,...,g})."""
+    if bits >> g:  # a bit past g, or a negative mask
+        raise ValueError(f"mask {bits:#x} has indices outside 1..{g}")
     if bits & 1 == 0:
         return bits >> 1
     full = (1 << g) - 1

@@ -13,15 +13,19 @@ phibar_j with the label form of CM types, the converters between slot
 numbers and (index set or label, copy) pairs, the elements of the whole
 Weyl group, the support of a quadruple as a walked orbit, the HNF, lattice
 span, equality and membership, the symplectic form and the scaled sl2
-negative control.
+negative control.  And the command line as an argparse parser, which
+reads every line as cli.parse_args does, but for the spellings that
+parse_args refuses.
 Gates raise explicitly: pytest rewrites assert statements only in test
 modules, and python -O strips them everywhere else.
 """
+import argparse
 import functools
 import itertools
 from fractions import Fraction
 
 from cmlab import POHLMANN_HARD_BUDGET
+from cmlab.cli import _COMMANDS, _PAIR_OR_GENUS, _SOURCES, _positive, build_parser
 from cmlab.galois import GaloisGroup, orbit
 from cmlab.hodge import CycleIndex
 from cmlab.hyperoct import (SignedPerm, _act_bits, admissible, check_powerset_size, mask_of, members, submasks,
@@ -492,3 +496,37 @@ def check_sl2(U: int, g: int, scale=1) -> dict:
         raise ValueError("expected an index set inside {2,...,g}")
     nilpotents = [v.scaled(scale) for v in _nilpotents(g)]
     return _report(nilpotents[U >> 1], nilpotents)
+
+
+def _argparse_positive(text: str) -> int:
+    try:
+        return _positive(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The command line as an argparse parser, built from _COMMANDS and
+    build_parser: one subcommand per row, --input and --weyl-full in a
+    mutually exclusive group, and --g refused without --weyl-full.
+    Abbreviated flags are unrecognized, as cli.parse_args reads none."""
+
+    class Command(argparse.ArgumentParser):
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            # an unrecognized argument is reported first, by the top-level parser
+            if not extras and not getattr(namespace, "weyl_full", True) and namespace.g is not None:
+                self.error("--g needs --weyl-full")
+            return namespace, extras
+
+    parser = argparse.ArgumentParser(prog="cmlab", allow_abbrev=False,
+                                     description="Monomial period relations, Hodge-class bases and sl2 checks.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Command)
+    for name, (_, _, description, reads) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=description, description=description, allow_abbrev=False)
+        sources = sp.add_mutually_exclusive_group() if reads == _PAIR_OR_GENUS else sp
+        for flag, keywords in build_parser()[name].items():
+            if keywords.get("type") is _positive:
+                keywords = {**keywords, "type": _argparse_positive}
+            (sources if flag in _SOURCES else sp).add_argument(flag, **keywords)
+    return parser

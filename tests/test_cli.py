@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 import cmlab.hodge
 from cmlab import POHLMANN_HARD_BUDGET
-from cmlab.cli import _COMMANDS, _options, _plain_args, build_parser, main
+from cmlab.cli import _COMMANDS, build_parser, main, parse_args
 from cmlab.galois import GaloisGroup, weyl_full
 from cmlab.hyperoct import SignedPerm, mask_of, subset_rank, subset_str
-from oracles import quadruple_support
+from oracles import argparse_parser, quadruple_support
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "example_mu19.txt"
 
@@ -221,7 +221,7 @@ class TestHodgeBasis:
         # without --budget the cap is POHLMANN_HARD_BUDGET; it is lowered
         # here so that the walk reaches it after a few nodes
         argv = ["hodge-basis", "--p", "3", "--n", "2", "--g", "5", "--weyl-full"]
-        assert build_parser().parse_args(argv).budget == POHLMANN_HARD_BUDGET
+        assert parse_args(argv).budget == POHLMANN_HARD_BUDGET
         monkeypatch.setattr(cmlab.hodge, "POHLMANN_HARD_BUDGET", 50)
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
@@ -369,6 +369,8 @@ class TestPinnedMessages:
         (["support"], {"g": 3, "first": [[2, 2], [3], [2, 3], []]}, "first[0]: element 2 repeats"),
         (["orbits"], {"g": 3, "generators": [{"flips": [1, 1], "perm": [2, 3, 1]}]},
          "generators[0]: element 1 repeats"),
+        # a value that looks like a negative number is read as a value
+        (["hodge-basis", "--weyl-full", "--g", "2", "--p", "-1", "--n", "1"], None, "need p >= 0 and n >= 1"),
     ])
     def test_exact_stderr_and_exit_1(self, tmp_path, capsys, argv, data, message):
         path = tmp_path / "input.json"
@@ -396,9 +398,14 @@ class TestPinnedMessages:
         assert err_text.startswith(f"usage: {prog} ") and err_text.endswith(f"\n{message}\n")
 
     def test_help_and_usage_errors_are_pinned(self, monkeypatch):
-        # argparse wraps its text at the terminal width, which COLUMNS sets
-        monkeypatch.setenv("COLUMNS", "80")
-        assert usage_transcript() == USAGE.read_text(encoding="utf-8")
+        # the help is laid out at 80 columns whatever the terminal's width,
+        # which COLUMNS would set
+        for columns in (None, "40", "80", "200"):
+            if columns is None:
+                monkeypatch.delenv("COLUMNS", raising=False)
+            else:
+                monkeypatch.setenv("COLUMNS", columns)
+            assert usage_transcript() == USAGE.read_text(encoding="utf-8"), f"COLUMNS={columns}"
 
 
 USAGE = pathlib.Path(__file__).parent / "data" / "cli_usage.txt"
@@ -429,8 +436,8 @@ def usage_transcript() -> str:
     return "".join(parts)
 
 
-_FLAGS = sorted({flag for name, row in _COMMANDS.items() for flag, _ in _options(name, row[3])})
-_NEAR_MISSES = ["--form", "--format=json", "-h", "--"]
+_FLAGS = sorted({flag for options in build_parser().values() for flag in options})
+_NEAR_MISSES = ["--form", "--in", "--format=json", "--g=2", "--weyl-full=1", "-h", "--help", "--"]
 _VALUES = ["0", "-1", "3_0", "\uff10", "", "x", "json", "yaml", "1" * 5000, "1", "2", "table", "job.json"]
 _VALID = {"--format": ["table", "json"], "--input": ["job.json"], "--g": ["1", "3"], "--p": ["1", "2"],
           "--n": ["1"], "--budget": ["50"]}
@@ -444,7 +451,7 @@ def command_lines(draw):
     deleted anywhere, the command too."""
     command = draw(st.sampled_from(list(_COMMANDS)))
     line = [command]
-    for flag, keywords in draw(st.permutations(_options(command, _COMMANDS[command][3]))):
+    for flag, keywords in draw(st.permutations(list(build_parser()[command].items()))):
         if keywords.get("required") or draw(st.booleans()):
             line += [flag] if flag == "--weyl-full" else [flag, draw(st.sampled_from(_VALID[flag]))]
     tokens = st.sampled_from([*_COMMANDS, *_FLAGS, *_NEAR_MISSES, *_VALUES])
@@ -454,9 +461,50 @@ def command_lines(draw):
     return line
 
 
+def outcome(parse, argv) -> tuple:
+    """What parse(argv) does: its exit code (0 when it returns), stdout,
+    stderr and the parsed arguments as a dict (None when it exits)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue(), None
+    return 0, out.getvalue(), err.getvalue(), args
+
+
+def argparse_outcome(argv) -> tuple:
+    """outcome of the argparse parser, laid out at 80 columns as cmlab's help is."""
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        return outcome(argparse_parser().parse_args, argv)
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+
+
+def refused_token(argv):
+    """The token of a line that parse_args refuses where argparse reads on:
+    an option before the command, or after it `--` or a flag cut short,
+    such as --in or --form=json; None for other lines."""
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        return argv[0]
+    if argv and argv[0] in _COMMANDS:
+        flags = [*build_parser()[argv[0]], "--help"]
+        for token in argv[1:]:
+            begun = token.partition("=")[0]
+            if begun.startswith("--") and begun not in flags and any(flag.startswith(begun) for flag in flags):
+                return token
+    return None
+
+
 class TestPlainArgs:
-    """_plain_args reads a plain command line as argparse does and leaves
-    every other line, help and usage errors among them, to argparse."""
+    """parse_args reads every line as the argparse parser of the oracles
+    does, help and usage errors among them, but for the spellings it
+    refuses."""
 
     # one line per row, as the benchmark spells it: the command and its
     # options, then --format and --input last; relations and hodge-basis
@@ -483,21 +531,48 @@ class TestPlainArgs:
     @pytest.mark.parametrize("line", PLAIN, ids=lambda line: " ".join(line[:3]))
     def test_a_plain_line_takes_the_plain_path(self, line, fmt):
         argv = [token.format(fmt=fmt) for token in line]
-        args = _plain_args(argv)
-        assert args is not None
-        assert vars(args) == vars(build_parser().parse_args(argv))
+        assert vars(parse_args(argv)) == vars(argparse_parser().parse_args(argv))
 
     @given(argv=command_lines())
     @settings(max_examples=400, deadline=None)
-    def test_a_line_is_left_to_argparse_or_read_as_argparse_reads_it(self, argv):
-        # a line argparse refuses (or answers with help) is never read plain
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                expected = vars(build_parser().parse_args(argv))
-        except SystemExit:
-            expected = None
-        args = _plain_args(argv)
-        assert args is None or vars(args) == expected
+    def test_a_line_is_read_as_argparse_reads_it(self, argv):
+        code, out, err, args = outcome(parse_args, argv)
+        token = refused_token(argv)
+        if token is not None:
+            assert (code, out) == (2, "") and token in err.splitlines()[-1]
+            return
+        expected = argparse_outcome(argv)
+        assert (code, args) == (expected[0], expected[3])
+        if sys.version_info < (3, 13):
+            # 3.13's argparse wraps some usage lines differently
+            assert (out, err) == expected[1:3]
+
+    def test_equals_sign_and_repeated_options(self):
+        # the last of a repeated option wins
+        args = parse_args(["sl2-check", "--g=2", "--format=json", "--g", "3"])
+        assert (args.g, args.format) == (3, "json")
+
+    @pytest.mark.parametrize("argv, message", [
+        # an error before --help comes first
+        (["orbits", "--format", "yaml", "--help"],
+         "cmlab orbits: error: argument --format: invalid choice: 'yaml' (choose from 'table', 'json')"),
+        # refused before any option is read, each naming the token
+        (["orbits", "--form", "json", "--input", "x"], "cmlab orbits: error: unrecognized arguments: --form"),
+        (["kernel", "--help", "--in", "x"], "cmlab kernel: error: unrecognized arguments: --in"),
+        (["orbits", "--input", "x", "--", "--help"], "cmlab orbits: error: unrecognized arguments: --"),
+        (["--format", "json", "orbits"], "cmlab: error: argument command: invalid choice: '--format' "
+         "(choose from 'orbits', 'reflex', 'compagnons', 'kernel', 'relations', 'hodge-basis', 'reduce', "
+         "'support', 'sl2-check', 'example-mu19')"),
+    ])
+    def test_usage_errors_name_the_token(self, capsys, argv, message):
+        assert TestProgramMode.exit_code(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1] == message
+
+    @pytest.mark.parametrize("argv", [["orbits", "--help"], ["orbits", "--input", "x", "--bogus", "--help"]])
+    def test_help_after_the_command(self, capsys, argv):
+        assert TestProgramMode.exit_code(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: cmlab orbits [-h]")
 
 
 # small JSON values over the keys the input shapes use; integers stay small
@@ -815,7 +890,7 @@ def cmlab_cyclic_garbage(run) -> list:
 
 # `cmlab` freezes the heap instead of collecting it at exit, which loses
 # nothing only while reference counting frees every cmlab object
-# (argparse's and json's own cycles are theirs)
+# (json's own cycles are its own)
 @pytest.mark.parametrize("case", CORPUS, ids=[case["name"] for case in CORPUS])
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_leaves_no_cyclic_garbage_of_its_own(case, fmt, tmp_path):
@@ -842,7 +917,7 @@ class TestProgramMode:
 
     @staticmethod
     def exit_code(argv=None) -> int:
-        """main's exit code, returned or raised by argparse."""
+        """main's exit code, returned or raised by parse_args."""
         try:
             return main(argv)
         except SystemExit as exc:

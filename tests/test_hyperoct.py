@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlab.hyperoct import SignedPerm, _act_bits, mask_of, members, submasks, subset_str
+from cmlab.hodge import quadruple_to_cycle
+from cmlab.hyperoct import SignedPerm, _act_bits, mask_of, members, submasks, subset_rank, subset_str
+from cmlab.reciprocity import chain_generator, degree_one_generator
 from oracles import EmbeddingLabel, act_embedding, act_subset, compose, inverse, weyl_elements
 from strategies import dims, signed_perms, subsets
 
@@ -166,6 +168,21 @@ class TestSubset:
     def test_str(self):
         assert subset_str(mask_of(4, [3, 1])) == "{1,3}"
         assert subset_str(0) == "{}"
+
+    def test_a_mask_past_g_has_no_rank(self):
+        # the rank would fall inside 0..2^g-1 and name another index set;
+        # each relation and cycle built from ranks refuses the mask instead
+        with pytest.raises(ValueError, match="^mask 0x8 has indices outside 1..3$"):
+            subset_rank(3, 0b1000)
+        with pytest.raises(ValueError, match="^mask -0x1 has indices outside 1..3$"):
+            subset_rank(3, -1)
+        with pytest.raises(ValueError, match="^mask 0xc has indices outside 1..3$"):
+            chain_generator(0b1100, 3)
+        with pytest.raises(ValueError, match="^mask 0x8 has indices outside 1..3$"):
+            degree_one_generator(0b1000, 3)
+        with pytest.raises(ValueError, match="^mask 0x8 has indices outside 1..3$"):
+            quadruple_to_cycle(0b1000, 0, 0, 0, 3)
+        assert subset_rank(3, 0b111) == 7
 
 
 class TestSubmasks:

@@ -122,8 +122,7 @@ ARGPARSE = {"argparse", "gettext", "locale"}
     ["example-mu19", "--format", "table"],
 ], ids=lambda argv: argv[0])
 def test_a_plain_line_loads_no_argparse(tmp_path, argv):
-    # a plain command line is read from the command table; argparse is
-    # built only for help and usage errors
+    # a plain command line is read from the command table
     inputs = {"PAIR": {"cyclic": {"M": 8, "phi": [0, 1, 2, 3]}},
               "REL": {"g": 2, "vec": [1, 0, 0, 1], "tau": -1},
               "QUAD": {"g": 3, "first": [[], [2, 3], [2], [3]]}}
@@ -134,6 +133,14 @@ def test_a_plain_line_loads_no_argparse(tmp_path, argv):
     assert not loaded & ARGPARSE
 
 
-def test_help_still_builds_the_parser():
-    run = subprocess.run([sys.executable, "-m", "cmlab.cli", "--help"], capture_output=True, text=True)
-    assert run.returncode == 0 and run.stdout.startswith("usage: cmlab")
+def test_no_line_loads_argparse():
+    # help and usage errors are rendered from the command table too
+    for argv, code in [(["sl2-check", "--g", "2"], 0), (["--help"], 0), (["orbits", "--help"], 0),
+                       (["relations", "--g", "3"], 2)]:
+        script = (f"import sys\nfrom cmlab.cli import main\ntry:\n    code = main({argv!r})\n"
+                  "except SystemExit as exc:\n    code = exc.code\n"
+                  "print(' '.join(sys.modules))\nsys.exit(code)\n")
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert run.returncode == code, (argv, run.stderr)
+        assert run.stdout.startswith("usage: cmlab") == (argv[-1] == "--help")
+        assert not set(run.stdout.splitlines()[-1].split()) & ARGPARSE, argv
