@@ -9,26 +9,22 @@ e_I + e_J are elementary raising matrices normalized so that the double
 bracket with the conjugate root vector returns twice the original.  On top
 of the root vectors sit the nilpotents v_U (one per index set U inside
 {2,...,g}) and their complex conjugates; `sl2_reports` confirms by exact
-rational arithmetic that each pair spans an sl2-triple.  The scaled
+integer arithmetic that each pair spans an sl2-triple.  The scaled
 negative control, which must break the triple identities, lives with the
 tests in tests/oracles.py.
 
 The concrete matrices are one valid gauge; any model with the same weights
 and normalization passes the same checks.
 """
-from fractions import Fraction
-
 from .hyperoct import submasks, subset_rank, subset_str
 from .record import Record, set_slot
 
 SL2_MAX_G = 8
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class SymplecticMatrix(Record):
-    """Square matrix over Q acting on the 2^g-dimensional symplectic space.
+    """Square matrix with exact entries acting on the 2^g-dimensional
+    symplectic space; the package builds integer ones.
 
     Only the nonzero entries are kept, as a tuple of ((row, col), value)
     sorted by position, so equal matrices have equal entries.  Any mapping
@@ -54,7 +50,7 @@ class SymplecticMatrix(Record):
     def _combine(self, other: "SymplecticMatrix", sign: int) -> "SymplecticMatrix":
         total = dict(self.entries)
         for ij, b in other.entries:
-            total[ij] = total.get(ij, _ZERO) + sign * b
+            total[ij] = total.get(ij, 0) + sign * b
         return SymplecticMatrix(self.g, total)
 
     def __add__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
@@ -70,11 +66,10 @@ class SymplecticMatrix(Record):
         total: dict = {}
         for (i, k), a in self.entries:
             for j, b in rows.get(k, ()):
-                total[i, j] = total.get((i, j), _ZERO) + a * b
+                total[i, j] = total.get((i, j), 0) + a * b
         return SymplecticMatrix(self.g, total)
 
     def scaled(self, c) -> "SymplecticMatrix":
-        c = Fraction(c)
         return SymplecticMatrix(self.g, [(ij, c * a) for ij, a in self.entries])
 
     def transpose(self) -> "SymplecticMatrix":
@@ -117,8 +112,8 @@ def root_vector(I: int, J: int, g: int) -> SymplecticMatrix:
         return conj(root_vector(I ^ full, J ^ full, g))
     # the two positions coincide only when I = J, where the entry stays 1
     return SymplecticMatrix(g, {
-        (subset_rank(g, I), subset_rank(g, J ^ full)): _ONE,
-        (subset_rank(g, J), subset_rank(g, I ^ full)): _ONE,
+        (subset_rank(g, I), subset_rank(g, J ^ full)): 1,
+        (subset_rank(g, J), subset_rank(g, I ^ full)): 1,
     })
 
 
@@ -126,8 +121,9 @@ def build_v(U: int, g: int) -> SymplecticMatrix:
     """The nilpotent v_U of the mask U at g: sum of E_{I, {2..g} minus I}
     over index sets I in U.
 
-    The coefficient drops to 1/2 when U is all of {2,...,g}, where the sum
-    visits every root vector twice.
+    When U is all of {2,...,g} the sum meets every root vector twice, as
+    E_{I,J} = E_{J,I}, and the paper halves it; here each is added once,
+    for the smaller mask of the pair.
     """
     if g < 2:
         raise ValueError("build_v needs g >= 2")
@@ -136,9 +132,9 @@ def build_v(U: int, g: int) -> SymplecticMatrix:
     tail = (1 << g) - 2  # {2,...,g}
     total = SymplecticMatrix.zero(g)
     for I in submasks(U):
-        total = total + root_vector(I, tail ^ I, g)
-    eps = Fraction(1, 2) if U == tail else Fraction(1)
-    return total.scaled(eps)
+        if U != tail or I < tail ^ I:
+            total = total + root_vector(I, tail ^ I, g)
+    return total
 
 
 def _nilpotents(g: int) -> list[SymplecticMatrix]:

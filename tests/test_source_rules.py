@@ -29,7 +29,9 @@ def test_no_dataclasses_or_typing_imports(path):
     # module a job would import for these lines alone: an annotation that
     # names a class bound later is quoted instead.  argparse (with gettext
     # and locale) is a second reader of the command line, which cli reads,
-    # helps and refuses from its own tables
+    # helps and refuses from its own tables.  The package's arithmetic is
+    # int; fractions pulls in decimal and numbers, about 4 ms a job on a
+    # 2-vCPU machine
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -37,7 +39,7 @@ def test_no_dataclasses_or_typing_imports(path):
             found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append((node.lineno, node.module))
-    banned = [(line, name) for line, name in found if name.split(".")[0] in ("__future__", "argparse", "dataclasses", "typing")]
+    banned = [(line, name) for line, name in found if name.split(".")[0] in ("__future__", "argparse", "dataclasses", "fractions", "typing")]
     assert not banned, f"{path.name} imports {banned}"
 
 

@@ -35,6 +35,8 @@ def test_sl2_check_loads_no_lattice_code():
     loaded = loaded_by("import cmlab.cli; code = cmlab.cli.main(['sl2-check', '--g', '2'])")
     assert "cmlab.sl2check" in loaded
     assert not loaded & {"cmlab.hodge", "cmlab.reciprocity", "cmlab.intlattice"}
+    # the sl2 algebra is integer: fractions would pull in decimal and numbers
+    assert not loaded & {"fractions", "decimal", "numbers"}
 
 
 def test_orbits_loads_no_hodge_sl2_or_fractions(tmp_path):
