@@ -4,98 +4,56 @@ The model: a symplectic space of dimension 2^g whose ordered basis is the
 subsets of {1,...,g} in the canonical rank order (hyperoct.subset_rank), each
 index set a mask.  The vector x_I sits at position
 rank(I) for index sets with 1 not in I, and its pairing partner y_I sits at
-the mirrored position rank(I^c).  Root vectors E_{I,J} for the weights
-e_I + e_J are elementary raising matrices normalized so that the double
-bracket with the conjugate root vector returns twice the original.  On top
-of the root vectors sit the nilpotents v_U (one per index set U inside
-{2,...,g}) and their complex conjugates; `sl2_reports` confirms by exact
-integer arithmetic that each pair spans an sl2-triple.  The scaled
-negative control, which must break the triple identities, lives with the
-tests in tests/oracles.py.
+the mirrored position rank(I^c).  A matrix is a dict {(row, col): entry}
+holding only its nonzero integer entries, so two matrices are equal exactly
+when their dicts are.  root_vector and subset_rank refuse a mask past g,
+so every entry lies inside the 2^g x 2^g matrix.
+
+Root vectors E_{I,J} for the weights e_I + e_J are elementary raising
+matrices normalized so that the double bracket with the conjugate root
+vector returns twice the original.  On top of the root vectors sit the
+nilpotents v_U (one per index set U inside {2,...,g}) and their complex
+conjugates; `sl2_reports` confirms by exact integer arithmetic that each
+pair spans an sl2-triple.  The scaled negative control, which must break
+the triple identities, and a dense rational recomputation of every report
+live with the tests in tests/oracles.py.
 
 The concrete matrices are one valid gauge; any model with the same weights
 and normalization passes the same checks.
 """
 from .hyperoct import submasks, subset_rank, subset_str
-from .record import Record, set_slot
 
 SL2_MAX_G = 8
 
 
-class SymplecticMatrix(Record):
-    """Square matrix with exact entries acting on the 2^g-dimensional
-    symplectic space; the package builds integer ones.
-
-    Only the nonzero entries are kept, as a tuple of ((row, col), value)
-    sorted by position, so equal matrices have equal entries.  Any mapping
-    or iterable of ((row, col), value) pairs is accepted and put in that
-    canonical form; zero values are dropped.
-    """
-
-    __slots__ = ("g", "entries")
-
-    def __init__(self, g: int, entries) -> None:
-        n = 1 << g
-        entries = tuple(sorted((ij, a) for ij, a in dict(entries).items() if a))
-        for (i, j), _ in entries:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"entry ({i}, {j}) lies outside the {n}x{n} matrix for g={g}")
-        set_slot(self, "g", g)
-        set_slot(self, "entries", entries)
-
-    @classmethod
-    def zero(cls, g: int) -> "SymplecticMatrix":
-        return cls(g, ())
-
-    def _combine(self, other: "SymplecticMatrix", sign: int) -> "SymplecticMatrix":
-        total = dict(self.entries)
-        for ij, b in other.entries:
-            total[ij] = total.get(ij, 0) + sign * b
-        return SymplecticMatrix(self.g, total)
-
-    def __add__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        return self._combine(other, -1)
-
-    def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        rows: dict = {}
-        for (k, j), b in other.entries:
-            rows.setdefault(k, []).append((j, b))
-        total: dict = {}
-        for (i, k), a in self.entries:
-            for j, b in rows.get(k, ()):
-                total[i, j] = total.get((i, j), 0) + a * b
-        return SymplecticMatrix(self.g, total)
-
-    def scaled(self, c) -> "SymplecticMatrix":
-        return SymplecticMatrix(self.g, [(ij, c * a) for ij, a in self.entries])
-
-    def transpose(self) -> "SymplecticMatrix":
-        return SymplecticMatrix(self.g, [((j, i), a) for (i, j), a in self.entries])
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def is_diagonal(self) -> bool:
-        return all(i == j for (i, j), _ in self.entries)
-
-
-def conj(m: SymplecticMatrix) -> SymplecticMatrix:
+def conj(m: dict) -> dict:
     """Complex conjugation on the Lie algebra: M -> -M^T.
 
     An involution that swaps raising and lowering root spaces; it carries
     E_{I,J} to E_{I^c,J^c}.
     """
-    return m.transpose().scaled(-1)
+    return {(j, i): -x for (i, j), x in m.items()}
 
 
-def bracket(a: SymplecticMatrix, b: SymplecticMatrix) -> SymplecticMatrix:
-    return a @ b - b @ a
+def bracket(a: dict, b: dict) -> dict:
+    """The commutator ab - ba, summed in one accumulator, zeros dropped."""
+    rows_a: dict = {}
+    for (k, j), x in a.items():
+        rows_a.setdefault(k, []).append((j, x))
+    rows_b: dict = {}
+    for (k, j), y in b.items():
+        rows_b.setdefault(k, []).append((j, y))
+    total: dict = {}
+    for (i, k), x in a.items():
+        for j, y in rows_b.get(k, ()):
+            total[i, j] = total.get((i, j), 0) + x * y
+    for (i, k), y in b.items():
+        for j, x in rows_a.get(k, ()):
+            total[i, j] = total.get((i, j), 0) - y * x
+    return {ij: x for ij, x in total.items() if x}
 
 
-def root_vector(I: int, J: int, g: int) -> SymplecticMatrix:
+def root_vector(I: int, J: int, g: int) -> dict:
     """Root vector E_{I,J} for the weight e_I + e_J, of two masks at g.
 
     Both index sets must avoid 1 (raising) or both contain 1 (lowering);
@@ -111,33 +69,31 @@ def root_vector(I: int, J: int, g: int) -> SymplecticMatrix:
     if I & 1:
         return conj(root_vector(I ^ full, J ^ full, g))
     # the two positions coincide only when I = J, where the entry stays 1
-    return SymplecticMatrix(g, {
-        (subset_rank(g, I), subset_rank(g, J ^ full)): 1,
-        (subset_rank(g, J), subset_rank(g, I ^ full)): 1,
-    })
+    return {(subset_rank(g, I), subset_rank(g, J ^ full)): 1, (subset_rank(g, J), subset_rank(g, I ^ full)): 1}
 
 
-def build_v(U: int, g: int) -> SymplecticMatrix:
+def build_v(U: int, g: int) -> dict:
     """The nilpotent v_U of the mask U at g: sum of E_{I, {2..g} minus I}
     over index sets I in U.
 
     When U is all of {2,...,g} the sum meets every root vector twice, as
     E_{I,J} = E_{J,I}, and the paper halves it; here each is added once,
-    for the smaller mask of the pair.
+    for the smaller mask of the pair.  The root vectors added share no
+    position, so the sum is a merge of their entries.
     """
     if g < 2:
         raise ValueError("build_v needs g >= 2")
     if U & 1:
         raise ValueError("expected an index set inside {2,...,g}")
     tail = (1 << g) - 2  # {2,...,g}
-    total = SymplecticMatrix.zero(g)
+    v: dict = {}
     for I in submasks(U):
         if U != tail or I < tail ^ I:
-            total = total + root_vector(I, tail ^ I, g)
-    return total
+            v.update(root_vector(I, tail ^ I, g))
+    return v
 
 
-def _nilpotents(g: int) -> list[SymplecticMatrix]:
+def _nilpotents(g: int) -> list[dict]:
     """v_W for every W inside {2,...,g}, in canonical order: the index of W
     is its mask shifted right by one."""
     if g > SL2_MAX_G:
@@ -145,14 +101,15 @@ def _nilpotents(g: int) -> list[SymplecticMatrix]:
     return [build_v(W, g) for W in range(0, 1 << g, 2)]
 
 
-def _report(v: SymplecticMatrix, nilpotents) -> dict:
+def _report(v: dict, nilpotents) -> dict:
     vbar = conj(v)
     h = bracket(v, vbar)
     return {
-        "bracket_vv_zero": all(bracket(v, w).is_zero() for w in nilpotents),
-        "bracket_vvbar_diagonal": h.is_diagonal(),
+        "bracket_vv_zero": all(not bracket(v, w) for w in nilpotents),
+        "bracket_vvbar_diagonal": all(i == j for i, j in h),
         "triple_identities": (
-            bracket(v, h) == v.scaled(2) and bracket(vbar, bracket(vbar, v)) == vbar.scaled(2)
+            bracket(v, h) == {ij: 2 * x for ij, x in v.items()}
+            and bracket(vbar, bracket(vbar, v)) == {ij: 2 * x for ij, x in vbar.items()}
         ),
     }
 

@@ -12,8 +12,9 @@ only walks orbits under generators), the embedding labels phi_j and
 phibar_j with the label form of CM types, the converters between slot
 numbers and (index set or label, copy) pairs, the elements of the whole
 Weyl group, the support of a quadruple as a walked orbit, the HNF, lattice
-span, equality and membership, the symplectic form and the scaled sl2
-negative control.  And the command line as an argparse parser, which
+span, equality and membership, the symplectic form, the scaled sl2
+negative control and every sl2 report recomputed with dense rational
+matrices.  And the command line as an argparse parser, which
 reads every line as cli.parse_args does, but for the spellings that
 parse_args refuses.
 Gates raise explicitly: pytest rewrites assert statements only in test
@@ -33,7 +34,7 @@ from cmlab.hyperoct import (SignedPerm, _act_bits, admissible, check_powerset_si
 from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right
 from cmlab.reciprocity import SIMPLE, kernel_N
 from cmlab.record import Record, set_slot
-from cmlab.sl2check import SymplecticMatrix, _nilpotents, _report
+from cmlab.sl2check import _nilpotents, _report
 
 BP_MAX_G = 8
 BP_MAX_P = 4
@@ -455,22 +456,54 @@ def kernel_to_cycle(spec, alpha, n=None) -> CycleIndex:
 
 
 # ---------------------------------------------------------------------------
-# the symplectic form, the torus of the sl2 model and the negative control
+# the symplectic form, the torus of the sl2 model, the negative control and
+# the dense recomputation of the sl2 reports; the package's matrices are
+# dicts {(row, col): entry} of their nonzero entries
 
 
-def omega(g: int) -> SymplecticMatrix:
+def omega(g: int) -> dict:
     """The symplectic form: position k pairs with position 2^g-1-k."""
     n = 1 << g
-    return SymplecticMatrix(g, {(k, n - 1 - k): Fraction(1 if k < n // 2 else -1) for k in range(n)})
+    return {(k, n - 1 - k): 1 if k < n // 2 else -1 for k in range(n)}
 
 
-def in_lie_algebra(m: SymplecticMatrix) -> bool:
+def dense_matrix(m: dict, g: int) -> tuple:
+    """The 2^g rows of 2^g Fraction entries of a sparse matrix at g."""
+    n = 1 << g
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), x in m.items():
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"entry ({i}, {j}) lies outside the {n}x{n} matrix for g={g}")
+        rows[i][j] = Fraction(x)
+    return tuple(map(tuple, rows))
+
+
+def dense_transpose(a: tuple) -> tuple:
+    return tuple(zip(*a))
+
+
+def dense_product(a: tuple, b: tuple) -> tuple:
+    out = [[Fraction(0)] * len(a) for _ in a]
+    for row, out_row in zip(a, out):
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    out_row[j] += x * y
+    return tuple(map(tuple, out))
+
+
+def dense_bracket(a: tuple, b: tuple) -> tuple:
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(dense_product(a, b), dense_product(b, a)))
+
+
+def in_lie_algebra(m: dict, g: int) -> bool:
     """Membership in sp: M^T Omega + Omega M = 0."""
-    form = omega(m.g)
-    return (m.transpose() @ form + form @ m).is_zero()
+    a, form = dense_matrix(m, g), dense_matrix(omega(g), g)
+    lhs, rhs = dense_product(dense_transpose(a), form), dense_product(form, a)
+    return all(x == -y for r, s in zip(lhs, rhs) for x, y in zip(r, s))
 
 
-def torus_element(coeffs, g: int) -> SymplecticMatrix:
+def torus_element(coeffs, g: int) -> dict:
     """Diagonal torus element with value c_I on x_I and -c_I on y_I.
 
     `coeffs` maps the masks of index sets inside {2,...,g} to rational
@@ -480,22 +513,67 @@ def torus_element(coeffs, g: int) -> SymplecticMatrix:
     for I, c in coeffs.items():
         if I & 1 or I >> g:
             raise ValueError("torus coefficients are indexed by subsets of {2,...,g}")
-        x, y = subset_rank(g, I), subset_rank(g, I ^ ((1 << g) - 1))
-        diag[x, x] = Fraction(c)
-        diag[y, y] = -Fraction(c)
-    return SymplecticMatrix(g, diag)
+        if c:
+            x, y = subset_rank(g, I), subset_rank(g, I ^ ((1 << g) - 1))
+            diag[x, x] = Fraction(c)
+            diag[y, y] = -Fraction(c)
+    return diag
+
+
+def _tail_mask_check(U: int, g: int) -> None:
+    if U >> g:
+        raise ValueError(f"index set {subset_str(U)} lies outside 1..{g}")
+    if U & 1:
+        raise ValueError("expected an index set inside {2,...,g}")
 
 
 def check_sl2(U: int, g: int, scale=1) -> dict:
     """The sl2 report of v_U, U a mask at g, with every nilpotent scaled by
     `scale`, a negative control: values other than +1 or -1 must break the
     triple identities."""
-    if U >> g:
-        raise ValueError(f"index set {subset_str(U)} lies outside 1..{g}")
-    if U & 1:
-        raise ValueError("expected an index set inside {2,...,g}")
-    nilpotents = [v.scaled(scale) for v in _nilpotents(g)]
+    _tail_mask_check(U, g)
+    nilpotents = [{ij: scale * x for ij, x in v.items()} for v in _nilpotents(g)]
     return _report(nilpotents[U >> 1], nilpotents)
+
+
+def dense_nilpotent(W: int, g: int, scale=1) -> tuple:
+    """v_W from the paper's definition, as dense Fraction rows and with none
+    of the package's matrix code: the sum of E_{I, {2..g} minus I} over I
+    inside W, halved at W = {2..g}, times `scale`.
+
+    x_I sits at position I >> 1 and its partner y_I at 2^g - 1 - (I >> 1);
+    E_{I,J} sends y_J to x_I and y_I to x_J.
+    """
+    _tail_mask_check(W, g)
+    n, tail = 1 << g, (1 << g) - 2
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for I in range(0, n, 2):
+        if I & W == I:
+            J = tail ^ I
+            for i, j in {(I >> 1, n - 1 - (J >> 1)), (J >> 1, n - 1 - (I >> 1))}:
+                rows[i][j] += 1
+    c = Fraction(scale, 2) if W == tail else Fraction(scale)
+    return tuple(tuple(c * x for x in row) for row in rows)
+
+
+def dense_sl2_report(U: int, g: int, scale=1) -> dict:
+    """The sl2 report of v_U recomputed from dense_nilpotent, every v_W
+    scaled by `scale` as in check_sl2; the conjugate of v is -v^T."""
+    def twice(a):
+        return tuple(tuple(2 * x for x in row) for row in a)
+
+    _tail_mask_check(U, g)
+    nilpotents = [dense_nilpotent(W, g, scale) for W in range(0, 1 << g, 2)]
+    v = nilpotents[U >> 1]
+    vbar = tuple(tuple(-x for x in col) for col in dense_transpose(v))
+    h = dense_bracket(v, vbar)
+    return {
+        "bracket_vv_zero": all(not any(map(any, dense_bracket(v, w))) for w in nilpotents),
+        "bracket_vvbar_diagonal": all(not x for i, row in enumerate(h) for j, x in enumerate(row) if i != j),
+        "triple_identities": (
+            dense_bracket(v, h) == twice(v) and dense_bracket(vbar, dense_bracket(vbar, v)) == twice(vbar)
+        ),
+    }
 
 
 def _argparse_positive(text: str) -> int:

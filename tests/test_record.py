@@ -1,7 +1,5 @@
 """Record semantics: every value type is an immutable slotted record whose
 ==, hash and repr are those of the tuple of its fields."""
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +10,6 @@ from cmlab.hodge import CycleIndex, pohlmann_basis
 from cmlab.hyperoct import SignedPerm
 from cmlab.intlattice import IntLattice, IntMatrix
 from cmlab.reciprocity import ANTIWEYL, SIMPLE, Certificate, MonomialRelation, chain_generator, reduce_to_low_degree
-from cmlab.sl2check import SymplecticMatrix
 from oracles import EmbeddingLabel, span
 
 # small groups and pairs by recipe, so that two draws are often equal
@@ -50,14 +47,6 @@ def _rows(cols):
     return st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols).map(tuple), max_size=2).map(tuple)
 
 
-def _symplectic_args():
-    def at(g):
-        n = 1 << g
-        entry = st.tuples(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), st.integers(-1, 1).map(Fraction))
-        return st.tuples(st.just(g), st.lists(entry, max_size=3))
-    return _small_g(1, 2).flatmap(at)
-
-
 def _chain_args():
     tops = [(bits, g) for g in (2, 3) for bits in range(1 << g) if bits.bit_count() >= 2]
     return st.tuples(st.sampled_from(tops), st.sampled_from([-2, 1, 3]))
@@ -84,7 +73,6 @@ RECORDS = [
     (IntLattice, ("dim", "basis"), st.integers(1, 2).flatmap(lambda c: st.tuples(st.just(c), _rows(c))),
      lambda a: span(*a)),
     (MonomialRelation, ("side", "g", "terms", "tau"), _relation_args(), lambda a: MonomialRelation(*a)),
-    (SymplecticMatrix, ("g", "entries"), _symplectic_args(), lambda a: SymplecticMatrix(*a)),
 ]
 
 
@@ -153,7 +141,6 @@ def test_hot_records_have_no_instance_dict():
     (lambda: MonomialRelation("x", 2, ()), "unknown side 'x'"),
     (lambda: MonomialRelation.from_vec(ANTIWEYL, 2, (0, 0, 0)), "vector length 3, expected 4"),
     (lambda: MonomialRelation(SIMPLE, 2, (), 1), "simple-CM relations carry no tau exponent"),
-    (lambda: SymplecticMatrix(1, {(2, 0): 1}), "entry (2, 0) lies outside the 2x2 matrix for g=1"),
 ])
 def test_constructor_validation_messages(build, message):
     with pytest.raises(ValueError) as err:

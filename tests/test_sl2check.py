@@ -1,4 +1,6 @@
-"""Symplectic model, root vectors, nilpotents and the sl2-triple checks."""
+"""Symplectic model, root vectors, nilpotents and the sl2-triple checks.
+
+A matrix is a dict {(row, col): entry} of its nonzero entries."""
 import itertools
 from fractions import Fraction
 
@@ -7,15 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab.hyperoct import mask_of
-from cmlab.sl2check import (
-    SymplecticMatrix,
-    bracket,
-    build_v,
-    conj,
-    root_vector,
-    sl2_reports,
-)
-from oracles import check_sl2, in_lie_algebra, omega, torus_element
+from cmlab.sl2check import bracket, build_v, conj, root_vector, sl2_reports
+from oracles import (check_sl2, dense_bracket, dense_matrix, dense_nilpotent, dense_product, dense_sl2_report,
+                     dense_transpose, in_lie_algebra, omega, torus_element)
 
 
 def tails(g):
@@ -23,52 +19,24 @@ def tails(g):
     return range(0, 1 << g, 2)
 
 
+def scaled(m, c):
+    return {ij: c * x for ij, x in m.items() if c * x}
+
+
+def plus(*ms):
+    total = {}
+    for m in ms:
+        for ij, x in m.items():
+            total[ij] = total.get(ij, 0) + x
+    return {ij: x for ij, x in total.items() if x}
+
+
 def lowering_sum(U, g):
     """The conjugate nilpotent built directly from lowering root vectors:
     the sum of E_{I^c, {1} | I} over I inside U, halved at U = {2,...,g}."""
     full, tail = (1 << g) - 1, mask_of(g, range(2, g + 1))
-    total = SymplecticMatrix.zero(g)
-    for I in tails(g):
-        if I & U == I:
-            total = total + root_vector(I ^ full, 1 | I, g)
-    return total.scaled(Fraction(1, 2) if U == tail else 1)
-
-
-
-# The dense Fraction algebra SymplecticMatrix used before it kept only its
-# nonzeros, as an oracle: a matrix is a tuple of 2^g rows of 2^g entries.
-
-
-def dense(m):
-    n = 1 << m.g
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), a in m.entries:
-        rows[i][j] = a
-    return tuple(tuple(row) for row in rows)
-
-
-def dense_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def dense_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def dense_matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def dense_transpose(a):
-    return tuple(zip(*a))
-
-
-def dense_bracket(a, b):
-    return dense_sub(dense_matmul(a, b), dense_matmul(b, a))
+    total = plus(*(root_vector(I ^ full, 1 | I, g) for I in tails(g) if I & U == I))
+    return scaled(total, Fraction(1, 2) if U == tail else 1)
 
 
 VALUES = [Fraction(v) for v in (-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2)]
@@ -76,14 +44,14 @@ VALUES = [Fraction(v) for v in (-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2)]
 
 @st.composite
 def sparse_pairs(draw):
-    """Two random matrices at one g <= 3 with entries in VALUES."""
+    """g <= 3 and two random matrices at g with entries in VALUES."""
     g = draw(st.integers(1, 3))
     n = 1 << g
     cells = st.dictionaries(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), st.sampled_from(VALUES),
         max_size=2 * n,
     )
-    return SymplecticMatrix(g, draw(cells)), SymplecticMatrix(g, draw(cells))
+    return g, draw(cells), draw(cells)
 
 
 def hol_root_vectors(g):
@@ -94,33 +62,41 @@ def hol_root_vectors(g):
 
 
 class TestSymplecticMatrix:
+    """The matrices of the symplectic model: dicts of their nonzero entries."""
+
     def test_shape_validation(self):
-        for row, col in ((0, 4), (4, 0), (-1, 2)):
-            with pytest.raises(ValueError, match="4x4"):
-                SymplecticMatrix(2, {(row, col): Fraction(1)})
+        # every position comes from subset_rank, so every entry of a root
+        # vector, a nilpotent or its conjugate lies inside the 2^g x 2^g matrix
+        for g in (2, 3, 4):
+            n = 1 << g
+            ms = [e for _, _, e in hol_root_vectors(g)] + [build_v(U, g) for U in tails(g)]
+            for m in ms + [conj(m) for m in ms]:
+                assert all(0 <= i < n and 0 <= j < n for i, j in m)
+        with pytest.raises(ValueError, match="4x4"):
+            dense_matrix({(0, 4): 1}, 2)
 
     def test_canonical_entries(self):
-        m = SymplecticMatrix(2, [((3, 1), Fraction(2)), ((0, 2), Fraction(0)), ((1, 3), Fraction(-1))])
-        assert m.entries == (((1, 3), -1), ((3, 1), 2))
-        assert m == SymplecticMatrix(2, {(1, 3): Fraction(-1), (3, 1): Fraction(2)})
-        assert SymplecticMatrix.zero(2).entries == ()
+        # only nonzero entries are kept, so equal matrices are equal dicts
+        a, b = {(0, 1): 1, (1, 0): 1}, {(1, 0): Fraction(1)}
+        assert bracket(a, a) == {}
+        assert bracket(a, b) == {(0, 0): 1, (1, 1): -1}
+        assert conj({}) == {}
 
     @settings(max_examples=150, deadline=None)
     @given(sparse_pairs())
-    def test_agrees_with_the_dense_algebra(self, pair):
-        a, b = pair
-        assert dense(a @ b) == dense_matmul(dense(a), dense(b))
-        assert dense(a + b) == dense_add(dense(a), dense(b))
-        assert dense(a - b) == dense_sub(dense(a), dense(b))
-        assert dense(a.transpose()) == dense_transpose(dense(a))
-        assert dense(bracket(a, b)) == dense_bracket(dense(a), dense(b))
-        assert dense(a.scaled(Fraction(-1, 2))) == tuple(
-            tuple(Fraction(-1, 2) * x for x in row) for row in dense(a)
+    def test_agrees_with_the_dense_algebra(self, drawn):
+        g, a, b = drawn
+        ab = bracket(a, b)
+        assert 0 not in ab.values()
+        assert dense_matrix(ab, g) == dense_bracket(dense_matrix(a, g), dense_matrix(b, g))
+        assert dense_matrix(conj(a), g) == tuple(
+            tuple(-x for x in row) for row in dense_transpose(dense_matrix(a, g))
         )
 
     def test_omega_squares_to_minus_identity(self):
         for g in (2, 3):
-            assert omega(g) @ omega(g) == SymplecticMatrix(g, {(k, k): -1 for k in range(1 << g)})
+            form = dense_matrix(omega(g), g)
+            assert dense_product(form, form) == dense_matrix({(k, k): -1 for k in range(1 << g)}, g)
 
     def test_conj_is_an_involution(self):
         m = build_v(mask_of(3, [2]), 3)
@@ -130,11 +106,11 @@ class TestSymplecticMatrix:
 class TestRootVectors:
     def test_rank_one_raising_matrix(self):
         e = root_vector(mask_of(2, []), mask_of(2, []), 2)
-        assert e.entries == (((0, 3), 1),)
+        assert e == {(0, 3): 1}
 
     def test_normalization(self):
         for I, J, e in hol_root_vectors(3):
-            assert bracket(e, bracket(e, conj(e))) == e.scaled(2)
+            assert bracket(e, bracket(e, conj(e))) == scaled(e, 2)
 
     def test_conjugation_swaps_complements(self):
         for I, J, e in hol_root_vectors(3):
@@ -142,14 +118,14 @@ class TestRootVectors:
 
     def test_lie_algebra_membership(self):
         for I, J, e in hol_root_vectors(3):
-            assert in_lie_algebra(e)
-            assert in_lie_algebra(conj(e))
+            assert in_lie_algebra(e, 3)
+            assert in_lie_algebra(conj(e), 3)
 
     def test_raising_part_is_abelian(self):
         for g in (2, 3, 4):
             vectors = [e for _, _, e in hol_root_vectors(g)]
             for a, b in itertools.combinations_with_replacement(vectors, 2):
-                assert bracket(a, b).is_zero()
+                assert not bracket(a, b)
 
     def test_double_bracket_dichotomy(self):
         # [E_{I,J_I}, [E_{I,J_I}, conj(E_{K,J_K})]] is 2E_{I,J_I} exactly
@@ -161,9 +137,9 @@ class TestRootVectors:
                 f = conj(root_vector(K, tail ^ K, g))
                 got = bracket(e, bracket(e, f))
                 if K in (I, tail ^ I):
-                    assert got == e.scaled(2)
+                    assert got == scaled(e, 2)
                 else:
-                    assert got.is_zero()
+                    assert not got
 
     def test_torus_weights(self):
         g = 3
@@ -174,21 +150,26 @@ class TestRootVectors:
             mask_of(3, [2, 3]): 7,
         }
         t = torus_element(coeffs, g)
-        assert in_lie_algebra(t)
+        assert in_lie_algebra(t, g)
 
         def value(A):
             return coeffs[A] if not A & 1 else -coeffs[A ^ 0b111]
 
         for I, J, e in hol_root_vectors(g):
-            assert bracket(t, e) == e.scaled(value(I) + value(J))
+            assert bracket(t, e) == scaled(e, value(I) + value(J))
             eb = conj(e)
-            assert bracket(t, eb) == eb.scaled(
-                value(I ^ 0b111) + value(J ^ 0b111)
-            )
+            assert bracket(t, eb) == scaled(eb, value(I ^ 0b111) + value(J ^ 0b111))
 
     def test_mixed_pair_rejected(self):
         with pytest.raises(ValueError, match="non-root index pair"):
             root_vector(mask_of(2, []), mask_of(2, [1]), 2)
+
+    def test_mask_past_g_rejected(self):
+        # with subset_rank's refusal, this keeps every entry inside the
+        # 2^g x 2^g matrix
+        for I, J in ((0b1000, 0), (0, 0b1000), (0b1001, 0b1001), (-2, 0)):
+            with pytest.raises(ValueError, match=r"index sets must live in \{1,...,3\}"):
+                root_vector(I, J, 3)
 
     def test_torus_key_validation(self):
         with pytest.raises(ValueError, match="subsets of"):
@@ -198,18 +179,14 @@ class TestRootVectors:
 class TestNilpotents:
     def test_g3_expansion(self):
         tail = mask_of(3, [2, 3])
-        expect = root_vector(mask_of(3, []), tail, 3) + root_vector(
-            mask_of(3, [2]), mask_of(3, [3]), 3
-        )
+        expect = plus(root_vector(mask_of(3, []), tail, 3), root_vector(mask_of(3, [2]), mask_of(3, [3]), 3))
         assert build_v(mask_of(3, [2]), 3) == expect
 
     def test_half_weight_collapse(self):
         # at U = {2,...,g} every root vector appears twice, so the halved
         # sum equals the sum over one representative per complementary pair
         tail = mask_of(3, [2, 3])
-        expect = root_vector(mask_of(3, []), tail, 3) + root_vector(
-            mask_of(3, [2]), mask_of(3, [3]), 3
-        )
+        expect = plus(root_vector(mask_of(3, []), tail, 3), root_vector(mask_of(3, [2]), mask_of(3, [3]), 3))
         assert build_v(tail, 3) == expect
 
     def test_conjugate_pairing(self):
@@ -219,8 +196,8 @@ class TestNilpotents:
 
     def test_lie_algebra_membership(self):
         for U in tails(3):
-            assert in_lie_algebra(build_v(U, 3))
-            assert in_lie_algebra(conj(build_v(U, 3)))
+            assert in_lie_algebra(build_v(U, 3), 3)
+            assert in_lie_algebra(conj(build_v(U, 3)), 3)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="inside"):
@@ -233,7 +210,7 @@ class TestCheckSl2:
     def test_surface_coweight(self):
         for U in (mask_of(2, []), mask_of(2, [2])):
             h = bracket(build_v(U, 2), conj(build_v(U, 2)))
-            assert h.entries == (((0, 0), -1), ((1, 1), -1), ((2, 2), 1), ((3, 3), 1))
+            assert h == {(0, 0): -1, (1, 1): -1, (2, 2): 1, (3, 3): 1}
 
     def test_all_reports_pass(self):
         for U in tails(3):
@@ -271,6 +248,22 @@ class TestCheckSl2:
             check_sl2(mask_of(9, [2]), 9)
         with pytest.raises(ValueError, match="g <= 8"):
             sl2_reports(9)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_dense_recomputation_agrees(self, g):
+        reports = sl2_reports(g)
+        assert [U for U, _ in reports] == list(tails(g))
+        for U, report in reports:
+            assert dense_matrix(build_v(U, g), g) == dense_nilpotent(U, g)
+            assert report == dense_sl2_report(U, g)
+
+    def test_dense_negative_control_agrees(self):
+        for g in (2, 3, 4):
+            for U in tails(g):
+                report = dense_sl2_report(U, g, scale=2)
+                assert report == check_sl2(U, g, scale=2)
+                assert report["bracket_vv_zero"] and report["bracket_vvbar_diagonal"]
+                assert not report["triple_identities"]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="outside 1..3"):

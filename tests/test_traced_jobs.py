@@ -3,10 +3,11 @@ untraced job prints.
 
 benchmarks/tracer.py wraps every public cmlab function and patches
 SignedPerm.__post_init__, GaloisGroup.__post_init__ and
-GaloisGroup.elements to count work, so a refactor of those names can break
-every traced benchmark run without failing a cmlab test.  These cases run
-the tracer as the benchmark does, in a subprocess, and read benchmarks/
-without changing it.
+GaloisGroup.elements to count work; it also counts the calls of
+sl2check.bracket and sl2check.build_v by name.  A refactor of those names
+can break every traced benchmark run without failing a cmlab test.  These
+cases run the tracer as the benchmark does, in a subprocess, and read
+benchmarks/ without changing it.
 """
 import json
 import os
@@ -39,8 +40,9 @@ def traced_and_plain(tmp_path, argv):
     return traced, counters, plain
 
 
-@pytest.mark.parametrize("argv", [["orbits", "--input", "PAIR"], ["relations", "--weyl-full", "--g", "3"]],
-                         ids=["orbits-g4-generators", "relations-weyl-full-g3"])
+@pytest.mark.parametrize("argv", [["orbits", "--input", "PAIR"], ["relations", "--weyl-full", "--g", "3"],
+                                  ["sl2-check", "--g", "3"]],
+                         ids=["orbits-g4-generators", "relations-weyl-full-g3", "sl2-check-g3"])
 def test_traced_job_prints_the_untraced_bytes(tmp_path, argv):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps(PAIR_G4), encoding="utf-8")
@@ -53,3 +55,7 @@ def test_traced_job_prints_the_untraced_bytes(tmp_path, argv):
         # the patched constructors and GaloisGroup.elements still count
         assert counters.get("hyperoct.signedperm.made", 0) > 0
         assert counters.get("galois.elements", 0) > 0
+    if argv[0] == "sl2-check":
+        # the hooks on sl2check.bracket and sl2check.build_v still count
+        assert counters.get("sl2check.brackets", 0) > 0
+        assert counters.get("sl2check.nilpotents_built", 0) > 0
