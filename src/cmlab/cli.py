@@ -41,17 +41,25 @@ from types import SimpleNamespace
 from . import POHLMANN_HARD_BUDGET
 
 
+def _unique_keys(pairs) -> dict:
+    """The JSON object of its key-value pairs, if no key repeats."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f'repeated key "{next(key for key in keys if keys.count(key) > 1)}"')
+    return dict(pairs)
+
+
 def _read_json(path: str) -> dict:
     import json
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
     except (OSError, ValueError, RecursionError) as exc:
         # besides I/O errors: bytes that are not UTF-8, an integer past the
-        # digit limit, or nesting past the recursion limit
+        # digit limit, nesting past the recursion limit, or a repeated key
         raise ValueError(f"cannot read {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
@@ -60,8 +68,8 @@ def _read_json(path: str) -> dict:
 
 def _check(value, shape, name: str = ""):
     """value, if it has the JSON shape: int, [shape] for a list of that
-    shape, or {key: shape} for an object with (at least) those keys;
-    otherwise a ValueError naming the offending field."""
+    shape, or {key: shape} for an object with just those keys, "key?" being
+    optional; otherwise a ValueError naming the offending field."""
     if shape is int:
         if type(value) is not int:
             raise ValueError(f"{name} must be an integer")
@@ -73,10 +81,14 @@ def _check(value, shape, name: str = ""):
     else:
         if not isinstance(value, dict):
             raise ValueError(f"{name} must be an object")
-        for key, sub in shape.items():
-            if key not in value:
-                raise ValueError(f'{name or "input"} needs "{key}"')
-            _check(value[key], sub, f"{name}.{key}" if name else key)
+        fields = {key.rstrip("?"): sub for key, sub in shape.items()}
+        if (extra := next((key for key in value if key not in fields), None)) is not None:
+            raise ValueError(f'{name or "input"}: unknown key "{extra}"')
+        for field, sub in fields.items():
+            if field in value:
+                _check(value[field], sub, f"{name}.{field}" if name else field)
+            elif field in shape:  # not optional
+                raise ValueError(f'{name or "input"} needs "{field}"')
     return value
 
 
@@ -103,15 +115,14 @@ def spec_from_json(data: dict):
     if len(shapes) > 1:
         raise ValueError(f"input gives more than one pair: {' and '.join(shapes)}")
     if "cyclic" in data:
-        c = _check(data["cyclic"], {"M": int, "phi": [int]}, "cyclic")
+        c = _check(data, {"cyclic": {"M": int, "phi": [int]}})["cyclic"]
         if c["M"] % 2 == 0:  # an odd M fails the parity check in from_cyclic
             _check_group_size(c["M"] // 2)
         return CMPairSpec.from_cyclic(c["M"], c["phi"])
     if "weyl" in data:
-        return CMPairSpec.weyl(_check_group_size(_check(data["weyl"], int, "weyl")))
+        return CMPairSpec.weyl(_check_group_size(_check(data, {"weyl": int})["weyl"]))
     if "generators" in data:
-        _check(data, {"g": int, "generators": [{"flips": [int], "perm": [int]}]})
-        g = _check_group_size(data["g"])
+        g = _check_group_size(_check(data, {"g": int, "generators": [{"flips": [int], "perm": [int]}]})["g"])
         gens = []
         for k, x in enumerate(data["generators"]):
             try:
@@ -140,9 +151,9 @@ _COMMANDS = {
     "relations": ("cli_relations", "cmd_relations", "sign-normalized monomial relations", _PAIR_OR_GENUS),
     "hodge-basis": ("cli_hodge", "cmd_hodge_basis", "Hodge-class basis in degree p at power n", _PAIR_OR_GENUS),
     "reduce": ("cli_relations", "cmd_reduce", "degree <= 2 reduction certificate for a relation",
-               {"g": int, "vec": [int]}),
+               {"g": int, "vec": [int], "tau?": int}),
     "support": ("cli_hodge", "cmd_support", "support size, canonical form and equivalence of quadruples",
-                {"g": int, "first": [[int]]}),
+                {"g": int, "first": [[int]], "second?": [[int]]}),
     "sl2-check": ("cli_sl2", "cmd_sl2_check", "sl2-triple verification over all index sets", _GENUS),
     "example-mu19": ("cli_mu19", "cmd_example_mu19", "worked cyclotomic regression report", None),
 }

@@ -1,5 +1,4 @@
 """Command handlers on Hodge classes: hodge-basis and support."""
-from .cli import _check
 from .hodge import canonical_form_weyl, pohlmann_basis, support_class
 from .hyperoct import mask_of, members, subset_str, subset_unrank
 
@@ -20,17 +19,17 @@ def _slot_json(g, k, copy, spec) -> dict:
 
 def cmd_hodge_basis(target, args, as_json):
     spec = None if isinstance(target, int) else target
-    g = target if spec is None else spec.g
+    g, base = (target, 1 << target) if spec is None else (spec.g, 2 * spec.g)
     basis = pohlmann_basis(target, args.p, args.n, args.budget)
     render = _slot_json if as_json else _slot_str
     rendered = {}  # slot -> its rendering, made once per command
 
     def slots(c) -> list:
-        for s in c.slots:
+        for s in c:
             if s not in rendered:
-                copy, k = divmod(s, c.base)
+                copy, k = divmod(s, base)
                 rendered[s] = render(g, k, copy + 1, spec)
-        return [rendered[s] for s in c.slots]
+        return [rendered[s] for s in c]
 
     if as_json:
         return {"p": args.p, "n": args.n, "size": len(basis), "basis": [slots(c) for c in basis]}
@@ -60,7 +59,7 @@ def cmd_support(data, args, as_json):
         form = None
     obj = {"support_size": size, "canonical_form": None if form is None else list(form)}
     if "second" in data:
-        size2, key2 = support_class(quad("second", _check(data["second"], [[int]], "second")), g)
+        size2, key2 = support_class(quad("second", data["second"]), g)
         obj.update(second_support_size=size2, equivalent=key == key2)
     if as_json:
         return obj

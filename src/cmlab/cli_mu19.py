@@ -40,9 +40,9 @@ def cmd_example_mu19(read, args, as_json):
     for rel in rels:
         cubic = lift_relation(rel, ranks)
         # reduce_to_low_degree raises unless the certificate verifies
-        cert = reduce_to_low_degree(cubic, g)
+        parts = reduce_to_low_degree(cubic, g)
         if as_json:
-            certificates.append(certificate_json(cert))
+            certificates.append(certificate_json(cubic, parts))
             continue
         factorization.append(f"cubic: {render_relation(rel, symbols)}")
         if dict(rel.terms).get(_MU19_PHI.index(17)):
@@ -56,8 +56,8 @@ def cmd_example_mu19(read, args, as_json):
             diff = MonomialRelation(ANTIWEYL, g, (*qa.terms, *((r, -c) for r, c in qb.terms)))
             match = cubic.normalized() == diff.normalized()
             factorization.append("  quadratic difference reproduces the cubic: " + ("yes" if match else "no"))
-        signs = "{" + ",".join(f"{c:+d}" for c in sorted({c for _, c in cert.parts})) + "}"
-        factorization.append(f"  reduction certificate: {len(cert.parts)} parts, coefficients in {signs}, verified")
+        signs = "{" + ",".join(f"{c:+d}" for c in sorted({c for _, c in parts})) + "}"
+        factorization.append(f"  reduction certificate: {len(parts)} parts, coefficients in {signs}, verified")
 
     if as_json:
         return {

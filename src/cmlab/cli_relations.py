@@ -3,7 +3,6 @@
 relations --weyl-full and reduce run only reciprocity (with hyperoct and
 record); the period kernel of a pair loads the lattice code when it runs.
 """
-from .cli import _check
 from .reciprocity import (
     ANTIWEYL,
     SIMPLE,
@@ -70,28 +69,27 @@ def cmd_relations(source, args, as_json):
     return [f"relations: {len(rels)}", *(f"relation: {render_relation(r, symbols)}" for r in rels)]
 
 
-def certificate_json(cert) -> dict:
-    """A certificate from reduce_to_low_degree, which verified it."""
+def certificate_json(target, parts) -> dict:
+    """The parts of target from reduce_to_low_degree, which verified them."""
     return {
-        "target": relation_to_json(cert.target),
-        "parts": [{"gen": relation_to_json(gen), "coeff": coeff} for gen, coeff in cert.parts],
+        "target": relation_to_json(target),
+        "parts": [{"gen": relation_to_json(gen), "coeff": coeff} for gen, coeff in parts],
         "verified": True,
     }
 
 
 def cmd_reduce(data, args, as_json):
     g, vec = data["g"], data["vec"]
-    tau = _check(data.get("tau", 0), int, "tau")
     if len(vec) != 1 << g:
         raise ValueError(f"vec has {len(vec)} entries, expected 2^{g} = {1 << g}")
-    rel = MonomialRelation.from_vec(ANTIWEYL, g, vec, tau)
+    rel = MonomialRelation.from_vec(ANTIWEYL, g, vec, data.get("tau", 0))
     # reduce_to_low_degree raises unless the certificate verifies
-    cert = reduce_to_low_degree(rel, g)
+    parts = reduce_to_low_degree(rel, g)
     if as_json:
-        return certificate_json(cert)
+        return certificate_json(rel, parts)
     return [
         f"target: {render_relation(rel)}",
-        f"parts: {len(cert.parts)}",
-        *(f"{coeff:+d} * {render_relation(gen)}" for gen, coeff in cert.parts),
+        f"parts: {len(parts)}",
+        *(f"{coeff:+d} * {render_relation(gen)}" for gen, coeff in parts),
         "verified: yes",
     ]

@@ -1,19 +1,19 @@
 """Hodge-class bases, the relations their cycles induce, and quadruple
 supports.
 
-A (p,p)-Hodge class on the n-th power of a CM abelian variety is indexed
-by a 2p-element set P of embedding slots.  A slot is one number,
-(copy - 1) * base + position, where base is the number of embeddings of
-the variety and position follows its base order: the 2^g CM-type index
-sets in canonical rank order on the anti-Weyl variety, phi_1..phi_g then
-phibar_1..phibar_g on a CM pair.  In both orders the first half of the
-positions is the holomorphic half.  P contributes a class exactly when
-it meets every Galois translate of the CM type in p slots (the Pohlmann
-condition); pohlmann_basis enumerates these directly.  On the generalized
-anti-Weyl variety, tests/oracles.py re-enumerates the same basis
-independently (by point coverage, and in degree two by admissible
-quadruples wedged by quadruple_to_cycle) and checks the two-out-of-four
-balance lemma behind the admissibility condition.
+A (p,p)-Hodge class on the n-th power of a CM abelian variety is the
+increasing tuple of its 2p embedding slots.  A slot is one number,
+(copy - 1) * base + position, where base, which the caller holds, is the
+number of embeddings of the variety and position follows its base order:
+the 2^g CM-type index sets by rank on the anti-Weyl variety, phi_1..phi_g
+then phibar_1..phibar_g on a CM pair, the first half holomorphic.  The
+slots form a class exactly when they meet every Galois translate of the
+CM type in p slots (the Pohlmann condition); pohlmann_basis enumerates
+these directly.  On the generalized anti-Weyl variety, tests/oracles.py
+re-enumerates the same basis independently (by point coverage, and in
+degree two by admissible quadruples wedged by quadruple_to_cycle) and
+checks the two-out-of-four balance lemma behind the admissibility
+condition.
 
 Each balanced cycle induces a monomial relation between the periods
 Theta_I (relation_of_cycle); reciprocity.reduce_to_low_degree certifies
@@ -29,33 +29,6 @@ from math import factorial, prod
 
 from . import POHLMANN_HARD_BUDGET
 from .hyperoct import admissible, check_powerset_size, subset_rank, subset_unrank
-from .record import Record, set_slot
-
-
-class CycleIndex(Record):
-    """The 2p embedding slots of a Hodge class, as slot numbers.
-
-    Slot s is position s % base of copy s // base + 1, the positions in the
-    base order of the variety, whose first base // 2 positions are the
-    holomorphic ones.  slots is strictly increasing: copy-major, and
-    within a copy in base order.
-    """
-
-    __slots__ = ("base", "slots")
-
-    def __init__(self, base: int, slots: tuple) -> None:
-        if any(a >= b for a, b in zip(slots, slots[1:])):
-            raise ValueError("slots must be strictly increasing (distinct slots)")
-        if slots and slots[0] < 0:
-            raise ValueError(f"copy index {slots[0] // base + 1} out of range")
-        set_slot(self, "base", base)
-        set_slot(self, "slots", slots)
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        base = self.base
-        hol = sum(1 for s in self.slots if s % base < base // 2)
-        return (hol, len(self.slots) - hol)
 
 
 def _holomorphy_profiles(spec) -> tuple[list, int]:
@@ -78,9 +51,9 @@ def _holomorphy_profiles(spec) -> tuple[list, int]:
             for bar in (0, 1) for j in range(spec.g)], len(masks)
 
 
-def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> list[CycleIndex]:
+def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> list[tuple]:
     """All 2p-slot cycles meeting every Galois translate of the CM type in
-    exactly p slots, on the n-th power of the variety.
+    exactly p slots, on the n-th power of the variety, as slot tuples.
 
     spec is a CMPairSpec, or an integer g for the generalized anti-Weyl
     variety (slots are then all subsets of {1,...,g}, acted on by the full
@@ -92,15 +65,14 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     """
     if p < 0 or n < 1:
         raise ValueError("need p >= 0 and n >= 1")
-    base = (1 << spec) if isinstance(spec, int) else 2 * spec.g
     if p == 0:
-        return [CycleIndex(base, ())]
+        return [()]
     if p > 7:
         raise ValueError("the packed accumulator supports p <= 7")
     eff = min(budget, POHLMANN_HARD_BUDGET)
     exceeded = f"enumeration budget exceeded: the walk visits more than {eff} nodes"
     profile, digits = _holomorphy_profiles(spec)
-    if n * base - 2 * p + 1 > eff:  # the root's loop, checked before the copies are laid out
+    if n * len(profile) - 2 * p + 1 > eff:  # the root's loop, checked before the copies are laid out
         raise ValueError(exceeded)
     # one base-16 digit per translate, slot s at packed[s]; a candidate is
     # Pohlmann-valid iff each digit of its holomorphy count is p, and with
@@ -125,7 +97,7 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
         if left == 1:
             for i in span:
                 if acc + packed[i] == target:
-                    picked.append(CycleIndex(base, (*chosen, i)))
+                    picked.append((*chosen, i))
         else:
             for i in reversed(span):
                 nxt = acc + packed[i]
@@ -134,31 +106,29 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     return picked
 
 
-def quadruple_to_cycle(I: int, J: int, K: int, L: int, g: int, copies=(1, 1, 1, 1)) -> CycleIndex:
-    """The wedge cycle eps_I ^ eps_J ^ eps_{K^c} ^ eps_{L^c} of four masks at g."""
+def quadruple_to_cycle(I: int, J: int, K: int, L: int, g: int, copies=(1, 1, 1, 1)) -> tuple:
+    """The sorted slots of the wedge eps_I ^ eps_J ^ eps_{K^c} ^ eps_{L^c} of four masks at g."""
     base = 1 << g
     wedge = (I, J, K ^ (base - 1), L ^ (base - 1))
-    return CycleIndex(base, tuple(sorted((copy - 1) * base + subset_rank(g, X) for X, copy in zip(wedge, copies))))
+    return tuple(sorted((copy - 1) * base + subset_rank(g, X) for X, copy in zip(wedge, copies)))
 
 
-def relation_of_cycle(c: CycleIndex, g: int) -> "MonomialRelation":
-    """The monomial relation induced by a balanced cycle on the anti-Weyl
-    variety at g: Theta_I on the left per holomorphic slot I, Theta_{I^c}
-    on the right per antiholomorphic slot; copy indices are irrelevant and
-    dropped.  g is passed because a base alone does not name the variety: a
-    CM pair of genus 2^(g-1) has 2^g embeddings too."""
+def relation_of_cycle(slots: tuple, g: int) -> "MonomialRelation":
+    """The monomial relation induced by the slots of a cycle on the anti-Weyl
+    variety at g, which must be distinct, non-negative, increasing and
+    balanced: Theta_I on the left per holomorphic slot I, Theta_{I^c} on
+    the right per antiholomorphic slot; copy indices are dropped."""
     from .reciprocity import ANTIWEYL, MonomialRelation
 
     base = 1 << g
-    if c.base != base:
-        raise ValueError(f"subset slots required: the cycle has {c.base} positions per copy, not 2^{g}")
-    hol, anti = c.bidegree
-    if hol != anti:
-        raise ValueError(f"unbalanced cycle: {hol} holomorphic vs {anti} antiholomorphic slots")
+    if any(a >= b for a, b in zip((-1, *slots), slots)):
+        raise ValueError("slots must be non-negative and strictly increasing")
+    hol = sum(1 for s in slots if s % base < base // 2)
+    if 2 * hol != len(slots):
+        raise ValueError(f"unbalanced cycle: {hol} holomorphic vs {len(slots) - hol} antiholomorphic slots")
     # rank(I^c) = 2^g - 1 - rank(I)
-    return MonomialRelation(ANTIWEYL, g, (
-        (k, 1) if k < base // 2 else (base - 1 - k, -1) for k in (s % base for s in c.slots)
-    ))
+    return MonomialRelation(ANTIWEYL, g, ((k, 1) if k < base // 2 else (base - 1 - k, -1)
+                                          for k in (s % base for s in slots)))
 
 
 # ---------------------------------------------------------------------------

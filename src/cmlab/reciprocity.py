@@ -250,35 +250,27 @@ def _is_degree_two(rel: MonomialRelation) -> bool:
     return admissible(*pos, *neg)
 
 
-class Certificate(Record):
-    """Integer decomposition of a relation over degree <= 2 generators."""
-
-    __slots__ = ("target", "parts")
-
-    def __init__(self, target: MonomialRelation, parts: tuple) -> None:
-        set_slot(self, "target", target)
-        set_slot(self, "parts", parts)
-
-    def verify(self) -> bool:
-        """Exact re-summation, plus the generator-shape restriction."""
-        g = self.target.g
-        if not all(gen.g == g and (_is_degree_one(gen) or _is_degree_two(gen)) for gen, _ in self.parts):
-            return False
-        terms = ((r, c * e) for gen, c in self.parts for r, e in gen.terms)
-        return MonomialRelation(ANTIWEYL, g, terms, sum(c * gen.tau for gen, c in self.parts)) == self.target
+def verify_certificate(target: MonomialRelation, parts) -> bool:
+    """Whether the (generator, coefficient) parts re-sum exactly to target,
+    every generator of degree one or two at its g."""
+    if not all(gen.g == target.g and (_is_degree_one(gen) or _is_degree_two(gen)) for gen, _ in parts):
+        return False
+    terms = ((r, c * e) for gen, c in parts for r, e in gen.terms)
+    return MonomialRelation(ANTIWEYL, target.g, terms, sum(c * gen.tau for gen, c in parts)) == target
 
 
-def reduce_to_low_degree(r: MonomialRelation, g: int) -> Certificate:
-    """Certificate expressing r over the degree-one generator of the empty
-    set and chain quadruples, found by triangular back-substitution.
+def reduce_to_low_degree(r: MonomialRelation, g: int) -> tuple:
+    """The certificate of r: (generator, coefficient) parts over the
+    degree-one generator of the empty set and chain quadruples, found by
+    triangular back-substitution.
 
     The generators are triangular: the degree-one generator is the only one
     carrying tau, and each chain has a unit pivot on its own top subset of
     size >= 2.  Stripping tau and then every chain from large subsets down
     (chain_strip) therefore decides membership exactly: r is generated in
     degree <= 2 iff the residual vanishes, and otherwise ReductionError is
-    raised.  The certificate must re-sum to r exactly; both gates raise
-    explicitly, so that python -O keeps them.
+    raised.  The parts must pass verify_certificate against r; both gates
+    raise explicitly, so that python -O keeps them.
     """
     if r.side != ANTIWEYL:
         raise ValueError("anti-Weyl relation required")
@@ -289,8 +281,7 @@ def reduce_to_low_degree(r: MonomialRelation, g: int) -> Certificate:
     rem, chains = chain_strip(w.terms, g)
     if rem:
         raise ReductionError("relation is not generated in degree <= 2")
-    cert = Certificate(r, (*head, *((chain_generator(S, g), c) for S, c in chains)))
-    if not cert.verify():
+    parts = (*head, *((chain_generator(S, g), c) for S, c in chains))
+    if not verify_certificate(r, parts):
         raise ReductionError("certificate does not re-sum to the relation")
-    return cert
-
+    return parts

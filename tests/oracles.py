@@ -10,7 +10,8 @@ two-out-of-four balance lemma is checked over every quadruple.  The rest:
 the product, inverse and subset action of signed permutations (the package
 only walks orbits under generators), the embedding labels phi_j and
 phibar_j with the label form of CM types, the converters between slot
-numbers and (index set or label, copy) pairs, the elements of the whole
+numbers and (index set or label, copy) pairs and the bidegree of a cycle
+read from those pairs, the elements of the whole
 Weyl group, the support of a quadruple as a walked orbit, the HNF, lattice
 span, equality and membership, the symplectic form, the scaled sl2
 negative control and every sl2 report recomputed with dense rational
@@ -28,7 +29,6 @@ from fractions import Fraction
 from cmlab import POHLMANN_HARD_BUDGET
 from cmlab.cli import _COMMANDS, _PAIR_OR_GENUS, _SOURCES, _positive, build_parser
 from cmlab.galois import GaloisGroup, orbit
-from cmlab.hodge import CycleIndex
 from cmlab.hyperoct import (SignedPerm, _act_bits, admissible, check_powerset_size, mask_of, members, submasks,
                             subset_rank, subset_str, subset_unrank)
 from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right
@@ -143,7 +143,7 @@ def dense_chain_strip(vec, g: int):
 # the anti-Weyl Hodge basis re-enumerated, and the balance lemma
 
 
-def bp_multisets(g: int, p: int, n: int) -> list[CycleIndex]:
+def bp_multisets(g: int, p: int, n: int) -> list[tuple]:
     """Ordered 2p-tuples of (subset, copy) slots covering every point of
     {1,...,g} exactly p times; the balanced basis of the generalized
     anti-Weyl variety."""
@@ -153,7 +153,7 @@ def bp_multisets(g: int, p: int, n: int) -> list[CycleIndex]:
         raise ValueError("need p >= 0 and n >= 1")
     # slot k of the n copies is the index set of rank k mod 2^g
     masks = [subset_unrank(g, r) for r in range(1 << g)] * n
-    out: list[CycleIndex] = []
+    out = []
     nodes = 0
     # depth-first over (next slot, chosen slots, cover count per point),
     # children pushed in reverse so that they pop in slot order
@@ -166,7 +166,7 @@ def bp_multisets(g: int, p: int, n: int) -> list[CycleIndex]:
         left = 2 * p - len(chosen)
         if left == 0:
             if all(c == p for c in cover):
-                out.append(CycleIndex(1 << g, chosen))
+                out.append(chosen)
             continue
         if len(masks) - i < left:
             continue
@@ -358,35 +358,42 @@ def encode_cm_type(labels, spec) -> int:
 # phibar_{k-g+1} otherwise (base 2g)
 
 
-def subset_cycle(g: int, entries) -> CycleIndex:
-    """The cycle on the anti-Weyl variety at g of (mask, copy) pairs, in any order."""
+def subset_cycle(g: int, entries) -> tuple:
+    """The sorted slots on the anti-Weyl variety at g of (mask, copy) pairs, in any order."""
     base = 1 << g
-    return CycleIndex(base, tuple(sorted((copy - 1) * base + subset_rank(g, I) for I, copy in entries)))
+    return tuple(sorted((copy - 1) * base + subset_rank(g, I) for I, copy in entries))
 
 
-def label_cycle(g: int, entries) -> CycleIndex:
-    """The cycle on a CM pair of genus g of (EmbeddingLabel, copy) pairs, in any order."""
+def label_cycle(g: int, entries) -> tuple:
+    """The sorted slots on a CM pair of genus g of (EmbeddingLabel, copy) pairs, in any order."""
     base = 2 * g
-    return CycleIndex(base, tuple(sorted((copy - 1) * base + g * x.bar + x.index - 1 for x, copy in entries)))
+    return tuple(sorted((copy - 1) * base + g * x.bar + x.index - 1 for x, copy in entries))
 
 
-def slot_entries(c: CycleIndex, g: int, labels: bool = False) -> tuple:
-    """The (mask, copy) pairs of a cycle on the anti-Weyl variety at g,
-    or with labels its (EmbeddingLabel, copy) pairs on a CM pair of genus g."""
+def slot_entries(c: tuple, g: int, labels: bool = False) -> tuple:
+    """The (mask, copy) pairs of the slots of a cycle on the anti-Weyl
+    variety at g, or with labels its (EmbeddingLabel, copy) pairs on a CM
+    pair of genus g."""
     base = 2 * g if labels else 1 << g
-    if c.base != base:
-        raise ValueError(f"the cycle has {c.base} positions per copy, expected {base}")
     out = []
-    for s in c.slots:
+    for s in c:
         copy, k = divmod(s, base)
         out.append((EmbeddingLabel(k % g + 1, k >= g) if labels else subset_unrank(g, k), copy + 1))
     return tuple(out)
 
 
-def translated(c: CycleIndex, t, labels: bool = False) -> CycleIndex:
+def bidegree(c: tuple, g: int, labels: bool = False) -> tuple:
+    """(holomorphic, antiholomorphic) slot counts of a cycle, as for
+    slot_entries: a slot is holomorphic when its index set avoids 1, or
+    when its label is unbarred."""
+    hol = sum(1 for x, _ in slot_entries(c, g, labels) if not (x.bar if labels else x & 1))
+    return hol, len(c) - hol
+
+
+def translated(c: tuple, t, labels: bool = False) -> tuple:
     """A signed permutation applied to every slot of a cycle on the
     anti-Weyl variety, or with labels on a CM pair; the kind is passed
-    because the base alone does not tell them apart."""
+    because slot numbers alone do not tell them apart."""
     if labels:
         return label_cycle(t.g, [(act_embedding(t, x), copy) for x, copy in slot_entries(c, t.g, True)])
     return subset_cycle(t.g, [(act_subset(t, I), copy) for I, copy in slot_entries(c, t.g)])
@@ -433,7 +440,7 @@ def member(v, L: IntLattice):
     return tuple(reversed(coeffs))
 
 
-def kernel_to_cycle(spec, alpha, n=None) -> CycleIndex:
+def kernel_to_cycle(spec, alpha, n=None) -> tuple:
     """The canonical cycle of a kernel vector: copy l collects the
     embeddings with exponent >= l unbarred and those with exponent <= -l
     barred."""

@@ -371,6 +371,20 @@ class TestPinnedMessages:
          "generators[0]: element 1 repeats"),
         # a value that looks like a negative number is read as a value
         (["hodge-basis", "--weyl-full", "--g", "2", "--p", "-1", "--n", "1"], None, "need p >= 0 and n >= 1"),
+        # a key outside the shape is refused by name, optional keys misspelt
+        # included, at every depth of the input
+        (["support"], {"g": 3, "first": [[], [2, 3], [2], [3]], "secnd": [[], [2, 3], [3], [2]]},
+         'input: unknown key "secnd"'),
+        (["reduce"], {"g": 1, "vec": [1, 1], "taux": -1}, 'input: unknown key "taux"'),
+        (["reduce"], {"g": 1, "vec": [1, 1], "tau?": "x"}, 'input: unknown key "tau?"'),
+        (["orbits"], {"weyl": 3, "extra": 1}, 'input: unknown key "extra"'),
+        (["kernel"], {"cyclic": {"M": 6, "phi": [0, 1, 2], "N": 1}}, 'cyclic: unknown key "N"'),
+        (["orbits"], {"g": 2, "generators": [{"flips": [], "perm": [2, 1], "x": 0}]},
+         'generators[0]: unknown key "x"'),
+        # a repeated key is refused, not read as its last value
+        (["orbits"], '{"weyl": 3, "weyl": 20}', 'cannot read {path}: repeated key "weyl"'),
+        (["orbits"], '{"g": 2, "generators": [{"flips": [], "perm": [2, 1], "perm": [1, 2]}]}',
+         'cannot read {path}: repeated key "perm"'),
     ])
     def test_exact_stderr_and_exit_1(self, tmp_path, capsys, argv, data, message):
         path = tmp_path / "input.json"
@@ -913,7 +927,10 @@ class TestProgramMode:
     FAMILIES = ["cyclic-orbits", "relations-weyl-full", "hodge-basis-weyl-full", "sl2-check", "example-mu19"]
 
     def run_program(self, argv):
-        return subprocess.run([sys.executable, "-c", self.ENTRY, *argv], capture_output=True)
+        # in dev mode with warnings as errors: a warning or an unclosed file
+        # in a program run fails the case
+        return subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", self.ENTRY, *argv],
+                              capture_output=True)
 
     @staticmethod
     def exit_code(argv=None) -> int:

@@ -15,7 +15,6 @@ from cmlab.cmtypes import CMPairSpec
 from cmlab.cli import main
 from cmlab.galois import GaloisGroup, from_generators, weyl_full
 from cmlab.hodge import (
-    CycleIndex,
     canonical_form_weyl,
     pohlmann_basis,
     quadruple_to_cycle,
@@ -25,17 +24,18 @@ from cmlab.hodge import (
 from cmlab.hyperoct import SignedPerm, admissible, mask_of, members, subset_rank, subset_unrank
 from cmlab.reciprocity import (
     ANTIWEYL,
-    Certificate,
     MonomialRelation,
     ReductionError,
     chain_generator,
     degree_one_generator,
     reduce_to_low_degree,
     render_relation,
+    verify_certificate,
 )
 from oracles import (
-    EmbeddingLabel, act_embedding, act_subset, b2_quadruples, balance_dichotomy, bp_multisets, compose, dense,
-    kernel_to_cycle, member, quad_lattice, quadruple_support, slot_entries, span, subset_cycle, translated, weyl_elements,
+    EmbeddingLabel, act_embedding, act_subset, b2_quadruples, balance_dichotomy, bidegree, bp_multisets, compose,
+    dense, kernel_to_cycle, member, quad_lattice, quadruple_support, slot_entries, span, subset_cycle, translated,
+    weyl_elements,
 )
 from strategies import signed_perms, subsets
 
@@ -86,32 +86,20 @@ def mu19_cubics():
     return out
 
 
-class TestCycleIndex:
-    def test_entries_must_be_strictly_sorted(self):
-        # slot 2 is {1} and slot 0 the empty set, in copy 1 at g = 2
-        with pytest.raises(ValueError, match="strictly increasing"):
-            CycleIndex(4, (2, 0))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            CycleIndex(4, (0, 0))
-
+class TestSlots:
     def test_copy_major_ordering(self):
         # a copy-2 slot sorts after every copy-1 slot, whatever the ranks
-        c = CycleIndex(4, (3, 4))
+        c = (3, 4)
         assert slot_entries(c, 2) == ((mask_of(2, [1, 2]), 1), (mask_of(2, []), 2))
         assert subset_cycle(2, ((mask_of(2, []), 2), (mask_of(2, [1, 2]), 1))) == c
-        assert c.bidegree == (1, 1)
-
-    def test_copy_range(self):
-        # a negative slot lies in a copy before copy 1
-        with pytest.raises(ValueError, match="copy index 0"):
-            CycleIndex(4, (-1, 0))
+        assert bidegree(c, 2) == (1, 1)
 
     def test_bidegree_and_rho_reversal(self):
         c = bp_multisets(2, 2, 1)[0]
-        assert c.bidegree == (2, 2)
+        assert bidegree(c, 2) == (2, 2)
         one_sided = subset_cycle(2, ((mask_of(2, []), 1), (mask_of(2, [2]), 1)))
-        assert one_sided.bidegree == (2, 0)
-        assert translated(one_sided, SignedPerm.make(2, [1, 2])).bidegree == (0, 2)
+        assert bidegree(one_sided, 2) == (2, 0)
+        assert bidegree(translated(one_sided, SignedPerm.make(2, [1, 2])), 2) == (0, 2)
 
     @given(signed_perms(3), signed_perms(3))
     @settings(max_examples=40, deadline=None)
@@ -155,14 +143,22 @@ class TestBpMultisets:
             bp_multisets(2, 1, 4)
 
 
+@st.composite
+def cyclic_pairs(draw, max_g):
+    """A CM pair of a cyclic group of order M = 2g, g <= max_g."""
+    g = draw(st.integers(1, max_g))
+    residues = draw(st.permutations(range(g)))
+    return CMPairSpec.from_cyclic(2 * g, [a + g * draw(st.booleans()) for a in residues])
+
+
 class TestPohlmann:
     def test_agrees_with_coverage_enumeration(self):
         for g, p, n in itertools.product((2, 3), (1, 2), (1, 2)):
             assert set(pohlmann_basis(g, p, n)) == set(bp_multisets(g, p, n)), (g, p, n)
 
     def test_p_zero_is_the_empty_cycle(self):
-        assert pohlmann_basis(3, 0, 1) == [CycleIndex(8, ())]
-        assert pohlmann_basis(mu19_spec(), 0, 2) == [CycleIndex(18, ())]
+        assert pohlmann_basis(3, 0, 1) == [()]
+        assert pohlmann_basis(mu19_spec(), 0, 2) == [()]
 
     def test_weyl_spec_degree_one(self):
         got = pohlmann_basis(CMPairSpec.weyl(3), 1, 1)
@@ -212,6 +208,18 @@ class TestPohlmann:
             p -= 1
         assert pohlmann_basis(spec, p, n) == flat_scan(spec, p, n)
 
+    @given(st.integers(1, 4) | cyclic_pairs(5), st.integers(0, 3), st.integers(1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_classes_are_increasing_slot_tuples(self, spec, p, n):
+        # the invariant each class keeps without a type to check it: 2p
+        # distinct slots, increasing, inside the n copies of the base
+        base = (1 << spec) if isinstance(spec, int) else 2 * spec.g
+        for c in pohlmann_basis(spec, p, n):
+            assert type(c) is tuple and len(c) == 2 * p
+            assert all(type(s) is int for s in c)
+            assert all(a < b for a, b in zip(c, c[1:]))
+            assert not c or 0 <= c[0] and c[-1] < n * base
+
     def test_g4_p3_n2(self):
         # C(32, 6) = 906,192 candidates for the unpruned scan
         basis = pohlmann_basis(4, 3, 2)
@@ -242,7 +250,7 @@ def flat_scan(spec, p, n):
     packed = [sum(digit[t] for t in group if hol(act(t, x))) for x in bases] * n
     target = p * sum(digit.values())
     return [
-        CycleIndex(len(bases), combo)
+        combo
         for combo in itertools.combinations(range(len(packed)), 2 * p)
         if sum(packed[i] for i in combo) == target
     ]
@@ -259,9 +267,7 @@ def pohlmann_specs(draw):
     if kind == "weyl":
         return CMPairSpec.weyl(draw(st.integers(2, 4)))
     if kind == "cyclic":
-        g = draw(st.integers(1, 7))
-        residues = draw(st.permutations(range(g)))
-        return CMPairSpec.from_cyclic(2 * g, [a + g * draw(st.booleans()) for a in residues])
+        return draw(cyclic_pairs(7))
     g = draw(st.integers(2, 4))
     gens = draw(st.lists(signed_perms(g), max_size=2))
     gens += [SignedPerm.make(g, range(1, g + 1)), SignedPerm(g, 0, (*range(2, g + 1), 1))]
@@ -293,9 +299,13 @@ class TestB2Quadruples:
             assert not (I | J | K | L) & 1
 
     def test_repeated_wedge_slot_rejected(self):
-        e = mask_of(2, [])
+        # a wedge that repeats a slot is zero: its sorted slots repeat one,
+        # and relation_of_cycle refuses them
+        e, s = mask_of(2, []), mask_of(2, [2])
+        slots = quadruple_to_cycle(e, e, s, s, 2)
+        assert slots == (0, 0, 2, 2)
         with pytest.raises(ValueError, match="strictly increasing"):
-            quadruple_to_cycle(e, e, mask_of(2, [2]), mask_of(2, [2]), 2)
+            relation_of_cycle(slots, 2)
 
 
 class TestAdmissible:
@@ -340,23 +350,23 @@ class TestKernelToCycle:
             (EmbeddingLabel(3, True), 1),
             (EmbeddingLabel(7, True), 1),
         )
-        assert c.bidegree == (3, 3)
+        assert bidegree(c, 9, labels=True) == (3, 3)
 
     def test_satisfies_the_counting_condition(self):
         spec = mu19_spec()
         c = kernel_to_cycle(spec, (1, -1, -1, 1, 0, 0, -1, 0, 1))
         for s in spec.group.elements:
-            assert translated(c, s, labels=True).bidegree == (3, 3)
+            assert bidegree(translated(c, s, labels=True), 9, labels=True) == (3, 3)
 
     def test_zero_vector(self):
-        assert kernel_to_cycle(mu19_spec(), (0,) * 9) == CycleIndex(18, ())
+        assert kernel_to_cycle(mu19_spec(), (0,) * 9) == ()
 
     def test_doubled_vector_fills_both_copies(self):
         spec = mu19_spec()
         single = kernel_to_cycle(spec, (1, -1, -1, 1, 0, 0, -1, 0, 1))
         double = kernel_to_cycle(spec, (2, -2, -2, 2, 0, 0, -2, 0, 2))
         # copy 2 repeats copy 1, one base of 18 slots further on
-        assert double.slots == single.slots + tuple(s + 18 for s in single.slots)
+        assert double == single + tuple(s + 18 for s in single)
 
     def test_depth_validation(self):
         spec = mu19_spec()
@@ -403,15 +413,23 @@ class TestRelationOfCycle:
         with pytest.raises(ValueError, match="unbalanced"):
             relation_of_cycle(c, 2)
 
-    def test_label_cycles_rejected(self):
-        with pytest.raises(ValueError, match="subset slots"):
-            relation_of_cycle(kernel_to_cycle(mu19_spec(), (1, -1, -1, 1, 0, 0, -1, 0, 1)), 9)
-        # a cycle at another g is refused too
-        with pytest.raises(ValueError, match="subset slots"):
-            relation_of_cycle(bp_multisets(2, 1, 1)[0], 3)
+    def test_entries_must_be_strictly_sorted(self):
+        # slot 2 is {1} and slot 0 the empty set, in copy 1 at g = 2: a
+        # balanced pair, refused for its order alone
+        for slots in ((2, 0), (0, 0)):
+            with pytest.raises(ValueError) as err:
+                relation_of_cycle(slots, 2)
+            assert str(err.value) == "slots must be non-negative and strictly increasing"
+
+    def test_copy_range(self):
+        # a negative slot lies in a copy before copy 1
+        for slots in ((-1,), (-1, 0)):
+            with pytest.raises(ValueError) as err:
+                relation_of_cycle(slots, 2)
+            assert str(err.value) == "slots must be non-negative and strictly increasing"
 
     def test_empty_cycle_is_trivial(self):
-        assert relation_of_cycle(CycleIndex(8, ()), 3) == MonomialRelation(ANTIWEYL, 3, ())
+        assert relation_of_cycle((), 3) == MonomialRelation(ANTIWEYL, 3, ())
 
 
 class TestCertificates:
@@ -421,38 +439,40 @@ class TestCertificates:
 
     def test_single_part_certificates(self):
         for gen in (degree_one_generator(mask_of(3, [2]), 3), chain_generator(mask_of(3, [1, 3]), 3)):
-            assert Certificate(gen, ((gen, 1),)).verify()
+            assert verify_certificate(gen, ((gen, 1),))
 
     def test_tampered_certificates_fail(self):
         gen = chain_generator(mask_of(3, [1, 3]), 3)
-        assert not Certificate(gen, ((gen, 2),)).verify()
+        assert not verify_certificate(gen, ((gen, 2),))
         bad_vec = [0] * 8
         bad_vec[subset_rank(3, mask_of(3, []))] = 1
         bad = MonomialRelation.from_vec(ANTIWEYL, 3, bad_vec)
-        assert not Certificate(bad, ((bad, 1),)).verify()
+        assert not verify_certificate(bad, ((bad, 1),))
         # a part of another dimension is refused, not summed or raised on
-        assert not Certificate(gen, ((chain_generator(mask_of(4, [1, 3]), 4), 1),)).verify()
+        assert not verify_certificate(gen, ((chain_generator(mask_of(4, [1, 3]), 4), 1),))
 
     def test_trivial_relation_reduces_to_the_empty_certificate(self):
-        cert = reduce_to_low_degree(MonomialRelation(ANTIWEYL, 3, ()), 3)
-        assert cert.parts == () and cert.verify()
+        rel = MonomialRelation(ANTIWEYL, 3, ())
+        parts = reduce_to_low_degree(rel, 3)
+        assert parts == () and verify_certificate(rel, parts)
 
     def test_degree_one_relation_reduces(self):
-        cert = reduce_to_low_degree(degree_one_generator(mask_of(3, [2]), 3), 3)
-        assert cert.verify() and cert.parts
+        rel = degree_one_generator(mask_of(3, [2]), 3)
+        parts = reduce_to_low_degree(rel, 3)
+        assert verify_certificate(rel, parts) and parts
 
     def test_mu19_cubics_reduce(self):
         for cubic, want_parts in zip(mu19_cubics(), (15, 17)):
-            cert = reduce_to_low_degree(cubic, 9)
-            assert cert.verify()
-            assert len(cert.parts) == want_parts
-            assert all(abs(c) == 1 for _, c in cert.parts)
+            parts = reduce_to_low_degree(cubic, 9)
+            assert verify_certificate(cubic, parts)
+            assert len(parts) == want_parts
+            assert all(abs(c) == 1 for _, c in parts)
 
     def test_every_small_balanced_relation_reduces(self):
         lattice = quad_lattice(3)
         for c in bp_multisets(3, 2, 1):
             rel = relation_of_cycle(c, 3)
-            assert reduce_to_low_degree(rel, 3).verify()
+            assert verify_certificate(rel, reduce_to_low_degree(rel, 3))
             # tau-free targets independently lie in the quadruple span
             assert member(dense(rel), lattice) is not None
 
@@ -481,12 +501,12 @@ class TestCertificates:
         rel = MonomialRelation.from_vec(ANTIWEYL, g, w[:-1], w[-1])
         is_member = member(tuple(w), generator_lattice(g)) is not None
         try:
-            cert = reduce_to_low_degree(rel, g)
+            parts = reduce_to_low_degree(rel, g)
         except ReductionError:
             assert not is_member
         else:
             assert is_member
-            assert cert.target == rel and cert.verify()
+            assert verify_certificate(rel, parts)
 
     def test_seeded_g12_combination_reduces(self):
         g = 12
@@ -500,8 +520,7 @@ class TestCertificates:
             for i, x in enumerate([*dense(gen), gen.tau]):
                 w[i] += c * x
         rel = MonomialRelation.from_vec(ANTIWEYL, g, w[:-1], w[-1])
-        cert = reduce_to_low_degree(rel, g)
-        assert cert.target == rel and cert.verify()
+        assert verify_certificate(rel, reduce_to_low_degree(rel, g))
 
     def test_verify_gates_survive_optimized_mode(self):
         # a strip that drops a chain part, or leaves a stray residual on the

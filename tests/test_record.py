@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from cmlab.cmtypes import CMPairSpec
 from cmlab.galois import GaloisGroup, from_cyclic_translation, from_generators, weyl_full
-from cmlab.hodge import CycleIndex, pohlmann_basis
 from cmlab.hyperoct import SignedPerm
 from cmlab.intlattice import IntLattice, IntMatrix
-from cmlab.reciprocity import ANTIWEYL, SIMPLE, Certificate, MonomialRelation, chain_generator, reduce_to_low_degree
+from cmlab.reciprocity import ANTIWEYL, SIMPLE, MonomialRelation
 from oracles import EmbeddingLabel, span
 
 # small groups and pairs by recipe, so that two draws are often equal
@@ -47,16 +46,6 @@ def _rows(cols):
     return st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols).map(tuple), max_size=2).map(tuple)
 
 
-def _chain_args():
-    tops = [(bits, g) for g in (2, 3) for bits in range(1 << g) if bits.bit_count() >= 2]
-    return st.tuples(st.sampled_from(tops), st.sampled_from([-2, 1, 3]))
-
-
-def _certificate(top, c):
-    gen = chain_generator(*top)
-    return reduce_to_low_degree(MonomialRelation(ANTIWEYL, gen.g, ((i, c * e) for i, e in gen.terms)), gen.g)
-
-
 # (record type, its fields in order, a strategy of constructor arguments,
 # the constructor from those arguments)
 RECORDS = [
@@ -66,8 +55,6 @@ RECORDS = [
      lambda a: SignedPerm(a[0], a[1], tuple(a[2]))),
     (GaloisGroup, ("g", "gens"), st.sampled_from(_GROUPS), _group),
     (CMPairSpec, ("group", "residues"), st.sampled_from(_GROUPS), _spec),
-    (CycleIndex, ("base", "slots"), st.integers(0, 7), lambda k: pohlmann_basis(2, 1, 2)[k]),
-    (Certificate, ("target", "parts"), _chain_args(), lambda a: _certificate(*a)),
     (IntMatrix, ("entries", "cols"), st.integers(1, 2).flatmap(lambda c: st.tuples(_rows(c), st.just(c))),
      lambda a: IntMatrix(*a)),
     (IntLattice, ("dim", "basis"), st.integers(1, 2).flatmap(lambda c: st.tuples(st.just(c), _rows(c))),
@@ -119,13 +106,12 @@ def test_fields_cannot_be_set_or_deleted(cls, fields, args, build, data):
 
 
 def test_repr_matches_the_earlier_field_form():
-    assert repr(CycleIndex(4, (0, 3))) == "CycleIndex(base=4, slots=(0, 3))"
     assert repr(SignedPerm.make(2, [1], [2, 1])) == "SignedPerm(g=2, flips=1, perm=(2, 1))"
     assert repr(EmbeddingLabel(2)) == "EmbeddingLabel(index=2, bar=False)"
 
 
 def test_hot_records_have_no_instance_dict():
-    for x in (CycleIndex(4, (0, 3)), SignedPerm.make(2, [1], [2, 1]), weyl_full(2).elements[5]):
+    for x in (SignedPerm.make(2, [1], [2, 1]), weyl_full(2).elements[5]):
         assert not hasattr(x, "__dict__")
 
 
@@ -135,8 +121,6 @@ def test_hot_records_have_no_instance_dict():
     (lambda: from_generators(2, [SignedPerm.make(2)]), "conjugation not in group"),
     (lambda: GaloisGroup(2, (SignedPerm.make(2), SignedPerm.make(2, [1, 2]))),
      "image in S_2 is not transitive (reaches only [1])"),
-    (lambda: CycleIndex(4, (-1,)), "copy index 0 out of range"),
-    (lambda: CycleIndex(4, (0, 0)), "slots must be strictly increasing (distinct slots)"),
     (lambda: IntMatrix(((1, 2), (3,)), 2), "ragged matrix"),
     (lambda: MonomialRelation("x", 2, ()), "unknown side 'x'"),
     (lambda: MonomialRelation.from_vec(ANTIWEYL, 2, (0, 0, 0)), "vector length 3, expected 4"),

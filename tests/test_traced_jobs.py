@@ -4,8 +4,11 @@ untraced job prints.
 benchmarks/tracer.py wraps every public cmlab function and patches
 SignedPerm.__post_init__, GaloisGroup.__post_init__ and
 GaloisGroup.elements to count work; it also counts the calls of
-sl2check.bracket and sl2check.build_v by name.  A refactor of those names
-can break every traced benchmark run without failing a cmlab test.  These
+sl2check.bracket and sl2check.build_v by name, and reads the results of
+hodge.pohlmann_basis and reciprocity.render_relation and the IntMatrix
+argument and IntLattice result of intlattice.kernel_basis.  A refactor of
+those names or fields can break every traced benchmark run without
+failing a cmlab test.  These
 cases run the tracer as the benchmark does, in a subprocess, and read
 benchmarks/ without changing it.
 """
@@ -40,22 +43,39 @@ def traced_and_plain(tmp_path, argv):
     return traced, counters, plain
 
 
-@pytest.mark.parametrize("argv", [["orbits", "--input", "PAIR"], ["relations", "--weyl-full", "--g", "3"],
-                                  ["sl2-check", "--g", "3"]],
-                         ids=["orbits-g4-generators", "relations-weyl-full-g3", "sl2-check-g3"])
-def test_traced_job_prints_the_untraced_bytes(tmp_path, argv):
-    pair = tmp_path / "pair.json"
-    pair.write_text(json.dumps(PAIR_G4), encoding="utf-8")
-    argv = [str(pair) if a == "PAIR" else a for a in argv]
+# a corpus input of tests/data/cli_digests.json, by case name
+CORPUS = {case["name"]: case["input"]
+          for case in json.loads((ROOT / "tests" / "data" / "cli_digests.json").read_text(encoding="utf-8"))["cases"]}
+
+# (command line, the JSON that --input holds or None, counters that must
+# be nonzero): the constructors that tracer.py patches, the hooks it keys
+# by name and the hooks that read a result's fields
+JOBS = {
+    # the patched constructors and GaloisGroup.elements
+    "orbits-g4-generators": (["orbits"], PAIR_G4, ("hyperoct.signedperm.made", "galois.elements")),
+    "relations-weyl-full-g3": (["relations", "--weyl-full", "--g", "3"], None, ()),
+    # the hooks on sl2check.bracket and sl2check.build_v
+    "sl2-check-g3": (["sl2-check", "--g", "3"], None, ("sl2check.brackets", "sl2check.nilpotents_built")),
+    # the hook on hodge.pohlmann_basis, which counts the classes it returns
+    "hodge-basis-weyl-full-g3": (["hodge-basis", "--weyl-full", "--g", "3", "--p", "2", "--n", "1"], None,
+                                 ("hodge.basis_size", "hodge.candidates")),
+    # the hook on intlattice.kernel_basis, which reads the IntMatrix argument
+    # and the IntLattice result field by field
+    "kernel-mu19-reflex": (["kernel"], CORPUS["cyclic-kernel"], ("intlattice.hnf_cells",)),
+    # the hook on reciprocity.render_relation, once per certificate line
+    "reduce": (["reduce"], CORPUS["reduce"], ("reciprocity.renders",)),
+}
+
+
+@pytest.mark.parametrize("name", JOBS)
+def test_traced_job_prints_the_untraced_bytes(tmp_path, name):
+    argv, data, nonzero = JOBS[name]
+    if data is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv = [*argv, "--input", str(path)]
     traced, counters, plain = traced_and_plain(tmp_path, argv)
     assert traced.returncode == 0, traced.stderr.decode()
     assert plain.returncode == 0, plain.stderr.decode()
     assert traced.stdout == plain.stdout
-    if argv[0] == "orbits":
-        # the patched constructors and GaloisGroup.elements still count
-        assert counters.get("hyperoct.signedperm.made", 0) > 0
-        assert counters.get("galois.elements", 0) > 0
-    if argv[0] == "sl2-check":
-        # the hooks on sl2check.bracket and sl2check.build_v still count
-        assert counters.get("sl2check.brackets", 0) > 0
-        assert counters.get("sl2check.nilpotents_built", 0) > 0
+    assert {key: counters.get(key, 0) > 0 for key in nonzero} == dict.fromkeys(nonzero, True)
