@@ -10,9 +10,9 @@ two-out-of-four balance lemma is checked over every quadruple.  The rest:
 the product, inverse and subset action of signed permutations (the package
 only walks orbits under generators), the embedding labels phi_j and
 phibar_j with the label form of CM types, the converters between slot
-numbers and (index set or label, copy) pairs and the bidegree of a cycle
-read from those pairs, the elements of the whole
-Weyl group, the support of a quadruple as a walked orbit, the HNF, lattice
+numbers and (index set or label, copy) pairs, the bidegree of a cycle
+read from those pairs, the elements of the whole Weyl group, the
+support of a quadruple as a walked orbit, the HNF, lattice
 span, equality and membership, the symplectic form, the scaled sl2
 negative control and every sl2 report recomputed with dense rational
 matrices.  And the command line as an argparse parser, which

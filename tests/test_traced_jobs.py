@@ -4,13 +4,12 @@ untraced job prints.
 benchmarks/tracer.py wraps every public cmlab function and patches
 SignedPerm.__post_init__, GaloisGroup.__post_init__ and
 GaloisGroup.elements to count work; it also counts the calls of
-sl2check.bracket and sl2check.build_v by name, and reads the results of
-hodge.pohlmann_basis and reciprocity.render_relation and the IntMatrix
+sl2check.bracket, sl2check.build_v and reciprocity.render_relation by
+name, and reads the result of hodge.pohlmann_basis and the IntMatrix
 argument and IntLattice result of intlattice.kernel_basis.  A refactor of
 those names or fields can break every traced benchmark run without
-failing a cmlab test.  These
-cases run the tracer as the benchmark does, in a subprocess, and read
-benchmarks/ without changing it.
+failing a cmlab test.  These cases run the tracer as the benchmark does,
+in a subprocess, and read benchmarks/ without changing it.
 """
 import json
 import os
