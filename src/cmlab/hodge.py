@@ -121,8 +121,10 @@ def relation_of_cycle(slots: tuple, g: int) -> "MonomialRelation":
     from .reciprocity import ANTIWEYL, MonomialRelation
 
     base = 1 << g
-    if any(a >= b for a, b in zip((-1, *slots), slots)):
-        raise ValueError("slots must be non-negative and strictly increasing")
+    if any(a >= b for a, b in zip(slots, slots[1:])):
+        raise ValueError("slots must be strictly increasing (distinct slots)")
+    if slots and slots[0] < 0:
+        raise ValueError(f"copy index {slots[0] // base + 1} out of range")
     hol = sum(1 for s in slots if s % base < base // 2)
     if 2 * hol != len(slots):
         raise ValueError(f"unbalanced cycle: {hol} holomorphic vs {len(slots) - hol} antiholomorphic slots")

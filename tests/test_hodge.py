@@ -86,7 +86,26 @@ def mu19_cubics():
     return out
 
 
-class TestSlots:
+class TestCycleIndex:
+    """A cycle index: the increasing tuple of slot numbers of a Hodge class.
+    relation_of_cycle is where slots from a caller enter, so it refuses the
+    tuples that are not one."""
+
+    def test_entries_must_be_strictly_sorted(self):
+        # slot 2 is {1} and slot 0 the empty set, in copy 1 at g = 2: a
+        # balanced pair, refused for its order alone
+        for slots in ((2, 0), (0, 0)):
+            with pytest.raises(ValueError) as err:
+                relation_of_cycle(slots, 2)
+            assert str(err.value) == "slots must be strictly increasing (distinct slots)"
+
+    def test_copy_range(self):
+        # a negative slot lies in a copy before copy 1
+        for slots in ((-1,), (-1, 0)):
+            with pytest.raises(ValueError) as err:
+                relation_of_cycle(slots, 2)
+            assert str(err.value) == "copy index 0 out of range"
+
     def test_copy_major_ordering(self):
         # a copy-2 slot sorts after every copy-1 slot, whatever the ranks
         c = (3, 4)
@@ -412,21 +431,6 @@ class TestRelationOfCycle:
         c = subset_cycle(2, ((mask_of(2, []), 1), (mask_of(2, [2]), 1)))
         with pytest.raises(ValueError, match="unbalanced"):
             relation_of_cycle(c, 2)
-
-    def test_entries_must_be_strictly_sorted(self):
-        # slot 2 is {1} and slot 0 the empty set, in copy 1 at g = 2: a
-        # balanced pair, refused for its order alone
-        for slots in ((2, 0), (0, 0)):
-            with pytest.raises(ValueError) as err:
-                relation_of_cycle(slots, 2)
-            assert str(err.value) == "slots must be non-negative and strictly increasing"
-
-    def test_copy_range(self):
-        # a negative slot lies in a copy before copy 1
-        for slots in ((-1,), (-1, 0)):
-            with pytest.raises(ValueError) as err:
-                relation_of_cycle(slots, 2)
-            assert str(err.value) == "slots must be non-negative and strictly increasing"
 
     def test_empty_cycle_is_trivial(self):
         assert relation_of_cycle((), 3) == MonomialRelation(ANTIWEYL, 3, ())

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cmlab.cmtypes import CMPairSpec
 from cmlab.galois import GaloisGroup, from_cyclic_translation, from_generators, weyl_full
+from cmlab.hodge import relation_of_cycle
 from cmlab.hyperoct import SignedPerm
 from cmlab.intlattice import IntLattice, IntMatrix
 from cmlab.reciprocity import ANTIWEYL, SIMPLE, MonomialRelation
@@ -121,6 +122,9 @@ def test_hot_records_have_no_instance_dict():
     (lambda: from_generators(2, [SignedPerm.make(2)]), "conjugation not in group"),
     (lambda: GaloisGroup(2, (SignedPerm.make(2), SignedPerm.make(2, [1, 2]))),
      "image in S_2 is not transitive (reaches only [1])"),
+    # a cycle's slots are checked where they enter, in relation_of_cycle
+    (lambda: relation_of_cycle((-1,), 2), "copy index 0 out of range"),
+    (lambda: relation_of_cycle((0, 0), 2), "slots must be strictly increasing (distinct slots)"),
     (lambda: IntMatrix(((1, 2), (3,)), 2), "ragged matrix"),
     (lambda: MonomialRelation("x", 2, ()), "unknown side 'x'"),
     (lambda: MonomialRelation.from_vec(ANTIWEYL, 2, (0, 0, 0)), "vector length 3, expected 4"),
