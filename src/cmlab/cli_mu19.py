@@ -4,7 +4,7 @@ from .cli_relations import certificate_json, kernel_report, period_symbols
 from .cmtypes import CMPairSpec, compagnon_labels, labeled_translates, orbit_decomposition, reflex_labels
 from .hodge import quadruple_to_cycle, relation_of_cycle
 from .hyperoct import admissible, mask_of, members, subset_rank, subset_str
-from .reciprocity import ANTIWEYL, MonomialRelation, lift_relation, reduce_to_low_degree, render_relation
+from .reciprocity import MonomialRelation, lift_relation, reduce_to_low_degree, render_relation
 
 # the base pair, its reflex, the two factorizations through the compagnon
 # index set L = {5, 6}, and the second compagnon index set L' = {4, 6, 7}
@@ -32,7 +32,7 @@ def cmd_example_mu19(read, args, as_json):
     labels_Lp = compagnon_labels(spec_star, Lp)
     kernel, rels = kernel_report(spec_phi, as_json)
 
-    # lift each label relation to the anti-Weyl side via the orbit table
+    # lift each label relation to a Theta_I relation through the orbit table
     ranks = [subset_rank(g, table[a]) for a in _MU19_PHI]
     symbols = period_symbols(spec_phi)
     certificates = []
@@ -40,7 +40,7 @@ def cmd_example_mu19(read, args, as_json):
     for rel in rels:
         cubic = lift_relation(rel, ranks)
         # reduce_to_low_degree raises unless the certificate verifies
-        parts = reduce_to_low_degree(cubic, g)
+        parts = reduce_to_low_degree(cubic)
         if as_json:
             certificates.append(certificate_json(cubic, parts))
             continue
@@ -53,7 +53,7 @@ def cmd_example_mu19(read, args, as_json):
                 for quad in quads
             )
             qa, qb = (relation_of_cycle(quadruple_to_cycle(*quad, g), g) for quad in quads)
-            diff = MonomialRelation(ANTIWEYL, g, (*qa.terms, *((r, -c) for r, c in qb.terms)))
+            diff = MonomialRelation(g, (*qa.terms, *((r, -c) for r, c in qb.terms)))
             match = cubic.normalized() == diff.normalized()
             factorization.append("  quadratic difference reproduces the cubic: " + ("yes" if match else "no"))
         signs = "{" + ",".join(f"{c:+d}" for c in sorted({c for _, c in parts})) + "}"

@@ -4,8 +4,6 @@ relations --weyl-full and reduce run only reciprocity (with hyperoct and
 record); the period kernel of a pair loads the lattice code when it runs.
 """
 from .reciprocity import (
-    ANTIWEYL,
-    SIMPLE,
     MonomialRelation,
     antiweyl_relations,
     kernel_N,
@@ -61,11 +59,11 @@ def cmd_kernel(spec, args, as_json):
 
 def cmd_relations(source, args, as_json):
     if isinstance(source, int):
-        side, rels, symbols = ANTIWEYL, antiweyl_relations(source), None
+        kind, rels, symbols = "antiweyl", antiweyl_relations(source), None
     else:
-        side, rels, symbols = SIMPLE, relations_from_kernel(kernel_N(source)), period_symbols(source)
+        kind, rels, symbols = "simple", relations_from_kernel(kernel_N(source)), period_symbols(source)
     if as_json:
-        return {"side": side, "relations": [relation_to_json(r, symbols) for r in rels]}
+        return {"side": kind, "relations": [relation_to_json(r, symbols) for r in rels]}
     return [f"relations: {len(rels)}", *(f"relation: {render_relation(r, symbols)}" for r in rels)]
 
 
@@ -82,9 +80,9 @@ def cmd_reduce(data, args, as_json):
     g, vec = data["g"], data["vec"]
     if len(vec) != 1 << g:
         raise ValueError(f"vec has {len(vec)} entries, expected 2^{g} = {1 << g}")
-    rel = MonomialRelation.from_vec(ANTIWEYL, g, vec, data.get("tau", 0))
+    rel = MonomialRelation.from_vec(g, vec, data.get("tau", 0))
     # reduce_to_low_degree raises unless the certificate verifies
-    parts = reduce_to_low_degree(rel, g)
+    parts = reduce_to_low_degree(rel)
     if as_json:
         return certificate_json(rel, parts)
     return [

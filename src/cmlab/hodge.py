@@ -118,7 +118,7 @@ def relation_of_cycle(slots: tuple, g: int) -> "MonomialRelation":
     variety at g, which must be distinct, non-negative, increasing and
     balanced: Theta_I on the left per holomorphic slot I, Theta_{I^c} on
     the right per antiholomorphic slot; copy indices are dropped."""
-    from .reciprocity import ANTIWEYL, MonomialRelation
+    from .reciprocity import MonomialRelation
 
     base = 1 << g
     if any(a >= b for a, b in zip(slots, slots[1:])):
@@ -129,8 +129,8 @@ def relation_of_cycle(slots: tuple, g: int) -> "MonomialRelation":
     if 2 * hol != len(slots):
         raise ValueError(f"unbalanced cycle: {hol} holomorphic vs {len(slots) - hol} antiholomorphic slots")
     # rank(I^c) = 2^g - 1 - rank(I)
-    return MonomialRelation(ANTIWEYL, g, ((k, 1) if k < base // 2 else (base - 1 - k, -1)
-                                          for k in (s % base for s in slots)))
+    return MonomialRelation(g, ((k, 1) if k < base // 2 else (base - 1 - k, -1)
+                                for k in (s % base for s in slots)))
 
 
 # ---------------------------------------------------------------------------

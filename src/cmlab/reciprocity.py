@@ -1,15 +1,18 @@
-"""Monomial period relations: the anti-Weyl relations and their degree <= 2
-certificates, and the period kernels of simple CM pairs.
+"""Monomial period relations: the period kernels of CM pairs, and the
+anti-Weyl relations with their degree <= 2 certificates.
 
-Two symbol universes occur.  On the simple-CM side a relation is an
-integer vector over the holomorphic periods th_1..th_g of one CM pair; the
-kernel of the Galois pairing matrix (one row per translate sigma Phi of
-the CM type, +1 at j when phi_j lies in it, -1 when phibar_j does)
-collects exactly the exponent vectors of monomial period relations.  On
-the generalized anti-Weyl side the symbols are Theta_I for all I in
-P({1,...,g}) together with tau (standing for 2 pi i); the reciprocity
-matrix rec* sends the basis vector of Theta_I to sum_{j not in I} phi_j +
-sum_{j in I} phibar_j, and its kernel N' is the relation lattice.
+A relation is its exponents (MonomialRelation): an integer exponent per
+period index, plus the exponent of tau (standing for 2 pi i).  The
+indices name the holomorphic periods th_1..th_g of one CM pair when the
+relation comes from that pair's period kernel: the kernel of the Galois
+pairing matrix (one row per translate sigma Phi of the CM type, +1 at j
+when phi_j lies in it, -1 when phibar_j does) collects exactly the
+exponent vectors of monomial period relations, and a renderer names them
+with the pair's symbols.  Otherwise an index is the canonical rank of a
+subset I of {1,...,g} and names Theta_I: the reciprocity matrix rec*
+sends the basis vector of Theta_I to sum_{j not in I} phi_j + sum_{j in I}
+phibar_j, and its kernel N' is the relation lattice.  lift_relation takes
+a pair relation to Theta_I through the orbit table.
 
 N' is generated by the "admissible quadruple" vectors
 eps_I + eps_J - eps_K - eps_L with I cup J = K cup L and I cap J = K cap L.
@@ -35,62 +38,54 @@ reduce_to_low_degree, rendering) touches only those.
 from .hyperoct import admissible, check_powerset_size, subset_rank, subset_str, subset_unrank
 from .record import Record, set_slot
 
-SIMPLE = "simple"
-ANTIWEYL = "antiweyl"
-
 
 class MonomialRelation(Record):
     """A monomial relation between period symbols, by its exponents.
 
     terms holds the nonzero exponents as (index, exponent) pairs in index
-    order.  For side == SIMPLE the indices are the embeddings phi_1..phi_g
-    (0-based) and tau must be 0; for side == ANTIWEYL they are the subsets
-    of {1,...,g} by canonical rank, and tau is the exponent of tau.  The
+    order, every index in 0..2^g - 1, and tau is the exponent of tau.  The
     constructor takes the pairs in any order, sums the exponents of a
     repeated index and drops zero sums, so a relation is the sum of its
-    terms and == and hash compare relations.
+    terms and == and hash compare relations.  Which periods the indices
+    name is left to the renderer: the symbols its caller passes, or Theta
+    of the subset of that canonical rank when none are passed.
     """
 
-    __slots__ = ("side", "g", "terms", "tau")
+    __slots__ = ("g", "terms", "tau")
 
-    def __init__(self, side: str, g: int, terms, tau: int = 0) -> None:
-        if side not in (SIMPLE, ANTIWEYL):
-            raise ValueError(f"unknown side {side!r}")
-        if side == SIMPLE and tau:
-            raise ValueError("simple-CM relations carry no tau exponent")
+    def __init__(self, g: int, terms, tau: int = 0) -> None:
         sums = {}
         for i, e in terms:
             sums[i] = sums.get(i, 0) + e
         terms = tuple(sorted((i, e) for i, e in sums.items() if e))
-        size = g if side == SIMPLE else 1 << g
-        if terms and not (0 <= terms[0][0] and terms[-1][0] < size):
-            raise ValueError(f"an index lies outside 0..{size - 1}")
-        set_slot(self, "side", side)
+        if terms and not (0 <= terms[0][0] and terms[-1][0] < 1 << g):
+            raise ValueError(f"an index lies outside 0..{(1 << g) - 1}")
         set_slot(self, "g", g)
         set_slot(self, "terms", terms)
         set_slot(self, "tau", tau)
 
     @classmethod
-    def from_vec(cls, side: str, g: int, vec, tau: int = 0) -> "MonomialRelation":
-        """The relation with exponent vector vec, one entry per index."""
-        size = g if side == SIMPLE else 1 << g
-        if len(vec) != size:
-            raise ValueError(f"vector length {len(vec)}, expected {size}")
-        return cls(side, g, ((i, e) for i, e in enumerate(vec) if e), tau)
+    def from_vec(cls, g: int, vec, tau: int = 0) -> "MonomialRelation":
+        """The relation over the Theta_I at g with exponent vector vec, one
+        entry per subset in canonical order."""
+        if len(vec) != 1 << g:
+            raise ValueError(f"vector length {len(vec)}, expected {1 << g}")
+        return cls(g, ((i, e) for i, e in enumerate(vec) if e), tau)
 
     def normalized(self) -> "MonomialRelation":
         """Flip signs so the first nonzero exponent is positive."""
         lead = self.terms[0][1] if self.terms else self.tau
         if lead >= 0:
             return self
-        return MonomialRelation(self.side, self.g, ((i, -e) for i, e in self.terms), -self.tau)
+        return MonomialRelation(self.g, ((i, -e) for i, e in self.terms), -self.tau)
 
 
 def _named_terms(rel: MonomialRelation, symbols) -> list:
     """(symbol, exponent) per nonzero exponent, in index order, tau last."""
-    if rel.side == SIMPLE:
-        return [(symbols[i], e) for i, e in rel.terms]
-    named = [(f"Th{subset_str(subset_unrank(rel.g, i))}", e) for i, e in rel.terms]
+    if symbols is None:
+        named = [(f"Th{subset_str(subset_unrank(rel.g, i))}", e) for i, e in rel.terms]
+    else:
+        named = [(symbols[i], e) for i, e in rel.terms]
     if rel.tau:
         named.append(("tau", rel.tau))
     return named
@@ -99,8 +94,8 @@ def _named_terms(rel: MonomialRelation, symbols) -> list:
 def render_relation(rel: MonomialRelation, symbols=None) -> str:
     """ASCII form 'A*B^2 ~ C'; positive exponents left, negatives right.
 
-    symbols names the periods of a simple-side relation by index; the
-    anti-Weyl symbols are Th{I} and tau.
+    symbols names the periods by index (a pair's Th[a] or Th[phi j]);
+    without them the index is a subset rank, named Th{I}, and tau is tau.
     """
     named = _named_terms(rel, symbols)
 
@@ -117,7 +112,7 @@ def relation_to_json(rel: MonomialRelation, symbols=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the simple side: period kernels of a CM pair
+# period kernels of a CM pair
 
 
 def pairing_matrix(spec):
@@ -140,21 +135,19 @@ def kernel_N(spec):
 
 
 def relations_from_kernel(L) -> list[MonomialRelation]:
-    """One sign-normalized simple-side relation per canonical basis row of a
-    period kernel."""
-    return [MonomialRelation.from_vec(SIMPLE, L.dim, row).normalized() for row in L.basis.entries]
+    """One sign-normalized relation per canonical basis row of a period
+    kernel, index j naming the period of phi_{j+1}."""
+    return [MonomialRelation(L.dim, enumerate(row)).normalized() for row in L.basis.entries]
 
 
 def lift_relation(rel: MonomialRelation, ranks) -> MonomialRelation:
-    """The anti-Weyl relation of a simple-side one: the period of index j
+    """The anti-Weyl relation of a pair relation: the period of index j
     goes to Theta of the subset of rank ranks[j]."""
-    if rel.side != SIMPLE:
-        raise ValueError("simple-CM relation required")
-    return MonomialRelation(ANTIWEYL, rel.g, ((ranks[j], e) for j, e in rel.terms))
+    return MonomialRelation(rel.g, ((ranks[j], e) for j, e in rel.terms))
 
 
 # ---------------------------------------------------------------------------
-# the anti-Weyl side: the closed-form kernel and chains
+# the anti-Weyl relations: the closed-form kernel and chains
 
 
 def antiweyl_relations(g: int) -> list[MonomialRelation]:
@@ -170,7 +163,7 @@ def antiweyl_relations(g: int) -> list[MonomialRelation]:
         size = bits.bit_count()
         if size >= 2:
             terms = [(0, size - 1), (r, 1), *((singleton[j], -1) for j in range(g) if bits >> j & 1)]
-            out.append(MonomialRelation(ANTIWEYL, g, terms))
+            out.append(MonomialRelation(g, terms))
     return out
 
 
@@ -220,7 +213,7 @@ class ReductionError(ValueError):
 
 def degree_one_generator(I: int, g: int) -> MonomialRelation:
     """Theta_I * Theta_{I^c} ~ tau, for the mask I at g."""
-    return MonomialRelation(ANTIWEYL, g, ((subset_rank(g, I), 1), (subset_rank(g, I ^ ((1 << g) - 1)), 1)), tau=-1)
+    return MonomialRelation(g, ((subset_rank(g, I), 1), (subset_rank(g, I ^ ((1 << g) - 1)), 1)), tau=-1)
 
 
 def chain_generator(S: int, g: int) -> MonomialRelation:
@@ -229,18 +222,18 @@ def chain_generator(S: int, g: int) -> MonomialRelation:
         raise ValueError("chains need |S| >= 2")
     top = 1 << (S.bit_length() - 1)
     terms = ((subset_rank(g, S), 1), (0, 1), (subset_rank(g, S ^ top), -1), (subset_rank(g, top), -1))
-    return MonomialRelation(ANTIWEYL, g, terms)
+    return MonomialRelation(g, terms)
 
 
 def _is_degree_one(rel: MonomialRelation) -> bool:
-    if rel.side != ANTIWEYL or rel.tau != -1 or len(rel.terms) != 2:
+    if rel.tau != -1 or len(rel.terms) != 2:
         return False
     (a, x), (b, y) = rel.terms
     return x == y == 1 and a + b == (1 << rel.g) - 1  # rank(I^c) = 2^g - 1 - rank(I)
 
 
 def _is_degree_two(rel: MonomialRelation) -> bool:
-    if rel.side != ANTIWEYL or rel.tau != 0:
+    if rel.tau != 0:
         return False
     if sum(e for _, e in rel.terms if e > 0) != 2 or sum(e for _, e in rel.terms if e < 0) != -2:
         return False
@@ -256,10 +249,10 @@ def verify_certificate(target: MonomialRelation, parts) -> bool:
     if not all(gen.g == target.g and (_is_degree_one(gen) or _is_degree_two(gen)) for gen, _ in parts):
         return False
     terms = ((r, c * e) for gen, c in parts for r, e in gen.terms)
-    return MonomialRelation(ANTIWEYL, target.g, terms, sum(c * gen.tau for gen, c in parts)) == target
+    return MonomialRelation(target.g, terms, sum(c * gen.tau for gen, c in parts)) == target
 
 
-def reduce_to_low_degree(r: MonomialRelation, g: int) -> tuple:
+def reduce_to_low_degree(r: MonomialRelation) -> tuple:
     """The certificate of r: (generator, coefficient) parts over the
     degree-one generator of the empty set and chain quadruples, found by
     triangular back-substitution.
@@ -272,12 +265,9 @@ def reduce_to_low_degree(r: MonomialRelation, g: int) -> tuple:
     raised.  The parts must pass verify_certificate against r; both gates
     raise explicitly, so that python -O keeps them.
     """
-    if r.side != ANTIWEYL:
-        raise ValueError("anti-Weyl relation required")
-    if r.g != g:
-        raise ValueError(f"dimension mismatch: relation has g={r.g}, not {g}")
+    g = r.g
     head = ((degree_one_generator(0, g), -r.tau),) if r.tau else ()
-    w = MonomialRelation(ANTIWEYL, g, (*r.terms, *((i, -c * e) for gen, c in head for i, e in gen.terms)))
+    w = MonomialRelation(g, (*r.terms, *((i, -c * e) for gen, c in head for i, e in gen.terms)))
     rem, chains = chain_strip(w.terms, g)
     if rem:
         raise ReductionError("relation is not generated in degree <= 2")

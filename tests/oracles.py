@@ -32,7 +32,7 @@ from cmlab.galois import GaloisGroup, orbit
 from cmlab.hyperoct import (SignedPerm, _act_bits, admissible, check_powerset_size, mask_of, members, submasks,
                             subset_rank, subset_str, subset_unrank)
 from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right
-from cmlab.reciprocity import SIMPLE, kernel_N
+from cmlab.reciprocity import kernel_N
 from cmlab.record import Record, set_slot
 from cmlab.sl2check import _nilpotents, _report
 
@@ -43,10 +43,10 @@ DICHOTOMY_MAX_G = 6
 QUAD_LATTICE_MAX_G = 12
 
 
-def dense(rel) -> tuple:
-    """The exponent vector of a relation, one entry per index."""
-    size = rel.g if rel.side == SIMPLE else 1 << rel.g
-    vec = [0] * size
+def dense(rel, size=None) -> tuple:
+    """The exponent vector of a relation, one entry per index below size:
+    by default one per subset, 2^g; a pair relation has g."""
+    vec = [0] * (1 << rel.g if size is None else size)
     for i, e in rel.terms:
         vec[i] = e
     return tuple(vec)

@@ -28,16 +28,24 @@ def generator_spec(g, gens):
 
 
 @st.composite
-def cm_pair_specs(draw, max_g=4):
-    """A cyclic pair of order 2g, the full Weyl group, or the closure of up
-    to two random signed permutations with conjugation and a g-cycle
-    added, at g = 2..max_g."""
-    kind = draw(st.sampled_from(["cyclic", "weyl", "generators"]))
+def cyclic_pairs(draw, max_g, min_g=1):
+    """A CM pair of a cyclic group of order M = 2g, min_g <= g <= max_g,
+    on a random transversal in a random embedding order."""
+    g = draw(st.integers(min_g, max_g))
+    residues = draw(st.permutations(range(g)))
+    return CMPairSpec.from_cyclic(2 * g, [a + g * draw(st.booleans()) for a in residues])
+
+
+@st.composite
+def generator_pairs(draw, max_g):
+    """The pair of the closure of up to two random signed permutations with
+    conjugation and a g-cycle added, at g = 2..max_g."""
     g = draw(st.integers(2, max_g))
-    if kind == "cyclic":
-        residues = draw(st.permutations(range(g)))
-        return CMPairSpec.from_cyclic(2 * g, [a + g * draw(st.booleans()) for a in residues])
-    if kind == "weyl":
-        return CMPairSpec.weyl(g)
     gens = draw(st.lists(signed_perms(g), max_size=2))
     return generator_spec(g, gens + [SignedPerm.make(g, range(1, g + 1)), SignedPerm(g, 0, (*range(2, g + 1), 1))])
+
+
+def cm_pair_specs(max_g=4):
+    """A cyclic pair of order 2g, the full Weyl group, or a generator pair,
+    at g = 2..max_g."""
+    return cyclic_pairs(max_g, 2) | dims(2, max_g).map(CMPairSpec.weyl) | generator_pairs(max_g)

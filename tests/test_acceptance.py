@@ -10,7 +10,6 @@ from cmlab.hodge import pohlmann_basis, quadruple_to_cycle, relation_of_cycle
 from cmlab.hyperoct import admissible, mask_of, members, subset_rank
 from cmlab.intlattice import IntMatrix, kernel_basis
 from cmlab.reciprocity import (
-    ANTIWEYL,
     MonomialRelation,
     kernel_N,
     reduce_to_low_degree,
@@ -67,7 +66,7 @@ def mu19_cubics():
             vec[subset_rank(9, orbit_subset(a))] += 1
         for a in neg:
             vec[subset_rank(9, orbit_subset(a))] -= 1
-        out.append(MonomialRelation.from_vec(ANTIWEYL, 9, vec))
+        out.append(MonomialRelation.from_vec(9, vec))
     return out
 
 
@@ -110,7 +109,7 @@ def test_criterion_03_mu19_compagnons_and_reflex_recovery():
 
 def test_criterion_04_mu19_factorization():
     for cubic in mu19_cubics():
-        parts = reduce_to_low_degree(cubic, 9)
+        parts = reduce_to_low_degree(cubic)
         assert verify_certificate(cubic, parts)
         assert parts
     L = mask_of(9, [5, 6])
@@ -155,7 +154,7 @@ def test_criterion_07_every_g4_cubic_class_reduces():
     for cycle in basis:
         assert bidegree(cycle, 4) == (3, 3)
         rel = relation_of_cycle(cycle, 4)
-        if not verify_certificate(rel, reduce_to_low_degree(rel, 4)):
+        if not verify_certificate(rel, reduce_to_low_degree(rel)):
             failures.append(cycle)
     assert failures == []
 
@@ -208,5 +207,5 @@ def test_criterion_10_property_suites():
     assert hnf(IntMatrix.from_rows(mixed)) == hnf(m)
     # certificate re-verification
     cubic = mu19_cubics()[0]
-    parts = reduce_to_low_degree(cubic, 9)
+    parts = reduce_to_low_degree(cubic)
     assert verify_certificate(cubic, parts) and verify_certificate(cubic, parts)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cmlab.cmtypes import CMPairSpec
 from cmlab.cli import main
-from cmlab.galois import GaloisGroup, from_generators, weyl_full
+from cmlab.galois import GaloisGroup, weyl_full
 from cmlab.hodge import (
     canonical_form_weyl,
     pohlmann_basis,
@@ -23,7 +23,6 @@ from cmlab.hodge import (
 )
 from cmlab.hyperoct import SignedPerm, admissible, mask_of, members, subset_rank, subset_unrank
 from cmlab.reciprocity import (
-    ANTIWEYL,
     MonomialRelation,
     ReductionError,
     chain_generator,
@@ -37,7 +36,7 @@ from oracles import (
     dense, kernel_to_cycle, member, quad_lattice, quadruple_support, slot_entries, span, subset_cycle, translated,
     weyl_elements,
 )
-from strategies import signed_perms, subsets
+from strategies import cyclic_pairs, generator_pairs, signed_perms, subsets
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
 # Galois-orbit index sets I([a]) of the mu19 pair, for the labels used below
@@ -82,7 +81,7 @@ def mu19_cubics():
             vec[subset_rank(9, MU19_I[a])] += 1
         for a in neg:
             vec[subset_rank(9, MU19_I[a])] -= 1
-        out.append(MonomialRelation.from_vec(ANTIWEYL, 9, vec))
+        out.append(MonomialRelation.from_vec(9, vec))
     return out
 
 
@@ -160,14 +159,6 @@ class TestBpMultisets:
             bp_multisets(2, 5, 1)
         with pytest.raises(ValueError, match="budgeted"):
             bp_multisets(2, 1, 4)
-
-
-@st.composite
-def cyclic_pairs(draw, max_g):
-    """A CM pair of a cyclic group of order M = 2g, g <= max_g."""
-    g = draw(st.integers(1, max_g))
-    residues = draw(st.permutations(range(g)))
-    return CMPairSpec.from_cyclic(2 * g, [a + g * draw(st.booleans()) for a in residues])
 
 
 class TestPohlmann:
@@ -287,10 +278,7 @@ def pohlmann_specs(draw):
         return CMPairSpec.weyl(draw(st.integers(2, 4)))
     if kind == "cyclic":
         return draw(cyclic_pairs(7))
-    g = draw(st.integers(2, 4))
-    gens = draw(st.lists(signed_perms(g), max_size=2))
-    gens += [SignedPerm.make(g, range(1, g + 1)), SignedPerm(g, 0, (*range(2, g + 1), 1))]
-    return CMPairSpec(from_generators(g, gens))
+    return draw(generator_pairs(4))
 
 
 class TestB2Quadruples:
@@ -405,11 +393,11 @@ class TestRelationOfCycle:
     def test_degree_one_cancels_to_the_trivial_relation(self):
         for g in (2, 3):
             for c in bp_multisets(g, 1, 1):
-                assert relation_of_cycle(c, g) == MonomialRelation(ANTIWEYL, g, ())
+                assert relation_of_cycle(c, g) == MonomialRelation(g, ())
 
     def test_degenerate_quadruple_is_trivial(self):
         e, s = mask_of(2, []), mask_of(2, [2])
-        assert relation_of_cycle(quadruple_to_cycle(e, s, s, e, 2), 2) == MonomialRelation(ANTIWEYL, 2, ())
+        assert relation_of_cycle(quadruple_to_cycle(e, s, s, e, 2), 2) == MonomialRelation(2, ())
 
     def test_mu19_mediated_quadratic(self):
         c = quadruple_to_cycle(MU19_I[0], MU19_I[17], MU19_I[3], L56, 9)
@@ -433,7 +421,7 @@ class TestRelationOfCycle:
             relation_of_cycle(c, 2)
 
     def test_empty_cycle_is_trivial(self):
-        assert relation_of_cycle((), 3) == MonomialRelation(ANTIWEYL, 3, ())
+        assert relation_of_cycle((), 3) == MonomialRelation(3, ())
 
 
 class TestCertificates:
@@ -450,24 +438,24 @@ class TestCertificates:
         assert not verify_certificate(gen, ((gen, 2),))
         bad_vec = [0] * 8
         bad_vec[subset_rank(3, mask_of(3, []))] = 1
-        bad = MonomialRelation.from_vec(ANTIWEYL, 3, bad_vec)
+        bad = MonomialRelation.from_vec(3, bad_vec)
         assert not verify_certificate(bad, ((bad, 1),))
         # a part of another dimension is refused, not summed or raised on
         assert not verify_certificate(gen, ((chain_generator(mask_of(4, [1, 3]), 4), 1),))
 
     def test_trivial_relation_reduces_to_the_empty_certificate(self):
-        rel = MonomialRelation(ANTIWEYL, 3, ())
-        parts = reduce_to_low_degree(rel, 3)
+        rel = MonomialRelation(3, ())
+        parts = reduce_to_low_degree(rel)
         assert parts == () and verify_certificate(rel, parts)
 
     def test_degree_one_relation_reduces(self):
         rel = degree_one_generator(mask_of(3, [2]), 3)
-        parts = reduce_to_low_degree(rel, 3)
+        parts = reduce_to_low_degree(rel)
         assert verify_certificate(rel, parts) and parts
 
     def test_mu19_cubics_reduce(self):
         for cubic, want_parts in zip(mu19_cubics(), (15, 17)):
-            parts = reduce_to_low_degree(cubic, 9)
+            parts = reduce_to_low_degree(cubic)
             assert verify_certificate(cubic, parts)
             assert len(parts) == want_parts
             assert all(abs(c) == 1 for _, c in parts)
@@ -476,7 +464,7 @@ class TestCertificates:
         lattice = quad_lattice(3)
         for c in bp_multisets(3, 2, 1):
             rel = relation_of_cycle(c, 3)
-            assert verify_certificate(rel, reduce_to_low_degree(rel, 3))
+            assert verify_certificate(rel, reduce_to_low_degree(rel))
             # tau-free targets independently lie in the quadruple span
             assert member(dense(rel), lattice) is not None
 
@@ -484,13 +472,7 @@ class TestCertificates:
         vec = [0] * 8
         vec[subset_rank(3, mask_of(3, []))] = 1
         with pytest.raises(ReductionError, match="degree <= 2"):
-            reduce_to_low_degree(MonomialRelation.from_vec(ANTIWEYL, 3, vec), 3)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError, match="anti-Weyl"):
-            reduce_to_low_degree(MonomialRelation("simple", 3, ()), 3)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            reduce_to_low_degree(MonomialRelation(ANTIWEYL, 3, ()), 4)
+            reduce_to_low_degree(MonomialRelation.from_vec(3, vec))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -502,10 +484,10 @@ class TestCertificates:
             w = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range((1 << g) + 1)]
         else:
             w = data.draw(st.lists(st.integers(-2, 2), min_size=(1 << g) + 1, max_size=(1 << g) + 1))
-        rel = MonomialRelation.from_vec(ANTIWEYL, g, w[:-1], w[-1])
+        rel = MonomialRelation.from_vec(g, w[:-1], w[-1])
         is_member = member(tuple(w), generator_lattice(g)) is not None
         try:
-            parts = reduce_to_low_degree(rel, g)
+            parts = reduce_to_low_degree(rel)
         except ReductionError:
             assert not is_member
         else:
@@ -523,8 +505,8 @@ class TestCertificates:
             c = rng.choice([-3, -2, -1, 1, 2, 3])
             for i, x in enumerate([*dense(gen), gen.tau]):
                 w[i] += c * x
-        rel = MonomialRelation.from_vec(ANTIWEYL, g, w[:-1], w[-1])
-        assert verify_certificate(rel, reduce_to_low_degree(rel, g))
+        rel = MonomialRelation.from_vec(g, w[:-1], w[-1])
+        assert verify_certificate(rel, reduce_to_low_degree(rel))
 
     def test_verify_gates_survive_optimized_mode(self):
         # a strip that drops a chain part, or leaves a stray residual on the
@@ -544,7 +526,7 @@ rel = reciprocity.chain_generator(0b111, 3)  # the full set {1,2,3}
 for fake in (lossy, leaky):
     reciprocity.chain_strip = fake
     try:
-        reciprocity.reduce_to_low_degree(rel, 3)
+        reciprocity.reduce_to_low_degree(rel)
     except reciprocity.ReductionError as exc:
         print(type(exc).__name__, exc)
     else:

@@ -13,8 +13,6 @@ from cmlab.galois import from_generators
 from cmlab.hyperoct import SignedPerm, mask_of, subset_rank, subset_unrank
 from cmlab.intlattice import IntMatrix, kernel_basis
 from cmlab.reciprocity import (
-    ANTIWEYL,
-    SIMPLE,
     MonomialRelation,
     antiweyl_relations,
     chain_generator,
@@ -33,7 +31,7 @@ from oracles import (
     admissible_quadruples, dense, dense_chain_strip, hnf, lattice_equal, member, quad_lattice, quadruple_vector,
     rec_star_antiweyl, span,
 )
-from strategies import cm_pair_specs, generator_spec
+from strategies import cm_pair_specs, cyclic_pairs, generator_pairs, generator_spec
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
 G1 = (1, -1, -1, 1, 0, 0, -1, 0, 1)  # [0]-[2]-[3]+[6]-[14]+[17]
@@ -190,7 +188,33 @@ class TestQuadLattice:
             quad_lattice(13)
 
 
+@st.composite
+def induced_cyclic_pairs(draw, max_g):
+    """A cyclic pair of order M = 2hk <= 2 max_g, k >= 3 odd, whose CM type
+    is induced from one of Z/2h: it has at most 2h translates, so its
+    period kernel has rank at least g - 2h > 0."""
+    h = draw(st.integers(1, max_g // 3))
+    k = draw(st.sampled_from(range(3, max_g // h + 1, 2)))
+    base = {a + h * draw(st.booleans()) for a in range(h)}
+    M = 2 * h * k
+    return CMPairSpec.from_cyclic(M, draw(st.permutations([b for b in range(M) if b % (2 * h) in base])))
+
+
 class TestRelations:
+    @given(cyclic_pairs(15) | induced_cyclic_pairs(15) | generator_pairs(4))
+    @settings(max_examples=80, deadline=None)
+    def test_pair_relations_are_the_signed_kernel_rows(self, spec):
+        # nothing in a relation says that its indices name a pair's periods
+        # (index j is phi_{j+1}); relations_from_kernel alone keeps them < g
+        lattice = kernel_N(spec)
+        rels = relations_from_kernel(lattice)
+        assert len(rels) == lattice.rank
+        for rel, row in zip(rels, lattice.basis.entries):
+            assert rel.g == spec.g and rel.tau == 0
+            assert all(0 <= i < spec.g for i, _ in rel.terms)
+            assert rel.terms[0][1] > 0
+            assert dense(rel, spec.g) in (row, tuple(-x for x in row))
+
     def test_mu19_cubics(self, mu19):
         K = kernel_N(mu19)
         rels = relations_from_kernel(K)
@@ -211,31 +235,31 @@ class TestRelations:
         assert sorted(dense(rels[0])) == [-1, -1, 1, 1] and rels[0].tau == 0
 
     def test_json_shape(self):
-        rel = MonomialRelation.from_vec(SIMPLE, 3, (2, -1, -1))
+        rel = MonomialRelation(3, enumerate((2, -1, -1)))
         assert relation_to_json(rel, ["a", "b", "c"]) == {
             "lhs": {"a": 2},
             "rhs": {"b": 1, "c": 1},
         }
 
     def test_normalization(self):
-        rel = MonomialRelation.from_vec(SIMPLE, 2, (-1, 1)).normalized()
+        rel = MonomialRelation(2, enumerate((-1, 1))).normalized()
         assert rel.terms == ((0, 1), (1, -1))
 
     def test_tau_renders(self):
-        rel = MonomialRelation(ANTIWEYL, 2, [(3, 1), (0, 1)], tau=-1)
+        rel = MonomialRelation(2, [(3, 1), (0, 1)], tau=-1)
         assert render_relation(rel) == "Th{}*Th{1,2} ~ tau"
         assert relation_to_json(rel) == {"lhs": {"Th{}": 1, "Th{1,2}": 1}, "rhs": {"tau": 1}}
 
     def test_sparse_form_is_canonical(self):
-        a = MonomialRelation(ANTIWEYL, 3, [(5, 2), (0, 0), (1, -1)])
-        b = MonomialRelation.from_vec(ANTIWEYL, 3, (0, -1, 0, 0, 0, 2, 0, 0))
+        a = MonomialRelation(3, [(5, 2), (0, 0), (1, -1)])
+        b = MonomialRelation.from_vec(3, (0, -1, 0, 0, 0, 2, 0, 0))
         assert a == b and hash(a) == hash(b) and a.terms == ((1, -1), (5, 2))
         with pytest.raises(ValueError, match="outside 0..7"):
-            MonomialRelation(ANTIWEYL, 3, [(8, 1)])
+            MonomialRelation(3, [(8, 1)])
         # a repeated index sums its exponents, and a zero sum vanishes
-        c = MonomialRelation(ANTIWEYL, 3, [(1, -1), (5, 3), (2, 1), (5, -1), (2, -1)])
+        c = MonomialRelation(3, [(1, -1), (5, 3), (2, 1), (5, -1), (2, -1)])
         assert c == a and c.terms == ((1, -1), (5, 2))
-        assert MonomialRelation(ANTIWEYL, 3, [(2, 1), (2, -1)]).terms == ()
+        assert MonomialRelation(3, [(2, 1), (2, -1)]).terms == ()
 
 
 class TestThetaGeneratorReduction:
@@ -248,7 +272,7 @@ class TestThetaGeneratorReduction:
         vec[0] = 1
         vec[subset_rank(3, mask_of(3, [2]))] = -1
         vec[subset_rank(3, mask_of(3, [3]))] = -1
-        assert chain_generator(mask_of(3, [2, 3]), 3) == MonomialRelation.from_vec(ANTIWEYL, 3, vec)
+        assert chain_generator(mask_of(3, [2, 3]), 3) == MonomialRelation.from_vec(3, vec)
 
     def test_triple_in_quad_lattice(self):
         # Theta_{1,2,3} * Theta_empty^2 ~ Theta_{1} * Theta_{2} * Theta_{3}
@@ -384,7 +408,7 @@ class TestTheoremBeyondMu19:
             for rel in rels:
                 lift = lift_relation(rel, ranks)
                 assert lift.tau == 0 and not any(rec_star_of(lift)), (base, rel)
-                parts = reduce_to_low_degree(lift, spec.g)
+                parts = reduce_to_low_degree(lift)
                 assert verify_certificate(lift, parts), (base, rel)
                 lifted += 1
                 with_parts += bool(parts)
@@ -397,7 +421,3 @@ class TestTheoremBeyondMu19:
         # only 16 of the 300 seeded types have a relation in their reflex
         # kernel; each of their 34 lifts needs a chain part
         assert self.certify(30, transversals(30, random.Random(30).sample(range(1 << 14), 300))) == (16, 34, 34)
-
-    def test_only_simple_side_relations_lift(self):
-        with pytest.raises(ValueError, match="simple-CM relation required"):
-            lift_relation(chain_generator(mask_of(3, [1, 2]), 3), [0, 1, 2])

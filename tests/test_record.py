@@ -9,7 +9,7 @@ from cmlab.galois import GaloisGroup, from_cyclic_translation, from_generators, 
 from cmlab.hodge import relation_of_cycle
 from cmlab.hyperoct import SignedPerm
 from cmlab.intlattice import IntLattice, IntMatrix
-from cmlab.reciprocity import ANTIWEYL, SIMPLE, MonomialRelation
+from cmlab.reciprocity import MonomialRelation
 from oracles import EmbeddingLabel, span
 
 # small groups and pairs by recipe, so that two draws are often equal
@@ -34,13 +34,12 @@ def _signed_perm_args():
 
 
 def _relation_args():
-    def at(side, g):
-        n = g if side == SIMPLE else 1 << g
+    def at(g):
+        n = 1 << g
         terms = st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(
             lambda vec: tuple((i, e) for i, e in enumerate(vec) if e))
-        tau = st.just(0) if side == SIMPLE else st.integers(-1, 1)
-        return st.tuples(st.just(side), st.just(g), terms, tau)
-    return st.tuples(st.sampled_from([SIMPLE, ANTIWEYL]), _small_g(1, 2)).flatmap(lambda t: at(*t))
+        return st.tuples(st.just(g), terms, st.integers(-1, 1))
+    return _small_g(1, 2).flatmap(at)
 
 
 def _rows(cols):
@@ -60,7 +59,7 @@ RECORDS = [
      lambda a: IntMatrix(*a)),
     (IntLattice, ("dim", "basis"), st.integers(1, 2).flatmap(lambda c: st.tuples(st.just(c), _rows(c))),
      lambda a: span(*a)),
-    (MonomialRelation, ("side", "g", "terms", "tau"), _relation_args(), lambda a: MonomialRelation(*a)),
+    (MonomialRelation, ("g", "terms", "tau"), _relation_args(), lambda a: MonomialRelation(*a)),
 ]
 
 
@@ -126,9 +125,8 @@ def test_hot_records_have_no_instance_dict():
     (lambda: relation_of_cycle((-1,), 2), "copy index 0 out of range"),
     (lambda: relation_of_cycle((0, 0), 2), "slots must be strictly increasing (distinct slots)"),
     (lambda: IntMatrix(((1, 2), (3,)), 2), "ragged matrix"),
-    (lambda: MonomialRelation("x", 2, ()), "unknown side 'x'"),
-    (lambda: MonomialRelation.from_vec(ANTIWEYL, 2, (0, 0, 0)), "vector length 3, expected 4"),
-    (lambda: MonomialRelation(SIMPLE, 2, (), 1), "simple-CM relations carry no tau exponent"),
+    (lambda: MonomialRelation(2, ((4, 1),)), "an index lies outside 0..3"),
+    (lambda: MonomialRelation.from_vec(2, (0, 0, 0)), "vector length 3, expected 4"),
 ])
 def test_constructor_validation_messages(build, message):
     with pytest.raises(ValueError) as err:

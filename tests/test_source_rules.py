@@ -3,6 +3,7 @@ import ast
 import importlib
 import inspect
 import pathlib
+import sys
 
 import pytest
 
@@ -21,6 +22,28 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
+def _absolute_imports(path) -> list:
+    """(line, module name) of every absolute import in the file at path,
+    at module level or inside a definition."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    # pyproject.toml declares no runtime dependencies: the package imports
+    # its own modules relatively and nothing else but the standard library
+    outside = [(line, name) for line, name in _absolute_imports(path)
+               if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"{path.name} imports {outside}"
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_dataclasses_or_typing_imports(path):
     # importing dataclasses pulls in inspect, and every dataclass execs
@@ -32,14 +55,7 @@ def test_no_dataclasses_or_typing_imports(path):
     # helps and refuses from its own tables.  The package's arithmetic is
     # int; fractions pulls in decimal and numbers, about 4 ms a job on a
     # 2-vCPU machine
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found += [(node.lineno, alias.name) for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found.append((node.lineno, node.module))
-    banned = [(line, name) for line, name in found if name.split(".")[0] in ("__future__", "argparse", "dataclasses", "fractions", "typing")]
+    banned = [(line, name) for line, name in _absolute_imports(path) if name.split(".")[0] in ("__future__", "argparse", "dataclasses", "fractions", "typing")]
     assert not banned, f"{path.name} imports {banned}"
 
 

@@ -47,12 +47,12 @@ def test_orbits_loads_no_hodge_sl2_or_fractions(tmp_path):
     assert not loaded & {"cmlab.hodge", "cmlab.sl2check", "fractions"}
 
 
-ANTIWEYL_SIDE = {"cmlab", "cmlab.cli", "cmlab.cli_relations", "cmlab.reciprocity", "cmlab.hyperoct", "cmlab.record"}
+RELATION_SIDE = {"cmlab", "cmlab.cli", "cmlab.cli_relations", "cmlab.reciprocity", "cmlab.hyperoct", "cmlab.record"}
 
 
 def test_relations_weyl_full_loads_only_the_antiweyl_side():
     loaded = loaded_by("import cmlab.cli; code = cmlab.cli.main(['relations', '--weyl-full', '--g', '4'])")
-    assert cmlab_modules(loaded) == ANTIWEYL_SIDE
+    assert cmlab_modules(loaded) == RELATION_SIDE
     assert "json" not in loaded
 
 
@@ -60,7 +60,7 @@ def test_reduce_loads_only_the_antiweyl_side(tmp_path):
     path = tmp_path / "rel.json"
     path.write_text(json.dumps({"g": 2, "vec": [1, 0, 0, 1], "tau": -1}))
     loaded = loaded_by(f"import cmlab.cli; code = cmlab.cli.main(['reduce', '--input', {str(path)!r}])")
-    assert cmlab_modules(loaded) == ANTIWEYL_SIDE
+    assert cmlab_modules(loaded) == RELATION_SIDE
 
 
 HODGE_SIDE = {"cmlab", "cmlab.cli", "cmlab.cli_hodge", "cmlab.hodge", "cmlab.hyperoct", "cmlab.record"}

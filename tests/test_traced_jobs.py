@@ -4,11 +4,12 @@ untraced job prints.
 benchmarks/tracer.py wraps every public cmlab function and patches
 SignedPerm.__post_init__, GaloisGroup.__post_init__ and
 GaloisGroup.elements to count work; it also counts the calls of
-sl2check.bracket, sl2check.build_v and reciprocity.render_relation by
-name, and reads the result of hodge.pohlmann_basis and the IntMatrix
-argument and IntLattice result of intlattice.kernel_basis.  A refactor of
-those names or fields can break every traced benchmark run without
-failing a cmlab test.  These cases run the tracer as the benchmark does,
+sl2check.bracket, sl2check.build_v, reciprocity.render_relation and
+reciprocity.relation_to_json by name, and reads the result of
+reciprocity.relations_from_kernel and hodge.pohlmann_basis and the
+IntMatrix argument and IntLattice result of intlattice.kernel_basis.  A
+refactor of those names or fields can break every traced benchmark run
+without failing a cmlab test.  These cases run the tracer as the benchmark does,
 in a subprocess, and read benchmarks/ without changing it.
 """
 import json
@@ -59,10 +60,13 @@ JOBS = {
     "hodge-basis-weyl-full-g3": (["hodge-basis", "--weyl-full", "--g", "3", "--p", "2", "--n", "1"], None,
                                  ("hodge.basis_size", "hodge.candidates")),
     # the hook on intlattice.kernel_basis, which reads the IntMatrix argument
-    # and the IntLattice result field by field
-    "kernel-mu19-reflex": (["kernel"], CORPUS["cyclic-kernel"], ("intlattice.hnf_cells",)),
+    # and the IntLattice result field by field, and the hook on
+    # reciprocity.relations_from_kernel, which counts the relations
+    "kernel-mu19-reflex": (["kernel"], CORPUS["cyclic-kernel"], ("intlattice.hnf_cells", "reciprocity.relations")),
     # the hook on reciprocity.render_relation, once per certificate line
     "reduce": (["reduce"], CORPUS["reduce"], ("reciprocity.renders",)),
+    # pair relations lifted to Theta_I relations and reduced, each rendered
+    "example-mu19": (["example-mu19"], None, ("reciprocity.relations", "reciprocity.renders")),
 }
 
 
