@@ -369,7 +369,7 @@ def _run(argv) -> int:
     as_json = args.format == "json"
     try:
         result = handler(_read(reads, args), args, as_json)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1

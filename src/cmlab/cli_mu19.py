@@ -1,7 +1,7 @@
 """Command handler of example-mu19, the worked cyclotomic regression report."""
 from .cli_pairs import labels_str
 from .cli_relations import certificate_json, kernel_report, period_symbols
-from .cmtypes import CMPairSpec, compagnon_labels, labeled_translates, orbit_decomposition, reflex_labels
+from .cmtypes import CMPairSpec, labeled_translates, labels_of, orbit_decomposition
 from .hodge import quadruple_to_cycle, relation_of_cycle
 from .hyperoct import admissible, mask_of, members, subset_rank, subset_str
 from .reciprocity import MonomialRelation, lift_relation, reduce_to_low_degree, render_relation
@@ -25,11 +25,11 @@ def cmd_example_mu19(read, args, as_json):
     degree_census = {}
     for o in orbits:
         degree_census[len(o)] = degree_census.get(len(o), 0) + 1
-    recovered = reflex_labels(spec_star)
+    recovered = labels_of(spec_star, (1 << g) - 1)
     L = mask_of(g, _MU19_L)
     Lp = mask_of(g, _MU19_L_PRIME)
-    labels_L = compagnon_labels(spec_star, L)
-    labels_Lp = compagnon_labels(spec_star, Lp)
+    labels_L = labels_of(spec_star, L)
+    labels_Lp = labels_of(spec_star, Lp)
     kernel, rels = kernel_report(spec_phi, as_json)
 
     # lift each label relation to a Theta_I relation through the orbit table
@@ -65,9 +65,9 @@ def cmd_example_mu19(read, args, as_json):
             "phi_star": list(_MU19_PHI_STAR),
             "orbit_table": {str(a): list(members(I)) for a, I in enumerate(table)},
             "orbit_degrees": {str(d): c for d, c in sorted(degree_census.items())},
-            "reflex_labels": list(recovered),
-            "compagnon_L": list(labels_L),
-            "compagnon_Lprime": list(labels_Lp),
+            "reflex_labels": recovered,
+            "compagnon_L": labels_L,
+            "compagnon_Lprime": labels_Lp,
             "kernel": kernel,
             "certificates": certificates,
         }

@@ -1,5 +1,5 @@
 """Command handlers on one CM pair: orbits, reflex and compagnons."""
-from .cmtypes import compagnon_labels, labeled_translates, orbit_decomposition, reflex_labels, translate_masks
+from .cmtypes import labeled_translates, labels_of, orbit_decomposition, translate_masks
 from .hyperoct import members, subset_str
 
 
@@ -32,11 +32,11 @@ def cmd_reflex(spec, args, as_json):
     masks = translate_masks(spec.group)
     # the members avoiding 1, already in rank order
     cm_type = [m for m in masks if not m & 1]
-    labels = reflex_labels(spec)
+    labels = labels_of(spec, (1 << spec.g) - 1)
     if as_json:
         return {
             "degree": len(masks),
-            "labels": list(labels),
+            "labels": labels,
             "cm_type": [list(members(I)) for I in cm_type],
         }
     return [
@@ -47,16 +47,13 @@ def cmd_reflex(spec, args, as_json):
 
 
 def cmd_compagnons(spec, args, as_json):
-    labeled = spec.residues is not None
-    found = []
-    for k, o in enumerate(orbit_decomposition(spec.group)):
-        labels = None
-        if labeled:
-            labels = reflex_labels(spec) if k == 0 else compagnon_labels(spec, o[0])
-        found.append((len(o), o[0], labels))
+    full = (1 << spec.g) - 1
+    # orbit 0, the reflex, keeps the a with 1 not in I([a]): the labels of its conjugate, the full mask
+    found = [(len(o), o[0], None if spec.residues is None else labels_of(spec, full if k == 0 else o[0]))
+             for k, o in enumerate(orbit_decomposition(spec.group))]
     if as_json:
         return {"compagnons": [
-            {"degree": degree, "key": list(members(key)), "labels": None if labels is None else list(labels)}
+            {"degree": degree, "key": list(members(key)), "labels": labels}
             for degree, key, labels in found
         ]}
     lines = [f"compagnons: {len(found)}"]

@@ -11,7 +11,8 @@ distinguished position 1 (half the orbit, since conjugation lies in the
 group).  The orbit of the empty set, translate_masks, is the reflex.
 Cyclic pairs also have an orbit table, the list of translates [a].I of an
 index set indexed by the residue a mod 2g, walked as [1]^a.I under the
-generator [1].
+generator [1]; labels_of reads from it the CM type of the compagnon of I,
+the residues a with 1 in [a].I, and for the full mask the reflex labels.
 """
 from .galois import GaloisGroup, from_cyclic_translation, orbit, weyl_full
 from .hyperoct import _act_bits, check_powerset_size, subset_rank, subset_unrank
@@ -85,6 +86,8 @@ def labeled_translates(spec: CMPairSpec, base: int) -> list[int]:
     """The masks of the translates [a].base, indexed by the residue a mod 2g:
     entry a is step a of the walk of base under [1]; base = 0, the empty
     set, gives I([a])."""
+    if spec.residues is None:
+        raise ValueError("labels need a labeled (cyclic) group")
     step, rows = spec.group.gens[0], []
     for _ in range(2 * spec.g):
         rows.append(base)
@@ -92,28 +95,12 @@ def labeled_translates(spec: CMPairSpec, base: int) -> list[int]:
     return rows
 
 
-def reflex_labels(spec: CMPairSpec) -> list:
-    """Labels a with 1 not in a.empty -- the CM type recovered by the reflex.
+def labels_of(spec: CMPairSpec, base: int) -> list[int]:
+    """The residues a with 1 in [a].base: the CM type of the compagnon of base.
 
-    For cyclic data built from the reflex of a type Phi this returns Phi:
-    the orbit-table entry of a avoids position 1 exactly when the
-    translated base type is holomorphic at the distinguished embedding.
+    The full mask is the conjugate type rho.empty, and rho is central and
+    complements, so [a].full is the complement of I([a]): the full mask
+    gives the reflex labels, the a with 1 not in I([a]), which for cyclic
+    data built from the reflex of Phi are Phi.
     """
-    if spec.residues is None:
-        raise ValueError("reflex labels need a labeled (cyclic) group")
-    return [a for a, I in enumerate(labeled_translates(spec, 0)) if not I & 1]
-
-
-def compagnon_labels(spec: CMPairSpec, base: int) -> list:
-    """Labels a with 1 in a.base -- the CM type of the compagnon of base.
-
-    This is the labeling convention for orbits other than the orbit of the
-    empty set: the compagnon attached to the orbit of `base` carries the
-    CM type {a : the translate a.base conjugates the distinguished
-    embedding}.  Note the asymmetry with reflex_labels, which keeps the
-    labels *avoiding* 1; both conventions are fixed by the cyclotomic
-    regression data.
-    """
-    if spec.residues is None:
-        raise ValueError("compagnon labels need a labeled (cyclic) group")
     return [a for a, I in enumerate(labeled_translates(spec, base)) if I & 1]

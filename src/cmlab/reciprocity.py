@@ -69,7 +69,7 @@ class MonomialRelation(Record):
         """The relation over the Theta_I at g with exponent vector vec, one
         entry per subset in canonical order."""
         if len(vec) != 1 << g:
-            raise ValueError(f"vector length {len(vec)}, expected {1 << g}")
+            raise ValueError(f"vec has {len(vec)} entries, expected 2^{g} = {1 << g}")
         return cls(g, ((i, e) for i, e in enumerate(vec) if e), tau)
 
     def normalized(self) -> "MonomialRelation":

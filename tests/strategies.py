@@ -37,6 +37,18 @@ def cyclic_pairs(draw, max_g, min_g=1):
 
 
 @st.composite
+def induced_cyclic_pairs(draw, max_g):
+    """A cyclic pair of order M = 2hk <= 2 max_g, k >= 3 odd, whose CM type
+    is induced from one of Z/2h: it has at most 2h translates, so its
+    period kernel has rank at least g - 2h > 0."""
+    h = draw(st.integers(1, max_g // 3))
+    k = draw(st.sampled_from(range(3, max_g // h + 1, 2)))
+    base = {a + h * draw(st.booleans()) for a in range(h)}
+    M = 2 * h * k
+    return CMPairSpec.from_cyclic(M, draw(st.permutations([b for b in range(M) if b % (2 * h) in base])))
+
+
+@st.composite
 def generator_pairs(draw, max_g):
     """The pair of the closure of up to two random signed permutations with
     conjugation and a g-cycle added, at g = 2..max_g."""

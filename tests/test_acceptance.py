@@ -4,7 +4,7 @@ Run `pytest tests/test_acceptance.py -v` for the per-criterion report.
 """
 import itertools
 
-from cmlab.cmtypes import CMPairSpec, compagnon_labels, reflex_labels
+from cmlab.cmtypes import CMPairSpec, labels_of
 from cmlab.galois import weyl_full
 from cmlab.hodge import pohlmann_basis, quadruple_to_cycle, relation_of_cycle
 from cmlab.hyperoct import admissible, mask_of, members, subset_rank
@@ -96,13 +96,14 @@ def test_criterion_02_mu19_orbit_table():
 
 def test_criterion_03_mu19_compagnons_and_reflex_recovery():
     spec = mu19_orbit_spec()
-    assert compagnon_labels(spec, mask_of(9, [5, 6])) == [
+    assert labels_of(spec, mask_of(9, [5, 6])) == [
         5, 7, 8, 9, 10, 11, 12, 13, 15,
     ]
-    assert compagnon_labels(spec, mask_of(9, [4, 6, 7])) == [
+    assert labels_of(spec, mask_of(9, [4, 6, 7])) == [
         4, 6, 7, 8, 9, 10, 11, 12, 14,
     ]
-    recovered = reflex_labels(spec)
+    # the reflex labels are the labels of the conjugate type, the full mask
+    recovered = labels_of(spec, (1 << 9) - 1)
     assert recovered == MU19_PHI
     assert recovered == sorted(a for a, I in MU19_ORBIT_TABLE.items() if 1 not in I)
 

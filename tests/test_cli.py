@@ -329,7 +329,7 @@ class TestMalformedInput:
 
 class TestPinnedMessages:
     @pytest.mark.parametrize("argv, data, message", [
-        (["reflex"], {"weyl": 3}, "reflex labels need a labeled (cyclic) group"),
+        (["reflex"], {"weyl": 3}, "labels need a labeled (cyclic) group"),
         (["orbits"], {"weyl": 17}, "operation enumerates all 2^g subsets; g=17 exceeds the cap 16"),
         (["kernel"], {"weyl": 17}, "operation enumerates all 2^g subsets; g=17 exceeds the cap 16"),
         (["hodge-basis", "--weyl-full", "--g", "2", "--p", "8", "--n", "1"], None,

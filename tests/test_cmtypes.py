@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 
 from cmlab.cmtypes import (
     CMPairSpec,
-    compagnon_labels,
     labeled_translates,
+    labels_of,
     orbit_decomposition,
-    reflex_labels,
     translate_masks,
 )
 from cmlab.galois import from_cyclic_translation, from_generators
 from cmlab.hyperoct import SignedPerm, mask_of, members, subset_rank, subset_unrank
 from oracles import EmbeddingLabel, act_embedding, act_subset, decode_cm_type, encode_cm_type
-from strategies import cm_pair_specs, signed_perms, subsets
+from strategies import cm_pair_specs, cyclic_pairs, induced_cyclic_pairs, signed_perms, subsets
 
 # Orbit table of the mu19 regression datum: translation label a -> I([a]).
 MU19_ORBIT_TABLE = {
@@ -163,7 +162,8 @@ class TestOrbitDecomposition:
 
 class TestReflexAndCompagnons:
     def test_reflex_recovery(self, mu19):
-        assert reflex_labels(mu19) == [0, 2, 3, 6, 10, 13, 14, 16, 17]
+        # the reflex labels are the labels of the conjugate type, the full mask
+        assert labels_of(mu19, (1 << 9) - 1) == [0, 2, 3, 6, 10, 13, 14, 16, 17]
 
     def test_reflex_cm_type_half_orbit(self, mu19):
         masks = translate_masks(mu19.group)
@@ -175,20 +175,30 @@ class TestReflexAndCompagnons:
 
     def test_compagnon_L(self, mu19):
         L = mask_of(9, [5, 6])
-        assert compagnon_labels(mu19, L) == [5, 7, 8, 9, 10, 11, 12, 13, 15]
+        assert labels_of(mu19, L) == [5, 7, 8, 9, 10, 11, 12, 13, 15]
 
     def test_compagnon_Lprime(self, mu19):
         Lp = mask_of(9, [4, 6, 7])
-        assert compagnon_labels(mu19, Lp) == [4, 6, 7, 8, 9, 10, 11, 12, 14]
+        assert labels_of(mu19, Lp) == [4, 6, 7, 8, 9, 10, 11, 12, 14]
+
+    @settings(max_examples=80, deadline=None)
+    @given(cyclic_pairs(24) | induced_cyclic_pairs(24))
+    def test_the_reflex_is_labeled_by_its_conjugate_type(self, spec):
+        # the oracle applies each element [a] of the closure to the empty
+        # set, without the walk under [1]; the induced pairs have fewer than
+        # M translates of the empty set
+        G, M = spec.group, 2 * spec.g
+        reflex = [a for a in range(M) if not act_subset(G.elements[a], 0) & 1]
+        assert labels_of(spec, (1 << spec.g) - 1) == reflex
+        assert labels_of(spec, 0) == sorted(set(range(M)) - set(reflex))
 
     def test_unlabeled_group_messages(self):
         spec = CMPairSpec.weyl(2)
-        with pytest.raises(ValueError) as err:
-            reflex_labels(spec)
-        assert str(err.value) == "reflex labels need a labeled (cyclic) group"
-        with pytest.raises(ValueError) as err:
-            compagnon_labels(spec, 0)
-        assert str(err.value) == "compagnon labels need a labeled (cyclic) group"
+        # the reflex labels (the full mask) and a compagnon's labels
+        for base in (3, 0):
+            with pytest.raises(ValueError) as err:
+                labels_of(spec, base)
+            assert str(err.value) == "labels need a labeled (cyclic) group"
 
     def test_census(self, mu19):
         orbits = orbit_decomposition(mu19.group)

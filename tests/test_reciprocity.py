@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab.cli import main
-from cmlab.cmtypes import CMPairSpec, labeled_translates, reflex_labels
+from cmlab.cmtypes import CMPairSpec, labeled_translates, labels_of
 from cmlab.galois import from_generators
 from cmlab.hyperoct import SignedPerm, mask_of, subset_rank, subset_unrank
 from cmlab.intlattice import IntMatrix, kernel_basis
@@ -31,7 +31,7 @@ from oracles import (
     admissible_quadruples, dense, dense_chain_strip, hnf, lattice_equal, member, quad_lattice, quadruple_vector,
     rec_star_antiweyl, span,
 )
-from strategies import cm_pair_specs, cyclic_pairs, generator_pairs, generator_spec
+from strategies import cm_pair_specs, cyclic_pairs, generator_pairs, generator_spec, induced_cyclic_pairs
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
 G1 = (1, -1, -1, 1, 0, 0, -1, 0, 1)  # [0]-[2]-[3]+[6]-[14]+[17]
@@ -186,18 +186,6 @@ class TestQuadLattice:
     def test_cap(self):
         with pytest.raises(ValueError, match="quad_lattice supports"):
             quad_lattice(13)
-
-
-@st.composite
-def induced_cyclic_pairs(draw, max_g):
-    """A cyclic pair of order M = 2hk <= 2 max_g, k >= 3 odd, whose CM type
-    is induced from one of Z/2h: it has at most 2h translates, so its
-    period kernel has rank at least g - 2h > 0."""
-    h = draw(st.integers(1, max_g // 3))
-    k = draw(st.sampled_from(range(3, max_g // h + 1, 2)))
-    base = {a + h * draw(st.booleans()) for a in range(h)}
-    M = 2 * h * k
-    return CMPairSpec.from_cyclic(M, draw(st.permutations([b for b in range(M) if b % (2 * h) in base])))
 
 
 class TestRelations:
@@ -401,7 +389,7 @@ class TestTheoremBeyondMu19:
         for base in bases:
             spec = CMPairSpec.from_cyclic(M, base)
             index_of = labeled_translates(spec, 0)
-            phi = reflex_labels(spec)
+            phi = labels_of(spec, (1 << spec.g) - 1)
             ranks = [subset_rank(spec.g, index_of[a]) for a in phi]
             rels = relations_from_kernel(kernel_N(CMPairSpec.from_cyclic(M, phi)))
             kernels += bool(rels)

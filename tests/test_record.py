@@ -126,7 +126,7 @@ def test_hot_records_have_no_instance_dict():
     (lambda: relation_of_cycle((0, 0), 2), "slots must be strictly increasing (distinct slots)"),
     (lambda: IntMatrix(((1, 2), (3,)), 2), "ragged matrix"),
     (lambda: MonomialRelation(2, ((4, 1),)), "an index lies outside 0..3"),
-    (lambda: MonomialRelation.from_vec(2, (0, 0, 0)), "vector length 3, expected 4"),
+    (lambda: MonomialRelation.from_vec(2, (0, 0, 0)), "vec has 3 entries, expected 2^2 = 4"),
 ])
 def test_constructor_validation_messages(build, message):
     with pytest.raises(ValueError) as err:

@@ -22,6 +22,27 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
+# exceptions a handler may not catch: a bug raises them (a missing key, a
+# bad index, a wrong type), or, for Exception and BaseException, one of
+# them, and catching it turns the traceback into an ordinary refusal
+BUG_EXCEPTIONS = {"Exception", "BaseException", "KeyError", "IndexError", "TypeError"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_except_clauses_catch_no_bugs(path):
+    # every input field is checked before it is indexed, so the package
+    # catches only what it raises for bad input (ValueError and the I/O
+    # errors); a bare except would also catch KeyboardInterrupt
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = ["bare" if t is None else getattr(t, "id", getattr(t, "attr", None)) for t in types]
+            found += [(node.lineno, name) for name in names if name == "bare" or name in BUG_EXCEPTIONS]
+    assert not found, f"{path.name} catches {found}"
+
+
 def _absolute_imports(path) -> list:
     """(line, module name) of every absolute import in the file at path,
     at module level or inside a definition."""

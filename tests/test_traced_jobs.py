@@ -65,6 +65,8 @@ JOBS = {
     "kernel-mu19-reflex": (["kernel"], CORPUS["cyclic-kernel"], ("intlattice.hnf_cells", "reciprocity.relations")),
     # the hook on reciprocity.render_relation, once per certificate line
     "reduce": (["reduce"], CORPUS["reduce"], ("reciprocity.renders",)),
+    # the hook on cmtypes.orbit_decomposition, and the labels of a cyclic pair
+    "compagnons-mu19": (["compagnons"], CORPUS["cyclic-compagnons"], ("cmtypes.decompositions",)),
     # pair relations lifted to Theta_I relations and reduced, each rendered
     "example-mu19": (["example-mu19"], None, ("reciprocity.relations", "reciprocity.renders")),
 }
