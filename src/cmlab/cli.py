@@ -129,7 +129,7 @@ def spec_from_json(data: dict):
                 gens.append(SignedPerm.make(g, x["flips"], x["perm"]))
             except ValueError as exc:
                 raise ValueError(f"generators[{k}]: {exc}") from None
-        return CMPairSpec(from_generators(g, gens))
+        return CMPairSpec(from_generators(g, gens), None)
     raise ValueError('input needs "cyclic", "weyl" or "generators"')
 
 

@@ -16,7 +16,7 @@ the residues a with 1 in [a].I, and for the full mask the reflex labels.
 """
 from .galois import GaloisGroup, from_cyclic_translation, orbit, weyl_full
 from .hyperoct import _act_bits, check_powerset_size, subset_rank, subset_unrank
-from .record import Record, set_slot
+from .record import Record
 
 
 class CMPairSpec(Record):
@@ -29,17 +29,13 @@ class CMPairSpec(Record):
 
     __slots__ = ("group", "residues")
 
-    def __init__(self, group: GaloisGroup, residues: tuple | None = None) -> None:
-        set_slot(self, "group", group)
-        set_slot(self, "residues", residues)
-
     @classmethod
     def from_cyclic(cls, M: int, phi) -> "CMPairSpec":
         return cls(from_cyclic_translation(M, phi), tuple(a % M for a in phi))
 
     @classmethod
     def weyl(cls, g: int) -> "CMPairSpec":
-        return cls(weyl_full(g))
+        return cls(weyl_full(g), None)
 
     @property
     def g(self) -> int:

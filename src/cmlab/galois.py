@@ -16,7 +16,7 @@ generator [1]: residue a names [1]^a, so the group keeps no labels, and the
 residues of the transversal live in the CM pair (cmtypes.CMPairSpec).
 """
 from .hyperoct import SignedPerm, _act_bits, check_powerset_size
-from .record import Record, set_slot
+from .record import Record
 
 CLOSURE_CAP = 10**6
 
@@ -27,13 +27,8 @@ class GaloisGroup(Record):
 
     __slots__ = ("g", "gens")
 
-    def __init__(self, g: int, gens: tuple) -> None:
-        set_slot(self, "g", g)
-        set_slot(self, "gens", gens)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
-        """Validate the group; benchmarks/tracer.py wraps this to count constructions."""
+        """Validate the group, once per construction; benchmarks/tracer.py wraps this to count them."""
         # transitivity of the image in S_g: the orbit of 1 is everything
         seen = orbit(self.gens, 1, lambda t, j: t.perm[j - 1])
         if len(seen) != self.g:
@@ -66,7 +61,7 @@ def closure(g: int, gens) -> list:
     SignedPerm: the orbit of the identity, a generator t acting by left
     multiplication t*x."""
     return orbit(gens, (0, tuple(range(1, g + 1))),
-                 lambda t, x: (_act_bits(t, x[0]), tuple(t.perm[j - 1] for j in x[1])))
+                 lambda t, x: (_act_bits(t, x[0]), tuple([t.perm[j - 1] for j in x[1]])))
 
 
 def from_generators(g: int, gens: list[SignedPerm]) -> GaloisGroup:

@@ -30,7 +30,7 @@ complementation; it plays the role of complex conjugation throughout.
 """
 from collections.abc import Iterable, Iterator
 
-from .record import Record, set_slot
+from .record import Record
 
 MAX_G_POWERSET = 16
 
@@ -117,18 +117,13 @@ class SignedPerm(Record):
 
     __slots__ = ("g", "flips", "perm")
 
-    def __init__(self, g: int, flips: int, perm: tuple[int, ...]) -> None:
-        set_slot(self, "g", g)
-        set_slot(self, "flips", flips)
-        set_slot(self, "perm", perm)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
-        """Validate the parts; benchmarks/tracer.py wraps this to count constructions."""
-        if not 0 <= self.flips < (1 << self.g):
-            raise ValueError(f"flips mask {self.flips:#x} has indices outside 1..{self.g}")
-        if len(self.perm) != self.g or sorted(self.perm) != list(range(1, self.g + 1)):
-            raise ValueError(f"perm {self.perm} is not a bijection of 1..{self.g}")
+        """Validate the parts, once per construction; benchmarks/tracer.py wraps this to count them."""
+        g, perm = self.g, self.perm
+        if not 0 <= self.flips < (1 << g):
+            raise ValueError(f"flips mask {self.flips:#x} has indices outside 1..{g}")
+        if len(perm) != g or sorted(perm) != list(range(1, g + 1)):
+            raise ValueError(f"perm {perm} is not a bijection of 1..{g}")
 
     @classmethod
     def make(cls, g: int, flips: Iterable[int] = (), perm: Iterable[int] | None = None) -> "SignedPerm":

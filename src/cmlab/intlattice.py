@@ -11,7 +11,7 @@ any fixed convention would do for equality testing.)
 """
 from collections.abc import Iterable, Sequence
 
-from .record import Record, set_slot
+from .record import Record
 
 
 class IntMatrix(Record):
@@ -19,21 +19,14 @@ class IntMatrix(Record):
 
     __slots__ = ("entries", "cols")
 
-    def __init__(self, entries: tuple[tuple[int, ...], ...], cols: int) -> None:
-        for row in entries:
-            if len(row) != cols:
+    def __post_init__(self) -> None:
+        for row in self.entries:
+            if len(row) != self.cols:
                 raise ValueError("ragged matrix")
-        set_slot(self, "entries", entries)
-        set_slot(self, "cols", cols)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
-        if cols is None:
-            if not entries:
-                raise ValueError("cannot infer width of an empty matrix; pass cols")
-            cols = len(entries[0])
-        return cls(entries, cols)
+    def from_rows(cls, rows: Iterable[Sequence[int]], cols: int) -> "IntMatrix":
+        return cls(tuple(tuple(int(x) for x in row) for row in rows), cols)
 
     @property
     def rows(self) -> int:
@@ -78,10 +71,6 @@ class IntLattice(Record):
     """A sublattice of Z^dim with HNF-canonical basis (unique per lattice)."""
 
     __slots__ = ("dim", "basis")
-
-    def __init__(self, dim: int, basis: IntMatrix) -> None:
-        set_slot(self, "dim", dim)
-        set_slot(self, "basis", basis)
 
     @property
     def rank(self) -> int:

@@ -35,8 +35,10 @@ A relation stores only its nonzero exponents, and everything here (the
 closed form, the strip, the degree <= 2 certificates of
 reduce_to_low_degree, rendering) touches only those.
 """
+from operator import itemgetter
+
 from .hyperoct import admissible, check_powerset_size, subset_rank, subset_str, subset_unrank
-from .record import Record, set_slot
+from .record import Record
 
 
 class MonomialRelation(Record):
@@ -57,12 +59,10 @@ class MonomialRelation(Record):
         sums = {}
         for i, e in terms:
             sums[i] = sums.get(i, 0) + e
-        terms = tuple(sorted((i, e) for i, e in sums.items() if e))
+        terms = tuple(sorted(filter(itemgetter(1), sums.items())))
         if terms and not (0 <= terms[0][0] and terms[-1][0] < 1 << g):
             raise ValueError(f"an index lies outside 0..{(1 << g) - 1}")
-        set_slot(self, "g", g)
-        set_slot(self, "terms", terms)
-        set_slot(self, "tau", tau)
+        super().__init__(g, terms, tau)
 
     @classmethod
     def from_vec(cls, g: int, vec, tau: int = 0) -> "MonomialRelation":
@@ -156,13 +156,13 @@ def antiweyl_relations(g: int) -> list[MonomialRelation]:
     if g < 2:
         raise ValueError(f"need g >= 2, got {g}")
     check_powerset_size(g)
-    singleton = [subset_rank(g, 1 << j) for j in range(g)]
+    singleton = [(subset_rank(g, 1 << j), -1) for j in range(g)]
     out = []
     for r in range(1 << g):
         bits = subset_unrank(g, r)
         size = bits.bit_count()
         if size >= 2:
-            terms = [(0, size - 1), (r, 1), *((singleton[j], -1) for j in range(g) if bits >> j & 1)]
+            terms = [(0, size - 1), (r, 1), *(singleton[j] for j in range(g) if bits >> j & 1)]
             out.append(MonomialRelation(g, terms))
     return out
 

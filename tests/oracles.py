@@ -33,7 +33,7 @@ from cmlab.hyperoct import (SignedPerm, _act_bits, admissible, check_powerset_si
                             subset_rank, subset_str, subset_unrank)
 from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right
 from cmlab.reciprocity import kernel_N
-from cmlab.record import Record, set_slot
+from cmlab.record import Record
 from cmlab.sl2check import _nilpotents, _report
 
 BP_MAX_G = 8
@@ -318,8 +318,7 @@ class EmbeddingLabel(Record):
     __slots__ = ("index", "bar")
 
     def __init__(self, index: int, bar: bool = False) -> None:
-        set_slot(self, "index", index)
-        set_slot(self, "bar", bar)
+        super().__init__(index, bar)
 
 
 def act_embedding(t, x: EmbeddingLabel) -> EmbeddingLabel:

@@ -24,7 +24,7 @@ def dims(lo: int = 2, hi: int = 12):
 
 def generator_spec(g, gens):
     """The CM pair of the closure of gens, its embeddings named phi{j}."""
-    return CMPairSpec(from_generators(g, gens))
+    return CMPairSpec(from_generators(g, gens), None)
 
 
 @st.composite

@@ -198,14 +198,14 @@ def test_criterion_10_property_suites():
         assert compose(a, rho) == compose(rho, a)
     # normal-form idempotence and unimodular invariance
     rows = [(2, 4, 4), (-6, 6, 12), (10, -4, -16)]
-    m = IntMatrix.from_rows(rows)
+    m = IntMatrix.from_rows(rows, 3)
     assert hnf(hnf(m)) == hnf(m)
     u = [(1, 1, 0), (0, 1, 1), (0, 0, 1)]
     mixed = [
         tuple(sum(u[i][k] * rows[k][j] for k in range(3)) for j in range(3))
         for i in range(3)
     ]
-    assert hnf(IntMatrix.from_rows(mixed)) == hnf(m)
+    assert hnf(IntMatrix.from_rows(mixed, 3)) == hnf(m)
     # certificate re-verification
     cubic = mu19_cubics()[0]
     parts = reduce_to_low_degree(cubic)

@@ -411,6 +411,18 @@ class TestPinnedMessages:
         prog = message.split(": ")[0]
         assert err_text.startswith(f"usage: {prog} ") and err_text.endswith(f"\n{message}\n")
 
+    def test_a_flag_refuses_an_explicit_argument(self, capsys):
+        # --weyl-full takes no value, so --weyl-full=yes is a usage error,
+        # word for word as argparse gives it
+        argv = ["relations", "--weyl-full=yes", "--g", "3"]
+        stderr = ("usage: cmlab relations [-h] [--format {table,json}]\n"
+                  "                       [--input FILE | --weyl-full] [--g G]\n"
+                  "cmlab relations: error: argument --weyl-full: ignored explicit argument 'yes'\n")
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert (err.value.code, *capsys.readouterr()) == (2, "", stderr)
+        assert argparse_outcome(argv)[:3] == (2, "", stderr)
+
     def test_help_and_usage_errors_are_pinned(self, monkeypatch):
         # the help is laid out at 80 columns whatever the terminal's width,
         # which COLUMNS would set
@@ -466,8 +478,13 @@ def command_lines(draw):
     command = draw(st.sampled_from(list(_COMMANDS)))
     line = [command]
     for flag, keywords in draw(st.permutations(list(build_parser()[command].items()))):
-        if keywords.get("required") or draw(st.booleans()):
-            line += [flag] if flag == "--weyl-full" else [flag, draw(st.sampled_from(_VALID[flag]))]
+        if not (keywords.get("required") or draw(st.booleans())):
+            continue
+        if flag == "--weyl-full":
+            # the bare flag, or with an explicit argument that both parsers refuse
+            line.append(draw(st.just(flag) | st.sampled_from(_VALUES).map(f"{flag}={{}}".format)))
+        else:
+            line += [flag, draw(st.sampled_from(_VALID[flag]))]
     tokens = st.sampled_from([*_COMMANDS, *_FLAGS, *_NEAR_MISSES, *_VALUES])
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(line)))

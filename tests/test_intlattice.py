@@ -33,44 +33,44 @@ def matmul(A, B):
 
 class TestHnf:
     def test_gcd_row_reduction(self):
-        m = IntMatrix.from_rows([[2, 4], [1, 2]])
+        m = IntMatrix.from_rows([[2, 4], [1, 2]], 2)
         assert hnf(m).entries == ((1, 2),)
 
     def test_identity_fixed(self):
         eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert hnf(IntMatrix.from_rows(eye)).entries == eye
+        assert hnf(IntMatrix.from_rows(eye, 3)).entries == eye
 
     def test_unimodular_invariance(self):
         rng = random.Random(7)
         for _ in range(20):
             B = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
             U = unimodular(5, rng)
-            assert hnf(IntMatrix.from_rows(matmul(U, B))) == hnf(IntMatrix.from_rows(B))
+            assert hnf(IntMatrix.from_rows(matmul(U, B), 5)) == hnf(IntMatrix.from_rows(B, 5))
 
     def test_idempotent(self):
         rng = random.Random(3)
         for _ in range(20):
-            B = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)])
+            B = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)], 4)
             h = hnf(B)
             assert hnf(h) == h
 
 
 class TestKernel:
     def test_repeated_row(self):
-        k = kernel_basis(IntMatrix.from_rows([[1, 1], [1, 1]]))
+        k = kernel_basis(IntMatrix.from_rows([[1, 1], [1, 1]], 2))
         assert k.rank == 1
         (v,) = k.basis.entries
         assert sorted(v) == [-1, 1]
 
     def test_zero_matrix(self):
-        k = kernel_basis(IntMatrix.from_rows([[0, 0, 0, 0]] * 3))
+        k = kernel_basis(IntMatrix.from_rows([[0, 0, 0, 0]] * 3, 4))
         assert lattice_equal(k, span(4, [[int(i == j) for j in range(4)] for i in range(4)]))
 
     def test_annihilation_and_rank_nullity(self):
         rng = random.Random(5)
         for _ in range(20):
             rows, cols = rng.randint(1, 5), rng.randint(1, 6)
-            m = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
+            m = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)], cols)
             k = kernel_basis(m)
             for v in k.basis.entries:
                 assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.entries)
@@ -89,7 +89,7 @@ class TestKernel:
         # every integer solution in a small box is an integer combination of
         # the kernel basis, not only a rational one: checked by brute force,
         # without computing a second kernel
-        m = IntMatrix.from_rows(rows)
+        m = IntMatrix.from_rows(rows, len(rows[0]))
         k = kernel_basis(m)
         for v in itertools.product(range(-3, 4), repeat=m.cols):
             if all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows):

@@ -107,7 +107,7 @@ class TestKernelN:
 
     def test_g1_kernel_trivial(self):
         G = from_generators(1, [SignedPerm.make(1, [1])])
-        spec = CMPairSpec(G)
+        spec = CMPairSpec(G, None)
         assert kernel_N(spec).rank == 0
 
 

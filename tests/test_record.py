@@ -1,5 +1,8 @@
 """Record semantics: every value type is an immutable slotted record whose
-==, hash and repr are those of the tuple of its fields."""
+==, hash and repr are those of the tuple of its fields, built by
+Record.__init__, which fills the fields and runs the type's one check."""
+import contextlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +106,72 @@ def test_fields_cannot_be_set_or_deleted(cls, fields, args, build, data):
         with pytest.raises(AttributeError):
             delattr(x, name)
     assert repr(x) == before
+
+
+@pytest.mark.parametrize("cls, fields, args, build", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_a_wrong_number_of_values_is_a_type_error(cls, fields, args, build, data):
+    # a programming error, never a ValueError that cli would report as a
+    # refused input; a type's own __init__ may default its last fields
+    x = build(data.draw(args))
+    values = tuple(getattr(x, name) for name in fields)
+    required = len(fields) - len(cls.__init__.__defaults__ or ())
+    for wrong in (values[:required - 1], (*values, None)):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+
+
+def test_the_count_refusal_names_the_type():
+    with pytest.raises(TypeError, match=r"^SignedPerm takes 3 fields, got 2$"):
+        SignedPerm(2, 0)
+    with pytest.raises(TypeError, match=r"^IntLattice takes 2 fields, got 3$"):
+        IntLattice(1, IntMatrix((), 1), None)
+
+
+@contextlib.contextmanager
+def counted_checks(cls):
+    """Count the runs of cls.__post_init__, wrapped on the class as
+    benchmarks/tracer.py wraps it; the class is restored on exit."""
+    runs = []
+    own = vars(cls).get("__post_init__")
+    original = cls.__post_init__
+
+    def post_init(self):
+        runs.append(self)
+        original(self)
+
+    cls.__post_init__ = post_init
+    try:
+        yield runs
+    finally:
+        if own is None:
+            del cls.__post_init__
+        else:
+            cls.__post_init__ = own
+
+
+@pytest.mark.parametrize("cls, fields, args, build", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_the_check_runs_once_per_construction(cls, fields, args, build, data):
+    first = data.draw(args)
+    with counted_checks(cls) as runs:
+        x = build(first)
+    assert len(runs) == 1 and runs[0] is x
+
+
+@pytest.mark.parametrize("cls, build", [
+    (SignedPerm, lambda: SignedPerm.make(3, [1], [2, 3, 1])),
+    (IntMatrix, lambda: IntMatrix.from_rows([[1, 2], [3, 4]], 2)),
+    (CMPairSpec, lambda: CMPairSpec.from_cyclic(6, (0, 1, 2))),
+    (GaloisGroup, lambda: CMPairSpec.from_cyclic(6, (0, 1, 2))),
+    (MonomialRelation, lambda: MonomialRelation.from_vec(2, (1, 0, 0, -1))),
+])
+def test_a_factory_runs_the_check_once(cls, build):
+    with counted_checks(cls) as runs:
+        build()
+    assert len(runs) == 1
 
 
 def test_repr_matches_the_earlier_field_form():

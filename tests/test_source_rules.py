@@ -22,6 +22,42 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
+def _is_object_setattr(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+@pytest.mark.parametrize("path", [*(p for p in SOURCES if p.name != "record.py"), ORACLES], ids=lambda p: p.name)
+def test_only_record_bypasses_immutability(path):
+    # object.__setattr__ writes a field past Record.__setattr__; only
+    # Record.__init__ fills fields, so every type goes through it and its
+    # check
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if _is_object_setattr(node)]
+    assert not lines, f"{path.name} names object.__setattr__ at lines {lines}"
+
+
+def _calls_super_init(function) -> bool:
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "__init__" and isinstance(node.func.value, ast.Call)
+               and getattr(node.func.value.func, "id", None) == "super"
+               for node in ast.walk(function))
+
+
+@pytest.mark.parametrize("path", [*SOURCES, ORACLES], ids=lambda p: p.name)
+def test_a_record_constructor_ends_in_record_init(path):
+    # a Record subclass that writes its own __init__ (to normalise its
+    # arguments) still fills its fields through super().__init__, which
+    # runs the type's check
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) == "Record" for base in node.bases):
+            found += [f"{node.name}.__init__" for item in node.body
+                      if isinstance(item, ast.FunctionDef) and item.name == "__init__" and not _calls_super_init(item)]
+    assert not found, f"{path.name}: {found} fill fields without super().__init__"
+
+
 # exceptions a handler may not catch: a bug raises them (a missing key, a
 # bad index, a wrong type), or, for Exception and BaseException, one of
 # them, and catching it turns the traceback into an ordinary refusal
