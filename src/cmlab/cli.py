@@ -13,19 +13,19 @@ gives the options of each row.  parse_args reads each line from those
 tables, and prints its help and usage errors from them too, laid out at a
 fixed 80 columns: the bytes are the same at any terminal width and on any
 Python version, and no line imports argparse (with gettext and locale) or
-textwrap.  A job is mostly start-up: the interpreter and `site` take about
-60 ms, and compiling cmlab's source about 17 ms when no bytecode is cached
-(2-vCPU VM).  main reads and checks a command's input once, in _read, and
-hands it to the handler with the parsed arguments.  The handlers live in
-one small module per family of commands (cli_pairs, cli_relations,
-cli_hodge, cli_sl2, cli_mu19); main imports only the module of the command
-it runs, and a handler imports the solvers it uses and renders only the
-chosen --format.  So a command compiles and loads only its own part of the
-package, and reading the line loads none of it: reduce and relations
---weyl-full load reciprocity, hyperoct and record; hodge-basis --weyl-full
-and support load hodge, hyperoct and record, never the group, lattice or
-relation code; sl2-check loads sl2check, hyperoct and record.  A CM pair,
-read from --input or built by example-mu19, adds cmtypes and galois.
+textwrap.  A job is mostly start-up: the interpreter with `site`, and
+compiling cmlab's source when no bytecode is cached.  main reads and checks
+a command's input once, in _read, and hands it to the handler with the
+parsed arguments.  The handlers live in one small module per family of
+commands (cli_pairs, cli_relations, cli_hodge, cli_sl2, cli_mu19); main
+imports only the module of the command it runs, and a handler imports the
+solvers it uses and renders only the chosen --format.  So a command compiles
+and loads only its own part of the package, and reading the line loads none
+of it: reduce and relations --weyl-full load reciprocity, hyperoct and
+record; hodge-basis --weyl-full and support load hodge, hyperoct and record,
+never the group, lattice or relation code; sl2-check loads sl2check,
+hyperoct and record.  A CM pair, read from --input or built by example-mu19,
+adds cmtypes and galois.
 
 main() without argv runs the process's own command line (the `cmlab`
 console script and `python -m cmlab.cli`) and freezes the heap before it

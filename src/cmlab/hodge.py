@@ -72,7 +72,9 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     eff = min(budget, POHLMANN_HARD_BUDGET)
     exceeded = f"enumeration budget exceeded: the walk visits more than {eff} nodes"
     profile, digits = _holomorphy_profiles(spec)
-    if n * len(profile) - 2 * p + 1 > eff:  # the root's loop, checked before the copies are laid out
+    # the root's loop: the walk would refuse it too, by its second node at
+    # the latest, so this only refuses before profile * n is laid out
+    if n * len(profile) - 2 * p + 1 > eff:
         raise ValueError(exceeded)
     # one base-16 digit per translate, slot s at packed[s]; a candidate is
     # Pohlmann-valid iff each digit of its holomorphy count is p, and with

@@ -50,11 +50,9 @@ def _hnf_right(rows: list[list[int]], ncols: int):
             for b in nz[1:]:
                 q = A[b][col] // A[a][col]
                 A[b] = [x - q * y for x, y in zip(A[b], A[a])]
-        nz = [i for i in range(r, m) if A[i][col]]
         if not nz:
             continue
-        i0 = nz[0]
-        A[r], A[i0] = A[i0], A[r]
+        A[r], A[nz[0]] = A[nz[0]], A[r]
         if A[r][col] < 0:
             A[r] = [-x for x in A[r]]
         for i in range(r):

@@ -167,9 +167,15 @@ def antiweyl_relations(g: int) -> list[MonomialRelation]:
     return out
 
 
+def _chain(S: int) -> tuple:
+    """The (mask, sign) terms of chain(S) = eps_S + eps_empty - eps_{S - max} - eps_{max}, |S| >= 2."""
+    top = 1 << (S.bit_length() - 1)
+    return (S, 1), (0, 1), (S ^ top, -1), (top, -1)
+
+
 def chain_strip(terms, g: int):
-    """Strip an anti-Weyl vector, given by (rank, coefficient) pairs, along
-    chain generators.
+    """Strip an anti-Weyl vector, given by (rank, coefficient) pairs whose
+    coefficients add on a repeated rank, along chain generators.
 
     Returns (residual, parts): parts is a list of (S, coeff), S a mask,
     meaning coeff * chain(S) was subtracted, by size descending and then mask
@@ -182,19 +188,18 @@ def chain_strip(terms, g: int):
     levels = [set() for _ in range(g + 1)]
     for r, c in terms:
         bits = subset_unrank(g, r)
-        rem[bits] = c
+        rem[bits] = rem.get(bits, 0) + c
         levels[bits.bit_count()].add(bits)
     parts = []
     for size in range(g, 1, -1):
         for bits in sorted(levels[size]):
-            c = rem.pop(bits)
+            c = rem[bits]
             if not c:
                 continue
-            # chain(S) = eps_S + eps_empty - eps_{S - max} - eps_{max}
-            top = 1 << (bits.bit_length() - 1)
-            for x, d in ((0, -c), (bits ^ top, c), (top, c)):
-                rem[x] = rem.get(x, 0) + d
-            levels[size - 1].add(bits ^ top)
+            chain = _chain(bits)
+            for x, sign in chain:
+                rem[x] = rem.get(x, 0) - sign * c
+            levels[size - 1].add(chain[2][0])  # S minus max S, its one new term of size >= 2
             parts.append((bits, c))
     return {subset_rank(g, bits): c for bits, c in rem.items() if c}, parts
 
@@ -220,16 +225,13 @@ def chain_generator(S: int, g: int) -> MonomialRelation:
     """The degree-two quadruple relation of the chain through the mask S at g."""
     if S.bit_count() < 2:
         raise ValueError("chains need |S| >= 2")
-    top = 1 << (S.bit_length() - 1)
-    terms = ((subset_rank(g, S), 1), (0, 1), (subset_rank(g, S ^ top), -1), (subset_rank(g, top), -1))
-    return MonomialRelation(g, terms)
+    return MonomialRelation(g, ((subset_rank(g, x), sign) for x, sign in _chain(S)))
 
 
 def _is_degree_one(rel: MonomialRelation) -> bool:
-    if rel.tau != -1 or len(rel.terms) != 2:
-        return False
-    (a, x), (b, y) = rel.terms
-    return x == y == 1 and a + b == (1 << rel.g) - 1  # rank(I^c) = 2^g - 1 - rank(I)
+    """Whether rel is the degree-one generator of its first index (shape checked first)."""
+    return (rel.tau == -1 and len(rel.terms) == 2
+            and rel == degree_one_generator(subset_unrank(rel.g, rel.terms[0][0]), rel.g))
 
 
 def _is_degree_two(rel: MonomialRelation) -> bool:
@@ -267,8 +269,7 @@ def reduce_to_low_degree(r: MonomialRelation) -> tuple:
     """
     g = r.g
     head = ((degree_one_generator(0, g), -r.tau),) if r.tau else ()
-    w = MonomialRelation(g, (*r.terms, *((i, -c * e) for gen, c in head for i, e in gen.terms)))
-    rem, chains = chain_strip(w.terms, g)
+    rem, chains = chain_strip((*r.terms, *((i, -c * e) for gen, c in head for i, e in gen.terms)), g)
     if rem:
         raise ReductionError("relation is not generated in degree <= 2")
     parts = (*head, *((chain_generator(S, g), c) for S, c in chains))

@@ -37,19 +37,15 @@ def conj(m: dict) -> dict:
 
 def bracket(a: dict, b: dict) -> dict:
     """The commutator ab - ba, summed in one accumulator, zeros dropped."""
-    rows_a: dict = {}
-    for (k, j), x in a.items():
-        rows_a.setdefault(k, []).append((j, x))
-    rows_b: dict = {}
-    for (k, j), y in b.items():
-        rows_b.setdefault(k, []).append((j, y))
     total: dict = {}
-    for (i, k), x in a.items():
-        for j, y in rows_b.get(k, ()):
-            total[i, j] = total.get((i, j), 0) + x * y
-    for (i, k), y in b.items():
-        for j, x in rows_a.get(k, ()):
-            total[i, j] = total.get((i, j), 0) - y * x
+    for left, right, sign in ((a, b, 1), (b, a, -1)):
+        rows: dict = {}
+        for (k, j), y in right.items():
+            rows.setdefault(k, []).append((j, sign * y))
+        for (i, k), x in left.items():
+            if row := rows.get(k):
+                for j, y in row:
+                    total[i, j] = total.get((i, j), 0) + x * y
     return {ij: x for ij, x in total.items() if x}
 
 
@@ -107,9 +103,10 @@ def _report(v: dict, nilpotents) -> dict:
     return {
         "bracket_vv_zero": all(not bracket(v, w) for w in nilpotents),
         "bracket_vvbar_diagonal": all(i == j for i, j in h),
+        # [vbar, [vbar, v]] = [vbar, -h] = [h, vbar], bracket being exactly antisymmetric
         "triple_identities": (
             bracket(v, h) == {ij: 2 * x for ij, x in v.items()}
-            and bracket(vbar, bracket(vbar, v)) == {ij: 2 * x for ij, x in vbar.items()}
+            and bracket(h, vbar) == {ij: 2 * x for ij, x in vbar.items()}
         ),
     }
 

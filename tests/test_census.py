@@ -19,6 +19,13 @@ orbit_decomposition.  Two closed forms check every pair without an HNF:
   2^(d/2) masks, so the count is
   (1/M) sum_{d | M, v_2(d) = v_2(M)} phi(M/d) 2^(d/2).
 
+Relabeling checks pairs past the census: for a unit u mod M and a shift t
+the pair u Phi + t, its transversal in the same order, has the same
+pairing rows (its translate by u a is the image of the translate of Phi by
+a), so the same kernel, reflex degree and Hodge classes; and conjugating
+the generators of a group by a permutation permutes the columns of its
+kernel.
+
 After an intended change of the census rewrite the digest with
 PYTHONPATH=src python tests/test_census.py --write-digest
 """
@@ -30,9 +37,15 @@ import sys
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmlab.cmtypes import CMPairSpec, orbit_decomposition, translate_masks
+from cmlab.hodge import pohlmann_basis
+from cmlab.hyperoct import SignedPerm
 from cmlab.reciprocity import kernel_N
+from oracles import compose, inverse, lattice_equal, span
+from strategies import cyclic_pairs, generator_pairs, generator_spec, induced_cyclic_pairs
 
 DIGEST = pathlib.Path(__file__).parent / "data" / "census_sha256.txt"
 CENSUS_M = range(4, 24, 2)
@@ -169,6 +182,44 @@ def test_closed_forms_on_small_cases():
     # at M = 6 the 8 are the six translates of {0, 1, 2} and the two of
     # {0, 2, 4}
     assert (burnside_orbits(4), burnside_orbits(6)) == (1, 2)
+
+
+@st.composite
+def relabelings(draw):
+    """A cyclic pair with M <= 48 and its relabeling u Phi + t."""
+    spec = draw(cyclic_pairs(24) | induced_cyclic_pairs(24))
+    M = 2 * spec.g
+    u = draw(st.sampled_from([u for u in range(1, M) if gcd(u, M) == 1]))
+    t = draw(st.integers(0, M - 1))
+    return spec, CMPairSpec.from_cyclic(M, [u * a + t for a in spec.residues])
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabelings())
+def test_relabeling_keeps_the_kernel_reflex_degree_and_hodge_classes(case):
+    spec, image = case
+    assert kernel_N(image) == kernel_N(spec)
+    assert len(translate_masks(image.group)) == len(translate_masks(spec.group))
+    if spec.g <= 10:
+        assert pohlmann_basis(image, 2, 1) == pohlmann_basis(spec, 2, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_pairs(5) | induced_cyclic_pairs(12), st.data())
+def test_conjugating_the_generators_permutes_the_kernel_columns(spec, data):
+    # pi fixes the empty set, so the translates of the conjugated group are
+    # the pi-images of the translates, and column pi(j) of its pairing
+    # matrix is column j of the pair's
+    g = spec.g
+    pi = SignedPerm(g, 0, tuple(data.draw(st.permutations(range(1, g + 1)))))
+    image = generator_spec(g, [compose(compose(pi, t), inverse(pi)) for t in spec.group.gens])
+    moved = []
+    for row in kernel_N(spec).basis.entries:
+        new = [0] * g
+        for j, x in enumerate(row):
+            new[pi.perm[j] - 1] = x
+        moved.append(new)
+    assert lattice_equal(kernel_N(image), span(g, moved))
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write-digest"]:

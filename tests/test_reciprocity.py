@@ -14,6 +14,7 @@ from cmlab.hyperoct import SignedPerm, mask_of, subset_rank, subset_unrank
 from cmlab.intlattice import IntMatrix, kernel_basis
 from cmlab.reciprocity import (
     MonomialRelation,
+    _is_degree_one,
     antiweyl_relations,
     chain_generator,
     chain_strip,
@@ -283,6 +284,34 @@ class TestChainCertificates:
             rem, _ = chain_strip(enumerate(quadruple_vector(I, J, K, L, g)), g)
             # residual must live in M (empty + singletons)
             assert all(subset_unrank(g, r).bit_count() < 2 for r in rem)
+
+    @pytest.mark.parametrize("g", range(2, 6))
+    def test_a_chain_strips_to_itself(self, g):
+        for S in range(1 << g):
+            if S.bit_count() >= 2:
+                assert chain_strip(chain_generator(S, g).terms, g) == ({}, [(S, 1)])
+
+
+class TestIsDegreeOne:
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_every_degree_one_generator(self, g):
+        assert all(_is_degree_one(degree_one_generator(I, g)) for I in range(1 << g))
+
+    @pytest.mark.parametrize("terms, tau", [
+        ([(0, 1), (7, 1)], 0),  # Th{} * Th{1,2,3}, without tau
+        ([(0, 1), (7, 1)], -2),
+        ([(0, 2), (7, 1)], -1),  # an exponent 2
+        ([(0, 1), (6, 1)], -1),  # Th{} and Th{1,3}: not complements
+        ([(1, 1), (7, 1)], -1),  # Th{2} and Th{1,2,3}
+        ([(0, 1)], -1),  # a single term
+        ([(0, 1), (7, -1)], -1),
+        ([], -1),  # the empty relation 1 ~ tau
+    ])
+    def test_refuses_other_shapes(self, terms, tau):
+        assert not _is_degree_one(MonomialRelation(3, terms, tau))
+
+    def test_refuses_a_chain(self):
+        assert not _is_degree_one(chain_generator(mask_of(3, [1, 2]), 3))
 
 
 class TestClosedFormKernel:

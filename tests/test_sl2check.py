@@ -93,6 +93,14 @@ class TestSymplecticMatrix:
             tuple(-x for x in row) for row in dense_transpose(dense_matrix(a, g))
         )
 
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_pairs())
+    def test_is_exactly_antisymmetric(self, drawn):
+        # the sl2 reports check [vbar, [vbar, v]] as [h, vbar], which is the
+        # same matrix only because bracket(b, a) is exactly -bracket(a, b)
+        _, a, b = drawn
+        assert bracket(b, a) == {ij: -x for ij, x in bracket(a, b).items()}
+
     def test_omega_squares_to_minus_identity(self):
         for g in (2, 3):
             form = dense_matrix(omega(g), g)
