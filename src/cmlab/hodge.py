@@ -171,9 +171,9 @@ def canonical_form_weyl(q, g: int) -> tuple[int, int]:
     over {2,...,g} under the full hyperoctahedral group.
 
     r - 1 = |I ^ J| is the block width; s - 1 is the least overlap defect
-    between the two blocks, with s = 1 reserved for the degenerate case
-    {I,J} = {K,L} (zero relation).  Nondegenerate classes have
-    2 <= s <= (r+1)/2.
+    between the two blocks, 0 exactly in the degenerate case {I,J} = {K,L}
+    (zero relation), since admissibility and I = K force J = L.
+    Nondegenerate classes have 2 <= s <= (r+1)/2.
     """
     I, J, K, L = q
     for X in q:
@@ -182,6 +182,4 @@ def canonical_form_weyl(q, g: int) -> tuple[int, int]:
     if not admissible(I, J, K, L):
         raise ValueError("quadruple is not admissible: unions or intersections differ")
     r = (I ^ J).bit_count() + 1
-    if {I, J} == {K, L}:
-        return (r, 1)
     return (r, 1 + min((x ^ y).bit_count() for x in (I, J) for y in (K, L)))

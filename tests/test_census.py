@@ -6,7 +6,8 @@ residue of each conjugate pair {a, a + g} listed for a = 0..g-1: 2^(g-1)
 pairs at each M, 2,046 in all.  One sha256 over a canonical JSON of the
 census pins, per pair, M and the transversal, the rows of kernel_N, the
 reflex degree and, up to ORBIT_MAX_M, the orbit sizes of
-orbit_decomposition.  Two closed forms check every pair without an HNF:
+orbit_decomposition.  Three closed forms check every pair without an HNF
+or an orbit walk:
 
 - the rank of the pairing matrix, g - rank(kernel_N), is the number of odd
   characters chi of Z/M with sum_{a in Phi} chi(a) != 0 (Kubota; Ribet).
@@ -17,7 +18,13 @@ orbit_decomposition.  Two closed forms check every pair without an HNF:
   [1]^a, with d = gcd(a, M), fixes a mask iff no cycle of conjugate pairs
   comes back flipped, that is iff v_2(d) = v_2(M), and it then fixes
   2^(d/2) masks, so the count is
-  (1/M) sum_{d | M, v_2(d) = v_2(M)} phi(M/d) 2^(d/2).
+  (1/M) sum_{d | M, v_2(d) = v_2(M)} phi(M/d) 2^(d/2);
+- the number N(k) of orbits of size k, by Moebius inversion.  For k | M
+  the F(k) masks fixed by [1]^k are those whose orbit size divides k, so
+  F(k) = sum_{j | k} j N(j), and k N(k) = sum_{j | k} mu(k/j) F(j).
+
+The closed-form rank is checked past the census too, on random pairs up to
+M = 48, the command line's bound.
 
 Relabeling checks pairs past the census: for a unit u mod M and a shift t
 the pair u Phi + t, its transversal in the same order, has the same
@@ -133,6 +140,32 @@ def closed_form_rank(M: int, phi) -> int:
     return rank
 
 
+def mobius(n: int) -> int:
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def orbit_size_counts(M: int) -> dict[int, int]:
+    """{k: N(k)} over the orbit sizes k with N(k) > 0, by Moebius inversion
+    of F(j) = 2^(j/2) if v_2(j) = v_2(M), else 0."""
+    fixed = {j: 1 << j // 2 if (M // j) % 2 else 0 for j in divisors(M)}
+    counts = {}
+    for k in divisors(M):
+        total = sum(mobius(k // j) * fixed[j] for j in divisors(k))
+        if total % k:
+            raise ValueError(f"the Moebius sum {total} for size {k} is not a multiple of {k}")
+        if total:
+            counts[k] = total // k
+    return counts
+
+
 def burnside_orbits(M: int) -> int:
     total = sum(euler_phi(M // d) << (d // 2) for d in odd_orders(M))
     if total % M:
@@ -160,6 +193,12 @@ def test_rank_is_the_count_of_odd_characters_with_nonzero_sum(pairs):
     assert not wrong
 
 
+def test_orbit_sizes_are_the_moebius_counts(pairs):
+    wrong = [(e["M"], e["phi"]) for e in pairs if "orbit_sizes" in e
+             and {k: e["orbit_sizes"].count(k) for k in e["orbit_sizes"]} != orbit_size_counts(e["M"])]
+    assert not wrong
+
+
 def test_orbit_count_is_burnsides(pairs):
     wrong = [(e["M"], e["phi"]) for e in pairs
              if "orbit_sizes" in e and len(e["orbit_sizes"]) != burnside_orbits(e["M"])]
@@ -182,6 +221,14 @@ def test_closed_forms_on_small_cases():
     # at M = 6 the 8 are the six translates of {0, 1, 2} and the two of
     # {0, 2, 4}
     assert (burnside_orbits(4), burnside_orbits(6)) == (1, 2)
+    assert (orbit_size_counts(4), orbit_size_counts(6)) == ({4: 1}, {2: 1, 6: 1})
+    assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclic_pairs(24) | induced_cyclic_pairs(24))
+def test_closed_form_rank_past_the_census(spec):
+    assert spec.g - kernel_N(spec).rank == closed_form_rank(2 * spec.g, spec.residues)
 
 
 @st.composite

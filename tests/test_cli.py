@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -127,6 +128,39 @@ class TestGolden:
         runs = [subprocess.run(cmd, capture_output=True, check=True) for _ in range(2)]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout == GOLDEN.read_bytes()
+
+
+class TestMu19Formats:
+    """The table and the JSON of example-mu19 render one result."""
+
+    @staticmethod
+    def reports(capsys):
+        assert main(["example-mu19"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert main(["example-mu19", "--format", "json"]) == 0
+        return table, json.loads(capsys.readouterr().out)
+
+    def test_certificate_summaries_match_the_json_certificates(self, capsys):
+        table, obj = self.reports(capsys)
+        summary = re.compile(r"  reduction certificate: (\d+) parts, coefficients in \{(.*)\}, verified")
+        summaries = [summary.fullmatch(line) for line in table if line.startswith("  reduction certificate:")]
+        assert len(summaries) == 2 and all(summaries)
+        assert [(int(m[1]), {int(c) for c in m[2].split(",")}) for m in summaries] == [
+            (len(c["parts"]), {p["coeff"] for p in c["parts"]}) for c in obj["certificates"]]
+
+    def test_orbit_table_and_labels_match_the_json(self, capsys):
+        table, obj = self.reports(capsys)
+
+        def labels(prefix):
+            [line] = [line for line in table if line.startswith(prefix)]
+            return [int(a) for a in re.findall(r"\[(\d+)\]", line.split(": ", 1)[1])]
+
+        rows = [re.fullmatch(r"I\(\[(\d+)\]\) = \{([\d,]*)\}", line) for line in table]
+        orbit_table = {m[1]: [int(j) for j in m[2].split(",") if j] for m in rows if m}
+        assert len(orbit_table) == 18 and orbit_table == obj["orbit_table"]
+        assert labels("labels with 1 not in I([a]): ") == obj["reflex_labels"]
+        assert labels("L = ") == obj["compagnon_L"]
+        assert labels("L' = ") == obj["compagnon_Lprime"]
 
 
 class TestKernelAndRelations:

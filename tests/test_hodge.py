@@ -748,6 +748,14 @@ class TestCanonicalForm:
                     if s > 1:
                         assert 2 <= s <= (r + 1) // 2
 
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+    def test_s_is_1_exactly_when_the_blocks_agree(self, g):
+        # s = 1 iff some x in {I, J} equals some y in {K, L}, and then
+        # admissibility forces the other two equal: I = K gives J = L
+        for I, J, K, L in admissible_over_tail(g):
+            for q in ((I, J, K, L), (I, J, L, K)):
+                assert (canonical_form_weyl(q, g)[1] == 1) == ({I, J} == {K, L}), q
+
     def test_validation(self):
         with pytest.raises(ValueError, match="not admissible"):
             canonical_form_weyl(
