@@ -1,21 +1,25 @@
 """CM pairs, CM types as subsets, their Galois orbits, and the orbit table.
 
-A CM type on E is encoded by the subset I of {1,...,g} of conjugated
-positions: it stands for {phi_j : j not in I} + {phibar_j : j in I}, so the
-empty set is the base type Phi_E = {phi_1,...,phi_g}; only the masks of
-the subsets are ever built.  The Galois group permutes the 2^g CM types through the subset
-action.  Orbit k of orbit_decomposition is compagnon k, one simple isogeny
-factor of the generalized anti-Weyl variety: its degree is the orbit size,
-its key the first member, and its CM type the members not containing the
-distinguished position 1 (half the orbit, since conjugation lies in the
-group).  The orbit of the empty set, translate_masks, is the reflex.
-Cyclic pairs also have an orbit table, the list of translates [a].I of an
-index set indexed by the residue a mod 2g, walked as [1]^a.I under the
-generator [1]; labels_of reads from it the CM type of the compagnon of I,
-the residues a with 1 in [a].I, and for the full mask the reflex labels.
+A CM pair is decided here: CMPairSpec.from_cyclic checks a transversal of
+residues mod M = 2g (cyclic CM fields: Hom(E, C) = Z/M, conjugation is
+translation by M/2) and builds its one generator [1], and CMPairSpec.weyl
+caps g at the powerset bound.  A CM type on E is encoded by the subset I of
+{1,...,g} of conjugated positions: it stands for {phi_j : j not in I} +
+{phibar_j : j in I}, so the empty set is the base type Phi_E =
+{phi_1,...,phi_g}; only the masks of the subsets are ever built.  The Galois
+group permutes the 2^g CM types through the subset action.  Orbit k of
+orbit_decomposition is compagnon k, one simple isogeny factor of the
+generalized anti-Weyl variety: its degree is the orbit size, its key the
+first member, and its CM type the members not containing the distinguished
+position 1 (half the orbit, since conjugation lies in the group).  The orbit
+of the empty set, translate_masks, is the reflex.  Cyclic pairs also have an
+orbit table, the list of translates [a].I of an index set indexed by the
+residue a mod 2g, walked as [1]^a.I under the generator [1]; labels_of reads
+from it the CM type of the compagnon of I, the residues a with 1 in [a].I,
+and for the full mask the reflex labels.
 """
-from .galois import GaloisGroup, from_cyclic_translation, orbit, weyl_full
-from .hyperoct import _act_bits, check_powerset_size, subset_rank, subset_unrank
+from .galois import GaloisGroup, orbit, weyl_full
+from .hyperoct import SignedPerm, _act_bits, check_powerset_size, subset_rank, subset_unrank
 from .record import Record
 
 
@@ -31,10 +35,38 @@ class CMPairSpec(Record):
 
     @classmethod
     def from_cyclic(cls, M: int, phi) -> "CMPairSpec":
-        return cls(from_cyclic_translation(M, phi), tuple(a % M for a in phi))
+        """The pair of Z/M acting on itself by translation, via a CM transversal.
+
+        `phi` lists M/2 residues, exactly one from each conjugate pair
+        {a, a + M/2}; its j-th entry (in input order) is the embedding phi_j.
+        The group is generated by [1]; rho is [M/2].
+        """
+        if M % 2:
+            raise ValueError(f"M={M} must be even")
+        g = M // 2
+        phi = tuple(a % M for a in phi)
+        if len(phi) != g:
+            raise ValueError(f"wrong transversal size: need {g} distinct residues, got {len(phi)}")
+        index_of = {}
+        for j, a in enumerate(phi, start=1):
+            if index_of.setdefault(a, j) != j:
+                raise ValueError(f"residue {a} repeats mod {M}: not a transversal")
+        for a in phi:
+            if (a + g) % M in index_of:
+                raise ValueError(f"residues {a} and {(a + g) % M} are conjugate: not a transversal")
+        # [1] sends phi_j to the residue a_j + 1: phi_k, or phibar_k (flip k)
+        perm, flips = [], 0
+        for a in phi:
+            k = index_of.get((a + 1) % M)
+            if k is None:
+                k = index_of[(a + 1 + g) % M]
+                flips |= 1 << (k - 1)
+            perm.append(k)
+        return cls(GaloisGroup(g, (SignedPerm(g, flips, tuple(perm)),)), phi)
 
     @classmethod
     def weyl(cls, g: int) -> "CMPairSpec":
+        check_powerset_size(g)  # every CM type is in one orbit: a pair command walks all 2^g masks
         return cls(weyl_full(g), None)
 
     @property
@@ -80,8 +112,8 @@ def orbit_decomposition(G: GaloisGroup) -> list[list[int]]:
 
 def labeled_translates(spec: CMPairSpec, base: int) -> list[int]:
     """The masks of the translates [a].base, indexed by the residue a mod 2g:
-    entry a is step a of the walk of base under [1]; base = 0, the empty
-    set, gives I([a])."""
+    entry a is step a of the walk of base under [1], the one generator that
+    from_cyclic gives a labeled pair; base = 0, the empty set, gives I([a])."""
     if spec.residues is None:
         raise ValueError("labels need a labeled (cyclic) group")
     step, rows = spec.group.gens[0], []

@@ -9,13 +9,9 @@ group itself is one such orbit: closure() is the orbit of the identity under
 left multiplication, over (flips, perm) keys that are SignedPerm's own
 fields, for from_generators to check that outside generators reach rho and
 for the read-only GaloisGroup.elements.
-Constructors: explicit generators, the full group, and Z/M acting by
-translation on a transversal of the conjugate pairs of residues (cyclic CM
-fields: Hom(E, C) = Z/M, conjugation is translation by M/2), held as its one
-generator [1]: residue a names [1]^a, so the group keeps no labels, and the
-residues of the transversal live in the CM pair (cmtypes.CMPairSpec).
+Constructors: explicit generators and the full group; cmtypes builds pairs.
 """
-from .hyperoct import SignedPerm, _act_bits, check_powerset_size
+from .hyperoct import SignedPerm, _act_bits
 from .record import Record
 
 CLOSURE_CAP = 10**6
@@ -75,41 +71,9 @@ def from_generators(g: int, gens: list[SignedPerm]) -> GaloisGroup:
     return GaloisGroup(g, gens)
 
 
-def from_cyclic_translation(M: int, phi) -> GaloisGroup:
-    """Group of Z/M acting on itself by translation, via a CM transversal.
-
-    `phi` lists M/2 residues, exactly one from each conjugate pair
-    {a, a + M/2}; its j-th entry (in input order) is the embedding phi_j.
-    Returns the group generated by [1]; rho is [M/2].
-    """
-    if M % 2:
-        raise ValueError(f"M={M} must be even")
-    g = M // 2
-    phi = [a % M for a in phi]
-    if len(phi) != g:
-        raise ValueError(f"wrong transversal size: need {g} distinct residues, got {len(phi)}")
-    index_of = {}
-    for j, a in enumerate(phi, start=1):
-        if index_of.setdefault(a, j) != j:
-            raise ValueError(f"residue {a} repeats mod {M}: not a transversal")
-    for a in phi:
-        if (a + g) % M in index_of:
-            raise ValueError(f"residues {a} and {(a + g) % M} are conjugate: not a transversal")
-    # [1] sends phi_j to the residue a_j + 1: phi_k, or phibar_k (flip k)
-    perm, flips = [], 0
-    for a in phi:
-        k = index_of.get((a + 1) % M)
-        if k is None:
-            k = index_of[(a + 1 + g) % M]
-            flips |= 1 << (k - 1)
-        perm.append(k)
-    return GaloisGroup(g, (SignedPerm(g, flips, tuple(perm)),))
-
-
 def weyl_full(g: int) -> GaloisGroup:
     """The full hyperoctahedral group, generated by the transposition (1 2),
     the g-cycle and the flip of 1 (whose conjugates by the cycle give rho)."""
-    check_powerset_size(g)  # every CM type is in one orbit: a pair command walks all 2^g masks
     ident = tuple(range(1, g + 1))
     swap, cycle = ident[1::-1] + ident[2:], ident[1:] + ident[:1]
     return GaloisGroup(g, (SignedPerm(g, 0, swap), SignedPerm(g, 0, cycle), SignedPerm(g, 1, ident)))

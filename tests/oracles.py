@@ -9,10 +9,11 @@ by point coverage and, in degree two, by admissible quadruples, and the
 two-out-of-four balance lemma is checked over every quadruple.  The rest:
 the product, inverse and subset action of signed permutations (the package
 only walks orbits under generators), the embedding labels phi_j and
-phibar_j with the label form of CM types, the converters between slot
-numbers and (index set or label, copy) pairs, the bidegree of a cycle
-read from those pairs, the elements of the whole Weyl group, the
-support of a quadruple as a walked orbit, the HNF, lattice
+phibar_j with the label form of CM types and the translation law of a
+cyclic group on them, the converters between slot numbers and (index set
+or label, copy) pairs, the bidegree of a cycle read from those pairs, the
+elements of the whole Weyl group, the support of a quadruple as a walked
+orbit, the HNF, lattice
 span, equality and membership, the symplectic form, the scaled sl2
 negative control and every sl2 report recomputed with dense rational
 matrices.  And the command line as an argparse parser, which
@@ -328,6 +329,17 @@ def act_embedding(t, x: EmbeddingLabel) -> EmbeddingLabel:
         raise ValueError(f"label index {x.index} outside 1..{t.g}")
     j = t.perm[x.index - 1]
     return EmbeddingLabel(j, x.bar ^ bool(t.flips >> (j - 1) & 1))
+
+
+def translates_by(el: SignedPerm, t: int, M: int, phi) -> bool:
+    """Whether el moves every embedding of the transversal phi of Z/M to
+    the one at its residue plus t: phi_j sits at phi[j-1], phibar_j at
+    phi[j-1] + M/2."""
+    def residue(x):
+        return (phi[x.index - 1] + M // 2 * x.bar) % M
+
+    labels = [EmbeddingLabel(j, bar) for j in range(1, el.g + 1) for bar in (False, True)]
+    return all(residue(act_embedding(el, x)) == (residue(x) + t) % M for x in labels)
 
 
 def decode_cm_type(I: int, spec) -> frozenset:

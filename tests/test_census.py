@@ -23,8 +23,9 @@ or an orbit walk:
   the F(k) masks fixed by [1]^k are those whose orbit size divides k, so
   F(k) = sum_{j | k} j N(j), and k N(k) = sum_{j | k} mu(k/j) F(j).
 
-The closed-form rank is checked past the census too, on random pairs up to
-M = 48, the command line's bound.
+The closed-form rank is checked past the census too: on random pairs up to
+M = 48, the command line's bound, and in the library on two seeded pairs at
+M = 50 and 64, whose full ranks 25 and 32 need more than 24 pairing rows.
 
 Relabeling checks pairs past the census: for a unit u mod M and a shift t
 the pair u Phi + t, its transversal in the same order, has the same
@@ -40,6 +41,7 @@ import functools
 import hashlib
 import json
 import pathlib
+import random
 import sys
 from math import gcd
 
@@ -229,6 +231,16 @@ def test_closed_forms_on_small_cases():
 @given(cyclic_pairs(24) | induced_cyclic_pairs(24))
 def test_closed_form_rank_past_the_census(spec):
     assert spec.g - kernel_N(spec).rank == closed_form_rank(2 * spec.g, spec.residues)
+
+
+@pytest.mark.parametrize("M", [50, 64])
+def test_closed_form_rank_past_the_command_line_bound(M):
+    # the seeded transversal has no period relation: its pairing matrix has
+    # full rank g = M/2 > 24, so more than 24 of its M rows count
+    rng = random.Random(M)
+    phi = [a + M // 2 * rng.randrange(2) for a in range(M // 2)]
+    spec = CMPairSpec.from_cyclic(M, phi)
+    assert spec.g - kernel_N(spec).rank == closed_form_rank(M, phi) == M // 2
 
 
 @st.composite

@@ -1,4 +1,5 @@
-"""Subset order, orbits, reflex recovery and compagnons (cyclotomic regression).
+"""CM pairs (the cyclic constructor and the Weyl pair's cap), subset order,
+orbits, reflex recovery and compagnons (cyclotomic regression).
 
 Compagnon k is orbit k of orbit_decomposition: its degree is the orbit size
 and its CM type the members avoiding 1; the reflex is the orbit of the
@@ -17,9 +18,9 @@ from cmlab.cmtypes import (
     orbit_decomposition,
     translate_masks,
 )
-from cmlab.galois import from_cyclic_translation, from_generators
+from cmlab.galois import from_generators, weyl_full
 from cmlab.hyperoct import SignedPerm, mask_of, members, subset_rank, subset_unrank
-from oracles import EmbeddingLabel, act_embedding, act_subset, decode_cm_type, encode_cm_type
+from oracles import EmbeddingLabel, act_embedding, act_subset, compose, decode_cm_type, encode_cm_type, translates_by
 from strategies import cm_pair_specs, cyclic_pairs, induced_cyclic_pairs, signed_perms, subsets
 
 # Orbit table of the mu19 regression datum: translation label a -> I([a]).
@@ -44,6 +45,7 @@ MU19_ORBIT_TABLE = {
     17: {3, 5, 6, 7, 9},
 }
 
+MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]
 MU19_PHI_STAR = [0, 1, 2, 4, 5, 8, 12, 15, 16]
 
 
@@ -223,10 +225,86 @@ class TestReflexAndCompagnons:
         # random transversal builds, and the walked orbit of the empty set is
         # its image under every element of the closure
         rng = random.Random(60)
-        G = from_cyclic_translation(60, [a + 30 * rng.randrange(2) for a in range(30)])
+        G = CMPairSpec.from_cyclic(60, [a + 30 * rng.randrange(2) for a in range(30)]).group
         assert G.g == 30 and len(G.elements) == 60
         images = {act_subset(t, 0) for t in G.elements}
         assert translate_masks(G) == sorted(images)
+
+
+class TestCyclicTranslation:
+    # the closure of the one generator [1] lists its powers in order, so
+    # elements[t] is [t]: each check below reads the closure
+
+    def test_mu19_group(self):
+        G = CMPairSpec.from_cyclic(18, MU19_PHI).group
+        assert len(set(G.elements)) == 18
+        assert all(translates_by(G.elements[t], t, 18, MU19_PHI) for t in range(18))
+        assert G.elements[9] == SignedPerm.make(9, range(1, 10))
+
+    def test_homomorphism_exhaustive(self):
+        E = CMPairSpec.from_cyclic(18, MU19_PHI).group.elements
+        for s in range(18):
+            for t in range(18):
+                assert compose(E[s], E[t]) == E[(s + t) % 18]
+
+    def test_mu5_shape(self):
+        G = CMPairSpec.from_cyclic(4, [0, 1]).group
+        E = G.elements
+        assert len(E) == 4
+        assert E[2] == SignedPerm.make(2, [1, 2])
+        assert compose(E[1], E[1]) == E[2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 24).flatmap(lambda g: st.tuples(
+        st.just(g), st.permutations(range(g)), st.lists(st.booleans(), min_size=g, max_size=g))))
+    def test_rho_and_the_residue_law_hold_by_construction(self, drawn):
+        # no runtime check looks for rho in a cyclic group: [M/2] is rho,
+        # and [t] translates every residue by t, for every transversal
+        g, residues, conj = drawn
+        M = 2 * g
+        phi = [a + g * c for a, c in zip(residues, conj)]
+        G = CMPairSpec.from_cyclic(M, phi).group
+        E = G.elements
+        assert len(E) == M
+        assert E[M // 2] == SignedPerm.make(g, range(1, g + 1))
+        assert all(translates_by(E[t], t, M, phi) for t in range(M))
+
+    def test_wrong_transversal_size(self):
+        with pytest.raises(ValueError, match="wrong transversal size"):
+            CMPairSpec.from_cyclic(18, [0, 2])
+
+    def test_repeated_residue_is_named(self):
+        # the count is right, so the message names the repeat, not the size
+        with pytest.raises(ValueError, match="^residue 0 repeats mod 4: not a transversal$"):
+            CMPairSpec.from_cyclic(4, [0, 4])
+        with pytest.raises(ValueError, match="wrong transversal size: need 3 distinct residues, got 2"):
+            CMPairSpec.from_cyclic(6, [1, 1])
+
+    def test_conjugate_pair_rejected(self):
+        with pytest.raises(ValueError, match="not a transversal"):
+            CMPairSpec.from_cyclic(4, [0, 2])
+
+    def test_odd_modulus(self):
+        with pytest.raises(ValueError, match="even"):
+            CMPairSpec.from_cyclic(9, [0, 1, 2, 3])
+
+    def test_labels_map(self):
+        # residue t names the t-th power of the generator, the t-th element
+        # of the closure
+        G = CMPairSpec.from_cyclic(4, [0, 1]).group
+        power = SignedPerm.make(2)
+        for t in range(4):
+            assert G.elements[t] == power
+            power = compose(G.gens[0], power)
+
+
+class TestWeylPair:
+    def test_the_pair_caps_g_and_the_group_does_not(self):
+        # every pair command walks all 2^g masks, so the cap sits on the
+        # pair; the group alone is three generators at any g
+        assert weyl_full(17).g == 17
+        with pytest.raises(ValueError, match=r"^operation enumerates all 2\^g subsets; g=17 exceeds the cap 16$"):
+            CMPairSpec.weyl(17)
 
 
 class TestLabeledTranslates:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab.cli import main
-from cmlab.cmtypes import CMPairSpec, labeled_translates, labels_of
+from cmlab.cmtypes import CMPairSpec, labeled_translates, labels_of, orbit_decomposition, translate_masks
 from cmlab.galois import from_generators
 from cmlab.hyperoct import SignedPerm, mask_of, subset_rank, subset_unrank
 from cmlab.intlattice import IntMatrix, kernel_basis
@@ -438,3 +438,58 @@ class TestTheoremBeyondMu19:
         # only 16 of the 300 seeded types have a relation in their reflex
         # kernel; each of their 34 lifts needs a chain part
         assert self.certify(30, transversals(30, random.Random(30).sample(range(1 << 14), 300))) == (16, 34, 34)
+
+
+class TestTheoremOnATimesB:
+    """The theorem checked on A x B directly, with no certificate: for a
+    union S of Galois orbits of masks, K is ker rec* on the periods Theta_m
+    (m in S) and tau, and Q is spanned by the relations of degree <= 2
+    inside S.  Q lies in K, and every period relation of A x B is generated
+    in degree <= 2 iff Q = K."""
+
+    @staticmethod
+    def kernel_and_quadratic(g: int, S) -> tuple:
+        """(K, Q) on the coordinates Theta_m, m in sorted S, then tau."""
+        S = sorted(S)
+        col = {m: i for i, m in enumerate(S)}
+        n, full = len(S) + 1, (1 << g) - 1
+        # the column of Theta_m holds [j not in m] in row j and [j in m] in
+        # row g + j; the column of tau is all ones
+        rec_star = [[int(not m >> j & 1) for m in S] + [1] for j in range(g)]
+        rec_star += [[m >> j & 1 for m in S] + [1] for j in range(g)]
+
+        def relation(plus, minus):
+            v = [0] * n
+            for i in plus:
+                v[i] += 1
+            for i in minus:
+                v[i] -= 1
+            return v
+
+        # Theta_a Theta_b has the rec* of its meet and join, so the pairs
+        # with one (a & b, a | b) are equal in degree two
+        by_meet_join = {}
+        for i, a in enumerate(S):
+            for b in S[i:]:
+                by_meet_join.setdefault((a & b, a | b), []).append((col[a], col[b]))
+        rows = [relation((col[m], col[m ^ full]), (n - 1,)) for m in S]
+        rows += [relation(pair, first) for first, *rest in by_meet_join.values() for pair in rest]
+        return kernel_basis(IntMatrix.from_rows(rec_star, n)), span(n, rows)
+
+    def test_a_alone_fails_and_a_cm_elliptic_curve_suffices_at_m18(self):
+        # the transversals containing 0 whose type is primitive (the orbit
+        # of the empty set, A's periods, has 18 masks) and whose period
+        # kernel is nonzero; B is the one orbit of size 2
+        cases = 0
+        for phi in transversals(18, range(1 << 8)):
+            spec = CMPairSpec.from_cyclic(18, phi)
+            A = translate_masks(spec.group)
+            if len(A) < 18 or not kernel_N(spec).rank:
+                continue
+            cases += 1
+            K, Q = self.kernel_and_quadratic(9, A)
+            assert (K.rank, Q.rank) == (11, 9), phi
+            assert all(member(row, K) is not None for row in Q.basis.entries), phi
+            [B] = [o for o in orbit_decomposition(spec.group) if len(o) == 2]
+            assert lattice_equal(*self.kernel_and_quadratic(9, A + B)), phi
+        assert cases == 27

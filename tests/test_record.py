@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlab.cmtypes import CMPairSpec
-from cmlab.galois import GaloisGroup, from_cyclic_translation, from_generators, weyl_full
+from cmlab.galois import GaloisGroup, from_generators, weyl_full
 from cmlab.hodge import relation_of_cycle
 from cmlab.hyperoct import SignedPerm
 from cmlab.intlattice import IntLattice, IntMatrix
@@ -20,7 +20,7 @@ _GROUPS = [("weyl", 1), ("weyl", 2), ("cyclic", 4, (0, 1)), ("cyclic", 4, (0, 3)
 
 
 def _group(recipe):
-    return weyl_full(recipe[1]) if recipe[0] == "weyl" else from_cyclic_translation(*recipe[1:])
+    return weyl_full(recipe[1]) if recipe[0] == "weyl" else CMPairSpec.from_cyclic(*recipe[1:]).group
 
 
 def _spec(recipe):
