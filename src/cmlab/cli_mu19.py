@@ -3,7 +3,7 @@ from .cli_pairs import labels_str
 from .cli_relations import certificate_json, kernel_report, period_symbols
 from .cmtypes import CMPairSpec, labeled_translates, labels_of, orbit_decomposition
 from .hodge import quadruple_to_cycle, relation_of_cycle
-from .hyperoct import admissible, mask_of, members, subset_rank, subset_str
+from .hyperoct import admissible, mask_of, members, subset_str
 from .reciprocity import MonomialRelation, lift_relation, reduce_to_low_degree, render_relation
 
 # the base pair, its reflex, the two factorizations through the compagnon
@@ -46,8 +46,8 @@ def cmd_example_mu19(read, args, as_json):
     kernel, rels = kernel_report(spec_phi, as_json)
     # lift each label relation to a Theta_I relation through the orbit table;
     # reduce_to_low_degree raises unless the certificate verifies
-    ranks = [subset_rank(g, table[a]) for a in _MU19_PHI]
-    cubics = [lift_relation(rel, ranks) for rel in rels]
+    masks = [table[a] for a in _MU19_PHI]
+    cubics = [lift_relation(rel, masks) for rel in rels]
     lifted = [(rel, cubic, reduce_to_low_degree(cubic)) for rel, cubic in zip(rels, cubics)]
 
     if as_json:

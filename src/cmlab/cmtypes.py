@@ -43,6 +43,8 @@ class CMPairSpec(Record):
         """
         if M % 2:
             raise ValueError(f"M={M} must be even")
+        if M < 2:
+            raise ValueError(f"M={M} must be at least 2")
         g = M // 2
         phi = tuple(a % M for a in phi)
         if len(phi) != g:

@@ -25,6 +25,8 @@ class GaloisGroup(Record):
 
     def __post_init__(self) -> None:
         """Validate the group, once per construction; benchmarks/tracer.py wraps this to count them."""
+        if self.g < 1:
+            raise ValueError(f"g={self.g} must be at least 1")
         # transitivity of the image in S_g: the orbit of 1 is everything
         seen = orbit(self.gens, 1, lambda t, j: t.perm[j - 1])
         if len(seen) != self.g:

@@ -130,9 +130,8 @@ def relation_of_cycle(slots: tuple, g: int) -> "MonomialRelation":
     hol = sum(1 for s in slots if s % base < base // 2)
     if 2 * hol != len(slots):
         raise ValueError(f"unbalanced cycle: {hol} holomorphic vs {len(slots) - hol} antiholomorphic slots")
-    # rank(I^c) = 2^g - 1 - rank(I)
-    return MonomialRelation(g, ((k, 1) if k < base // 2 else (base - 1 - k, -1)
-                                for k in (s % base for s in slots)))
+    masks = (subset_unrank(g, s % base) for s in slots)
+    return MonomialRelation(g, ((I ^ (base - 1), -1) if I & 1 else (I, 1) for I in masks))
 
 
 # ---------------------------------------------------------------------------

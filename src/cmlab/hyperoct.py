@@ -76,29 +76,23 @@ def admissible(I: int, J: int, K: int, L: int) -> bool:
     return I | J == K | L and I & J == K & L
 
 
-# Subsets are ordered by a total order compatible with complementation:
-# subsets without 1 come first, ranked by the binary value of their indicator
-# over positions 2..g; subsets containing 1 are ranked so that
-# rank(I) = 2^g - 1 - rank(I^c).  All tables, matrices and wedge signs
-# downstream use this order.
+# The canonical rank of an index set relabels element 1 as g and each j >= 2
+# as j - 1, i.e. rotates the mask right by one bit.  So the masks avoiding 1
+# come first, in mask order, and rank(I^c) = 2^g - 1 - rank(I), as relabeling
+# commutes with complementation.  Tables, matrices and wedge signs use it.
 
 
 def subset_rank(g: int, bits: int) -> int:
     """Position of the mask bits in the canonical total order on P({1,...,g})."""
     if bits >> g:  # a bit past g, or a negative mask
         raise ValueError(f"mask {bits:#x} has indices outside 1..{g}")
-    if bits & 1 == 0:
-        return bits >> 1
-    full = (1 << g) - 1
-    return full - ((bits ^ full) >> 1)
+    return (bits | (bits & 1) << g) >> 1
 
 
 def subset_unrank(g: int, r: int) -> int:
-    """The mask of rank r, for r in 0 .. 2^g - 1."""
-    if r < 1 << (g - 1):
-        return r << 1
-    full = (1 << g) - 1
-    return full ^ ((full - r) << 1)
+    """The mask of rank r, for r in 0 .. 2^g - 1: r rotated left by one bit."""
+    doubled = r << 1
+    return (doubled | doubled >> g) & ((1 << g) - 1)
 
 
 def submasks(bits: int) -> Iterator[int]:

@@ -8,11 +8,12 @@ relation comes from that pair's period kernel: the kernel of the Galois
 pairing matrix (one row per translate sigma Phi of the CM type, +1 at j
 when phi_j lies in it, -1 when phibar_j does) collects exactly the
 exponent vectors of monomial period relations, and a renderer names them
-with the pair's symbols.  Otherwise an index is the canonical rank of a
-subset I of {1,...,g} and names Theta_I: the reciprocity matrix rec*
-sends the basis vector of Theta_I to sum_{j not in I} phi_j + sum_{j in I}
-phibar_j, and its kernel N' is the relation lattice.  lift_relation takes
-a pair relation to Theta_I through the orbit table.
+with the pair's symbols.  Otherwise an index is the mask of a subset I
+of {1,...,g} and names Theta_I: rec* sends it to sum_{j not in I} phi_j
++ sum_{j in I} phibar_j, and its kernel N' is the relation lattice.  The
+canonical rank of I is read only where an order is (from_vec, rendering,
+antiweyl_relations).  lift_relation takes a pair relation to Theta_I
+through the orbit table.
 
 N' is generated by the "admissible quadruple" vectors
 eps_I + eps_J - eps_K - eps_L with I cup J = K cup L and I cap J = K cap L.
@@ -29,7 +30,7 @@ of N' that antiweyl_relations returns, one row
 
 per S with |S| >= 2: each row has a unit pivot on its own S, so the rows
 span a saturated lattice, and there are 2^g - g - 1 = 2^g - rank(rec*) of
-them.  They are the canonical HNF basis of N', in the same order.
+them.  In rank order of S, they are the canonical HNF basis of N'.
 
 A relation stores only its nonzero exponents, and everything here (the
 closed form, the strip, the degree <= 2 certificates of
@@ -50,7 +51,7 @@ class MonomialRelation(Record):
     repeated index and drops zero sums, so a relation is the sum of its
     terms and == and hash compare relations.  Which periods the indices
     name is left to the renderer: the symbols its caller passes, or Theta
-    of the subset of that canonical rank when none are passed.
+    of the subset with that mask when none are passed.
     """
 
     __slots__ = ("g", "terms", "tau")
@@ -70,7 +71,7 @@ class MonomialRelation(Record):
         entry per subset in canonical order."""
         if len(vec) != 1 << g:
             raise ValueError(f"vec has {len(vec)} entries, expected 2^{g} = {1 << g}")
-        return cls(g, ((i, e) for i, e in enumerate(vec) if e), tau)
+        return cls(g, ((subset_unrank(g, r), e) for r, e in enumerate(vec) if e), tau)
 
     def normalized(self) -> "MonomialRelation":
         """Flip signs so the first nonzero exponent is positive."""
@@ -81,9 +82,10 @@ class MonomialRelation(Record):
 
 
 def _named_terms(rel: MonomialRelation, symbols) -> list:
-    """(symbol, exponent) per nonzero exponent, in index order, tau last."""
+    """(symbol, exponent) per nonzero exponent, tau last; the Theta_I in the canonical order of I."""
     if symbols is None:
-        named = [(f"Th{subset_str(subset_unrank(rel.g, i))}", e) for i, e in rel.terms]
+        terms = sorted(rel.terms, key=lambda term: subset_rank(rel.g, term[0]))
+        named = [(f"Th{subset_str(I)}", e) for I, e in terms]
     else:
         named = [(symbols[i], e) for i, e in rel.terms]
     if rel.tau:
@@ -95,7 +97,7 @@ def render_relation(rel: MonomialRelation, symbols=None) -> str:
     """ASCII form 'A*B^2 ~ C'; positive exponents left, negatives right.
 
     symbols names the periods by index (a pair's Th[a] or Th[phi j]);
-    without them the index is a subset rank, named Th{I}, and tau is tau.
+    without them the index is the mask of I, named Th{I} in rank order.
     """
     named = _named_terms(rel, symbols)
 
@@ -140,10 +142,10 @@ def relations_from_kernel(L) -> list[MonomialRelation]:
     return [MonomialRelation(L.dim, enumerate(row)).normalized() for row in L.basis.entries]
 
 
-def lift_relation(rel: MonomialRelation, ranks) -> MonomialRelation:
+def lift_relation(rel: MonomialRelation, masks) -> MonomialRelation:
     """The anti-Weyl relation of a pair relation: the period of index j
-    goes to Theta of the subset of rank ranks[j]."""
-    return MonomialRelation(rel.g, ((ranks[j], e) for j, e in rel.terms))
+    goes to Theta of the subset with mask masks[j]."""
+    return MonomialRelation(rel.g, ((masks[j], e) for j, e in rel.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +158,12 @@ def antiweyl_relations(g: int) -> list[MonomialRelation]:
     if g < 2:
         raise ValueError(f"need g >= 2, got {g}")
     check_powerset_size(g)
-    singleton = [(subset_rank(g, 1 << j), -1) for j in range(g)]
     out = []
     for r in range(1 << g):
-        bits = subset_unrank(g, r)
-        size = bits.bit_count()
+        S = subset_unrank(g, r)
+        size = S.bit_count()
         if size >= 2:
-            terms = [(0, size - 1), (r, 1), *(singleton[j] for j in range(g) if bits >> j & 1)]
+            terms = [(0, size - 1), (S, 1), *((1 << j, -1) for j in range(g) if S >> j & 1)]
             out.append(MonomialRelation(g, terms))
     return out
 
@@ -174,20 +175,19 @@ def _chain(S: int) -> tuple:
 
 
 def chain_strip(terms, g: int):
-    """Strip an anti-Weyl vector, given by (rank, coefficient) pairs whose
-    coefficients add on a repeated rank, along chain generators.
+    """Strip an anti-Weyl vector, given by (mask, coefficient) pairs whose
+    coefficients add on a repeated mask, along chain generators.
 
     Returns (residual, parts): parts is a list of (S, coeff), S a mask,
     meaning coeff * chain(S) was subtracted, by size descending and then mask
-    ascending; the residual, a dict rank -> nonzero coefficient, has
+    ascending; the residual, a dict mask -> nonzero coefficient, has
     support inside {empty} + singletons.  Since chains have pairwise
     distinct top sets, one pass over subset sizes g..2 is exact
     back-substitution; it visits only the support.
     """
     rem = {}
     levels = [set() for _ in range(g + 1)]
-    for r, c in terms:
-        bits = subset_unrank(g, r)
+    for bits, c in terms:
         rem[bits] = rem.get(bits, 0) + c
         levels[bits.bit_count()].add(bits)
     parts = []
@@ -201,7 +201,7 @@ def chain_strip(terms, g: int):
                 rem[x] = rem.get(x, 0) - sign * c
             levels[size - 1].add(chain[2][0])  # S minus max S, its one new term of size >= 2
             parts.append((bits, c))
-    return {subset_rank(g, bits): c for bits, c in rem.items() if c}, parts
+    return {bits: c for bits, c in rem.items() if c}, parts
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +218,20 @@ class ReductionError(ValueError):
 
 def degree_one_generator(I: int, g: int) -> MonomialRelation:
     """Theta_I * Theta_{I^c} ~ tau, for the mask I at g."""
-    return MonomialRelation(g, ((subset_rank(g, I), 1), (subset_rank(g, I ^ ((1 << g) - 1)), 1)), tau=-1)
+    return MonomialRelation(g, ((I, 1), (I ^ ((1 << g) - 1), 1)), tau=-1)
 
 
 def chain_generator(S: int, g: int) -> MonomialRelation:
     """The degree-two quadruple relation of the chain through the mask S at g."""
     if S.bit_count() < 2:
         raise ValueError("chains need |S| >= 2")
-    return MonomialRelation(g, ((subset_rank(g, x), sign) for x, sign in _chain(S)))
+    return MonomialRelation(g, _chain(S))
 
 
 def _is_degree_one(rel: MonomialRelation) -> bool:
     """Whether rel is the degree-one generator of its first index (shape checked first)."""
     return (rel.tau == -1 and len(rel.terms) == 2
-            and rel == degree_one_generator(subset_unrank(rel.g, rel.terms[0][0]), rel.g))
+            and rel == degree_one_generator(rel.terms[0][0], rel.g))
 
 
 def _is_degree_two(rel: MonomialRelation) -> bool:
@@ -240,8 +240,8 @@ def _is_degree_two(rel: MonomialRelation) -> bool:
     if sum(e for _, e in rel.terms if e > 0) != 2 or sum(e for _, e in rel.terms if e < 0) != -2:
         return False
     pos, neg = [], []
-    for r, e in rel.terms:
-        (pos if e > 0 else neg).extend([subset_unrank(rel.g, r)] * abs(e))
+    for I, e in rel.terms:
+        (pos if e > 0 else neg).extend([I] * abs(e))
     return admissible(*pos, *neg)
 
 

@@ -4,7 +4,9 @@ no command runs them.
 The package computes the kernel of rec* in closed form and strips only the
 support of a relation; the dense versions here are what they must agree
 with: rec* as a matrix, the span of all admissible quadruples, and the
-strip over all 2^g subsets.  The anti-Weyl Hodge basis is re-enumerated
+strip over all 2^g subsets.  The package keys Theta_I by its mask; the
+dense vectors here hold it at its canonical rank, and render_vec renders
+such a vector by position.  The anti-Weyl Hodge basis is re-enumerated
 by point coverage and, in degree two, by admissible quadruples, and the
 two-out-of-four balance lemma is checked over every quadruple.  The rest:
 the product, inverse and subset action of signed permutations (the package
@@ -45,12 +47,25 @@ QUAD_LATTICE_MAX_G = 12
 
 
 def dense(rel, size=None) -> tuple:
-    """The exponent vector of a relation, one entry per index below size:
-    by default one per subset, 2^g; a pair relation has g."""
+    """The exponent vector of a relation.  By default it has one entry per
+    subset, 2^g, in canonical order: Theta_I sits at subset_rank of its
+    mask.  A pair relation passes size g and has one entry per index."""
     vec = [0] * (1 << rel.g if size is None else size)
     for i, e in rel.terms:
-        vec[i] = e
+        vec[i if size is not None else subset_rank(rel.g, i)] = e
     return tuple(vec)
+
+
+def render_vec(g: int, vec, tau: int = 0) -> str:
+    """The text render_relation gives the relation with exponent vector vec,
+    one entry per subset in canonical order, and tau: walking the vector by
+    position, each Theta_I goes to the side of its sign."""
+    sides = {1: [], -1: []}
+    for r, e in [*enumerate(vec), (None, tau)]:
+        if e:
+            name = "tau" if r is None else "Th" + subset_str(subset_unrank(g, r))
+            sides[1 if e > 0 else -1].append(name if abs(e) == 1 else f"{name}^{abs(e)}")
+    return " ~ ".join("*".join(sides[sign]) or "1" for sign in (1, -1))
 
 
 def rec_star_antiweyl(g: int) -> IntMatrix:

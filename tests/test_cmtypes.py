@@ -288,6 +288,14 @@ class TestCyclicTranslation:
         with pytest.raises(ValueError, match="even"):
             CMPairSpec.from_cyclic(9, [0, 1, 2, 3])
 
+    @pytest.mark.parametrize("M, phi", [(0, [1]), (0, []), (-2, [0])])
+    def test_a_modulus_below_two_is_named(self, M, phi):
+        # refused before a residue is reduced mod M, which would divide by
+        # zero at M = 0
+        with pytest.raises(ValueError) as err:
+            CMPairSpec.from_cyclic(M, phi)
+        assert str(err.value) == f"M={M} must be at least 2"
+
     def test_labels_map(self):
         # residue t names the t-th power of the generator, the t-th element
         # of the closure

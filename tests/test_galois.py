@@ -42,6 +42,17 @@ class TestFromGenerators:
         with pytest.raises(ValueError, match="not transitive"):
             from_generators(2, [SignedPerm.make(2, [1, 2])])
 
+    @pytest.mark.parametrize("g, build", [
+        (0, lambda: from_generators(0, [SignedPerm(0, 0, ())])),
+        (0, lambda: GaloisGroup(0, ())),
+        (-1, lambda: GaloisGroup(-1, ())),
+    ])
+    def test_an_empty_ground_set_is_named(self, g, build):
+        # refused before the transitivity walk reads the image of 1
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"g={g} must be at least 1"
+
     def test_deterministic_order(self):
         gens = [SignedPerm.make(3, [1], [2, 3, 1]), SignedPerm.make(3, [2])]
         assert from_generators(3, gens).elements == from_generators(3, list(reversed(gens))).elements

@@ -171,18 +171,20 @@ class TestSubset:
 
     def test_a_mask_past_g_has_no_rank(self):
         # the rank would fall inside 0..2^g-1 and name another index set;
-        # each relation and cycle built from ranks refuses the mask instead
+        # a cycle, built from ranks, refuses the mask instead, and a
+        # relation, keyed by masks, refuses it in its constructor
         with pytest.raises(ValueError, match="^mask 0x8 has indices outside 1..3$"):
             subset_rank(3, 0b1000)
         with pytest.raises(ValueError, match="^mask -0x1 has indices outside 1..3$"):
             subset_rank(3, -1)
-        with pytest.raises(ValueError, match="^mask 0xc has indices outside 1..3$"):
+        with pytest.raises(ValueError, match="^an index lies outside 0..7$"):
             chain_generator(0b1100, 3)
-        with pytest.raises(ValueError, match="^mask 0x8 has indices outside 1..3$"):
+        with pytest.raises(ValueError, match="^an index lies outside 0..7$"):
             degree_one_generator(0b1000, 3)
         with pytest.raises(ValueError, match="^mask 0x8 has indices outside 1..3$"):
             quadruple_to_cycle(0b1000, 0, 0, 0, 3)
         assert subset_rank(3, 0b111) == 7
+        assert subset_rank(0, 0) == 0
 
 
 class TestSubmasks:

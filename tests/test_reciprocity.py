@@ -30,7 +30,7 @@ from cmlab.reciprocity import (
 )
 from oracles import (
     admissible_quadruples, dense, dense_chain_strip, hnf, lattice_equal, member, quad_lattice, quadruple_vector,
-    rec_star_antiweyl, span,
+    rec_star_antiweyl, render_vec, span,
 )
 from strategies import cm_pair_specs, cyclic_pairs, generator_pairs, generator_spec, induced_cyclic_pairs
 
@@ -241,7 +241,7 @@ class TestRelations:
 
     def test_sparse_form_is_canonical(self):
         a = MonomialRelation(3, [(5, 2), (0, 0), (1, -1)])
-        b = MonomialRelation.from_vec(3, (0, -1, 0, 0, 0, 2, 0, 0))
+        b = MonomialRelation.from_vec(3, (0, 0, 0, 0, -1, 0, 2, 0))  # Th{1} at rank 4, Th{1,3} at rank 6
         assert a == b and hash(a) == hash(b) and a.terms == ((1, -1), (5, 2))
         with pytest.raises(ValueError, match="outside 0..7"):
             MonomialRelation(3, [(8, 1)])
@@ -281,9 +281,9 @@ class TestChainCertificates:
     def test_chain_strip_annihilates_quadruples(self):
         g = 3
         for I, J, K, L in admissible_quadruples(g):
-            rem, _ = chain_strip(enumerate(quadruple_vector(I, J, K, L, g)), g)
+            rem, _ = chain_strip(MonomialRelation.from_vec(g, quadruple_vector(I, J, K, L, g)).terms, g)
             # residual must live in M (empty + singletons)
-            assert all(subset_unrank(g, r).bit_count() < 2 for r in rem)
+            assert all(S.bit_count() < 2 for S in rem)
 
     @pytest.mark.parametrize("g", range(2, 6))
     def test_a_chain_strips_to_itself(self, g):
@@ -301,8 +301,8 @@ class TestIsDegreeOne:
         ([(0, 1), (7, 1)], 0),  # Th{} * Th{1,2,3}, without tau
         ([(0, 1), (7, 1)], -2),
         ([(0, 2), (7, 1)], -1),  # an exponent 2
-        ([(0, 1), (6, 1)], -1),  # Th{} and Th{1,3}: not complements
-        ([(1, 1), (7, 1)], -1),  # Th{2} and Th{1,2,3}
+        ([(0, 1), (6, 1)], -1),  # Th{} and Th{2,3}: not complements
+        ([(1, 1), (7, 1)], -1),  # Th{1} and Th{1,2,3}
         ([(0, 1)], -1),  # a single term
         ([(0, 1), (7, -1)], -1),
         ([], -1),  # the empty relation 1 ~ tau
@@ -325,10 +325,10 @@ class TestClosedFormKernel:
     def test_each_row_is_the_strip_of_its_top_set(self):
         g = 6
         for rel in antiweyl_relations(g):
-            top = max(r for r, _ in rel.terms if subset_unrank(g, r).bit_count() >= 2)
+            top = max(S for S, _ in rel.terms if S.bit_count() >= 2)
             residual, parts = chain_strip([(top, 1)], g)
-            assert {r: -c for r, c in residual.items()} == {r: c for r, c in rel.terms if r != top}
-            assert parts[0] == (subset_unrank(g, top), 1)
+            assert {S: -c for S, c in residual.items()} == {S: c for S, c in rel.terms if S != top}
+            assert parts[0] == (top, 1)
 
     def test_size_limits(self):
         with pytest.raises(ValueError, match="need g >= 2"):
@@ -350,11 +350,11 @@ class TestSparseStrip:
     @settings(max_examples=60, deadline=None)
     def test_matches_the_dense_strip(self, case):
         g, vec = case
-        residual, parts = chain_strip(vec.items(), g)
+        residual, parts = chain_strip(((subset_unrank(g, r), c) for r, c in vec.items()), g)
         dense_vec = [vec.get(r, 0) for r in range(1 << g)]
         want_residual, want_parts = dense_chain_strip(dense_vec, g)
         assert parts == want_parts
-        assert residual == {r: c for r, c in enumerate(want_residual) if c}
+        assert residual == {subset_unrank(g, r): c for r, c in enumerate(want_residual) if c}
 
     def test_large_g_touches_only_the_support(self):
         # 2^24 subsets, of which the strip visits a handful
@@ -363,6 +363,20 @@ class TestSparseStrip:
         rel = chain_generator(S, g)
         residual, parts = chain_strip(rel.terms, g)
         assert residual == {} and parts == [(S, 1)]
+
+
+class TestRankOrder:
+    """A relation keys Theta_I by its mask; the canonical order comes back
+    where a dense vector is read and where the terms are rendered."""
+
+    @given(sparse_vectors(), st.integers(-2, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_a_vector_reads_back_and_renders_by_position(self, case, tau):
+        g, entries = case
+        vec = tuple(entries.get(r, 0) for r in range(1 << g))
+        rel = MonomialRelation.from_vec(g, vec, tau)
+        assert dense(rel) == vec and rel.tau == tau
+        assert render_relation(rel) == render_vec(g, vec, tau)
 
 
 def test_reduce_verifies_a_seeded_combination_at_g16(tmp_path, capsys):
@@ -374,8 +388,8 @@ def test_reduce_verifies_a_seeded_combination_at_g16(tmp_path, capsys):
     gens += [degree_one_generator(rng.randrange(1 << g), g) for _ in range(5)]
     for gen in gens:
         c = rng.choice([-3, -2, -1, 1, 2, 3])
-        for r, e in gen.terms:
-            vec[r] += c * e
+        for I, e in gen.terms:
+            vec[subset_rank(g, I)] += c * e
         tau += c * gen.tau
     path = tmp_path / "rel.json"
     path.write_text(json.dumps({"g": g, "vec": vec, "tau": tau}))
@@ -398,10 +412,9 @@ def rec_star_of(rel) -> list:
     Theta_I goes to phi_j for j not in I and to phibar_j for j in I."""
     g = rel.g
     out = [0] * (2 * g)
-    for r, e in rel.terms:
-        bits = subset_unrank(g, r)
+    for I, e in rel.terms:
         for j in range(g):
-            out[j + g * (bits >> j & 1)] += e
+            out[j + g * (I >> j & 1)] += e
     return out
 
 
@@ -413,18 +426,22 @@ class TestTheoremBeyondMu19:
     @staticmethod
     def certify(M: int, bases) -> tuple:
         """(reflex kernels with a relation, relations lifted, certificates
-        with parts) over the base pairs."""
+        with parts) over the base pairs.  rec* and the reduction would not
+        change under a relabeling of points, such as mask to rank; the
+        support of a lift must also lie on the translates of the base type."""
         kernels = lifted = with_parts = 0
         for base in bases:
             spec = CMPairSpec.from_cyclic(M, base)
             index_of = labeled_translates(spec, 0)
+            translates = set(translate_masks(spec.group))
             phi = labels_of(spec, (1 << spec.g) - 1)
-            ranks = [subset_rank(spec.g, index_of[a]) for a in phi]
+            masks = [index_of[a] for a in phi]
             rels = relations_from_kernel(kernel_N(CMPairSpec.from_cyclic(M, phi)))
             kernels += bool(rels)
             for rel in rels:
-                lift = lift_relation(rel, ranks)
+                lift = lift_relation(rel, masks)
                 assert lift.tau == 0 and not any(rec_star_of(lift)), (base, rel)
+                assert {I for I, _ in lift.terms} <= translates, (base, rel)
                 parts = reduce_to_low_degree(lift)
                 assert verify_certificate(lift, parts), (base, rel)
                 lifted += 1
