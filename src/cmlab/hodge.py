@@ -47,7 +47,7 @@ def _holomorphy_profiles(spec) -> tuple[list, int]:
     from .cmtypes import translate_masks
 
     masks = translate_masks(spec.group)
-    return [sum(1 << (4 * i) for i, m in enumerate(masks) if (m >> j & 1) == bar)
+    return [int("".join("1" if (m >> j & 1) == bar else "0" for m in reversed(masks)), 16)
             for bar in (0, 1) for j in range(spec.g)], len(masks)
 
 
@@ -80,7 +80,7 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     # Pohlmann-valid iff each digit of its holomorphy count is p, and with
     # 2p <= 14 no digit carries
     packed = profile * n
-    ones = sum(1 << (4 * i) for i in range(digits))
+    ones = int("1" * digits, 16)
     target = p * ones
     # partial sums keep every digit <= p, so acc + packed[i] has digits <= 8:
     # adding 7 - p sets bit 3 of a digit iff it exceeds p, with no carry

@@ -16,11 +16,11 @@ cyclic group on them, the converters between slot numbers and (index set
 or label, copy) pairs, the bidegree of a cycle read from those pairs, the
 elements of the whole Weyl group, the support of a quadruple as a walked
 orbit, the HNF, lattice
-span, equality and membership, the symplectic form, the scaled sl2
-negative control and every sl2 report recomputed with dense rational
-matrices.  And the command line as an argparse parser, which
-reads every line as cli.parse_args does, but for the spellings that
-parse_args refuses.
+span, equality and membership, the symplectic form, the pairwise
+commuting gate of the sl2 nilpotents, the scaled sl2 negative control and
+every sl2 report recomputed with dense rational matrices.  And the command
+line as an argparse parser, which reads every line as cli.parse_args does,
+but for the spellings that parse_args refuses.
 Gates raise explicitly: pytest rewrites assert statements only in test
 modules, and python -O strips them everywhere else.
 """
@@ -37,7 +37,7 @@ from cmlab.hyperoct import (SignedPerm, _act_bits, admissible, check_powerset_si
 from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right
 from cmlab.reciprocity import kernel_N
 from cmlab.record import Record
-from cmlab.sl2check import _nilpotents, _report
+from cmlab.sl2check import _nilpotents, _report, bracket
 
 BP_MAX_G = 8
 BP_MAX_P = 4
@@ -560,13 +560,27 @@ def _tail_mask_check(U: int, g: int) -> None:
         raise ValueError("expected an index set inside {2,...,g}")
 
 
-def check_sl2(U: int, g: int, scale=1) -> dict:
-    """The sl2 report of v_U, U a mask at g, with every nilpotent scaled by
-    `scale`, a negative control: values other than +1 or -1 must break the
-    triple identities."""
-    _tail_mask_check(U, g)
+def pairwise_commute(nilpotents) -> bool:
+    """The commuting gate bracket by bracket: [v, w] = 0 for every ordered
+    pair of the nilpotents, the reference for sl2_reports' block test."""
+    return all(not bracket(v, w) for v in nilpotents for w in nilpotents)
+
+
+def pairwise_sl2_reports(g: int, scale=1) -> list:
+    """(U, report) for every U inside {2,...,g}, as sl2_reports gives them,
+    with every nilpotent scaled by `scale` and the commuting gate decided by
+    pairwise_commute."""
     nilpotents = [{ij: scale * x for ij, x in v.items()} for v in _nilpotents(g)]
-    return _report(nilpotents[U >> 1], nilpotents)
+    commute = pairwise_commute(nilpotents)
+    return [(U, _report(v, commute)) for U, v in zip(range(0, 1 << g, 2), nilpotents)]
+
+
+def check_sl2(U: int, g: int, scale=1) -> dict:
+    """The pairwise sl2 report of v_U, U a mask at g, with every nilpotent
+    scaled by `scale`, a negative control: values other than +1 or -1 must
+    break the triple identities."""
+    _tail_mask_check(U, g)
+    return dict(pairwise_sl2_reports(g, scale))[U]
 
 
 def dense_nilpotent(W: int, g: int, scale=1) -> tuple:

@@ -368,7 +368,7 @@ class TestPinnedMessages:
         (["kernel"], {"weyl": 17}, "operation enumerates all 2^g subsets; g=17 exceeds the cap 16"),
         (["hodge-basis", "--weyl-full", "--g", "2", "--p", "8", "--n", "1"], None,
          "the packed accumulator supports p <= 7"),
-        (["sl2-check", "--g", "9"], None, "sl2-check supports g <= 8, got 9"),
+        (["sl2-check", "--g", "13"], None, "sl2-check supports g <= 12, got 13"),
         (["relations"], None, "needs --input FILE or --weyl-full with --g"),
         (["hodge-basis", "--p", "1", "--n", "1"], None, "needs --input FILE or --weyl-full with --g"),
         (["relations", "--weyl-full"], None, "--weyl-full needs --g"),
@@ -765,8 +765,8 @@ class TestSl2Check:
         ]
 
     def test_cap(self, capsys):
-        code, _, err = run_cli(["sl2-check", "--g", "9"], capsys)
-        assert code == 1 and "g <= 8" in err
+        code, _, err = run_cli(["sl2-check", "--g", "13"], capsys)
+        assert code == 1 and "g <= 12" in err
 
     def test_g_below_two_names_the_flag(self):
         cmd = [sys.executable, "-m", "cmlab.cli", "sl2-check", "--g", "1"]
@@ -993,7 +993,7 @@ class TestProgramMode:
 
     @pytest.mark.parametrize("argv, code", [
         (["sl2-check", "--g", "2"], 0),
-        (["sl2-check", "--g", "9"], 1),
+        (["sl2-check", "--g", "13"], 1),
         (["relations", "--g", "2"], 2),
     ])
     def test_library_call_leaves_the_collector_alone(self, capsys, argv, code):
@@ -1021,7 +1021,7 @@ class TestProgramMode:
         assert hashlib.sha256(run.stdout).hexdigest() == case["sha256"][fmt]
 
     @pytest.mark.parametrize("argv, code", [
-        (["sl2-check", "--g", "9"], 1),
+        (["sl2-check", "--g", "13"], 1),
         (["kernel", "--input", "BAD"], 1),
         (["relations", "--g", "2"], 2),
         (["no-such-command"], 2),

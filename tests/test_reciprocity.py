@@ -493,20 +493,41 @@ class TestTheoremOnATimesB:
         rows += [relation(pair, first) for first, *rest in by_meet_join.values() for pair in rest]
         return kernel_basis(IntMatrix.from_rows(rec_star, n)), span(n, rows)
 
+    @staticmethod
+    def primitive_types_at_m18() -> list:
+        """(phi, spec, A) for the transversals containing 0 whose type is
+        primitive (the orbit of the empty set, A's periods, has 18 masks)
+        and whose period kernel is nonzero."""
+        specs = ((phi, CMPairSpec.from_cyclic(18, phi)) for phi in transversals(18, range(1 << 8)))
+        return [(phi, spec, A) for phi, spec in specs
+                if len(A := translate_masks(spec.group)) == 18 and kernel_N(spec).rank]
+
     def test_a_alone_fails_and_a_cm_elliptic_curve_suffices_at_m18(self):
-        # the transversals containing 0 whose type is primitive (the orbit
-        # of the empty set, A's periods, has 18 masks) and whose period
-        # kernel is nonzero; B is the one orbit of size 2
-        cases = 0
-        for phi in transversals(18, range(1 << 8)):
-            spec = CMPairSpec.from_cyclic(18, phi)
-            A = translate_masks(spec.group)
-            if len(A) < 18 or not kernel_N(spec).rank:
-                continue
-            cases += 1
+        # B is the one orbit of size 2
+        cases = self.primitive_types_at_m18()
+        for phi, spec, A in cases:
             K, Q = self.kernel_and_quadratic(9, A)
             assert (K.rank, Q.rank) == (11, 9), phi
             assert all(member(row, K) is not None for row in Q.basis.entries), phi
             [B] = [o for o in orbit_decomposition(spec.group) if len(o) == 2]
             assert lattice_equal(*self.kernel_and_quadratic(9, A + B)), phi
-        assert cases == 27
+        assert len(cases) == 27
+
+    def test_the_certificates_b_at_m18(self):
+        # B is the orbits besides A's that the chain parts touch when each
+        # reflex relation is lifted and reduced, as in
+        # TestTheoremBeyondMu19.certify; Q = K is checked only where B is
+        # smallest, as each check takes about a second
+        sizes, smallest = {}, []
+        for phi, spec, A in self.primitive_types_at_m18():
+            index_of, reflex = labeled_translates(spec, 0), labels_of(spec, (1 << spec.g) - 1)
+            masks = [index_of[a] for a in reflex]
+            touched = {I for rel in relations_from_kernel(kernel_N(CMPairSpec.from_cyclic(18, reflex)))
+                       for gen, _ in reduce_to_low_degree(lift_relation(rel, masks)) for I, _ in gen.terms}
+            B = [o for o in orbit_decomposition(spec.group)[1:] if touched & set(o)]
+            sizes[len(B)] = sizes.get(len(B), 0) + 1
+            if len(B) == 7:
+                smallest.append(A + [m for o in B for m in o])
+        assert sizes == {7: 3, 8: 5, 9: 3, 10: 2, 11: 2, 12: 5, 13: 4, 16: 3}
+        assert sorted(map(len, smallest)) == [128, 128, 144]
+        assert all(lattice_equal(*self.kernel_and_quadratic(9, S)) for S in smallest)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmlab import sl2check
 from cmlab.hyperoct import mask_of
 from cmlab.sl2check import bracket, build_v, conj, root_vector, sl2_reports
 from oracles import (check_sl2, dense_bracket, dense_matrix, dense_nilpotent, dense_product, dense_sl2_report,
-                     dense_transpose, in_lie_algebra, omega, torus_element)
+                     dense_transpose, in_lie_algebra, omega, pairwise_commute, pairwise_sl2_reports, torus_element)
 
 
 def tails(g):
@@ -229,12 +230,37 @@ class TestCheckSl2:
                 "triple_identities": True,
             }
 
-    @pytest.mark.parametrize("g", [5, 6])
+    @pytest.mark.parametrize("g", range(2, 9))
     def test_all_reports_pass_at_large_g(self, g):
-        reports = {U: check_sl2(U, g) for U in tails(g)}
-        assert all(all(report.values()) for report in reports.values())
-        # the per-g reports, which build each nilpotent once, agree
-        assert dict(sl2_reports(g)) == reports
+        # the block test decides the commuting gate as the pairwise brackets do
+        reports = sl2_reports(g)
+        assert reports == pairwise_sl2_reports(g)
+        assert all(all(report.values()) for _, report in reports)
+
+    def test_stray_entry_fails_the_commuting_gate(self, monkeypatch):
+        # one nilpotent also holds the transpose of one of its entries
+        def stray(g):
+            nilpotents = built(g)
+            (i, j), x = next(iter(nilpotents[1].items()))
+            nilpotents[1][j, i] = x
+            return nilpotents
+
+        built = sl2check._nilpotents
+        monkeypatch.setattr(sl2check, "_nilpotents", stray)
+        assert not any(report["bracket_vv_zero"] for _, report in sl2_reports(4))
+        assert not pairwise_commute(stray(4))
+
+    def test_three_brackets_per_report(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return bracket(a, b)
+
+        monkeypatch.setattr(sl2check, "bracket", counted)
+        # v with vbar, then the two triple identities, for each of the 16 U
+        sl2_reports(5)
+        assert len(calls) == 3 * 16
 
     def test_scale_negative_control(self):
         report = check_sl2(mask_of(3, [2]), 3, scale=2)
@@ -252,10 +278,10 @@ class TestCheckSl2:
         assert all(check_sl2(mask_of(3, [3]), 3, scale=-1).values())
 
     def test_cap(self):
-        with pytest.raises(ValueError, match="g <= 8"):
-            check_sl2(mask_of(9, [2]), 9)
-        with pytest.raises(ValueError, match="g <= 8"):
-            sl2_reports(9)
+        with pytest.raises(ValueError, match="g <= 12"):
+            check_sl2(mask_of(13, [2]), 13)
+        with pytest.raises(ValueError, match="g <= 12"):
+            sl2_reports(13)
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_dense_recomputation_agrees(self, g):

@@ -79,6 +79,27 @@ def test_except_clauses_catch_no_bugs(path):
     assert not found, f"{path.name} catches {found}"
 
 
+def _inexact(node):
+    """What makes node inexact arithmetic, or None: a float or complex
+    literal, a true division, or a call of float or complex."""
+    if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+        return f"literal {node.value!r}"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return "true division"
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("float", "complex"):
+        return f"{node.func.id}()"
+    return None
+
+
+@pytest.mark.parametrize("path", [*SOURCES, ORACLES], ids=lambda p: p.name)
+def test_arithmetic_is_exact(path):
+    # no floats and no tolerances: integers and Fractions only, with //
+    # where a quotient is meant to be exact
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [(node.lineno, what) for node in ast.walk(tree) if (what := _inexact(node))]
+    assert not found, f"{path.name} has inexact arithmetic: {found}"
+
+
 def _absolute_imports(path) -> list:
     """(line, module name) of every absolute import in the file at path,
     at module level or inside a definition."""
