@@ -77,7 +77,8 @@ def _check(value, shape, name: str = ""):
         if not isinstance(value, list):
             raise ValueError(f"{name} must be a list")
         for k, item in enumerate(value):
-            _check(item, shape[0], f"{name}[{k}]")
+            if type(item) is not int or shape[0] is not int:
+                _check(item, shape[0], f"{name}[{k}]")
     else:
         if not isinstance(value, dict):
             raise ValueError(f"{name} must be an object")

@@ -118,11 +118,8 @@ def labeled_translates(spec: CMPairSpec, base: int) -> list[int]:
     from_cyclic gives a labeled pair; base = 0, the empty set, gives I([a])."""
     if spec.residues is None:
         raise ValueError("labels need a labeled (cyclic) group")
-    step, rows = spec.group.gens[0], []
-    for _ in range(2 * spec.g):
-        rows.append(base)
-        base = _act_bits(step, base)
-    return rows
+    cycle = orbit(spec.group.gens, base, _act_bits)
+    return cycle * (2 * spec.g // len(cycle))
 
 
 def labels_of(spec: CMPairSpec, base: int) -> list[int]:

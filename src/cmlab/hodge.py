@@ -59,9 +59,9 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     variety (slots are then all subsets of {1,...,g}, acted on by the full
     hyperoctahedral group).  Enumeration is exact: a depth-first walk in
     itertools.combinations order drops a partial choice once some translate
-    of the CM type holds more than p of its slots.  Every node of the walk
-    adds the length of its loop to a node count; once the count exceeds
-    the budget (hard cap 10^7) a ValueError is raised rather than sampling.
+    of the CM type holds more than p of its slots.  A node adds the length
+    of its loop to a node count when it is made, the root before the slots
+    are laid out; a count past the budget (hard cap 10^7) raises ValueError.
     """
     if p < 0 or n < 1:
         raise ValueError("need p >= 0 and n >= 1")
@@ -72,9 +72,9 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     eff = min(budget, POHLMANN_HARD_BUDGET)
     exceeded = f"enumeration budget exceeded: the walk visits more than {eff} nodes"
     profile, digits = _holomorphy_profiles(spec)
-    # the root's loop: the walk would refuse it too, by its second node at
-    # the latest, so this only refuses before profile * n is laid out
-    if n * len(profile) - 2 * p + 1 > eff:
+    # a node's loop is counted when it is made, the root's before profile * n
+    visited = n * len(profile) - 2 * p + 1
+    if visited > eff:
         raise ValueError(exceeded)
     # one base-16 digit per translate, slot s at packed[s]; a candidate is
     # Pohlmann-valid iff each digit of its holomorphy count is p, and with
@@ -85,7 +85,7 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     # partial sums keep every digit <= p, so acc + packed[i] has digits <= 8:
     # adding 7 - p sets bit 3 of a digit iff it exceeds p, with no carry
     lift, high = (7 - p) * ones, 8 * ones
-    picked, visited = [], 0
+    picked = []
     # the walk's nodes as (start, acc, chosen), children pushed in reverse so
     # that they pop in itertools.combinations order
     stack = [(0, 0, ())]
@@ -93,9 +93,6 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
         start, acc, chosen = stack.pop()
         left = 2 * p - len(chosen)
         span = range(start, len(packed) - left + 1)
-        visited += len(span)
-        if visited > eff:
-            raise ValueError(exceeded)
         if left == 1:
             for i in span:
                 if acc + packed[i] == target:
@@ -104,6 +101,10 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
             for i in reversed(span):
                 nxt = acc + packed[i]
                 if not (nxt + lift) & high:
+                    # the child's loop, range(i + 1, span.stop + 1): one slot fewer left
+                    visited += span.stop - i
+                    if visited > eff:
+                        raise ValueError(exceeded)
                     stack.append((i + 1, nxt, (*chosen, i)))
     return picked
 

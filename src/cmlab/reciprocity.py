@@ -38,7 +38,7 @@ reduce_to_low_degree, rendering) touches only those.
 """
 from operator import itemgetter
 
-from .hyperoct import admissible, check_powerset_size, subset_rank, subset_str, subset_unrank
+from .hyperoct import admissible, check_powerset_size, subset_str, subset_unrank
 from .record import Record
 
 
@@ -84,7 +84,8 @@ class MonomialRelation(Record):
 def _named_terms(rel: MonomialRelation, symbols) -> list:
     """(symbol, exponent) per nonzero exponent, tau last; the Theta_I in the canonical order of I."""
     if symbols is None:
-        terms = sorted(rel.terms, key=lambda term: subset_rank(rel.g, term[0]))
+        # terms are in mask order; rank order is the masks avoiding 1, then the rest, each in mask order
+        terms = sorted(rel.terms, key=lambda term: term[0] & 1)
         named = [(f"Th{subset_str(I)}", e) for I, e in terms]
     else:
         named = [(symbols[i], e) for i, e in rel.terms]

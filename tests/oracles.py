@@ -7,8 +7,9 @@ with: rec* as a matrix, the span of all admissible quadruples, and the
 strip over all 2^g subsets.  The package keys Theta_I by its mask; the
 dense vectors here hold it at its canonical rank, and render_vec renders
 such a vector by position.  The anti-Weyl Hodge basis is re-enumerated
-by point coverage and, in degree two, by admissible quadruples, and the
-two-out-of-four balance lemma is checked over every quadruple.  The rest:
+by point coverage and, in degree two, by admissible quadruples, the
+budget a complete Pohlmann walk spends is counted over every prefix, and
+the two-out-of-four balance lemma is checked over every quadruple.  The rest:
 the product, inverse and subset action of signed permutations (the package
 only walks orbits under generators), the embedding labels phi_j and
 phibar_j with the label form of CM types and the translation law of a
@@ -344,6 +345,40 @@ def act_embedding(t, x: EmbeddingLabel) -> EmbeddingLabel:
         raise ValueError(f"label index {x.index} outside 1..{t.g}")
     j = t.perm[x.index - 1]
     return EmbeddingLabel(j, x.bar ^ bool(t.flips >> (j - 1) & 1))
+
+
+def holomorphy_digits(spec) -> tuple[list, int]:
+    """([per position of one copy of the base, the packed holomorphy
+    profile: one base-16 digit per group element, 1 iff that element moves
+    the position to a holomorphic one], the group's order).  It acts
+    through act_subset and act_embedding on every element of the group (all
+    of W_g for the anti-Weyl variety), not through the package's translate
+    classes, and reads holomorphy from the labels and index sets, not from
+    the positions."""
+    if isinstance(spec, int):
+        bases = [subset_unrank(spec, r) for r in range(1 << spec)]
+        group, act, hol = weyl_elements(spec), act_subset, lambda I: not I & 1
+    else:
+        bases = [EmbeddingLabel(j, bar) for bar in (False, True) for j in range(1, spec.g + 1)]
+        group, act, hol = spec.group.elements, act_embedding, lambda x: not x.bar
+    return [sum(1 << (4 * k) for k, t in enumerate(group) if hol(act(t, x))) for x in bases], len(group)
+
+
+def walk_nodes(spec, p: int, n: int) -> int:
+    """The budget a complete Pohlmann walk spends, by brute force: over every
+    increasing prefix of fewer than 2p slots that leaves room for the
+    left = 2p - len(prefix) slots still to choose and whose holomorphy
+    count has no digit above p, the length of its loop, which runs from
+    one past its last slot to the last start that leaves room for left."""
+    packed = holomorphy_digits(spec)[0] * n
+    total = 0
+    for left in range(2 * p, 0, -1):
+        for prefix in itertools.combinations(range(len(packed) - left), 2 * p - left):
+            start = prefix[-1] + 1 if prefix else 0
+            # a prefix has fewer than 16 slots, so no digit carries
+            if start + left <= len(packed) and max(f"{sum(packed[i] for i in prefix):x}") <= str(p):
+                total += len(packed) - left + 1 - start
+    return total
 
 
 def translates_by(el: SignedPerm, t: int, M: int, phi) -> bool:

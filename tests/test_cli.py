@@ -419,6 +419,8 @@ class TestPinnedMessages:
         (["orbits"], '{"weyl": 3, "weyl": 20}', 'cannot read {path}: repeated key "weyl"'),
         (["orbits"], '{"g": 2, "generators": [{"flips": [], "perm": [2, 1], "perm": [1, 2]}]}',
          'cannot read {path}: repeated key "perm"'),
+        # the name of a list entry is built only for an entry that fails
+        (["reduce"], {"g": 16, "vec": [0] * 40_000 + ["x"] + [0] * 25_535}, "vec[40000] must be an integer"),
     ])
     def test_exact_stderr_and_exit_1(self, tmp_path, capsys, argv, data, message):
         path = tmp_path / "input.json"

@@ -330,6 +330,18 @@ class TestLabeledTranslates:
         G = spec.group
         assert labeled_translates(spec, base) == [act_subset(G.elements[a], base) for a in range(2 * g)]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(cyclic_pairs(15), induced_cyclic_pairs(15)), st.data())
+    def test_the_orbit_repeated_is_the_step_loop(self, spec, data):
+        # an induced type has translates that repeat before step 2g, so its
+        # cycle is shorter than the table and is repeated to fill it
+        base = data.draw(subsets(spec.g), label="base")
+        step, rows, x = spec.group.gens[0], [], base
+        for _ in range(2 * spec.g):
+            rows.append(x)
+            x = act_subset(step, x)
+        assert labeled_translates(spec, base) == rows
+
     @pytest.mark.parametrize("M", [18, 60])
     def test_one_signed_permutation_per_cyclic_pair(self, M, monkeypatch):
         made = []

@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from cmlab.hodge import (
     relation_of_cycle,
     support_class,
 )
-from cmlab.hyperoct import SignedPerm, admissible, mask_of, members, subset_rank, subset_unrank
+from cmlab.hyperoct import SignedPerm, admissible, mask_of, members, subset_rank
 from cmlab.reciprocity import (
     MonomialRelation,
     ReductionError,
@@ -32,9 +33,9 @@ from cmlab.reciprocity import (
     verify_certificate,
 )
 from oracles import (
-    EmbeddingLabel, act_embedding, act_subset, b2_quadruples, balance_dichotomy, bidegree, bp_multisets, compose,
-    dense, kernel_to_cycle, member, quad_lattice, quadruple_support, slot_entries, span, subset_cycle, translated,
-    weyl_elements,
+    EmbeddingLabel, act_subset, b2_quadruples, balance_dichotomy, bidegree, bp_multisets, compose,
+    dense, holomorphy_digits, kernel_to_cycle, member, quad_lattice, quadruple_support, slot_entries, span,
+    subset_cycle, translated, walk_nodes, weyl_elements,
 )
 from strategies import cyclic_pairs, generator_pairs, signed_perms, subsets
 
@@ -218,6 +219,40 @@ class TestPohlmann:
             p -= 1
         assert pohlmann_basis(spec, p, n) == flat_scan(spec, p, n)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_the_budget_is_exactly_the_nodes_of_a_complete_walk(self, data):
+        # the --budget contract, independent of the walk's shape: a walk
+        # finishes at the brute-force node count and refuses one below it
+        spec = data.draw(pohlmann_specs(), label="spec")
+        n = data.draw(st.integers(1, 2), label="n")
+        p = data.draw(st.integers(1, 3), label="p")
+        slots = n * ((1 << spec) if isinstance(spec, int) else 2 * spec.g)
+        # keep the oracle quick, and leave room for 2p slots: a walk with
+        # none counts a root loop of slots - 2p + 1 < 0 and spends nothing
+        while math.comb(slots, 2 * p) > 40_000 or 2 * p > slots:
+            p -= 1
+        nodes = walk_nodes(spec, p, n)
+        assert pohlmann_basis(spec, p, n, budget=nodes) == pohlmann_basis(spec, p, n)
+        with pytest.raises(ValueError) as refused:
+            pohlmann_basis(spec, p, n, budget=nodes - 1)
+        assert str(refused.value) == f"enumeration budget exceeded: the walk visits more than {nodes - 1} nodes"
+
+    def test_walk_nodes_is_the_pinned_count(self):
+        assert walk_nodes(5, 2, 1) == 12_487
+
+    def test_a_refusal_stays_within_its_budget(self):
+        # 76,800 slots: a walk that left a node's children on the stack
+        # unpaid held all 76,799 of the root's before it counted any
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="walk visits more than 1000000 nodes"):
+                pohlmann_basis(8, 1, 300, budget=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+
     @given(st.integers(1, 4) | cyclic_pairs(5), st.integers(0, 3), st.integers(1, 2))
     @settings(max_examples=60, deadline=None)
     def test_classes_are_increasing_slot_tuples(self, spec, p, n):
@@ -245,20 +280,11 @@ class TestPohlmann:
 def flat_scan(spec, p, n):
     """The unpruned whole-group scan pohlmann_basis used to run: every
     2p-combination of the slots in itertools.combinations order, kept iff
-    its packed holomorphy profile has digit p at every group element.  It
-    acts through act_subset and act_embedding on every element of the group
-    (all of W_g for the anti-Weyl variety), not through the translate
-    classes of the walk, and reads holomorphy from the labels and index
-    sets, not from the slot positions."""
-    if isinstance(spec, CMPairSpec):
-        bases = [EmbeddingLabel(j, bar) for bar in (False, True) for j in range(1, spec.g + 1)]
-        group, act, hol = spec.group.elements, act_embedding, lambda x: not x.bar
-    else:
-        bases = [subset_unrank(spec, r) for r in range(1 << spec)]
-        group, act, hol = weyl_elements(spec), act_subset, lambda I: not I & 1
-    digit = {t: 1 << (4 * i) for i, t in enumerate(group)}
-    packed = [sum(digit[t] for t in group if hol(act(t, x))) for x in bases] * n
-    target = p * sum(digit.values())
+    its packed holomorphy profile (holomorphy_digits, one digit per group
+    element) has digit p at every group element."""
+    digits, order = holomorphy_digits(spec)
+    packed = digits * n
+    target = p * int("1" * order, 16)
     return [
         combo
         for combo in itertools.combinations(range(len(packed)), 2 * p)

@@ -79,6 +79,26 @@ def test_except_clauses_catch_no_bugs(path):
     assert not found, f"{path.name} catches {found}"
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _loads_its_own_name(function) -> bool:
+    return any(isinstance(node, ast.Name) and node.id == function.name and isinstance(node.ctx, ast.Load)
+               for node in ast.walk(function))
+
+
+@pytest.mark.parametrize("path", [*SOURCES, ORACLES], ids=lambda p: p.name)
+def test_no_recursive_closures(path):
+    # a function defined inside another that calls itself holds its own
+    # cell, a reference cycle left for the cyclic collector; the garbage
+    # tests see such a cycle only on the commands they run
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = sorted({(inner.lineno, inner.name) for outer in ast.walk(tree) if isinstance(outer, FUNCTIONS)
+                    for inner in ast.walk(outer)
+                    if inner is not outer and isinstance(inner, FUNCTIONS) and _loads_its_own_name(inner)})
+    assert not found, f"{path.name} has recursive closures: {found}"
+
+
 def _inexact(node):
     """What makes node inexact arithmetic, or None: a float or complex
     literal, a true division, or a call of float or complex."""
