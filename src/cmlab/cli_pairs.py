@@ -29,10 +29,11 @@ def cmd_orbits(spec, args, as_json):
 
 
 def cmd_reflex(spec, args, as_json):
+    # labels_of refuses an unlabeled pair before the orbit is walked
+    labels = labels_of(spec, (1 << spec.g) - 1)
     masks = translate_masks(spec.group)
     # the members avoiding 1, already in rank order
     cm_type = [m for m in masks if not m & 1]
-    labels = labels_of(spec, (1 << spec.g) - 1)
     if as_json:
         return {
             "degree": len(masks),

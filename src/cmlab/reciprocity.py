@@ -263,12 +263,20 @@ def reduce_to_low_degree(r: MonomialRelation) -> tuple:
     The generators are triangular: the degree-one generator is the only one
     carrying tau, and each chain has a unit pivot on its own top subset of
     size >= 2.  Stripping tau and then every chain from large subsets down
-    (chain_strip) therefore decides membership exactly: r is generated in
-    degree <= 2 iff the residual vanishes, and otherwise ReductionError is
-    raised.  The parts must pass verify_certificate against r; both gates
-    raise explicitly, so that python -O keeps them.
+    (chain_strip) therefore decides membership exactly, and the generators
+    span ker rec*, so a residual is left exactly when rec*(r) is not zero.
+    That is refused first, so a residual on a relation is a bug.  The parts
+    must pass verify_certificate against r; every gate raises explicitly,
+    so that python -O keeps it.
     """
     g = r.g
+    # rec*: Theta_I adds to phi_j for j not in I and to phibar_j for j in I, tau to all 2g
+    image = [r.tau] * (2 * g)
+    for I, e in r.terms:
+        for j in range(g):
+            image[j + g * (I >> j & 1)] += e
+    if any(image):
+        raise ReductionError("not a relation: its image under rec* is not zero")
     head = ((degree_one_generator(0, g), -r.tau),) if r.tau else ()
     rem, chains = chain_strip((*r.terms, *((i, -c * e) for gen, c in head for i, e in gen.terms)), g)
     if rem:

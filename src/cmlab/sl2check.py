@@ -6,14 +6,15 @@ index set a mask.  The vector x_I sits at position rank(I) < 2^(g-1) for
 index sets with 1 not in I, and its pairing partner y_I sits at the mirrored
 position rank(I^c).  A matrix is a dict {(row, col): entry} holding only its
 nonzero integer entries, so two matrices are equal exactly when their dicts
-are.  root_vector and subset_rank refuse a mask past g, so every entry lies
-inside the 2^g x 2^g matrix.
+are.  subset_rank refuses a mask past g, so every entry lies inside the
+2^g x 2^g matrix.
 
-Root vectors E_{I,J} for the weights e_I + e_J are elementary raising
-matrices normalized so that the double bracket with the conjugate root vector
-returns twice the original.  On top of the root vectors sit the nilpotents
-v_U (one per index set U inside {2,...,g}) and their complex conjugates;
-`sl2_reports` confirms by exact integer arithmetic that each pair spans an
+The nilpotents v_U, one per index set U inside {2,...,g}, are sums of the
+paper's root vectors E_{I,J} for the weights e_I + e_J.  Each of those is two
+1s from a y column to an x row, so v_U is a 0/1 matching from the y block to
+the x block, and build_v writes its positions; the root vectors are the
+tests' reference, in tests/oracles.py.  `sl2_reports` confirms by exact
+integer arithmetic that each v_U and its complex conjugate span an
 sl2-triple.  The v's commute because each entry of each lies in the block of
 x rows and y columns (the abelian nilradical of the Siegel parabolic), where
 every product is zero; one pass over the entries checks that, and a stray
@@ -24,7 +25,7 @@ of every report live with the tests in tests/oracles.py.
 The concrete matrices are one valid gauge; any model with the same weights
 and normalization passes the same checks.
 """
-from .hyperoct import submasks, subset_rank, subset_str
+from .hyperoct import submasks, subset_rank
 
 SL2_MAX_G = 12
 
@@ -52,44 +53,26 @@ def bracket(a: dict, b: dict) -> dict:
     return {ij: x for ij, x in total.items() if x}
 
 
-def root_vector(I: int, J: int, g: int) -> dict:
-    """Root vector E_{I,J} for the weight e_I + e_J, of two masks at g.
-
-    Both index sets must avoid 1 (raising) or both contain 1 (lowering);
-    the normalization makes [E, [E, conj(E)]] = 2E.
-    """
-    if (I | J) >> g:
-        raise ValueError(f"index sets must live in {{1,...,{g}}}")
-    if (I ^ J) & 1:
-        raise ValueError(
-            f"non-root index pair: {subset_str(I)} and {subset_str(J)} disagree on membership of 1"
-        )
-    full = (1 << g) - 1
-    if I & 1:
-        return conj(root_vector(I ^ full, J ^ full, g))
-    # the two positions coincide only when I = J, where the entry stays 1
-    return {(subset_rank(g, I), subset_rank(g, J ^ full)): 1, (subset_rank(g, J), subset_rank(g, I ^ full)): 1}
-
-
 def build_v(U: int, g: int) -> dict:
-    """The nilpotent v_U of the mask U at g: sum of E_{I, {2..g} minus I}
-    over index sets I in U.
+    """The nilpotent v_U of the mask U at g: the sum of the root vectors
+    E_{I, {2..g} minus I} over I in U, a 0/1 matching from y to x.
 
-    When U is all of {2,...,g} the sum meets every root vector twice, as
-    E_{I,J} = E_{J,I}, and the paper halves it; here each is added once,
-    for the smaller mask of the pair.  The root vectors added share no
-    position, so the sum is a merge of their entries.
+    For masks I and J avoiding 1, E_{I,J} has 1s at (rank I, rank J^c) and
+    (rank J, rank I^c).  With J = {2..g} minus I, J^c = I | {1} and
+    I^c = J | {1}, so the 1s sit at (rank X, rank(X | {1})), that is
+    (rank X, rank X + 2^(g-1)), for X = I and X = J.  For U other than
+    {2,...,g}, the I in U and their complements in {2..g} are disjoint, so
+    no two root vectors share a position.  At U = {2,...,g} the two sets
+    coincide: the sum meets each root vector twice, as E_{I,J} = E_{J,I},
+    and the paper's halving keeps each position once.  subset_rank refuses
+    a U past g.
     """
     if g < 2:
         raise ValueError("build_v needs g >= 2")
     if U & 1:
         raise ValueError("expected an index set inside {2,...,g}")
     tail = (1 << g) - 2  # {2,...,g}
-    v: dict = {}
-    for I in submasks(U):
-        if U != tail or I < tail ^ I:
-            v.update(root_vector(I, tail ^ I, g))
-    return v
+    return {(subset_rank(g, X), subset_rank(g, X | 1)): 1 for I in submasks(U) for X in (I, tail ^ I)}
 
 
 def _nilpotents(g: int) -> list[dict]:

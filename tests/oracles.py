@@ -17,7 +17,8 @@ cyclic group on them, the converters between slot numbers and (index set
 or label, copy) pairs, the bidegree of a cycle read from those pairs, the
 elements of the whole Weyl group, the support of a quadruple as a walked
 orbit, the HNF, lattice
-span, equality and membership, the symplectic form, the pairwise
+span, equality and membership, the symplectic form, the paper's root
+vectors, of which the package's sl2 nilpotents are sums, the pairwise
 commuting gate of the sl2 nilpotents, the scaled sl2 negative control and
 every sl2 report recomputed with dense rational matrices.  And the command
 line as an argparse parser, which reads every line as cli.parse_args does,
@@ -38,7 +39,7 @@ from cmlab.hyperoct import (SignedPerm, _act_bits, admissible, check_powerset_si
 from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right
 from cmlab.reciprocity import kernel_N
 from cmlab.record import Record
-from cmlab.sl2check import _nilpotents, _report, bracket
+from cmlab.sl2check import _nilpotents, _report, bracket, conj
 
 BP_MAX_G = 8
 BP_MAX_P = 4
@@ -524,9 +525,9 @@ def kernel_to_cycle(spec, alpha, n=None) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the symplectic form, the torus of the sl2 model, the negative control and
-# the dense recomputation of the sl2 reports; the package's matrices are
-# dicts {(row, col): entry} of their nonzero entries
+# the symplectic form, the root vectors and the torus of the sl2 model, the
+# negative control and the dense recomputation of the sl2 reports; the
+# package's matrices are dicts {(row, col): entry} of their nonzero entries
 
 
 def omega(g: int) -> dict:
@@ -562,6 +563,25 @@ def dense_product(a: tuple, b: tuple) -> tuple:
 
 def dense_bracket(a: tuple, b: tuple) -> tuple:
     return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(dense_product(a, b), dense_product(b, a)))
+
+
+def root_vector(I: int, J: int, g: int) -> dict:
+    """Root vector E_{I,J} for the weight e_I + e_J, of two masks at g.
+
+    Both index sets must avoid 1 (raising) or both contain 1 (lowering);
+    the normalization makes [E, [E, conj(E)]] = 2E.
+    """
+    if (I | J) >> g:
+        raise ValueError(f"index sets must live in {{1,...,{g}}}")
+    if (I ^ J) & 1:
+        raise ValueError(
+            f"non-root index pair: {subset_str(I)} and {subset_str(J)} disagree on membership of 1"
+        )
+    full = (1 << g) - 1
+    if I & 1:
+        return conj(root_vector(I ^ full, J ^ full, g))
+    # the two positions coincide only when I = J, where the entry stays 1
+    return {(subset_rank(g, I), subset_rank(g, J ^ full)): 1, (subset_rank(g, J), subset_rank(g, I ^ full)): 1}
 
 
 def in_lie_algebra(m: dict, g: int) -> bool:

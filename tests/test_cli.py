@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmlab.cli_pairs
 import cmlab.hodge
 from cmlab import POHLMANN_HARD_BUDGET
 from cmlab.cli import _COMMANDS, build_parser, main, parse_args
@@ -219,6 +220,14 @@ class TestOrbitCommands:
         for command in ("orbits", "compagnons"):
             refused = run_cli([command, "--input", pair], capsys)
             assert refused == (1, "", "error: operation enumerates all 2^g subsets; g=20 exceeds the cap 16\n")
+
+    def test_reflex_refuses_an_unlabeled_pair_before_the_walk(self, tmp_path, capsys, monkeypatch):
+        def walked(group):
+            raise AssertionError("the translates were walked")
+
+        monkeypatch.setattr(cmlab.cli_pairs, "translate_masks", walked)
+        pair = write_json(tmp_path, "weyl.json", {"weyl": 16})
+        assert run_cli(["reflex", "--input", pair], capsys) == (1, "", "error: labels need a labeled (cyclic) group\n")
 
 
 class TestHodgeBasis:
@@ -694,7 +703,7 @@ class TestReduce:
         vec[0] = 1
         path = write_json(tmp_path, "stray.json", {"g": 3, "vec": vec})
         code, _, err = run_cli(["reduce", "--input", path], capsys)
-        assert code == 1 and "degree <= 2" in err
+        assert code == 1 and "not a relation" in err
 
     def test_missing_fields(self, tmp_path, capsys):
         path = write_json(tmp_path, "empty.json", {"g": 3})
@@ -708,7 +717,7 @@ class TestReduce:
         cmd = [sys.executable, "-O", "-m", "cmlab.cli", "reduce", "--input", path]
         run = subprocess.run(cmd, capture_output=True, text=True)
         assert run.returncode == 1
-        assert "error: relation is not generated in degree <= 2" in run.stderr
+        assert "error: not a relation: its image under rec* is not zero" in run.stderr
         assert "Traceback" not in run.stderr
 
 

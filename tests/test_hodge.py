@@ -34,8 +34,8 @@ from cmlab.reciprocity import (
 )
 from oracles import (
     EmbeddingLabel, act_subset, b2_quadruples, balance_dichotomy, bidegree, bp_multisets, compose,
-    dense, holomorphy_digits, kernel_to_cycle, member, quad_lattice, quadruple_support, slot_entries, span,
-    subset_cycle, translated, walk_nodes, weyl_elements,
+    dense, holomorphy_digits, kernel_to_cycle, member, quad_lattice, quadruple_support, rec_star_antiweyl,
+    slot_entries, span, subset_cycle, translated, walk_nodes, weyl_elements,
 )
 from strategies import cyclic_pairs, generator_pairs, signed_perms, subsets
 
@@ -497,19 +497,13 @@ class TestCertificates:
     def test_unreachable_relation_raises(self):
         vec = [0] * 8
         vec[subset_rank(3, mask_of(3, []))] = 1
-        with pytest.raises(ReductionError, match="degree <= 2"):
+        with pytest.raises(ReductionError, match="not a relation"):
             reduce_to_low_degree(MonomialRelation.from_vec(3, vec))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_reduction_agrees_with_the_hnf_membership_oracle(self, data):
-        g = data.draw(st.integers(2, 6), label="g")
-        rows = generator_rows(g)
-        if data.draw(st.booleans(), label="combination"):
-            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
-            w = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range((1 << g) + 1)]
-        else:
-            w = data.draw(st.lists(st.integers(-2, 2), min_size=(1 << g) + 1, max_size=(1 << g) + 1))
+        g, w = drawn_vector(data)
         rel = MonomialRelation.from_vec(g, w[:-1], w[-1])
         is_member = member(tuple(w), generator_lattice(g)) is not None
         try:
@@ -519,6 +513,20 @@ class TestCertificates:
         else:
             assert is_member
             assert verify_certificate(rel, parts)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_non_relation_is_refused_by_its_rec_star_image(self, data):
+        # the refusal names a non-relation exactly when rec* of the vector,
+        # tau adding 1 to every coordinate, is not zero; a relation reduces
+        g, w = drawn_vector(data)
+        rel = MonomialRelation.from_vec(g, w[:-1], w[-1])
+        image = [sum(x * y for x, y in zip(row, w)) + w[-1] for row in rec_star_antiweyl(g).entries]
+        if any(image):
+            with pytest.raises(ReductionError, match="^not a relation: its image under rec\\* is not zero$"):
+                reduce_to_low_degree(rel)
+        else:
+            assert verify_certificate(rel, reduce_to_low_degree(rel))
 
     def test_seeded_g12_combination_reduces(self):
         g = 12
@@ -564,6 +572,16 @@ for fake in (lossy, leaky):
             "ReductionError certificate does not re-sum to the relation",
             "ReductionError relation is not generated in degree <= 2",
         ]
+
+
+def drawn_vector(data):
+    """g in 2..6 and [*vec, tau]: a combination of the generators, or random entries."""
+    g = data.draw(st.integers(2, 6), label="g")
+    rows = generator_rows(g)
+    if data.draw(st.booleans(), label="combination"):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        return g, [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range((1 << g) + 1)]
+    return g, data.draw(st.lists(st.integers(-2, 2), min_size=(1 << g) + 1, max_size=(1 << g) + 1))
 
 
 @functools.lru_cache(maxsize=None)

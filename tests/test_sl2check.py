@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from cmlab import sl2check
 from cmlab.hyperoct import mask_of
-from cmlab.sl2check import bracket, build_v, conj, root_vector, sl2_reports
+from cmlab.sl2check import bracket, build_v, conj, sl2_reports
 from oracles import (check_sl2, dense_bracket, dense_matrix, dense_nilpotent, dense_product, dense_sl2_report,
-                     dense_transpose, in_lie_algebra, omega, pairwise_commute, pairwise_sl2_reports, torus_element)
+                     dense_transpose, in_lie_algebra, omega, pairwise_commute, pairwise_sl2_reports, root_vector,
+                     torus_element)
 
 
 def tails(g):
@@ -198,6 +199,19 @@ class TestNilpotents:
         expect = plus(root_vector(mask_of(3, []), tail, 3), root_vector(mask_of(3, [2]), mask_of(3, [3]), 3))
         assert build_v(tail, 3) == expect
 
+    def test_closed_form_is_the_root_vector_sum(self):
+        # each root vector once: at U = {2,...,g}, I and {2..g} minus I give the same one
+        for g in range(2, 11):
+            tail = (1 << g) - 2
+            for U in tails(g):
+                pairs = {(min(I, tail ^ I), max(I, tail ^ I)) for I in tails(g) if I & U == I}
+                assert build_v(U, g) == plus(*(root_vector(I, J, g) for I, J in pairs))
+
+    def test_closed_form_is_the_dense_nilpotent(self):
+        for g in range(2, 7):
+            for U in tails(g):
+                assert dense_matrix(build_v(U, g), g) == dense_nilpotent(U, g)
+
     def test_conjugate_pairing(self):
         for g in (3, 4):
             for U in tails(g):
@@ -213,6 +227,9 @@ class TestNilpotents:
             build_v(mask_of(3, [1, 2]), 3)
         with pytest.raises(ValueError, match="inside"):
             build_v(mask_of(3, [1]), 3)
+        for U in (mask_of(4, [4]), mask_of(4, [2, 4]), -2):
+            with pytest.raises(ValueError, match="outside 1..3"):
+                build_v(U, 3)
 
 
 class TestCheckSl2:

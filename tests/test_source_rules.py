@@ -215,10 +215,10 @@ def unreached_public_definitions(package):
 
     Reachability goes by name from cli.main, the handlers that the first two
     fields of each cli._COMMANDS row name, and module-level code: a reached
-    definition reaches each module-level definition that its code names
-    bare, each definition that it names as an attribute (only the member of
-    the class, where the class is known and has one), and a reached class
-    its dunder methods.
+    definition reaches each definition that its code names bare, in its own
+    module or imported into it by `from .x import name`, each definition
+    that it names as an attribute (only the member of the class, where the
+    class is known and has one), and a reached class its dunder methods.
     """
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
     defs = {}
@@ -234,28 +234,41 @@ def unreached_public_definitions(package):
                for node, owner in defs.values() if owner is None and isinstance(node, ast.FunctionDef)}
     by_name = {}
     for key, (node, owner) in defs.items():
-        for cls in {ANY, owner}:
+        for cls in {ANY, owner} - {None}:
             by_name.setdefault((cls, node.name), []).append(key)
+    # the bare names of each module: its own and those it imports, function-level imports included
+    scope = {module: {} for module in trees}
+    for (module, name), (_, owner) in defs.items():
+        if owner is None:
+            scope[module][name] = (module, name)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                source = node.module or "__init__"
+                scope[module].update((a.asname or a.name, (source, a.name)) for a in node.names
+                                     if (source, a.name) in defs)
 
-    def targets(names):
-        return [key for cls, name in names
-                for key in by_name.get((cls, name)) or (by_name.get((ANY, name), []) if cls else [])]
+    def targets(names, module):
+        bare = [scope[module][name] for cls, name in names if cls is None and name in scope[module]]
+        return bare + [key for cls, name in names if cls is not None
+                       for key in by_name.get((cls, name)) or by_name.get((ANY, name), [])]
 
     commands = next(node.value for node in trees["cli"].body
                     if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_COMMANDS")
     # a row's first two fields name its handler; a later one may hold a JSON
     # shape such as {"g": int}, which is no literal
     todo = [("cli", "main"), *((row.elts[0].value, row.elts[1].value) for row in commands.values)]
-    module_code = [node for tree in trees.values() for node in tree.body
-                   if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom))]
-    todo += targets(_names(module_code, classes, returns))
+    for module, tree in trees.items():
+        module_code = [node for node in tree.body
+                       if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom))]
+        todo += targets(_names(module_code, classes, returns), module)
     reached = set()
     while todo:
         key = todo.pop()
         if key not in reached:
             reached.add(key)
             node = defs[key][0]
-            todo += targets(_names(_code(node), classes, returns))
+            todo += targets(_names(_code(node), classes, returns), key[0])
             if isinstance(node, ast.ClassDef):
                 todo += [(key[0], f"{node.name}.{item.name}") for item in node.body
                          if isinstance(item, ast.FunctionDef) and item.name.startswith("__")]
@@ -275,6 +288,17 @@ def test_a_bare_name_reaches_no_method(tmp_path):
         "class Box:\n    def full(self):\n        return 1\n\n    def used(self):\n        return 2\n\n\n"
         "def cmd_go(read, args, as_json):\n    full = Box()\n    return full.used()\n")
     assert unreached_public_definitions(package) == ["cli_go.Box.full (2 lines)"]
+
+
+def test_a_bare_name_reaches_only_its_own_module_and_imports(tmp_path):
+    # a local variable named like another module's function does not reach it
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "cli.py").write_text(
+        'from .helpers import used\n\n_COMMANDS = {"go": ("cli", "cmd_go", "go somewhere", {"g": int})}\n\n\n'
+        "def main():\n    return 0\n\n\ndef cmd_go(read, args, as_json):\n    members = used()\n    return members\n")
+    (package / "helpers.py").write_text("def members():\n    return 1\n\n\ndef used():\n    return 2\n")
+    assert unreached_public_definitions(package) == ["helpers.members (2 lines)"]
 
 
 def test_every_public_definition_is_run_by_a_command():
