@@ -2,7 +2,6 @@
 from .cli_pairs import labels_str
 from .cli_relations import certificate_json, kernel_report, period_symbols
 from .cmtypes import CMPairSpec, labeled_translates, labels_of, orbit_decomposition
-from .hodge import quadruple_to_cycle, relation_of_cycle
 from .hyperoct import admissible, mask_of, members, subset_str
 from .reciprocity import MonomialRelation, lift_relation, reduce_to_low_degree, render_relation
 
@@ -24,8 +23,9 @@ def _factorization(rel, cubic, parts, table, L, symbols) -> list[str]:
         quads = [(table[a], table[b], table[mediator], L) for (a, b), mediator in _MU19_MEDIATED]
         lines += (f"  quadruple ({', '.join(map(subset_str, quad))}): "
                   + ("admissible" if admissible(*quad) else "NOT admissible") for quad in quads)
-        qa, qb = (relation_of_cycle(quadruple_to_cycle(*quad, cubic.g), cubic.g) for quad in quads)
-        diff = MonomialRelation(cubic.g, (*qa.terms, *((r, -c) for r, c in qb.terms)))
+        # Th_I*Th_J ~ Th_K*Th_L of each quadruple, the second negated; the masks avoid 1, so none is complemented
+        diff = MonomialRelation(cubic.g, ((X, s * e) for quad, s in zip(quads, (1, -1))
+                                          for X, e in zip(quad, (1, 1, -1, -1))))
         match = cubic.normalized() == diff.normalized()
         lines.append("  quadratic difference reproduces the cubic: " + ("yes" if match else "no"))
     signs = "{" + ",".join(f"{c:+d}" for c in sorted({c for _, c in parts})) + "}"

@@ -1,5 +1,4 @@
-"""Hodge-class bases, the relations their cycles induce, and quadruple
-supports.
+"""Hodge-class bases and quadruple supports.
 
 A (p,p)-Hodge class on the n-th power of a CM abelian variety is the
 increasing tuple of its 2p embedding slots.  A slot is one number,
@@ -11,14 +10,8 @@ slots form a class exactly when they meet every Galois translate of the
 CM type in p slots (the Pohlmann condition); pohlmann_basis enumerates
 these directly.  On the generalized anti-Weyl variety, tests/oracles.py
 re-enumerates the same basis independently (by point coverage, and in
-degree two by admissible quadruples wedged by quadruple_to_cycle) and
-checks the two-out-of-four balance lemma behind the admissibility
-condition.
-
-Each balanced cycle induces a monomial relation between the periods
-Theta_I (relation_of_cycle); reciprocity.reduce_to_low_degree certifies
-that every such relation is generated by degree-one relations
-Theta_I * Theta_{I^c} ~ tau and degree-two quadruple relations.
+degree two by the wedge cycles of admissible quadruples) and checks the
+two-out-of-four balance lemma behind the admissibility condition.
 
 A quadruple's support is the W_g-orbit of its block pair, sized and keyed
 by support_class from the pattern counts of its four masks; on admissible
@@ -28,7 +21,7 @@ determine each other.
 from math import factorial, prod
 
 from . import POHLMANN_HARD_BUDGET
-from .hyperoct import admissible, check_powerset_size, subset_rank, subset_unrank
+from .hyperoct import admissible, check_powerset_size, subset_unrank
 
 
 def _holomorphy_profiles(spec) -> tuple[list, int]:
@@ -107,32 +100,6 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
                         raise ValueError(exceeded)
                     stack.append((i + 1, nxt, (*chosen, i)))
     return picked
-
-
-def quadruple_to_cycle(I: int, J: int, K: int, L: int, g: int, copies=(1, 1, 1, 1)) -> tuple:
-    """The sorted slots of the wedge eps_I ^ eps_J ^ eps_{K^c} ^ eps_{L^c} of four masks at g."""
-    base = 1 << g
-    wedge = (I, J, K ^ (base - 1), L ^ (base - 1))
-    return tuple(sorted((copy - 1) * base + subset_rank(g, X) for X, copy in zip(wedge, copies)))
-
-
-def relation_of_cycle(slots: tuple, g: int) -> "MonomialRelation":
-    """The monomial relation induced by the slots of a cycle on the anti-Weyl
-    variety at g, which must be distinct, non-negative, increasing and
-    balanced: Theta_I on the left per holomorphic slot I, Theta_{I^c} on
-    the right per antiholomorphic slot; copy indices are dropped."""
-    from .reciprocity import MonomialRelation
-
-    base = 1 << g
-    if any(a >= b for a, b in zip(slots, slots[1:])):
-        raise ValueError("slots must be strictly increasing (distinct slots)")
-    if slots and slots[0] < 0:
-        raise ValueError(f"copy index {slots[0] // base + 1} out of range")
-    hol = sum(1 for s in slots if s % base < base // 2)
-    if 2 * hol != len(slots):
-        raise ValueError(f"unbalanced cycle: {hol} holomorphic vs {len(slots) - hol} antiholomorphic slots")
-    masks = (subset_unrank(g, s % base) for s in slots)
-    return MonomialRelation(g, ((I ^ (base - 1), -1) if I & 1 else (I, 1) for I in masks))
 
 
 # ---------------------------------------------------------------------------

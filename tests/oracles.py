@@ -9,7 +9,10 @@ dense vectors here hold it at its canonical rank, and render_vec renders
 such a vector by position.  The anti-Weyl Hodge basis is re-enumerated
 by point coverage and, in degree two, by admissible quadruples, the
 budget a complete Pohlmann walk spends is counted over every prefix, and
-the two-out-of-four balance lemma is checked over every quadruple.  The rest:
+the two-out-of-four balance lemma is checked over every quadruple.  The
+paper's cycle route to a quadratic relation: the wedge cycle of a quadruple
+and the relation a cycle induces (the package writes Theta_I * Theta_J ~
+Theta_K * Theta_L from the four masks).  The rest:
 the product, inverse and subset action of signed permutations (the package
 only walks orbits under generators), the embedding labels phi_j and
 phibar_j with the label form of CM types and the translation law of a
@@ -37,7 +40,7 @@ from cmlab.galois import GaloisGroup, orbit
 from cmlab.hyperoct import (SignedPerm, _act_bits, admissible, check_powerset_size, mask_of, members, submasks,
                             subset_rank, subset_str, subset_unrank)
 from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right
-from cmlab.reciprocity import kernel_N
+from cmlab.reciprocity import MonomialRelation, kernel_N
 from cmlab.record import Record
 from cmlab.sl2check import _nilpotents, _report, bracket, conj
 
@@ -459,6 +462,35 @@ def translated(c: tuple, t, labels: bool = False) -> tuple:
     if labels:
         return label_cycle(t.g, [(act_embedding(t, x), copy) for x, copy in slot_entries(c, t.g, True)])
     return subset_cycle(t.g, [(act_subset(t, I), copy) for I, copy in slot_entries(c, t.g)])
+
+
+# ---------------------------------------------------------------------------
+# the paper's cycle route: the wedge cycle of a quadruple, and the relation
+# a cycle on the anti-Weyl variety induces
+
+
+def quadruple_to_cycle(I: int, J: int, K: int, L: int, g: int, copies=(1, 1, 1, 1)) -> tuple:
+    """The sorted slots of the wedge eps_I ^ eps_J ^ eps_{K^c} ^ eps_{L^c} of four masks at g."""
+    base = 1 << g
+    wedge = (I, J, K ^ (base - 1), L ^ (base - 1))
+    return tuple(sorted((copy - 1) * base + subset_rank(g, X) for X, copy in zip(wedge, copies)))
+
+
+def relation_of_cycle(slots: tuple, g: int) -> MonomialRelation:
+    """The monomial relation induced by the slots of a cycle on the anti-Weyl
+    variety at g, which must be distinct, non-negative, increasing and
+    balanced: Theta_I on the left per holomorphic slot I, Theta_{I^c} on
+    the right per antiholomorphic slot; copy indices are dropped."""
+    base = 1 << g
+    if any(a >= b for a, b in zip(slots, slots[1:])):
+        raise ValueError("slots must be strictly increasing (distinct slots)")
+    if slots and slots[0] < 0:
+        raise ValueError(f"copy index {slots[0] // base + 1} out of range")
+    hol = sum(1 for s in slots if s % base < base // 2)
+    if 2 * hol != len(slots):
+        raise ValueError(f"unbalanced cycle: {hol} holomorphic vs {len(slots) - hol} antiholomorphic slots")
+    masks = (subset_unrank(g, s % base) for s in slots)
+    return MonomialRelation(g, ((I ^ (base - 1), -1) if I & 1 else (I, 1) for I in masks))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import itertools
 
 from cmlab.cmtypes import CMPairSpec, labels_of
 from cmlab.galois import weyl_full
-from cmlab.hodge import pohlmann_basis, quadruple_to_cycle, relation_of_cycle
+from cmlab.hodge import pohlmann_basis
 from cmlab.hyperoct import admissible, mask_of, members, subset_rank
 from cmlab.intlattice import IntMatrix, kernel_basis
 from cmlab.reciprocity import (
@@ -19,7 +19,7 @@ from cmlab.reciprocity import (
 )
 from oracles import (
     act_subset, b2_quadruples, balance_dichotomy, bidegree, bp_multisets, check_sl2, compose, hnf, inverse,
-    lattice_equal, quad_lattice, rec_star_antiweyl, span, subset_cycle,
+    lattice_equal, quad_lattice, quadruple_to_cycle, rec_star_antiweyl, relation_of_cycle, span, subset_cycle,
 )
 
 MU19_PHI = [0, 2, 3, 6, 10, 13, 14, 16, 17]

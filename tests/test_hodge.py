@@ -18,8 +18,6 @@ from cmlab.galois import GaloisGroup, weyl_full
 from cmlab.hodge import (
     canonical_form_weyl,
     pohlmann_basis,
-    quadruple_to_cycle,
-    relation_of_cycle,
     support_class,
 )
 from cmlab.hyperoct import SignedPerm, admissible, mask_of, members, subset_rank
@@ -34,8 +32,8 @@ from cmlab.reciprocity import (
 )
 from oracles import (
     EmbeddingLabel, act_subset, b2_quadruples, balance_dichotomy, bidegree, bp_multisets, compose,
-    dense, holomorphy_digits, kernel_to_cycle, member, quad_lattice, quadruple_support, rec_star_antiweyl,
-    slot_entries, span, subset_cycle, translated, walk_nodes, weyl_elements,
+    dense, holomorphy_digits, kernel_to_cycle, member, quad_lattice, quadruple_support, quadruple_to_cycle,
+    rec_star_antiweyl, relation_of_cycle, slot_entries, span, subset_cycle, translated, walk_nodes, weyl_elements,
 )
 from strategies import cyclic_pairs, generator_pairs, signed_perms, subsets
 
@@ -527,6 +525,13 @@ class TestCertificates:
                 reduce_to_low_degree(rel)
         else:
             assert verify_certificate(rel, reduce_to_low_degree(rel))
+
+    @pytest.mark.parametrize("g", [2, 5])
+    def test_a_non_relation_seen_only_on_the_conjugate_half_is_refused(self, g):
+        # Th{1..g} alone adds 0 to every phi_j and 1 to every phibar_j
+        rel = MonomialRelation(g, [((1 << g) - 1, 1)])
+        with pytest.raises(ReductionError, match="^not a relation: its image under rec\\* is not zero$"):
+            reduce_to_low_degree(rel)
 
     def test_seeded_g12_combination_reduces(self):
         g = 12

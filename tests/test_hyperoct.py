@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlab.hodge import quadruple_to_cycle
 from cmlab.hyperoct import SignedPerm, _act_bits, mask_of, members, submasks, subset_rank, subset_str
 from cmlab.reciprocity import chain_generator, degree_one_generator
-from oracles import EmbeddingLabel, act_embedding, act_subset, compose, inverse, weyl_elements
+from oracles import EmbeddingLabel, act_embedding, act_subset, compose, inverse, quadruple_to_cycle, weyl_elements
 from strategies import dims, signed_perms, subsets
 
 

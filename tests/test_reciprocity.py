@@ -1,5 +1,6 @@
 """Pairing kernels, rec*, the closed-form kernel, quadratic generation,
 chain certificates."""
+import itertools
 import json
 import random
 
@@ -15,6 +16,7 @@ from cmlab.intlattice import IntMatrix, kernel_basis
 from cmlab.reciprocity import (
     MonomialRelation,
     _is_degree_one,
+    _is_degree_two,
     antiweyl_relations,
     chain_generator,
     chain_strip,
@@ -29,8 +31,8 @@ from cmlab.reciprocity import (
     verify_certificate,
 )
 from oracles import (
-    admissible_quadruples, dense, dense_chain_strip, hnf, lattice_equal, member, quad_lattice, quadruple_vector,
-    rec_star_antiweyl, render_vec, span,
+    admissible_quadruples, b2_quadruples, dense, dense_chain_strip, hnf, lattice_equal, member, quad_lattice,
+    quadruple_to_cycle, quadruple_vector, rec_star_antiweyl, relation_of_cycle, render_vec, span,
 )
 from strategies import cm_pair_specs, cyclic_pairs, generator_pairs, generator_spec, induced_cyclic_pairs
 
@@ -312,6 +314,31 @@ class TestIsDegreeOne:
 
     def test_refuses_a_chain(self):
         assert not _is_degree_one(chain_generator(mask_of(3, [1, 2]), 3))
+
+
+class TestIsDegreeTwo:
+    @pytest.mark.parametrize("g", range(3, 7))
+    def test_the_four_masks_are_the_cycle_route(self, g):
+        # the relation of a quadruple's wedge cycle is Th_I*Th_J ~ Th_K*Th_L,
+        # as example-mu19 writes it; a degenerate quadruple cancels to nothing
+        for q in b2_quadruples(g, 1):
+            rel = relation_of_cycle(quadruple_to_cycle(*q[:4], g), g)
+            assert rel == MonomialRelation(g, zip(q[:4], (1, 1, -1, -1)))
+            assert _is_degree_two(rel) == bool(rel.terms)
+
+    def test_accepts_exactly_the_relations_among_the_quadratics(self):
+        # every Th_I*Th_J ~ Th_K*Th_L at g = 3 with no term cancelling: a
+        # relation, rec* of it zero, exactly when it is a degree-two generator
+        g = 3
+        rec_star = rec_star_antiweyl(g).entries
+        pairs = list(itertools.combinations_with_replacement(range(1 << g), 2))
+        for (I, J), (K, L) in itertools.product(pairs, repeat=2):
+            if {I, J} & {K, L}:
+                continue
+            rel = MonomialRelation(g, zip((I, J, K, L), (1, 1, -1, -1)))
+            is_relation = not any(sum(x * y for x, y in zip(row, dense(rel))) for row in rec_star)
+            assert _is_degree_two(rel) == is_relation, (I, J, K, L)
+            assert not _is_degree_two(MonomialRelation(g, rel.terms, 1))
 
 
 class TestClosedFormKernel:

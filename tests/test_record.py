@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from cmlab.cmtypes import CMPairSpec
 from cmlab.galois import GaloisGroup, from_generators, weyl_full
-from cmlab.hodge import relation_of_cycle
 from cmlab.hyperoct import SignedPerm
 from cmlab.intlattice import IntLattice, IntMatrix
 from cmlab.reciprocity import MonomialRelation
-from oracles import EmbeddingLabel, span
+from oracles import EmbeddingLabel, relation_of_cycle, span
 
 # small groups and pairs by recipe, so that two draws are often equal
 _GROUPS = [("weyl", 1), ("weyl", 2), ("cyclic", 4, (0, 1)), ("cyclic", 4, (0, 3)), ("cyclic", 6, (0, 1, 2))]

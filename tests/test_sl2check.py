@@ -267,6 +267,16 @@ class TestCheckSl2:
         assert not any(report["bracket_vv_zero"] for _, report in sl2_reports(4))
         assert not pairwise_commute(stray(4))
 
+    def test_an_entry_in_the_x_block_fails_the_commuting_gate(self, monkeypatch):
+        # (0, 1) has an x row, which the gate allows, and an x column, which it does not
+        def with_x_entry(U, g):
+            return {**built(U, g), (0, 1): 1}
+
+        built = sl2check.build_v
+        monkeypatch.setattr(sl2check, "build_v", with_x_entry)
+        assert not any(report["bracket_vv_zero"] for _, report in sl2_reports(3))
+        assert not pairwise_commute(sl2check._nilpotents(3))
+
     def test_three_brackets_per_report(self, monkeypatch):
         calls = []
 

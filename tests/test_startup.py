@@ -73,10 +73,9 @@ SL2_SIDE = {"cmlab", "cmlab.cli", "cmlab.cli_sl2", "cmlab.sl2check", "cmlab.hype
     (["sl2-check", "--g", "2"], SL2_SIDE),
 ], ids=["hodge-basis", "support", "sl2-check"])
 def test_hodge_and_sl2_commands_load_no_lattice_or_relation_code(tmp_path, argv, expected):
-    # hodge imports the relation code only inside relation_of_cycle, which
-    # neither command runs, the group code only for a pair, and never the
-    # lattice code; sl2-check takes its subsets from hyperoct, not from the
-    # group code
+    # hodge imports no relation code, the group code only for a pair, and
+    # never the lattice code; sl2-check takes its subsets from hyperoct, not
+    # from the group code
     path = tmp_path / "quad.json"
     path.write_text(json.dumps({"g": 3, "first": [[], [2, 3], [2], [3]]}))
     argv = [str(path) if a == "QUAD" else a for a in argv]
@@ -105,9 +104,9 @@ def test_a_cyclic_pair_loads_the_group_code_and_only_what_its_command_runs(tmp_p
     assert cmlab_modules(loaded) == expected
 
 
-def test_example_mu19_loads_every_module_but_sl2():
+def test_example_mu19_loads_every_module_but_hodge_and_sl2():
     loaded = loaded_by("import cmlab.cli; code = cmlab.cli.main(['example-mu19'])")
-    assert cmlab_modules(loaded) == KERNEL_SIDE | {"cmlab.cli_mu19", "cmlab.cli_pairs", "cmlab.hodge"}
+    assert cmlab_modules(loaded) == KERNEL_SIDE | {"cmlab.cli_mu19", "cmlab.cli_pairs"}
 
 
 ARGPARSE = {"argparse", "gettext", "locale"}
