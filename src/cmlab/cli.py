@@ -233,14 +233,14 @@ def parse_args(argv) -> SimpleNamespace:
     """The arguments of a command line, read from build_parser's tables: a
     command, then its options as `--flag value`, `--flag=value` or a bare
     --weyl-full, the last of a repeated option winning.  -h or --help,
-    first or once read after the command, prints help and exits 0.  A
-    usage error prints the usage and a message to stderr and exits 2, in
-    argparse's order, but an option before the command, `--` and an
-    abbreviated flag are refused before any option is read."""
+    first or once read after the command, prints help and exits 0, or 1
+    if stdout cannot take it.  A usage error prints the usage and a message
+    to stderr and exits 2, in argparse's order, but an option before the
+    command, `--` and an abbreviated flag are refused before any option is
+    read."""
     tables = build_parser()
     if argv and argv[0] in ("-h", "--help"):
-        sys.stdout.write(_help(None))
-        raise SystemExit(0)
+        raise SystemExit(_write(_help(None)))
     if not argv or argv[0] not in tables:
         raise _usage_error(None, f"argument command: invalid choice: {argv[0]!r} (choose from "
                                  f"{', '.join(map(repr, tables))})" if argv else
@@ -253,8 +253,7 @@ def parse_args(argv) -> SimpleNamespace:
             raise _usage_error(name, f"unrecognized arguments: {token}")
     for token in rest:
         if token in ("-h", "--help"):
-            sys.stdout.write(_help(name))
-            raise SystemExit(0)
+            raise SystemExit(_write(_help(name)))
         flag, eq, text = token.partition("=")
         keywords = options.get(flag)
         if keywords is None:
@@ -351,7 +350,7 @@ def _help(name) -> str:
 
 def main(argv=None) -> int:
     """Run one command and return its exit code (parse_args raises
-    SystemExit(2) on a usage error, and SystemExit(0) after help).  Without
+    SystemExit(2) on a usage error, and SystemExit after help).  Without
     argv, run sys.argv[1:] as the process's own command line and freeze the
     heap before returning, whatever the exit."""
     try:
@@ -374,18 +373,32 @@ def _run(argv) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
-    try:
-        if as_json:
-            import json
+    if as_json:
+        import json
 
-            print(json.dumps(result, indent=2, sort_keys=True))
-        else:
-            print("\n".join(result))
+        return _write(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    return _write("\n".join(result) + "\n")
+
+
+def _write(text: str) -> int:
+    """Write text to stdout and flush it: 0, or 1 if it did not all go out.
+    A reader that closed the pipe early gets no message; any other fault,
+    a closed stdout too, prints one error line.  What is still buffered goes
+    to devnull, so the flush at interpreter exit cannot raise again."""
+    if sys.stdout is None:  # the process started with stdout closed
+        print("error: cannot write the report: stdout is closed", file=sys.stderr)
+        return 1
+    try:
+        # text longer than the buffer goes to the file at once, and a short
+        # count there is dropped without an error; the last character goes
+        # through the buffer, so the flush raises what cut the rest short
+        sys.stdout.write(text[:-1])
+        sys.stdout.write(text[-1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe early: send what is still buffered to
-        # devnull so the flush at interpreter exit cannot raise again
+    except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -19,7 +19,7 @@ from it the CM type of the compagnon of I, the residues a with 1 in [a].I,
 and for the full mask the reflex labels.
 """
 from .galois import GaloisGroup, orbit, weyl_full
-from .hyperoct import SignedPerm, _act_bits, check_powerset_size, subset_rank, subset_unrank
+from .hyperoct import SignedPerm, _act_bits, check_powerset_size, subset_rank
 from .record import Record
 
 
@@ -91,7 +91,7 @@ def translate_masks(G: GaloisGroup) -> list[int]:
 
 
 def orbit_decomposition(G: GaloisGroup) -> list[list[int]]:
-    """Partition P({1,...,g}) into G-orbits of masks.
+    """Partition P({1,...,g}) into G-orbits of masks, rho being in G.
 
     The orbit of the empty set comes first; the rest follow by their
     minimal member; each orbit is sorted in the canonical subset order.
@@ -100,10 +100,9 @@ def orbit_decomposition(G: GaloisGroup) -> list[list[int]]:
     check_powerset_size(g)
     seen = set()
     orbits = []
-    # seeds in canonical order, so each orbit is found from its minimal
-    # member and the empty set (rank 0) comes first
-    for r in range(1 << g):
-        seed = subset_unrank(g, r)
+    # rho complements, so every orbit holds an even mask, and the even masks are
+    # ranks 0 .. 2^(g-1) - 1 in order: each orbit is found from its minimal member
+    for seed in range(0, 1 << g, 2):
         if seed in seen:
             continue
         members = orbit(G.gens, seed, _act_bits)

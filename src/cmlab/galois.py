@@ -19,7 +19,8 @@ CLOSURE_CAP = 10**6
 
 class GaloisGroup(Record):
     """A finite group of signed permutations, given by its generators `gens`.
-    The constructors put rho in the group."""
+    The constructors put rho in the group, and cmtypes.orbit_decomposition
+    and reciprocity.pairing_matrix rely on it."""
 
     __slots__ = ("g", "gens")
 

@@ -2,18 +2,18 @@
 anti-Weyl relations with their degree <= 2 certificates.
 
 A relation is its exponents (MonomialRelation): an integer exponent per
-period index, plus the exponent of tau (standing for 2 pi i).  The
-indices name the holomorphic periods th_1..th_g of one CM pair when the
-relation comes from that pair's period kernel: the kernel of the Galois
-pairing matrix (one row per translate sigma Phi of the CM type, +1 at j
-when phi_j lies in it, -1 when phibar_j does) collects exactly the
-exponent vectors of monomial period relations, and a renderer names them
-with the pair's symbols.  Otherwise an index is the mask of a subset I
-of {1,...,g} and names Theta_I: rec* sends it to sum_{j not in I} phi_j
-+ sum_{j in I} phibar_j, and its kernel N' is the relation lattice.  The
-canonical rank of I is read only where an order is (from_vec, rendering,
-antiweyl_relations).  lift_relation takes a pair relation to Theta_I
-through the orbit table.
+period index, plus the exponent of tau (standing for 2 pi i).  The indices
+name the holomorphic periods th_1..th_g of one CM pair when the relation
+comes from that pair's period kernel: the kernel of the Galois pairing
+matrix (one row per embedding of the reflex type, a translate sigma Phi
+containing phi_1: +1 at j when phi_j lies in it, -1 when phibar_j does) is
+exactly the exponent vectors of monomial period relations, and a renderer
+names them with the pair's symbols.  Otherwise an index is the mask of a
+subset I of {1,...,g} and names Theta_I: rec* sends it to sum_{j not in I}
+phi_j + sum_{j in I} phibar_j, and its kernel N' is the relation lattice.
+The canonical rank of I is read only where an order is (from_vec,
+rendering, antiweyl_relations).  lift_relation takes a pair relation to
+Theta_I through the orbit table.
 
 N' is generated by the "admissible quadruple" vectors
 eps_I + eps_J - eps_K - eps_L with I cup J = K cup L and I cap J = K cap L.
@@ -119,15 +119,15 @@ def relation_to_json(rel: MonomialRelation, symbols=None) -> dict:
 
 
 def pairing_matrix(spec):
-    """One row per translate sigma Phi (per mask sigma.empty in the orbit of
-    the empty set, in mask order): +1 at j if phi_j lies in sigma Phi, -1 if
-    phibar_j does.  Repeating a row for every element changes no kernel."""
+    """One row per reflex embedding, a translate sigma Phi containing phi_1
+    (a mask sigma.empty avoiding 1, in mask order): +1 at j if phi_j lies in
+    sigma Phi, -1 if phibar_j does.  rho is in the group, so the row of each
+    other translate is one of these negated, which changes no kernel."""
     from .cmtypes import translate_masks
     from .intlattice import IntMatrix
 
-    g = spec.g
-    rows = [[-1 if m >> j & 1 else 1 for j in range(g)] for m in translate_masks(spec.group)]
-    return IntMatrix.from_rows(rows, g)
+    rows = [[-1 if m >> j & 1 else 1 for j in range(spec.g)] for m in translate_masks(spec.group) if not m & 1]
+    return IntMatrix.from_rows(rows, spec.g)
 
 
 def kernel_N(spec):

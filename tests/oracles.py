@@ -18,8 +18,8 @@ only walks orbits under generators), the embedding labels phi_j and
 phibar_j with the label form of CM types and the translation law of a
 cyclic group on them, the converters between slot numbers and (index set
 or label, copy) pairs, the bidegree of a cycle read from those pairs, the
-elements of the whole Weyl group, the support of a quadruple as a walked
-orbit, the HNF, lattice
+elements of the whole Weyl group, the orbits of the subsets seeded by every
+rank, the support of a quadruple as a walked orbit, the HNF, lattice
 span, equality and membership, the symplectic form, the paper's root
 vectors, of which the package's sl2 nilpotents are sums, the pairwise
 commuting gate of the sl2 nilpotents, the scaled sl2 negative control and
@@ -313,6 +313,20 @@ def weyl_elements(g: int) -> tuple:
     lexicographic order and the 2^g flip masks within each: an enumeration
     that shares nothing with the breadth-first closure of the package."""
     return tuple(SignedPerm(g, f, perm) for perm in itertools.permutations(range(1, g + 1)) for f in range(1 << g))
+
+
+def whole_group_orbits(G: GaloisGroup) -> list:
+    """The orbits of P({1,...,g}) seeded by every rank in order, each the
+    image of its minimal member under every group element, sorted by rank:
+    the reference for the package's walk from the even masks alone."""
+    seen, orbits = set(), []
+    for r in range(1 << G.g):
+        seed = subset_unrank(G.g, r)
+        if seed not in seen:
+            images = {act_subset(t, seed) for t in G.elements}
+            seen |= images
+            orbits.append(sorted(images, key=lambda I: subset_rank(G.g, I)))
+    return orbits
 
 
 def quadruple_support(q, G: GaloisGroup) -> frozenset:

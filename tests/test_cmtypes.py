@@ -20,7 +20,8 @@ from cmlab.cmtypes import (
 )
 from cmlab.galois import from_generators, weyl_full
 from cmlab.hyperoct import SignedPerm, mask_of, members, subset_rank, subset_unrank
-from oracles import EmbeddingLabel, act_embedding, act_subset, compose, decode_cm_type, encode_cm_type, translates_by
+from oracles import (EmbeddingLabel, act_embedding, act_subset, compose, decode_cm_type, encode_cm_type, translates_by,
+                     whole_group_orbits)
 from strategies import cm_pair_specs, cyclic_pairs, induced_cyclic_pairs, signed_perms, subsets
 
 # Orbit table of the mu19 regression datum: translation label a -> I([a]).
@@ -81,19 +82,6 @@ class TestSubsetOrder:
             assert list(range(0, 1 << g, 2)) == [subset_unrank(g, r) for r in range(1 << (g - 1))]
 
 
-def whole_group_orbits(G):
-    """orbit_decomposition as it was computed: each orbit is the image of
-    its minimal member under every group element."""
-    seen, orbits = set(), []
-    for r in range(1 << G.g):
-        seed = subset_unrank(G.g, r)
-        if seed not in seen:
-            images = {act_subset(t, seed) for t in G.elements}
-            seen |= images
-            orbits.append(sorted(images, key=lambda I: subset_rank(G.g, I)))
-    return orbits
-
-
 class TestOrbitDecomposition:
     def test_mu19_first_orbit_is_table(self, mu19):
         orbits = orbit_decomposition(mu19.group)
@@ -148,6 +136,18 @@ class TestOrbitDecomposition:
             assert {I ^ full for I in o} == set(o)
             assert 2 * sum(not I & 1 for I in o) == len(o)
         assert sum(map(len, orbits)) == 1 << spec.g
+
+    @given(cm_pair_specs(5) | induced_cyclic_pairs(5))
+    @settings(max_examples=40, deadline=None)
+    def test_every_orbit_is_found_from_an_even_mask(self, spec):
+        # rho lies in the group and complements, so every orbit's minimal
+        # member avoids 1, and seeding the even masks finds what seeding
+        # every rank finds
+        orbits = orbit_decomposition(spec.group)
+        assert orbits == whole_group_orbits(spec.group)
+        full = (1 << spec.g) - 1
+        for o in orbits:
+            assert {I ^ full for I in o} == set(o) and not o[0] & 1
 
     def test_weyl_g3_single_orbit(self):
         spec = CMPairSpec.weyl(3)

@@ -86,8 +86,9 @@ def mu19_cubics():
 
 class TestCycleIndex:
     """A cycle index: the increasing tuple of slot numbers of a Hodge class.
-    relation_of_cycle is where slots from a caller enter, so it refuses the
-    tuples that are not one."""
+    relation_of_cycle, a reference in oracles that no command reaches,
+    refuses the tuples that are not one, so that its own callers in the
+    tests cannot pass it a malformed cycle."""
 
     def test_entries_must_be_strictly_sorted(self):
         # slot 2 is {1} and slot 0 the empty set, in copy 1 at g = 2: a

@@ -51,8 +51,15 @@ def flip_sets(spec):
     return {el.flips for el in spec.group.elements}
 
 
+def row_mask(row) -> int:
+    """The mask sigma.empty of the translate whose pairing row is row."""
+    return sum(1 << j for j, x in enumerate(row) if x < 0)
+
+
 class TestPairingMatrix:
-    """One row per translate sigma Phi, not per group element."""
+    """One row per reflex embedding, the translates sigma Phi containing
+    phi_1, not per group element; the conjugate translates' rows are these
+    negated, so they are left out."""
 
     def test_identity_row_all_ones(self, mu19):
         m = pairing_matrix(mu19)
@@ -60,12 +67,15 @@ class TestPairingMatrix:
 
     def test_conjugation_negates_rows(self, mu19):
         rows = set(pairing_matrix(mu19).entries)
-        assert rows == {tuple(-x for x in row) for row in rows}
+        negated = {tuple(-x for x in row) for row in rows}
+        assert not rows & negated
+        assert rows | negated == set(pairing_matrix_reference(mu19).entries)
 
     def test_conjugation_negates_rows_weyl(self):
         rows = set(pairing_matrix(CMPairSpec.weyl(3)).entries)
-        assert len(rows) == 8
-        assert rows == {tuple(-x for x in row) for row in rows}
+        negated = {tuple(-x for x in row) for row in rows}
+        assert len(rows) == 4 and not rows & negated
+        assert rows | negated == set(itertools.product((1, -1), repeat=3))
 
     @pytest.mark.parametrize("make", [
         lambda: CMPairSpec.from_cyclic(18, MU19_PHI),
@@ -73,10 +83,18 @@ class TestPairingMatrix:
         lambda: generator_spec(3, [SignedPerm.make(3, [1], [2, 3, 1]), SignedPerm.make(3, [2])]),
     ])
     def test_one_row_per_mask_in_the_orbit_of_the_empty_set(self, make):
+        # up to sign: each row and its negation are the two translates of
+        # a conjugate pair
         spec = make()
-        m = pairing_matrix(spec)
-        want = sorted(flip_sets(spec))
-        assert [sum(1 << j for j, x in enumerate(row) if x < 0) for row in m.entries] == want
+        rows = pairing_matrix(spec).entries
+        masks = [row_mask(row) for row in rows] + [row_mask([-x for x in row]) for row in rows]
+        assert sorted(masks) == sorted(flip_sets(spec))
+
+    @given(cm_pair_specs(5) | induced_cyclic_pairs(5))
+    @settings(max_examples=40, deadline=None)
+    def test_the_rows_are_the_translates_avoiding_1_in_mask_order(self, spec):
+        rows = pairing_matrix(spec).entries
+        assert [row_mask(row) for row in rows] == sorted(m for m in flip_sets(spec) if not m & 1)
 
 
 def pairing_matrix_reference(spec):

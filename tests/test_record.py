@@ -189,7 +189,8 @@ def test_hot_records_have_no_instance_dict():
     (lambda: from_generators(2, [SignedPerm.make(2)]), "conjugation not in group"),
     (lambda: GaloisGroup(2, (SignedPerm.make(2), SignedPerm.make(2, [1, 2]))),
      "image in S_2 is not transitive (reaches only [1])"),
-    # a cycle's slots are checked where they enter, in relation_of_cycle
+    # relation_of_cycle, an oracle no command reaches, checks a cycle's slots
+    # to protect its own callers in the tests
     (lambda: relation_of_cycle((-1,), 2), "copy index 0 out of range"),
     (lambda: relation_of_cycle((0, 0), 2), "slots must be strictly increasing (distinct slots)"),
     (lambda: IntMatrix(((1, 2), (3,)), 2), "ragged matrix"),

@@ -79,6 +79,25 @@ def test_except_clauses_catch_no_bugs(path):
     assert not found, f"{path.name} catches {found}"
 
 
+def _writes_to_a_stream(node) -> bool:
+    """Whether node calls print or names sys.stdout or sys.stderr."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) == "print"
+    if isinstance(node, ast.Attribute):
+        return getattr(node.value, "id", None) == "sys" and node.attr in ("stdout", "stderr")
+    return isinstance(node, ast.ImportFrom) and node.module == "sys" and any(
+        alias.name in ("stdout", "stderr") for alias in node.names)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_only_cli_writes_to_the_streams(path):
+    # a handler returns its report and cli writes it, through the one
+    # guarded write that turns a fault on stdout into an error line
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if _writes_to_a_stream(node)]
+    assert not lines, f"{path.name} writes to the process's streams at lines {lines}"
+
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
