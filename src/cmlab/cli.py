@@ -38,8 +38,6 @@ import sys
 from importlib import import_module
 from types import SimpleNamespace
 
-from . import POHLMANN_HARD_BUDGET
-
 
 def _unique_keys(pairs) -> dict:
     """The JSON object of its key-value pairs, if no key repeats."""
@@ -216,7 +214,7 @@ def build_parser() -> dict:
             options["--input"] = {"required": True, **_INPUT}
         if name == "hodge-basis":
             options.update({"--p": {"type": int, "required": True}, "--n": {"type": int, "required": True},
-                            "--budget": {"type": _positive, "default": POHLMANN_HARD_BUDGET, "metavar": "N",
+                            "--budget": {"type": _positive, "metavar": "N",
                                          "help": "fail once the Pohlmann walk has visited more than N nodes "
                                                  "(hard cap 10^7)"}})
     return tables

@@ -8,10 +8,12 @@ the 2^g CM-type index sets by rank on the anti-Weyl variety, phi_1..phi_g
 then phibar_1..phibar_g on a CM pair, the first half holomorphic.  The
 slots form a class exactly when they meet every Galois translate of the
 CM type in p slots (the Pohlmann condition); pohlmann_basis enumerates
-these directly.  On the generalized anti-Weyl variety, tests/oracles.py
-re-enumerates the same basis independently (by point coverage, and in
-degree two by the wedge cycles of admissible quadruples) and checks the
-two-out-of-four balance lemma behind the admissibility condition.
+these directly, within a budget of walk nodes: POHLMANN_HARD_BUDGET
+(10^7) when none is given, and never more.  On the generalized anti-Weyl
+variety, tests/oracles.py re-enumerates the same basis independently (by
+point coverage, and in degree two by the wedge cycles of admissible
+quadruples) and checks the two-out-of-four balance lemma behind the
+admissibility condition.
 
 A quadruple's support is the W_g-orbit of its block pair, sized and keyed
 by support_class from the pattern counts of its four masks; on admissible
@@ -20,8 +22,10 @@ determine each other.
 """
 from math import factorial, prod
 
-from . import POHLMANN_HARD_BUDGET
 from .hyperoct import admissible, check_powerset_size, subset_unrank
+
+# the most nodes a Pohlmann walk may visit, whatever budget the caller gives
+POHLMANN_HARD_BUDGET = 10**7
 
 
 def _holomorphy_profiles(spec) -> tuple[list, int]:
@@ -44,7 +48,7 @@ def _holomorphy_profiles(spec) -> tuple[list, int]:
             for bar in (0, 1) for j in range(spec.g)], len(masks)
 
 
-def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> list[tuple]:
+def pohlmann_basis(spec, p: int, n: int, budget: int | None = None) -> list[tuple]:
     """All 2p-slot cycles meeting every Galois translate of the CM type in
     exactly p slots, on the n-th power of the variety, as slot tuples.
 
@@ -54,7 +58,8 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
     itertools.combinations order drops a partial choice once some translate
     of the CM type holds more than p of its slots.  A node adds the length
     of its loop to a node count when it is made, the root before the slots
-    are laid out; a count past the budget (hard cap 10^7) raises ValueError.
+    are laid out; a count past the smaller of the budget and
+    POHLMANN_HARD_BUDGET raises ValueError, and no budget means the cap.
     """
     if p < 0 or n < 1:
         raise ValueError("need p >= 0 and n >= 1")
@@ -62,7 +67,7 @@ def pohlmann_basis(spec, p: int, n: int, budget: int = POHLMANN_HARD_BUDGET) -> 
         return [()]
     if p > 7:
         raise ValueError("the packed accumulator supports p <= 7")
-    eff = min(budget, POHLMANN_HARD_BUDGET)
+    eff = POHLMANN_HARD_BUDGET if budget is None else min(budget, POHLMANN_HARD_BUDGET)
     exceeded = f"enumeration budget exceeded: the walk visits more than {eff} nodes"
     profile, digits = _holomorphy_profiles(spec)
     # a node's loop is counted when it is made, the root's before profile * n

@@ -34,9 +34,9 @@ import functools
 import itertools
 from fractions import Fraction
 
-from cmlab import POHLMANN_HARD_BUDGET
 from cmlab.cli import _COMMANDS, _PAIR_OR_GENUS, _SOURCES, _positive, build_parser
 from cmlab.galois import GaloisGroup, orbit
+from cmlab.hodge import POHLMANN_HARD_BUDGET
 from cmlab.hyperoct import (SignedPerm, _act_bits, admissible, check_powerset_size, mask_of, members, submasks,
                             subset_rank, subset_str, subset_unrank)
 from cmlab.intlattice import IntLattice, IntMatrix, _hnf_right

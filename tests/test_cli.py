@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 import cmlab.cli_pairs
 import cmlab.hodge
-from cmlab import POHLMANN_HARD_BUDGET
-from cmlab.cli import _COMMANDS, build_parser, main, parse_args
+from cmlab.cli import _COMMANDS, _fill, build_parser, main, parse_args
 from cmlab.galois import GaloisGroup, weyl_full
+from cmlab.hodge import POHLMANN_HARD_BUDGET
 from cmlab.hyperoct import SignedPerm, mask_of, subset_rank, subset_str
 from oracles import argparse_parser, quadruple_support
 
@@ -261,10 +261,11 @@ class TestHodgeBasis:
         assert code == 1 and "budget exceeded" in err
 
     def test_default_budget_is_the_hard_cap(self, capsys, monkeypatch):
-        # without --budget the cap is POHLMANN_HARD_BUDGET; it is lowered
-        # here so that the walk reaches it after a few nodes
+        # without --budget no budget reaches the walk, which then stops at
+        # POHLMANN_HARD_BUDGET; the cap is lowered here so that the walk
+        # reaches it after a few nodes
         argv = ["hodge-basis", "--p", "3", "--n", "2", "--g", "5", "--weyl-full"]
-        assert parse_args(argv).budget == POHLMANN_HARD_BUDGET
+        assert parse_args(argv).budget is None
         monkeypatch.setattr(cmlab.hodge, "POHLMANN_HARD_BUDGET", 50)
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
@@ -478,6 +479,11 @@ class TestPinnedMessages:
                 monkeypatch.setenv("COLUMNS", columns)
             assert usage_transcript() == USAGE.read_text(encoding="utf-8"), f"COLUMNS={columns}"
 
+    @pytest.mark.parametrize("width, lines", [(6, ["aaa", "bbb"]), (7, ["aaa bbb"])])
+    def test_fill_counts_the_space_between_words(self, width, lines):
+        # the space between two words counts: "aaa bbb" takes 7 columns
+        assert _fill(["aaa", "bbb"], width, "") == lines
+
 
 USAGE = pathlib.Path(__file__).parent / "data" / "cli_usage.txt"
 USAGE_ARGV = [
@@ -639,6 +645,12 @@ class TestPlainArgs:
         (["--format", "json", "orbits"], "cmlab: error: argument command: invalid choice: '--format' "
          "(choose from 'orbits', 'reflex', 'compagnons', 'kernel', 'relations', 'hodge-basis', 'reduce', "
          "'support', 'sl2-check', 'example-mu19')"),
+        # a positive integer is written in decimal digits alone, as
+        # _positive reads it; int() would take each of these
+        *((["sl2-check", "--g", text], f"cmlab sl2-check: error: argument --g: expected a positive integer, "
+                                       f"got {text!r}") for text in ("+3", " 3", "3_0")),
+        # a negative number ends in a digit, so -5. is not a value
+        (["sl2-check", "--g", "-5."], "cmlab sl2-check: error: argument --g: expected one argument"),
     ])
     def test_usage_errors_name_the_token(self, capsys, argv, message):
         assert TestProgramMode.exit_code(argv) == 2

@@ -254,6 +254,11 @@ class TestRelations:
         rel = MonomialRelation(2, enumerate((-1, 1))).normalized()
         assert rel.terms == ((0, 1), (1, -1))
 
+    def test_a_relation_without_terms_normalizes_its_tau(self):
+        # 1 ~ tau becomes tau ~ 1: tau's exponent leads when no other exponent does
+        rel = MonomialRelation(2, [], -1).normalized()
+        assert (rel.terms, rel.tau) == ((), 1)
+
     def test_tau_renders(self):
         rel = MonomialRelation(2, [(3, 1), (0, 1)], tau=-1)
         assert render_relation(rel) == "Th{}*Th{1,2} ~ tau"
@@ -357,6 +362,17 @@ class TestIsDegreeTwo:
             is_relation = not any(sum(x * y for x, y in zip(row, dense(rel))) for row in rec_star)
             assert _is_degree_two(rel) == is_relation, (I, J, K, L)
             assert not _is_degree_two(MonomialRelation(g, rel.terms, 1))
+
+    @pytest.mark.parametrize("terms", [
+        [(2, 1), (4, 1), (6, -1)],  # Th{2}*Th{3} ~ Th{2,3}: degree 2 on the left, 1 on the right
+        [(6, 1), (2, -1), (4, -1)],  # Th{2,3} ~ Th{2}*Th{3}
+    ])
+    def test_refuses_unequal_degrees(self, terms):
+        # refused before the masks reach admissible, which takes four; so a
+        # certificate with such a part is refused, not a crash
+        rel = MonomialRelation(3, terms)
+        assert not _is_degree_two(rel)
+        assert not verify_certificate(rel, [(rel, 1)])
 
 
 class TestClosedFormKernel:

@@ -187,6 +187,8 @@ def test_hot_records_have_no_instance_dict():
     (lambda: SignedPerm(2, 4, (1, 2)), "flips mask 0x4 has indices outside 1..2"),
     (lambda: SignedPerm(2, 0, (1, 1)), "perm (1, 1) is not a bijection of 1..2"),
     (lambda: from_generators(2, [SignedPerm.make(2)]), "conjugation not in group"),
+    # checked before the closure reads a generator's perm at every point of 1..g
+    (lambda: from_generators(3, [SignedPerm.make(2, [1, 2])]), "generator has g=2, expected 3"),
     (lambda: GaloisGroup(2, (SignedPerm.make(2), SignedPerm.make(2, [1, 2]))),
      "image in S_2 is not transitive (reaches only [1])"),
     # relation_of_cycle, an oracle no command reaches, checks a cycle's slots

@@ -3,9 +3,13 @@ import ast
 import importlib
 import inspect
 import pathlib
+import re
 import sys
 
 import pytest
+
+from cmlab.cli import build_parser
+from cmlab.hodge import POHLMANN_HARD_BUDGET
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "cmlab").glob("*.py"))
 ORACLES = pathlib.Path(__file__).parent / "oracles.py"
@@ -324,3 +328,33 @@ def test_every_public_definition_is_run_by_a_command():
     # the package holds what the command line runs; reference code that
     # tests compare against lives in tests/oracles.py
     assert unreached_public_definitions(SOURCES[0].parent) == []
+
+
+def _bound_names(tree) -> list:
+    """The names that the module-level statements of tree bind."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        else:
+            found += [target.id for target in ast.walk(node)
+                      if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)]
+    return found
+
+
+def test_the_package_root_binds_only_its_version():
+    # every module imports the root first, so a value kept there is loaded
+    # by a job that never uses it; a constant lives in the module that
+    # enforces it
+    root = SOURCES[0].parent / "__init__.py"
+    assert _bound_names(ast.parse(root.read_text(encoding="utf-8"))) == ["__version__"]
+
+
+def test_the_budget_help_states_the_hard_cap():
+    # the --budget help states the cap in words, the one copy of it in the
+    # package outside hodge
+    text = build_parser()["hodge-basis"]["--budget"]["help"]
+    base, power = re.search(r"hard cap (\d+)\^(\d+)", text).groups()
+    assert int(base) ** int(power) == POHLMANN_HARD_BUDGET
